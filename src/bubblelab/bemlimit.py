@@ -11,14 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import zgecon
 from scipy.special import eval_legendre, spherical_jn, spherical_yn
 
 from .errors import ConfigError, SolverError
 from .fields import FarField
+from .kernels import DenseSystem, far_field_sum
 from .meshes import SurfaceMesh
 from .surfmedium import panel_weight_matrix, single_layer_eval
+
+BEM_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -40,23 +41,16 @@ def solve_dirichlet(mesh: SurfaceMesh, incident, directions):
     Works unchanged for closed surfaces (exterior Dirichlet) and open ones
     (crack problem; use rim-graded meshes since the true density blows up at
     the edge).  Near an interior Dirichlet resonance of the enclosed domain
-    the system degenerates; a condition-estimate guard reports it.
+    the system degenerates; a condition-estimate guard reports it.  The solve
+    holds the residual contract max|W phi + u^I| <= 1e-8 (1 + max|phi|).
     """
-    w = panel_weight_matrix(mesh, incident.kappa0)
-    rhs = -incident.at(mesh.centroids)
-    lu, piv = lu_factor(w)
-    rcond, info = zgecon(lu, np.linalg.norm(w, 1))
-    if info != 0 or rcond < 1e-12:
-        raise SolverError(
-            "single-layer system nearly singular (interior Dirichlet resonance?); "
-            "perturb kappa0 away from the eigenvalue",
-            cond_estimate=float(1.0 / max(rcond, 1e-300)),
-        )
-    phi = lu_solve((lu, piv), rhs)
-    density = LayerDensity(values=phi)
+    system = DenseSystem(panel_weight_matrix(mesh, incident.kappa0), BEM_RESIDUAL_TOL,
+                         rcond_min=1e-12,
+                         name="single-layer system (near an interior Dirichlet resonance?)")
+    phi, _ = system.solve(-incident.at(mesh.centroids))
     d = np.asarray(directions, dtype=float)
-    values = np.exp(-1j * incident.kappa0 * (d @ mesh.centroids.T)) @ (phi * mesh.areas)
-    return density, FarField(d, values)
+    values = far_field_sum(d, mesh.centroids, phi * mesh.areas, incident.kappa0)
+    return LayerDensity(values=phi), FarField(d, values)
 
 
 def scattered_field(density: LayerDensity, mesh: SurfaceMesh, kappa0: float, points):

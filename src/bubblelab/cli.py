@@ -229,7 +229,7 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
     for row in table.rows:
         print(f"a={row.a:.6g} M={row.m} sup_err={row.sup_err:.4e} "
               f"scale={row.field_scale:.4e}")
-    for a, reason in table.aborted:
+    for a, reason, _ in table.aborted:
         print(f"a={a:.6g} aborted: {reason}")
     print(f"fit: slope={fit.slope:.3f} predicted={fit.predicted_exponent:.3f} "
           f"-> {out / 'error_table.csv'}")

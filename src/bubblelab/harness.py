@@ -124,7 +124,7 @@ class ErrorRow:
 class ErrorTable:
     rows: list
     regime_report: object
-    aborted: list  # (a, reason)
+    aborted: list  # (a, reason, {"type", "cond_estimate", "iterations"})
     geometry_kind: str
     far_fields: list = field(default_factory=list)  # (a, fl FarField, model FarField)
 
@@ -331,14 +331,12 @@ def run_convergence(config: ExperimentConfig) -> ErrorTable:
                                       seed=config.seed, d_min=d_min)
             if cl.m > m_max:
                 raise ConfigError(f"cluster size M={cl.m} exceeds cap {m_max}")
-            matrix = pointscat.assemble(cl.centers, coeff.value, kappa0)
+            incidents = [IncidentWave(kappa0, np.asarray(th, dtype=float)) for th in thetas]
+            fl_fields = _point_far_fields(cl, coeff.value, incidents, directions)
 
             sup_err = field_scale = 0.0
             keep = None
-            for ti, th in enumerate(thetas):
-                incident = IncidentWave(kappa0, np.asarray(th, dtype=float))
-                charges = pointscat.solve_charges(matrix, incident, cl.centers)
-                ff_fl = pointscat.far_field(charges, cl.centers, kappa0, directions)
+            for ti, (incident, ff_fl) in enumerate(zip(incidents, fl_fields)):
                 if ti not in model_cache:
                     model_cache[ti] = _solve_comparator(
                         regime_name, surface, mesh, geometry, density, bubble,
@@ -354,9 +352,32 @@ def run_convergence(config: ExperimentConfig) -> ErrorTable:
                                  field_scale=field_scale, wall_time_s=wall))
             far_fields.append((a, keep[0], keep[1]))
         except BubbleLabError as exc:
-            aborted.append((a, f"{type(exc).__name__}: {exc}"))
+            aborted.append((a, f"{type(exc).__name__}: {exc}", _abort_diagnostics(exc)))
     return ErrorTable(rows=rows, regime_report=report, aborted=aborted,
                       geometry_kind=config.geometry["kind"], far_fields=far_fields)
+
+
+def _point_far_fields(cl, c_coeff, incidents, directions) -> list:
+    """Point-interaction far field of one cluster for each incident wave.
+
+    The cluster matrix is factored once for all directions, and it and its LU
+    are freed on return, before any comparator allocates.
+    """
+    system = pointscat.ClusterSystem(pointscat.assemble(cl.centers, c_coeff,
+                                                        incidents[0].kappa0))
+    return [pointscat.far_field(pointscat.solve_charges(system, inc, cl.centers),
+                                cl.centers, inc.kappa0, directions)
+            for inc in incidents]
+
+
+def _abort_diagnostics(exc: BubbleLabError) -> dict:
+    """Type, condition estimate and iteration count of an aborted row's error."""
+    cond = getattr(exc, "cond_estimate", None)
+    return {
+        "type": type(exc).__name__,
+        "cond_estimate": float(cond) if cond is not None and math.isfinite(cond) else None,
+        "iterations": getattr(exc, "iterations", None),
+    }
 
 
 def _solve_comparator(regime_name, surface, mesh, geometry, density, bubble,
@@ -474,7 +495,7 @@ def write_outputs(config: ExperimentConfig, table: ErrorTable, fit: Optional[Rat
         "s_star": table.regime_report.s_star,
         "scale_of_c": table.regime_report.scale_of_c,
         "ledger": [[name, ok] for name, ok in table.regime_report.satisfied],
-        "aborted_rows": [[a, reason] for a, reason in table.aborted],
+        "aborted_rows": [list(row) for row in table.aborted],
     }
     with open(out / "regime_report.json", "w") as fh:
         json.dump(report, fh, indent=1)

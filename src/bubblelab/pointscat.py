@@ -5,7 +5,10 @@ amplitudes solve
 
     (1/C) Q_m + sum_{l != m} Phi(z_l, z_m) Q_l = -u^I(z_m),
 
-with Phi the free-space Helmholtz kernel e^{ikr}/(4 pi r).
+with Phi the free-space Helmholtz kernel e^{ikr}/(4 pi r).  The matrix comes
+from ``kernels.pair_kernel``; a ``ClusterSystem`` factors it once and solves
+any number of incidence directions against that LU.  The far field is the
+shared ``kernels.far_field_sum``.
 """
 
 from __future__ import annotations
@@ -14,12 +17,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import zgecon
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConfigError, GeometryError, RegimeError, SolverError
 from .fields import FarField
+from .kernels import (DenseSystem, far_field_sum, helmholtz, min_cos_kappa_distance,
+                      pair_kernel)
 from .materials import ContrastParams, RegimeReport
 
 RESIDUAL_TOL = 1e-10
@@ -57,41 +60,39 @@ class ChargeSolution:
 
 def helmholtz_kernel(x, y, kappa0):
     """e^{ik|x-y|} / (4 pi |x-y|), broadcasting over leading axes."""
-    r = np.linalg.norm(np.asarray(x, float) - np.asarray(y, float), axis=-1)
-    return np.exp(1j * kappa0 * r) / (4.0 * np.pi * r)
+    return helmholtz(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float), axis=-1),
+                     kappa0)
 
 
 def assemble(centers, c_coeff: complex, kappa0: float) -> np.ndarray:
-    """Dense symmetric system matrix: 1/C on the diagonal, kernel off it."""
+    """Dense symmetric system matrix: 1/C on the diagonal, kernel off it.
+
+    Built by ``kernels.pair_kernel`` in bounded row blocks, so the only
+    (M, M) allocation is the matrix itself.
+    """
     if c_coeff == 0:
         raise ConfigError("scattering coefficient must be non-zero")
     z = np.asarray(centers, dtype=float)
     if z.ndim != 2 or z.shape[1] != 3:
         raise GeometryError("centers must be an (M, 3) array")
-    diff = z[:, None, :] - z[None, :, :]
-    r = np.linalg.norm(diff, axis=2)
-    off = ~np.eye(len(z), dtype=bool)
-    if np.any(r[off] == 0.0):
-        raise GeometryError("coincident centers make the interaction kernel singular")
-    a = np.zeros((len(z), len(z)), dtype=complex)
-    a[off] = np.exp(1j * kappa0 * r[off]) / (4.0 * np.pi * r[off])
-    np.fill_diagonal(a, 1.0 / c_coeff)
-    return a
+    return pair_kernel(z, kappa0, diagonal=1.0 / c_coeff)
 
 
-def min_cos_kappa_distance(centers, kappa0: float) -> float:
-    """min over pairs of cos(kappa0 |z_m - z_j|); positivity backs one of the
-    invertibility cases and is reported as a diagnostic only."""
-    z = np.asarray(centers, dtype=float)
-    if len(z) < 2:
-        return 1.0
-    r = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=2)
-    off = ~np.eye(len(z), dtype=bool)
-    return float(np.cos(kappa0 * r[off]).min())
+class ClusterSystem(DenseSystem):
+    """Point-interaction matrix of one cluster, LU-factored on its first solve.
+
+    Pass it to ``solve_charges`` in place of the matrix to solve several
+    incidence directions against one factorization; ``min_cos_kappa_d`` is
+    likewise computed once, on the first solve.
+    """
+
+    def __init__(self, matrix):
+        super().__init__(matrix, RESIDUAL_TOL, name="point-interaction system")
+        self.min_cos_kappa_d = None
 
 
 def solve_charges(
-    matrix: np.ndarray,
+    matrix,
     incident: IncidentWave,
     centers,
     contrast: Optional[ContrastParams] = None,
@@ -99,44 +100,37 @@ def solve_charges(
 ) -> ChargeSolution:
     """Solve for the charges with rhs -u^I(z_m); record residual and conditioning.
 
-    Dense LU with partial pivoting up to ``dense_max`` unknowns, then GMRES
-    with diagonal preconditioning (relative residual 1e-10 or failure).  One
-    step of iterative refinement is applied if the direct residual misses the
-    contract residual <= 1e-10 (1 + max|Q|).
+    ``matrix`` is the assembled array or a ``ClusterSystem`` wrapping it,
+    whose LU is then reused across calls.  Dense LU with partial pivoting up
+    to ``dense_max`` unknowns, then GMRES with diagonal preconditioning
+    (relative residual 1e-10 or failure).  One step of iterative refinement is
+    applied if the direct residual misses the contract
+    residual <= 1e-10 (1 + max|Q|).
     """
+    system = matrix if isinstance(matrix, ClusterSystem) else ClusterSystem(matrix)
     z = np.asarray(centers, dtype=float)
     b = -incident.at(z)
     m = len(b)
-    if matrix.shape != (m, m):
+    a = system.matrix
+    if a.shape != (m, m):
         raise ConfigError("matrix/centers size mismatch")
 
     if m <= dense_max:
-        lu, piv = lu_factor(matrix)
-        anorm = np.linalg.norm(matrix, 1)
-        rcond, info = zgecon(lu, anorm)
-        cond = float(1.0 / max(rcond, 1e-300))
-        if info != 0 or rcond == 0.0:
-            raise SolverError("factorization breakdown", cond_estimate=cond)
-        q = lu_solve((lu, piv), b)
-        resid = matrix @ q - b
-        if np.abs(resid).max() > RESIDUAL_TOL * (1.0 + np.abs(q).max()):
-            q = q - lu_solve((lu, piv), resid)
-            resid = matrix @ q - b
+        q, residual = system.solve(b)
+        cond = system.cond_estimate
     else:
-        dinv = 1.0 / np.diag(matrix)
-        op = LinearOperator(matrix.shape, matvec=lambda v: matrix @ v, dtype=complex)
-        pre = LinearOperator(matrix.shape, matvec=lambda v: dinv * v, dtype=complex)
+        dinv = 1.0 / np.diag(a)
+        op = LinearOperator(a.shape, matvec=lambda v: a @ v, dtype=complex)
+        pre = LinearOperator(a.shape, matvec=lambda v: dinv * v, dtype=complex)
         q, info = gmres(op, b, rtol=RESIDUAL_TOL, atol=0.0, M=pre, maxiter=2000)
         if info != 0:
             raise SolverError(f"iterative solve did not converge (info={info})", iterations=info)
-        resid = matrix @ q - b
         cond = float("nan")
-
-    residual = float(np.abs(resid).max())
-    if residual > RESIDUAL_TOL * (1.0 + np.abs(q).max()):
-        raise SolverError(
-            f"residual {residual:.3e} exceeds contract tolerance", cond_estimate=cond
-        )
+        residual = float(np.abs(a @ q - b).max())
+        if residual > RESIDUAL_TOL * (1.0 + np.abs(q).max()):
+            raise SolverError(f"residual {residual:.3e} exceeds contract tolerance")
+    if system.min_cos_kappa_d is None:
+        system.min_cos_kappa_d = min_cos_kappa_distance(z, incident.kappa0)
     ledger = None
     if contrast is not None:
         from .materials import classify_regime
@@ -153,17 +147,15 @@ def solve_charges(
         charges=q,
         residual=residual,
         cond_estimate=cond,
-        min_cos_kappa_d=min_cos_kappa_distance(z, incident.kappa0),
+        min_cos_kappa_d=system.min_cos_kappa_d,
         invertibility=ledger,
     )
 
 
 def far_field(solution: ChargeSolution, centers, kappa0: float, directions) -> FarField:
     """Pattern sum_m e^{-ik x_hat . z_m} Q_m on the given direction grid."""
-    z = np.asarray(centers, dtype=float)
     d = np.asarray(directions, dtype=float)
-    values = np.exp(-1j * kappa0 * (d @ z.T)) @ solution.charges
-    return FarField(d, values)
+    return FarField(d, far_field_sum(d, centers, solution.charges, kappa0))
 
 
 def near_field(solution: ChargeSolution, centers, kappa0: float, x) -> complex:
@@ -177,7 +169,7 @@ def near_field(solution: ChargeSolution, centers, kappa0: float, x) -> complex:
     r = np.linalg.norm(z - pt[None, :], axis=1)
     if np.any(r == 0.0):
         raise GeometryError("near-field evaluation at a bubble center")
-    return complex(np.exp(1j * kappa0 * r) / (4.0 * np.pi * r) @ solution.charges)
+    return complex(helmholtz(r, kappa0) @ solution.charges)
 
 
 def predicted_remainder(regime: RegimeReport, params: ContrastParams, a: float):

@@ -16,11 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import zgecon
 
-from .errors import ConfigError, GeometryError, SolverError
+from .errors import ConfigError, GeometryError
 from .fields import FarField
+from .kernels import DenseSystem, far_field_sum, helmholtz, pair_kernel
 from .meshes import SurfaceMesh
 
 SIE_RESIDUAL_TOL = 1e-8
@@ -100,16 +99,8 @@ def self_panel_weight(mesh: SurfaceMesh, k: int, kappa0: float) -> complex:
 
 def panel_weight_matrix(mesh: SurfaceMesh, kappa0: float) -> np.ndarray:
     """Collocation weights w_ij = Phi(c_i, c_j) area_j, polar self terms."""
-    c = mesh.centroids
-    diff = c[:, None, :] - c[None, :, :]
-    r = np.linalg.norm(diff, axis=2)
-    off = r > 0
-    w = np.zeros((len(c), len(c)), dtype=complex)
-    w[off] = np.exp(1j * kappa0 * r[off]) / (4.0 * np.pi * r[off])
-    w *= mesh.areas[None, :]
-    for k in range(len(c)):
-        w[k, k] = self_panel_weight(mesh, k, kappa0)
-    return w
+    self_weights = [self_panel_weight(mesh, k, kappa0) for k in range(mesh.n_panels)]
+    return pair_kernel(mesh.centroids, kappa0, diagonal=self_weights, col_weights=mesh.areas)
 
 
 def assemble_and_solve_surface(mesh: SurfaceMesh, sigma, h_star: float,
@@ -119,23 +110,15 @@ def assemble_and_solve_surface(mesh: SurfaceMesh, sigma, h_star: float,
         raise ConfigError("surface density sigma must be real-valued")
     if h_star <= 0:
         raise ConfigError("h_star must be positive")
-    sig = np.broadcast_to(np.asarray(sigma, dtype=float), (mesh.n_panels,)).copy()
-    w = panel_weight_matrix(mesh, incident.kappa0)
-    a = np.eye(mesh.n_panels, dtype=complex) + h_star * w * sig[None, :]
-    rhs = incident.at(mesh.centroids)
-    lu, piv = lu_factor(a)
-    rcond, info = zgecon(lu, np.linalg.norm(a, 1))
-    if info != 0 or rcond < 1e-14:
-        raise SolverError("surface system is numerically singular",
-                          cond_estimate=float(1.0 / max(rcond, 1e-300)))
-    y = lu_solve((lu, piv), rhs)
-    resid = np.abs(a @ y - rhs).max()
-    if resid > SIE_RESIDUAL_TOL * (1.0 + np.abs(y).max()):
-        y = y - lu_solve((lu, piv), a @ y - rhs)
-        resid = np.abs(a @ y - rhs).max()
-    if resid > SIE_RESIDUAL_TOL * (1.0 + np.abs(y).max()):
-        raise SolverError(f"surface solve residual {resid:.3e} above tolerance")
-    return SurfaceSolution(y=y, sigma_h=h_star * sig, residual=float(resid), h_star=h_star)
+    n = mesh.n_panels
+    sig = np.broadcast_to(np.asarray(sigma, dtype=float), (n,)).copy()
+    a = panel_weight_matrix(mesh, incident.kappa0)
+    a *= h_star
+    a *= sig[None, :]
+    a.flat[:: n + 1] += 1.0
+    system = DenseSystem(a, SIE_RESIDUAL_TOL, rcond_min=1e-14, name="surface system")
+    y, resid = system.solve(incident.at(mesh.centroids))
+    return SurfaceSolution(y=y, sigma_h=h_star * sig, residual=resid, h_star=h_star)
 
 
 def far_field_surface(solution: SurfaceSolution, mesh: SurfaceMesh, kappa0: float,
@@ -143,8 +126,7 @@ def far_field_surface(solution: SurfaceSolution, mesh: SurfaceMesh, kappa0: floa
     """Pattern -sum_j e^{-ik x_hat . c_j} sigma_h_j Y_j area_j."""
     d = np.asarray(directions, dtype=float)
     weights = solution.sigma_h * solution.y * mesh.areas
-    values = -np.exp(-1j * kappa0 * (d @ mesh.centroids.T)) @ weights
-    return FarField(d, values)
+    return FarField(d, -far_field_sum(d, mesh.centroids, weights, kappa0))
 
 
 def single_layer_eval(mesh: SurfaceMesh, densities, kappa0: float, points,
@@ -168,7 +150,7 @@ def single_layer_eval(mesh: SurfaceMesh, densities, kappa0: float, points,
         far = ~near
         vals = np.zeros(len(c), dtype=complex)
         safe = np.where(r > 0, r, 1.0)
-        vals[far] = np.exp(1j * kappa0 * safe[far]) / (4.0 * np.pi * safe[far]) * mesh.areas[far]
+        vals[far] = helmholtz(safe[far], kappa0) * mesh.areas[far]
         for k in np.nonzero(near)[0]:
             if k not in frames:
                 frames[k] = _panel_plane_frame(mesh, k)

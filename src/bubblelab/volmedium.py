@@ -5,8 +5,10 @@ Collocation at voxel centers of
     Y(z) + h_star * Int_Omega Phi(z, y) V0(y) Y(y) dy = u^I(z),
 
 with off-diagonal weights Phi(z_i, z_j) g^3 and an equal-volume-ball closed
-form on the diagonal.  Direct dense solve for small cell counts, otherwise
-GMRES with an FFT-convolution matvec on the regular grid.
+form on the diagonal.  Direct dense solve (``kernels.pair_kernel`` weights,
+``kernels.DenseSystem`` LU) for small cell counts, otherwise GMRES with an
+FFT-convolution matvec on the regular grid.  The far field sums over the grid
+separably (``kernels.grid_far_field_sum``), one phase table per axis.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .errors import ConfigError, SolverError
 from .fields import FarField
+from .kernels import DenseSystem, grid_far_field_sum, helmholtz, pair_kernel
 
 LS_RESIDUAL_TOL = 1e-8
 DIRECT_MAX = 4096
@@ -55,9 +58,12 @@ class VoxelGrid:
         mask = domain.contains(grid.all_centers()).reshape(dims)
         return VoxelGrid(origin, g, dims, mask)
 
+    def axes(self) -> list:
+        """Cell-center coordinates along x, y and z."""
+        return [self.origin[d] + self.g * (np.arange(self.dims[d]) + 0.5) for d in range(3)]
+
     def all_centers(self) -> np.ndarray:
-        axes = [self.origin[d] + self.g * (np.arange(self.dims[d]) + 0.5) for d in range(3)]
-        xx, yy, zz = np.meshgrid(*axes, indexing="ij")
+        xx, yy, zz = np.meshgrid(*self.axes(), indexing="ij")
         return np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
 
     def centers(self) -> np.ndarray:
@@ -142,7 +148,7 @@ class _GridConvolution:
         r = np.sqrt(ox**2 + oy**2 + oz**2)
         kern = np.zeros(shape, dtype=complex)
         nz = r > 0
-        kern[nz] = np.exp(1j * kappa0 * r[nz]) / (4.0 * np.pi * r[nz]) * g**3
+        kern[nz] = helmholtz(r[nz], kappa0) * g**3
         kern[0, 0, 0] = self_cell_weight(g, kappa0)
         # the aliased +/- n offsets are never reached by zero-padded fields
         for d, n in enumerate(dims):
@@ -164,22 +170,17 @@ class _GridConvolution:
 
 
 def _dense_weights(grid: VoxelGrid, kappa0: float) -> np.ndarray:
-    z = grid.centers()
-    diff = z[:, None, :] - z[None, :, :]
-    r = np.linalg.norm(diff, axis=2)
-    off = r > 0
-    w = np.zeros_like(r, dtype=complex)
-    w[off] = np.exp(1j * kappa0 * r[off]) / (4.0 * np.pi * r[off]) * grid.g**3
-    np.fill_diagonal(w, self_cell_weight(grid.g, kappa0))
-    return w
+    return pair_kernel(grid.centers(), kappa0, diagonal=self_cell_weight(grid.g, kappa0),
+                       col_weights=grid.g**3)
 
 
 def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident,
                        direct_max: int = DIRECT_MAX, max_cells: int = 64**3) -> LSSolution:
     """Solve the collocation system (I + h_star W diag(V0)) Y = u^I.
 
-    Dense LU up to ``direct_max`` cells, then GMRES with the FFT matvec and
-    diagonal preconditioning (relative residual 1e-8 or failure).
+    Dense LU (with one refinement step) up to ``direct_max`` cells, then
+    GMRES with the FFT matvec and diagonal preconditioning (relative residual
+    1e-8 or failure).
     """
     n = grid.n_cells
     if n == 0:
@@ -193,10 +194,10 @@ def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident,
     hv = potential.h_star * potential.values
 
     if n <= direct_max:
-        w = _dense_weights(grid, incident.kappa0)
-        a = np.eye(n, dtype=complex) + w * hv[None, :]
-        y = np.linalg.solve(a, rhs)
-        resid = np.abs(a @ y - rhs).max()
+        a = _dense_weights(grid, incident.kappa0)
+        a *= hv[None, :]
+        a.flat[:: n + 1] += 1.0
+        y, resid = DenseSystem(a, LS_RESIDUAL_TOL, name="volume system").solve(rhs)
         method = "dense-lu"
     else:
         conv = _GridConvolution(grid, incident.kappa0)
@@ -220,12 +221,15 @@ def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident,
 
 def far_field_volume(solution: LSSolution, potential: VolumePotential, grid: VoxelGrid,
                      kappa0: float, directions) -> FarField:
-    """Pattern -h_star sum_j e^{-ik x_hat . z_j} V0_j Y_j g^3."""
-    z = grid.centers()
+    """Pattern -h_star sum_j e^{-ik x_hat . z_j} V0_j Y_j g^3.
+
+    Summed separably over the voxel grid: three (D, n_axis) phase tables
+    instead of a (D, n_cells) matrix.
+    """
     d = np.asarray(directions, dtype=float)
-    weights = potential.h_star * potential.values * solution.y * grid.g**3
-    values = -np.exp(-1j * kappa0 * (d @ z.T)) @ weights
-    return FarField(d, values)
+    weights = np.zeros(grid.dims, dtype=complex)
+    weights[grid.mask] = potential.h_star * potential.values * solution.y * grid.g**3
+    return FarField(d, -grid_far_field_sum(d, grid.axes(), weights, kappa0))
 
 
 def total_field_eval(solution: LSSolution, potential: VolumePotential, grid: VoxelGrid,
@@ -245,7 +249,7 @@ def total_field_eval(solution: LSSolution, potential: VolumePotential, grid: Vox
         inside = np.all(np.abs(z - x[None, :]) <= grid.g / 2.0 + 1e-12, axis=1)
         w = np.empty(len(z), dtype=complex)
         far = ~inside
-        w[far] = np.exp(1j * incident.kappa0 * r[far]) / (4.0 * np.pi * r[far]) * grid.g**3
+        w[far] = helmholtz(r[far], incident.kappa0) * grid.g**3
         w[inside] = w_self
         out[i] -= strengths @ w
     return out if len(out) > 1 else out[0]

@@ -237,3 +237,39 @@ def two_bubble_charges(c_coeff, kappa0, z1, z2, theta):
     q1 = (-u1 / c_coeff + phi * u2) / det
     q2 = (-u2 / c_coeff + phi * u1) / det
     return q1, q2
+
+
+# ---------------------------------------------------------------------------
+# broadcast kernel formulas (the pre-blocking implementations, kept verbatim)
+
+
+def _broadcast_distances(points):
+    z = np.asarray(points, dtype=float)
+    return np.linalg.norm(z[:, None, :] - z[None, :, :], axis=2)
+
+
+def broadcast_assemble(centers, c_coeff, kappa0):
+    """Point-interaction matrix via the (M, M, 3) difference array."""
+    r = _broadcast_distances(centers)
+    off = ~np.eye(len(r), dtype=bool)
+    a = np.zeros(r.shape, dtype=complex)
+    a[off] = np.exp(1j * kappa0 * r[off]) / (4.0 * np.pi * r[off])
+    np.fill_diagonal(a, 1.0 / c_coeff)
+    return a
+
+
+def broadcast_weights(points, kappa0, col_weights, diagonal):
+    """Kernel times column weights off the diagonal (panel and voxel weights)."""
+    r = _broadcast_distances(points)
+    off = r > 0
+    w = np.zeros(r.shape, dtype=complex)
+    w[off] = np.exp(1j * kappa0 * r[off]) / (4.0 * np.pi * r[off])
+    w *= col_weights
+    np.fill_diagonal(w, diagonal)
+    return w
+
+
+def direct_far_field(directions, points, weights, kappa0):
+    """sum_j e^{-i k d . z_j} w_j through the full (D, M) phase matrix."""
+    d = np.asarray(directions, dtype=float)
+    return np.exp(-1j * kappa0 * (d @ np.asarray(points, dtype=float).T)) @ weights

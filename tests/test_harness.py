@@ -115,6 +115,25 @@ def test_row_abort_on_cluster_cap():
     table = run_convergence(cfg)
     assert len(table.rows) == 3
     assert len(table.aborted) == 1 and "exceeds cap" in table.aborted[0][1]
+    assert table.aborted[0][2] == {"type": "ConfigError", "cond_estimate": None,
+                                   "iterations": None}
+
+
+def test_solver_error_row_keeps_diagnostics(tmp_path, monkeypatch):
+    from bubblelab import pointscat
+
+    # a negative contract tolerance fails every point-interaction residual check
+    monkeypatch.setattr(pointscat, "RESIDUAL_TOL", -1.0)
+    cfg = low_config()
+    table = run_convergence(cfg)
+    assert not table.rows and len(table.aborted) == 3
+    params, _ = build_contrast(cfg.contrast)
+    write_outputs(cfg, table, fit_rate(table, params), tmp_path)
+    report = json.loads((tmp_path / "regime_report.json").read_text())
+    a, reason, diagnostics = report["aborted_rows"][0]
+    assert a == cfg.a_sequence[0] and reason.startswith("SolverError: ")
+    assert diagnostics["type"] == "SolverError" and diagnostics["iterations"] is None
+    assert diagnostics["cond_estimate"] >= 1.0
 
 
 def test_fit_rate_exact_power_law():
