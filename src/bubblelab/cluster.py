@@ -133,29 +133,6 @@ class BallDomain:
         return 4.0 * math.pi * self.radius**3 / 3.0
 
 
-@dataclass(frozen=True)
-class UnionBoxesDomain:
-    boxes: tuple  # of BoxDomain
-
-    def bounding_box(self):
-        los, his = zip(*(b.bounding_box() for b in self.boxes))
-        return np.min(los, axis=0), np.max(his, axis=0)
-
-    def contains(self, points):
-        pts = np.atleast_2d(points)
-        out = np.zeros(len(pts), dtype=bool)
-        for b in self.boxes:
-            out |= b.contains(pts)
-        return out
-
-    def intersects_cube(self, center, half):
-        return any(b.intersects_cube(center, half) for b in self.boxes)
-
-    def volume(self):
-        # overlap not corrected; used for reporting only
-        return float(sum(b.volume() for b in self.boxes))
-
-
 # ---------------------------------------------------------------------------
 # surface charts
 
@@ -180,9 +157,6 @@ class PlaneChart:
         pts = np.atleast_2d(uv)
         out = np.column_stack([pts[:, 0], pts[:, 1], np.zeros(len(pts))])
         return out + np.asarray(self.center)
-
-    def metric(self, uv):
-        return np.ones(len(np.atleast_2d(uv)))
 
 
 @dataclass(frozen=True)
@@ -219,43 +193,6 @@ class SphereCapChart:
             [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
         )
         return out + np.asarray(self.center)
-
-    def metric(self, uv):
-        return np.ones(len(np.atleast_2d(uv)))
-
-
-@dataclass(frozen=True)
-class GraphChart:
-    """Surface z = f(x, y) over a rectangle; metric sqrt(1 + |grad f|^2)."""
-
-    f: object
-    lx: float = 1.0
-    ly: float = 1.0
-    center: tuple = (0.0, 0.0, 0.0)
-    fd_step: float = 1e-6
-
-    def param_bbox(self):
-        return np.array([-self.lx / 2, -self.ly / 2]), np.array([self.lx / 2, self.ly / 2])
-
-    def contains_param(self, uv):
-        lo, hi = self.param_bbox()
-        pts = np.atleast_2d(uv)
-        return np.all((pts >= lo - 1e-12) & (pts <= hi + 1e-12), axis=1)
-
-    def to_xyz(self, uv):
-        pts = np.atleast_2d(uv)
-        z = np.array([self.f(u, v) for u, v in pts])
-        return np.column_stack([pts[:, 0], pts[:, 1], z]) + np.asarray(self.center)
-
-    def metric(self, uv):
-        pts = np.atleast_2d(uv)
-        h = self.fd_step
-        out = np.empty(len(pts))
-        for i, (u, v) in enumerate(pts):
-            fu = (self.f(u + h, v) - self.f(u - h, v)) / (2 * h)
-            fv = (self.f(u, v + h) - self.f(u, v - h)) / (2 * h)
-            out[i] = math.sqrt(1.0 + fu * fu + fv * fv)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +271,6 @@ class SurfaceCluster:
 def save_cluster(cluster, path):
     with open(path, "w") as fh:
         json.dump(cluster.to_json(), fh, indent=1)
-
-
-def load_cluster_centers(path):
-    """Centers and metadata from an exported cluster document."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    return np.asarray(doc["centers"], dtype=float), doc
 
 
 def _lattice_axes(lo, hi, pitch):
@@ -467,11 +397,13 @@ def build_volumetric(domain, density: DensityField, a: float, s: float, t: float
 
 def build_surface(chart, density: DensityField, a: float, s: float, t: float,
                   seed: int = 0, d_min: float = 0.5) -> SurfaceCluster:
-    """Shell-ordered parameter-plane squares scaled by the chart metric.
+    """Shell-ordered parameter-plane squares on an area-preserving chart.
 
-    Squares have surface area a^s (floor(K)+1)/(K+1); sites crossing the chart
-    boundary are dropped and their area is reported.  Ambient positions come
-    from the chart map; minimum distances are measured in ambient space.
+    Both charts map parameter areas to equal surface areas, so squares of
+    side sqrt(a^s (floor(K)+1)/(K+1)) have that surface area; sites crossing
+    the chart boundary are dropped and their area is reported.  Ambient
+    positions come from the chart map; minimum distances are measured in
+    ambient space.
     """
     if a <= 0 or a >= 1:
         raise ConfigError("radius scale a must lie in (0, 1)")
@@ -504,9 +436,8 @@ def build_surface(chart, density: DensityField, a: float, s: float, t: float,
     kvals = density(kept)
     counts = np.floor(kvals).astype(int) + 1
     fracs = counts / (kvals + 1.0)
-    metric = chart.metric(kept)
     target_areas = a**s * fracs
-    sides = np.sqrt(target_areas / metric)
+    sides = np.sqrt(target_areas)
 
     rng = np.random.default_rng(seed)
     centers, param_centers, cell_of = [], [], []

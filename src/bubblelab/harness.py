@@ -34,6 +34,7 @@ from .fields import FarField, fibonacci_directions
 from .materials import (
     BubbleSpec,
     ContrastParams,
+    RegimeReport,
     classify_regime,
     leading_coefficient,
     omega_at_gap,
@@ -45,6 +46,8 @@ from .pointscat import IncidentWave
 
 VOLUMETRIC_KINDS = ("box", "ball")
 SURFACE_KINDS = ("sphere_cap", "plane_rect")
+TOLERANCE_KEYS = ("m_max", "d_min", "grid_n", "mesh_level", "mesh_n", "mesh_rings",
+                  "mesh_nphi", "record_wall_time")
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown geometry kind {self.geometry.get('kind')!r}")
         if self.directions < 1:
             raise ConfigError("direction grid size must be positive")
+        unknown = set(self.tolerances) - set(TOLERANCE_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown tolerance keys {sorted(unknown)}")
 
     @property
     def is_surface(self) -> bool:
@@ -127,6 +133,7 @@ class ErrorTable:
     aborted: list  # (a, reason, {"type", "cond_estimate", "iterations"})
     geometry_kind: str
     far_fields: list = field(default_factory=list)  # (a, fl FarField, model FarField)
+    params: Optional[ContrastParams] = None  # resolved parameters the rate fit uses
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -135,6 +142,15 @@ class ErrorTable:
             for r in self.rows:
                 writer.writerow([repr(r.a), r.m, r.n_model, repr(r.sup_err),
                                  repr(r.field_scale), repr(r.wall_time_s)])
+
+    @staticmethod
+    def read_rows(path) -> list:
+        """The rows of a table written by ``write_csv``."""
+        with open(path, newline="") as fh:
+            return [ErrorRow(a=float(r["a"]), m=int(r["M"]), n_model=int(r["N"]),
+                             sup_err=float(r["sup_err"]), field_scale=float(r["field_scale"]),
+                             wall_time_s=float(r["wall_time_s"]))
+                    for r in csv.DictReader(fh)]
 
 
 @dataclass(frozen=True)
@@ -255,8 +271,29 @@ def comparator_mesh(config: ExperimentConfig):
     raise ConfigError(f"no comparator mesh for geometry {kind!r}")
 
 
+def resolve_contrast(config: ExperimentConfig, bubble: BubbleSpec) -> tuple:
+    """Contrast parameters and frequency mode, with omega pinned in ratio mode.
+
+    In gap mode omega moves with the radius scale; ``RunSetup.row_params``
+    pins it per row.
+    """
+    params, mode = build_contrast(config.contrast)
+    if mode[0] == "ratio":
+        params = omega_at_ratio(bubble, params, mode[1])
+    return params, mode
+
+
+def regime_summary(report: RegimeReport) -> dict:
+    return {
+        "regime": report.regime,
+        "s_star": report.s_star,
+        "scale_of_c": report.scale_of_c,
+        "ledger": [[name, ok] for name, ok in report.satisfied],
+    }
+
+
 # ---------------------------------------------------------------------------
-# comparators
+# run set-up and comparators
 
 
 def _medium_coefficient(bubble, row_params, regime_name, a):
@@ -269,18 +306,78 @@ def _medium_coefficient(bubble, row_params, regime_name, a):
     return lead
 
 
-def _resolve_row_params(bubble, params, mode, a):
-    if mode[0] == "gap":
-        return omega_at_gap(bubble, params, a)
-    return params
+@dataclass(frozen=True)
+class RunSetup:
+    """What every command builds from its config, and the solves it shares."""
+
+    config: ExperimentConfig
+    bubble: BubbleSpec
+    params: ContrastParams  # omega resolved, except in gap mode
+    mode: tuple
+    report: RegimeReport
+    geometry: object
+    density: DensityField
+
+    @property
+    def directions(self) -> np.ndarray:
+        return fibonacci_directions(self.config.directions)
+
+    @property
+    def theta(self) -> np.ndarray:
+        theta = np.asarray(self.config.theta, dtype=float)
+        return theta / np.linalg.norm(theta)
+
+    def row_params(self, a) -> ContrastParams:
+        if self.mode[0] == "gap":
+            return omega_at_gap(self.bubble, self.params, a)
+        return self.params
+
+    def cluster(self, a):
+        builder = build_surface if self.config.is_surface else build_volumetric
+        return builder(self.geometry, self.density, a, self.params.s, self.params.t,
+                       seed=self.config.seed,
+                       d_min=float(self.config.tolerances.get("d_min", 0.5)))
+
+    def solve_points(self, a, row_params, incidents) -> tuple:
+        """Cluster, coefficient and charges for each incident wave at radius scale a.
+
+        Clusters above the ``m_max`` cap raise ConfigError before the dense
+        matrix is built.  The matrix is factored once for all incident waves,
+        and it and its LU are freed on return, before any comparator allocates.
+        """
+        coeff = scattering_coefficient(self.bubble, row_params, a)
+        cl = self.cluster(a)
+        m_max = int(self.config.tolerances.get("m_max", 4096))
+        if cl.m > m_max:
+            raise ConfigError(f"cluster size M={cl.m} exceeds cap {m_max}")
+        system = pointscat.ClusterSystem(pointscat.assemble(cl.centers, coeff.value,
+                                                            row_params.kappa0))
+        return cl, coeff, [pointscat.solve_charges(system, inc, cl.centers)
+                           for inc in incidents]
+
+    def volume_comparator(self, row_params, a, incident) -> tuple:
+        """Voxel grid, volume potential and Lippmann-Schwinger solution."""
+        grid = volmedium.VoxelGrid.cover(self.geometry,
+                                         int(self.config.tolerances.get("grid_n", 24)))
+        coeff0 = _medium_coefficient(self.bubble, row_params, self.report.regime, a)
+        pot = volmedium.VolumePotential.from_density(grid, self.density, coeff0)
+        return grid, pot, volmedium.assemble_and_solve(grid, pot, incident)
+
+    def surface_comparator(self, mesh, row_params, a, incident):
+        """Surface-density solution on the comparator mesh."""
+        sigma0 = _medium_coefficient(self.bubble, row_params, self.report.regime, a)
+        return surfmedium.assemble_and_solve_surface(
+            mesh, sigma0 * (self.density.value + 1.0), 1.0, incident)
 
 
-def run_convergence(config: ExperimentConfig) -> ErrorTable:
-    """Point-interaction vs equivalent-model far fields along the a-sequence."""
+def prepare(config: ExperimentConfig) -> RunSetup:
+    """Build a run's bubble, contrast, geometry and density.
+
+    Raises ConfigError when the parameters classify as another regime than
+    the config names, or when a surface run asks for a non-constant density.
+    """
     bubble = build_bubble(config.bubble)
-    params, mode = build_contrast(config.contrast)
-    if mode[0] == "ratio":
-        params = omega_at_ratio(bubble, params, mode[1])
+    params, mode = resolve_contrast(config, bubble)
     report = classify_regime(params)
     if report.regime != config.regime:
         raise ConfigError(
@@ -288,26 +385,24 @@ def run_convergence(config: ExperimentConfig) -> ErrorTable:
         )
     geometry = build_geometry(config.geometry)
     density = build_density(config.geometry.get("density"))
-    tol = config.tolerances
-    m_max = int(tol.get("m_max", 4096))
-    d_min = float(tol.get("d_min", 0.5))
-    record_wall = bool(tol.get("record_wall_time", False))
-    directions = fibonacci_directions(config.directions)
-    theta = np.asarray(config.theta, dtype=float)
-    theta = theta / np.linalg.norm(theta)
-    surface = config.is_surface
-
-    if surface and density.kind != "constant":
+    if config.is_surface and density.kind != "constant":
         raise ConfigError("surface comparators support constant density fields only")
+    return RunSetup(config=config, bubble=bubble, params=params, mode=mode, report=report,
+                    geometry=geometry, density=density)
 
-    regime_name = report.regime
+
+def run_convergence(config: ExperimentConfig) -> ErrorTable:
+    """Point-interaction vs equivalent-model far fields along the a-sequence."""
+    run = prepare(config)
+    record_wall = bool(config.tolerances.get("record_wall_time", False))
+    directions = run.directions
+    regime_name = run.report.regime
     mesh = None
-    if regime_name != "Low":
-        if surface or regime_name == "High":
-            mesh = comparator_mesh(config)
+    if regime_name != "Low" and (config.is_surface or regime_name == "High"):
+        mesh = comparator_mesh(config)
 
     # incidence directions: one fixed theta, or a sweep taking the sup over a grid
-    thetas = [theta]
+    thetas = [run.theta]
     if config.theta_sweep > 0:
         thetas = list(fibonacci_directions(config.theta_sweep))
 
@@ -317,30 +412,21 @@ def run_convergence(config: ExperimentConfig) -> ErrorTable:
     for a in config.a_sequence:
         t0 = time.perf_counter()
         try:
-            row_params = _resolve_row_params(bubble, params, mode, a)
-            coeff = scattering_coefficient(bubble, row_params, a)
-            kappa0 = row_params.kappa0
-            if mode[0] == "gap":
+            row_params = run.row_params(a)
+            if run.mode[0] == "gap":
                 model_cache.clear()  # kappa0 moves with a near the resonance
 
-            if surface:
-                cl = build_surface(geometry, density, a, params.s, params.t,
-                                   seed=config.seed, d_min=d_min)
-            else:
-                cl = build_volumetric(geometry, density, a, params.s, params.t,
-                                      seed=config.seed, d_min=d_min)
-            if cl.m > m_max:
-                raise ConfigError(f"cluster size M={cl.m} exceeds cap {m_max}")
-            incidents = [IncidentWave(kappa0, np.asarray(th, dtype=float)) for th in thetas]
-            fl_fields = _point_far_fields(cl, coeff.value, incidents, directions)
+            incidents = [IncidentWave(row_params.kappa0, th) for th in thetas]
+            cl, _, sols = run.solve_points(a, row_params, incidents)
+            fl_fields = [pointscat.far_field(sol, cl.centers, row_params.kappa0, directions)
+                         for sol in sols]
 
             sup_err = field_scale = 0.0
             keep = None
             for ti, (incident, ff_fl) in enumerate(zip(incidents, fl_fields)):
                 if ti not in model_cache:
-                    model_cache[ti] = _solve_comparator(
-                        regime_name, surface, mesh, geometry, density, bubble,
-                        row_params, a, incident, directions, tol)
+                    model_cache[ti] = _solve_comparator(run, mesh, row_params, a, incident,
+                                                        directions)
                 ff_model, n_model = model_cache[ti]
                 err = ff_fl.sup_diff(ff_model)
                 if keep is None or err > sup_err:
@@ -353,21 +439,9 @@ def run_convergence(config: ExperimentConfig) -> ErrorTable:
             far_fields.append((a, keep[0], keep[1]))
         except BubbleLabError as exc:
             aborted.append((a, f"{type(exc).__name__}: {exc}", _abort_diagnostics(exc)))
-    return ErrorTable(rows=rows, regime_report=report, aborted=aborted,
-                      geometry_kind=config.geometry["kind"], far_fields=far_fields)
-
-
-def _point_far_fields(cl, c_coeff, incidents, directions) -> list:
-    """Point-interaction far field of one cluster for each incident wave.
-
-    The cluster matrix is factored once for all directions, and it and its LU
-    are freed on return, before any comparator allocates.
-    """
-    system = pointscat.ClusterSystem(pointscat.assemble(cl.centers, c_coeff,
-                                                        incidents[0].kappa0))
-    return [pointscat.far_field(pointscat.solve_charges(system, inc, cl.centers),
-                                cl.centers, inc.kappa0, directions)
-            for inc in incidents]
+    return ErrorTable(rows=rows, regime_report=run.report, aborted=aborted,
+                      geometry_kind=config.geometry["kind"], far_fields=far_fields,
+                      params=run.params)
 
 
 def _abort_diagnostics(exc: BubbleLabError) -> dict:
@@ -380,25 +454,18 @@ def _abort_diagnostics(exc: BubbleLabError) -> dict:
     }
 
 
-def _solve_comparator(regime_name, surface, mesh, geometry, density, bubble,
-                      row_params, a, incident, directions, tol):
-    """Equivalent-model far field for one incidence direction."""
+def _solve_comparator(run: RunSetup, mesh, row_params, a, incident, directions):
+    """Equivalent-model far field and model size for one incidence direction."""
     kappa0 = incident.kappa0
-    if regime_name == "Low":
+    if run.report.regime == "Low":
         return FarField(directions, np.zeros(len(directions), dtype=complex)), 0
-    if regime_name == "High":
+    if run.report.regime == "High":
         _, ff = bemlimit.solve_dirichlet(mesh, incident, directions)
         return ff, mesh.n_panels
-    if surface:
-        sigma0 = _medium_coefficient(bubble, row_params, regime_name, a)
-        sigma = sigma0 * (density.value + 1.0)
-        sol = surfmedium.assemble_and_solve_surface(mesh, sigma, 1.0, incident)
+    if run.config.is_surface:
+        sol = run.surface_comparator(mesh, row_params, a, incident)
         return surfmedium.far_field_surface(sol, mesh, kappa0, directions), mesh.n_panels
-    grid = volmedium.VoxelGrid.cover(geometry, int(tol.get("grid_n", 24)))
-    coeff0 = _medium_coefficient(bubble, row_params, regime_name, a)
-    pot = volmedium.VolumePotential.from_density(grid, density, coeff0, 1.0)
-    sol = volmedium.assemble_and_solve(grid, pot, incident,
-                                       direct_max=int(tol.get("direct_max", 4096)))
+    grid, pot, sol = run.volume_comparator(row_params, a, incident)
     return volmedium.far_field_volume(sol, pot, grid, kappa0, directions), grid.n_cells
 
 
@@ -490,13 +557,8 @@ def write_outputs(config: ExperimentConfig, table: ErrorTable, fit: Optional[Rat
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     table.write_csv(out / "error_table.csv")
-    report = {
-        "regime": table.regime_report.regime,
-        "s_star": table.regime_report.s_star,
-        "scale_of_c": table.regime_report.scale_of_c,
-        "ledger": [[name, ok] for name, ok in table.regime_report.satisfied],
-        "aborted_rows": [list(row) for row in table.aborted],
-    }
+    report = {**regime_summary(table.regime_report),
+              "aborted_rows": [list(row) for row in table.aborted]}
     with open(out / "regime_report.json", "w") as fh:
         json.dump(report, fh, indent=1)
     if fit is not None:

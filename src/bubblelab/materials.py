@@ -15,10 +15,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
-
-import numpy as np
 
 from .errors import ConfigError, ContrastError, GeometryError, RegimeError, ResonanceError
 from .meshes import SurfaceMesh, boundary_shape_factor, cube_mesh, icosphere

@@ -1,4 +1,4 @@
-"""Point-interaction multiple scattering: charges, near and far fields.
+"""Point-interaction multiple scattering: charges and far fields.
 
 The cluster of M bubbles is modeled by point sources at the centers z_m whose
 amplitudes solve
@@ -14,16 +14,13 @@ shared ``kernels.far_field_sum``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .errors import ConfigError, GeometryError, RegimeError, SolverError
+from .errors import ConfigError, GeometryError, SolverError
 from .fields import FarField
-from .kernels import (DenseSystem, far_field_sum, helmholtz, min_cos_kappa_distance,
-                      pair_kernel)
-from .materials import ContrastParams, RegimeReport
+from .kernels import DenseSystem, far_field_sum, min_cos_kappa_distance, pair_kernel
 
 RESIDUAL_TOL = 1e-10
 DENSE_MAX = 8192
@@ -55,13 +52,6 @@ class ChargeSolution:
     residual: float
     cond_estimate: float
     min_cos_kappa_d: float  # invertibility diagnostic, reported not enforced
-    invertibility: Optional[tuple] = None  # ledger entries from the classifier
-
-
-def helmholtz_kernel(x, y, kappa0):
-    """e^{ik|x-y|} / (4 pi |x-y|), broadcasting over leading axes."""
-    return helmholtz(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float), axis=-1),
-                     kappa0)
 
 
 def assemble(centers, c_coeff: complex, kappa0: float) -> np.ndarray:
@@ -91,13 +81,8 @@ class ClusterSystem(DenseSystem):
         self.min_cos_kappa_d = None
 
 
-def solve_charges(
-    matrix,
-    incident: IncidentWave,
-    centers,
-    contrast: Optional[ContrastParams] = None,
-    dense_max: int = DENSE_MAX,
-) -> ChargeSolution:
+def solve_charges(matrix, incident: IncidentWave, centers,
+                  dense_max: int = DENSE_MAX) -> ChargeSolution:
     """Solve for the charges with rhs -u^I(z_m); record residual and conditioning.
 
     ``matrix`` is the assembled array or a ``ClusterSystem`` wrapping it,
@@ -131,61 +116,11 @@ def solve_charges(
             raise SolverError(f"residual {residual:.3e} exceeds contract tolerance")
     if system.min_cos_kappa_d is None:
         system.min_cos_kappa_d = min_cos_kappa_distance(z, incident.kappa0)
-    ledger = None
-    if contrast is not None:
-        from .materials import classify_regime
-
-        try:
-            ledger = tuple(
-                (name, ok)
-                for name, ok in classify_regime(contrast).satisfied
-                if name.startswith("fl-invert")
-            )
-        except RegimeError:
-            ledger = None
-    return ChargeSolution(
-        charges=q,
-        residual=residual,
-        cond_estimate=cond,
-        min_cos_kappa_d=system.min_cos_kappa_d,
-        invertibility=ledger,
-    )
+    return ChargeSolution(charges=q, residual=residual, cond_estimate=cond,
+                          min_cos_kappa_d=system.min_cos_kappa_d)
 
 
 def far_field(solution: ChargeSolution, centers, kappa0: float, directions) -> FarField:
     """Pattern sum_m e^{-ik x_hat . z_m} Q_m on the given direction grid."""
     d = np.asarray(directions, dtype=float)
     return FarField(d, far_field_sum(d, centers, solution.charges, kappa0))
-
-
-def near_field(solution: ChargeSolution, centers, kappa0: float, x) -> complex:
-    """Scattered field sum_m Phi(x, z_m) Q_m at a point away from all centers.
-
-    For |x| -> infinity, 4 pi |x| e^{-ik|x|} times this value tends to the
-    far-field pattern at x_hat (kernel convention).
-    """
-    z = np.asarray(centers, dtype=float)
-    pt = np.asarray(x, dtype=float)
-    r = np.linalg.norm(z - pt[None, :], axis=1)
-    if np.any(r == 0.0):
-        raise GeometryError("near-field evaluation at a bubble center")
-    return complex(helmholtz(r, kappa0) @ solution.charges)
-
-
-def predicted_remainder(regime: RegimeReport, params: ContrastParams, a: float):
-    """Power-of-a scale of the point-approximation remainder for the active branch.
-
-    Away branch exponents {2-s, 3-gamma-2t-s}; near branch
-    {2-s-2h1, 3-2t-2s-2h1}.  Returns (a**min_exponent, exponents); only the
-    a-power is meaningful, never a bound constant.
-    """
-    if regime.regime not in ("Low", "MediumVolumetricA", "MediumVolumetricB",
-                             "MediumNearResonance", "High"):
-        raise RegimeError(f"invalid regime {regime.regime!r}")
-    s, t, g = params.s, params.t, params.gamma
-    if params.near_resonance:
-        h1 = params.h1
-        exponents = (2.0 - s - 2.0 * h1, 3.0 - 2.0 * t - 2.0 * s - 2.0 * h1)
-    else:
-        exponents = (2.0 - s, 3.0 - g - 2.0 * t - s)
-    return float(a ** min(exponents)), exponents

@@ -9,6 +9,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import eval_legendre, spherical_jn, spherical_yn
 
+from bubblelab.errors import GeometryError
+
 
 # ---------------------------------------------------------------------------
 # sphere chord-direction integral
@@ -224,6 +226,24 @@ def born_far_field_ball(kappa0, v0, h_star, radius, directions, theta):
         4 * np.pi * radius**3 / 3 * (1 - qr**2 / 10),
     )
     return -h_star * v0 * ft
+
+
+def helmholtz_kernel(x, y, kappa0):
+    """e^{ik|x-y|} / (4 pi |x-y|), broadcasting over leading axes."""
+    r = np.linalg.norm(np.asarray(x, float) - np.asarray(y, float), axis=-1)
+    return np.exp(1j * kappa0 * r) / (4.0 * np.pi * r)
+
+
+def near_field(solution, centers, kappa0, x):
+    """Scattered field sum_m Phi(x, z_m) Q_m of a point-interaction solution.
+
+    For |x| -> infinity, 4 pi |x| e^{-ik|x|} times this value tends to the
+    far-field pattern at x_hat (kernel convention).
+    """
+    r = np.linalg.norm(np.asarray(centers, float) - np.asarray(x, float)[None, :], axis=1)
+    if np.any(r == 0.0):
+        raise GeometryError("near-field evaluation at a bubble center")
+    return complex((np.exp(1j * kappa0 * r) / (4.0 * np.pi * r)) @ solution.charges)
 
 
 def two_bubble_charges(c_coeff, kappa0, z1, z2, theta):

@@ -129,3 +129,52 @@ def test_solve_ls_rejects_surface_geometry(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     assert cli(["solve-ls", "--config", str(path)]) == 2
+
+
+def _write_config(tmp_path, name, **over):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**BASE, **over}))
+    return path
+
+
+MEDIUM_BOX = {
+    "contrast": {"gamma": 1.0, "s": 1.0, "t": 0.4, "omega_ratio": 0.8},
+    "regime": "MediumVolumetricB",
+    "a_sequence": [0.05, 0.03, 0.02],
+    "tolerances": {"grid_n": 8},
+}
+
+
+def test_solve_commands_match_converge_first_row(tmp_path):
+    # solve-fl and solve-ls run the same set-up and solves as converge's first row
+    path = _write_config(tmp_path, "med", **MEDIUM_BOX)
+    conv, single = tmp_path / "conv", tmp_path / "single"
+    assert cli(["converge", "--config", str(path), "--out", str(conv)]) == 0
+    assert cli(["solve-fl", "--config", str(path), "--out", str(single)]) == 0
+    assert cli(["solve-ls", "--config", str(path), "--out", str(single)]) == 0
+    assert ((single / "farfield_fl.csv").read_bytes()
+            == (conv / "farfield_fl_row0.csv").read_bytes())
+    assert ((single / "farfield_ls.csv").read_bytes()
+            == (conv / "farfield_model_row0.csv").read_bytes())
+
+
+def test_solve_fl_enforces_cluster_cap(tmp_path):
+    # the first row has M = 27 centres (a 3 x 3 x 3 lattice, one centre per cell)
+    path = _write_config(tmp_path, "capped", **{**MEDIUM_BOX, "tolerances": {"m_max": 20}})
+    out = tmp_path / "capped"
+    assert cli(["solve-fl", "--config", str(path), "--out", str(out)]) == 2
+    assert not (out / "farfield_fl.csv").exists()
+
+
+@pytest.mark.parametrize("tolerances", [{"grid_N": 8}, {"h_star": 2.0}, {"direct_max": 1}])
+def test_unknown_tolerance_keys_exit_2(tmp_path, capsys, tolerances):
+    path = _write_config(tmp_path, "typo", tolerances=tolerances)
+    assert cli(["converge", "--config", str(path), "--out", str(tmp_path / "typo")]) == 2
+    assert next(iter(tolerances)) in capsys.readouterr().err
+
+
+def test_solve_ls_checks_config_regime(tmp_path):
+    path = _write_config(tmp_path, "wrong", **{**MEDIUM_BOX, "regime": "Low"})
+    out = tmp_path / "wrong"
+    assert cli(["solve-ls", "--config", str(path), "--out", str(out)]) == 2
+    assert not (out / "farfield_ls.csv").exists()

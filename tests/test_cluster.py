@@ -8,14 +8,11 @@ from bubblelab.cluster import (
     BallDomain,
     BoxDomain,
     DensityField,
-    GraphChart,
     PlaneChart,
     SphereCapChart,
-    UnionBoxesDomain,
     VolumetricCluster,
     build_surface,
     build_volumetric,
-    load_cluster_centers,
     save_cluster,
     validate,
 )
@@ -171,25 +168,6 @@ def test_surface_dropped_area_slope_one_half():
     assert 0.5 - 0.15 <= slope <= 0.5 + 0.15
 
 
-def test_graph_chart_metric_scaling():
-    chart = GraphChart(f=lambda u, v: 0.5 * u, lx=1.0, ly=1.0)  # tilted plane
-    cl = build_surface(chart, DensityField.constant(0.0), a=4e-2, s=1.0, t=0.45,
-                       seed=0, d_min=0.3)
-    # metric sqrt(1+0.25): parameter squares shrink so surface areas hit a^s
-    expected_side = math.sqrt(cl.a / math.sqrt(1.25))
-    assert np.allclose(cl.square_sides, expected_side, rtol=1e-6)
-    area = chart_square_area(chart, cl.square_params[0], cl.square_sides[0])
-    assert abs(area - cl.a) <= 0.02 * cl.a
-
-
-def test_union_of_boxes_domain():
-    dom = UnionBoxesDomain((BoxDomain(center=(0, 0, 0), size=(1, 1, 1)),
-                            BoxDomain(center=(1.0, 0, 0), size=(1, 1, 1))))
-    cl = build_volumetric(dom, DensityField.constant(0.0), a=1e-2, s=1.0, t=0.4, seed=0)
-    assert cl.m > 0
-    assert np.all(dom.contains(cl.centers))
-
-
 def test_validate_flags_coincident_centers():
     base = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField.constant(0.0),
                             a=2e-2, s=1.0, t=0.4, seed=0)
@@ -210,7 +188,7 @@ def test_cluster_json_roundtrip(tmp_path):
                        t=0.45, seed=9, d_min=0.3)
     path = tmp_path / "cluster.json"
     save_cluster(cl, path)
-    centers, doc = load_cluster_centers(path)
-    assert np.allclose(centers, cl.centers)
+    doc = json.loads(path.read_text())
+    assert np.allclose(doc["centers"], cl.centers)
     assert doc["kind"] == "surface"
     assert doc["a"] == cl.a and doc["counts"] == [int(c) for c in cl.counts]

@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +48,20 @@ def test_config_validation():
         low_config(geometry={"kind": "torus"})
 
 
+def test_shipped_configs_and_benchmark_workloads_load(monkeypatch):
+    root = Path(__file__).resolve().parent.parent
+    docs = [json.loads(p.read_text()) for p in sorted((root / "configs").glob("*.json"))]
+    assert len(docs) == 6
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    docs += [w.config(1, size) for w in workloads.WORKLOADS.values() for size in workloads.SIZES]
+    for doc in docs:
+        ExperimentConfig.from_json(doc)
+
+
 def test_contrast_frequency_modes():
     params, mode = build_contrast({"gamma": 1.0, "s": 1.0, "t": 0.4, "omega": 2.0})
     assert mode == ("fixed", 2.0) and params.omega == 2.0
@@ -77,6 +94,14 @@ def test_low_regime_run_and_outputs(tmp_path):
     assert any(name.startswith("low") for name, _ in report["ledger"])
     assert (tmp_path / "farfield_fl_row0.csv").exists()
     assert (tmp_path / "farfield_model_row2.csv").exists()
+
+
+def test_error_table_csv_roundtrip(tmp_path):
+    rows = [ErrorRow(a=0.1 / 3, m=27, n_model=512, sup_err=math.pi * 1e-7,
+                     field_scale=2.0 ** 0.5, wall_time_s=0.0)]
+    table = ErrorTable(rows=rows, regime_report=None, aborted=[], geometry_kind="box")
+    table.write_csv(tmp_path / "error_table.csv")
+    assert ErrorTable.read_rows(tmp_path / "error_table.csv") == rows
 
 
 def test_convergence_determinism_byte_identical(tmp_path):
