@@ -128,7 +128,7 @@ def cmd_solve_ls(cfg: ExperimentConfig) -> int:
     ff = volmedium.far_field_volume(sol, pot, grid, incident.kappa0, run.directions)
     ff.save_csv(out / "farfield_ls.csv")
     _write_values(out / "ls_solution.csv", "index", grid.centers(), sol.y)
-    print(f"volume solve: N={grid.n_cells} residual={sol.residual:.2e} ({sol.method})")
+    print(f"volume solve: N={grid.n_cells} residual={sol.residual:.2e}")
     return 0
 
 

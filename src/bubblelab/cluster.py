@@ -16,6 +16,7 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .errors import ConfigError, PlacementError
+from .kernels import _block_distances, _upper_blocks
 
 _PLACEMENT_ATTEMPTS = 100
 
@@ -25,7 +26,7 @@ _PLACEMENT_ATTEMPTS = 100
 
 
 class DensityField:
-    """Non-negative bounded density K; constant or grid with linear interpolation."""
+    """Non-negative bounded density K; constant, or trilinear on a 3d sample grid."""
 
     def __init__(self, kind, value=None, origin=None, spacing=None, samples=None,
                  lambda_k=1.0, k_max=None):
@@ -39,23 +40,20 @@ class DensityField:
             observed_max = self.value
         elif kind == "grid":
             samples = np.asarray(samples, dtype=float)
-            if samples.ndim not in (2, 3):
-                raise ConfigError("grid density needs 2d (chart) or 3d samples")
+            if samples.ndim != 3:
+                raise ConfigError("grid density needs 3d samples (surface runs take a "
+                                  "constant density)")
             if np.any(samples < 0):
                 raise ConfigError("density samples must be non-negative")
             if not np.all(np.isfinite(samples)):
                 raise ConfigError("density samples must be finite")
             origin = np.asarray(origin, dtype=float)
             spacing = np.asarray(spacing, dtype=float)
-            if origin.shape != (samples.ndim,) or spacing.shape != (samples.ndim,):
-                raise ConfigError("origin/spacing must match the sample dimension")
-            axes = [origin[d] + spacing[d] * np.arange(samples.shape[d])
-                    for d in range(samples.ndim)]
+            if origin.shape != (3,) or spacing.shape != (3,):
+                raise ConfigError("grid density needs a 3d origin and spacing")
+            axes = [origin[d] + spacing[d] * np.arange(samples.shape[d]) for d in range(3)]
             self._axes = axes
             self._interp = RegularGridInterpolator(axes, samples, method="linear")
-            self.samples = samples
-            self.origin = origin
-            self.spacing = spacing
             observed_max = float(samples.max())
         else:
             raise ConfigError(f"unknown density kind {kind!r}")
@@ -78,8 +76,7 @@ class DensityField:
             return np.full(len(pts), self.value)
         # clamp to the grid so boundary cells sample the nearest data
         clipped = np.column_stack(
-            [np.clip(pts[:, d], self._axes[d][0], self._axes[d][-1])
-             for d in range(pts.shape[1])]
+            [np.clip(pts[:, d], self._axes[d][0], self._axes[d][-1]) for d in range(3)]
         )
         return self._interp(clipped)
 
@@ -467,16 +464,13 @@ def build_surface(chart, density: DensityField, a: float, s: float, t: float,
 
 
 def _min_pairwise_distance(points):
-    pts = np.asarray(points)
-    if len(pts) < 2:
-        return math.inf
+    """Smallest distance between two distinct points, in bounded row blocks."""
+    pts = np.asarray(points, dtype=float)
     best = math.inf
-    chunk = max(1, int(2e7) // max(len(pts), 1))
-    for i0 in range(0, len(pts), chunk):
-        block = pts[i0 : i0 + chunk]
-        d = np.linalg.norm(block[:, None, :] - pts[None, :, :], axis=2)
-        rows = np.arange(len(block))
-        d[rows, i0 + rows] = np.inf
+    for i0, i1 in _upper_blocks(len(pts)):
+        d = np.empty((i1 - i0, len(pts) - i0))
+        _block_distances(pts, i0, i1, d, np.empty_like(d))
+        d[np.arange(i1 - i0), np.arange(i1 - i0)] = np.inf  # skip i == j
         best = min(best, float(d.min()))
     return best
 

@@ -36,7 +36,7 @@ from .materials import (
     ContrastParams,
     RegimeReport,
     classify_regime,
-    leading_coefficient,
+    medium_coefficient,
     omega_at_gap,
     omega_at_ratio,
     scattering_coefficient,
@@ -266,7 +266,8 @@ def comparator_mesh(config: ExperimentConfig):
                          radius=float(doc.get("radius", 0.620350490899)),
                          center=tuple(doc.get("center", (0, 0, 0))))
     if kind == "box":
-        return cube_mesh(int(tol.get("mesh_n", 10)), side=float(doc.get("size", (1, 1, 1))[0]),
+        return cube_mesh(int(tol.get("mesh_n", 10)),
+                         side=tuple(float(x) for x in doc.get("size", (1, 1, 1))),
                          center=tuple(doc.get("center", (0, 0, 0))))
     raise ConfigError(f"no comparator mesh for geometry {kind!r}")
 
@@ -294,16 +295,6 @@ def regime_summary(report: RegimeReport) -> dict:
 
 # ---------------------------------------------------------------------------
 # run set-up and comparators
-
-
-def _medium_coefficient(bubble, row_params, regime_name, a):
-    """a-independent potential amplitude: leading coefficient away from the
-    resonance, the reduced near-resonance coefficient otherwise.  Expects
-    row-resolved parameters (omega already pinned for radius scale a)."""
-    if regime_name == "MediumNearResonance":
-        return scattering_coefficient(bubble, row_params, a).reduced
-    lead, _ = leading_coefficient(bubble, row_params, a)
-    return lead
 
 
 @dataclass(frozen=True)
@@ -359,13 +350,13 @@ class RunSetup:
         """Voxel grid, volume potential and Lippmann-Schwinger solution."""
         grid = volmedium.VoxelGrid.cover(self.geometry,
                                          int(self.config.tolerances.get("grid_n", 24)))
-        coeff0 = _medium_coefficient(self.bubble, row_params, self.report.regime, a)
+        coeff0 = medium_coefficient(self.bubble, row_params, a)
         pot = volmedium.VolumePotential.from_density(grid, self.density, coeff0)
         return grid, pot, volmedium.assemble_and_solve(grid, pot, incident)
 
     def surface_comparator(self, mesh, row_params, a, incident):
         """Surface-density solution on the comparator mesh."""
-        sigma0 = _medium_coefficient(self.bubble, row_params, self.report.regime, a)
+        sigma0 = medium_coefficient(self.bubble, row_params, a)
         return surfmedium.assemble_and_solve_surface(
             mesh, sigma0 * (self.density.value + 1.0), 1.0, incident)
 

@@ -207,10 +207,8 @@ class ScatteringCoefficient:
 
     value: complex
     reduced: float  # value / a^scale_exponent, the O(1) amplitude
-    leading: Optional[float]  # a-independent leading amplitude (away branches)
     omega_m_sq: float
     omega_m_sq_limit: float
-    shape_factor_scaled: float
     sign: str  # 'negative' | 'positive'
     scale_exponent: float  # 2-gamma away from resonance, 1-h1 near it
 
@@ -262,18 +260,14 @@ def scattering_coefficient(bubble: BubbleSpec, params: ContrastParams, a: float)
     if near:
         scale = 1.0 - params.h1
         reduced = omega_limit_sq * bubble.volume * params.rho0 / (params.l_m * params.k_ref)
-        leading = None
     else:
         scale = 2.0 - params.gamma
         reduced = value / a**scale
-        leading, _ = leading_coefficient(bubble, params, a)
     return ScatteringCoefficient(
         value=complex(value),
         reduced=float(reduced),
-        leading=leading,
         omega_m_sq=omega_m_sq,
         omega_m_sq_limit=omega_limit_sq,
-        shape_factor_scaled=scaled_sf,
         sign="positive" if value > 0 else "negative",
         scale_exponent=scale,
     )
@@ -296,57 +290,18 @@ def leading_coefficient(bubble: BubbleSpec, params: ContrastParams, a: float):
     return base / (1.0 - params.omega**2 / omega_limit_sq), 2.0
 
 
-def effective_index(params: ContrastParams, bubble: BubbleSpec, k_value: float, case: str) -> float:
-    """Equivalent volumetric medium coefficient n at a point with density K.
+def medium_coefficient(bubble: BubbleSpec, params: ContrastParams, a: float) -> float:
+    """a-independent amplitude of the equivalent medium's potential or density.
 
-    case 'a' (gamma<1): omega^2 rho0 [1/k0 + (K+1)|B|/k_ref];
-    case 'b' (gamma=1 away): same with |B| replaced by |B|/(1 - omega^2/limit^2);
-    case 'near': limit^2 rho0 [1/k0 - (K+1)|B|/(l_m k_ref)].
+    The leading coefficient away from the resonance, the reduced
+    near-resonance coefficient otherwise; it is multiplied by (K + 1) per
+    point.  Its sign flips across the limiting Minnaert resonance.  Expects
+    row-resolved parameters (omega already pinned for radius scale a).
     """
-    _check_case(params, case)
-    amount = (k_value + 1.0) * bubble.volume / params.k_ref
-    if case == "a":
-        return params.omega**2 * params.rho0 * (1.0 / params.k0 + amount)
-    limit_sq = _limit_resonance_sq(bubble, params)
-    if case == "b":
-        return params.omega**2 * params.rho0 * (
-            1.0 / params.k0 + amount / (1.0 - params.omega**2 / limit_sq)
-        )
-    return limit_sq * params.rho0 * (1.0 / params.k0 - amount / params.l_m)
-
-
-def surface_sigma(params: ContrastParams, bubble: BubbleSpec, k_value: float, case: str) -> float:
-    """Equivalent surface (transmission-jump) density at a point with density K.
-
-    case 'a': -omega^2 (K+1)|B| rho0/k_ref; case 'b': divided by
-    (1 - omega^2/limit^2); case 'near': +limit^2 (K+1)|B| rho0/(l_m k_ref).
-    The medium-regime sign bookkeeping is reported as computed; see jump_check
-    for the measured jump ratio.
-    """
-    _check_case(params, case)
-    amount = (k_value + 1.0) * bubble.volume * params.rho0 / params.k_ref
-    if case == "a":
-        return -params.omega**2 * amount
-    limit_sq = _limit_resonance_sq(bubble, params)
-    if case == "b":
-        return -params.omega**2 * amount / (1.0 - params.omega**2 / limit_sq)
-    return limit_sq * amount / params.l_m
-
-
-def _limit_resonance_sq(bubble: BubbleSpec, params: ContrastParams) -> float:
-    """Limiting squared Minnaert frequency -8 pi k_ref / (rho0 * shape_factor)."""
-    return -8.0 * math.pi * params.k_ref / (params.rho0 * bubble.shape_factor)
-
-
-def _check_case(params: ContrastParams, case: str):
-    if case not in ("a", "b", "near"):
-        raise ConfigError(f"unknown effective-medium case {case!r}")
-    if case == "a" and not params.gamma < 1.0 - _EQ_TOL:
-        raise RegimeError("case 'a' requires gamma < 1")
-    if case == "b" and (params.near_resonance or params.gamma < 1.0 - _EQ_TOL):
-        raise RegimeError("case 'b' requires gamma = 1 away from resonance")
-    if case == "near" and not params.near_resonance:
-        raise RegimeError("case 'near' requires the (h1, l_m) parameters")
+    if params.near_resonance:
+        return scattering_coefficient(bubble, params, a).reduced
+    lead, _ = leading_coefficient(bubble, params, a)
+    return lead
 
 
 # ---------------------------------------------------------------------------

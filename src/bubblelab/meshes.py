@@ -238,10 +238,13 @@ def icosphere(subdivisions: int = 3, radius: float = 1.0, center=(0.0, 0.0, 0.0)
     return SurfaceMesh(out, faces)
 
 
-def cube_mesh(n: int = 8, side: float = 1.0, center=(0.0, 0.0, 0.0)) -> SurfaceMesh:
-    """Closed triangulated cube surface, 12*n^2 triangles, outward normals."""
-    h = side / 2.0
-    grid = np.linspace(-h, h, n + 1)
+def cube_mesh(n: int = 8, side=1.0, center=(0.0, 0.0, 0.0)) -> SurfaceMesh:
+    """Closed triangulated box surface, 12*n^2 triangles, outward normals.
+
+    ``side`` is one edge length (a cube) or three, one per axis.
+    """
+    h = np.broadcast_to(np.asarray(side, dtype=float) / 2.0, (3,))
+    grids = [np.linspace(-h[d], h[d], n + 1) for d in range(3)]
     vid = {}
     verts = []
 
@@ -255,16 +258,17 @@ def cube_mesh(n: int = 8, side: float = 1.0, center=(0.0, 0.0, 0.0)) -> SurfaceM
     faces = []
     # each entry: (fixed axis, fixed value, flip winding)
     for axis in range(3):
+        gu, gv = grids[(axis + 1) % 3], grids[(axis + 2) % 3]
         for sgn in (-1.0, 1.0):
             for i in range(n):
                 for j in range(n):
-                    u0, u1 = grid[i], grid[i + 1]
-                    v0, v1 = grid[j], grid[j + 1]
+                    u0, u1 = gu[i], gu[i + 1]
+                    v0, v1 = gv[j], gv[j + 1]
                     quad2d = [(u0, v0), (u1, v0), (u1, v1), (u0, v1)]
                     quad = []
                     for (u, v) in quad2d:
                         p = np.zeros(3)
-                        p[axis] = sgn * h
+                        p[axis] = sgn * h[axis]
                         p[(axis + 1) % 3] = u
                         p[(axis + 2) % 3] = v
                         quad.append(vertex(p))
@@ -389,6 +393,9 @@ def rect_mesh(lx: float, ly: float, nx: int, ny: int, center=(0.0, 0.0, 0.0),
 # ---------------------------------------------------------------------------
 # boundary shape factor
 
+# vertex-sharing triangle pairs closer than this many summed radii are refined
+_NEAR_FACTOR = 2.0
+
 
 def _pair_kernel(x, y, ny):
     """((x-y)/|x-y|) . n(y), broadcast over leading axes; 0 at coincidence."""
@@ -452,7 +459,7 @@ def _pair_batch_subdivided(tri_x, n_y, tri_y, same, depth: int = 1):
     return total
 
 
-def boundary_shape_factor(mesh: SurfaceMesh, quad_order: int = 2, near_factor: float = 2.0) -> float:
+def boundary_shape_factor(mesh: SurfaceMesh, quad_order: int = 2) -> float:
     """Area-averaged double boundary integral of the chord-direction flux.
 
     Returns (1/|S|) Int_S Int_S ((x-y)/|x-y|) . n(y) ds(y) ds(x) by panel-pair
@@ -477,7 +484,6 @@ def boundary_shape_factor(mesh: SurfaceMesh, quad_order: int = 2, near_factor: f
     ypts = np.einsum("qb,tbi->tqi", bary, tris).reshape(-1, 3)
     ywts = (tri_areas[:, None] * w[None, :]).reshape(-1)
     ynrm = np.repeat(tri_normals, nq, axis=0)
-    yown = np.repeat(np.arange(ntri), nq)
 
     total = 0.0
     # (x-y).n(y)/|x-y| via two GEMMs: x.n(y) - y.n(y) over sqrt(|x|^2-2x.y+|y|^2)
@@ -503,43 +509,37 @@ def boundary_shape_factor(mesh: SurfaceMesh, quad_order: int = 2, near_factor: f
         num[rows[:, None], (np.arange(start, stop) * nq)[:, None] + col_offsets[None, :]] = 0.0
         total += float(tri_areas[start:stop] @ (num @ ywts))
 
-    if near_factor > 0:
-        radii = np.linalg.norm(tris - centers[:, None, :], axis=2).max(axis=1)
-        owner_tris = {}
-        for ti, p in enumerate(owner):
-            owner_tris.setdefault(int(p), []).append(ti)
-        near = set()
-        for (p, q) in mesh.vertex_sharing_pairs():
-            for ti in owner_tris[p]:
-                for tj in owner_tris[q]:
+    radii = np.linalg.norm(tris - centers[:, None, :], axis=2).max(axis=1)
+    owner_tris = {}
+    for ti, p in enumerate(owner):
+        owner_tris.setdefault(int(p), []).append(ti)
+    near = set()
+    for (p, q) in mesh.vertex_sharing_pairs():
+        for ti in owner_tris[p]:
+            for tj in owner_tris[q]:
+                near.add((ti, tj))
+                near.add((tj, ti))
+    for members in owner_tris.values():
+        for ti in members:
+            for tj in members:
+                if ti != tj:
                     near.add((ti, tj))
-                    near.add((tj, ti))
-        for members in owner_tris.values():
-            for ti in members:
-                for tj in members:
-                    if ti != tj:
-                        near.add((ti, tj))
-        if near:
-            pairs = np.array(sorted(near), dtype=int)
-            a, b = pairs[:, 0], pairs[:, 1]
-            keep = np.linalg.norm(centers[a] - centers[b], axis=1) <= near_factor * (
-                radii[a] + radii[b]
-            )
-            a, b = a[keep], b[keep]
-        else:
-            a = b = np.zeros(0, dtype=int)
-        # route self pairs through the same batch; they vanish on flat panels
-        a = np.concatenate([a, np.arange(ntri)])
-        b = np.concatenate([b, np.arange(ntri)])
-        same = a == b
-        # remove the plain-rule contribution (centroid x Gauss) of those pairs
-        yp = np.einsum("qb,tbi->tqi", bary, tris[b])
-        plain = tri_areas[a] * tri_areas[b] * np.einsum(
-            "nq,q->n", _pair_kernel(centers[a][:, None, :], yp, tri_normals[b][:, None, :]), w
-        )
-        plain[same] = 0.0
-        refined = _pair_batch_subdivided(tris[a], tri_normals[b], tris[b], same)
-        total += float((refined - plain).sum())
+    pairs = np.array(sorted(near), dtype=int)
+    a, b = pairs[:, 0], pairs[:, 1]
+    keep = np.linalg.norm(centers[a] - centers[b], axis=1) <= _NEAR_FACTOR * (radii[a] + radii[b])
+    a, b = a[keep], b[keep]
+    # route self pairs through the same batch; they vanish on flat panels
+    a = np.concatenate([a, np.arange(ntri)])
+    b = np.concatenate([b, np.arange(ntri)])
+    same = a == b
+    # remove the plain-rule contribution (centroid x Gauss) of those pairs
+    yp = np.einsum("qb,tbi->tqi", bary, tris[b])
+    plain = tri_areas[a] * tri_areas[b] * np.einsum(
+        "nq,q->n", _pair_kernel(centers[a][:, None, :], yp, tri_normals[b][:, None, :]), w
+    )
+    plain[same] = 0.0
+    refined = _pair_batch_subdivided(tris[a], tri_normals[b], tris[b], same)
+    total += float((refined - plain).sum())
 
     if not np.isfinite(total):
         raise GeometryError("shape-factor quadrature produced a non-finite value")

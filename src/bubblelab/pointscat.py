@@ -16,14 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
-from .errors import ConfigError, GeometryError, SolverError
+from .errors import ConfigError, GeometryError
 from .fields import FarField
 from .kernels import DenseSystem, far_field_sum, min_cos_kappa_distance, pair_kernel
 
 RESIDUAL_TOL = 1e-10
-DENSE_MAX = 8192
 
 
 @dataclass(frozen=True)
@@ -81,42 +79,23 @@ class ClusterSystem(DenseSystem):
         self.min_cos_kappa_d = None
 
 
-def solve_charges(matrix, incident: IncidentWave, centers,
-                  dense_max: int = DENSE_MAX) -> ChargeSolution:
+def solve_charges(matrix, incident: IncidentWave, centers) -> ChargeSolution:
     """Solve for the charges with rhs -u^I(z_m); record residual and conditioning.
 
     ``matrix`` is the assembled array or a ``ClusterSystem`` wrapping it,
-    whose LU is then reused across calls.  Dense LU with partial pivoting up
-    to ``dense_max`` unknowns, then GMRES with diagonal preconditioning
-    (relative residual 1e-10 or failure).  One step of iterative refinement is
-    applied if the direct residual misses the contract
-    residual <= 1e-10 (1 + max|Q|).
+    whose LU is then reused across calls.  Dense LU with partial pivoting;
+    one step of iterative refinement is applied if the direct residual misses
+    the contract residual <= 1e-10 (1 + max|Q|).
     """
     system = matrix if isinstance(matrix, ClusterSystem) else ClusterSystem(matrix)
     z = np.asarray(centers, dtype=float)
     b = -incident.at(z)
-    m = len(b)
-    a = system.matrix
-    if a.shape != (m, m):
+    if system.matrix.shape != (len(b), len(b)):
         raise ConfigError("matrix/centers size mismatch")
-
-    if m <= dense_max:
-        q, residual = system.solve(b)
-        cond = system.cond_estimate
-    else:
-        dinv = 1.0 / np.diag(a)
-        op = LinearOperator(a.shape, matvec=lambda v: a @ v, dtype=complex)
-        pre = LinearOperator(a.shape, matvec=lambda v: dinv * v, dtype=complex)
-        q, info = gmres(op, b, rtol=RESIDUAL_TOL, atol=0.0, M=pre, maxiter=2000)
-        if info != 0:
-            raise SolverError(f"iterative solve did not converge (info={info})", iterations=info)
-        cond = float("nan")
-        residual = float(np.abs(a @ q - b).max())
-        if residual > RESIDUAL_TOL * (1.0 + np.abs(q).max()):
-            raise SolverError(f"residual {residual:.3e} exceeds contract tolerance")
+    q, residual = system.solve(b)
     if system.min_cos_kappa_d is None:
         system.min_cos_kappa_d = min_cos_kappa_distance(z, incident.kappa0)
-    return ChargeSolution(charges=q, residual=residual, cond_estimate=cond,
+    return ChargeSolution(charges=q, residual=residual, cond_estimate=system.cond_estimate,
                           min_cos_kappa_d=system.min_cos_kappa_d)
 
 

@@ -20,9 +20,10 @@ import numpy as np
 from .errors import ConfigError, GeometryError
 from .fields import FarField
 from .kernels import DenseSystem, far_field_sum, helmholtz, pair_kernel
-from .meshes import SurfaceMesh
+from .meshes import SurfaceMesh, _children, _tri_areas
 
 SIE_RESIDUAL_TOL = 1e-8
+_NEAR_FACTOR = 6.0  # single_layer_eval: panels within this many radii get near quadrature
 
 _GAUSS8 = np.polynomial.legendre.leggauss(8)
 
@@ -36,13 +37,14 @@ class SurfaceSolution:
 
 
 def _panel_plane_frame(mesh: SurfaceMesh, k: int):
-    """Orthonormal in-plane axes and 2D vertex coordinates of panel k."""
+    """Orthonormal in-plane axes (rows of a (2, 3) array) and the 2D vertex
+    coordinates of panel k about its centroid."""
     verts = mesh.vertices[list(mesh.faces[k])] - mesh.centroids[k]
     n = mesh.normals[k]
     e1 = verts[0] - verts[0] @ n * n
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(n, e1)
-    return np.column_stack([verts @ e1, verts @ e2])
+    return np.array([e1, e2]), np.column_stack([verts @ e1, verts @ e2])
 
 
 def _polar_offset_integral(verts2d, origin2d, z_off):
@@ -92,7 +94,7 @@ def self_panel_weight(mesh: SurfaceMesh, k: int, kappa0: float) -> complex:
     """
     if mesh.areas[k] <= 0:
         raise GeometryError(f"degenerate panel {k}")
-    verts2d = _panel_plane_frame(mesh, k)
+    _, verts2d = _panel_plane_frame(mesh, k)
     static = _polar_offset_integral(verts2d, np.zeros(2), 0.0)
     return static + 1j * kappa0 * mesh.areas[k] / (4.0 * math.pi)
 
@@ -129,24 +131,29 @@ def far_field_surface(solution: SurfaceSolution, mesh: SurfaceMesh, kappa0: floa
     return FarField(d, -far_field_sum(d, mesh.centroids, weights, kappa0))
 
 
-def single_layer_eval(mesh: SurfaceMesh, densities, kappa0: float, points,
-                      near_factor: float = 6.0) -> np.ndarray:
+def single_layer_eval(mesh: SurfaceMesh, densities, kappa0: float, points) -> np.ndarray:
     """Single-layer potential of per-panel densities at arbitrary points.
 
-    Far panels use the centroid rule; panels closer than ``near_factor``
+    Far panels use the centroid rule; panels closer than ``_NEAR_FACTOR``
     radii get the polar closed form for the 1/(4 pi r) part (offset by the
-    point height over the panel plane) plus a 3-point correction for the
-    bounded remainder, so near-surface probes stay accurate.
+    point height over the panel plane) plus a centroid rule on the four
+    children of each panel triangle for the bounded remainder, so
+    near-surface probes stay accurate.
     """
     phi = np.asarray(densities, dtype=complex)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     c = mesh.centroids
+    tris, owner = mesh.triangulated()
+    children = _children(tris)
+    child_centroids = children.mean(axis=2)  # (n_tris, 4, 3)
+    child_areas = _tri_areas(children)  # (n_tris, 4)
+    first_tri = np.searchsorted(owner, np.arange(mesh.n_panels + 1))
     out = np.zeros(len(pts), dtype=complex)
     frames = {}
     for i, x in enumerate(pts):
         d = x[None, :] - c
         r = np.linalg.norm(d, axis=1)
-        near = r <= near_factor * mesh.panel_radii
+        near = r <= _NEAR_FACTOR * mesh.panel_radii
         far = ~near
         vals = np.zeros(len(c), dtype=complex)
         safe = np.where(r > 0, r, 1.0)
@@ -154,47 +161,18 @@ def single_layer_eval(mesh: SurfaceMesh, densities, kappa0: float, points,
         for k in np.nonzero(near)[0]:
             if k not in frames:
                 frames[k] = _panel_plane_frame(mesh, k)
-            verts2d = frames[k]
-            n = mesh.normals[k]
-            rel = x - mesh.centroids[k]
-            z_off = rel @ n
-            e1 = mesh.vertices[mesh.faces[k][0]] - mesh.centroids[k]
-            e1 = e1 - (e1 @ n) * n
-            e1 /= np.linalg.norm(e1)
-            e2 = np.cross(n, e1)
-            origin2d = np.array([rel @ e1, rel @ e2])
-            static = _polar_offset_integral(verts2d, origin2d, z_off)
-            # bounded remainder (e^{ikr}-1)/(4 pi r): small sub-grid quadrature
-            tris, owner = _panel_tris(mesh, k)
-            smooth = 0.0
-            for tri in tris:
-                for sub in _split4(tri):
-                    q = sub.mean(axis=0)
-                    area = 0.5 * np.linalg.norm(np.cross(sub[1] - sub[0], sub[2] - sub[0]))
-                    rq = np.linalg.norm(x - q)
-                    if rq > 1e-14:
-                        smooth += (np.exp(1j * kappa0 * rq) - 1.0) / (4.0 * np.pi * rq) * area
-                    else:
-                        smooth += 1j * kappa0 / (4.0 * np.pi) * area
-            vals[k] = static + smooth
+            axes, verts2d = frames[k]
+            rel = x - c[k]
+            static = _polar_offset_integral(verts2d, axes @ rel, rel @ mesh.normals[k])
+            # bounded remainder (e^{ikr}-1)/(4 pi r) on the child triangles
+            span = slice(first_tri[k], first_tri[k + 1])
+            rq = np.linalg.norm(x - child_centroids[span], axis=-1)
+            smooth = np.full(rq.shape, 1j * kappa0 / (4.0 * np.pi))  # the r -> 0 limit
+            off = rq > 1e-14
+            smooth[off] = (np.exp(1j * kappa0 * rq[off]) - 1.0) / (4.0 * np.pi * rq[off])
+            vals[k] = static + (smooth * child_areas[span]).sum()
         out[i] = vals @ phi
     return out
-
-
-def _panel_tris(mesh: SurfaceMesh, k: int):
-    pts = mesh.vertices[list(mesh.faces[k])]
-    tris = [np.array([pts[0], pts[j], pts[j + 1]]) for j in range(1, len(pts) - 1)]
-    return tris, k
-
-
-def _split4(tri):
-    m01, m12, m20 = 0.5 * (tri[0] + tri[1]), 0.5 * (tri[1] + tri[2]), 0.5 * (tri[2] + tri[0])
-    return (
-        np.array([tri[0], m01, m20]),
-        np.array([tri[1], m12, m01]),
-        np.array([tri[2], m20, m12]),
-        np.array([m01, m12, m20]),
-    )
 
 
 def total_field_surface(solution: SurfaceSolution, mesh: SurfaceMesh, incident,
@@ -205,21 +183,17 @@ def total_field_surface(solution: SurfaceSolution, mesh: SurfaceMesh, incident,
     return np.asarray(incident.at(pts), dtype=complex) - layer
 
 
-def jump_check(solution: SurfaceSolution, mesh: SurfaceMesh, incident,
-               probe_indices=None, epsilon_factor: float = 0.5) -> dict:
+def jump_check(solution: SurfaceSolution, mesh: SurfaceMesh, incident) -> dict:
     """Finite-difference transmission-jump diagnostics at sample centroids.
 
-    Probes the represented field at +/- eps offsets along the panel normals
-    (eps = epsilon_factor * local panel diameter), forms one-sided normal
-    derivatives and reports the value jump and the defect of
-    [du/dn] = sigma_h * u under both jump-bracket orientations.  Agreement
-    degrades as eps approaches the panel size.
+    Probes the represented field at +/- eps offsets along the normals of
+    about 24 evenly spaced panels (eps = half the local panel diameter),
+    forms one-sided normal derivatives and reports the value jump and the
+    defect of [du/dn] = sigma_h * u under both jump-bracket orientations.
+    Agreement degrades as eps approaches the panel size.
     """
-    if probe_indices is None:
-        step = max(1, mesh.n_panels // 24)
-        probe_indices = np.arange(0, mesh.n_panels, step)
-    probe_indices = np.asarray(probe_indices, dtype=int)
-    eps = epsilon_factor * 2.0 * mesh.panel_radii[probe_indices]
+    probe_indices = np.arange(0, mesh.n_panels, max(1, mesh.n_panels // 24))
+    eps = mesh.panel_radii[probe_indices]
     c = mesh.centroids[probe_indices]
     n = mesh.normals[probe_indices]
 

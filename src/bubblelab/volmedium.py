@@ -5,10 +5,9 @@ Collocation at voxel centers of
     Y(z) + h_star * Int_Omega Phi(z, y) V0(y) Y(y) dy = u^I(z),
 
 with off-diagonal weights Phi(z_i, z_j) g^3 and an equal-volume-ball closed
-form on the diagonal.  Direct dense solve (``kernels.pair_kernel`` weights,
-``kernels.DenseSystem`` LU) for small cell counts, otherwise GMRES with an
-FFT-convolution matvec on the regular grid.  The far field sums over the grid
-separably (``kernels.grid_far_field_sum``), one phase table per axis.
+form on the diagonal, solved by LGMRES with an FFT-convolution matvec on the
+regular grid.  The far field sums over the grid separably
+(``kernels.grid_far_field_sum``), one phase table per axis.
 """
 
 from __future__ import annotations
@@ -22,10 +21,9 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .errors import ConfigError, SolverError
 from .fields import FarField
-from .kernels import DenseSystem, grid_far_field_sum, helmholtz, pair_kernel
+from .kernels import grid_far_field_sum, helmholtz
 
 LS_RESIDUAL_TOL = 1e-8
-DIRECT_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,6 @@ class LSSolution:
     y: np.ndarray  # (n_cells,) complex
     residual: float
     h_star: float
-    method: str
 
 
 def self_cell_weight(g: float, kappa0: float) -> complex:
@@ -169,18 +166,12 @@ class _GridConvolution:
         return conv[self.grid.mask]
 
 
-def _dense_weights(grid: VoxelGrid, kappa0: float) -> np.ndarray:
-    return pair_kernel(grid.centers(), kappa0, diagonal=self_cell_weight(grid.g, kappa0),
-                       col_weights=grid.g**3)
-
-
 def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident,
-                       direct_max: int = DIRECT_MAX, max_cells: int = 64**3) -> LSSolution:
+                       max_cells: int = 64**3) -> LSSolution:
     """Solve the collocation system (I + h_star W diag(V0)) Y = u^I.
 
-    Dense LU (with one refinement step) up to ``direct_max`` cells, then
-    GMRES with the FFT matvec and diagonal preconditioning (relative residual
-    1e-8 or failure).
+    LGMRES with the FFT matvec and diagonal preconditioning (relative
+    residual 1e-8 or failure).
     """
     n = grid.n_cells
     if n == 0:
@@ -189,34 +180,23 @@ def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident,
         raise ConfigError("potential and grid cell counts differ")
     if n > max_cells:
         raise ConfigError(f"cell count {n} exceeds the configured cap {max_cells}")
-    z = grid.centers()
-    rhs = incident.at(z)
+    rhs = incident.at(grid.centers())
     hv = potential.h_star * potential.values
+    conv = _GridConvolution(grid, incident.kappa0)
 
-    if n <= direct_max:
-        a = _dense_weights(grid, incident.kappa0)
-        a *= hv[None, :]
-        a.flat[:: n + 1] += 1.0
-        y, resid = DenseSystem(a, LS_RESIDUAL_TOL, name="volume system").solve(rhs)
-        method = "dense-lu"
-    else:
-        conv = _GridConvolution(grid, incident.kappa0)
+    def matvec(v):
+        return v + conv.apply(hv * v)
 
-        def matvec(v):
-            return v + conv.apply(hv * v)
-
-        diag = 1.0 + hv * self_cell_weight(grid.g, incident.kappa0)
-        op = LinearOperator((n, n), matvec=matvec, dtype=complex)
-        pre = LinearOperator((n, n), matvec=lambda v: v / diag, dtype=complex)
-        y, info = lgmres(op, rhs, M=pre, rtol=LS_RESIDUAL_TOL / 10, atol=0.0, maxiter=400)
-        if info != 0:
-            raise SolverError(f"volume solve did not converge (info={info})", iterations=info)
-        resid = np.abs(matvec(y) - rhs).max()
-        method = "fft-lgmres"
-
+    diag = 1.0 + hv * self_cell_weight(grid.g, incident.kappa0)
+    op = LinearOperator((n, n), matvec=matvec, dtype=complex)
+    pre = LinearOperator((n, n), matvec=lambda v: v / diag, dtype=complex)
+    y, info = lgmres(op, rhs, M=pre, rtol=LS_RESIDUAL_TOL / 10, atol=0.0, maxiter=400)
+    if info != 0:
+        raise SolverError(f"volume solve did not converge (info={info})", iterations=info)
+    resid = np.abs(matvec(y) - rhs).max()
     if resid > LS_RESIDUAL_TOL * (1.0 + np.abs(y).max()):
         raise SolverError(f"volume solve residual {resid:.3e} above contract tolerance")
-    return LSSolution(y=y, residual=float(resid), h_star=potential.h_star, method=method)
+    return LSSolution(y=y, residual=float(resid), h_star=potential.h_star)
 
 
 def far_field_volume(solution: LSSolution, potential: VolumePotential, grid: VoxelGrid,

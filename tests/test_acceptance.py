@@ -146,14 +146,14 @@ def test_c05_bem_oracle():
 
 
 def test_c06_volume_solver_oracle():
-    from oracles import penetrable_ball_far_field
+    from oracles import broadcast_weights, penetrable_ball_far_field
 
     dom = BallDomain(radius=1.0)
     inc = IncidentWave(2.0, np.array([0.0, 0.0, 1.0]))
     grid = volmedium.VoxelGrid.cover(dom, 48)
     q = -1.5
     pot = volmedium.VolumePotential.from_density(grid, DensityField.constant(0.0), q, 1.0)
-    sol = volmedium.assemble_and_solve(grid, pot, inc, direct_max=1)
+    sol = volmedium.assemble_and_solve(grid, pot, inc)
     dirs = fibonacci_directions(100)
     ff = volmedium.far_field_volume(sol, pot, grid, inc.kappa0, dirs)
     oracle = penetrable_ball_far_field(inc.kappa0, q, 1.0, dirs, inc.theta)
@@ -163,7 +163,8 @@ def test_c06_volume_solver_oracle():
     grid_b = volmedium.VoxelGrid.cover(dom, 14)
     pot_b = volmedium.VolumePotential.from_density(grid_b, DensityField.constant(0.0), -1e-2, 1.0)
     sol_b = volmedium.assemble_and_solve(grid_b, pot_b, inc)
-    w = volmedium._dense_weights(grid_b, inc.kappa0)
+    w = broadcast_weights(grid_b.centers(), inc.kappa0, grid_b.g**3,
+                          volmedium.self_cell_weight(grid_b.g, inc.kappa0))
     u_inc = inc.at(grid_b.centers())
     born = u_inc - w @ (pot_b.h_star * pot_b.values * u_inc)
     born_rel = np.abs(sol_b.y - born).max() / np.abs(sol_b.y).max()

@@ -123,6 +123,15 @@ def test_solve_sie_and_bem(tmp_path):
     assert (out / "bem_density.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["cluster", "converge"])
+def test_two_dimensional_grid_density_exits_2(tmp_path, capsys, command):
+    density = {"kind": "grid", "origin": [0, 0], "spacing": [1, 1],
+               "samples": [[0.0, 1.0], [1.0, 2.0]]}
+    path = _write_config(tmp_path, "grid2d", geometry={**BASE["geometry"], "density": density})
+    assert cli([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "3d samples" in capsys.readouterr().err
+
+
 def test_solve_ls_rejects_surface_geometry(tmp_path):
     cfg = dict(BASE)
     cfg["geometry"] = {"kind": "plane_rect", "lx": 1.0, "ly": 1.0}

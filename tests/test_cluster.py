@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,14 @@ from bubblelab.cluster import (
     SphereCapChart,
     VolumetricCluster,
     build_surface,
+    _min_pairwise_distance,
     build_volumetric,
     save_cluster,
     validate,
 )
 from bubblelab.errors import ConfigError, PlacementError
+
+from oracles import _broadcast_distances
 
 
 def chart_square_area(chart, center, side, n=24):
@@ -181,6 +185,26 @@ def test_validate_flags_coincident_centers():
     )
     checks = validate(broken)
     assert not checks["min_distance"][0]
+
+
+def test_min_pairwise_distance_blocked():
+    # equal to the minimum of the broadcast (M, M) distance matrix, without
+    # building the (M, M, 3) difference array: the memory bound is two 2 MiB blocks
+    rng = np.random.default_rng(7)
+    for m in (2, 3, 600):
+        pts = rng.uniform(-1.0, 1.0, (m, 3))
+        r = _broadcast_distances(pts)
+        np.fill_diagonal(r, np.inf)
+        assert _min_pairwise_distance(pts) == r.min()
+    assert _min_pairwise_distance(np.zeros((1, 3))) == math.inf
+    pts = rng.uniform(-1.0, 1.0, (3000, 3))
+    tracemalloc.start()
+    try:
+        _min_pairwise_distance(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_cluster_json_roundtrip(tmp_path):

@@ -13,6 +13,7 @@ from bubblelab.harness import (
     ErrorTable,
     ExperimentConfig,
     build_contrast,
+    comparator_mesh,
     fit_rate,
     run_convergence,
     write_outputs,
@@ -46,6 +47,16 @@ def test_config_validation():
         low_config(extra_key=1)
     with pytest.raises(ConfigError):
         low_config(geometry={"kind": "torus"})
+
+
+def test_box_comparator_mesh_has_per_axis_sides():
+    geometry = {"kind": "box", "size": [2, 1, 1]}
+    mesh = comparator_mesh(low_config(geometry=geometry, tolerances={"mesh_n": 4}))
+    assert np.array_equal(mesh.vertices.min(axis=0), [-1.0, -0.5, -0.5])
+    assert np.array_equal(mesh.vertices.max(axis=0), [1.0, 0.5, 0.5])
+    assert mesh.total_area == pytest.approx(10.0, rel=1e-12)
+    assert mesh.enclosed_volume() == pytest.approx(2.0, rel=1e-12)
+    mesh.require_closed()
 
 
 def test_shipped_configs_and_benchmark_workloads_load(monkeypatch):

@@ -1,0 +1,45 @@
+"""Every name that a package module or a script imports is used in it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "bubblelab").glob("*.py")) + sorted(
+    (ROOT / "scripts").glob("*.py"))
+
+
+def unused_imports(source: str) -> list:
+    """Imported names that no expression, string annotation or ``__all__`` uses."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        # quoted annotations ("VoxelGrid") and the names listed in __all__
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            used.add(node.value)
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_sources_found():
+    assert len(SOURCES) > 10
+
+
+def test_detects_an_unused_import():
+    assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == ["os (line 1)"]
+    assert unused_imports("from a import b as c\nx: 'c'\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

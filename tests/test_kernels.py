@@ -22,9 +22,7 @@ from bubblelab.volmedium import (
     LSSolution,
     VolumePotential,
     VoxelGrid,
-    _dense_weights,
     far_field_volume,
-    self_cell_weight,
 )
 
 from oracles import broadcast_assemble, broadcast_weights, direct_far_field
@@ -53,14 +51,6 @@ def test_panel_weights_bitwise_equal_to_broadcast():
     self_w = [self_panel_weight(mesh, k, kappa0) for k in range(mesh.n_panels)]
     expected = broadcast_weights(mesh.centroids, kappa0, mesh.areas[None, :], self_w)
     assert np.array_equal(panel_weight_matrix(mesh, kappa0), expected)
-
-
-def test_dense_voxel_weights_bitwise_equal_to_broadcast():
-    grid = VoxelGrid.cover(BallDomain(radius=1.0), 9)
-    kappa0 = 1.7
-    expected = broadcast_weights(grid.centers(), kappa0, grid.g**3,
-                                 self_cell_weight(grid.g, kappa0))
-    assert np.array_equal(_dense_weights(grid, kappa0), expected)
 
 
 def test_coincident_points_raise_geometry_error():
@@ -95,7 +85,7 @@ def test_separable_volume_far_field_matches_direct_sum(grid):
     n = grid.n_cells
     pot = VolumePotential(values=rng.uniform(-2.0, 1.0, n), h_star=0.7)
     sol = LSSolution(y=rng.standard_normal(n) + 1j * rng.standard_normal(n), residual=0.0,
-                     h_star=0.7, method="dense-lu")
+                     h_star=0.7)
     dirs = fibonacci_directions(64)
     kappa0 = 2.5
     ff = far_field_volume(sol, pot, grid, kappa0, dirs)
@@ -163,8 +153,7 @@ def test_assemble_peak_memory_is_matrix_plus_blocks():
 def test_volume_far_field_peak_memory():
     grid = VoxelGrid.cover(BoxDomain(size=(1, 1, 1)), 36)
     pot = VolumePotential.from_density(grid, DensityField.constant(0.0), -1.5, 1.0)
-    sol = LSSolution(y=np.ones(grid.n_cells, dtype=complex), residual=0.0, h_star=1.0,
-                     method="fft-lgmres")
+    sol = LSSolution(y=np.ones(grid.n_cells, dtype=complex), residual=0.0, h_star=1.0)
     dirs = fibonacci_directions(200)
     peak = _traced_peak(far_field_volume, sol, pot, grid, 2.0, dirs)
     assert grid.n_cells == 36**3

@@ -12,13 +12,12 @@ from bubblelab.materials import (
     BubbleSpec,
     ContrastParams,
     classify_regime,
-    effective_index,
     leading_coefficient,
+    medium_coefficient,
     minnaert_frequencies,
     omega_at_gap,
     omega_at_ratio,
     scattering_coefficient,
-    surface_sigma,
 )
 
 
@@ -104,7 +103,6 @@ def test_scattering_near_resonance_identity(sphere):
     direct = -8.0 * math.pi * volume / (p.l_m * a**p.h1 * scaled_sf)
     assert abs(coeff.value - direct) <= 1e-12 * abs(direct)
     assert abs(coeff.value - coeff.reduced * a ** (1 - p.h1)) <= 1e-12 * abs(coeff.value)
-    assert coeff.leading is None
 
 
 def test_scattering_near_gate_rejects_inconsistent_lm(sphere):
@@ -186,37 +184,44 @@ def test_sign_flip_bisection_at_resonance(sphere):
 
 
 def test_effective_index_cases(sphere):
+    # The volume comparator's index: background omega^2 rho0/k0 minus the
+    # potential (K+1) * medium_coefficient, here at K = 0.
+    a = 1e-3
+
+    def index(params, background_sq):
+        return background_sq * params.rho0 / params.k0 - medium_coefficient(sphere, params, a)
+
     # case a with unit constants: n = 1 + 4 pi/3
     pa = ContrastParams(gamma=0.5, s=1.5, t=0.5, omega=1.0)
-    n = effective_index(pa, sphere, 0.0, "a")
-    assert abs(n - (1 + 4 * math.pi / 3)) < 1e-12
-    # case b: added term flips sign across the limiting resonance
+    assert abs(index(pa, pa.omega**2) - (1 + 4 * math.pi / 3)) < 1e-12
+    # case b: the added term flips sign across the limiting resonance
     pb = ContrastParams(gamma=1.0, s=1.0, t=0.4)
     lim = -8 * math.pi * pb.k_ref / (pb.rho0 * sphere.shape_factor)
-    below = effective_index(replace(pb, omega=0.8 * math.sqrt(lim)), sphere, 0.0, "b")
-    above = effective_index(replace(pb, omega=1.3 * math.sqrt(lim)), sphere, 0.0, "b")
-    back_b = (0.8 * math.sqrt(lim)) ** 2 * pb.rho0 / pb.k0
-    back_a = (1.3 * math.sqrt(lim)) ** 2 * pb.rho0 / pb.k0
-    assert below - back_b > 0
-    assert above - back_a < 0  # more transmission above the resonance
-    # near case: n < limit^2 rho0/k0 for l_m > 0
-    pn = ContrastParams(gamma=1.0, h1=0.2, l_m=1.0, s=0.8, t=0.3)
-    n_near = effective_index(pn, sphere, 0.0, "near")
-    assert n_near < lim * pn.rho0 / pn.k0
+    below = replace(pb, omega=0.8 * math.sqrt(lim))
+    above = replace(pb, omega=1.3 * math.sqrt(lim))
+    back_b = below.omega**2 * pb.rho0 / pb.k0
+    back_a = above.omega**2 * pb.rho0 / pb.k0
+    assert index(below, below.omega**2) - back_b > 0
+    assert index(above, above.omega**2) - back_a < 0  # more transmission above the resonance
+    # near the resonance, on the limit background: n < limit^2 rho0/k0 for l_m > 0
+    pn = omega_at_gap(sphere, ContrastParams(gamma=1.0, h1=0.2, l_m=1.0, s=0.8, t=0.3), a)
+    assert index(pn, lim) < lim * pn.rho0 / pn.k0
 
 
 def test_surface_sigma_cases(sphere):
+    # The surface comparator's density at K = 0 is medium_coefficient itself.
+    # case a (gamma < 1), unit constants: -omega^2 |B| rho0 / k_ref = -4 pi/3
+    a = 1e-3
     pa = ContrastParams(gamma=0.5, s=1.5, t=0.5, omega=1.0)
-    assert abs(surface_sigma(pa, sphere, 0.0, "a") + 4 * math.pi / 3) < 1e-12
+    assert abs(medium_coefficient(sphere, pa, a) + 4 * math.pi / 3) < 1e-12
+    # case b (gamma = 1 away): the sign flips across the limiting resonance
     pb = ContrastParams(gamma=1.0, s=1.0, t=0.4)
     lim = -8 * math.pi * pb.k_ref / (pb.rho0 * sphere.shape_factor)
-    assert surface_sigma(replace(pb, omega=0.8 * math.sqrt(lim)), sphere, 0.0, "b") < 0
-    assert surface_sigma(replace(pb, omega=1.3 * math.sqrt(lim)), sphere, 0.0, "b") > 0
-    pn = ContrastParams(gamma=1.0, h1=0.2, l_m=1.0, s=0.8, t=0.3)
-    sig = surface_sigma(pn, sphere, 0.0, "near")
-    assert abs(sig - lim * 4 * math.pi / 3) < 1e-12
-    with pytest.raises(RegimeError):
-        surface_sigma(pb, sphere, 0.0, "near")
+    assert medium_coefficient(sphere, replace(pb, omega=0.8 * math.sqrt(lim)), a) < 0
+    assert medium_coefficient(sphere, replace(pb, omega=1.3 * math.sqrt(lim)), a) > 0
+    # near the resonance, l_m = 1: limit^2 |B| rho0 / (l_m k_ref) = limit^2 * 4 pi/3
+    pn = omega_at_gap(sphere, ContrastParams(gamma=1.0, h1=0.2, l_m=1.0, s=0.8, t=0.3), a)
+    assert abs(medium_coefficient(sphere, pn, a) - lim * 4 * math.pi / 3) < 1e-12
 
 
 def test_classify_worked_examples():

@@ -208,13 +208,3 @@ def test_far_field_validates_input():
         FarField(np.array([[1.0, 1.0, 0.0]]), np.array([1.0 + 0j]))
     with pytest.raises(ConfigError):
         FarField(np.array([[1.0, 0.0, 0.0]]), np.array([np.nan + 0j]))
-
-
-def test_iterative_solve_path_matches_dense():
-    centers = random_cluster(30, seed=2)
-    inc = IncidentWave(1.5, np.array([0.0, 0.0, 1.0]))
-    a = assemble(centers, -0.04, inc.kappa0)
-    dense = solve_charges(a, inc, centers)
-    iterative = solve_charges(a, inc, centers, dense_max=1)
-    assert np.abs(dense.charges - iterative.charges).max() <= 1e-9
-    assert iterative.residual <= 1e-10 * (1 + np.abs(iterative.charges).max())
