@@ -53,15 +53,11 @@ def solve_dirichlet(mesh: SurfaceMesh, incident, directions):
     return LayerDensity(values=phi), FarField(d, values)
 
 
-def scattered_field(density: LayerDensity, mesh: SurfaceMesh, kappa0: float, points):
-    """u_D^s = S phi with near-accurate panel quadrature."""
-    return single_layer_eval(mesh, density.values, kappa0, points)
-
-
 def boundary_condition_defect(density: LayerDensity, mesh: SurfaceMesh, incident,
                               probes) -> float:
     """max |u^I + S phi| / max |u^I| at the given surface probe points."""
-    total = incident.at(probes) + scattered_field(density, mesh, incident.kappa0, probes)
+    total = incident.at(probes) + single_layer_eval(mesh, density.values, incident.kappa0,
+                                                    probes)
     return float(np.abs(total).max() / np.abs(incident.at(probes)).max())
 
 

@@ -69,9 +69,17 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _first_row(cfg: ExperimentConfig):
-    """Run set-up, first radius scale, its parameters and the incident wave."""
+def _first_row(cfg: ExperimentConfig, comparator=None):
+    """Run set-up, first radius scale, its parameters and the incident wave.
+
+    With ``comparator`` named, raises ConfigError unless the config's regime
+    compares against that model, so a single solve never writes a comparator
+    that ``converge`` does not run.
+    """
     run = prepare(cfg)
+    if comparator is not None and run.comparator != comparator:
+        raise ConfigError(f"this {run.report.regime} config compares against the "
+                          f"{run.comparator!r} model, not {comparator!r}")
     a = cfg.a_sequence[0]
     row_params = run.row_params(a)
     return run, a, row_params, IncidentWave(row_params.kappa0, run.theta)
@@ -121,9 +129,7 @@ def cmd_solve_fl(cfg: ExperimentConfig) -> int:
 
 def cmd_solve_ls(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
-    if cfg.is_surface:
-        raise ConfigError("solve-ls needs a volumetric geometry")
-    run, a, row_params, incident = _first_row(cfg)
+    run, a, row_params, incident = _first_row(cfg, "volume")
     grid, pot, sol = run.volume_comparator(row_params, a, incident)
     ff = volmedium.far_field_volume(sol, pot, grid, incident.kappa0, run.directions)
     ff.save_csv(out / "farfield_ls.csv")
@@ -134,9 +140,7 @@ def cmd_solve_ls(cfg: ExperimentConfig) -> int:
 
 def cmd_solve_sie(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
-    if not cfg.is_surface:
-        raise ConfigError("solve-sie needs a surface geometry")
-    run, a, row_params, incident = _first_row(cfg)
+    run, a, row_params, incident = _first_row(cfg, "surface")
     mesh = comparator_mesh(cfg)
     sol = run.surface_comparator(mesh, row_params, a, incident)
     ff = surfmedium.far_field_surface(sol, mesh, incident.kappa0, run.directions)

@@ -318,6 +318,16 @@ class RunSetup:
         theta = np.asarray(self.config.theta, dtype=float)
         return theta / np.linalg.norm(theta)
 
+    @property
+    def comparator(self) -> str:
+        """The regime's equivalent model: "zero" (Low), "dirichlet" (High), or
+        in the medium regimes "surface" or "volume" by the geometry."""
+        if self.report.regime == "Low":
+            return "zero"
+        if self.report.regime == "High":
+            return "dirichlet"
+        return "surface" if self.config.is_surface else "volume"
+
     def row_params(self, a) -> ContrastParams:
         if self.mode[0] == "gap":
             return omega_at_gap(self.bubble, self.params, a)
@@ -387,10 +397,7 @@ def run_convergence(config: ExperimentConfig) -> ErrorTable:
     run = prepare(config)
     record_wall = bool(config.tolerances.get("record_wall_time", False))
     directions = run.directions
-    regime_name = run.report.regime
-    mesh = None
-    if regime_name != "Low" and (config.is_surface or regime_name == "High"):
-        mesh = comparator_mesh(config)
+    mesh = comparator_mesh(config) if run.comparator in ("dirichlet", "surface") else None
 
     # incidence directions: one fixed theta, or a sweep taking the sup over a grid
     thetas = [run.theta]
@@ -448,12 +455,12 @@ def _abort_diagnostics(exc: BubbleLabError) -> dict:
 def _solve_comparator(run: RunSetup, mesh, row_params, a, incident, directions):
     """Equivalent-model far field and model size for one incidence direction."""
     kappa0 = incident.kappa0
-    if run.report.regime == "Low":
+    if run.comparator == "zero":
         return FarField(directions, np.zeros(len(directions), dtype=complex)), 0
-    if run.report.regime == "High":
+    if run.comparator == "dirichlet":
         _, ff = bemlimit.solve_dirichlet(mesh, incident, directions)
         return ff, mesh.n_panels
-    if run.config.is_surface:
+    if run.comparator == "surface":
         sol = run.surface_comparator(mesh, row_params, a, incident)
         return surfmedium.far_field_surface(sol, mesh, kappa0, directions), mesh.n_panels
     grid, pot, sol = run.volume_comparator(row_params, a, incident)

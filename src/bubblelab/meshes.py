@@ -45,6 +45,12 @@ _TRI_RULES = {
 }
 
 
+def _lengths(vectors):
+    """Euclidean length of each row of an (n, 3) array, bitwise equal to
+    ``np.linalg.norm`` of the row alone (a BLAS dot, not an axis sum)."""
+    return np.sqrt((vectors[:, None, :] @ vectors[:, :, None]).ravel())
+
+
 def tri_rule(order: int):
     return _TRI_RULES[min(max(order, 1), 3)]
 
@@ -71,36 +77,31 @@ class SurfaceMesh:
         self._compute_panel_data()
 
     def _compute_panel_data(self):
+        # fan-split each panel about its vertex 0 (triangles and planar convex
+        # quads alike), once; owner[t] is the panel of triangle t, in panel order
         n = len(self.faces)
-        self.centroids = np.zeros((n, 3))
-        self.areas = np.zeros(n)
-        self.normals = np.zeros((n, 3))
-        for k, f in enumerate(self.faces):
-            pts = self.vertices[list(f)]
-            # fan-triangulate about vertex 0; works for triangles and planar
-            # convex quads alike
-            c = np.zeros(3)
-            area = 0.0
-            vecn = np.zeros(3)
-            for j in range(1, len(f) - 1):
-                cross = np.cross(pts[j] - pts[0], pts[j + 1] - pts[0])
-                a = 0.5 * np.linalg.norm(cross)
-                area += a
-                vecn += 0.5 * cross
-                c += a * (pts[0] + pts[j] + pts[j + 1]) / 3.0
-            if area <= 0.0:
-                raise GeometryError(f"degenerate panel {k}")
-            self.centroids[k] = c / area
-            self.areas[k] = area
-            self.normals[k] = vecn / np.linalg.norm(vecn)
+        sizes = np.array([len(f) for f in self.faces])
+        fan = [(f[0], f[j], f[j + 1]) for f in self.faces for j in range(1, len(f) - 1)]
+        tris = self._tris = self.vertices[np.array(fan, dtype=int).reshape(-1, 3)]
+        owner = self._owner = np.repeat(np.arange(n), sizes - 2)
+        cross = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+        tri_areas = 0.5 * _lengths(cross)
+        self.areas = np.bincount(owner, tri_areas, minlength=n)
+        degenerate = np.nonzero(self.areas <= 0.0)[0]
+        if len(degenerate):
+            raise GeometryError(f"degenerate panel {degenerate[0]}")
+        tri_moments = tri_areas[:, None] * tris.sum(axis=1) / 3.0
+        self.centroids = np.column_stack(
+            [np.bincount(owner, tri_moments[:, i], minlength=n) for i in range(3)]
+        ) / self.areas[:, None]
+        vecn = np.column_stack([np.bincount(owner, 0.5 * cross[:, i], minlength=n)
+                                for i in range(3)])
+        self.normals = vecn / _lengths(vecn)[:, None]
         self.total_area = float(self.areas.sum())
         # radius of the smallest centroid-centred ball containing the panel
-        self.panel_radii = np.array(
-            [
-                np.linalg.norm(self.vertices[list(f)] - self.centroids[k], axis=1).max()
-                for k, f in enumerate(self.faces)
-            ]
-        )
+        reach = np.linalg.norm(tris - self.centroids[owner][:, None, :], axis=-1).max(axis=1)
+        first_tri = np.cumsum(sizes - 2) - (sizes - 2)
+        self.panel_radii = np.maximum.reduceat(reach, first_tri)
         self.boundary_edges = self._boundary_edges()
         self.is_closed = len(self.boundary_edges) == 0
 
@@ -135,15 +136,9 @@ class SurfaceMesh:
         return float((self.centroids * self.normals).sum(axis=1) @ self.areas) / 3.0
 
     def triangulated(self):
-        """(m, 3, 3) vertex array of all panels fan-split into triangles."""
-        tris = []
-        owner = []
-        for k, f in enumerate(self.faces):
-            pts = self.vertices[list(f)]
-            for j in range(1, len(f) - 1):
-                tris.append([pts[0], pts[j], pts[j + 1]])
-                owner.append(k)
-        return np.array(tris), np.array(owner, dtype=int)
+        """Fan triangles of all panels, (m, 3, 3) vertices, and the panel of each
+        (m,), in panel order.  Shared arrays: callers must not modify them."""
+        return self._tris, self._owner
 
     def vertex_sharing_pairs(self):
         """Set of unordered panel pairs that share at least one vertex."""

@@ -4,8 +4,10 @@ Collocation at panel centroids of
 
     Y(z) + h_star * Int_Sigma Phi(z, y) sigma(y) Y(y) ds(y) = u^I(z),
 
-with centroid-rule off-diagonal weights and a tangent-plane polar closed form
-on the diagonal.  The represented total field satisfies [u] = 0 and
+with centroid-rule off-diagonal weights and, on the diagonal, the exact
+integral of 1/(4 pi r) over the panel's flat fan triangles (the edge-wise
+closed form of Wilton et al., IEEE TAP 32(3), 1984) plus a midpoint term for
+the bounded remainder.  The represented total field satisfies [u] = 0 and
 [du/dn] = h_star * sigma * u across Sigma (jump bracket: outside minus inside
 along the panel normal).
 """
@@ -17,15 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError
 from .fields import FarField
-from .kernels import DenseSystem, far_field_sum, helmholtz, pair_kernel
+from .kernels import BLOCK_ENTRIES, DenseSystem, far_field_sum, helmholtz, pair_kernel
 from .meshes import SurfaceMesh, _children, _tri_areas
 
 SIE_RESIDUAL_TOL = 1e-8
 _NEAR_FACTOR = 6.0  # single_layer_eval: panels within this many radii get near quadrature
-
-_GAUSS8 = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass(frozen=True)
@@ -36,73 +36,61 @@ class SurfaceSolution:
     h_star: float
 
 
-def _panel_plane_frame(mesh: SurfaceMesh, k: int):
-    """Orthonormal in-plane axes (rows of a (2, 3) array) and the 2D vertex
-    coordinates of panel k about its centroid."""
-    verts = mesh.vertices[list(mesh.faces[k])] - mesh.centroids[k]
-    n = mesh.normals[k]
-    e1 = verts[0] - verts[0] @ n * n
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
-    return np.array([e1, e2]), np.column_stack([verts @ e1, verts @ e2])
+def _triangle_potential(tris, points) -> np.ndarray:
+    """Int_T 1/(4 pi |x - y|) dS(y) for pairs of flat triangles T (n, 3, 3)
+    and points x (n, 3).
 
+    Exact edge-wise closed form (Wilton et al., IEEE TAP 32(3), 1984): with
+    p the signed in-plane distance from x to an edge's line (positive on the
+    triangle's side), l1 < l2 the edge ends along it, h the height of x over
+    the plane, rho0^2 = p^2 + h^2 and R = sqrt(rho0^2 + l^2), each edge adds
 
-def _polar_offset_integral(verts2d, origin2d, z_off):
-    """Integral of 1/(4 pi sqrt(|y - o|^2 + z^2)) over a planar polygon.
+        |p| (asinh(l2/rho0) - asinh(l1/rho0))
+          - |h| (atan2(|p| l2, rho0^2 + |h| R2) - atan2(|p| l1, rho0^2 + |h| R1))
 
-    Signed edge-wise polar form about the in-plane origin; exact radial
-    integral, 8-point Gauss in the angle.  Handles origins inside or outside
-    the polygon, and z_off = 0 (the weakly singular on-surface case).
+    with the sign of p.  asinh stays accurate for l < 0, where ln(R + l)
+    cancels.  Edges whose line passes through the projection of x (p ~ 0)
+    add nothing and are dropped, which covers points on edges and vertices.
     """
-    pts = np.asarray(verts2d, dtype=float) - np.asarray(origin2d, dtype=float)
-    zabs = abs(z_off)
-    total = 0.0
-    xg, wg = _GAUSS8
-    m = len(pts)
-    for i in range(m):
-        a, b = pts[i], pts[(i + 1) % m]
-        edge = b - a
-        elen = np.linalg.norm(edge)
-        if elen == 0.0:
-            continue
-        that = edge / elen
-        nhat = np.array([that[1], -that[0]])
-        p = a @ nhat
-        if abs(p) < 1e-14:
-            continue
-        phi1 = math.atan2(a @ that, abs(p))
-        phi2 = math.atan2(b @ that, abs(p))
-        # sec(phi) varies sharply over wide ranges; keep panels of <= 0.5 rad
-        n_sub = max(1, int(math.ceil(abs(phi2 - phi1) / 0.5)))
-        edges = np.linspace(phi1, phi2, n_sub + 1)
-        acc = 0.0
-        for s0, s1 in zip(edges[:-1], edges[1:]):
-            phis = 0.5 * (s1 - s0) * xg + 0.5 * (s0 + s1)
-            rr = abs(p) / np.cos(phis)
-            vals = np.sqrt(rr * rr + z_off * z_off) - zabs
-            acc += 0.5 * (s1 - s0) * (wg @ vals)
-        total += math.copysign(1.0, p) * acc
-    return total / (4.0 * math.pi)
+    edges = np.roll(tris, -1, axis=1) - tris
+    normals = np.cross(edges[:, 0], -edges[:, 2])
+    normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+    lengths = np.linalg.norm(edges, axis=-1)
+    along = edges / lengths[..., None]
+    inward = np.cross(normals[:, None, :], along)
+    rel = points[:, None, :] - tris
+    p = np.einsum("nei,nei->ne", rel, inward)
+    h = np.abs(np.einsum("ni,ni->n", rel[:, 0], normals))[:, None]
+    l1 = -np.einsum("nei,nei->ne", rel, along)
+    l2 = l1 + lengths
+    keep = np.abs(p) > 1e-14 * lengths
+    pa = np.where(keep, np.abs(p), lengths)  # dropped edges: any nonzero stand-in
+    rho2 = pa * pa + h * h
+    rho = np.sqrt(rho2)
+    r1 = np.sqrt(rho2 + l1 * l1)
+    r2 = np.sqrt(rho2 + l2 * l2)
+    term = pa * (np.arcsinh(l2 / rho) - np.arcsinh(l1 / rho)) - h * (
+        np.arctan2(pa * l2, rho2 + h * r2) - np.arctan2(pa * l1, rho2 + h * r1))
+    return np.where(keep, np.sign(p) * term, 0.0).sum(axis=1) / (4.0 * math.pi)
 
 
-def self_panel_weight(mesh: SurfaceMesh, k: int, kappa0: float) -> complex:
-    """Integral of the kernel over panel k about its centroid.
+def self_panel_weights(mesh: SurfaceMesh, kappa0: float) -> np.ndarray:
+    """Integral of the kernel over each panel about its centroid, (n_panels,).
 
-    Polar closed form for 1/(4 pi r) on the tangent-plane projection plus the
-    midpoint correction i kappa0 area/(4 pi) for the bounded remainder
-    (e^{ik r} - 1)/(4 pi r); curvature is ignored (planar-enough panels).
+    The 1/(4 pi r) part is exact on the panel's flat fan triangles; the
+    bounded remainder (e^{ik r} - 1)/(4 pi r) gets the midpoint value
+    i kappa0 area/(4 pi).
     """
-    if mesh.areas[k] <= 0:
-        raise GeometryError(f"degenerate panel {k}")
-    _, verts2d = _panel_plane_frame(mesh, k)
-    static = _polar_offset_integral(verts2d, np.zeros(2), 0.0)
-    return static + 1j * kappa0 * mesh.areas[k] / (4.0 * math.pi)
+    tris, owner = mesh.triangulated()
+    static = np.bincount(owner, _triangle_potential(tris, mesh.centroids[owner]),
+                         minlength=mesh.n_panels)
+    return static + 1j * kappa0 * mesh.areas / (4.0 * math.pi)
 
 
 def panel_weight_matrix(mesh: SurfaceMesh, kappa0: float) -> np.ndarray:
-    """Collocation weights w_ij = Phi(c_i, c_j) area_j, polar self terms."""
-    self_weights = [self_panel_weight(mesh, k, kappa0) for k in range(mesh.n_panels)]
-    return pair_kernel(mesh.centroids, kappa0, diagonal=self_weights, col_weights=mesh.areas)
+    """Collocation weights w_ij = Phi(c_i, c_j) area_j, closed-form self terms."""
+    return pair_kernel(mesh.centroids, kappa0, diagonal=self_panel_weights(mesh, kappa0),
+                       col_weights=mesh.areas)
 
 
 def assemble_and_solve_surface(mesh: SurfaceMesh, sigma, h_star: float,
@@ -134,44 +122,38 @@ def far_field_surface(solution: SurfaceSolution, mesh: SurfaceMesh, kappa0: floa
 def single_layer_eval(mesh: SurfaceMesh, densities, kappa0: float, points) -> np.ndarray:
     """Single-layer potential of per-panel densities at arbitrary points.
 
-    Far panels use the centroid rule; panels closer than ``_NEAR_FACTOR``
-    radii get the polar closed form for the 1/(4 pi r) part (offset by the
-    point height over the panel plane) plus a centroid rule on the four
-    children of each panel triangle for the bounded remainder, so
-    near-surface probes stay accurate.
+    Far panels use the centroid rule.  Panels closer than ``_NEAR_FACTOR``
+    radii get the exact integral of 1/(4 pi r) over their fan triangles plus
+    a centroid rule on the four children of each triangle for the bounded
+    remainder (e^{ikr} - 1)/(4 pi r), so near-surface probes stay accurate.
+    Points go in row blocks whose temporaries hold at most BLOCK_ENTRIES
+    entries.
     """
     phi = np.asarray(densities, dtype=complex)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    c = mesh.centroids
     tris, owner = mesh.triangulated()
     children = _children(tris)
     child_centroids = children.mean(axis=2)  # (n_tris, 4, 3)
     child_areas = _tri_areas(children)  # (n_tris, 4)
-    first_tri = np.searchsorted(owner, np.arange(mesh.n_panels + 1))
+    reach = _NEAR_FACTOR * mesh.panel_radii
     out = np.zeros(len(pts), dtype=complex)
-    frames = {}
-    for i, x in enumerate(pts):
-        d = x[None, :] - c
-        r = np.linalg.norm(d, axis=1)
-        near = r <= _NEAR_FACTOR * mesh.panel_radii
-        far = ~near
-        vals = np.zeros(len(c), dtype=complex)
-        safe = np.where(r > 0, r, 1.0)
-        vals[far] = helmholtz(safe[far], kappa0) * mesh.areas[far]
-        for k in np.nonzero(near)[0]:
-            if k not in frames:
-                frames[k] = _panel_plane_frame(mesh, k)
-            axes, verts2d = frames[k]
-            rel = x - c[k]
-            static = _polar_offset_integral(verts2d, axes @ rel, rel @ mesh.normals[k])
-            # bounded remainder (e^{ikr}-1)/(4 pi r) on the child triangles
-            span = slice(first_tri[k], first_tri[k + 1])
-            rq = np.linalg.norm(x - child_centroids[span], axis=-1)
-            smooth = np.full(rq.shape, 1j * kappa0 / (4.0 * np.pi))  # the r -> 0 limit
-            off = rq > 1e-14
-            smooth[off] = (np.exp(1j * kappa0 * rq[off]) - 1.0) / (4.0 * np.pi * rq[off])
-            vals[k] = static + (smooth * child_areas[span]).sum()
-        out[i] = vals @ phi
+    rows = max(1, BLOCK_ENTRIES // (12 * len(tris)))  # (pairs, 4, 3) child offsets
+    for i0 in range(0, len(pts), rows):
+        x = pts[i0:i0 + rows]
+        r = np.linalg.norm(x[:, None, :] - mesh.centroids, axis=-1)
+        near = r <= reach
+        far_kernel = np.where(near, 0.0, helmholtz(np.where(near, 1.0, r), kappa0) * mesh.areas)
+        # near (point, triangle) pairs: the triangles of every near panel
+        pi, ti = np.nonzero(near[:, owner])
+        static = _triangle_potential(tris[ti], x[pi])
+        rq = np.linalg.norm(x[pi, None, :] - child_centroids[ti], axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            smooth = np.where(rq > 1e-14, (np.exp(1j * kappa0 * rq) - 1.0) / (4.0 * np.pi * rq),
+                              1j * kappa0 / (4.0 * np.pi))  # the r -> 0 limit
+        vals = (static + (smooth * child_areas[ti]).sum(axis=1)) * phi[owner[ti]]
+        near_sum = (np.bincount(pi, vals.real, minlength=len(x))
+                    + 1j * np.bincount(pi, vals.imag, minlength=len(x)))
+        out[i0:i0 + rows] = far_kernel @ phi + near_sum
     return out
 
 
@@ -179,7 +161,7 @@ def total_field_surface(solution: SurfaceSolution, mesh: SurfaceMesh, incident,
                         points) -> np.ndarray:
     """u(x) = u^I(x) - S[sigma_h Y](x) with near-accurate quadrature."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    layer = single_layer_eval(mesh, solution.sigma_h * solution.y * 1.0, incident.kappa0, pts)
+    layer = single_layer_eval(mesh, solution.sigma_h * solution.y, incident.kappa0, pts)
     return np.asarray(incident.at(pts), dtype=complex) - layer
 
 

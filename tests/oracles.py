@@ -293,3 +293,69 @@ def direct_far_field(directions, points, weights, kappa0):
     """sum_j e^{-i k d . z_j} w_j through the full (D, M) phase matrix."""
     d = np.asarray(directions, dtype=float)
     return np.exp(-1j * kappa0 * (d @ np.asarray(points, dtype=float).T)) @ weights
+
+
+# ---------------------------------------------------------------------------
+# flat-panel potential
+
+
+def polygon_potential(vertices, point):
+    """Int_P 1/(4 pi |x - y|) dS(y) over a flat polygon P by adaptive quadrature.
+
+    Edge-wise polar form about the projection of x onto the plane of P: each
+    edge at signed in-plane distance p (positive on the polygon's side) spans
+    the angles phi1..phi2 seen from that projection, the radial integral of
+    r / sqrt(r^2 + h^2) out to p sec(phi) is done by hand, and
+    ``scipy.integrate.quad`` integrates what is left over the angle.
+    """
+    v = np.asarray(vertices, dtype=float)
+    x = np.asarray(point, dtype=float)
+    n = np.cross(v[1] - v[0], v[2] - v[0])
+    n /= np.linalg.norm(n)
+    h = abs((x - v[0]) @ n)
+    total = 0.0
+    for a, b in zip(v, np.roll(v, -1, axis=0)):
+        length = np.linalg.norm(b - a)
+        t = (b - a) / length
+        p = (x - a) @ np.cross(n, t)
+        if abs(p) <= 1e-14 * length:
+            continue  # the edge subtends no angle
+
+        def radial(phi):
+            r = abs(p) / np.cos(phi)
+            return r * r / (np.sqrt(r * r + h * h) + h)  # sqrt(r^2 + h^2) - h
+
+        phi1 = np.arctan2((a - x) @ t, abs(p))
+        phi2 = np.arctan2((b - x) @ t, abs(p))
+        val, _ = quad(radial, phi1, phi2, epsabs=0.0, epsrel=1e-13, limit=200)
+        total += np.sign(p) * val
+    return total / (4.0 * np.pi)
+
+
+def single_layer_by_loops(mesh, densities, kappa0, x, near_factor=6.0):
+    """Single-layer potential at one point x, panel by panel.
+
+    Panels farther than ``near_factor`` radii use the centroid rule.  Nearer
+    ones take the static part from ``polygon_potential`` on the whole panel
+    and the remainder (e^{ikr} - 1)/(4 pi r) from the centroid rule on the
+    four midpoint children of each fan triangle.
+    """
+    total = 0.0
+    for k, face in enumerate(mesh.faces):
+        verts = mesh.vertices[list(face)]
+        r = np.linalg.norm(x - mesh.centroids[k])
+        if r > near_factor * mesh.panel_radii[k]:
+            total += np.exp(1j * kappa0 * r) / (4.0 * np.pi * r) * mesh.areas[k] * densities[k]
+            continue
+        value = polygon_potential(verts, x)
+        for j in range(1, len(verts) - 1):
+            a, b, c = verts[0], verts[j], verts[j + 1]
+            ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
+            for child in ((a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)):
+                area = 0.5 * np.linalg.norm(np.cross(child[1] - child[0], child[2] - child[0]))
+                rq = np.linalg.norm(x - sum(child) / 3.0)
+                smooth = ((np.exp(1j * kappa0 * rq) - 1.0) / (4.0 * np.pi * rq) if rq > 1e-14
+                          else 1j * kappa0 / (4.0 * np.pi))
+                value += smooth * area
+        total += value * densities[k]
+    return total

@@ -1,7 +1,6 @@
 """Acceptance suite: one numbered test per criterion, each printing a
 PASS/FAIL line with the measured values (run with -s or -v to see them)."""
 
-import json
 import math
 import time
 from dataclasses import replace
@@ -9,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bubblelab import bemlimit, pointscat, surfmedium, volmedium
+from bubblelab import bemlimit, surfmedium, volmedium
 from bubblelab.cluster import BallDomain, DensityField
 from bubblelab.fields import fibonacci_directions
 from bubblelab.harness import ExperimentConfig, build_contrast, fit_rate, run_convergence, write_outputs

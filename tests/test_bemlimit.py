@@ -7,7 +7,6 @@ from bubblelab.bemlimit import (
     check_away_from_sphere_resonance,
     edge_growth_report,
     mie_soft_sphere,
-    scattered_field,
     solve_dirichlet,
     sphere_dirichlet_wavenumbers,
 )
@@ -15,6 +14,7 @@ from bubblelab.errors import ConfigError, SolverError
 from bubblelab.fields import fibonacci_directions
 from bubblelab.meshes import disk_mesh, icosphere
 from bubblelab.pointscat import IncidentWave, assemble, far_field, solve_charges
+from bubblelab.surfmedium import single_layer_eval
 
 from oracles import soft_sphere_far_field
 
@@ -66,7 +66,7 @@ def test_interior_extinction(sphere_solution):
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(40, 3))
     pts = 0.7 * pts / np.linalg.norm(pts, axis=1)[:, None] * rng.uniform(0.2, 1.0, 40)[:, None]
-    total = INC.at(pts) + scattered_field(density, mesh, INC.kappa0, pts)
+    total = INC.at(pts) + single_layer_eval(mesh, density.values, INC.kappa0, pts)
     assert np.abs(total).max() <= 6e-3
 
 

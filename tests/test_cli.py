@@ -187,3 +187,24 @@ def test_solve_ls_checks_config_regime(tmp_path):
     out = tmp_path / "wrong"
     assert cli(["solve-ls", "--config", str(path), "--out", str(out)]) == 2
     assert not (out / "farfield_ls.csv").exists()
+
+
+def test_solve_ls_rejects_low_config(tmp_path, capsys):
+    # a Low run compares against the zero field, which converge writes
+    out = tmp_path / "low"
+    path = _write_config(tmp_path, "low")
+    assert cli(["solve-ls", "--config", str(path), "--out", str(out)]) == 2
+    assert "'zero'" in capsys.readouterr().err
+    assert not (out / "farfield_ls.csv").exists()
+
+
+def test_solve_sie_rejects_high_config(tmp_path, capsys):
+    # a High run compares against the Dirichlet limit (solve-bem), not the surface density
+    geometry = {"kind": "sphere_cap", "radius": 1.0, "theta_max": 0.7853981633974483}
+    contrast = {"gamma": 1.0, "s": 0.95, "t": 0.33, "h1": 0.1, "l_m": 0.01, "lambda_k": 0.9}
+    path = _write_config(tmp_path, "high", geometry=geometry, contrast=contrast, regime="High",
+                         tolerances={"mesh_rings": 4, "mesh_nphi": 12})
+    out = tmp_path / "high"
+    assert cli(["solve-sie", "--config", str(path), "--out", str(out)]) == 2
+    assert "'dirichlet'" in capsys.readouterr().err
+    assert not (out / "farfield_sie.csv").exists()

@@ -1,4 +1,4 @@
-"""Every name that a package module or a script imports is used in it."""
+"""Every name that a package module, a script or a test imports is used in it."""
 
 import ast
 from pathlib import Path
@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "bubblelab").glob("*.py")) + sorted(
-    (ROOT / "scripts").glob("*.py"))
+SOURCES = [path for folder in (ROOT / "src" / "bubblelab", ROOT / "scripts", ROOT / "tests")
+           for path in sorted(folder.glob("*.py"))]
 
 
 def unused_imports(source: str) -> list:

@@ -17,7 +17,7 @@ from bubblelab.kernels import (
 )
 from bubblelab.meshes import sphere_cap_mesh
 from bubblelab.pointscat import ClusterSystem, IncidentWave, assemble, solve_charges
-from bubblelab.surfmedium import panel_weight_matrix, self_panel_weight
+from bubblelab.surfmedium import panel_weight_matrix, self_panel_weights
 from bubblelab.volmedium import (
     LSSolution,
     VolumePotential,
@@ -48,8 +48,8 @@ def test_assemble_bitwise_equal_to_broadcast(m):
 def test_panel_weights_bitwise_equal_to_broadcast():
     mesh = sphere_cap_mesh(radius=1.0, theta_max=0.8, n_rings=6, n_phi=18)
     kappa0 = 2.3
-    self_w = [self_panel_weight(mesh, k, kappa0) for k in range(mesh.n_panels)]
-    expected = broadcast_weights(mesh.centroids, kappa0, mesh.areas[None, :], self_w)
+    expected = broadcast_weights(mesh.centroids, kappa0, mesh.areas[None, :],
+                                 self_panel_weights(mesh, kappa0))
     assert np.array_equal(panel_weight_matrix(mesh, kappa0), expected)
 
 

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
+from bubblelab import surfmedium
 from bubblelab.errors import ConfigError
 from bubblelab.fields import fibonacci_directions
-from bubblelab.meshes import disk_mesh, icosphere, rect_mesh
+from bubblelab.meshes import disk_mesh, icosphere, rect_mesh, sphere_cap_mesh
 from bubblelab.pointscat import IncidentWave
 from bubblelab.surfmedium import (
     SIE_RESIDUAL_TOL,
     assemble_and_solve_surface,
     far_field_surface,
+    _triangle_potential,
     jump_check,
-    self_panel_weight,
+    self_panel_weights,
     single_layer_eval,
 )
 
@@ -18,6 +20,8 @@ from oracles import (
     metasurface_sphere_far_field,
     metasurface_sphere_surface_values,
     panel_helmholtz_weight,
+    polygon_potential,
+    single_layer_by_loops,
 )
 
 INC = IncidentWave(2.0, np.array([0.0, 0.0, 1.0]))
@@ -34,28 +38,76 @@ def sphere_solution(sphere_mesh):
 
 
 def test_self_panel_weight_square_value():
-    # static self-integral of a square of side g is ~0.2806 g (polar closed form)
+    # static self-integral of a square of side g about its centre: four edges
+    # at distance g/2 give 4 ln(1 + sqrt 2) g / (4 pi) ~ 0.2806 g
     g = 0.2
-    m = rect_mesh(g, g, 1, 1)
-    w = self_panel_weight(m, 0, 0.0)
+    w = self_panel_weights(rect_mesh(g, g, 1, 1), 0.0)[0]
     assert w.imag == 0.0
-    assert abs(w.real - 0.2806 * g) < 1e-4 * g
+    assert w.real == pytest.approx(4.0 * np.log(1.0 + np.sqrt(2.0)) * g / (4.0 * np.pi),
+                                   rel=1e-14)
     # linear scaling in g
-    w2 = self_panel_weight(rect_mesh(g / 2, g / 2, 1, 1), 0, 0.0)
+    w2 = self_panel_weights(rect_mesh(g / 2, g / 2, 1, 1), 0.0)[0]
     assert abs(w.real / w2.real - 2.0) < 1e-12 * 2.0
 
 
 def test_self_panel_weight_against_subdivision_oracle():
     mesh = icosphere(2)
+    weights = self_panel_weights(mesh, 2.0)
     for k in (0, 57, 200):
-        w = self_panel_weight(mesh, k, 2.0)
         oracle = panel_helmholtz_weight(mesh.vertices[list(mesh.faces[k])],
                                         mesh.centroids[k], 2.0, depth=8)
-        assert abs(w - oracle) <= 0.02 * abs(oracle)
+        assert abs(weights[k] - oracle) <= 0.02 * abs(oracle)
     # low-frequency imaginary part ~ kappa0 * area / (4 pi)
     k0 = 0.05
-    w = self_panel_weight(mesh, 0, k0)
+    w = self_panel_weights(mesh, k0)[0]
     assert w.imag == pytest.approx(k0 * mesh.areas[0] / (4 * np.pi))
+
+
+def _random_polygon(rng, quad):
+    """A flat triangle, or a convex quad on a circle, in a random plane."""
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, 4 if quad else 3))
+    flat = np.column_stack([np.cos(angles), np.sin(angles), np.zeros_like(angles)])
+    flat[:, :2] *= rng.uniform(0.3, 2.0)
+    rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    return flat @ rot.T + rng.standard_normal(3)
+
+
+@pytest.mark.parametrize("quad", [False, True], ids=["triangle", "quad"])
+def test_triangle_potential_matches_adaptive_quadrature(quad):
+    # the closed form against scipy's adaptive quadrature of the edge-wise
+    # polar integrand: points on and off the plane, inside and outside
+    rng = np.random.default_rng(11 + quad)
+    for case in range(40):
+        poly = _random_polygon(rng, quad)
+        normal = np.cross(poly[1] - poly[0], poly[2] - poly[0])
+        normal /= np.linalg.norm(normal)
+        inside = poly.mean(axis=0) + 0.3 * (poly[case % len(poly)] - poly.mean(axis=0))
+        outside = poly.mean(axis=0) + 1.7 * (poly[case % len(poly)] - poly.mean(axis=0))
+        fans = np.array([[poly[0], poly[j], poly[j + 1]] for j in range(1, len(poly) - 1)])
+        for base in (inside, outside):
+            for height in (0.0, 0.05, -0.7):
+                x = base + height * normal
+                got = _triangle_potential(fans, np.repeat(x[None], len(fans), axis=0)).sum()
+                assert got == pytest.approx(polygon_potential(poly, x), rel=1e-11)
+
+
+def test_triangle_potential_point_on_an_edge_line():
+    # the edge through the projection of x subtends no angle and is dropped
+    tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.2, 0.8, 0.0]])
+    for x in ([0.5, 0.0, 0.0], [1.6, 0.0, 0.0], [0.5, 0.0, 0.3], [0.0, 0.0, 0.0]):
+        got = _triangle_potential(tri[None], np.array([x]))[0]
+        assert np.isfinite(got)
+        assert got == pytest.approx(polygon_potential(tri, x), rel=1e-11)
+
+
+def test_self_panel_weights_exact_on_pole_fan():
+    # thin pole-fan triangles, where an 8-point Gauss rule in the angle was
+    # off by ~4e-6 relative
+    mesh = sphere_cap_mesh(1.0, np.pi / 4, 16, 48)
+    weights = self_panel_weights(mesh, 0.0)
+    for k in range(48):
+        oracle = polygon_potential(mesh.vertices[list(mesh.faces[k])], mesh.centroids[k])
+        assert weights[k].real == pytest.approx(oracle, rel=1e-11)
 
 
 def test_zero_sigma_reproduces_incident(sphere_mesh):
@@ -184,3 +236,18 @@ def test_single_layer_eval_against_sphere_closed_form(sphere_mesh):
         else:
             exact = radius * np.sin(kappa0 * r) * np.exp(1j * kappa0 * radius) / (kappa0 * r)
         assert abs(val - exact) <= 0.01 * abs(exact)
+
+
+def test_single_layer_eval_matches_panel_loop(monkeypatch):
+    # vectorised near/far split, pair expansion and row blocks against a
+    # panel-by-panel loop; a small block budget forces several row blocks
+    mesh = sphere_cap_mesh(1.0, np.pi / 4, 3, 8)  # pole-fan triangles and quads
+    tris, _ = mesh.triangulated()
+    monkeypatch.setattr(surfmedium, "BLOCK_ENTRIES", 12 * len(tris) * 3)
+    rng = np.random.default_rng(4)
+    dens = rng.standard_normal(mesh.n_panels) + 1j * rng.standard_normal(mesh.n_panels)
+    points = np.concatenate([mesh.centroids[::5] + 0.02 * mesh.normals[::5],
+                             mesh.vertices[::4], rng.uniform(-1.5, 1.5, (4, 3))])
+    got = single_layer_eval(mesh, dens, 2.0, points)
+    expected = np.array([single_layer_by_loops(mesh, dens, 2.0, x) for x in points])
+    assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
