@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_legendre, spherical_jn, spherical_yn
 
-from .errors import ConfigError, SolverError
+from .errors import ConfigError
 from .fields import FarField
 from .kernels import DenseSystem, far_field_sum
 from .meshes import SurfaceMesh
-from .surfmedium import panel_weight_matrix, single_layer_eval
+from .surfmedium import panel_weight_matrix
 
 BEM_RESIDUAL_TOL = 1e-8
 
@@ -53,69 +53,7 @@ def solve_dirichlet(mesh: SurfaceMesh, incident, directions):
     return LayerDensity(values=phi), FarField(d, values)
 
 
-def boundary_condition_defect(density: LayerDensity, mesh: SurfaceMesh, incident,
-                              probes) -> float:
-    """max |u^I + S phi| / max |u^I| at the given surface probe points."""
-    total = incident.at(probes) + single_layer_eval(mesh, density.values, incident.kappa0,
-                                                    probes)
-    return float(np.abs(total).max() / np.abs(incident.at(probes)).max())
-
-
-def edge_growth_report(density: LayerDensity, mesh: SurfaceMesh, n_rings: int = 4) -> dict:
-    """Mean |phi| bucketed by distance to the open boundary (diagnostic).
-
-    On rim-graded open meshes the density should grow toward the edge:
-    the report flags monotone growth across the last rings.
-    """
-    if mesh.is_closed:
-        raise ConfigError("edge growth is defined for open meshes only")
-    edge_pts = []
-    for (i, j) in mesh.boundary_edges:
-        edge_pts.append(0.5 * (mesh.vertices[i] + mesh.vertices[j]))
-    edge_pts = np.array(edge_pts)
-    d = np.min(np.linalg.norm(mesh.centroids[:, None, :] - edge_pts[None, :, :], axis=2), axis=1)
-    order = np.argsort(d)
-    buckets = np.array_split(order, n_rings)
-    means = [float(np.abs(density.values[b]).mean()) for b in buckets]
-    return {
-        "ring_means": means,  # nearest-to-edge first
-        "monotone_toward_edge": bool(means[0] > means[1] > means[2]),
-    }
-
-
-def sphere_dirichlet_wavenumbers(radius: float, k_max: float):
-    """Interior Dirichlet resonances of a ball: zeros of j_n(k R) below k_max."""
-    from scipy.optimize import brentq
-
-    zeros = []
-    n = 0
-    while True:
-        xs = np.linspace(1e-6, k_max * radius, max(64, int(20 * k_max * radius)))
-        vals = spherical_jn(n, xs)
-        found = []
-        for a, b, fa, fb in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
-            if fa * fb < 0:
-                found.append(brentq(lambda x: spherical_jn(n, x), a, b) / radius)
-        if not found:
-            break
-        zeros.extend(found)
-        n += 1
-    return np.array(sorted(zeros))
-
-
-def check_away_from_sphere_resonance(kappa0: float, radius: float, rel_tol: float = 1e-3):
-    """Caller-side guard: reject kappa0 within rel_tol of a ball resonance."""
-    zeros = sphere_dirichlet_wavenumbers(radius, kappa0 * 1.5 + 1.0)
-    if len(zeros) and np.min(np.abs(zeros - kappa0)) < rel_tol * kappa0:
-        nearest = zeros[np.argmin(np.abs(zeros - kappa0))]
-        raise SolverError(
-            f"kappa0={kappa0!r} sits at an interior Dirichlet resonance "
-            f"(nearest {nearest!r}); perturb kappa0"
-        )
-
-
-def mie_soft_sphere(kappa0: float, radius: float, directions, theta,
-                    return_terms: bool = False):
+def mie_soft_sphere(kappa0: float, radius: float, directions, theta):
     """Analytic sound-soft sphere far field in the shared kernel convention.
 
     Pattern (4 pi i / kappa0) sum_n (2n+1) j_n(ka)/h_n(ka) P_n(x_hat . theta),
@@ -132,14 +70,8 @@ def mie_soft_sphere(kappa0: float, radius: float, directions, theta,
     cosang = d @ np.asarray(theta, dtype=float)
     n_max = int(4 * np.ceil(ka) + 20)
     values = np.zeros(len(d), dtype=complex)
-    term_mags = np.zeros(n_max + 1)
     for n in range(n_max + 1):
         hn = spherical_jn(n, ka) + 1j * spherical_yn(n, ka)
-        coeff = (2 * n + 1) * spherical_jn(n, ka) / hn
-        term_mags[n] = abs(coeff)
-        values += coeff * eval_legendre(n, cosang)
+        values += (2 * n + 1) * spherical_jn(n, ka) / hn * eval_legendre(n, cosang)
     values *= 4.0 * np.pi * 1j / kappa0
-    ff = FarField(d, values)
-    if return_terms:
-        return ff, term_mags
-    return ff
+    return FarField(d, values)

@@ -20,6 +20,8 @@ from .harness import (
     ErrorTable,
     ExperimentConfig,
     build_bubble,
+    build_density,
+    build_geometry,
     comparator_mesh,
     fit_rate,
     prepare,
@@ -90,10 +92,13 @@ def _write_values(path, index_name, points, values):
     with open(path, "w") as fh:
         fh.write(f"{index_name},x,y,z,re,im\n")
         for i, (c, v) in enumerate(zip(points, values)):
-            fh.write(f"{i},{c[0]!r},{c[1]!r},{c[2]!r},{v.real!r},{v.imag!r}\n")
+            cells = (c[0], c[1], c[2], v.real, v.imag)  # NumPy scalars repr as np.float64(..)
+            fh.write(f"{i}," + ",".join(repr(float(x)) for x in cells) + "\n")
 
 
 def cmd_regime_check(cfg: ExperimentConfig) -> int:
+    build_geometry(cfg.geometry)  # rejects unknown geometry and density keys
+    build_density(cfg.geometry.get("density"))
     params, _ = resolve_contrast(cfg, build_bubble(cfg.bubble))
     print(json.dumps(regime_summary(classify_regime(params)), indent=1))
     return 0

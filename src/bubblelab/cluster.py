@@ -29,9 +29,8 @@ class DensityField:
     """Non-negative bounded density K; constant, or trilinear on a 3d sample grid."""
 
     def __init__(self, kind, value=None, origin=None, spacing=None, samples=None,
-                 lambda_k=1.0, k_max=None):
+                 k_max=None):
         self.kind = kind
-        self.lambda_k = float(lambda_k)
         if kind == "constant":
             if value is None or value < 0:
                 raise ConfigError("constant density needs a non-negative value")
@@ -62,13 +61,13 @@ class DensityField:
             raise ConfigError("density exceeds the configured bound k_max")
 
     @staticmethod
-    def constant(value, lambda_k=1.0, k_max=None):
-        return DensityField("constant", value=value, lambda_k=lambda_k, k_max=k_max)
+    def constant(value, k_max=None):
+        return DensityField("constant", value=value, k_max=k_max)
 
     @staticmethod
-    def grid(origin, spacing, samples, lambda_k=1.0, k_max=None):
+    def grid(origin, spacing, samples, k_max=None):
         return DensityField("grid", origin=origin, spacing=spacing, samples=samples,
-                            lambda_k=lambda_k, k_max=k_max)
+                            k_max=k_max)
 
     def __call__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))

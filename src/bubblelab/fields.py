@@ -66,13 +66,3 @@ class FarField:
                      repr(float(v.real)), repr(float(v.imag))]
                 )
 
-
-def load_far_field_csv(path) -> FarField:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_HEADER:
-            raise ConfigError(f"unexpected far-field CSV header {header!r}")
-        rows = [[float(x) for x in row] for row in reader]
-    arr = np.array(rows)
-    return FarField(arr[:, :3], arr[:, 3] + 1j * arr[:, 4])

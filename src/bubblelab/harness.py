@@ -77,9 +77,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown geometry kind {self.geometry.get('kind')!r}")
         if self.directions < 1:
             raise ConfigError("direction grid size must be positive")
-        unknown = set(self.tolerances) - set(TOLERANCE_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown tolerance keys {sorted(unknown)}")
+        _check_keys(self.tolerances, TOLERANCE_KEYS, "tolerance")
 
     @property
     def is_surface(self) -> bool:
@@ -87,10 +85,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(doc: dict) -> "ExperimentConfig":
-        unknown = set(doc) - {"geometry", "bubble", "contrast", "regime", "a_sequence",
-                              "directions", "tolerances", "seed", "out"}
-        if unknown:
-            raise ConfigError(f"unknown config keys {sorted(unknown)}")
+        _check_keys(doc, ("geometry", "bubble", "contrast", "regime", "a_sequence",
+                          "directions", "tolerances", "seed", "out"), "config")
         for key in ("geometry", "bubble", "contrast", "regime", "a_sequence"):
             if key not in doc:
                 raise ConfigError(f"missing config key {key!r}")
@@ -179,14 +175,24 @@ class RateFit:
 # config materialization
 
 
+def _check_keys(doc: dict, known, section: str) -> None:
+    """Reject a config section that holds a key outside ``known``."""
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {section} keys {sorted(unknown)}")
+
+
 def build_bubble(doc: dict) -> BubbleSpec:
     shape = doc.get("shape", "sphere")
     if shape == "sphere":
+        _check_keys(doc, ("shape", "subdivisions", "radius"), "sphere bubble")
         return BubbleSpec.sphere(subdivisions=int(doc.get("subdivisions", 2)),
                                  radius=float(doc.get("radius", 1.0)))
     if shape == "cube":
+        _check_keys(doc, ("shape", "n", "side"), "cube bubble")
         return BubbleSpec.cube(n=int(doc.get("n", 6)), side=float(doc.get("side", 1.0)))
     if shape == "mesh":
+        _check_keys(doc, ("shape", "path"), "mesh bubble")
         return BubbleSpec.from_mesh(load_mesh(doc["path"]))
     raise ConfigError(f"unknown bubble shape {shape!r}")
 
@@ -196,11 +202,8 @@ def build_contrast(doc: dict) -> tuple:
     doc = dict(doc)
     ratio = doc.pop("omega_ratio", None)
     omega = doc.pop("omega", None)
-    known = {"rho0", "k0", "c_rho", "gamma", "tau", "s", "t", "h1", "l_m",
-             "lambda_k", "l0"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown contrast keys {sorted(unknown)}")
+    _check_keys(doc, ("rho0", "k0", "c_rho", "gamma", "tau", "s", "t", "h1", "l_m",
+                      "lambda_k", "l0"), "contrast")
     params = ContrastParams(omega=omega if omega is not None else 1.0, **doc)
     if params.near_resonance:
         if omega is not None or ratio is not None:
@@ -218,58 +221,54 @@ def build_contrast(doc: dict) -> tuple:
 
 def build_density(doc: Optional[dict]) -> DensityField:
     doc = doc or {"kind": "constant", "value": 0.0}
-    if doc.get("kind", "constant") == "constant":
-        return DensityField.constant(doc.get("value", 0.0),
-                                     lambda_k=doc.get("lambda_k", 1.0),
-                                     k_max=doc.get("k_max"))
-    if doc["kind"] == "grid":
+    kind = doc.get("kind", "constant")
+    if kind == "constant":
+        _check_keys(doc, ("kind", "value", "k_max"), "constant density")
+        return DensityField.constant(doc.get("value", 0.0), k_max=doc.get("k_max"))
+    if kind == "grid":
+        _check_keys(doc, ("kind", "origin", "spacing", "samples", "k_max"), "grid density")
         return DensityField.grid(doc["origin"], doc["spacing"], np.asarray(doc["samples"]),
-                                 lambda_k=doc.get("lambda_k", 1.0), k_max=doc.get("k_max"))
-    raise ConfigError(f"unknown density kind {doc['kind']!r}")
+                                 k_max=doc.get("k_max"))
+    raise ConfigError(f"unknown density kind {kind!r}")
 
 
 def build_geometry(doc: dict):
+    """The domain or surface chart a geometry doc names, with its defaults filled in."""
     kind = doc["kind"]
     if kind == "box":
+        _check_keys(doc, ("kind", "density", "size", "center"), "box geometry")
         return BoxDomain(center=tuple(doc.get("center", (0, 0, 0))),
                          size=tuple(doc.get("size", (1, 1, 1))))
     if kind == "ball":
+        _check_keys(doc, ("kind", "density", "radius", "center"), "ball geometry")
         return BallDomain(center=tuple(doc.get("center", (0, 0, 0))),
                           radius=float(doc.get("radius", 0.620350490899)))
     if kind == "sphere_cap":
+        _check_keys(doc, ("kind", "density", "radius", "theta_max"), "sphere_cap geometry")
         return SphereCapChart(radius=float(doc.get("radius", 1.0)),
                               theta_max=float(doc.get("theta_max", math.pi / 2)))
     if kind == "plane_rect":
+        _check_keys(doc, ("kind", "density", "lx", "ly"), "plane_rect geometry")
         return PlaneChart(lx=float(doc.get("lx", 1.0)), ly=float(doc.get("ly", 1.0)))
     raise ConfigError(f"unknown geometry kind {kind!r}")
 
 
 def comparator_mesh(config: ExperimentConfig):
     """Panel mesh of Sigma (surface runs) or of the domain boundary (high runs)."""
-    doc = config.geometry
+    geometry = build_geometry(config.geometry)
     tol = config.tolerances
-    kind = doc["kind"]
-    if kind == "sphere_cap":
-        return sphere_cap_mesh(
-            radius=float(doc.get("radius", 1.0)),
-            theta_max=float(doc.get("theta_max", math.pi / 2)),
-            n_rings=int(tol.get("mesh_rings", 14)),
-            n_phi=int(tol.get("mesh_nphi", 42)),
-        )
-    if kind == "plane_rect":
+    if isinstance(geometry, SphereCapChart):
+        return sphere_cap_mesh(radius=geometry.radius, theta_max=geometry.theta_max,
+                               n_rings=int(tol.get("mesh_rings", 14)),
+                               n_phi=int(tol.get("mesh_nphi", 42)))
+    if isinstance(geometry, PlaneChart):
         n = int(tol.get("mesh_n", 16))
         # open comparator meshes are rim-graded (edge-singular limits)
-        return rect_mesh(float(doc.get("lx", 1.0)), float(doc.get("ly", 1.0)), n, n,
-                         grading=0.7, grading_levels=3)
-    if kind == "ball":
-        return icosphere(int(tol.get("mesh_level", 3)),
-                         radius=float(doc.get("radius", 0.620350490899)),
-                         center=tuple(doc.get("center", (0, 0, 0))))
-    if kind == "box":
-        return cube_mesh(int(tol.get("mesh_n", 10)),
-                         side=tuple(float(x) for x in doc.get("size", (1, 1, 1))),
-                         center=tuple(doc.get("center", (0, 0, 0))))
-    raise ConfigError(f"no comparator mesh for geometry {kind!r}")
+        return rect_mesh(geometry.lx, geometry.ly, n, n, grading=0.7, grading_levels=3)
+    if isinstance(geometry, BallDomain):
+        return icosphere(int(tol.get("mesh_level", 3)), radius=geometry.radius,
+                         center=geometry.center)
+    return cube_mesh(int(tol.get("mesh_n", 10)), side=geometry.size, center=geometry.center)
 
 
 def resolve_contrast(config: ExperimentConfig, bubble: BubbleSpec) -> tuple:

@@ -54,12 +54,11 @@ class BubbleSpec:
         )
 
     @staticmethod
-    def cube(n: int = 6, side: float = 1.0, quad_order: int = 2) -> "BubbleSpec":
-        mesh = cube_mesh(n, side=side)
-        return BubbleSpec.from_mesh(mesh, shape_id="cube", quad_order=quad_order)
+    def cube(n: int = 6, side: float = 1.0) -> "BubbleSpec":
+        return BubbleSpec.from_mesh(cube_mesh(n, side=side), shape_id="cube")
 
     @staticmethod
-    def from_mesh(mesh: SurfaceMesh, shape_id: str = "mesh", quad_order: int = 2) -> "BubbleSpec":
+    def from_mesh(mesh: SurfaceMesh, shape_id: str = "mesh") -> "BubbleSpec":
         mesh.require_closed()
         vol = mesh.enclosed_volume()
         if vol <= 0:
@@ -68,7 +67,7 @@ class BubbleSpec:
             shape_id=shape_id,
             boundary_mesh=mesh,
             volume=vol,
-            shape_factor=boundary_shape_factor(mesh, quad_order=quad_order),
+            shape_factor=boundary_shape_factor(mesh),
         )
 
 
@@ -314,9 +313,6 @@ class RegimeReport:
     satisfied: tuple  # ((condition-name, bool), ...)
     scale_of_c: float
     s_star: float
-
-    def as_dict(self):
-        return dict(self.satisfied)
 
 
 REGIMES = ("Low", "MediumVolumetricA", "MediumVolumetricB", "MediumNearResonance", "High")

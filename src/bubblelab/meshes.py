@@ -1,4 +1,4 @@
-"""Panel meshes: geometry, ASCII I/O, generators, and the boundary shape factor.
+"""Panel meshes: geometry, ASCII loading, generators, and the boundary shape factor.
 
 Meshes are flat-panel surfaces made of triangles and planar quads.  The ASCII
 format has one vertex per line ``v x y z`` and one panel per line ``f i j k``
@@ -11,36 +11,14 @@ import numpy as np
 
 from .errors import GeometryError
 
-# Symmetric Gauss rules on the reference triangle, barycentric coordinates.
-# order 1: degree-1 centroid rule; order 2: degree-2 3-point; order >=3:
-# degree-4 6-point (weights sum to 1, area folded in separately).
+# Symmetric Gauss rules on the reference triangle, barycentric coordinates:
+# order 1 is the degree-1 centroid rule, order 2 the degree-2 3-point rule
+# (weights sum to 1, area folded in separately).
 _TRI_RULES = {
     1: (np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([1.0])),
     2: (
         np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]]),
         np.array([1 / 3, 1 / 3, 1 / 3]),
-    ),
-    3: (
-        np.array(
-            [
-                [0.108103018168070, 0.445948490915965, 0.445948490915965],
-                [0.445948490915965, 0.108103018168070, 0.445948490915965],
-                [0.445948490915965, 0.445948490915965, 0.108103018168070],
-                [0.816847572980459, 0.091576213509771, 0.091576213509771],
-                [0.091576213509771, 0.816847572980459, 0.091576213509771],
-                [0.091576213509771, 0.091576213509771, 0.816847572980459],
-            ]
-        ),
-        np.array(
-            [
-                0.223381589678011,
-                0.223381589678011,
-                0.223381589678011,
-                0.109951743655322,
-                0.109951743655322,
-                0.109951743655322,
-            ]
-        ),
     ),
 }
 
@@ -49,10 +27,6 @@ def _lengths(vectors):
     """Euclidean length of each row of an (n, 3) array, bitwise equal to
     ``np.linalg.norm`` of the row alone (a BLAS dot, not an axis sum)."""
     return np.sqrt((vectors[:, None, :] @ vectors[:, :, None]).ravel())
-
-
-def tri_rule(order: int):
-    return _TRI_RULES[min(max(order, 1), 3)]
 
 
 class SurfaceMesh:
@@ -152,14 +126,6 @@ class SurfaceMesh:
                 for jj in range(ii + 1, len(panels)):
                     pairs.add((panels[ii], panels[jj]))
         return pairs
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            for v in self.vertices:
-                fh.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-            for f in self.faces:
-                tag = "f" if len(f) == 3 else "q"
-                fh.write(tag + " " + " ".join(str(i) for i in f) + "\n")
 
 
 def load_mesh(path) -> SurfaceMesh:
@@ -325,37 +291,6 @@ def sphere_cap_mesh(
     return SurfaceMesh(out, faces)
 
 
-def disk_mesh(
-    radius: float = 1.0,
-    n_rings: int = 10,
-    n_phi: int = 32,
-    grading: float = 0.7,
-    grading_levels: int = 3,
-    center=(0.0, 0.0, 0.0),
-) -> SurfaceMesh:
-    """Open flat disk in the z=0 plane, normals +z, rim-graded rings."""
-    radii = _ring_radii(radius, n_rings, grading, grading_levels)
-    verts = [np.array([0.0, 0.0, 0.0])]
-    rows = []
-    for r in radii[1:]:
-        row = []
-        for k in range(n_phi):
-            ph = 2 * np.pi * k / n_phi
-            row.append(len(verts))
-            verts.append(np.array([r * np.cos(ph), r * np.sin(ph), 0.0]))
-        rows.append(row)
-    faces = []
-    for k in range(n_phi):
-        faces.append((0, rows[0][k], rows[0][(k + 1) % n_phi]))
-    for r in range(len(rows) - 1):
-        lo, hi = rows[r], rows[r + 1]
-        for k in range(n_phi):
-            k2 = (k + 1) % n_phi
-            faces.append((lo[k], hi[k], hi[k2], lo[k2]))
-    out = np.array(verts) + np.asarray(center, dtype=float)
-    return SurfaceMesh(out, faces)
-
-
 def _graded_axis(length: float, n: int, grading: float, levels: int):
     """n+1 breakpoints on [-length/2, length/2]; the outermost `levels`
     intervals at each end shrink geometrically by `grading`."""
@@ -464,11 +399,11 @@ def boundary_shape_factor(mesh: SurfaceMesh, quad_order: int = 2) -> float:
     subdivision controls the near-diagonal error).  Negative for convex
     closed surfaces; -8*pi/3 for the unit sphere.
     """
-    if quad_order < 1:
-        raise GeometryError("quad_order must be >= 1")
+    if quad_order not in _TRI_RULES:
+        raise GeometryError("quad_order must be 1 or 2")
     mesh.require_closed()
     tris, owner = mesh.triangulated()
-    bary, w = tri_rule(quad_order)
+    bary, w = _TRI_RULES[quad_order]
     nq = len(w)
     ntri = len(tris)
     crosses = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])

@@ -2,7 +2,7 @@
 
 Collocation at voxel centers of
 
-    Y(z) + h_star * Int_Omega Phi(z, y) V0(y) Y(y) dy = u^I(z),
+    Y(z) + Int_Omega Phi(z, y) V0(y) Y(y) dy = u^I(z),
 
 with off-diagonal weights Phi(z_i, z_j) g^3 and an equal-volume-ball closed
 form on the diagonal, solved by LGMRES with an FFT-convolution matvec on the
@@ -24,6 +24,7 @@ from .fields import FarField
 from .kernels import grid_far_field_sum, helmholtz
 
 LS_RESIDUAL_TOL = 1e-8
+MAX_CELLS = 64**3  # masked cells of the largest grid a volume solve accepts
 
 
 @dataclass(frozen=True)
@@ -71,48 +72,29 @@ class VoxelGrid:
     def n_cells(self) -> int:
         return int(self.mask.sum())
 
-    def coverage_report(self, domain=None) -> dict:
-        """Masked volume vs domain volume (symmetric-difference diagnostic)."""
-        masked = self.n_cells * self.g**3
-        out = {"masked_volume": masked, "cell_side": self.g}
-        if domain is not None and hasattr(domain, "volume"):
-            out["domain_volume"] = domain.volume()
-            out["volume_difference"] = abs(masked - domain.volume())
-        return out
-
 
 @dataclass(frozen=True)
 class VolumePotential:
-    """Per-cell real potential V0 = reduced-coefficient * (K+1), with h_star.
-
-    h_star is the strength multiplier of the integral term; in blow-up sweeps
-    it plays the role of the inverse-square semiclassical scale, i.e.
-    h = h_star**-0.5 (h_star = a^(s*-s) in the regime runs, 1 in the medium
-    regime where s = s*).
-    """
+    """Per-cell real potential V0 = reduced-coefficient * (K+1)."""
 
     values: np.ndarray  # (n_cells,) on the masked cells
-    h_star: float
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ConfigError("potential values must be finite and real")
-        if self.h_star <= 0:
-            raise ConfigError("h_star must be positive")
         object.__setattr__(self, "values", vals)
 
     @staticmethod
-    def from_density(grid: VoxelGrid, density, coefficient: float, h_star: float = 1.0):
+    def from_density(grid: VoxelGrid, density, coefficient: float):
         kvals = density(grid.centers())
-        return VolumePotential(values=coefficient * (kvals + 1.0), h_star=h_star)
+        return VolumePotential(values=coefficient * (kvals + 1.0))
 
 
 @dataclass(frozen=True)
 class LSSolution:
     y: np.ndarray  # (n_cells,) complex
     residual: float
-    h_star: float
 
 
 def self_cell_weight(g: float, kappa0: float) -> complex:
@@ -166,9 +148,8 @@ class _GridConvolution:
         return conv[self.grid.mask]
 
 
-def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident,
-                       max_cells: int = 64**3) -> LSSolution:
-    """Solve the collocation system (I + h_star W diag(V0)) Y = u^I.
+def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident) -> LSSolution:
+    """Solve the collocation system (I + W diag(V0)) Y = u^I.
 
     LGMRES with the FFT matvec and diagonal preconditioning (relative
     residual 1e-8 or failure).
@@ -178,16 +159,16 @@ def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident,
         raise ConfigError("voxel mask is empty")
     if n != len(potential.values):
         raise ConfigError("potential and grid cell counts differ")
-    if n > max_cells:
-        raise ConfigError(f"cell count {n} exceeds the configured cap {max_cells}")
+    if n > MAX_CELLS:
+        raise ConfigError(f"cell count {n} exceeds the cap {MAX_CELLS}")
     rhs = incident.at(grid.centers())
-    hv = potential.h_star * potential.values
+    v0 = potential.values
     conv = _GridConvolution(grid, incident.kappa0)
 
     def matvec(v):
-        return v + conv.apply(hv * v)
+        return v + conv.apply(v0 * v)
 
-    diag = 1.0 + hv * self_cell_weight(grid.g, incident.kappa0)
+    diag = 1.0 + v0 * self_cell_weight(grid.g, incident.kappa0)
     op = LinearOperator((n, n), matvec=matvec, dtype=complex)
     pre = LinearOperator((n, n), matvec=lambda v: v / diag, dtype=complex)
     y, info = lgmres(op, rhs, M=pre, rtol=LS_RESIDUAL_TOL / 10, atol=0.0, maxiter=400)
@@ -196,40 +177,18 @@ def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident,
     resid = np.abs(matvec(y) - rhs).max()
     if resid > LS_RESIDUAL_TOL * (1.0 + np.abs(y).max()):
         raise SolverError(f"volume solve residual {resid:.3e} above contract tolerance")
-    return LSSolution(y=y, residual=float(resid), h_star=potential.h_star)
+    return LSSolution(y=y, residual=float(resid))
 
 
 def far_field_volume(solution: LSSolution, potential: VolumePotential, grid: VoxelGrid,
                      kappa0: float, directions) -> FarField:
-    """Pattern -h_star sum_j e^{-ik x_hat . z_j} V0_j Y_j g^3.
+    """Pattern -sum_j e^{-ik x_hat . z_j} V0_j Y_j g^3.
 
     Summed separably over the voxel grid: three (D, n_axis) phase tables
     instead of a (D, n_cells) matrix.
     """
     d = np.asarray(directions, dtype=float)
     weights = np.zeros(grid.dims, dtype=complex)
-    weights[grid.mask] = potential.h_star * potential.values * solution.y * grid.g**3
+    weights[grid.mask] = potential.values * solution.y * grid.g**3
     return FarField(d, -grid_far_field_sum(d, grid.axes(), weights, kappa0))
 
-
-def total_field_eval(solution: LSSolution, potential: VolumePotential, grid: VoxelGrid,
-                     incident, points) -> np.ndarray:
-    """Representation u(x) = u^I(x) - h_star sum_j w(x, z_j) V0_j Y_j.
-
-    Uses the same quadrature as the solver: kernel times g^3 away from cells,
-    the self-cell closed form when x falls inside a cell.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    z = grid.centers()
-    out = np.asarray(incident.at(pts), dtype=complex).copy()
-    strengths = potential.h_star * potential.values * solution.y
-    w_self = self_cell_weight(grid.g, incident.kappa0)
-    for i, x in enumerate(pts):
-        r = np.linalg.norm(z - x[None, :], axis=1)
-        inside = np.all(np.abs(z - x[None, :]) <= grid.g / 2.0 + 1e-12, axis=1)
-        w = np.empty(len(z), dtype=complex)
-        far = ~inside
-        w[far] = helmholtz(r[far], incident.kappa0) * grid.g**3
-        w[inside] = w_self
-        out[i] -= strengths @ w
-    return out if len(out) > 1 else out[0]

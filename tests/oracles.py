@@ -7,6 +7,7 @@ implementation paths they check.
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import eval_legendre, spherical_jn, spherical_yn
 
 from bubblelab.errors import GeometryError
@@ -213,9 +214,34 @@ def panel_helmholtz_weight(vertices, point, kappa0, depth=6):
 # misc
 
 
-def born_far_field_ball(kappa0, v0, h_star, radius, directions, theta):
+def sphere_dirichlet_wavenumbers(radius, k_max):
+    """Interior Dirichlet resonances of a ball below k_max: the zeros of
+    j_n(k radius) over all orders n, bracketed on a grid and refined."""
+    xs = np.linspace(1e-6, k_max * radius, max(64, int(20 * k_max * radius)))
+    zeros = []
+    for n in range(int(k_max * radius) + 2):  # j_n has no zero below n
+        vals = spherical_jn(n, xs)
+        for i in np.nonzero(vals[:-1] * vals[1:] < 0)[0]:
+            zeros.append(brentq(lambda x: spherical_jn(n, x), xs[i], xs[i + 1]) / radius)
+    return np.array(sorted(zeros))
+
+
+def voxel_scattered_field(points, centers, g, strengths, kappa0, self_weight):
+    """Representation formula -sum_j w(x, z_j) s_j of a voxel volume solution.
+
+    w = g^3 e^{ik|x - z_j|} / (4 pi |x - z_j|) away from cell j, and
+    ``self_weight`` when x lies in cell j (cubes of side g about ``centers``).
+    """
+    diff = np.atleast_2d(np.asarray(points, float))[:, None, :] - np.asarray(centers)[None]
+    inside = np.all(np.abs(diff) <= g / 2.0 + 1e-12, axis=2)
+    r = np.where(inside, 1.0, np.linalg.norm(diff, axis=2))
+    w = np.where(inside, self_weight, g**3 * np.exp(1j * kappa0 * r) / (4.0 * np.pi * r))
+    return -(w @ np.asarray(strengths))
+
+
+def born_far_field_ball(kappa0, v0, radius, directions, theta):
     """First Born approximation far field for a constant potential ball:
-    -h V0 * FT of the ball indicator at kappa0 (theta - x_hat)."""
+    -V0 * FT of the ball indicator at kappa0 (theta - x_hat)."""
     directions = np.asarray(directions, dtype=float)
     qvec = kappa0 * (np.asarray(theta, float)[None, :] - directions)
     q = np.linalg.norm(qvec, axis=1)
@@ -225,7 +251,7 @@ def born_far_field_ball(kappa0, v0, h_star, radius, directions, theta):
         4 * np.pi * (np.sin(qr) - qr * np.cos(qr)) / np.maximum(q, 1e-300) ** 3,
         4 * np.pi * radius**3 / 3 * (1 - qr**2 / 10),
     )
-    return -h_star * v0 * ft
+    return -v0 * ft
 
 
 def helmholtz_kernel(x, y, kappa0):

@@ -1,22 +1,16 @@
 import numpy as np
 import pytest
 
-from bubblelab.bemlimit import (
-    LayerDensity,
-    boundary_condition_defect,
-    check_away_from_sphere_resonance,
-    edge_growth_report,
-    mie_soft_sphere,
-    solve_dirichlet,
-    sphere_dirichlet_wavenumbers,
-)
-from bubblelab.errors import ConfigError, SolverError
-from bubblelab.fields import fibonacci_directions
-from bubblelab.meshes import disk_mesh, icosphere
-from bubblelab.pointscat import IncidentWave, assemble, far_field, solve_charges
-from bubblelab.surfmedium import single_layer_eval
+from scipy.special import spherical_jn, spherical_yn
 
-from oracles import soft_sphere_far_field
+from bubblelab.bemlimit import LayerDensity, mie_soft_sphere, solve_dirichlet
+from bubblelab.errors import ConfigError
+from bubblelab.fields import fibonacci_directions
+from bubblelab.meshes import icosphere, sphere_cap_mesh
+from bubblelab.pointscat import IncidentWave, assemble, far_field, solve_charges
+from bubblelab.surfmedium import panel_weight_matrix, single_layer_eval
+
+from oracles import soft_sphere_far_field, sphere_dirichlet_wavenumbers
 
 INC = IncidentWave(1.0, np.array([0.0, 0.0, 1.0]))
 DIRS = fibonacci_directions(100)
@@ -56,8 +50,9 @@ def test_boundary_condition_defect(sphere_solution):
     # pointwise BC defect of P0 centroid collocation is O(panel size); the
     # vertex probes average adjacent panels and sit at ~2e-3 on 1280 panels
     mesh, density, _ = sphere_solution
-    defect = boundary_condition_defect(density, mesh, INC, mesh.vertices[::23])
-    assert defect <= 2.5e-3
+    probes = mesh.vertices[::23]
+    total = INC.at(probes) + single_layer_eval(mesh, density.values, INC.kappa0, probes)
+    assert np.abs(total).max() <= 2.5e-3 * np.abs(INC.at(probes)).max()
 
 
 def test_interior_extinction(sphere_solution):
@@ -71,7 +66,8 @@ def test_interior_extinction(sphere_solution):
 
 
 def test_disk_crack_rotational_symmetry():
-    mesh = disk_mesh(1.0, 8, 24)
+    # open cap screen about the incidence axis, 24-fold symmetric
+    mesh = sphere_cap_mesh(1.0, np.pi / 4, 8, 24)
     n_phi = 24
     phis = 2 * np.pi * np.arange(n_phi) / n_phi
     alpha = 0.7
@@ -84,12 +80,15 @@ def test_disk_crack_rotational_symmetry():
 
 
 def test_disk_crack_edge_growth():
-    mesh = disk_mesh(1.0, 8, 24)
+    # the crack density is edge-singular: mean |phi| grows over the panel
+    # rings nearest the rim of the open cap screen
+    mesh = sphere_cap_mesh(1.0, np.pi / 4, 8, 24)
     density, _ = solve_dirichlet(mesh, INC, DIRS)
-    rep = edge_growth_report(density, mesh)
-    assert rep["monotone_toward_edge"]
-    with pytest.raises(ConfigError):
-        edge_growth_report(density, icosphere(1))
+    rim = mesh.vertices[np.array(mesh.boundary_edges)].mean(axis=1)
+    to_rim = np.linalg.norm(mesh.centroids[:, None] - rim[None], axis=2).min(axis=1)
+    means = [np.abs(density.values[ring]).mean()
+             for ring in np.array_split(np.argsort(to_rim), 4)]
+    assert means[0] > means[1] > means[2]
 
 
 def test_monopole_equivalence_with_point_scatterer():
@@ -107,11 +106,15 @@ def test_monopole_equivalence_with_point_scatterer():
 
 def test_mie_long_wavelength_monopole():
     # kernel convention: the monopole limit is -4 pi radius, isotropic to <= 1%
-    ff, terms = mie_soft_sphere(0.05, 1.0, DIRS, INC.theta, return_terms=True)
+    ka = 0.05
+    ff = mie_soft_sphere(ka, 1.0, DIRS, INC.theta)
     mean = ff.values.mean()
     assert np.abs(ff.values - mean).max() <= 0.01 * abs(mean)
     assert abs(mean - (-4 * np.pi)) <= 0.05 * 4 * np.pi
-    # series truncation: last retained term is negligible
+    # series truncation at 4 ceil(ka) + 20: the last retained term is negligible
+    n = np.arange(int(4 * np.ceil(ka) + 20) + 1)
+    hn = spherical_jn(n, ka) + 1j * spherical_yn(n, ka)
+    terms = np.abs((2 * n + 1) * spherical_jn(n, ka) / hn)
     assert terms[-1] <= 1e-14 * terms.sum()
 
 
@@ -129,12 +132,19 @@ def test_mie_precondition():
 
 
 def test_sphere_resonance_guard():
+    # the single-layer system solve_dirichlet guards degenerates at the
+    # interior Dirichlet resonances of the ball (zeros of j_n(k R))
     zeros = sphere_dirichlet_wavenumbers(1.0, 7.0)
     assert np.any(np.abs(zeros - np.pi) < 1e-10)
     assert np.any(np.abs(zeros - 4.493409457909064) < 1e-8)
-    with pytest.raises(SolverError):
-        check_away_from_sphere_resonance(np.pi, 1.0)
-    check_away_from_sphere_resonance(1.0, 1.0)
+    mesh = icosphere(2)
+
+    def smallest_singular_value(kappa0):
+        return np.linalg.svd(panel_weight_matrix(mesh, kappa0), compute_uv=False)[-1]
+
+    # the inscribed 320-panel sphere is smaller: its resonance sits ~2% higher
+    dip = min(smallest_singular_value(k) for k in zeros[0] * np.linspace(1.0, 1.03, 31))
+    assert dip < 0.1 * smallest_singular_value(1.0)
 
 
 def test_layer_density_validation():

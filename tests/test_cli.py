@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from bubblelab.cli import cli
@@ -16,6 +17,16 @@ BASE = {
     "directions": 30,
     "seed": 1,
 }
+
+
+def load_values(path, index_name, rows):
+    """The (index, x, y, z, re, im) table a solve command writes, checked."""
+    assert path.read_text().splitlines()[0] == f"{index_name},x,y,z,re,im"
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert table.shape == (rows, 6)
+    assert np.array_equal(table[:, 0], np.arange(rows))
+    assert np.all(np.isfinite(table))
+    return table
 
 
 @pytest.fixture
@@ -97,7 +108,8 @@ def test_solve_ls_and_fit(config_path, tmp_path):
     out = tmp_path / "med"
     assert cli(["solve-ls", "--config", str(path), "--out", str(out)]) == 0
     assert (out / "farfield_ls.csv").exists()
-    assert (out / "ls_solution.csv").read_text().splitlines()[0] == "index,x,y,z,re,im"
+    table = load_values(out / "ls_solution.csv", "index", 8**3)
+    assert np.abs(table[:, 1:4]).max() < 0.5  # cell centres inside the unit box
     assert cli(["converge", "--config", str(path), "--out", str(out)]) == 0
     assert cli(["fit", "--config", str(path), "--out", str(out)]) == 0
     fit = json.loads((out / "rate_fit.json").read_text())
@@ -118,9 +130,12 @@ def test_solve_sie_and_bem(tmp_path):
     assert cli(["solve-sie", "--config", str(path), "--out", str(out)]) == 0
     assert (out / "farfield_sie.csv").exists()
     assert (out / "jump_check.json").exists()
+    panels = 16 * 6  # pole fan plus five quad rings
+    sie = load_values(out / "sie_solution.csv", "panel", panels)
     assert cli(["solve-bem", "--config", str(path), "--out", str(out)]) == 0
     assert (out / "farfield_bem.csv").exists()
-    assert (out / "bem_density.csv").exists()
+    bem = load_values(out / "bem_density.csv", "panel", panels)
+    assert np.array_equal(sie[:, 1:4], bem[:, 1:4])  # both at the panel centroids
 
 
 @pytest.mark.parametrize("command", ["cluster", "converge"])
@@ -180,6 +195,23 @@ def test_unknown_tolerance_keys_exit_2(tmp_path, capsys, tolerances):
     path = _write_config(tmp_path, "typo", tolerances=tolerances)
     assert cli(["converge", "--config", str(path), "--out", str(tmp_path / "typo")]) == 2
     assert next(iter(tolerances)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, doc, bad_key", [
+    ("geometry", {"kind": "ball", "radus": 2.0}, "radus"),
+    ("geometry", {"kind": "box", "size": [1, 1, 1], "centre": [0, 0, 0]}, "centre"),
+    ("geometry", {"kind": "box", "density": {"kind": "constant", "valeu": 3.0}}, "valeu"),
+    ("geometry", {"kind": "box", "density": {"kind": "constant", "value": 0.0,
+                                             "lambda_k": 0.9}}, "lambda_k"),
+    ("bubble", {"shape": "sphere", "radus": 5}, "radus"),
+    ("bubble", {"shape": "cube", "sides": 2.0}, "sides"),
+], ids=["ball", "box", "density", "density_lambda_k", "sphere_bubble", "cube_bubble"])
+def test_unknown_geometry_and_bubble_keys_exit_2(tmp_path, capsys, section, doc, bad_key):
+    path = _write_config(tmp_path, "typo", **{section: doc})
+    assert cli(["converge", "--config", str(path), "--out", str(tmp_path / "typo")]) == 2
+    assert bad_key in capsys.readouterr().err
+    assert cli(["regime-check", "--config", str(path)]) == 2
+    assert bad_key in capsys.readouterr().err
 
 
 def test_solve_ls_checks_config_regime(tmp_path):

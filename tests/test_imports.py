@@ -1,4 +1,6 @@
-"""Every name that a package module, a script or a test imports is used in it."""
+"""Every name that a package module, a script or a test imports is used in it,
+and every public function, class and method of the package has a caller
+outside the tests."""
 
 import ast
 from pathlib import Path
@@ -6,7 +8,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = [path for folder in (ROOT / "src" / "bubblelab", ROOT / "scripts", ROOT / "tests")
+PACKAGE = ROOT / "src" / "bubblelab"
+SOURCES = [path for folder in (PACKAGE, ROOT / "scripts", ROOT / "tests")
+           for path in sorted(folder.glob("*.py"))]
+# code that may call the package; the tests do not count as callers
+CALLERS = [path for folder in (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
            for path in sorted(folder.glob("*.py"))]
 
 
@@ -43,3 +49,56 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def referenced_names(node) -> set:
+    """Identifiers a syntax tree refers to, outside the body that defines each.
+
+    Names, attributes, imported names and dotted identifier strings (such as
+    ``"VoxelGrid.cover"`` in a table of entry points) all count; a function or
+    class referring to itself does not.
+    """
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.alias):
+        return {node.name.split(".")[-1]}
+    names = set()
+    if isinstance(node, ast.Attribute):
+        names.add(node.attr)
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        names.update(part for part in node.value.split(".") if part.isidentifier())
+    for child in ast.iter_child_nodes(node):
+        names |= referenced_names(child)
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names.discard(node.name)
+    return names
+
+
+def public_definitions(source: str) -> list:
+    """Public module-level functions and classes, and the public methods of
+    public classes, as (qualified name, name) pairs."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            out.append((node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                out += [(f"{node.name}.{item.name}", item.name) for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return out
+
+
+def test_detects_an_uncalled_definition():
+    source = "def f():\n    return f()\n\nclass C:\n    def m(self):\n        return g\n"
+    names = referenced_names(ast.parse(source))
+    assert [q for q, name in public_definitions(source) if name not in names] == ["f", "C", "C.m"]
+    assert {"f", "C"} <= referenced_names(ast.parse("f()\nx = C\ny = 'C.m'\n"))
+
+
+def test_every_public_definition_has_a_caller():
+    called = set()
+    for path in CALLERS:
+        called |= referenced_names(ast.parse(path.read_text()))
+    uncalled = [f"{path.name}: {qualified}" for path in sorted(PACKAGE.glob("*.py"))
+                for qualified, name in public_definitions(path.read_text())
+                if name not in called]
+    assert uncalled == []

@@ -83,14 +83,12 @@ def test_far_field_sum_matches_direct_across_blocks():
 def test_separable_volume_far_field_matches_direct_sum(grid):
     rng = np.random.default_rng(2)
     n = grid.n_cells
-    pot = VolumePotential(values=rng.uniform(-2.0, 1.0, n), h_star=0.7)
-    sol = LSSolution(y=rng.standard_normal(n) + 1j * rng.standard_normal(n), residual=0.0,
-                     h_star=0.7)
+    pot = VolumePotential(values=rng.uniform(-2.0, 1.0, n))
+    sol = LSSolution(y=rng.standard_normal(n) + 1j * rng.standard_normal(n), residual=0.0)
     dirs = fibonacci_directions(64)
     kappa0 = 2.5
     ff = far_field_volume(sol, pot, grid, kappa0, dirs)
-    ref = -direct_far_field(dirs, grid.centers(), pot.h_star * pot.values * sol.y * grid.g**3,
-                            kappa0)
+    ref = -direct_far_field(dirs, grid.centers(), pot.values * sol.y * grid.g**3, kappa0)
     assert np.abs(ff.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -152,8 +150,8 @@ def test_assemble_peak_memory_is_matrix_plus_blocks():
 
 def test_volume_far_field_peak_memory():
     grid = VoxelGrid.cover(BoxDomain(size=(1, 1, 1)), 36)
-    pot = VolumePotential.from_density(grid, DensityField.constant(0.0), -1.5, 1.0)
-    sol = LSSolution(y=np.ones(grid.n_cells, dtype=complex), residual=0.0, h_star=1.0)
+    pot = VolumePotential.from_density(grid, DensityField.constant(0.0), -1.5)
+    sol = LSSolution(y=np.ones(grid.n_cells, dtype=complex), residual=0.0)
     dirs = fibonacci_directions(200)
     peak = _traced_peak(far_field_volume, sol, pot, grid, 2.0, dirs)
     assert grid.n_cells == 36**3

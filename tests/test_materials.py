@@ -237,7 +237,7 @@ def test_classify_worked_examples():
         ContrastParams(gamma=1.0, s=0.95, t=0.33, h1=0.1, l_m=1.0, lambda_k=0.9)
     )
     assert r3.regime == "High"
-    ledger = r3.as_dict()
+    ledger = dict(r3.satisfied)
     # every high-chain inequality, including both density-exponent caps
     assert ledger["high: l_m > 0"]
     assert ledger["high: h1 < 1/6"]
@@ -252,7 +252,7 @@ def test_classify_worked_examples():
 def test_classify_high_ledger_matches_hand_arithmetic():
     # s=0.95, t=0.33, h1=0.1, lambda=0.9: 3t=0.99 < min(1.07, 1.008) and < 1.0157
     p = ContrastParams(gamma=1.0, s=0.95, t=0.33, h1=0.1, l_m=1.0, lambda_k=0.9)
-    led = classify_regime(p).as_dict()
+    led = dict(classify_regime(p).satisfied)
     assert (3 * 0.33 < 1.5 - 0.33 - 0.1) == led["high: 3t < 3/2 - t - h1"]
     assert (3 * 0.33 < (1 + 2 * 0.9 / 15) * 0.9) == led["high-vol: 3t < (1 + 2*lambda/15)(1 - h1)"]
     assert (3 * 0.33 < (1 + 0.9 / 7) * 0.9) == led["high-sur: 3t < (1 + lambda/7)(1 - h1)"]
@@ -287,7 +287,7 @@ def test_classify_is_pure_and_consistent(gamma, s, t):
         return
     r2 = classify_regime(p)
     assert r1 == r2
-    ledger = r1.as_dict()
+    ledger = dict(r1.satisfied)
     assert ledger[f"regime:{r1.regime}"] is True
     assert sum(ledger[f"regime:{name}"] for name in
                ("Low", "MediumVolumetricA", "MediumVolumetricB", "MediumNearResonance", "High")) == 1

@@ -8,7 +8,6 @@ from bubblelab.meshes import (
     SurfaceMesh,
     boundary_shape_factor,
     cube_mesh,
-    disk_mesh,
     icosphere,
     load_mesh,
     rect_mesh,
@@ -37,7 +36,7 @@ def test_cube_mesh_closed_exact():
 
 
 def test_open_meshes_have_boundary():
-    for m in (rect_mesh(1, 1, 4, 4), disk_mesh(1.0, 6, 16), sphere_cap_mesh(1.0, np.pi / 3, 6, 16)):
+    for m in (rect_mesh(1, 1, 4, 4), sphere_cap_mesh(1.0, np.pi / 3, 6, 16)):
         assert not m.is_closed
         assert len(m.boundary_edges) > 0
         with pytest.raises(GeometryError):
@@ -53,9 +52,12 @@ def test_sphere_cap_area_and_normals():
 
 
 def test_mesh_io_roundtrip(tmp_path):
+    # the cap mixes pole-fan triangles and quad rings
     m = sphere_cap_mesh(1.0, np.pi / 2, 4, 8)
     path = tmp_path / "cap.msh"
-    m.save(path)
+    lines = ["# comment line", ""] + [f"v {x!r} {y!r} {z!r}" for x, y, z in m.vertices.tolist()]
+    lines += [("f " if len(f) == 3 else "q ") + " ".join(map(str, f)) for f in m.faces]
+    path.write_text("\n".join(lines) + "\n")
     m2 = load_mesh(path)
     assert np.array_equal(m.vertices, m2.vertices)
     assert m.faces == m2.faces
@@ -78,7 +80,7 @@ def test_shape_factor_sphere_against_closed_form():
     # [DERIVED] inner integral -8 pi/3, independent of x (quadrature oracle)
     exact = sphere_inner_integral()
     assert abs(exact + 8 * np.pi / 3) < 1e-10
-    val = boundary_shape_factor(icosphere(3), quad_order=2)
+    val = boundary_shape_factor(icosphere(3))
     assert abs(val - exact) / abs(exact) < 6e-3  # faceting-limited at 1280 panels
     assert val < 0
 
@@ -86,6 +88,8 @@ def test_shape_factor_sphere_against_closed_form():
 def test_shape_factor_open_mesh_rejected():
     with pytest.raises(GeometryError):
         boundary_shape_factor(rect_mesh(1, 1, 2, 2))
+    with pytest.raises(GeometryError):
+        boundary_shape_factor(icosphere(1), quad_order=3)  # rules of order 1 and 2 only
 
 
 @settings(max_examples=10, deadline=None)
@@ -102,8 +106,8 @@ def test_shape_factor_pure_scaling(delta):
 def test_shape_factor_cube_stable_under_refinement():
     # [DERIVED] the cube is an exact polyhedron: panel refinement only probes
     # the quadrature, so two levels must agree tightly
-    v8 = boundary_shape_factor(cube_mesh(8), quad_order=2)
-    v16 = boundary_shape_factor(cube_mesh(16), quad_order=2)
+    v8 = boundary_shape_factor(cube_mesh(8))
+    v16 = boundary_shape_factor(cube_mesh(16))
     assert v8 < 0 and v16 < 0
     assert abs(v16 - v8) / abs(v16) < 1e-3
 

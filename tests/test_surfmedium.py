@@ -4,7 +4,7 @@ import pytest
 from bubblelab import surfmedium
 from bubblelab.errors import ConfigError
 from bubblelab.fields import fibonacci_directions
-from bubblelab.meshes import disk_mesh, icosphere, rect_mesh, sphere_cap_mesh
+from bubblelab.meshes import icosphere, rect_mesh, sphere_cap_mesh
 from bubblelab.pointscat import IncidentWave
 from bubblelab.surfmedium import (
     SIE_RESIDUAL_TOL,
@@ -218,7 +218,7 @@ def test_complex_sigma_rejected(sphere_mesh):
 
 
 def test_open_disk_solves():
-    mesh = disk_mesh(1.0, 8, 24)
+    mesh = sphere_cap_mesh(1.0, np.pi / 4, 8, 24)
     sol = assemble_and_solve_surface(mesh, 2.0, 1.0, INC)
     assert np.all(np.isfinite(sol.y.view(float)))
     ff = far_field_surface(sol, mesh, INC.kappa0, fibonacci_directions(16))
