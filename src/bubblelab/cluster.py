@@ -9,11 +9,11 @@ seed and single-threaded; resulting clusters are immutable.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import ConfigError, PlacementError
 from .kernels import _block_distances, _upper_blocks
@@ -52,6 +52,9 @@ class DensityField:
                 raise ConfigError("grid density needs a 3d origin and spacing")
             axes = [origin[d] + spacing[d] * np.arange(samples.shape[d]) for d in range(3)]
             self._axes = axes
+            # imported here, not at start-up: scipy.interpolate also loads
+            # scipy.optimize and scipy.spatial, and only a grid density needs it
+            from scipy.interpolate import RegularGridInterpolator
             self._interp = RegularGridInterpolator(axes, samples, method="linear")
             observed_max = float(samples.max())
         else:
@@ -289,18 +292,16 @@ def _shell_order(idx, dims):
     return order
 
 
-def _place_extras(rng, dim, side, count, d_req, wall_margin):
-    """count-1 extra local offsets on a jittered sub-grid, spacing-checked.
+@functools.lru_cache
+def _extra_subgrid(dim, side, count, d_req, wall_margin):
+    """Sub-grid nodes and jitter amplitude for count-1 extras in one cell.
 
-    The cell center (offset 0) is always occupied; extras come from a
-    corner-spanning n^dim sub-grid kept ``wall_margin`` (plus jitter room)
-    away from the walls so neighbouring cells stay separated.  The jitter
-    amplitude is budgeted against the sub-grid slack, so a feasible layout
-    passes the explicit distance checks; infeasible densities fail after the
-    attempt cap.
+    Extras come from a corner-spanning n^dim sub-grid kept ``wall_margin``
+    (plus jitter room) away from the walls so neighbouring cells stay
+    separated.  The jitter amplitude is budgeted against the sub-grid slack
+    (the closest node pair, the mandatory cell center included), so a
+    feasible layout passes the explicit distance checks.
     """
-    if count <= 1:
-        return np.zeros((0, dim))
     n = max(2, math.ceil(count ** (1.0 / dim)))
     wall_pad = 0.05 * side
     margin = wall_margin + wall_pad
@@ -312,12 +313,24 @@ def _place_extras(rng, dim, side, count, d_req, wall_margin):
     axes = [np.linspace(-span / 2.0, span / 2.0, n) for _ in range(dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.column_stack([m.ravel() for m in mesh])
-    # base slack: closest node pair including the mandatory cell center
     base = np.vstack([np.zeros((1, dim)), nodes])
     dist = np.linalg.norm(base[:, None, :] - base[None, :, :], axis=2)
     np.fill_diagonal(dist, np.inf)
     slack = float(dist.min()) - d_req
     amp = min(wall_pad, 0.45 * slack) / (2.0 * math.sqrt(dim)) if slack > 0 else 0.0
+    return nodes, amp
+
+
+def _place_extras(rng, dim, side, count, d_req, wall_margin):
+    """count-1 extra local offsets on a jittered sub-grid, spacing-checked.
+
+    The cell center (offset 0) is always occupied.  The sub-grid depends only
+    on the cell's shape and is built once per distinct shape; infeasible
+    densities fail after the attempt cap.
+    """
+    if count <= 1:
+        return np.zeros((0, dim))
+    nodes, amp = _extra_subgrid(dim, side, count, d_req, wall_margin)
     for _ in range(_PLACEMENT_ATTEMPTS):
         jitter = rng.uniform(-amp, amp, size=nodes.shape) if amp > 0 else 0.0
         pts = nodes + jitter

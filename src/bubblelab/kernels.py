@@ -1,9 +1,12 @@
-"""Shared numerical layer: the Helmholtz pair kernel, far-field sums, dense solves.
+"""Shared numerical layer: the Helmholtz pair kernel, far-field sums, dense
+solves and the lattice convolution.
 
 Every solver in the package evaluates the kernel through ``helmholtz``,
 builds its dense matrix with ``pair_kernel``, sums its far field with
 ``far_field_sum`` (or ``grid_far_field_sum`` on a voxel grid) and factors
-dense systems through ``DenseSystem``.
+dense systems through ``DenseSystem``.  On a masked regular lattice the same
+kernel matrix is applied without being formed: ``LatticeConvolution`` is its
+matvec by zero-padded FFTs that skip the lines of the padding.
 
 Memory model: ``pair_kernel`` fills its (M, M) output in row blocks whose
 temporaries hold at most BLOCK_ENTRIES entries each, and the far-field sums
@@ -15,6 +18,7 @@ difference array.
 from __future__ import annotations
 
 import numpy as np
+from scipy.fft import dctn, fft, ifft
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import zgecon
 
@@ -138,6 +142,50 @@ def grid_far_field_sum(directions, axes, weights, kappa0: float) -> np.ndarray:
     t = (w.reshape(nx * ny, nz) @ pz.T).reshape(nx, ny, len(d))
     u = np.einsum("ijd,dj->di", t, py)
     return np.einsum("di,di->d", u, px)
+
+
+class LatticeConvolution:
+    """Kernel matvec on the masked sites of a regular lattice by FFT.
+
+    ``apply(v)`` returns, on the sites where ``mask`` is set, diagonal v_i +
+    sum_{j != i} helmholtz(|z_i - z_j|) v_j: the ``pair_kernel`` matrix of
+    the sites, applied as a linear convolution on the zero-padded box of
+    twice the mask's shape.  The padded kernel is even in each axis, so it
+    is evaluated on the octant of offsets 0..n per axis only (the aliased
+    offset n is never reached by padded data and is set to zero), and its
+    transform is the type-1 DCT of that octant, mirrored.  The forward
+    transform of the data skips the zero-padded lines: z on the nx ny lines
+    of the unpadded box, then y on nx 2nz lines, then x.  The inverse runs
+    x, y, z and keeps the first n entries of each axis, 7/12 of the work of
+    two full transforms.
+    """
+
+    def __init__(self, mask, spacing: float, kappa0: float, diagonal):
+        self.mask = np.asarray(mask, dtype=bool)
+        self.dims = self.mask.shape
+        ox, oy, oz = np.ix_(*(np.arange(n + 1) * spacing for n in self.dims))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            octant = helmholtz(np.sqrt(ox**2 + oy**2 + oz**2), kappa0)
+        octant[0, 0, 0] = diagonal
+        octant[-1] = octant[:, -1] = octant[:, :, -1] = 0.0
+        # the transform of an even sequence is even: padded frequency k is
+        # octant frequency k for k <= n and 2n - k above
+        mirror = [np.r_[0:n + 1, n - 1:0:-1] for n in self.dims]
+        self._khat = dctn(octant, type=1)[np.ix_(*mirror)]
+
+    def apply(self, values) -> np.ndarray:
+        """The kernel sum at every masked site, ``values`` given there."""
+        nx, ny, nz = self.dims
+        a = np.zeros(self.dims, dtype=complex)
+        a[self.mask] = values
+        a = fft(a, n=2 * nz, axis=2)
+        a = fft(a, n=2 * ny, axis=1)
+        a = fft(a, n=2 * nx, axis=0)
+        a *= self._khat
+        a = ifft(a, axis=0, overwrite_x=True)[:nx]
+        a = ifft(a, axis=1, overwrite_x=True)[:, :ny]
+        a = ifft(a, axis=2, overwrite_x=True)[:, :, :nz]
+        return a[self.mask]
 
 
 def _norm1(a) -> float:

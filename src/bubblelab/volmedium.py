@@ -5,9 +5,9 @@ Collocation at voxel centers of
     Y(z) + Int_Omega Phi(z, y) V0(y) Y(y) dy = u^I(z),
 
 with off-diagonal weights Phi(z_i, z_j) g^3 and an equal-volume-ball closed
-form on the diagonal, solved by LGMRES with an FFT-convolution matvec on the
-regular grid.  The far field sums over the grid separably
-(``kernels.grid_far_field_sum``), one phase table per axis.
+form on the diagonal, solved by LGMRES with the pruned FFT-convolution matvec
+``kernels.LatticeConvolution`` on the regular grid.  The far field sums over
+the grid separably (``kernels.grid_far_field_sum``), one phase table per axis.
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fftn, ifftn
 from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .errors import ConfigError, SolverError
 from .fields import FarField
-from .kernels import grid_far_field_sum, helmholtz
+from .kernels import LatticeConvolution, grid_far_field_sum
 
 LS_RESIDUAL_TOL = 1e-8
 MAX_CELLS = 64**3  # masked cells of the largest grid a volume solve accepts
@@ -110,44 +109,6 @@ def self_cell_weight(g: float, kappa0: float) -> complex:
     return r_eq**2 / 2.0 + 1j * kappa0 * g**3 / (4.0 * math.pi)
 
 
-class _GridConvolution:
-    """FFT circulant convolution with the kernel weights on the full grid."""
-
-    def __init__(self, grid: VoxelGrid, kappa0: float):
-        self.grid = grid
-        dims = grid.dims
-        g = grid.g
-        shape = tuple(2 * d for d in dims)
-        offs = []
-        for d in range(3):
-            o = np.arange(shape[d])
-            o = np.where(o < dims[d], o, o - shape[d])  # 0..n-1, then negative wrap
-            offs.append(o * g)
-        ox, oy, oz = np.meshgrid(*offs, indexing="ij")
-        r = np.sqrt(ox**2 + oy**2 + oz**2)
-        kern = np.zeros(shape, dtype=complex)
-        nz = r > 0
-        kern[nz] = helmholtz(r[nz], kappa0) * g**3
-        kern[0, 0, 0] = self_cell_weight(g, kappa0)
-        # the aliased +/- n offsets are never reached by zero-padded fields
-        for d, n in enumerate(dims):
-            index = [slice(None)] * 3
-            index[d] = n
-            kern[tuple(index)] = 0.0
-        self._khat = fftn(kern)
-        self._shape = shape
-
-    def apply(self, cell_values: np.ndarray) -> np.ndarray:
-        """Sum_j w_ij v_j on masked cells, v given on masked cells."""
-        dims = self.grid.dims
-        full = np.zeros(dims, dtype=complex)
-        full[self.grid.mask] = cell_values
-        pad = np.zeros(self._shape, dtype=complex)
-        pad[: dims[0], : dims[1], : dims[2]] = full
-        conv = ifftn(fftn(pad) * self._khat)[: dims[0], : dims[1], : dims[2]]
-        return conv[self.grid.mask]
-
-
 def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident) -> LSSolution:
     """Solve the collocation system (I + W diag(V0)) Y = u^I.
 
@@ -163,12 +124,16 @@ def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident) ->
         raise ConfigError(f"cell count {n} exceeds the cap {MAX_CELLS}")
     rhs = incident.at(grid.centers())
     v0 = potential.values
-    conv = _GridConvolution(grid, incident.kappa0)
+    w_self = self_cell_weight(grid.g, incident.kappa0)
+    # the cell volume g^3 rides in the potential, so the kernel's off-diagonal
+    # weight is Phi itself and its diagonal is w_self / g^3
+    v0_vol = v0 * grid.g**3
+    conv = LatticeConvolution(grid.mask, grid.g, incident.kappa0, w_self / grid.g**3)
 
     def matvec(v):
-        return v + conv.apply(v0 * v)
+        return v + conv.apply(v0_vol * v)
 
-    diag = 1.0 + v0 * self_cell_weight(grid.g, incident.kappa0)
+    diag = 1.0 + v0 * w_self
     op = LinearOperator((n, n), matvec=matvec, dtype=complex)
     pre = LinearOperator((n, n), matvec=lambda v: v / diag, dtype=complex)
     y, info = lgmres(op, rhs, M=pre, rtol=LS_RESIDUAL_TOL / 10, atol=0.0, maxiter=400)

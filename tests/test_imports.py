@@ -1,8 +1,11 @@
 """Every name that a package module, a script or a test imports is used in it,
-and every public function, class and method of the package has a caller
-outside the tests."""
+every public function, class and method of the package has a caller outside
+the tests, and importing the CLI loads no scipy subpackage it does not use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,3 +105,13 @@ def test_every_public_definition_has_a_caller():
                 for qualified, name in public_definitions(path.read_text())
                 if name not in called]
     assert uncalled == []
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    # only a grid density interpolates; start-up must not load scipy.interpolate
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    code = "import sys, bubblelab.cli; print('scipy.interpolate' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

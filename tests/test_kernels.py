@@ -11,6 +11,7 @@ from bubblelab.fields import fibonacci_directions
 from bubblelab.kernels import (
     BLOCK_ENTRIES,
     DenseSystem,
+    LatticeConvolution,
     far_field_sum,
     grid_far_field_sum,
     pair_kernel,
@@ -23,6 +24,7 @@ from bubblelab.volmedium import (
     VolumePotential,
     VoxelGrid,
     far_field_volume,
+    self_cell_weight,
 )
 
 from oracles import broadcast_assemble, broadcast_weights, direct_far_field
@@ -90,6 +92,34 @@ def test_separable_volume_far_field_matches_direct_sum(grid):
     ff = far_field_volume(sol, pot, grid, kappa0, dirs)
     ref = -direct_far_field(dirs, grid.centers(), pot.values * sol.y * grid.g**3, kappa0)
     assert np.abs(ff.values - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+# ---------------------------------------------------------------------------
+# lattice convolution
+
+
+def _ball_mask(dims):
+    # a ball clipped by the unequal box, its corners masked out
+    idx = np.indices(dims).reshape(3, -1).T
+    r = np.linalg.norm(idx - (np.array(dims) - 1) / 2.0, axis=1)
+    return (r <= 0.45 * max(dims)).reshape(dims)
+
+
+@pytest.mark.parametrize("dims, mask", [
+    ((11, 8, 6), _ball_mask((11, 8, 6))),
+    ((7, 6, 5), np.ones((7, 6, 5), dtype=bool)),
+    ((12, 9, 1), np.ones((12, 9, 1), dtype=bool)),
+], ids=["ball_11x8x6", "full_box_7x6x5", "plane_12x9x1"])
+def test_lattice_convolution_matches_dense_weights(dims, mask):
+    g, kappa0 = 0.07, 4.1
+    grid = VoxelGrid(origin=(-0.3, 0.2, 0.5), g=g, dims=dims, mask=mask)
+    # the operator as the volume solve builds it: g^3 scaled into the values
+    diagonal = self_cell_weight(g, kappa0)
+    op = LatticeConvolution(mask, g, kappa0, diagonal / g**3)
+    rng = np.random.default_rng(sum(dims))
+    v = rng.standard_normal(grid.n_cells) + 1j * rng.standard_normal(grid.n_cells)
+    ref = broadcast_weights(grid.centers(), kappa0, g**3, diagonal) @ v
+    assert np.abs(op.apply(g**3 * v) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 # ---------------------------------------------------------------------------
