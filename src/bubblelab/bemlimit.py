@@ -3,7 +3,9 @@
 Exterior Dirichlet problem on closed surfaces and the Dirichlet crack problem
 on open ones, both by collocation with the surface-module panel weights:
 S phi = -u^I on the surface, scattered field S phi, far field in the shared
-kernel convention.
+kernel convention.  The collocation matrix W (kernel times panel area) is
+solved in the complex-symmetric form K psi = -u^I, K = W diag(1/area) and
+psi = area phi.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ class LayerDensity:
     """Single-layer density per panel; edge-singular on open surfaces."""
 
     values: np.ndarray
+    residual: float  # max|W phi + u^I| of the collocation solve
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -42,15 +45,18 @@ def solve_dirichlet(mesh: SurfaceMesh, incident, directions):
     (crack problem; use rim-graded meshes since the true density blows up at
     the edge).  Near an interior Dirichlet resonance of the enclosed domain
     the system degenerates; a condition-estimate guard reports it.  The solve
-    holds the residual contract max|W phi + u^I| <= 1e-8 (1 + max|phi|).
+    holds the residual contract max|W phi + u^I| <= 1e-8 (1 + max|phi|); the
+    symmetric solve has the same residual vector, K psi - b = W phi - b.
     """
-    system = DenseSystem(panel_weight_matrix(mesh, incident.kappa0), BEM_RESIDUAL_TOL,
-                         rcond_min=1e-12,
-                         name="single-layer system (near an interior Dirichlet resonance?)")
-    phi, _ = system.solve(-incident.at(mesh.centroids))
+    k = panel_weight_matrix(mesh, incident.kappa0)
+    k /= mesh.areas  # symmetric: the kernel off the diagonal
+    system = DenseSystem(k, BEM_RESIDUAL_TOL, rcond_min=1e-12,
+                         name="single-layer system (near an interior Dirichlet resonance?)",
+                         unknown_scale=1.0 / mesh.areas)
+    psi, residual = system.solve(-incident.at(mesh.centroids))
     d = np.asarray(directions, dtype=float)
-    values = far_field_sum(d, mesh.centroids, phi * mesh.areas, incident.kappa0)
-    return LayerDensity(values=phi), FarField(d, values)
+    values = far_field_sum(d, mesh.centroids, psi, incident.kappa0)
+    return LayerDensity(values=psi / mesh.areas, residual=residual), FarField(d, values)
 
 
 def mie_soft_sphere(kappa0: float, radius: float, directions, theta):

@@ -165,7 +165,7 @@ def cmd_solve_bem(cfg: ExperimentConfig) -> int:
     density, ff = bemlimit.solve_dirichlet(mesh, incident, run.directions)
     ff.save_csv(out / "farfield_bem.csv")
     _write_values(out / "bem_density.csv", "panel", mesh.centroids, density.values)
-    print(f"dirichlet solve: panels={mesh.n_panels}")
+    print(f"dirichlet solve: panels={mesh.n_panels} residual={density.residual:.2e}")
     return 0
 
 

@@ -101,10 +101,11 @@ class BoxDomain:
         pts = np.atleast_2d(points)
         return np.all((pts >= lo - 1e-12) & (pts <= hi + 1e-12), axis=1)
 
-    def intersects_cube(self, center, half):
+    def intersects_cube(self, centers, half):
+        """Whether each axis-aligned cube (centers (n, 3), half side) meets the box."""
         lo, hi = self.bounding_box()
-        c = np.asarray(center)
-        return bool(np.all((c + half >= lo - 1e-12) & (c - half <= hi + 1e-12)))
+        c = np.atleast_2d(centers)
+        return np.all((c + half >= lo - 1e-12) & (c - half <= hi + 1e-12), axis=1)
 
     def volume(self):
         return float(np.prod(self.size))
@@ -123,10 +124,11 @@ class BallDomain:
         pts = np.atleast_2d(points)
         return np.linalg.norm(pts - np.asarray(self.center), axis=1) <= self.radius + 1e-12
 
-    def intersects_cube(self, center, half):
-        c = np.asarray(center)
+    def intersects_cube(self, centers, half):
+        """Whether each axis-aligned cube (centers (n, 3), half side) meets the ball."""
+        c = np.atleast_2d(centers)
         gap = np.maximum(np.abs(c - np.asarray(self.center)) - half, 0.0)
-        return bool(np.linalg.norm(gap) <= self.radius + 1e-12)
+        return np.linalg.norm(gap, axis=1) <= self.radius + 1e-12
 
     def volume(self):
         return 4.0 * math.pi * self.radius**3 / 3.0
@@ -375,11 +377,7 @@ def build_volumetric(domain, density: DensityField, a: float, s: float, t: float
 
     inside = domain.contains(sites)
     rng = np.random.default_rng(seed)
-    dropped_volume = 0.0
-    half = pitch / 2.0
-    for site, keep in zip(sites, inside):
-        if not keep and domain.intersects_cube(site, half):
-            dropped_volume += a**s
+    dropped = np.count_nonzero(domain.intersects_cube(sites[~inside], pitch / 2.0))
 
     kept = sites[inside]
     kvals = density(kept)
@@ -400,7 +398,7 @@ def build_volumetric(domain, density: DensityField, a: float, s: float, t: float
         a=a, s=s, t=t, d_min=d_min, seed=seed,
         cell_centers=kept, cell_sides=sides, counts=counts,
         centers=np.array(centers), cell_of=np.array(cell_of, dtype=int),
-        dropped_volume=float(dropped_volume), domain=domain, density=density,
+        dropped_volume=float(dropped * a**s), domain=domain, density=density,
     )
 
 

@@ -342,8 +342,8 @@ class RunSetup:
         """Cluster, coefficient and charges for each incident wave at radius scale a.
 
         Clusters above the ``m_max`` cap raise ConfigError before the dense
-        matrix is built.  The matrix is factored once for all incident waves,
-        and it and its LU are freed on return, before any comparator allocates.
+        matrix is built.  The matrix is factored once, in place, for all
+        incident waves and freed on return, before any comparator allocates.
         """
         coeff = scattering_coefficient(self.bubble, row_params, a)
         cl = self.cluster(a)

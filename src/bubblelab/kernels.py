@@ -3,24 +3,25 @@ solves and the lattice convolution.
 
 Every solver in the package evaluates the kernel through ``helmholtz``,
 builds its dense matrix with ``pair_kernel``, sums its far field with
-``far_field_sum`` (or ``grid_far_field_sum`` on a voxel grid) and factors
-dense systems through ``DenseSystem``.  On a masked regular lattice the same
-kernel matrix is applied without being formed: ``LatticeConvolution`` is its
-matvec by zero-padded FFTs that skip the lines of the padding.
+``far_field_sum`` (or ``grid_far_field_sum`` on a voxel grid) and solves
+its dense systems, all complex symmetric, through ``DenseSystem``.  On a
+masked regular lattice the same kernel matrix is applied without being
+formed: ``LatticeConvolution`` is its matvec by zero-padded FFTs that skip
+the lines of the padding.
 
 Memory model: ``pair_kernel`` fills its (M, M) output in row blocks whose
 temporaries hold at most BLOCK_ENTRIES entries each, and the far-field sums
-bound their phase matrices the same way, so a dense solve peaks at about the
-matrix plus its LU copy (2 x 16 M^2 bytes) and never at an (M, M, 3)
-difference array.
+bound their phase matrices the same way.  ``DenseSystem`` factors the matrix
+in place, so a dense solve peaks at about the matrix alone (16 M^2 bytes) and
+never at an (M, M, 3) difference array or a second (M, M) copy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.fft import dctn, fft, ifft
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import zgecon
+from scipy.linalg.blas import zsymm
+from scipy.linalg.lapack import zsycon, zsytrf, zsytrf_lwork, zsytrs
 
 from .errors import GeometryError, SolverError
 
@@ -196,49 +197,70 @@ def _norm1(a) -> float:
 
 
 class DenseSystem:
-    """Dense LU of one square matrix, factored on the first solve and reused.
+    """Complex-symmetric dense system (A = A^T), factored in place once.
 
-    The factorization is guarded by a LAPACK 1-norm condition estimate
-    (``zgecon``): an exactly singular factor, or a reciprocal condition below
-    ``rcond_min``, raises SolverError carrying ``cond_estimate``.  Each solve
-    applies one step of iterative refinement when the residual misses the
-    contract max|A x - b| <= residual_tol (1 + max|x|), and raises if it still
-    misses it.  Holds the matrix and its LU copy until dropped.
+    The first solve factors the array it was given by Bunch-Kaufman LDL^T
+    (``zsytrf``; Bunch & Kaufman, Math. Comp. 31, 1977), which overwrites the
+    triangle on and above the diagonal and needs no second (M, M) array.  The
+    triangle below the diagonal is never written, so with a copy of the
+    diagonal taken before factoring it still holds A: residuals A x - b come
+    from it (``zsymm``), not from the factors.  The factorization is guarded
+    by a LAPACK 1-norm condition estimate (``zsycon``): an exactly singular
+    factor, or a reciprocal condition below ``rcond_min``, raises SolverError
+    carrying ``cond_estimate``.  Each solve applies one step of iterative
+    refinement when the residual misses the contract max|A x - b| <=
+    residual_tol (1 + max|u|), and raises if it still misses it.  The
+    contract is measured in the caller's unknown u = x * unknown_scale.
     """
 
     def __init__(self, matrix, residual_tol: float, rcond_min: float = 0.0,
-                 name: str = "dense system"):
-        self.matrix = np.asarray(matrix, dtype=complex)
+                 name: str = "dense system", unknown_scale=1.0):
+        self.matrix = np.ascontiguousarray(matrix, dtype=complex)
         self.residual_tol = residual_tol
         self.rcond_min = rcond_min
         self.name = name
+        self.unknown_scale = unknown_scale
         self.cond_estimate = None
-        self._lu = None
+        self._ipiv = None
+        self._diagonal = None
+        self._singular = False
 
     def factor(self):
-        """LU factors (computed once) after the condition-estimate guard."""
-        if self._lu is None:
-            lu, piv = lu_factor(self.matrix)
-            rcond, info = zgecon(lu, _norm1(self.matrix))
-            cond = float(1.0 / max(rcond, 1e-300))
-            if info != 0 or rcond == 0.0 or rcond < self.rcond_min:
-                raise SolverError(f"{self.name} is numerically singular "
-                                  f"(condition estimate {cond:.3e})", cond_estimate=cond)
-            self._lu = (lu, piv)
-            self.cond_estimate = cond
-        return self._lu
+        """Pivots of the in-place LDL^T (computed once) after the condition guard."""
+        if self._ipiv is None:
+            a = self.matrix.T  # Fortran view: its lower triangle is the upper one here
+            anorm = _norm1(self.matrix)
+            self._diagonal = self.matrix.diagonal().copy()
+            lwork, _ = zsytrf_lwork(len(a), lower=1)
+            _, self._ipiv, info = zsytrf(a, lower=1, lwork=int(lwork.real), overwrite_a=1)
+            rcond, _ = zsycon(a, self._ipiv, anorm, lower=1)
+            self.cond_estimate = float(1.0 / max(rcond, 1e-300))
+            self._singular = info != 0 or rcond == 0.0 or rcond < self.rcond_min
+        if self._singular:
+            raise SolverError(f"{self.name} is numerically singular "
+                              f"(condition estimate {self.cond_estimate:.3e})",
+                              cond_estimate=self.cond_estimate)
+        return self._ipiv
+
+    def _residual(self, x, b) -> tuple:
+        """(A x - b, whether it misses the contract), A x from the unwritten
+        triangle and the saved diagonal."""
+        ax = zsymm(1.0, self.matrix.T, x.reshape(len(x), 1), lower=0)[:, 0]
+        resid = ax + (self._diagonal - self.matrix.diagonal()) * x - b
+        bound = self.residual_tol * (1.0 + np.abs(x * self.unknown_scale).max())
+        return resid, np.abs(resid).max() > bound
 
     def solve(self, rhs) -> tuple:
-        """(x, residual) with residual = max|A x - b| under the contract."""
-        lu = self.factor()
+        """(x, residual) for one right-hand side, residual = max|A x - b|."""
+        ipiv = self.factor()
         b = np.asarray(rhs, dtype=complex)
-        x = lu_solve(lu, b)
-        resid = self.matrix @ x - b
-        if np.abs(resid).max() > self.residual_tol * (1.0 + np.abs(x).max()):
-            x = x - lu_solve(lu, resid)
-            resid = self.matrix @ x - b
+        x, _ = zsytrs(self.matrix.T, ipiv, b, lower=1)
+        resid, missed = self._residual(x, b)
+        if missed:
+            x = x - zsytrs(self.matrix.T, ipiv, resid, lower=1)[0]
+            resid, missed = self._residual(x, b)
         residual = float(np.abs(resid).max())
-        if residual > self.residual_tol * (1.0 + np.abs(x).max()):
+        if missed:
             raise SolverError(f"{self.name} residual {residual:.3e} exceeds contract tolerance",
                               cond_estimate=self.cond_estimate)
         return x, residual

@@ -6,9 +6,10 @@ amplitudes solve
     (1/C) Q_m + sum_{l != m} Phi(z_l, z_m) Q_l = -u^I(z_m),
 
 with Phi the free-space Helmholtz kernel e^{ikr}/(4 pi r).  The matrix comes
-from ``kernels.pair_kernel``; a ``ClusterSystem`` factors it once and solves
-any number of incidence directions against that LU.  The far field is the
-shared ``kernels.far_field_sum``.
+from ``kernels.pair_kernel`` and is complex symmetric; a ``ClusterSystem``
+factors it once, in place (LDL^T), and solves any number of incidence
+directions against that factorization.  The far field is the shared
+``kernels.far_field_sum``.
 """
 
 from __future__ import annotations
@@ -67,11 +68,12 @@ def assemble(centers, c_coeff: complex, kappa0: float) -> np.ndarray:
 
 
 class ClusterSystem(DenseSystem):
-    """Point-interaction matrix of one cluster, LU-factored on its first solve.
+    """Point-interaction matrix of one cluster, LDL^T-factored on its first solve.
 
-    Pass it to ``solve_charges`` in place of the matrix to solve several
-    incidence directions against one factorization; ``min_cos_kappa_d`` is
-    likewise computed once, on the first solve.
+    The system owns the matrix it is given and overwrites one triangle of it
+    with the factors.  Pass it to ``solve_charges`` in place of the matrix to
+    solve several incidence directions against one factorization;
+    ``min_cos_kappa_d`` is likewise computed once, on the first solve.
     """
 
     def __init__(self, matrix):
@@ -82,12 +84,14 @@ class ClusterSystem(DenseSystem):
 def solve_charges(matrix, incident: IncidentWave, centers) -> ChargeSolution:
     """Solve for the charges with rhs -u^I(z_m); record residual and conditioning.
 
-    ``matrix`` is the assembled array or a ``ClusterSystem`` wrapping it,
-    whose LU is then reused across calls.  Dense LU with partial pivoting;
-    one step of iterative refinement is applied if the direct residual misses
-    the contract residual <= 1e-10 (1 + max|Q|).
+    ``matrix`` is the assembled array, which is copied and left as it is, or
+    a ``ClusterSystem`` wrapping it, whose factorization is then reused across
+    calls.  Symmetric Bunch-Kaufman LDL^T; one step of iterative refinement is
+    applied if the direct residual misses the contract residual <= 1e-10
+    (1 + max|Q|).
     """
-    system = matrix if isinstance(matrix, ClusterSystem) else ClusterSystem(matrix)
+    system = (matrix if isinstance(matrix, ClusterSystem)
+              else ClusterSystem(np.array(matrix, dtype=complex)))
     z = np.asarray(centers, dtype=float)
     b = -incident.at(z)
     if system.matrix.shape != (len(b), len(b)):

@@ -93,22 +93,30 @@ def panel_weight_matrix(mesh: SurfaceMesh, kappa0: float) -> np.ndarray:
                        col_weights=mesh.areas)
 
 
-def assemble_and_solve_surface(mesh: SurfaceMesh, sigma, h_star: float,
+def assemble_and_solve_surface(mesh: SurfaceMesh, sigma: float, h_star: float,
                                incident) -> SurfaceSolution:
-    """Direct collocation solve of (I + h_star W diag(sigma)) Y = u^I."""
-    if np.iscomplexobj(np.asarray(sigma)):
-        raise ConfigError("surface density sigma must be real-valued")
+    """Direct collocation solve of (I + h_star sigma W) Y = u^I, sigma a scalar.
+
+    W is the panel weight matrix, kernel times panel area; the system is
+    solved in the complex-symmetric form (diag(1/area) + h_star sigma K) Z =
+    u^I with K = W diag(1/area) and Z = area Y, which has the same residual
+    vector.  The contract is max|(I + h_star sigma W) Y - u^I| <= 1e-8
+    (1 + max|Y|).
+    """
+    if np.iscomplexobj(np.asarray(sigma)) or np.ndim(sigma) != 0:
+        raise ConfigError("surface density sigma must be a real scalar")
     if h_star <= 0:
         raise ConfigError("h_star must be positive")
-    n = mesh.n_panels
-    sig = np.broadcast_to(np.asarray(sigma, dtype=float), (n,)).copy()
+    sigma_h = h_star * float(sigma)
     a = panel_weight_matrix(mesh, incident.kappa0)
-    a *= h_star
-    a *= sig[None, :]
-    a.flat[:: n + 1] += 1.0
-    system = DenseSystem(a, SIE_RESIDUAL_TOL, rcond_min=1e-14, name="surface system")
-    y, resid = system.solve(incident.at(mesh.centroids))
-    return SurfaceSolution(y=y, sigma_h=h_star * sig, residual=resid, h_star=h_star)
+    a /= mesh.areas
+    a *= sigma_h
+    a.flat[:: mesh.n_panels + 1] += 1.0 / mesh.areas
+    system = DenseSystem(a, SIE_RESIDUAL_TOL, rcond_min=1e-14, name="surface system",
+                         unknown_scale=1.0 / mesh.areas)
+    z, resid = system.solve(incident.at(mesh.centroids))
+    return SurfaceSolution(y=z / mesh.areas, sigma_h=np.full(mesh.n_panels, sigma_h),
+                           residual=resid, h_star=h_star)
 
 
 def far_field_surface(solution: SurfaceSolution, mesh: SurfaceMesh, kappa0: float,

@@ -385,3 +385,27 @@ def single_layer_by_loops(mesh, densities, kappa0, x, near_factor=6.0):
                 value += smooth * area
         total += value * densities[k]
     return total
+
+
+# ---------------------------------------------------------------------------
+# trimmed lattice volume, one site at a time
+
+
+def cube_meets_domain(domain, center, half):
+    """Whether one axis-aligned cube of half side ``half`` meets a box or ball
+    domain (the per-site form build_volumetric used to loop over)."""
+    c = np.asarray(center, dtype=float)
+    if hasattr(domain, "radius"):
+        gap = np.maximum(np.abs(c - np.asarray(domain.center)) - half, 0.0)
+        return bool(np.linalg.norm(gap) <= domain.radius + 1e-12)
+    lo, hi = domain.bounding_box()
+    return bool(np.all((c + half >= lo - 1e-12) & (c - half <= hi + 1e-12)))
+
+
+def dropped_volume_by_loop(domain, sites, half, cell_volume):
+    """Summed volume of the sites outside the domain whose cubes still meet it."""
+    total = 0.0
+    for site, keep in zip(sites, domain.contains(sites)):
+        if not keep and cube_meets_domain(domain, site, half):
+            total += cell_volume
+    return total

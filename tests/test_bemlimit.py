@@ -10,7 +10,7 @@ from bubblelab.meshes import icosphere, sphere_cap_mesh
 from bubblelab.pointscat import IncidentWave, assemble, far_field, solve_charges
 from bubblelab.surfmedium import panel_weight_matrix, single_layer_eval
 
-from oracles import soft_sphere_far_field, sphere_dirichlet_wavenumbers
+from oracles import direct_far_field, soft_sphere_far_field, sphere_dirichlet_wavenumbers
 
 INC = IncidentWave(1.0, np.array([0.0, 0.0, 1.0]))
 DIRS = fibonacci_directions(100)
@@ -149,4 +149,20 @@ def test_sphere_resonance_guard():
 
 def test_layer_density_validation():
     with pytest.raises(ConfigError):
-        LayerDensity(values=np.array([np.nan + 0j]))
+        LayerDensity(values=np.array([np.nan + 0j]), residual=0.0)
+
+
+@pytest.mark.parametrize("mesh", [sphere_cap_mesh(1.0, np.pi / 4, 16, 48), icosphere(2)],
+                         ids=["cap_768", "icosphere_2"])
+def test_symmetric_solve_matches_collocation_system(mesh):
+    # the unscaled collocation system W phi = -u^I, solved directly
+    inc = IncidentWave(1.0, np.array([0.0, 0.6, 0.8]))
+    u = inc.at(mesh.centroids)
+    w = panel_weight_matrix(mesh, inc.kappa0)
+    ref = np.linalg.solve(w, -u)
+    density, ff = solve_dirichlet(mesh, inc, DIRS)
+    assert np.abs(density.values - ref).max() <= 1e-10 * np.abs(ref).max()
+    recomputed = np.abs(w @ density.values + u).max()
+    assert abs(density.residual - recomputed) <= 1e-13 * (1.0 + np.abs(density.values).max())
+    expected = direct_far_field(DIRS, mesh.centroids, ref * mesh.areas, inc.kappa0)
+    assert np.abs(ff.values - expected).max() <= 1e-10 * np.abs(expected).max()

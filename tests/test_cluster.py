@@ -13,6 +13,7 @@ from bubblelab.cluster import (
     SphereCapChart,
     VolumetricCluster,
     build_surface,
+    _lattice_axes,
     _min_pairwise_distance,
     build_volumetric,
     save_cluster,
@@ -20,7 +21,7 @@ from bubblelab.cluster import (
 )
 from bubblelab.errors import ConfigError, PlacementError
 
-from oracles import _broadcast_distances
+from oracles import _broadcast_distances, cube_meets_domain, dropped_volume_by_loop
 
 
 def chart_square_area(chart, center, side, n=24):
@@ -80,6 +81,30 @@ def test_dropped_volume_slope_one_third():
         vols.append(cl.dropped_volume)
     slope = math.log(vols[1] / vols[0]) / math.log(avals[1] / avals[0])
     assert 0.33 - 0.15 <= slope <= 0.33 + 0.15
+
+
+@pytest.mark.parametrize("domain", [
+    BoxDomain(center=(0.1, -0.2, 0.3), size=(1.0, 0.7, 0.4)),
+    BallDomain(radius=0.5),
+    BallDomain(center=(0.37, -0.21, 0.05), radius=0.45),
+], ids=["box", "ball", "offcentre_ball"])
+def test_dropped_volume_matches_per_site_loop(domain):
+    a, s = 1e-4, 1.0
+    half = a ** (s / 3.0) / 2.0
+    lo, hi = domain.bounding_box()
+    # cubes inside, cut by and clear of the domain, some centred within half
+    # a side of its mid-planes
+    sites = np.random.default_rng(3).uniform(lo - 4 * half, hi + 4 * half, (20000, 3))
+    meets = domain.intersects_cube(sites, half)
+    assert 0 < np.count_nonzero(meets) < len(sites)
+    assert np.array_equal(meets, [cube_meets_domain(domain, c, half) for c in sites])
+    # build_volumetric's own lattice (its box sites never leave a box domain)
+    n, starts = _lattice_axes(lo, hi, 2 * half)
+    sites = starts + np.indices(n).reshape(3, -1).T * 2 * half
+    expected = dropped_volume_by_loop(domain, sites, half, a**s)
+    cl = build_volumetric(domain, DensityField.constant(0.0), a, s, 0.4)
+    assert cl.dropped_volume == pytest.approx(expected, rel=1e-12)
+    assert (expected > 0.0) == isinstance(domain, BallDomain)
 
 
 def test_total_count_scaling():

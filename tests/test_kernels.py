@@ -130,7 +130,7 @@ def test_factor_once_charges_equal_per_direction_solves():
     centers = cluster(80, seed=3)
     kappa0 = 1.9
     matrix = assemble(centers, -0.05, kappa0)
-    system = ClusterSystem(matrix)
+    system = ClusterSystem(matrix.copy())  # the system factors its array in place
     for theta in fibonacci_directions(4):
         inc = IncidentWave(kappa0, theta)
         shared = solve_charges(system, inc, centers)
@@ -150,11 +150,33 @@ def test_dense_system_singular_raises_with_condition_estimate():
 
 def test_dense_system_rcond_threshold():
     nearly = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]], dtype=complex)
-    x, _ = DenseSystem(nearly, 1e-2).solve(np.array([1.0, 1.0]))
+    x, _ = DenseSystem(nearly.copy(), 1e-2).solve(np.array([1.0, 1.0]))
     assert np.allclose(x, [1.0, 0.0])
     with pytest.raises(SolverError) as err:
         DenseSystem(nearly, 1e-2, rcond_min=1e-12).solve(np.ones(2))
     assert err.value.cond_estimate > 1e12
+
+
+def test_dense_system_factors_in_place_and_checks_the_unwritten_triangle():
+    m = 300
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    # complex symmetric; the shift keeps the condition number near 10, so two
+    # stable solvers agree
+    a0 = g + g.T + 4.0 * np.sqrt(m) * np.eye(m)
+    b = rng.standard_normal(m) + 1j
+    a = a0.copy()
+    system = DenseSystem(a, 1e-10)
+    system.factor()
+    assert np.shares_memory(system.matrix, a)
+    below = np.tril_indices(m, -1)
+    assert np.array_equal(a[below], a0[below])  # bitwise: the factors sit above it
+    assert not np.array_equal(a, a0)
+    x, residual = system.solve(b)
+    ref = np.linalg.solve(a0, b)
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert abs(residual - np.abs(a0 @ x - b).max()) <= 1e-13
+    assert system.cond_estimate == pytest.approx(np.linalg.cond(a0, 1), rel=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +198,21 @@ def test_assemble_peak_memory_is_matrix_plus_blocks():
     centers = cluster(m, seed=5)
     peak = _traced_peak(assemble, centers, -0.01, 3.0)
     assert peak <= 16 * m**2 + 8 * MIB
+
+
+def test_dense_solve_peak_memory_is_the_matrix_alone():
+    m = 1500
+    matrix = assemble(cluster(m, seed=6), -0.01, 3.0)  # 16 M^2 bytes, before tracing
+    b = np.ones(m, dtype=complex)
+
+    def factor_and_two_solves():
+        system = DenseSystem(matrix, 1e-8)
+        system.solve(b)
+        system.solve(1j * b)
+
+    peak = _traced_peak(factor_and_two_solves)
+    # matrix plus what the solve allocates; an LU copy alone would add 16 M^2
+    assert 16 * m**2 + peak <= 1.15 * 16 * m**2
 
 
 def test_volume_far_field_peak_memory():

@@ -12,6 +12,7 @@ from bubblelab.surfmedium import (
     far_field_surface,
     _triangle_potential,
     jump_check,
+    panel_weight_matrix,
     self_panel_weights,
     single_layer_eval,
 )
@@ -251,3 +252,23 @@ def test_single_layer_eval_matches_panel_loop(monkeypatch):
     got = single_layer_eval(mesh, dens, 2.0, points)
     expected = np.array([single_layer_by_loops(mesh, dens, 2.0, x) for x in points])
     assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("sigma", [0.0, 3.0])
+@pytest.mark.parametrize("mesh", [sphere_cap_mesh(1.0, np.pi / 4, 16, 48), icosphere(2)],
+                         ids=["cap_768", "icosphere_2"])
+def test_symmetric_solve_matches_collocation_system(mesh, sigma):
+    # the unscaled collocation system (I + h sigma W) Y = u^I, solved directly
+    inc = IncidentWave(1.0, np.array([0.0, 0.6, 0.8]))
+    u = inc.at(mesh.centroids)
+    a = np.eye(mesh.n_panels) + sigma * panel_weight_matrix(mesh, inc.kappa0)
+    ref = np.linalg.solve(a, u)
+    sol = assemble_and_solve_surface(mesh, sigma, 1.0, inc)
+    assert np.abs(sol.y - ref).max() <= 1e-10 * np.abs(ref).max()
+    recomputed = np.abs(a @ sol.y - u).max()
+    assert abs(sol.residual - recomputed) <= 1e-13 * (1.0 + np.abs(sol.y).max())
+
+
+def test_array_sigma_rejected(sphere_mesh):
+    with pytest.raises(ConfigError):
+        assemble_and_solve_surface(sphere_mesh, np.full(sphere_mesh.n_panels, 2.0), 1.0, INC)
