@@ -30,6 +30,7 @@ from .harness import (
     run_convergence,
     write_outputs,
 )
+from .kernels import min_cos_kappa_distance
 from .materials import classify_regime
 from .pointscat import IncidentWave
 
@@ -125,7 +126,7 @@ def cmd_solve_fl(cfg: ExperimentConfig) -> int:
     ff = pointscat.far_field(sol, cl.centers, incident.kappa0, run.directions)
     ff.save_csv(out / "farfield_fl.csv")
     meta = {"a": a, "M": cl.m, "residual": sol.residual, "cond_estimate": sol.cond_estimate,
-            "min_cos_kappa_d": sol.min_cos_kappa_d,
+            "min_cos_kappa_d": min_cos_kappa_distance(cl.centers, incident.kappa0),
             "coefficient": [coeff.value.real, coeff.value.imag]}
     (out / "solve_fl.json").write_text(json.dumps(meta, indent=1))
     print(f"point-interaction solve: M={cl.m} residual={sol.residual:.2e}")
@@ -139,7 +140,8 @@ def cmd_solve_ls(cfg: ExperimentConfig) -> int:
     ff = volmedium.far_field_volume(sol, pot, grid, incident.kappa0, run.directions)
     ff.save_csv(out / "farfield_ls.csv")
     _write_values(out / "ls_solution.csv", "index", grid.centers(), sol.y)
-    print(f"volume solve: N={grid.n_cells} residual={sol.residual:.2e}")
+    print(f"volume solve: N={grid.n_cells} iterations={sol.iterations} "
+          f"residual={sol.residual:.2e}")
     return 0
 
 

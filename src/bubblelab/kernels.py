@@ -1,5 +1,5 @@
 """Shared numerical layer: the Helmholtz pair kernel, far-field sums, dense
-solves and the lattice convolution.
+solves, the lattice convolution and a short-recurrence Krylov solve.
 
 Every solver in the package evaluates the kernel through ``helmholtz``,
 builds its dense matrix with ``pair_kernel``, sums its far field with
@@ -7,20 +7,22 @@ builds its dense matrix with ``pair_kernel``, sums its far field with
 its dense systems, all complex symmetric, through ``DenseSystem``.  On a
 masked regular lattice the same kernel matrix is applied without being
 formed: ``LatticeConvolution`` is its matvec by zero-padded FFTs that skip
-the lines of the padding.
+the lines of the padding, and ``cocg`` solves a complex-symmetric system
+from such a matvec alone.
 
 Memory model: ``pair_kernel`` fills its (M, M) output in row blocks whose
 temporaries hold at most BLOCK_ENTRIES entries each, and the far-field sums
 bound their phase matrices the same way.  ``DenseSystem`` factors the matrix
 in place, so a dense solve peaks at about the matrix alone (16 M^2 bytes) and
-never at an (M, M, 3) difference array or a second (M, M) copy.
+never at an (M, M, 3) difference array or a second (M, M) copy.  ``cocg``
+keeps five vectors of the system's size and no Krylov basis.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.fft import dctn, fft, ifft
-from scipy.linalg.blas import zsymm
+from scipy.linalg.blas import zaxpy, zsymm
 from scipy.linalg.lapack import zsycon, zsytrf, zsytrf_lwork, zsytrs
 
 from .errors import GeometryError, SolverError
@@ -187,6 +189,50 @@ class LatticeConvolution:
         a = ifft(a, axis=1, overwrite_x=True)[:, :ny]
         a = ifft(a, axis=2, overwrite_x=True)[:, :, :nz]
         return a[self.mask]
+
+
+def cocg(matvec, rhs, diagonal, rtol: float, max_iter: int) -> tuple:
+    """(x, iterations) with A x = rhs, A complex symmetric (A = A^T), by
+    Jacobi-preconditioned conjugate orthogonal conjugate gradients (van der
+    Vorst & Melissen, IEEE Trans. Magn. 26(2), 1990).
+
+    CG with the unconjugated bilinear form u^T v in place of the inner
+    product: one ``matvec`` per iteration and five vectors instead of a
+    Krylov basis, x, r, p and z updated in place and q the matvec's output.
+    ``diagonal`` is the Jacobi preconditioner, the diagonal of A or an
+    approximation of it.  Stops once ||rhs - A x||_2 <= rtol ||rhs||_2; a
+    zero right-hand side returns zero at once.  A breakdown (p^T A p or
+    r^T z zero or not finite before convergence) or ``max_iter`` matvecs
+    without convergence raise SolverError carrying the matvec count as
+    ``iterations``.
+    """
+    r = np.array(rhs, dtype=complex)
+    x = np.zeros_like(r)
+    stop = rtol * np.linalg.norm(r)
+    if stop == 0.0:
+        return x, 0
+    z = r / diagonal
+    p = z.copy()
+    rho = r @ z
+    for it in range(max_iter):
+        if rho == 0.0 or not np.isfinite(rho):
+            raise SolverError(f"COCG broke down (r^T z = {rho}) after {it} matvecs",
+                              iterations=it)
+        q = matvec(p)
+        mu = p @ q
+        if mu == 0.0 or not np.isfinite(mu):
+            raise SolverError(f"COCG broke down (p^T A p = {mu}) after {it + 1} matvecs",
+                              iterations=it + 1)
+        alpha = rho / mu
+        zaxpy(p, x, a=alpha)
+        zaxpy(q, r, a=-alpha)
+        if np.linalg.norm(r) <= stop:
+            return x, it + 1
+        np.divide(r, diagonal, out=z)
+        rho, rho_old = r @ z, rho
+        p *= rho / rho_old
+        p += z
+    raise SolverError(f"COCG did not converge in {max_iter} matvecs", iterations=max_iter)
 
 
 def _norm1(a) -> float:

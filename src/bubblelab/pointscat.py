@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, GeometryError
 from .fields import FarField
-from .kernels import DenseSystem, far_field_sum, min_cos_kappa_distance, pair_kernel
+from .kernels import DenseSystem, far_field_sum, pair_kernel
 
 RESIDUAL_TOL = 1e-10
 
@@ -50,7 +50,6 @@ class ChargeSolution:
     charges: np.ndarray
     residual: float
     cond_estimate: float
-    min_cos_kappa_d: float  # invertibility diagnostic, reported not enforced
 
 
 def assemble(centers, c_coeff: complex, kappa0: float) -> np.ndarray:
@@ -72,13 +71,11 @@ class ClusterSystem(DenseSystem):
 
     The system owns the matrix it is given and overwrites one triangle of it
     with the factors.  Pass it to ``solve_charges`` in place of the matrix to
-    solve several incidence directions against one factorization;
-    ``min_cos_kappa_d`` is likewise computed once, on the first solve.
+    solve several incidence directions against one factorization.
     """
 
     def __init__(self, matrix):
         super().__init__(matrix, RESIDUAL_TOL, name="point-interaction system")
-        self.min_cos_kappa_d = None
 
 
 def solve_charges(matrix, incident: IncidentWave, centers) -> ChargeSolution:
@@ -97,10 +94,7 @@ def solve_charges(matrix, incident: IncidentWave, centers) -> ChargeSolution:
     if system.matrix.shape != (len(b), len(b)):
         raise ConfigError("matrix/centers size mismatch")
     q, residual = system.solve(b)
-    if system.min_cos_kappa_d is None:
-        system.min_cos_kappa_d = min_cos_kappa_distance(z, incident.kappa0)
-    return ChargeSolution(charges=q, residual=residual, cond_estimate=system.cond_estimate,
-                          min_cos_kappa_d=system.min_cos_kappa_d)
+    return ChargeSolution(charges=q, residual=residual, cond_estimate=system.cond_estimate)
 
 
 def far_field(solution: ChargeSolution, centers, kappa0: float, directions) -> FarField:

@@ -5,9 +5,13 @@ Collocation at voxel centers of
     Y(z) + Int_Omega Phi(z, y) V0(y) Y(y) dy = u^I(z),
 
 with off-diagonal weights Phi(z_i, z_j) g^3 and an equal-volume-ball closed
-form on the diagonal, solved by LGMRES with the pruned FFT-convolution matvec
-``kernels.LatticeConvolution`` on the regular grid.  The far field sums over
-the grid separably (``kernels.grid_far_field_sum``), one phase table per axis.
+form on the diagonal.  The weight matrix is symmetric and the potential
+real, so scaling by the square root of the potential (imaginary where V0 < 0)
+makes the system complex symmetric for either sign of V0.  It is solved by
+the short-recurrence ``kernels.cocg`` with the pruned FFT-convolution matvec
+``kernels.LatticeConvolution`` on the regular grid: about five cell vectors
+plus the transform buffers, no Krylov basis.  The far field sums over the
+grid separably (``kernels.grid_far_field_sum``), one phase table per axis.
 """
 
 from __future__ import annotations
@@ -16,13 +20,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .errors import ConfigError, SolverError
 from .fields import FarField
-from .kernels import LatticeConvolution, grid_far_field_sum
+from .kernels import LatticeConvolution, cocg, grid_far_field_sum
 
 LS_RESIDUAL_TOL = 1e-8
+LS_MAX_MATVECS = 2000  # matvec cap of one COCG run (one matvec per iteration)
 MAX_CELLS = 64**3  # masked cells of the largest grid a volume solve accepts
 
 
@@ -94,6 +98,7 @@ class VolumePotential:
 class LSSolution:
     y: np.ndarray  # (n_cells,) complex
     residual: float
+    iterations: int  # COCG matvecs of the solve
 
 
 def self_cell_weight(g: float, kappa0: float) -> complex:
@@ -110,10 +115,19 @@ def self_cell_weight(g: float, kappa0: float) -> complex:
 
 
 def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident) -> LSSolution:
-    """Solve the collocation system (I + W diag(V0)) Y = u^I.
+    """Solve the collocation system (I + K V) Y = u^I, V = diag(V0 g^3).
 
-    LGMRES with the FFT matvec and diagonal preconditioning (relative
-    residual 1e-8 or failure).
+    K is symmetric, so with S = sqrt(V) (imaginary where V0 < 0) the system
+    is equivalent to the complex-symmetric (I + S K S) Z = S u^I, Z = S Y.
+    That is solved by ``kernels.cocg`` with the FFT matvec and the Jacobi
+    diagonal 1 + V0 w_self, to relative residual LS_RESIDUAL_TOL / 10 within
+    LS_MAX_MATVECS matvecs, and Y is recovered as u^I - K (S Z), not as
+    Z / S, so V0 = 0 gives Y = u^I exactly.  The residual of Y itself is
+    checked against the contract max|(I + K V) Y - u^I| <= LS_RESIDUAL_TOL
+    (1 + max|Y|); if it misses, one refinement step solves for the
+    correction to Z (a second COCG run under the same cap) and the check is
+    repeated.  Raises SolverError, carrying the matvec count as
+    ``iterations``, on breakdown, non-convergence or a missed contract.
     """
     n = grid.n_cells
     if n == 0:
@@ -128,21 +142,34 @@ def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident) ->
     # the cell volume g^3 rides in the potential, so the kernel's off-diagonal
     # weight is Phi itself and its diagonal is w_self / g^3
     v0_vol = v0 * grid.g**3
+    sqrt_v = np.sqrt(v0_vol.astype(complex))
     conv = LatticeConvolution(grid.mask, grid.g, incident.kappa0, w_self / grid.g**3)
 
-    def matvec(v):
-        return v + conv.apply(v0_vol * v)
+    def symmetric_matvec(z):
+        return z + sqrt_v * conv.apply(sqrt_v * z)
 
-    diag = 1.0 + v0 * w_self
-    op = LinearOperator((n, n), matvec=matvec, dtype=complex)
-    pre = LinearOperator((n, n), matvec=lambda v: v / diag, dtype=complex)
-    y, info = lgmres(op, rhs, M=pre, rtol=LS_RESIDUAL_TOL / 10, atol=0.0, maxiter=400)
-    if info != 0:
-        raise SolverError(f"volume solve did not converge (info={info})", iterations=info)
-    resid = np.abs(matvec(y) - rhs).max()
-    if resid > LS_RESIDUAL_TOL * (1.0 + np.abs(y).max()):
-        raise SolverError(f"volume solve residual {resid:.3e} above contract tolerance")
-    return LSSolution(y=y, residual=float(resid))
+    def recover(z) -> tuple:
+        """Y = u^I - K (S Z), max|(I + K V) Y - u^I| and whether that misses the contract."""
+        y = rhs - conv.apply(sqrt_v * z)
+        resid = float(np.abs(y + conv.apply(v0_vol * y) - rhs).max())
+        return y, resid, resid > LS_RESIDUAL_TOL * (1.0 + np.abs(y).max())
+
+    b = sqrt_v * rhs
+    jacobi = 1.0 + v0 * w_self
+    z, iterations = cocg(symmetric_matvec, b, jacobi, LS_RESIDUAL_TOL / 10, LS_MAX_MATVECS)
+    y, resid, missed = recover(z)
+    if missed:
+        # Y's residual is K S times Z's, which can outgrow the relative stop
+        # for strong potentials: one refinement step on Z's residual
+        dz, more = cocg(symmetric_matvec, b - symmetric_matvec(z), jacobi,
+                        LS_RESIDUAL_TOL / 10, LS_MAX_MATVECS)
+        z += dz
+        iterations += more
+        y, resid, missed = recover(z)
+    if missed:
+        raise SolverError(f"volume solve residual {resid:.3e} above contract tolerance",
+                          iterations=iterations)
+    return LSSolution(y=y, residual=resid, iterations=iterations)
 
 
 def far_field_volume(solution: LSSolution, potential: VolumePotential, grid: VoxelGrid,

@@ -1,11 +1,14 @@
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from bubblelab.cli import cli
+from bubblelab.cli import _load_config, cli
+from bubblelab.harness import prepare
+from bubblelab.kernels import min_cos_kappa_distance
 
 BASE = {
     "geometry": {"kind": "box", "size": [1, 1, 1],
@@ -95,9 +98,13 @@ def test_cluster_and_solve_fl(config_path, tmp_path, capsys):
     assert (out / "farfield_fl.csv").exists()
     meta = json.loads((out / "solve_fl.json").read_text())
     assert meta["residual"] <= 1e-10 * 10
+    # the invertibility diagnostic of the cluster written above, at its kappa0
+    kappa0 = prepare(_load_config(str(config_path))).row_params(meta["a"]).kappa0
+    assert -1.0 <= meta["min_cos_kappa_d"] <= 1.0
+    assert meta["min_cos_kappa_d"] == min_cos_kappa_distance(doc["centers"], kappa0)
 
 
-def test_solve_ls_and_fit(config_path, tmp_path):
+def test_solve_ls_and_fit(config_path, tmp_path, capsys):
     cfg = dict(BASE)
     cfg["contrast"] = {"gamma": 1.0, "s": 1.0, "t": 0.4, "omega_ratio": 0.8}
     cfg["regime"] = "MediumVolumetricB"
@@ -107,6 +114,8 @@ def test_solve_ls_and_fit(config_path, tmp_path):
     path.write_text(json.dumps(cfg))
     out = tmp_path / "med"
     assert cli(["solve-ls", "--config", str(path), "--out", str(out)]) == 0
+    assert re.search(r"volume solve: N=512 iterations=[1-9]\d* residual=",
+                     capsys.readouterr().out)
     assert (out / "farfield_ls.csv").exists()
     table = load_values(out / "ls_solution.csv", "index", 8**3)
     assert np.abs(table[:, 1:4]).max() < 0.5  # cell centres inside the unit box

@@ -174,6 +174,22 @@ def test_solver_error_row_keeps_diagnostics(tmp_path, monkeypatch):
     assert diagnostics["cond_estimate"] >= 1.0
 
 
+def test_volume_cap_abort_records_matvecs(monkeypatch):
+    from bubblelab import volmedium
+
+    monkeypatch.setattr(volmedium, "LS_MAX_MATVECS", 2)
+    cfg = low_config(
+        contrast={"gamma": 1.0, "s": 1.0, "t": 0.4, "omega_ratio": 0.8},
+        regime="MediumVolumetricB",
+        a_sequence=[0.05, 0.03, 0.02],
+        tolerances={"grid_n": 8},
+    )
+    table = run_convergence(cfg)
+    assert not table.rows and len(table.aborted) == 3
+    assert all(diagnostics == {"type": "SolverError", "cond_estimate": None, "iterations": 2}
+               for _, _, diagnostics in table.aborted)
+
+
 def test_fit_rate_exact_power_law():
     params = ContrastParams(gamma=1.0, s=1.0, t=0.4)
     report = classify_regime(params)

@@ -107,11 +107,21 @@ def test_every_public_definition_has_a_caller():
     assert uncalled == []
 
 
-def test_cli_import_leaves_scipy_interpolate_unloaded():
-    # only a grid density interpolates; start-up must not load scipy.interpolate
+def loaded_after_cli_import(module: str) -> bool:
+    """Whether importing the CLI in a fresh interpreter loads ``module``."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    code = "import sys, bubblelab.cli; print('scipy.interpolate' in sys.modules)"
+    code = f"import sys, bubblelab.cli; print({module!r} in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    return res.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    # only a grid density interpolates; start-up must not load scipy.interpolate
+    assert not loaded_after_cli_import("scipy.interpolate")
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # the volume solve is the package's own COCG; nothing needs scipy.sparse
+    assert not loaded_after_cli_import("scipy.sparse")

@@ -4,9 +4,11 @@ import pytest
 from bubblelab.cluster import BallDomain, BoxDomain, DensityField
 from bubblelab.errors import ConfigError
 from bubblelab.fields import fibonacci_directions
+from bubblelab.kernels import LatticeConvolution
 from bubblelab.pointscat import IncidentWave
 from bubblelab import volmedium
 from bubblelab.volmedium import (
+    LS_MAX_MATVECS,
     LS_RESIDUAL_TOL,
     LSSolution,
     VolumePotential,
@@ -79,15 +81,54 @@ def dense_weights(grid, kappa0):
                              self_cell_weight(grid.g, kappa0))
 
 
+def _graded_density():
+    """A grid density rising from 0 to 3.25 across the unit ball's bounding box."""
+    x = np.linspace(-1.0, 1.0, 5)
+    samples = np.add.outer(np.add.outer(x, 0.5 * x), 0.25 * x ** 2) + 1.5
+    return DensityField.grid((-1.0, -1.0, -1.0), (0.5, 0.5, 0.5), samples)
+
+
 def test_dense_and_fft_paths_agree(ball_grid):
-    # the FFT matvec + LGMRES solve against a dense solve of the same system
-    pot = VolumePotential.from_density(ball_grid, DensityField.constant(0.0), -1.5)
-    fft = assemble_and_solve(ball_grid, pot, INC)
-    a = dense_weights(ball_grid, INC.kappa0) * (pot.values)[None, :]
-    a += np.eye(ball_grid.n_cells)
-    dense = np.linalg.solve(a, INC.at(ball_grid.centers()))
-    assert np.abs(dense - fft.y).max() < 1e-7
-    assert fft.residual <= LS_RESIDUAL_TOL * (1 + np.abs(fft.y).max())
+    # the FFT matvec + COCG solve against a dense solve of the same system:
+    # both signs of sqrt(V) and a non-constant V0
+    dirs = fibonacci_directions(64)
+    u_inc = INC.at(ball_grid.centers())
+    for density, coefficient in [(DensityField.constant(0.0), -1.5),
+                                 (DensityField.constant(0.0), 1.5),
+                                 (_graded_density(), -1.5)]:
+        pot = VolumePotential.from_density(ball_grid, density, coefficient)
+        fft = assemble_and_solve(ball_grid, pot, INC)
+        a = dense_weights(ball_grid, INC.kappa0) * pot.values[None, :]
+        a += np.eye(ball_grid.n_cells)
+        dense = np.linalg.solve(a, u_inc)
+        assert np.abs(dense - fft.y).max() < 1e-7
+        assert fft.residual <= LS_RESIDUAL_TOL * (1 + np.abs(fft.y).max())
+        assert 0 < fft.iterations <= LS_MAX_MATVECS
+        ff = far_field_volume(fft, pot, ball_grid, INC.kappa0, dirs).values
+        ref = far_field_volume(LSSolution(y=dense, residual=0.0, iterations=0), pot,
+                               ball_grid, INC.kappa0, dirs).values
+        assert np.abs(ff - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n, v0", [(20, -200.0), (14, 2000.0)],
+                         ids=["below_resonance_20", "above_resonance_14"])
+def test_strong_potential_ball_meets_contract(n, v0):
+    # kappa0 = 2, V0 = -200 on a 20^3 ball: LGMRES(30) with the same Jacobi
+    # preconditioner gives up here after 12,400 matvecs; COCG stays in its cap.
+    # V0 = +2000 on a 14^3 ball: K S amplifies COCG's stopping residual past
+    # the contract, which the refinement step then meets
+    grid = VoxelGrid.cover(BallDomain(radius=1.0), n)
+    pot = VolumePotential.from_density(grid, DensityField.constant(0.0), v0)
+    sol = assemble_and_solve(grid, pot, INC)
+    assert sol.iterations <= LS_MAX_MATVECS
+    assert np.all(np.isfinite(sol.y))
+    # the contract, recomputed with an operator of its own
+    w_self = self_cell_weight(grid.g, INC.kappa0)
+    conv = LatticeConvolution(grid.mask, grid.g, INC.kappa0, w_self / grid.g**3)
+    resid = np.abs(sol.y + conv.apply(pot.values * grid.g**3 * sol.y)
+                   - INC.at(grid.centers())).max()
+    assert resid == pytest.approx(sol.residual, rel=1e-6, abs=1e-15)
+    assert resid <= LS_RESIDUAL_TOL * (1 + np.abs(sol.y).max())
 
 
 def test_born_regime_solution(ball_grid):
@@ -119,7 +160,7 @@ def test_far_field_linearity(ball_grid):
     sol = assemble_and_solve(ball_grid, pot, INC)
     ff = far_field_volume(sol, pot, ball_grid, INC.kappa0, dirs)
     # doubling the incident amplitude doubles Y and the far field (linearity)
-    doubled = LSSolution(y=2.0 * sol.y, residual=sol.residual)
+    doubled = LSSolution(y=2.0 * sol.y, residual=sol.residual, iterations=sol.iterations)
     ff2 = far_field_volume(doubled, pot, ball_grid, INC.kappa0, dirs)
     assert np.allclose(ff2.values, 2.0 * ff.values)
 
