@@ -1,15 +1,17 @@
 """Rubik-style bubble distributions in volumes and on surface charts.
 
-Cells are laid out on a uniform lattice (pitch a^(s/3) in volumes, a^(s/2) in
-chart parameter planes), ordered in concentric shells from the domain center
-outward.  Each kept cell gets floor(K)+1 centers: the cell center plus extras
-on a seeded, jittered sub-grid.  Construction is deterministic for a fixed
-seed and single-threaded; resulting clusters are immutable.
+One builder lays cells out on a uniform lattice (pitch a^(s/3) in volumes,
+a^(s/2) in chart parameter planes), ordered in concentric shells from the
+domain center outward; volumes and surfaces differ only in which boundary
+cells they keep.  Each kept cell gets floor(K)+1 centers: the cell center
+plus extras on a seeded, jittered sub-grid.  Construction is deterministic
+for a fixed seed and single-threaded; resulting clusters are immutable.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -35,7 +37,6 @@ class DensityField:
             if value is None or value < 0:
                 raise ConfigError("constant density needs a non-negative value")
             self.value = float(value)
-            self._interp = None
             observed_max = self.value
         elif kind == "grid":
             samples = np.asarray(samples, dtype=float)
@@ -77,10 +78,8 @@ class DensityField:
         if self.kind == "constant":
             return np.full(len(pts), self.value)
         # clamp to the grid so boundary cells sample the nearest data
-        clipped = np.column_stack(
-            [np.clip(pts[:, d], self._axes[d][0], self._axes[d][-1]) for d in range(3)]
-        )
-        return self._interp(clipped)
+        return self._interp(np.clip(pts, [ax[0] for ax in self._axes],
+                                    [ax[-1] for ax in self._axes]))
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +106,6 @@ class BoxDomain:
         c = np.atleast_2d(centers)
         return np.all((c + half >= lo - 1e-12) & (c - half <= hi + 1e-12), axis=1)
 
-    def volume(self):
-        return float(np.prod(self.size))
-
 
 @dataclass(frozen=True)
 class BallDomain:
@@ -130,9 +126,6 @@ class BallDomain:
         gap = np.maximum(np.abs(c - np.asarray(self.center)) - half, 0.0)
         return np.linalg.norm(gap, axis=1) <= self.radius + 1e-12
 
-    def volume(self):
-        return 4.0 * math.pi * self.radius**3 / 3.0
-
 
 # ---------------------------------------------------------------------------
 # surface charts
@@ -146,11 +139,11 @@ class PlaneChart:
     ly: float = 1.0
     center: tuple = (0.0, 0.0, 0.0)
 
-    def param_bbox(self):
+    def bounding_box(self):
         return np.array([-self.lx / 2, -self.ly / 2]), np.array([self.lx / 2, self.ly / 2])
 
-    def contains_param(self, uv):
-        lo, hi = self.param_bbox()
+    def contains(self, uv):
+        lo, hi = self.bounding_box()
         pts = np.atleast_2d(uv)
         return np.all((pts >= lo - 1e-12) & (pts <= hi + 1e-12), axis=1)
 
@@ -177,11 +170,11 @@ class SphereCapChart:
     def rho_max(self):
         return 2.0 * self.radius * math.sin(self.theta_max / 2.0)
 
-    def param_bbox(self):
+    def bounding_box(self):
         r = self.rho_max
         return np.array([-r, -r]), np.array([r, r])
 
-    def contains_param(self, uv):
+    def contains(self, uv):
         pts = np.atleast_2d(uv)
         return np.linalg.norm(pts, axis=1) <= self.rho_max + 1e-12
 
@@ -201,71 +194,47 @@ class SphereCapChart:
 
 
 @dataclass(frozen=True)
-class VolumetricCluster:
+class Cluster:
+    """Kept lattice cells and the centers they hold, in a volume or on a chart.
+
+    Cells live in the geometry's own coordinates: ambient points of a domain
+    (dim 3) or parameter points of a surface chart (dim 2).  ``params`` holds
+    the centers in those coordinates and ``centers`` their ambient positions,
+    the same array on a domain.  ``dropped`` is the trimmed volume or area.
+    """
+
     a: float
     s: float
     t: float
     d_min: float
     seed: int
-    cell_centers: np.ndarray  # (n_cells, 3)
-    cell_sides: np.ndarray  # (n_cells,)
+    cells: np.ndarray  # (n_cells, dim) cell centers
+    sides: np.ndarray  # (n_cells,) cell side lengths
     counts: np.ndarray  # (n_cells,) = floor(K)+1
+    params: np.ndarray  # (M, dim)
     centers: np.ndarray  # (M, 3)
     cell_of: np.ndarray  # (M,) cell index per center
-    dropped_volume: float
-    domain: object = field(repr=False, default=None)
-    density: object = field(repr=False, default=None)
+    dropped: float
+    geometry: object = field(repr=False)
+    density: object = field(repr=False)
 
     @property
     def m(self):
         return len(self.centers)
 
-    def to_json(self):
-        cells = [[*map(float, c), float(s)] for c, s in zip(self.cell_centers, self.cell_sides)]
-        return {
-            "kind": "volumetric",
-            "a": self.a, "s": self.s, "t": self.t, "d_min": self.d_min, "seed": self.seed,
-            "centers": [[float(x) for x in z] for z in self.centers],
-            "cells": cells,
-            "counts": [int(c) for c in self.counts],
-            "cell_of": [int(i) for i in self.cell_of],
-            "dropped_volume": self.dropped_volume,
-        }
-
-
-@dataclass(frozen=True)
-class SurfaceCluster:
-    a: float
-    s: float
-    t: float
-    d_min: float
-    seed: int
-    square_params: np.ndarray  # (n_cells, 2) parameter-plane centers
-    square_sides: np.ndarray  # (n_cells,) parameter-plane side lengths
-    square_areas: np.ndarray  # (n_cells,) target surface areas
-    counts: np.ndarray
-    centers: np.ndarray  # (M, 3) ambient positions
-    param_centers: np.ndarray  # (M, 2)
-    cell_of: np.ndarray
-    dropped_area: float
-    chart: object = field(repr=False, default=None)
-    density: object = field(repr=False, default=None)
-
     @property
-    def m(self):
-        return len(self.centers)
+    def is_surface(self):
+        return self.cells.shape[1] == 2
 
     def to_json(self):
-        cells = [[float(p[0]), float(p[1]), float(s)]
-                 for p, s in zip(self.square_params, self.square_sides)]
         return {
-            "kind": "surface",
+            "kind": "surface" if self.is_surface else "volumetric",
             "a": self.a, "s": self.s, "t": self.t, "d_min": self.d_min, "seed": self.seed,
             "centers": [[float(x) for x in z] for z in self.centers],
-            "cells": cells,
+            "cells": [[*map(float, c), float(s)] for c, s in zip(self.cells, self.sides)],
             "counts": [int(c) for c in self.counts],
             "cell_of": [int(i) for i in self.cell_of],
-            "dropped_area": self.dropped_area,
+            "dropped_area" if self.is_surface else "dropped_volume": self.dropped,
         }
 
 
@@ -290,8 +259,7 @@ def _shell_order(idx, dims):
     """Sort key realizing the center-out shell layout (Chebyshev rings)."""
     center = (np.asarray(dims) - 1) / 2.0
     cheb = np.max(np.abs(idx - center), axis=1)
-    order = np.lexsort([*idx.T[::-1], np.round(cheb * 2).astype(int)])
-    return order
+    return np.lexsort([*idx.T[::-1], np.round(cheb * 2).astype(int)])
 
 
 @functools.lru_cache
@@ -313,8 +281,7 @@ def _extra_subgrid(dim, side, count, d_req, wall_margin):
             f"cell of side {side!r} cannot hold extra centers at spacing {d_req!r}"
         )
     axes = [np.linspace(-span / 2.0, span / 2.0, n) for _ in range(dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.column_stack([m.ravel() for m in mesh])
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     base = np.vstack([np.zeros((1, dim)), nodes])
     dist = np.linalg.norm(base[:, None, :] - base[None, :, :], axis=2)
     np.fill_diagonal(dist, np.inf)
@@ -335,14 +302,11 @@ def _place_extras(rng, dim, side, count, d_req, wall_margin):
     nodes, amp = _extra_subgrid(dim, side, count, d_req, wall_margin)
     for _ in range(_PLACEMENT_ATTEMPTS):
         jitter = rng.uniform(-amp, amp, size=nodes.shape) if amp > 0 else 0.0
-        pts = nodes + jitter
-        pick = rng.permutation(len(pts))[: count - 1]
-        chosen = pts[pick]
+        chosen = (nodes + jitter)[rng.permutation(len(nodes))[: count - 1]]
         cand = np.vstack([np.zeros((1, dim)), chosen])
-        diffs = cand[:, None, :] - cand[None, :, :]
-        pair = np.linalg.norm(diffs, axis=2)
+        pair = np.linalg.norm(cand[:, None, :] - cand[None, :, :], axis=2)
         np.fill_diagonal(pair, np.inf)
-        wall = side / 2.0 - np.abs(chosen).max() if len(chosen) else side
+        wall = side / 2.0 - np.abs(chosen).max()
         if pair.min() >= d_req and wall >= wall_margin:
             return chosen
     raise PlacementError(
@@ -350,126 +314,93 @@ def _place_extras(rng, dim, side, count, d_req, wall_margin):
     )
 
 
-def build_volumetric(domain, density: DensityField, a: float, s: float, t: float,
-                     seed: int = 0, d_min: float = 0.5) -> VolumetricCluster:
-    """Shell-ordered cube cells over the domain; floor(K)+1 centers per cell.
+def _build(geometry, density, a, s, t, seed, d_min, keep_rule) -> Cluster:
+    """Shell-ordered lattice cells over a domain or chart; floor(K)+1 centers per cell.
 
-    Cells are cubes of volume a^s (floor(K)+1)/(K+1) centered at lattice sites
-    of pitch a^(s/3); sites whose center leaves the domain are dropped and the
-    trimmed volume (sites still touching the domain) is reported.
+    Cells of measure a^s (floor(K)+1)/(K+1) sit at the sites of a lattice of
+    pitch a^(s/dim) over the geometry's bounding box.  ``keep_rule(geometry,
+    sites, pitch)`` returns the kept-site mask and the number of dropped cells.
     """
     if a <= 0 or a >= 1:
         raise ConfigError("radius scale a must lie in (0, 1)")
+    lo, hi = geometry.bounding_box()
+    dim = len(lo)
+    pitch = a ** (s / dim)
+    if pitch > float(np.min(hi - lo)):
+        raise PlacementError("radius scale too large: lattice pitch exceeds the "
+                             + ("chart" if dim == 2 else "domain"))
+    d_req = d_min * a**t
+    n, starts = _lattice_axes(lo, hi, pitch)
+    idx = np.indices(n).reshape(dim, -1).T
+    sites = starts + idx[_shell_order(idx, n)] * pitch
+
+    keep, n_dropped = keep_rule(geometry, sites, pitch)
+    kept = sites[keep]
+    kvals = density(kept)
+    counts = np.floor(kvals).astype(int) + 1
+    sides = (a**s * (counts / (kvals + 1.0))) ** (1.0 / dim)
+
+    rng = np.random.default_rng(seed)
+    params = []
+    for site, side, cnt in zip(kept, sides, counts):
+        # cells smaller than the pitch have a built-in gap to their neighbours
+        wall_margin = max(0.0, (side - pitch + d_req) / 2.0)
+        params.append(site)
+        params.extend(site + _place_extras(rng, dim, side, int(cnt), d_req, wall_margin))
+    params = np.array(params).reshape(-1, dim)
+    return Cluster(
+        a=a, s=s, t=t, d_min=d_min, seed=seed, cells=kept, sides=sides, counts=counts,
+        params=params, centers=geometry.to_xyz(params) if dim == 2 else params,
+        cell_of=np.repeat(np.arange(len(kept)), counts),
+        dropped=float(n_dropped) * a**s, geometry=geometry, density=density,
+    )
+
+
+def _center_inside(domain, sites, pitch):
+    """Keep the sites inside the domain; drop the cut cubes still touching it."""
+    inside = domain.contains(sites)
+    return inside, np.count_nonzero(domain.intersects_cube(sites[~inside], pitch / 2.0))
+
+
+def _square_inside(chart, sites, pitch):
+    """Keep the sites whose square lies in the chart; drop the others touching it."""
+    half = pitch / 2.0
+    fully = np.ones(len(sites), dtype=bool)
+    touching = chart.contains(sites)
+    for corner in itertools.product((-half, half), repeat=2):
+        ok = chart.contains(sites + corner)
+        fully &= ok
+        touching |= ok
+    return fully, np.count_nonzero(touching & ~fully)
+
+
+def build_volumetric(domain, density: DensityField, a: float, s: float, t: float,
+                     seed: int = 0, d_min: float = 0.5) -> Cluster:
+    """Cube cells of volume a^s (floor(K)+1)/(K+1) at lattice sites of pitch a^(s/3).
+
+    Sites whose center leaves the domain are dropped; ``dropped`` is the
+    volume of the cut cubes that still touch the domain.
+    """
     if t < s / 3.0 - 1e-12:
         raise PlacementError(f"spacing exponent t={t!r} below s/3: cells cannot hold "
                              "their centers at the requested distance")
-    pitch = a ** (s / 3.0)
-    lo, hi = domain.bounding_box()
-    if pitch > float(np.min(hi - lo)):
-        raise PlacementError("radius scale too large: lattice pitch exceeds the domain")
-    d_req = d_min * a**t
-    n, starts = _lattice_axes(lo, hi, pitch)
-    grids = np.meshgrid(*[np.arange(k) for k in n], indexing="ij")
-    idx = np.column_stack([g.ravel() for g in grids])
-    order = _shell_order(idx, n)
-    idx = idx[order]
-    sites = starts[None, :] + idx * pitch
-
-    inside = domain.contains(sites)
-    rng = np.random.default_rng(seed)
-    dropped = np.count_nonzero(domain.intersects_cube(sites[~inside], pitch / 2.0))
-
-    kept = sites[inside]
-    kvals = density(kept)
-    counts = np.floor(kvals).astype(int) + 1
-    fracs = counts / (kvals + 1.0)
-    sides = (a**s * fracs) ** (1.0 / 3.0)
-
-    centers, cell_of = [], []
-    for j, (site, side, cnt) in enumerate(zip(kept, sides, counts)):
-        centers.append(site.copy())
-        cell_of.append(j)
-        # cells smaller than the pitch have a built-in gap to their neighbours
-        wall_margin = max(0.0, (side - pitch + d_req) / 2.0)
-        for off in _place_extras(rng, 3, side, int(cnt), d_req, wall_margin):
-            centers.append(site + off)
-            cell_of.append(j)
-    return VolumetricCluster(
-        a=a, s=s, t=t, d_min=d_min, seed=seed,
-        cell_centers=kept, cell_sides=sides, counts=counts,
-        centers=np.array(centers), cell_of=np.array(cell_of, dtype=int),
-        dropped_volume=float(dropped * a**s), domain=domain, density=density,
-    )
+    return _build(domain, density, a, s, t, seed, d_min, _center_inside)
 
 
 def build_surface(chart, density: DensityField, a: float, s: float, t: float,
-                  seed: int = 0, d_min: float = 0.5) -> SurfaceCluster:
-    """Shell-ordered parameter-plane squares on an area-preserving chart.
+                  seed: int = 0, d_min: float = 0.5) -> Cluster:
+    """Parameter-plane squares of area a^s (floor(K)+1)/(K+1) on an area-preserving chart.
 
-    Both charts map parameter areas to equal surface areas, so squares of
-    side sqrt(a^s (floor(K)+1)/(K+1)) have that surface area; sites crossing
-    the chart boundary are dropped and their area is reported.  Ambient
-    positions come from the chart map; minimum distances are measured in
-    ambient space.
+    Both charts map parameter areas to equal surface areas.  Sites whose
+    pitch-square crosses the chart boundary are dropped and their area is
+    reported.  Ambient positions come from the chart map, and the minimum
+    distance is checked in ambient space.
     """
-    if a <= 0 or a >= 1:
-        raise ConfigError("radius scale a must lie in (0, 1)")
-    pitch = a ** (s / 2.0)
-    lo, hi = chart.param_bbox()
-    if pitch > float(np.min(hi - lo)):
-        raise PlacementError("radius scale too large: lattice pitch exceeds the chart")
-    d_req = d_min * a**t
-    n, starts = _lattice_axes(lo, hi, pitch)
-    grids = np.meshgrid(*[np.arange(k) for k in n], indexing="ij")
-    idx = np.column_stack([g.ravel() for g in grids])
-    order = _shell_order(idx, n)
-    idx = idx[order]
-    sites = starts[None, :] + idx * pitch
-
-    # a site is kept only if its pitch-square lies fully inside the chart
-    half = pitch / 2.0
-    corners = np.array([[-half, -half], [half, -half], [-half, half], [half, half]])
-    fully = np.ones(len(sites), dtype=bool)
-    touching = np.zeros(len(sites), dtype=bool)
-    for corner in corners:
-        ok = chart.contains_param(sites + corner)
-        fully &= ok
-        touching |= ok
-    touching |= chart.contains_param(sites)
-    dropped_area = float(np.sum(touching & ~fully)) * a**s
-
-    kept = sites[fully]
-    xyz_sites = chart.to_xyz(kept)
-    kvals = density(kept)
-    counts = np.floor(kvals).astype(int) + 1
-    fracs = counts / (kvals + 1.0)
-    target_areas = a**s * fracs
-    sides = np.sqrt(target_areas)
-
-    rng = np.random.default_rng(seed)
-    centers, param_centers, cell_of = [], [], []
-    for j, (site, side, cnt) in enumerate(zip(kept, sides, counts)):
-        local = [np.zeros(2)]
-        wall_margin = max(0.0, (side - pitch + d_req) / 2.0)
-        local.extend(_place_extras(rng, 2, side, int(cnt), d_req, wall_margin))
-        for off in local:
-            uv = site + off
-            param_centers.append(uv)
-            cell_of.append(j)
-    param_centers = np.array(param_centers)
-    centers = chart.to_xyz(param_centers)
-
-    cluster = SurfaceCluster(
-        a=a, s=s, t=t, d_min=d_min, seed=seed,
-        square_params=kept, square_sides=sides, square_areas=target_areas,
-        counts=counts, centers=centers, param_centers=param_centers,
-        cell_of=np.array(cell_of, dtype=int),
-        dropped_area=dropped_area, chart=chart, density=density,
-    )
+    cluster = _build(chart, density, a, s, t, seed, d_min, _square_inside)
     # ambient spacing may be tighter than the parameter-plane one; verify
-    report = validate(cluster)
-    if not report["min_distance"][0]:
-        raise PlacementError(f"ambient spacing violated: {report['min_distance'][1]}")
+    d_req, mind = d_min * a**t, _min_pairwise_distance(cluster.centers)
+    if not mind >= d_req * (1 - 1e-12):
+        raise PlacementError(f"ambient spacing violated: min {mind!r} vs required {d_req!r}")
     return cluster
 
 
@@ -485,54 +416,33 @@ def _min_pairwise_distance(points):
     return best
 
 
-def validate(cluster) -> dict:
+def validate(cluster: Cluster) -> dict:
     """Recompute the distribution invariants; {check: (passed, detail)}."""
-    checks = {}
-    a, s, t = cluster.a, cluster.s, cluster.t
-    d_req = cluster.d_min * a**t
-    mind = _min_pairwise_distance(cluster.centers)
-    checks["min_distance"] = (mind >= d_req * (1 - 1e-12),
-                              f"min {mind!r} vs required {d_req!r}")
-    m = len(cluster.centers)
-    checks["count_consistency"] = (int(cluster.counts.sum()) == m,
-                                   f"sum(counts)={int(cluster.counts.sum())} M={m}")
-    kmax_plus = int(cluster.counts.max()) if len(cluster.counts) else 1
-    bound = kmax_plus * max(math.ceil(a**-s), len(cluster.counts))
+    a, s, m, counts = cluster.a, cluster.s, cluster.m, cluster.counts
+    d_req, mind = cluster.d_min * a**cluster.t, _min_pairwise_distance(cluster.centers)
+    checks = {"min_distance": (mind >= d_req * (1 - 1e-12),
+                               f"min {mind!r} vs required {d_req!r}")}
+    checks["count_consistency"] = (int(counts.sum()) == m,
+                                   f"sum(counts)={int(counts.sum())} M={m}")
+    kmax_plus = int(counts.max()) if len(counts) else 1
+    bound = kmax_plus * max(math.ceil(a**-s), len(counts))
     checks["total_count_bound"] = (m <= bound, f"M={m} bound={bound}")
 
-    if isinstance(cluster, VolumetricCluster):
-        kv = cluster.density(cluster.cell_centers) if cluster.density is not None else None
-        if kv is not None:
-            target = a**s * (np.floor(kv) + 1.0) / (kv + 1.0)
-            vol_ok = np.allclose(cluster.cell_sides**3, target, rtol=1e-12, atol=0.0)
-            checks["cell_volumes"] = (bool(vol_ok), "a^s (floor(K)+1)/(K+1) per cell")
-            checks["counts_match_density"] = (
-                bool(np.array_equal(cluster.counts, np.floor(kv).astype(int) + 1)),
-                "floor(K)+1 per cell")
-        inside = np.ones(m, dtype=bool)
-        half = cluster.cell_sides[cluster.cell_of] / 2.0
-        rel = np.abs(cluster.centers - cluster.cell_centers[cluster.cell_of])
-        checks["centers_in_cells"] = (bool(np.all(rel <= half[:, None] + 1e-12)),
-                                      "every center inside its cell")
-        if cluster.domain is not None:
-            checks["cells_inside_domain"] = (
-                bool(np.all(cluster.domain.contains(cluster.cell_centers))),
-                "every kept cell center lies in the domain")
-    else:
-        kv = cluster.density(cluster.square_params) if cluster.density is not None else None
-        if kv is not None:
-            target = a**s * (np.floor(kv) + 1.0) / (kv + 1.0)
-            area_ok = np.allclose(cluster.square_areas, target, rtol=1e-12, atol=0.0)
-            checks["cell_areas"] = (bool(area_ok), "a^s (floor(K)+1)/(K+1) per square")
-            checks["counts_match_density"] = (
-                bool(np.array_equal(cluster.counts, np.floor(kv).astype(int) + 1)),
-                "floor(K)+1 per square")
-        half = cluster.square_sides[cluster.cell_of] / 2.0
-        rel = np.abs(cluster.param_centers - cluster.square_params[cluster.cell_of])
-        checks["centers_in_cells"] = (bool(np.all(rel <= half[:, None] + 1e-12)),
-                                      "every parameter center inside its square")
-        if cluster.chart is not None:
-            checks["cells_inside_chart"] = (
-                bool(np.all(cluster.chart.contains_param(cluster.square_params))),
-                "every kept square center lies in the chart")
+    surface = cluster.is_surface
+    cell, where = ("square", "chart") if surface else ("cell", "domain")
+    kv = cluster.density(cluster.cells)
+    target = a**s * (np.floor(kv) + 1.0) / (kv + 1.0)
+    checks["cell_areas" if surface else "cell_volumes"] = (
+        bool(np.allclose(cluster.sides ** cluster.cells.shape[1], target, rtol=1e-12,
+                         atol=0.0)),
+        f"a^s (floor(K)+1)/(K+1) per {cell}")
+    checks["counts_match_density"] = (
+        bool(np.array_equal(counts, np.floor(kv).astype(int) + 1)), f"floor(K)+1 per {cell}")
+    half = cluster.sides[cluster.cell_of] / 2.0
+    rel = np.abs(cluster.params - cluster.cells[cluster.cell_of])
+    checks["centers_in_cells"] = (
+        bool(np.all(rel <= half[:, None] + 1e-12)),
+        f"every {'parameter ' if surface else ''}center inside its {cell}")
+    checks[f"cells_inside_{where}"] = (bool(np.all(cluster.geometry.contains(cluster.cells))),
+                                       f"every kept {cell} center lies in the {where}")
     return checks

@@ -46,8 +46,18 @@ from .pointscat import IncidentWave
 
 VOLUMETRIC_KINDS = ("box", "ball")
 SURFACE_KINDS = ("sphere_cap", "plane_rect")
-TOLERANCE_KEYS = ("m_max", "d_min", "grid_n", "mesh_level", "mesh_n", "mesh_rings",
-                  "mesh_nphi", "record_wall_time")
+# each tolerance's type; ExperimentConfig converts the values once
+TOLERANCE_TYPES = {"m_max": int, "d_min": float, "grid_n": int, "mesh_level": int,
+                   "mesh_n": int, "mesh_rings": int, "mesh_nphi": int,
+                   "record_wall_time": lambda v: bool(float(v))}
+
+
+def _convert(value, kind, name, what="a number"):
+    """``kind(value)``, or ConfigError saying that ``name`` must be ``what``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be {what}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -67,7 +77,8 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
-        seq = tuple(float(a) for a in self.a_sequence)
+        seq = _convert(self.a_sequence, lambda v: tuple(map(float, v)), "a_sequence",
+                       "a list of numbers")
         if len(seq) < 3:
             raise ConfigError("a_sequence needs at least 3 entries")
         if any(b >= a for a, b in zip(seq, seq[1:])):
@@ -75,9 +86,21 @@ class ExperimentConfig:
         object.__setattr__(self, "a_sequence", seq)
         if self.geometry.get("kind") not in VOLUMETRIC_KINDS + SURFACE_KINDS:
             raise ConfigError(f"unknown geometry kind {self.geometry.get('kind')!r}")
+        for name in ("directions", "theta_sweep", "seed"):
+            object.__setattr__(self, name, _convert(getattr(self, name), int, name))
         if self.directions < 1:
             raise ConfigError("direction grid size must be positive")
-        _check_keys(self.tolerances, TOLERANCE_KEYS, "tolerance")
+        vector = "a finite non-zero 3-vector"
+        theta = _convert(self.theta, lambda v: np.asarray(v, dtype=float), "theta", vector)
+        if theta.shape != (3,) or not 0 < np.linalg.norm(theta) < math.inf:
+            raise ConfigError(f"theta must be {vector}, got {self.theta!r}")
+        object.__setattr__(self, "theta", tuple(theta.tolist()))
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError("tolerances must be an object")
+        _check_keys(self.tolerances, TOLERANCE_TYPES, "tolerance")
+        object.__setattr__(self, "tolerances", {
+            key: _convert(value, TOLERANCE_TYPES[key], f"tolerance {key!r}")
+            for key, value in self.tolerances.items()})
 
     @property
     def is_surface(self) -> bool:
@@ -94,8 +117,9 @@ class ExperimentConfig:
         theta = (0.0, 0.0, 1.0)
         theta_sweep = 0
         if isinstance(directions, dict):
-            theta = tuple(directions.get("theta", theta))
-            theta_sweep = int(directions.get("theta_sweep", 0))
+            _check_keys(directions, ("n", "theta", "theta_sweep"), "directions")
+            theta = directions.get("theta", theta)
+            theta_sweep = directions.get("theta_sweep", 0)
             directions = directions.get("n", 200)
         return ExperimentConfig(
             geometry=doc["geometry"],
@@ -103,11 +127,11 @@ class ExperimentConfig:
             contrast=doc["contrast"],
             regime=doc["regime"],
             a_sequence=doc["a_sequence"],
-            directions=int(directions),
+            directions=directions,
             theta=theta,
             theta_sweep=theta_sweep,
             tolerances=doc.get("tolerances", {}),
-            seed=int(doc.get("seed", 0)),
+            seed=doc.get("seed", 0),
             out=doc.get("out"),
         )
 
@@ -259,16 +283,16 @@ def comparator_mesh(config: ExperimentConfig):
     tol = config.tolerances
     if isinstance(geometry, SphereCapChart):
         return sphere_cap_mesh(radius=geometry.radius, theta_max=geometry.theta_max,
-                               n_rings=int(tol.get("mesh_rings", 14)),
-                               n_phi=int(tol.get("mesh_nphi", 42)))
+                               n_rings=tol.get("mesh_rings", 14),
+                               n_phi=tol.get("mesh_nphi", 42))
     if isinstance(geometry, PlaneChart):
-        n = int(tol.get("mesh_n", 16))
+        n = tol.get("mesh_n", 16)
         # open comparator meshes are rim-graded (edge-singular limits)
         return rect_mesh(geometry.lx, geometry.ly, n, n, grading=0.7, grading_levels=3)
     if isinstance(geometry, BallDomain):
-        return icosphere(int(tol.get("mesh_level", 3)), radius=geometry.radius,
+        return icosphere(tol.get("mesh_level", 3), radius=geometry.radius,
                          center=geometry.center)
-    return cube_mesh(int(tol.get("mesh_n", 10)), side=geometry.size, center=geometry.center)
+    return cube_mesh(tol.get("mesh_n", 10), side=geometry.size, center=geometry.center)
 
 
 def resolve_contrast(config: ExperimentConfig, bubble: BubbleSpec) -> tuple:
@@ -336,7 +360,7 @@ class RunSetup:
         builder = build_surface if self.config.is_surface else build_volumetric
         return builder(self.geometry, self.density, a, self.params.s, self.params.t,
                        seed=self.config.seed,
-                       d_min=float(self.config.tolerances.get("d_min", 0.5)))
+                       d_min=self.config.tolerances.get("d_min", 0.5))
 
     def solve_points(self, a, row_params, incidents) -> tuple:
         """Cluster, coefficient and charges for each incident wave at radius scale a.
@@ -347,7 +371,7 @@ class RunSetup:
         """
         coeff = scattering_coefficient(self.bubble, row_params, a)
         cl = self.cluster(a)
-        m_max = int(self.config.tolerances.get("m_max", 4096))
+        m_max = self.config.tolerances.get("m_max", 4096)
         if cl.m > m_max:
             raise ConfigError(f"cluster size M={cl.m} exceeds cap {m_max}")
         system = pointscat.ClusterSystem(pointscat.assemble(cl.centers, coeff.value,
@@ -358,7 +382,7 @@ class RunSetup:
     def volume_comparator(self, row_params, a, incident) -> tuple:
         """Voxel grid, volume potential and Lippmann-Schwinger solution."""
         grid = volmedium.VoxelGrid.cover(self.geometry,
-                                         int(self.config.tolerances.get("grid_n", 24)))
+                                         self.config.tolerances.get("grid_n", 24))
         coeff0 = medium_coefficient(self.bubble, row_params, a)
         pot = volmedium.VolumePotential.from_density(grid, self.density, coeff0)
         return grid, pot, volmedium.assemble_and_solve(grid, pot, incident)
@@ -394,7 +418,7 @@ def prepare(config: ExperimentConfig) -> RunSetup:
 def run_convergence(config: ExperimentConfig) -> ErrorTable:
     """Point-interaction vs equivalent-model far fields along the a-sequence."""
     run = prepare(config)
-    record_wall = bool(config.tolerances.get("record_wall_time", False))
+    record_wall = config.tolerances.get("record_wall_time", False)
     directions = run.directions
     mesh = comparator_mesh(config) if run.comparator in ("dirichlet", "surface") else None
 

@@ -70,27 +70,23 @@ class ClusterSystem(DenseSystem):
     """Point-interaction matrix of one cluster, LDL^T-factored on its first solve.
 
     The system owns the matrix it is given and overwrites one triangle of it
-    with the factors.  Pass it to ``solve_charges`` in place of the matrix to
-    solve several incidence directions against one factorization.
+    with the factors.  ``solve_charges`` takes the system, so several
+    incidence directions are solved against one factorization.
     """
 
     def __init__(self, matrix):
         super().__init__(matrix, RESIDUAL_TOL, name="point-interaction system")
 
 
-def solve_charges(matrix, incident: IncidentWave, centers) -> ChargeSolution:
+def solve_charges(system: ClusterSystem, incident: IncidentWave, centers) -> ChargeSolution:
     """Solve for the charges with rhs -u^I(z_m); record residual and conditioning.
 
-    ``matrix`` is the assembled array, which is copied and left as it is, or
-    a ``ClusterSystem`` wrapping it, whose factorization is then reused across
-    calls.  Symmetric Bunch-Kaufman LDL^T; one step of iterative refinement is
-    applied if the direct residual misses the contract residual <= 1e-10
-    (1 + max|Q|).
+    The system is factored on its first call and the factorization reused on
+    later ones.  Symmetric Bunch-Kaufman LDL^T; one step of iterative
+    refinement is applied if the direct residual misses the contract
+    residual <= 1e-10 (1 + max|Q|).
     """
-    system = (matrix if isinstance(matrix, ClusterSystem)
-              else ClusterSystem(np.array(matrix, dtype=complex)))
-    z = np.asarray(centers, dtype=float)
-    b = -incident.at(z)
+    b = -incident.at(centers)
     if system.matrix.shape != (len(b), len(b)):
         raise ConfigError("matrix/centers size mismatch")
     q, residual = system.solve(b)

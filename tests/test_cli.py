@@ -206,6 +206,42 @@ def test_unknown_tolerance_keys_exit_2(tmp_path, capsys, tolerances):
     assert next(iter(tolerances)) in capsys.readouterr().err
 
 
+def test_unknown_directions_key_exits_2(tmp_path, capsys):
+    path = _write_config(tmp_path, "typo", directions={"n": 50, "theta_sweeep": 3})
+    assert cli(["converge", "--config", str(path), "--out", str(tmp_path / "typo")]) == 2
+    assert "theta_sweeep" in capsys.readouterr().err
+    assert not (tmp_path / "typo" / "error_table.csv").exists()
+
+
+@pytest.mark.parametrize("theta", [[0, 0, 0], [float("inf"), 0, 1], [0, 1], "up"],
+                         ids=["zero", "infinite", "two_entries", "text"])
+def test_bad_theta_exits_2(tmp_path, capsys, theta):
+    path = _write_config(tmp_path, "theta", directions={"n": 50, "theta": theta})
+    assert cli(["converge", "--config", str(path), "--out", str(tmp_path / "theta")]) == 2
+    assert "theta must be a finite non-zero 3-vector" in capsys.readouterr().err
+    assert not (tmp_path / "theta" / "error_table.csv").exists()
+
+
+@pytest.mark.parametrize("over, name", [
+    ({"directions": "abc"}, "directions"),
+    ({"directions": {"n": 50, "theta_sweep": "many"}}, "theta_sweep"),
+    ({"seed": "x"}, "seed"),
+    ({"a_sequence": [0.02, "half", 0.005]}, "a_sequence"),
+    ({"a_sequence": 0.02}, "a_sequence"),
+    ({"tolerances": {"d_min": "x"}}, "tolerance 'd_min'"),
+    ({"tolerances": {"m_max": None}}, "tolerance 'm_max'"),
+    ({"tolerances": {"grid_n": [8]}}, "tolerance 'grid_n'"),
+    ({"tolerances": {"record_wall_time": "yes"}}, "tolerance 'record_wall_time'"),
+], ids=["directions", "theta_sweep", "seed", "a_entry", "a_scalar", "d_min", "m_max",
+        "grid_n", "record_wall_time"])
+@pytest.mark.parametrize("command", ["regime-check", "cluster", "converge"])
+def test_non_numeric_config_values_exit_2(tmp_path, capsys, over, name, command):
+    path = _write_config(tmp_path, "nan", **over)
+    assert cli([command, "--config", str(path), "--out", str(tmp_path / "nan")]) == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "nan").exists()
+
+
 @pytest.mark.parametrize("section, doc, bad_key", [
     ("geometry", {"kind": "ball", "radus": 2.0}, "radus"),
     ("geometry", {"kind": "box", "size": [1, 1, 1], "centre": [0, 0, 0]}, "centre"),

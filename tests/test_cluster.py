@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -11,7 +12,6 @@ from bubblelab.cluster import (
     DensityField,
     PlaneChart,
     SphereCapChart,
-    VolumetricCluster,
     build_surface,
     _lattice_axes,
     _min_pairwise_distance,
@@ -42,14 +42,14 @@ def test_periodic_unit_cube():
     # K = 0, s = 1, a = 1e-3: 1000 cells of side 0.1, one center each
     cl = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField.constant(0.0),
                           a=1e-3, s=1.0, t=0.4, seed=0)
-    assert len(cl.cell_centers) == 1000
+    assert len(cl.cells) == 1000
     assert cl.m == 1000
-    assert np.allclose(cl.cell_sides, 0.1, rtol=1e-12)
-    assert np.array_equal(cl.centers, cl.cell_centers)
+    assert np.allclose(cl.sides, 0.1, rtol=1e-12)
+    assert np.array_equal(cl.centers, cl.cells)
     d = np.linalg.norm(cl.centers[:, None, :] - cl.centers[None, :, :], axis=2)
     np.fill_diagonal(d, np.inf)
     assert abs(d.min() - 0.1) < 1e-12
-    assert cl.dropped_volume == 0.0
+    assert cl.dropped == 0.0
     checks = validate(cl)
     assert all(ok for ok, _ in checks.values())
 
@@ -59,8 +59,8 @@ def test_constant_density_one_and_a_half():
     cl = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField.constant(1.5),
                           a=5e-3, s=1.0, t=0.4, seed=3)
     assert np.all(cl.counts == 2)
-    assert np.allclose(cl.cell_sides**3, cl.a * 2 / 2.5, rtol=1e-12)
-    assert cl.m == 2 * len(cl.cell_centers)
+    assert np.allclose(cl.sides**3, cl.a * 2 / 2.5, rtol=1e-12)
+    assert cl.m == 2 * len(cl.cells)
     checks = validate(cl)
     assert all(ok for ok, _ in checks.values()), checks
 
@@ -69,7 +69,7 @@ def test_integer_density_exact_volumes():
     for k in (0.0, 2.0):
         cl = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField.constant(k),
                               a=1e-2, s=1.0, t=0.4, seed=1)
-        assert np.allclose(cl.cell_sides**3, cl.a, rtol=1e-12)
+        assert np.allclose(cl.sides**3, cl.a, rtol=1e-12)
 
 
 def test_dropped_volume_slope_one_third():
@@ -78,7 +78,7 @@ def test_dropped_volume_slope_one_third():
     for a in avals:
         cl = build_volumetric(BallDomain(radius=1.0), DensityField.constant(0.0),
                               a=a, s=1.0, t=0.4, seed=0)
-        vols.append(cl.dropped_volume)
+        vols.append(cl.dropped)
     slope = math.log(vols[1] / vols[0]) / math.log(avals[1] / avals[0])
     assert 0.33 - 0.15 <= slope <= 0.33 + 0.15
 
@@ -103,7 +103,7 @@ def test_dropped_volume_matches_per_site_loop(domain):
     sites = starts + np.indices(n).reshape(3, -1).T * 2 * half
     expected = dropped_volume_by_loop(domain, sites, half, a**s)
     cl = build_volumetric(domain, DensityField.constant(0.0), a, s, 0.4)
-    assert cl.dropped_volume == pytest.approx(expected, rel=1e-12)
+    assert cl.dropped == pytest.approx(expected, rel=1e-12)
     assert (expected > 0.0) == isinstance(domain, BallDomain)
 
 
@@ -168,9 +168,9 @@ def test_determinism_byte_for_byte():
 def test_flat_square_exact_tiling():
     cl = build_surface(PlaneChart(1.0, 1.0), DensityField.constant(0.0),
                        a=1e-2, s=1.0, t=0.45, seed=0)
-    assert len(cl.square_params) == 100
-    assert np.allclose(cl.square_sides, 0.1, rtol=1e-12)
-    assert cl.dropped_area == 0.0
+    assert len(cl.cells) == 100
+    assert np.allclose(cl.sides, 0.1, rtol=1e-12)
+    assert cl.dropped == 0.0
     checks = validate(cl)
     assert all(ok for ok, _ in checks.values()), checks
 
@@ -180,7 +180,7 @@ def test_sphere_chart_square_areas_within_two_percent():
     cl = build_surface(chart, DensityField.constant(0.0), a=1e-2, s=1.0, t=0.45,
                        seed=0, d_min=0.3)
     target = cl.a**cl.s
-    for center, side in list(zip(cl.square_params, cl.square_sides))[::7]:
+    for center, side in list(zip(cl.cells, cl.sides))[::7]:
         area = chart_square_area(chart, center, side)
         assert abs(area - target) <= 0.02 * target
 
@@ -192,24 +192,57 @@ def test_surface_dropped_area_slope_one_half():
     for a in avals:
         cl = build_surface(chart, DensityField.constant(0.0), a=a, s=1.0, t=0.45,
                            seed=0, d_min=0.2)
-        drops.append(cl.dropped_area)
+        drops.append(cl.dropped)
     slope = math.log(drops[1] / drops[0]) / math.log(avals[1] / avals[0])
     assert 0.5 - 0.15 <= slope <= 0.5 + 0.15
 
 
 def test_validate_flags_coincident_centers():
-    base = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField.constant(0.0),
-                            a=2e-2, s=1.0, t=0.4, seed=0)
-    broken = VolumetricCluster(
-        a=base.a, s=base.s, t=base.t, d_min=base.d_min, seed=base.seed,
-        cell_centers=base.cell_centers, cell_sides=base.cell_sides,
-        counts=base.counts,
-        centers=np.vstack([base.centers[:1], base.centers]),
-        cell_of=np.concatenate([[0], base.cell_of]),
-        dropped_volume=0.0, domain=base.domain, density=base.density,
-    )
-    checks = validate(broken)
-    assert not checks["min_distance"][0]
+    volume = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField.constant(0.0),
+                              a=2e-2, s=1.0, t=0.4, seed=0)
+    cap = build_surface(SphereCapChart(), DensityField.constant(0.7), a=2e-2, s=1.0,
+                        t=0.45, seed=9, d_min=0.3)
+    for base in (volume, cap):
+        broken = dataclasses.replace(
+            base,
+            params=np.vstack([base.params[:1], base.params]),
+            centers=np.vstack([base.centers[:1], base.centers]),
+            cell_of=np.concatenate([[0], base.cell_of]),
+        )
+        checks = validate(broken)
+        assert not checks["min_distance"][0]
+
+
+VALIDATE_GEOMETRIES = {
+    "box": (build_volumetric, BoxDomain(center=(0.1, -0.2, 0.3), size=(1.0, 0.7, 0.4)),
+            dict(a=5e-3, t=0.4, d_min=0.5)),
+    "ball": (build_volumetric, BallDomain(radius=0.5), dict(a=5e-3, t=0.4, d_min=0.5)),
+    "plane": (build_surface, PlaneChart(1.0, 0.8), dict(a=4e-3, t=0.5, d_min=0.25)),
+    "cap": (build_surface, SphereCapChart(radius=1.0, theta_max=1.2),
+            dict(a=4e-3, t=0.5, d_min=0.25)),
+}
+
+
+@pytest.mark.parametrize("k", [0.0, 0.7, 1.5])
+@pytest.mark.parametrize("name", list(VALIDATE_GEOMETRIES))
+def test_validate_passes_on_every_geometry(name, k):
+    builder, geometry, kw = VALIDATE_GEOMETRIES[name]
+    cl = builder(geometry, DensityField.constant(k), s=1.0, seed=1, **kw)
+    surface = builder is build_surface
+    assert np.all(cl.counts == math.floor(k) + 1)
+    checks = validate(cl)
+    assert all(ok for ok, _ in checks.values()), checks
+    measure, inside = (("cell_areas", "cells_inside_chart") if surface
+                       else ("cell_volumes", "cells_inside_domain"))
+    assert {measure, inside, "min_distance", "counts_match_density"} <= set(checks)
+    doc = cl.to_json()
+    assert doc["kind"] == ("surface" if surface else "volumetric")
+    dropped = "dropped_area" if surface else "dropped_volume"
+    assert doc[dropped] == cl.dropped
+    assert ({"dropped_area", "dropped_volume"} - {dropped}).isdisjoint(doc)
+    assert cl.centers.shape == (cl.m, 3)
+    assert cl.params.shape == (cl.m, 2 if surface else 3)
+    assert (cl.params is cl.centers) != surface
 
 
 def test_min_pairwise_distance_blocked():

@@ -259,7 +259,8 @@ def test_rotation_invariance_of_sup_err():
 
     def pattern(z, th, d):
         inc = IncidentWave(kappa0, th)
-        sol = pointscat.solve_charges(pointscat.assemble(z, c, kappa0), inc, z)
+        system = pointscat.ClusterSystem(pointscat.assemble(z, c, kappa0))
+        sol = pointscat.solve_charges(system, inc, z)
         return pointscat.far_field(sol, z, kappa0, d).values
 
     base = pattern(centers, theta, dirs)

@@ -138,7 +138,7 @@ def test_factor_once_charges_equal_per_direction_solves():
     for theta in fibonacci_directions(4):
         inc = IncidentWave(kappa0, theta)
         shared = solve_charges(system, inc, centers)
-        fresh = solve_charges(matrix, inc, centers)
+        fresh = solve_charges(ClusterSystem(matrix.copy()), inc, centers)
         assert np.array_equal(shared.charges, fresh.charges)
         assert shared.cond_estimate == fresh.cond_estimate
 

@@ -7,6 +7,7 @@ from bubblelab.errors import ConfigError, GeometryError
 from bubblelab.fields import CSV_HEADER, FarField, fibonacci_directions
 from bubblelab.materials import ContrastParams, classify_regime
 from bubblelab.pointscat import (
+    ClusterSystem,
     IncidentWave,
     assemble,
     far_field,
@@ -67,7 +68,7 @@ def test_assemble_symmetric_exactly(m, seed):
 def test_single_bubble_charge_is_minus_c():
     c = -0.37
     inc = IncidentWave(1.2, np.array([0.0, 0.0, 1.0]))
-    sol = solve_charges(assemble([[0, 0, 0]], c, inc.kappa0), inc, [[0, 0, 0]])
+    sol = solve_charges(ClusterSystem(assemble([[0, 0, 0]], c, inc.kappa0)), inc, [[0, 0, 0]])
     assert abs(sol.charges[0] - (-c)) < 1e-14
 
 
@@ -77,7 +78,7 @@ def test_two_bubble_closed_form():
     z = np.array([[0.4, 0, 0], [-0.4, 0, 0]])
     theta = np.array([0.0, 0.0, 1.0])  # perpendicular to the pair axis
     inc = IncidentWave(kappa0, theta)
-    sol = solve_charges(assemble(z, c, kappa0), inc, z)
+    sol = solve_charges(ClusterSystem(assemble(z, c, kappa0)), inc, z)
     q1, q2 = two_bubble_charges(c, kappa0, z[0], z[1], theta)
     assert abs(sol.charges[0] - q1) < 1e-12
     assert abs(sol.charges[1] - q2) < 1e-12
@@ -91,10 +92,17 @@ def test_two_bubble_closed_form():
 def test_random_cluster_residual():
     centers = random_cluster(20, seed=7)
     inc = IncidentWave(2.0, np.array([0.0, 1.0, 0.0]))
-    a = assemble(centers, -0.05, inc.kappa0)
-    sol = solve_charges(a, inc, centers)
+    sol = solve_charges(ClusterSystem(assemble(centers, -0.05, inc.kappa0)), inc, centers)
     assert sol.residual <= 1e-10 * (1 + np.abs(sol.charges).max())
     assert sol.cond_estimate >= 1.0
+
+
+def test_solve_charges_rejects_size_mismatch():
+    centers = random_cluster(5, seed=2)
+    inc = IncidentWave(1.0, np.array([0.0, 0.0, 1.0]))
+    system = ClusterSystem(assemble(centers, -0.05, inc.kappa0))
+    with pytest.raises(ConfigError, match="size mismatch"):
+        solve_charges(system, inc, centers[:4])
 
 
 def test_invertibility_ledger_reported():
@@ -110,7 +118,7 @@ def test_far_field_single_bubble_constant():
     c = 2.0
     inc = IncidentWave(1.0, np.array([0.0, 0.0, 1.0]))
     centers = [[0.0, 0.0, 0.0]]
-    sol = solve_charges(assemble(centers, c, 1.0), inc, centers)
+    sol = solve_charges(ClusterSystem(assemble(centers, c, 1.0)), inc, centers)
     ff = far_field(sol, centers, 1.0, fibonacci_directions(50))
     assert np.allclose(ff.values, -2.0, atol=1e-14)
 
@@ -122,7 +130,7 @@ def test_far_field_reciprocity():
 
     def pattern(theta, xhat):
         inc = IncidentWave(kappa0, theta)
-        sol = solve_charges(assemble(centers, c, kappa0), inc, centers)
+        sol = solve_charges(ClusterSystem(assemble(centers, c, kappa0)), inc, centers)
         ff = far_field(sol, centers, kappa0, np.array([xhat]))
         return ff.values[0]
 
@@ -139,10 +147,10 @@ def test_far_field_translation_phase():
     theta = np.array([0.0, 1.0, 0.0])
     dirs = fibonacci_directions(40)
     inc = IncidentWave(kappa0, theta)
-    sol0 = solve_charges(assemble(centers, c, kappa0), inc, centers)
+    sol0 = solve_charges(ClusterSystem(assemble(centers, c, kappa0)), inc, centers)
     ff0 = far_field(sol0, centers, kappa0, dirs)
     moved = centers + v
-    sol1 = solve_charges(assemble(moved, c, kappa0), inc, moved)
+    sol1 = solve_charges(ClusterSystem(assemble(moved, c, kappa0)), inc, moved)
     ff1 = far_field(sol1, moved, kappa0, dirs)
     phase = np.exp(1j * kappa0 * (dirs @ (-v) + theta @ v))
     assert np.abs(ff1.values - ff0.values * phase).max() < 1e-10
@@ -154,7 +162,7 @@ def test_far_field_scales_with_coefficient():
     dirs = fibonacci_directions(10)
     vals = []
     for c in (0.5, 1.5):
-        sol = solve_charges(assemble(centers, c, 1.0), inc, centers)
+        sol = solve_charges(ClusterSystem(assemble(centers, c, 1.0)), inc, centers)
         vals.append(far_field(sol, centers, 1.0, dirs).values)
     assert np.allclose(vals[1], 3.0 * vals[0], atol=1e-14)
 
@@ -164,7 +172,7 @@ def test_near_field_single_bubble_and_limit():
     kappa0 = 1.3
     centers = [[0.0, 0.0, 0.0]]
     inc = IncidentWave(kappa0, np.array([0.0, 0.0, 1.0]))
-    sol = solve_charges(assemble(centers, c, kappa0), inc, centers)
+    sol = solve_charges(ClusterSystem(assemble(centers, c, kappa0)), inc, centers)
     x = np.array([0.5, 0.2, -0.1])
     val = near_field(sol, centers, kappa0, x)
     assert abs(val - (-c) * helmholtz_kernel(x, np.zeros(3), kappa0)) < 1e-14
@@ -179,7 +187,7 @@ def test_near_field_single_bubble_and_limit():
 
 def test_near_field_zero_charges():
     sol = solve_charges(
-        assemble([[0, 0, 0]], 1.0, 1.0),
+        ClusterSystem(assemble([[0, 0, 0]], 1.0, 1.0)),
         IncidentWave(1.0, np.array([0.0, 0.0, 1.0])),
         [[0, 0, 0]],
     )
