@@ -46,17 +46,38 @@ from .pointscat import IncidentWave
 
 VOLUMETRIC_KINDS = ("box", "ball")
 SURFACE_KINDS = ("sphere_cap", "plane_rect")
+
+
+class _Integer:
+    """Converter to an int no less than ``minimum``.  A non-integral value
+    such as 8.7 is rejected, not truncated; a whole-number float such as
+    24.0 passes."""
+
+    def __init__(self, minimum: int):
+        self.minimum = minimum
+        self.what = f"an integer >= {minimum}"
+
+    def __call__(self, value) -> int:
+        number = value if isinstance(value, int) else float(value)
+        if number != int(number) or number < self.minimum:
+            raise ValueError(value)
+        return int(number)
+
+
+_COUNT, _LEVEL = _Integer(1), _Integer(0)
 # each tolerance's type; ExperimentConfig converts the values once
-TOLERANCE_TYPES = {"m_max": int, "d_min": float, "grid_n": int, "mesh_level": int,
-                   "mesh_n": int, "mesh_rings": int, "mesh_nphi": int,
+TOLERANCE_TYPES = {"m_max": _COUNT, "d_min": float, "grid_n": _COUNT, "mesh_level": _LEVEL,
+                   "mesh_n": _COUNT, "mesh_rings": _COUNT, "mesh_nphi": _COUNT,
                    "record_wall_time": lambda v: bool(float(v))}
 
 
-def _convert(value, kind, name, what="a number"):
-    """``kind(value)``, or ConfigError saying that ``name`` must be ``what``."""
+def _convert(value, kind, name, what=None):
+    """``kind(value)``, or ConfigError saying that ``name`` must be ``what``
+    (by default the converter's ``what``, else "a number")."""
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
+        what = what or getattr(kind, "what", "a number")
         raise ConfigError(f"{name} must be {what}, got {value!r}") from None
 
 
@@ -86,10 +107,8 @@ class ExperimentConfig:
         object.__setattr__(self, "a_sequence", seq)
         if self.geometry.get("kind") not in VOLUMETRIC_KINDS + SURFACE_KINDS:
             raise ConfigError(f"unknown geometry kind {self.geometry.get('kind')!r}")
-        for name in ("directions", "theta_sweep", "seed"):
-            object.__setattr__(self, name, _convert(getattr(self, name), int, name))
-        if self.directions < 1:
-            raise ConfigError("direction grid size must be positive")
+        for name, kind in (("directions", _COUNT), ("theta_sweep", _LEVEL), ("seed", _LEVEL)):
+            object.__setattr__(self, name, _convert(getattr(self, name), kind, name))
         vector = "a finite non-zero 3-vector"
         theta = _convert(self.theta, lambda v: np.asarray(v, dtype=float), "theta", vector)
         if theta.shape != (3,) or not 0 < np.linalg.norm(theta) < math.inf:
@@ -210,11 +229,13 @@ def build_bubble(doc: dict) -> BubbleSpec:
     shape = doc.get("shape", "sphere")
     if shape == "sphere":
         _check_keys(doc, ("shape", "subdivisions", "radius"), "sphere bubble")
-        return BubbleSpec.sphere(subdivisions=int(doc.get("subdivisions", 2)),
+        subdivisions = _convert(doc.get("subdivisions", 2), _LEVEL, "bubble subdivisions")
+        return BubbleSpec.sphere(subdivisions=subdivisions,
                                  radius=float(doc.get("radius", 1.0)))
     if shape == "cube":
         _check_keys(doc, ("shape", "n", "side"), "cube bubble")
-        return BubbleSpec.cube(n=int(doc.get("n", 6)), side=float(doc.get("side", 1.0)))
+        return BubbleSpec.cube(n=_convert(doc.get("n", 6), _COUNT, "bubble n"),
+                               side=float(doc.get("side", 1.0)))
     if shape == "mesh":
         _check_keys(doc, ("shape", "path"), "mesh bubble")
         return BubbleSpec.from_mesh(load_mesh(doc["path"]))

@@ -14,11 +14,16 @@ Memory model: ``pair_kernel`` fills its (M, M) output in row blocks whose
 temporaries hold at most BLOCK_ENTRIES entries each, and the far-field sums
 bound their phase matrices the same way.  ``DenseSystem`` factors the matrix
 in place, so a dense solve peaks at about the matrix alone (16 M^2 bytes) and
-never at an (M, M, 3) difference array or a second (M, M) copy.  ``cocg``
-keeps five vectors of the system's size and no Krylov basis.
+never at an (M, M, 3) difference array or a second (M, M) copy.
+``LatticeConvolution`` holds one padded work buffer and the octant spectrum;
+its ``apply`` transforms in place in that buffer, allocates only its output
+and is not re-entrant.  ``cocg`` keeps five vectors of the system's size and
+no Krylov basis.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from scipy.fft import dctn, fft, ifft
@@ -156,11 +161,16 @@ class LatticeConvolution:
     twice the mask's shape.  The padded kernel is even in each axis, so it
     is evaluated on the octant of offsets 0..n per axis only (the aliased
     offset n is never reached by padded data and is set to zero), and its
-    transform is the type-1 DCT of that octant, mirrored.  The forward
-    transform of the data skips the zero-padded lines: z on the nx ny lines
-    of the unpadded box, then y on nx 2nz lines, then x.  The inverse runs
-    x, y, z and keeps the first n entries of each axis, 7/12 of the work of
-    two full transforms.
+    spectrum is the type-1 DCT of that octant.  The forward transform of
+    the data skips the zero-padded lines: z on the nx ny lines of the
+    unpadded box, then y on nx 2nz lines, then x.  The inverse runs x, y, z
+    and keeps the first n entries of each axis, 7/12 of the work of two
+    full transforms.
+
+    Memory: the operator holds one (2nx, 2ny, 2nz) complex work buffer and
+    the (nx+1, ny+1, nz+1) octant spectrum.  Every transform runs in place
+    in that buffer, so ``apply`` allocates only its output; it is therefore
+    not re-entrant, and one instance serves one caller at a time.
     """
 
     def __init__(self, mask, spacing: float, kappa0: float, diagonal):
@@ -171,24 +181,34 @@ class LatticeConvolution:
             octant = helmholtz(np.sqrt(ox**2 + oy**2 + oz**2), kappa0)
         octant[0, 0, 0] = diagonal
         octant[-1] = octant[:, -1] = octant[:, :, -1] = 0.0
+        self._khat = dctn(octant, type=1)
         # the transform of an even sequence is even: padded frequency k is
-        # octant frequency k for k <= n and 2n - k above
-        mirror = [np.r_[0:n + 1, n - 1:0:-1] for n in self.dims]
-        self._khat = dctn(octant, type=1)[np.ix_(*mirror)]
+        # octant frequency k for k <= n and 2n - k above, so each of the eight
+        # (low, high) corners of the padded spectrum is an octant slice
+        halves = [((slice(0, n + 1), slice(0, n + 1)), (slice(n + 1, 2 * n), slice(n - 1, 0, -1)))
+                  for n in self.dims]
+        self._corners = [tuple(zip(*pairs)) for pairs in itertools.product(*halves)]
+        self._work = np.empty(tuple(2 * n for n in self.dims), dtype=complex)
 
     def apply(self, values) -> np.ndarray:
         """The kernel sum at every masked site, ``values`` given there."""
         nx, ny, nz = self.dims
-        a = np.zeros(self.dims, dtype=complex)
-        a[self.mask] = values
-        a = fft(a, n=2 * nz, axis=2)
-        a = fft(a, n=2 * ny, axis=1)
-        a = fft(a, n=2 * nx, axis=0)
-        a *= self._khat
-        a = ifft(a, axis=0, overwrite_x=True)[:nx]
-        a = ifft(a, axis=1, overwrite_x=True)[:, :ny]
-        a = ifft(a, axis=2, overwrite_x=True)[:, :, :nz]
-        return a[self.mask]
+        w = self._work
+        # each pass first zeroes the padding it reads; scipy's overwrite_x
+        # writes a complex view's transform into the view itself
+        w[:nx, :ny] = 0.0
+        w[:nx, :ny, :nz][self.mask] = values
+        fft(w[:nx, :ny], axis=2, overwrite_x=True)
+        w[:nx, ny:] = 0.0
+        fft(w[:nx], axis=1, overwrite_x=True)
+        w[nx:] = 0.0
+        fft(w, axis=0, overwrite_x=True)
+        for padded, octant in self._corners:
+            w[padded] *= self._khat[octant]
+        ifft(w, axis=0, overwrite_x=True)
+        ifft(w[:nx], axis=1, overwrite_x=True)
+        ifft(w[:nx, :ny], axis=2, overwrite_x=True)
+        return w[:nx, :ny, :nz][self.mask]
 
 
 def cocg(matvec, rhs, diagonal, rtol: float, max_iter: int) -> tuple:

@@ -251,8 +251,11 @@ def scattering_coefficient(bubble: BubbleSpec, params: ContrastParams, a: float)
     kb2 = params.kappa_b**2
     scaled_sf = a * a * bubble.shape_factor
     volume = a**3 * bubble.volume
-    denom = rho_b / (rho_b - params.rho0) - kb2 * scaled_sf / (8.0 * math.pi)
-    if abs(denom) < 1e-12:
+    # the denominator shrinks like a^(1+gamma) with its first term, so the
+    # zero test is relative to that term
+    first = rho_b / (rho_b - params.rho0)
+    denom = first - kb2 * scaled_sf / (8.0 * math.pi)
+    if abs(denom) <= 1e-12 * abs(first):
         raise ResonanceError("scattering coefficient evaluated at the resonance denominator zero")
     value = kb2 * volume / denom
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GeometryError
+from .kernels import BLOCK_ENTRIES
 
 # Symmetric Gauss rules on the reference triangle, barycentric coordinates:
 # order 1 is the degree-1 centroid rule, order 2 the degree-2 3-point rule
@@ -415,12 +416,14 @@ def boundary_shape_factor(mesh: SurfaceMesh, quad_order: int = 2) -> float:
     ywts = (tri_areas[:, None] * w[None, :]).reshape(-1)
     ynrm = np.repeat(tri_normals, nq, axis=0)
 
-    total = 0.0
-    # (x-y).n(y)/|x-y| via two GEMMs: x.n(y) - y.n(y) over sqrt(|x|^2-2x.y+|y|^2)
+    # (x-y).n(y)/|x-y| via two GEMMs: x.n(y) - y.n(y) over sqrt(|x|^2-2x.y+|y|^2),
+    # in row blocks of at most BLOCK_ENTRIES entries; one dot product with the
+    # areas sums the rows, in the same order for any block size
     y_dot_n = np.einsum("mi,mi->m", ypts, ynrm)
     y_sq = np.einsum("mi,mi->m", ypts, ypts)
     x_sq = np.einsum("ti,ti->t", centers, centers)
-    chunk = max(1, int(8e6) // max(len(ypts), 1))
+    row_sums = np.empty(ntri)
+    chunk = max(1, BLOCK_ENTRIES // max(len(ypts), 1))
     col_offsets = np.arange(nq)
     for start in range(0, ntri, chunk):
         stop = min(start + chunk, ntri)
@@ -437,7 +440,8 @@ def boundary_shape_factor(mesh: SurfaceMesh, quad_order: int = 2) -> float:
         # exactly zero on flat panels but masked anyway for clarity
         rows = np.arange(stop - start)
         num[rows[:, None], (np.arange(start, stop) * nq)[:, None] + col_offsets[None, :]] = 0.0
-        total += float(tri_areas[start:stop] @ (num @ ywts))
+        row_sums[start:stop] = num @ ywts
+    total = float(tri_areas @ row_sums)
 
     radii = np.linalg.norm(tris - centers[:, None, :], axis=2).max(axis=1)
     owner_tris = {}

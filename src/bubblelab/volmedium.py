@@ -9,8 +9,9 @@ form on the diagonal.  The weight matrix is symmetric and the potential
 real, so scaling by the square root of the potential (imaginary where V0 < 0)
 makes the system complex symmetric for either sign of V0.  It is solved by
 the short-recurrence ``kernels.cocg`` with the pruned FFT-convolution matvec
-``kernels.LatticeConvolution`` on the regular grid: about five cell vectors
-plus the transform buffers, no Krylov basis.  The far field sums over the
+``kernels.LatticeConvolution`` on the regular grid: about five cell vectors,
+the operator's one padded work buffer and its octant spectrum, and no Krylov
+basis; each matvec allocates only its output.  The far field sums over the
 grid separably (``kernels.grid_far_field_sum``), one phase table per axis.
 """
 

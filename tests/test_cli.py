@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bubblelab.cli import _load_config, cli
-from bubblelab.harness import prepare
+from bubblelab.harness import build_bubble, prepare
 from bubblelab.kernels import min_cos_kappa_distance
 
 BASE = {
@@ -240,6 +240,55 @@ def test_non_numeric_config_values_exit_2(tmp_path, capsys, over, name, command)
     assert cli([command, "--config", str(path), "--out", str(tmp_path / "nan")]) == 2
     assert name in capsys.readouterr().err
     assert not (tmp_path / "nan").exists()
+
+
+@pytest.mark.parametrize("over, name", [
+    ({"tolerances": {"grid_n": 8.7}}, "tolerance 'grid_n'"),
+    ({"tolerances": {"m_max": 99.9}}, "tolerance 'm_max'"),
+    ({"tolerances": {"mesh_level": 2.5}}, "tolerance 'mesh_level'"),
+    ({"directions": {"n": 20.5}}, "directions"),
+    ({"directions": {"n": 50, "theta_sweep": 2.5}}, "theta_sweep"),
+    ({"seed": 1.5}, "seed"),
+    ({"bubble": {"shape": "cube", "n": 6.5}}, "bubble n"),
+    ({"bubble": {"shape": "sphere", "subdivisions": 1.5}}, "bubble subdivisions"),
+    ({"directions": {"n": 50, "theta_sweep": -3}}, "theta_sweep"),
+    ({"directions": 0}, "directions"),
+    ({"seed": -1}, "seed"),
+    ({"tolerances": {"grid_n": 0}}, "tolerance 'grid_n'"),
+    ({"tolerances": {"m_max": 0}}, "tolerance 'm_max'"),
+    ({"tolerances": {"mesh_n": 0}}, "tolerance 'mesh_n'"),
+    ({"tolerances": {"mesh_rings": 0}}, "tolerance 'mesh_rings'"),
+    ({"tolerances": {"mesh_nphi": -2}}, "tolerance 'mesh_nphi'"),
+    ({"tolerances": {"mesh_level": -1}}, "tolerance 'mesh_level'"),
+    ({"bubble": {"shape": "cube", "n": 0}}, "bubble n"),
+    ({"bubble": {"shape": "sphere", "subdivisions": -1}}, "bubble subdivisions"),
+], ids=["grid_n", "m_max", "mesh_level", "directions", "theta_sweep", "seed", "cube_n",
+        "subdivisions", "negative_theta_sweep", "zero_directions", "negative_seed",
+        "zero_grid_n", "zero_m_max", "zero_mesh_n", "zero_mesh_rings", "negative_mesh_nphi",
+        "negative_mesh_level", "zero_cube_n", "negative_subdivisions"])
+@pytest.mark.parametrize("command", ["regime-check", "converge"])
+def test_non_integral_or_out_of_range_integers_exit_2(tmp_path, capsys, over, name, command):
+    # int() would truncate 8.7 to 8 and a negative sweep would mean none
+    path = _write_config(tmp_path, "int", **over)
+    assert cli([command, "--config", str(path), "--out", str(tmp_path / "int")]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "must be an integer >=" in err
+    assert not (tmp_path / "int" / "error_table.csv").exists()
+
+
+def test_whole_number_floats_load_as_integers(tmp_path):
+    path = _write_config(tmp_path, "whole", directions={"n": 30.0, "theta_sweep": 2.0},
+                         seed=1.0, tolerances={"grid_n": 24.0, "m_max": 4096.0,
+                                               "mesh_level": 0.0})
+    cfg = _load_config(path)
+    assert (cfg.directions, cfg.theta_sweep, cfg.seed) == (30, 2, 1)
+    assert cfg.tolerances == {"grid_n": 24, "m_max": 4096, "mesh_level": 0}
+    assert all(type(v) is int for v in (cfg.directions, cfg.theta_sweep, cfg.seed,
+                                        *cfg.tolerances.values()))
+    cube = build_bubble({"shape": "cube", "n": 2.0})
+    assert cube.volume == build_bubble({"shape": "cube", "n": 2}).volume
+    sphere = build_bubble({"shape": "sphere", "subdivisions": 1.0})
+    assert sphere.boundary_mesh.n_panels == build_bubble(BASE["bubble"]).boundary_mesh.n_panels
 
 
 @pytest.mark.parametrize("section, doc, bad_key", [

@@ -19,7 +19,7 @@ from bubblelab.harness import (
     run_convergence,
     write_outputs,
 )
-from bubblelab.materials import ContrastParams, classify_regime
+from bubblelab.materials import ContrastParams, classify_regime, scattering_coefficient
 
 
 def low_config(**over):
@@ -73,6 +73,18 @@ def test_shipped_configs_and_benchmark_workloads_load(monkeypatch):
     for doc in docs:
         # the builders reject keys a geometry, density or bubble does not read
         prepare(ExperimentConfig.from_json(doc))
+
+
+@pytest.mark.parametrize("name, a", [("high_volumetric", 1e-5),
+                                     ("medium_near_resonance", 5e-6)])
+def test_small_radius_rows_clear_the_resonance_guard(name, a):
+    # the denominator shrinks like a^(1+gamma) with its first term; both rows
+    # stay percent-level away from resonance (gaps 3.2e-3 and -2.6e-2)
+    root = Path(__file__).resolve().parent.parent
+    run = prepare(ExperimentConfig.from_json(json.loads((root / "configs" / f"{name}.json")
+                                                        .read_text())))
+    coeff = scattering_coefficient(run.bubble, run.row_params(a), a)
+    assert math.isfinite(coeff.value.real) and coeff.value != 0.0
 
 
 def test_contrast_frequency_modes():

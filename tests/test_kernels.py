@@ -17,7 +17,7 @@ from bubblelab.kernels import (
     grid_far_field_sum,
     pair_kernel,
 )
-from bubblelab.meshes import sphere_cap_mesh
+from bubblelab.meshes import boundary_shape_factor, cube_mesh, sphere_cap_mesh
 from bubblelab.pointscat import ClusterSystem, IncidentWave, assemble, solve_charges
 from bubblelab.surfmedium import panel_weight_matrix, self_panel_weights
 from bubblelab import volmedium
@@ -124,6 +124,23 @@ def test_lattice_convolution_matches_dense_weights(dims, mask):
     v = rng.standard_normal(grid.n_cells) + 1j * rng.standard_normal(grid.n_cells)
     ref = broadcast_weights(grid.centers(), kappa0, g**3, diagonal) @ v
     assert np.abs(op.apply(g**3 * v) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dims, mask", [
+    ((11, 8, 6), _ball_mask((11, 8, 6))),
+    ((12, 9, 1), np.ones((12, 9, 1), dtype=bool)),
+    ((1, 1, 1), np.ones((1, 1, 1), dtype=bool)),
+], ids=["ball_11x8x6", "plane_12x9x1", "single_1x1x1"])
+def test_lattice_convolution_reuses_its_buffer_without_stale_data(dims, mask):
+    # the work buffer keeps the last transform; a second apply must not see it
+    rng = np.random.default_rng(7)
+    v1, v2 = (rng.standard_normal(mask.sum()) + 1j * rng.standard_normal(mask.sum())
+              for _ in range(2))
+    op = LatticeConvolution(mask, 0.07, 4.1, 2.0 - 0.5j)
+    first = op.apply(v1)
+    second = op.apply(v2)
+    assert np.array_equal(second, LatticeConvolution(mask, 0.07, 4.1, 2.0 - 0.5j).apply(v2))
+    assert not np.shares_memory(first, second)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +279,25 @@ def test_dense_solve_peak_memory_is_the_matrix_alone():
     peak = _traced_peak(factor_and_two_solves)
     # matrix plus what the solve allocates; an LU copy alone would add 16 M^2
     assert 16 * m**2 + peak <= 1.15 * 16 * m**2
+
+
+def test_lattice_convolution_apply_allocates_only_its_output():
+    mask = np.ones((36, 36, 36), dtype=bool)
+    op = LatticeConvolution(mask, 1.0 / 36, 2.0, 1.0)
+    v = np.ones(mask.sum(), dtype=complex)
+    peak = _traced_peak(op.apply, v)
+    # the output is 16 n_cells bytes; one padded box alone would be 8 times that
+    assert peak <= 16 * mask.sum() + MIB
+
+
+def test_shape_factor_quadrature_peak_memory():
+    # the cube bubble of screen_bem: 864 triangles against 2592 Gauss points;
+    # the far-pair rows run in BLOCK_ENTRIES blocks, so the near-pair batch
+    # (about 13 MiB) sets the peak, not two 864 x 2592 arrays (35.8 MB)
+    mesh = cube_mesh(6)
+    peak = _traced_peak(boundary_shape_factor, mesh)
+    assert peak <= 16 * MIB
+    assert boundary_shape_factor(mesh) == -3.1442777103937125
 
 
 def test_volume_far_field_peak_memory():

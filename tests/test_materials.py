@@ -92,6 +92,14 @@ def test_scattering_gate_blocks_resonant_frequency(sphere):
         scattering_coefficient(sphere, replace(p, omega=math.sqrt(w2) * 1.0001), a)
 
 
+def test_scattering_exactly_zero_denominator_raises(sphere):
+    # at a = 1: rho_b/(rho_b - rho0) = -1 and kappa_b^2 A/(8 pi) = -1, both exact;
+    # gamma != 1 skips the away-resonance gate
+    p = ContrastParams(rho0=1.0, k0=1.0, c_rho=0.5, gamma=0.5, tau=1.0, omega=1.0)
+    with pytest.raises(ResonanceError):
+        scattering_coefficient(replace(sphere, shape_factor=-8.0 * math.pi), p, 1.0)
+
+
 def test_scattering_near_resonance_identity(sphere):
     # C = -8 pi |D| / (l_m a^h1 A) and C = reduced * a^(1-h1), both exactly
     a = 1e-3
