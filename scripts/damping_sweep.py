@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Sweep the surface-density multiplier and record the trace norm damping.
+"""Sweep a multiplier h_star of the surface density and record the trace norm damping.
 
-Writes h_star, ||Y||_L2(Sigma) pairs; the norm plateaus for weak coupling and
-decays once the damping sets in (bounded by C h_star^-1/2, asymptotically
-h_star^-1 for plane-wave data).
+Solves with density sigma * h_star for each h_star and writes h_star,
+||Y||_L2(Sigma) pairs; the norm plateaus for weak coupling and decays once the
+damping sets in (bounded by C h_star^-1/2, asymptotically h_star^-1 for
+plane-wave data).
 """
 
 import argparse
@@ -33,7 +34,7 @@ def main():
         writer = csv.writer(fh)
         writer.writerow(["h_star", "trace_norm"])
         for h in h_values:
-            sol = assemble_and_solve_surface(mesh, args.sigma, float(h), inc)
+            sol = assemble_and_solve_surface(mesh, args.sigma * float(h), inc)
             norm = float(np.sqrt(np.sum(np.abs(sol.y) ** 2 * mesh.areas)))
             writer.writerow([repr(float(h)), repr(norm)])
             print(f"h_star={h:10.4g}  ||Y|| = {norm:.6e}")

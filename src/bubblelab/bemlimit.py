@@ -3,9 +3,9 @@
 Exterior Dirichlet problem on closed surfaces and the Dirichlet crack problem
 on open ones, both by collocation with the surface-module panel weights:
 S phi = -u^I on the surface, scattered field S phi, far field in the shared
-kernel convention.  The collocation matrix W (kernel times panel area) is
-solved in the complex-symmetric form K psi = -u^I, K = W diag(1/area) and
-psi = area phi.
+kernel convention.  The collocation matrix W = K diag(area), K the
+surface-module panel kernel, is solved in the complex-symmetric form
+K psi = -u^I with psi = area phi.
 """
 
 from __future__ import annotations
@@ -48,9 +48,8 @@ def solve_dirichlet(mesh: SurfaceMesh, incident, directions):
     holds the residual contract max|W phi + u^I| <= 1e-8 (1 + max|phi|); the
     symmetric solve has the same residual vector, K psi - b = W phi - b.
     """
-    k = panel_weight_matrix(mesh, incident.kappa0)
-    k /= mesh.areas  # symmetric: the kernel off the diagonal
-    system = DenseSystem(k, BEM_RESIDUAL_TOL, rcond_min=1e-12,
+    system = DenseSystem(panel_weight_matrix(mesh, incident.kappa0), BEM_RESIDUAL_TOL,
+                         rcond_min=1e-12,
                          name="single-layer system (near an interior Dirichlet resonance?)",
                          unknown_scale=1.0 / mesh.areas)
     psi, residual = system.solve(-incident.at(mesh.centroids))

@@ -65,11 +65,12 @@ def _load_config(path, seed_override=None, out_override=None) -> ExperimentConfi
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
+    """The output directory the config names.  It is not created here: a
+    command makes it just before its first write, so a run that fails on its
+    inputs or its solve leaves nothing behind."""
     if not cfg.out:
         raise ConfigError("an output directory is required (--out DIR or config 'out')")
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(cfg.out)
 
 
 def _first_row(cfg: ExperimentConfig, comparator=None):
@@ -100,7 +101,7 @@ def _write_values(path, index_name, points, values):
 def cmd_regime_check(cfg: ExperimentConfig) -> int:
     build_geometry(cfg.geometry)  # rejects unknown geometry and density keys
     build_density(cfg.geometry.get("density"))
-    params, _ = resolve_contrast(cfg, build_bubble(cfg.bubble))
+    params = resolve_contrast(cfg, build_bubble(cfg.bubble))
     print(json.dumps(regime_summary(classify_regime(params)), indent=1))
     return 0
 
@@ -108,6 +109,7 @@ def cmd_regime_check(cfg: ExperimentConfig) -> int:
 def cmd_cluster(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     cl = prepare(cfg).cluster(cfg.a_sequence[0])
+    out.mkdir(parents=True, exist_ok=True)
     save_cluster(cl, out / "cluster.json")
     checks = validate(cl)
     (out / "cluster_checks.json").write_text(json.dumps(
@@ -124,10 +126,11 @@ def cmd_solve_fl(cfg: ExperimentConfig) -> int:
     run, a, row_params, incident = _first_row(cfg)
     cl, coeff, [sol] = run.solve_points(a, row_params, [incident])
     ff = pointscat.far_field(sol, cl.centers, incident.kappa0, run.directions)
+    out.mkdir(parents=True, exist_ok=True)
     ff.save_csv(out / "farfield_fl.csv")
     meta = {"a": a, "M": cl.m, "residual": sol.residual, "cond_estimate": sol.cond_estimate,
             "min_cos_kappa_d": min_cos_kappa_distance(cl.centers, incident.kappa0),
-            "coefficient": [coeff.value.real, coeff.value.imag]}
+            "coefficient": [coeff.real, coeff.imag]}
     (out / "solve_fl.json").write_text(json.dumps(meta, indent=1))
     print(f"point-interaction solve: M={cl.m} residual={sol.residual:.2e}")
     return 0
@@ -138,6 +141,7 @@ def cmd_solve_ls(cfg: ExperimentConfig) -> int:
     run, a, row_params, incident = _first_row(cfg, "volume")
     grid, pot, sol = run.volume_comparator(row_params, a, incident)
     ff = volmedium.far_field_volume(sol, pot, grid, incident.kappa0, run.directions)
+    out.mkdir(parents=True, exist_ok=True)
     ff.save_csv(out / "farfield_ls.csv")
     _write_values(out / "ls_solution.csv", "index", grid.centers(), sol.y)
     print(f"volume solve: N={grid.n_cells} iterations={sol.iterations} "
@@ -151,6 +155,7 @@ def cmd_solve_sie(cfg: ExperimentConfig) -> int:
     mesh = comparator_mesh(cfg)
     sol = run.surface_comparator(mesh, row_params, a, incident)
     ff = surfmedium.far_field_surface(sol, mesh, incident.kappa0, run.directions)
+    out.mkdir(parents=True, exist_ok=True)
     ff.save_csv(out / "farfield_sie.csv")
     _write_values(out / "sie_solution.csv", "panel", mesh.centroids, sol.y)
     jump = surfmedium.jump_check(sol, mesh, incident)
@@ -165,6 +170,7 @@ def cmd_solve_bem(cfg: ExperimentConfig) -> int:
     run, _, _, incident = _first_row(cfg)
     mesh = comparator_mesh(cfg)
     density, ff = bemlimit.solve_dirichlet(mesh, incident, run.directions)
+    out.mkdir(parents=True, exist_ok=True)
     ff.save_csv(out / "farfield_bem.csv")
     _write_values(out / "bem_density.csv", "panel", mesh.centroids, density.values)
     print(f"dirichlet solve: panels={mesh.n_panels} residual={density.residual:.2e}")

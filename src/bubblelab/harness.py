@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -67,8 +66,7 @@ class _Integer:
 _COUNT, _LEVEL = _Integer(1), _Integer(0)
 # each tolerance's type; ExperimentConfig converts the values once
 TOLERANCE_TYPES = {"m_max": _COUNT, "d_min": float, "grid_n": _COUNT, "mesh_level": _LEVEL,
-                   "mesh_n": _COUNT, "mesh_rings": _COUNT, "mesh_nphi": _COUNT,
-                   "record_wall_time": lambda v: bool(float(v))}
+                   "mesh_n": _COUNT, "mesh_rings": _COUNT, "mesh_nphi": _COUNT}
 
 
 def _convert(value, kind, name, what=None):
@@ -162,7 +160,6 @@ class ErrorRow:
     n_model: int
     sup_err: float
     field_scale: float
-    wall_time_s: float
 
 
 @dataclass
@@ -177,18 +174,18 @@ class ErrorTable:
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["a", "M", "N", "sup_err", "field_scale", "wall_time_s"])
+            writer.writerow(["a", "M", "N", "sup_err", "field_scale"])
             for r in self.rows:
                 writer.writerow([repr(r.a), r.m, r.n_model, repr(r.sup_err),
-                                 repr(r.field_scale), repr(r.wall_time_s)])
+                                 repr(r.field_scale)])
 
     @staticmethod
     def read_rows(path) -> list:
-        """The rows of a table written by ``write_csv``."""
+        """The rows of a table written by ``write_csv``, read by column name,
+        so columns that older tables carry besides these are skipped."""
         with open(path, newline="") as fh:
             return [ErrorRow(a=float(r["a"]), m=int(r["M"]), n_model=int(r["N"]),
-                             sup_err=float(r["sup_err"]), field_scale=float(r["field_scale"]),
-                             wall_time_s=float(r["wall_time_s"]))
+                             sup_err=float(r["sup_err"]), field_scale=float(r["field_scale"]))
                     for r in csv.DictReader(fh)]
 
 
@@ -228,10 +225,8 @@ def _check_keys(doc: dict, known, section: str) -> None:
 def build_bubble(doc: dict) -> BubbleSpec:
     shape = doc.get("shape", "sphere")
     if shape == "sphere":
-        _check_keys(doc, ("shape", "subdivisions", "radius"), "sphere bubble")
-        subdivisions = _convert(doc.get("subdivisions", 2), _LEVEL, "bubble subdivisions")
-        return BubbleSpec.sphere(subdivisions=subdivisions,
-                                 radius=float(doc.get("radius", 1.0)))
+        _check_keys(doc, ("shape", "radius"), "sphere bubble")
+        return BubbleSpec.sphere(radius=float(doc.get("radius", 1.0)))
     if shape == "cube":
         _check_keys(doc, ("shape", "n", "side"), "cube bubble")
         return BubbleSpec.cube(n=_convert(doc.get("n", 6), _COUNT, "bubble n"),
@@ -316,16 +311,16 @@ def comparator_mesh(config: ExperimentConfig):
     return cube_mesh(tol.get("mesh_n", 10), side=geometry.size, center=geometry.center)
 
 
-def resolve_contrast(config: ExperimentConfig, bubble: BubbleSpec) -> tuple:
-    """Contrast parameters and frequency mode, with omega pinned in ratio mode.
+def resolve_contrast(config: ExperimentConfig, bubble: BubbleSpec) -> ContrastParams:
+    """Contrast parameters, with omega pinned in ratio mode.
 
-    In gap mode omega moves with the radius scale; ``RunSetup.row_params``
-    pins it per row.
+    In gap mode (near-resonance parameters) omega moves with the radius
+    scale; ``RunSetup.row_params`` pins it per row.
     """
     params, mode = build_contrast(config.contrast)
     if mode[0] == "ratio":
         params = omega_at_ratio(bubble, params, mode[1])
-    return params, mode
+    return params
 
 
 def regime_summary(report: RegimeReport) -> dict:
@@ -347,8 +342,7 @@ class RunSetup:
 
     config: ExperimentConfig
     bubble: BubbleSpec
-    params: ContrastParams  # omega resolved, except in gap mode
-    mode: tuple
+    params: ContrastParams  # omega resolved, except near resonance (gap mode)
     report: RegimeReport
     geometry: object
     density: DensityField
@@ -373,7 +367,7 @@ class RunSetup:
         return "surface" if self.config.is_surface else "volume"
 
     def row_params(self, a) -> ContrastParams:
-        if self.mode[0] == "gap":
+        if self.params.near_resonance:
             return omega_at_gap(self.bubble, self.params, a)
         return self.params
 
@@ -395,8 +389,7 @@ class RunSetup:
         m_max = self.config.tolerances.get("m_max", 4096)
         if cl.m > m_max:
             raise ConfigError(f"cluster size M={cl.m} exceeds cap {m_max}")
-        system = pointscat.ClusterSystem(pointscat.assemble(cl.centers, coeff.value,
-                                                            row_params.kappa0))
+        system = pointscat.ClusterSystem(pointscat.assemble(cl.centers, coeff, row_params.kappa0))
         return cl, coeff, [pointscat.solve_charges(system, inc, cl.centers)
                            for inc in incidents]
 
@@ -412,7 +405,7 @@ class RunSetup:
         """Surface-density solution on the comparator mesh."""
         sigma0 = medium_coefficient(self.bubble, row_params, a)
         return surfmedium.assemble_and_solve_surface(
-            mesh, sigma0 * (self.density.value + 1.0), 1.0, incident)
+            mesh, sigma0 * (self.density.value + 1.0), incident)
 
 
 def prepare(config: ExperimentConfig) -> RunSetup:
@@ -422,7 +415,7 @@ def prepare(config: ExperimentConfig) -> RunSetup:
     the config names, or when a surface run asks for a non-constant density.
     """
     bubble = build_bubble(config.bubble)
-    params, mode = resolve_contrast(config, bubble)
+    params = resolve_contrast(config, bubble)
     report = classify_regime(params)
     if report.regime != config.regime:
         raise ConfigError(
@@ -432,14 +425,13 @@ def prepare(config: ExperimentConfig) -> RunSetup:
     density = build_density(config.geometry.get("density"))
     if config.is_surface and density.kind != "constant":
         raise ConfigError("surface comparators support constant density fields only")
-    return RunSetup(config=config, bubble=bubble, params=params, mode=mode, report=report,
+    return RunSetup(config=config, bubble=bubble, params=params, report=report,
                     geometry=geometry, density=density)
 
 
 def run_convergence(config: ExperimentConfig) -> ErrorTable:
     """Point-interaction vs equivalent-model far fields along the a-sequence."""
     run = prepare(config)
-    record_wall = config.tolerances.get("record_wall_time", False)
     directions = run.directions
     mesh = comparator_mesh(config) if run.comparator in ("dirichlet", "surface") else None
 
@@ -452,10 +444,9 @@ def run_convergence(config: ExperimentConfig) -> ErrorTable:
     model_cache = {}
     rows, aborted, far_fields = [], [], []
     for a in config.a_sequence:
-        t0 = time.perf_counter()
         try:
             row_params = run.row_params(a)
-            if run.mode[0] == "gap":
+            if run.params.near_resonance:
                 model_cache.clear()  # kappa0 moves with a near the resonance
 
             incidents = [IncidentWave(row_params.kappa0, th) for th in thetas]
@@ -475,9 +466,8 @@ def run_convergence(config: ExperimentConfig) -> ErrorTable:
                     keep = (ff_fl, ff_model)
                 sup_err = max(sup_err, err)
                 field_scale = max(field_scale, ff_fl.sup_norm())
-            wall = time.perf_counter() - t0 if record_wall else 0.0
             rows.append(ErrorRow(a=a, m=cl.m, n_model=n_model, sup_err=sup_err,
-                                 field_scale=field_scale, wall_time_s=wall))
+                                 field_scale=field_scale))
             far_fields.append((a, keep[0], keep[1]))
         except BubbleLabError as exc:
             aborted.append((a, f"{type(exc).__name__}: {exc}", _abort_diagnostics(exc)))

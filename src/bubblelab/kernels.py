@@ -62,11 +62,11 @@ def _block_distances(points, i0, i1, out, scratch):
     np.sqrt(out, out=out)
 
 
-def pair_kernel(points, kappa0: float, diagonal, col_weights=None) -> np.ndarray:
-    """Square matrix e^{i kappa0 r_ij} / (4 pi r_ij) (times col_weights[j]) off the
-    diagonal, ``diagonal`` (scalar or per point) on it.
+def pair_kernel(points, kappa0: float, diagonal) -> np.ndarray:
+    """Square matrix e^{i kappa0 r_ij} / (4 pi r_ij) off the diagonal,
+    ``diagonal`` (scalar or per point) on it.
 
-    Entries are bitwise equal to ``helmholtz(r, kappa0) * w_j`` with r from
+    Entries are bitwise equal to ``helmholtz(r, kappa0)`` with r from
     ``np.linalg.norm(x_i - x_j)``: complex division by a real multiplies by
     its reciprocal, and exp of a pure imaginary is (cos, sin).  The kernel is
     evaluated on the upper triangle, in row blocks, and mirrored.  Raises
@@ -98,9 +98,6 @@ def pair_kernel(points, kappa0: float, diagonal, col_weights=None) -> np.ndarray
             np.sin(r, out=blk.imag)
             blk.imag *= s
             out[i1:, i0:i1] = out[i0:i1, i1:].T
-    if col_weights is not None:
-        out.real *= col_weights
-        out.imag *= col_weights
     out.flat[:: m + 1] = diagonal
     return out
 
@@ -310,11 +307,11 @@ class DenseSystem:
 
     def _residual(self, x, b) -> tuple:
         """(A x - b, whether it misses the contract), A x from the unwritten
-        triangle and the saved diagonal."""
+        triangle and the saved diagonal.  A NaN residual or bound misses it."""
         ax = zsymm(1.0, self.matrix.T, x.reshape(len(x), 1), lower=0)[:, 0]
         resid = ax + (self._diagonal - self.matrix.diagonal()) * x - b
         bound = self.residual_tol * (1.0 + np.abs(x * self.unknown_scale).max())
-        return resid, np.abs(resid).max() > bound
+        return resid, not np.abs(resid).max() <= bound
 
     def solve(self, rhs) -> tuple:
         """(x, residual) for one right-hand side, residual = max|A x - b|."""

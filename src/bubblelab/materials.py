@@ -29,9 +29,8 @@ _EQ_TOL = 1e-9  # tolerance for "exponent equals" checks like gamma + s = 2
 
 @dataclass(frozen=True)
 class BubbleSpec:
-    """Reference bubble shape: mesh, volume and cached boundary shape factor."""
+    """Reference bubble shape: boundary mesh, volume and boundary shape factor."""
 
-    shape_id: str
     boundary_mesh: SurfaceMesh
     volume: float
     shape_factor: float
@@ -43,32 +42,25 @@ class BubbleSpec:
             raise GeometryError("boundary shape factor must be negative (convex-like shape)")
 
     @staticmethod
-    def sphere(subdivisions: int = 2, radius: float = 1.0) -> "BubbleSpec":
-        """Unit-scale spherical bubble; closed-form volume and shape factor."""
-        mesh = icosphere(subdivisions, radius=radius)
+    def sphere(radius: float = 1.0) -> "BubbleSpec":
+        """Spherical bubble: closed-form volume and shape factor, a level-2 icosphere."""
         return BubbleSpec(
-            shape_id="sphere",
-            boundary_mesh=mesh,
+            boundary_mesh=icosphere(2, radius=radius),
             volume=4.0 * math.pi * radius**3 / 3.0,
             shape_factor=SPHERE_SHAPE_FACTOR * radius**2,
         )
 
     @staticmethod
     def cube(n: int = 6, side: float = 1.0) -> "BubbleSpec":
-        return BubbleSpec.from_mesh(cube_mesh(n, side=side), shape_id="cube")
+        return BubbleSpec.from_mesh(cube_mesh(n, side=side))
 
     @staticmethod
-    def from_mesh(mesh: SurfaceMesh, shape_id: str = "mesh") -> "BubbleSpec":
+    def from_mesh(mesh: SurfaceMesh) -> "BubbleSpec":
         mesh.require_closed()
         vol = mesh.enclosed_volume()
         if vol <= 0:
             raise GeometryError("mesh must be outward-oriented (positive enclosed volume)")
-        return BubbleSpec(
-            shape_id=shape_id,
-            boundary_mesh=mesh,
-            volume=vol,
-            shape_factor=boundary_shape_factor(mesh),
-        )
+        return BubbleSpec(boundary_mesh=mesh, volume=vol, shape_factor=boundary_shape_factor(mesh))
 
 
 @dataclass(frozen=True)
@@ -200,50 +192,36 @@ def omega_at_ratio(bubble: BubbleSpec, params: ContrastParams, ratio: float) -> 
     return replace(params, omega=ratio * math.sqrt(limit_sq))
 
 
-@dataclass(frozen=True)
-class ScatteringCoefficient:
-    """Single-bubble monopole coefficient and its branch expansions."""
-
-    value: complex
-    reduced: float  # value / a^scale_exponent, the O(1) amplitude
-    omega_m_sq: float
-    omega_m_sq_limit: float
-    sign: str  # 'negative' | 'positive'
-    scale_exponent: float  # 2-gamma away from resonance, 1-h1 near it
-
-
 def _gate_away(params: ContrastParams, omega_m_sq: float):
     gap = 1.0 - omega_m_sq / params.omega**2
     if abs(gap) < params.l0:
         raise ResonanceError(
             f"|1 - omega_M^2/omega^2| = {abs(gap):.3e} below the away floor l0={params.l0}"
         )
-    return gap
 
 
 def _gate_near(params: ContrastParams, omega_m_sq: float, a: float):
-    gap = 1.0 - omega_m_sq / params.omega**2
-    implied = gap / a**params.h1
+    implied = (1.0 - omega_m_sq / params.omega**2) / a**params.h1
     if not math.isfinite(implied) or abs(implied - params.l_m) > 0.1 * abs(params.l_m):
         raise RegimeError(
             f"near-resonance gate: implied l_m {implied!r} deviates from configured "
             f"{params.l_m!r} by more than 10%"
         )
-    return gap
 
 
-def scattering_coefficient(bubble: BubbleSpec, params: ContrastParams, a: float) -> ScatteringCoefficient:
-    """Monopole scattering coefficient of one bubble at radius scale a.
+def scattering_coefficient(bubble: BubbleSpec, params: ContrastParams, a: float) -> complex:
+    """Monopole scattering coefficient C of one bubble at radius scale a.
 
     C = kappa_b^2 |D| / (rho_b/(rho_b - rho0) - kappa_b^2 A / (8 pi)) with
     |D| = a^3 |B| and A = a^2 * shape_factor.  The away/near branch is gated
     before construction so the resonance denominator stays bounded away from
-    zero; the sign follows the frequency side of the resonance for gamma = 1.
+    zero; the sign of C follows the frequency side of the resonance for
+    gamma = 1.  C scales like a^(2-gamma) away from resonance and like
+    a^(1-h1) near it.
     """
     rho_b = params.rho_b(a)
-    omega_m_sq, omega_limit_sq = minnaert_frequencies(bubble, params, a)
-    near = params.near_resonance
-    if near:
+    omega_m_sq, _ = minnaert_frequencies(bubble, params, a)
+    if params.near_resonance:
         _gate_near(params, omega_m_sq, a)
     elif abs(params.gamma - 1.0) <= _EQ_TOL:
         _gate_away(params, omega_m_sq)
@@ -257,26 +235,11 @@ def scattering_coefficient(bubble: BubbleSpec, params: ContrastParams, a: float)
     denom = first - kb2 * scaled_sf / (8.0 * math.pi)
     if abs(denom) <= 1e-12 * abs(first):
         raise ResonanceError("scattering coefficient evaluated at the resonance denominator zero")
-    value = kb2 * volume / denom
-
-    if near:
-        scale = 1.0 - params.h1
-        reduced = omega_limit_sq * bubble.volume * params.rho0 / (params.l_m * params.k_ref)
-    else:
-        scale = 2.0 - params.gamma
-        reduced = value / a**scale
-    return ScatteringCoefficient(
-        value=complex(value),
-        reduced=float(reduced),
-        omega_m_sq=omega_m_sq,
-        omega_m_sq_limit=omega_limit_sq,
-        sign="positive" if value > 0 else "negative",
-        scale_exponent=scale,
-    )
+    return complex(kb2 * volume / denom)
 
 
-def leading_coefficient(bubble: BubbleSpec, params: ContrastParams, a: float):
-    """a-independent leading amplitude of C / a^(2-gamma) and its remainder order.
+def leading_coefficient(bubble: BubbleSpec, params: ContrastParams, a: float) -> float:
+    """a-independent leading amplitude of C / a^(2-gamma).
 
     gamma < 1:  -omega^2 |B| rho0 / k_ref, relative remainder O(a^(1-gamma));
     gamma = 1 away: -omega^2 |B| (rho0/k_ref) / (1 - omega^2/omega_limit^2),
@@ -286,24 +249,26 @@ def leading_coefficient(bubble: BubbleSpec, params: ContrastParams, a: float):
         raise RegimeError("leading coefficient is an away-branch expansion; near parameters set")
     base = -params.omega**2 * bubble.volume * params.rho0 / params.k_ref
     if params.gamma < 1.0 - _EQ_TOL:
-        return base, 1.0 - params.gamma
+        return base
     omega_m_sq, omega_limit_sq = minnaert_frequencies(bubble, params, a)
     _gate_away(params, omega_m_sq)
-    return base / (1.0 - params.omega**2 / omega_limit_sq), 2.0
+    return base / (1.0 - params.omega**2 / omega_limit_sq)
 
 
 def medium_coefficient(bubble: BubbleSpec, params: ContrastParams, a: float) -> float:
     """a-independent amplitude of the equivalent medium's potential or density.
 
-    The leading coefficient away from the resonance, the reduced
-    near-resonance coefficient otherwise; it is multiplied by (K + 1) per
-    point.  Its sign flips across the limiting Minnaert resonance.  Expects
-    row-resolved parameters (omega already pinned for radius scale a).
+    The leading coefficient away from the resonance; near it the reduced
+    coefficient C / a^(1-h1) = omega_limit^2 |B| rho0 / (l_m k_ref), once C
+    has passed its gate.  It is multiplied by (K + 1) per point.  Its sign
+    flips across the limiting Minnaert resonance.  Expects row-resolved
+    parameters (omega already pinned for radius scale a).
     """
-    if params.near_resonance:
-        return scattering_coefficient(bubble, params, a).reduced
-    lead, _ = leading_coefficient(bubble, params, a)
-    return lead
+    if not params.near_resonance:
+        return leading_coefficient(bubble, params, a)
+    scattering_coefficient(bubble, params, a)  # raises where the row's C does
+    _, omega_limit_sq = minnaert_frequencies(bubble, params, a)
+    return omega_limit_sq * bubble.volume * params.rho0 / (params.l_m * params.k_ref)
 
 
 # ---------------------------------------------------------------------------

@@ -98,12 +98,12 @@ class SurfaceMesh:
         """|sum of area-weighted normals| relative to the total area (~0 when closed)."""
         return float(np.linalg.norm((self.normals * self.areas[:, None]).sum(axis=0)) / self.total_area)
 
-    def require_closed(self, tol: float = 1e-8):
+    def require_closed(self):
         if not self.is_closed:
             raise GeometryError("mesh has boundary edges; a closed surface is required")
-        if self.closure_defect() > tol:
+        if self.closure_defect() > 1e-8:
             raise GeometryError(
-                f"closure defect {self.closure_defect():.3e} exceeds {tol:.1e}; check orientation"
+                f"closure defect {self.closure_defect():.3e} exceeds 1.0e-08; check orientation"
             )
 
     def enclosed_volume(self) -> float:
@@ -242,15 +242,15 @@ def cube_mesh(n: int = 8, side=1.0, center=(0.0, 0.0, 0.0)) -> SurfaceMesh:
     return SurfaceMesh(out, faces)
 
 
-def _ring_radii(r_max: float, n: int, grading: float, levels: int):
-    """n+1 radial breakpoints on [0, r_max]; the last `levels` intervals shrink
-    geometrically by `grading` toward r_max (edge-singular densities)."""
-    levels = min(levels, max(n - 1, 0))
-    if levels == 0 or grading >= 1.0:
+def _ring_radii(r_max: float, n: int):
+    """n+1 radial breakpoints on [0, r_max]; the last 3 intervals shrink
+    geometrically by 0.7 toward r_max (edge-singular densities)."""
+    levels = min(3, max(n - 1, 0))
+    if levels == 0:
         return np.linspace(0.0, r_max, n + 1)
     w = np.ones(n)
     for k in range(levels):
-        w[n - levels + k :] *= grading
+        w[n - levels + k :] *= 0.7
     w = np.concatenate([[0.0], np.cumsum(w)])
     return r_max * w / w[-1]
 
@@ -260,15 +260,12 @@ def sphere_cap_mesh(
     theta_max: float = np.pi / 2,
     n_rings: int = 12,
     n_phi: int = 36,
-    grading: float = 0.7,
-    grading_levels: int = 3,
-    center=(0.0, 0.0, 0.0),
 ) -> SurfaceMesh:
     """Open spherical cap about +z: pole fan plus quad rings, graded at the rim.
 
     Normals point away from the sphere center (outward for the parent sphere).
     """
-    thetas = _ring_radii(theta_max, n_rings, grading, grading_levels)
+    thetas = _ring_radii(theta_max, n_rings)
     verts = [np.array([0.0, 0.0, radius])]
     rows = []
     for th in thetas[1:]:
@@ -288,8 +285,7 @@ def sphere_cap_mesh(
         for k in range(n_phi):
             k2 = (k + 1) % n_phi
             faces.append((lo[k], hi[k], hi[k2], lo[k2]))
-    out = np.array(verts) + np.asarray(center, dtype=float)
-    return SurfaceMesh(out, faces)
+    return SurfaceMesh(np.array(verts), faces)
 
 
 def _graded_axis(length: float, n: int, grading: float, levels: int):
@@ -306,8 +302,8 @@ def _graded_axis(length: float, n: int, grading: float, levels: int):
     return length * (pts / pts[-1] - 0.5)
 
 
-def rect_mesh(lx: float, ly: float, nx: int, ny: int, center=(0.0, 0.0, 0.0),
-              grading: float = 1.0, grading_levels: int = 3) -> SurfaceMesh:
+def rect_mesh(lx: float, ly: float, nx: int, ny: int, grading: float = 1.0,
+              grading_levels: int = 3) -> SurfaceMesh:
     """Open flat rectangle in the z=0 plane, normals +z; optional edge grading."""
     xs = _graded_axis(lx, nx, grading, grading_levels)
     ys = _graded_axis(ly, ny, grading, grading_levels)
@@ -318,7 +314,7 @@ def rect_mesh(lx: float, ly: float, nx: int, ny: int, center=(0.0, 0.0, 0.0),
             v00 = i * (ny + 1) + j
             v10 = (i + 1) * (ny + 1) + j
             faces.append((v00, v10, v10 + 1, v00 + 1))
-    return SurfaceMesh(verts + np.asarray(center, dtype=float), faces)
+    return SurfaceMesh(verts, faces)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
-"""Surface (metasurface) integral equation with density h_star * sigma on Sigma.
+"""Surface (metasurface) integral equation with density sigma on Sigma.
 
 Collocation at panel centroids of
 
-    Y(z) + h_star * Int_Sigma Phi(z, y) sigma(y) Y(y) ds(y) = u^I(z),
+    Y(z) + sigma * Int_Sigma Phi(z, y) Y(y) ds(y) = u^I(z),
 
 with centroid-rule off-diagonal weights and, on the diagonal, the exact
 integral of 1/(4 pi r) over the panel's flat fan triangles (the edge-wise
 closed form of Wilton et al., IEEE TAP 32(3), 1984) plus a midpoint term for
 the bounded remainder.  The represented total field satisfies [u] = 0 and
-[du/dn] = h_star * sigma * u across Sigma (jump bracket: outside minus inside
-along the panel normal).
+[du/dn] = sigma * u across Sigma (jump bracket: outside minus inside along
+the panel normal).  ``panel_weight_matrix`` is the complex-symmetric kernel
+matrix that this solve and the Dirichlet solve of ``bemlimit`` both factor.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ _NEAR_FACTOR = 6.0  # single_layer_eval: panels within this many radii get near 
 @dataclass(frozen=True)
 class SurfaceSolution:
     y: np.ndarray  # (n_panels,) trace values at centroids
-    sigma_h: np.ndarray  # (n_panels,) = h_star * sigma per panel
+    sigma_h: float  # the surface density sigma, the same on every panel
     residual: float
-    h_star: float
 
 
 def _triangle_potential(tris, points) -> np.ndarray:
@@ -88,40 +88,38 @@ def self_panel_weights(mesh: SurfaceMesh, kappa0: float) -> np.ndarray:
 
 
 def panel_weight_matrix(mesh: SurfaceMesh, kappa0: float) -> np.ndarray:
-    """Collocation weights w_ij = Phi(c_i, c_j) area_j, closed-form self terms."""
-    return pair_kernel(mesh.centroids, kappa0, diagonal=self_panel_weights(mesh, kappa0),
-                       col_weights=mesh.areas)
+    """Complex-symmetric panel kernel K: Phi(c_i, c_j) off the diagonal and
+    the self-panel integral over the area, closed form, on it.
+
+    The collocation weights are W = K diag(area).
+    """
+    return pair_kernel(mesh.centroids, kappa0,
+                       diagonal=self_panel_weights(mesh, kappa0) / mesh.areas)
 
 
-def assemble_and_solve_surface(mesh: SurfaceMesh, sigma: float, h_star: float,
-                               incident) -> SurfaceSolution:
-    """Direct collocation solve of (I + h_star sigma W) Y = u^I, sigma a scalar.
+def assemble_and_solve_surface(mesh: SurfaceMesh, sigma: float, incident) -> SurfaceSolution:
+    """Direct collocation solve of (I + sigma W) Y = u^I, sigma a real scalar.
 
-    W is the panel weight matrix, kernel times panel area; the system is
-    solved in the complex-symmetric form (diag(1/area) + h_star sigma K) Z =
-    u^I with K = W diag(1/area) and Z = area Y, which has the same residual
-    vector.  The contract is max|(I + h_star sigma W) Y - u^I| <= 1e-8
-    (1 + max|Y|).
+    W = K diag(area) with K the panel kernel; the system is solved in the
+    complex-symmetric form (diag(1/area) + sigma K) Z = u^I with Z = area Y,
+    which has the same residual vector.  The contract is
+    max|(I + sigma W) Y - u^I| <= 1e-8 (1 + max|Y|).
     """
     if np.iscomplexobj(np.asarray(sigma)) or np.ndim(sigma) != 0:
         raise ConfigError("surface density sigma must be a real scalar")
-    if h_star <= 0:
-        raise ConfigError("h_star must be positive")
-    sigma_h = h_star * float(sigma)
+    sigma_h = float(sigma)
     a = panel_weight_matrix(mesh, incident.kappa0)
-    a /= mesh.areas
     a *= sigma_h
     a.flat[:: mesh.n_panels + 1] += 1.0 / mesh.areas
     system = DenseSystem(a, SIE_RESIDUAL_TOL, rcond_min=1e-14, name="surface system",
                          unknown_scale=1.0 / mesh.areas)
     z, resid = system.solve(incident.at(mesh.centroids))
-    return SurfaceSolution(y=z / mesh.areas, sigma_h=np.full(mesh.n_panels, sigma_h),
-                           residual=resid, h_star=h_star)
+    return SurfaceSolution(y=z / mesh.areas, sigma_h=sigma_h, residual=resid)
 
 
 def far_field_surface(solution: SurfaceSolution, mesh: SurfaceMesh, kappa0: float,
                       directions) -> FarField:
-    """Pattern -sum_j e^{-ik x_hat . c_j} sigma_h_j Y_j area_j."""
+    """Pattern -sum_j e^{-ik x_hat . c_j} sigma Y_j area_j."""
     d = np.asarray(directions, dtype=float)
     weights = solution.sigma_h * solution.y * mesh.areas
     return FarField(d, -far_field_sum(d, mesh.centroids, weights, kappa0))
@@ -167,7 +165,7 @@ def single_layer_eval(mesh: SurfaceMesh, densities, kappa0: float, points) -> np
 
 def total_field_surface(solution: SurfaceSolution, mesh: SurfaceMesh, incident,
                         points) -> np.ndarray:
-    """u(x) = u^I(x) - S[sigma_h Y](x) with near-accurate quadrature."""
+    """u(x) = u^I(x) - S[sigma Y](x) with near-accurate quadrature."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     layer = single_layer_eval(mesh, solution.sigma_h * solution.y, incident.kappa0, pts)
     return np.asarray(incident.at(pts), dtype=complex) - layer
@@ -179,7 +177,7 @@ def jump_check(solution: SurfaceSolution, mesh: SurfaceMesh, incident) -> dict:
     Probes the represented field at +/- eps offsets along the normals of
     about 24 evenly spaced panels (eps = half the local panel diameter),
     forms one-sided normal derivatives and reports the value jump and the
-    defect of [du/dn] = sigma_h * u under both jump-bracket orientations.
+    defect of [du/dn] = sigma * u under both jump-bracket orientations.
     Agreement degrades as eps approaches the panel size.
     """
     probe_indices = np.arange(0, mesh.n_panels, max(1, mesh.n_panels // 24))
@@ -202,15 +200,13 @@ def jump_check(solution: SurfaceSolution, mesh: SurfaceMesh, incident) -> dict:
         1.5 * fields[-0.5] - 0.5 * fields[-1.5]
     )
     surface_u = solution.y[probe_indices]
-    target = solution.sigma_h[probe_indices] * surface_u
+    target = solution.sigma_h * surface_u
 
     scale_u = max(np.abs(solution.y).max(), 1e-300)
     # derivative-jump defects measured against the natural derivative scale,
     # which stays finite when sigma vanishes
     scale_t = max(np.abs(target).max(), incident.kappa0 * scale_u)
     return {
-        "probe_indices": probe_indices,
-        "epsilon": eps,
         "value_jump_rel": float(np.abs(value_jump).max() / scale_u),
         "deriv_defect_rel": float(np.abs(deriv_jump - target).max() / scale_t),
         "deriv_defect_rel_flipped": float(np.abs(deriv_jump + target).max() / scale_t),

@@ -140,7 +140,8 @@ def test_sphere_resonance_guard():
     mesh = icosphere(2)
 
     def smallest_singular_value(kappa0):
-        return np.linalg.svd(panel_weight_matrix(mesh, kappa0), compute_uv=False)[-1]
+        w = panel_weight_matrix(mesh, kappa0) * mesh.areas  # the collocation matrix
+        return np.linalg.svd(w, compute_uv=False)[-1]
 
     # the inscribed 320-panel sphere is smaller: its resonance sits ~2% higher
     dip = min(smallest_singular_value(k) for k in zeros[0] * np.linspace(1.0, 1.03, 31))
@@ -155,10 +156,10 @@ def test_layer_density_validation():
 @pytest.mark.parametrize("mesh", [sphere_cap_mesh(1.0, np.pi / 4, 16, 48), icosphere(2)],
                          ids=["cap_768", "icosphere_2"])
 def test_symmetric_solve_matches_collocation_system(mesh):
-    # the unscaled collocation system W phi = -u^I, solved directly
+    # the unscaled collocation system W phi = -u^I, W = K diag(area), solved directly
     inc = IncidentWave(1.0, np.array([0.0, 0.6, 0.8]))
     u = inc.at(mesh.centroids)
-    w = panel_weight_matrix(mesh, inc.kappa0)
+    w = panel_weight_matrix(mesh, inc.kappa0) * mesh.areas
     ref = np.linalg.solve(w, -u)
     density, ff = solve_dirichlet(mesh, inc, DIRS)
     assert np.abs(density.values - ref).max() <= 1e-10 * np.abs(ref).max()

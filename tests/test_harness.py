@@ -26,7 +26,7 @@ def low_config(**over):
     doc = {
         "geometry": {"kind": "box", "size": [1, 1, 1],
                      "density": {"kind": "constant", "value": 0.0}},
-        "bubble": {"shape": "sphere", "subdivisions": 1},
+        "bubble": {"shape": "sphere"},
         "contrast": {"gamma": 1.0, "s": 0.5, "t": 0.2, "omega_ratio": 0.8},
         "regime": "Low",
         "a_sequence": [0.02, 0.01, 0.005],
@@ -84,7 +84,7 @@ def test_small_radius_rows_clear_the_resonance_guard(name, a):
     run = prepare(ExperimentConfig.from_json(json.loads((root / "configs" / f"{name}.json")
                                                         .read_text())))
     coeff = scattering_coefficient(run.bubble, run.row_params(a), a)
-    assert math.isfinite(coeff.value.real) and coeff.value != 0.0
+    assert math.isfinite(coeff.real) and coeff != 0.0
 
 
 def test_contrast_frequency_modes():
@@ -113,7 +113,7 @@ def test_low_regime_run_and_outputs(tmp_path):
     fit = fit_rate(table, params)
     write_outputs(cfg, table, fit, tmp_path)
     header = (tmp_path / "error_table.csv").read_text().splitlines()[0]
-    assert header == "a,M,N,sup_err,field_scale,wall_time_s"
+    assert header == "a,M,N,sup_err,field_scale"
     report = json.loads((tmp_path / "regime_report.json").read_text())
     assert report["regime"] == "Low"
     assert any(name.startswith("low") for name, _ in report["ledger"])
@@ -123,10 +123,18 @@ def test_low_regime_run_and_outputs(tmp_path):
 
 def test_error_table_csv_roundtrip(tmp_path):
     rows = [ErrorRow(a=0.1 / 3, m=27, n_model=512, sup_err=math.pi * 1e-7,
-                     field_scale=2.0 ** 0.5, wall_time_s=0.0)]
+                     field_scale=2.0 ** 0.5)]
     table = ErrorTable(rows=rows, regime_report=None, aborted=[], geometry_kind="box")
     table.write_csv(tmp_path / "error_table.csv")
     assert ErrorTable.read_rows(tmp_path / "error_table.csv") == rows
+
+
+def test_read_rows_skips_columns_of_older_tables(tmp_path):
+    # tables that still carry the wall_time_s column read by column name
+    path = tmp_path / "error_table.csv"
+    path.write_text("a,M,N,sup_err,field_scale,wall_time_s\n0.02,8,512,0.5,2.0,0.0\n")
+    assert ErrorTable.read_rows(path) == [ErrorRow(a=0.02, m=8, n_model=512, sup_err=0.5,
+                                                   field_scale=2.0)]
 
 
 def test_convergence_determinism_byte_identical(tmp_path):
@@ -205,8 +213,8 @@ def test_volume_cap_abort_records_matvecs(monkeypatch):
 def test_fit_rate_exact_power_law():
     params = ContrastParams(gamma=1.0, s=1.0, t=0.4)
     report = classify_regime(params)
-    rows = [ErrorRow(a=a, m=1, n_model=1, sup_err=a**0.4, field_scale=1.0,
-                     wall_time_s=0.0) for a in (1e-1, 1e-2, 1e-3, 1e-4)]
+    rows = [ErrorRow(a=a, m=1, n_model=1, sup_err=a**0.4, field_scale=1.0)
+            for a in (1e-1, 1e-2, 1e-3, 1e-4)]
     table = ErrorTable(rows=rows, regime_report=report, aborted=[], geometry_kind="box")
     fit = fit_rate(table, params)
     assert abs(fit.slope - 0.4) < 1e-12
@@ -218,8 +226,8 @@ def test_fit_rate_near_resonance_ledger():
     params = ContrastParams(gamma=1.0, s=0.5, t=0.2, h1=0.5, l_m=-1.0, lambda_k=0.9)
     report = classify_regime(params)
     assert report.regime == "MediumNearResonance"
-    rows = [ErrorRow(a=a, m=1, n_model=1, sup_err=a**0.2, field_scale=1.0,
-                     wall_time_s=0.0) for a in (1e-1, 1e-2, 1e-3)]
+    rows = [ErrorRow(a=a, m=1, n_model=1, sup_err=a**0.2, field_scale=1.0)
+            for a in (1e-1, 1e-2, 1e-3)]
     table = ErrorTable(rows=rows, regime_report=report, aborted=[], geometry_kind="box")
     fit = fit_rate(table, params)
     exps = sorted(e for (_, e, _) in fit.exponent_ledger)
@@ -230,8 +238,8 @@ def test_fit_rate_near_resonance_ledger():
 def test_fit_rate_surface_high_log_terms():
     params = ContrastParams(gamma=1.0, s=0.95, t=0.33, h1=0.1, l_m=1.0, lambda_k=0.9)
     report = classify_regime(params)
-    rows = [ErrorRow(a=a, m=1, n_model=1, sup_err=a**0.1, field_scale=1.0,
-                     wall_time_s=0.0) for a in (1e-1, 1e-2, 1e-3)]
+    rows = [ErrorRow(a=a, m=1, n_model=1, sup_err=a**0.1, field_scale=1.0)
+            for a in (1e-1, 1e-2, 1e-3)]
     table = ErrorTable(rows=rows, regime_report=report, aborted=[],
                        geometry_kind="sphere_cap")
     fit = fit_rate(table, params)
@@ -245,8 +253,8 @@ def test_fit_rate_surface_high_log_terms():
 def test_fit_rate_skips_degenerate_tables():
     params = ContrastParams(gamma=1.0, s=1.0, t=0.4)
     report = classify_regime(params)
-    rows = [ErrorRow(a=a, m=1, n_model=1, sup_err=0.0, field_scale=1.0,
-                     wall_time_s=0.0) for a in (1e-1, 1e-2, 1e-3)]
+    rows = [ErrorRow(a=a, m=1, n_model=1, sup_err=0.0, field_scale=1.0)
+            for a in (1e-1, 1e-2, 1e-3)]
     table = ErrorTable(rows=rows, regime_report=report, aborted=[], geometry_kind="box")
     fit = fit_rate(table, params)
     assert math.isnan(fit.slope)
@@ -285,7 +293,7 @@ def test_theta_sweep_mode():
     base = {
         "geometry": {"kind": "box", "size": [1, 1, 1],
                      "density": {"kind": "constant", "value": 0.0}},
-        "bubble": {"shape": "sphere", "subdivisions": 1},
+        "bubble": {"shape": "sphere"},
         "contrast": {"gamma": 1.0, "s": 0.5, "t": 0.2, "omega_ratio": 0.8},
         "regime": "Low",
         "a_sequence": [0.02, 0.01, 0.005],

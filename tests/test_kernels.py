@@ -53,9 +53,12 @@ def test_assemble_bitwise_equal_to_broadcast(m):
 def test_panel_weights_bitwise_equal_to_broadcast():
     mesh = sphere_cap_mesh(radius=1.0, theta_max=0.8, n_rings=6, n_phi=18)
     kappa0 = 2.3
-    expected = broadcast_weights(mesh.centroids, kappa0, mesh.areas[None, :],
-                                 self_panel_weights(mesh, kappa0))
-    assert np.array_equal(panel_weight_matrix(mesh, kappa0), expected)
+    # the kernel itself, with the self-panel integrals over the areas on the diagonal
+    expected = broadcast_weights(mesh.centroids, kappa0, 1.0,
+                                 self_panel_weights(mesh, kappa0) / mesh.areas)
+    k = panel_weight_matrix(mesh, kappa0)
+    assert np.array_equal(k, expected)
+    assert np.array_equal(k, k.T)
 
 
 def test_coincident_points_raise_geometry_error():
@@ -166,6 +169,13 @@ def test_dense_system_singular_raises_with_condition_estimate():
     with pytest.raises(SolverError) as err:
         DenseSystem(singular, 1e-10).solve(np.ones(2))
     assert err.value.cond_estimate is not None and err.value.cond_estimate >= 1e16
+
+
+def test_dense_system_nan_right_hand_side_raises():
+    # a NaN residual misses the contract: no NaN unknowns come back
+    with pytest.raises(SolverError) as err:
+        DenseSystem(np.eye(3) + 0.1, 1e-10).solve(np.array([np.nan, 0.0, 0.0]))
+    assert err.value.cond_estimate is not None and np.isfinite(err.value.cond_estimate)
 
 
 def test_dense_system_rcond_threshold():

@@ -35,7 +35,7 @@ def sphere_mesh():
 
 @pytest.fixture(scope="module")
 def sphere_solution(sphere_mesh):
-    return assemble_and_solve_surface(sphere_mesh, 3.0, 1.0, INC)
+    return assemble_and_solve_surface(sphere_mesh, 3.0, INC)
 
 
 def test_self_panel_weight_square_value():
@@ -112,7 +112,7 @@ def test_self_panel_weights_exact_on_pole_fan():
 
 
 def test_zero_sigma_reproduces_incident(sphere_mesh):
-    sol = assemble_and_solve_surface(sphere_mesh, 0.0, 1.0, INC)
+    sol = assemble_and_solve_surface(sphere_mesh, 0.0, INC)
     assert np.abs(sol.y - INC.at(sphere_mesh.centroids)).max() < 1e-12
     ff = far_field_surface(sol, sphere_mesh, INC.kappa0, fibonacci_directions(16))
     assert ff.sup_norm() == 0.0
@@ -135,13 +135,13 @@ def test_sphere_far_field_matches_series(sphere_mesh, sphere_solution):
 
 def test_far_field_linearity(sphere_mesh, sphere_solution):
     # doubling the incident amplitude doubles the trace and the pattern
-    doubled = assemble_and_solve_surface(sphere_mesh, 3.0, 1.0, INC)
+    doubled = assemble_and_solve_surface(sphere_mesh, 3.0, INC)
     dirs = fibonacci_directions(20)
     ff = far_field_surface(sphere_solution, sphere_mesh, INC.kappa0, dirs)
     from bubblelab.surfmedium import SurfaceSolution
 
     scaled = SurfaceSolution(y=2 * doubled.y, sigma_h=doubled.sigma_h,
-                             residual=doubled.residual, h_star=doubled.h_star)
+                             residual=doubled.residual)
     ff2 = far_field_surface(scaled, sphere_mesh, INC.kappa0, dirs)
     assert np.allclose(ff2.values, 2 * ff.values)
 
@@ -158,7 +158,7 @@ def test_jump_check_transmission_conditions(sphere_mesh, sphere_solution):
 
 def test_jump_check_zero_sigma(sphere_mesh):
     # both jumps vanish up to the finite-difference extrapolation error O(eps^2)
-    sol = assemble_and_solve_surface(sphere_mesh, 0.0, 1.0, INC)
+    sol = assemble_and_solve_surface(sphere_mesh, 0.0, INC)
     rep = jump_check(sol, sphere_mesh, INC)
     assert rep["value_jump_rel"] <= 1e-2
     assert rep["deriv_defect_rel"] <= 1e-2
@@ -169,7 +169,7 @@ def test_reciprocity_closed_mesh(sphere_mesh):
 
     def pattern(theta, xhat):
         inc = IncidentWave(kappa0, theta)
-        sol = assemble_and_solve_surface(sphere_mesh, 2.0, 1.0, inc)
+        sol = assemble_and_solve_surface(sphere_mesh, 2.0, inc)
         return far_field_surface(sol, sphere_mesh, kappa0, np.array([xhat])).values[0]
 
     theta = np.array([0.0, 0.0, 1.0])
@@ -184,7 +184,7 @@ def test_mesh_refinement_halves_error():
     errs = []
     for lvl in (2, 3):
         mesh = icosphere(lvl)
-        sol = assemble_and_solve_surface(mesh, 3.0, 1.0, INC)
+        sol = assemble_and_solve_surface(mesh, 3.0, INC)
         ff = far_field_surface(sol, mesh, INC.kappa0, dirs)
         oracle = metasurface_sphere_far_field(INC.kappa0, 3.0, 1.0, dirs, INC.theta)
         errs.append(np.abs(ff.values - oracle).max())
@@ -193,18 +193,18 @@ def test_mesh_refinement_halves_error():
 
 def test_sigma_sweep_no_singular_solves(sphere_mesh):
     for sigma_h in (-1000.0, -10.0, -1.0, 1.0, 10.0, 1000.0):
-        sol = assemble_and_solve_surface(sphere_mesh, sigma_h, 1.0, INC)
+        sol = assemble_and_solve_surface(sphere_mesh, sigma_h, INC)
         assert np.all(np.isfinite(sol.y.view(float)))
 
 
 def test_damping_trend_monotone_and_bounded(sphere_mesh):
-    # ||Y||_{L2(Sigma)} decreases monotonically with h_star and stays under
-    # the half-order damping bound C h_star^(-1/2) (plane-wave data decays
-    # faster, ~h_star^-1, deep in the damped regime)
+    # with density sigma * h_star, ||Y||_{L2(Sigma)} decreases monotonically
+    # with h_star and stays under the half-order damping bound C h_star^(-1/2)
+    # (plane-wave data decays faster, ~h_star^-1, deep in the damped regime)
     h_values = 10.0 ** np.arange(0.0, 2.5, 0.5)
     norms = []
     for h_star in h_values:
-        sol = assemble_and_solve_surface(sphere_mesh, 5.0, float(h_star), INC)
+        sol = assemble_and_solve_surface(sphere_mesh, 5.0 * float(h_star), INC)
         norms.append(np.sqrt(np.sum(np.abs(sol.y) ** 2 * sphere_mesh.areas)))
     assert all(b < a for a, b in zip(norms, norms[1:]))
     bound = norms[0] * (h_values / h_values[0]) ** -0.5
@@ -213,14 +213,12 @@ def test_damping_trend_monotone_and_bounded(sphere_mesh):
 
 def test_complex_sigma_rejected(sphere_mesh):
     with pytest.raises(ConfigError):
-        assemble_and_solve_surface(sphere_mesh, 1.0 + 1.0j, 1.0, INC)
-    with pytest.raises(ConfigError):
-        assemble_and_solve_surface(sphere_mesh, 1.0, -1.0, INC)
+        assemble_and_solve_surface(sphere_mesh, 1.0 + 1.0j, INC)
 
 
 def test_open_disk_solves():
     mesh = sphere_cap_mesh(1.0, np.pi / 4, 8, 24)
-    sol = assemble_and_solve_surface(mesh, 2.0, 1.0, INC)
+    sol = assemble_and_solve_surface(mesh, 2.0, INC)
     assert np.all(np.isfinite(sol.y.view(float)))
     ff = far_field_surface(sol, mesh, INC.kappa0, fibonacci_directions(16))
     assert ff.sup_norm() > 0
@@ -258,12 +256,14 @@ def test_single_layer_eval_matches_panel_loop(monkeypatch):
 @pytest.mark.parametrize("mesh", [sphere_cap_mesh(1.0, np.pi / 4, 16, 48), icosphere(2)],
                          ids=["cap_768", "icosphere_2"])
 def test_symmetric_solve_matches_collocation_system(mesh, sigma):
-    # the unscaled collocation system (I + h sigma W) Y = u^I, solved directly
+    # the unscaled collocation system (I + sigma W) Y = u^I, W = K diag(area),
+    # solved directly
     inc = IncidentWave(1.0, np.array([0.0, 0.6, 0.8]))
     u = inc.at(mesh.centroids)
-    a = np.eye(mesh.n_panels) + sigma * panel_weight_matrix(mesh, inc.kappa0)
+    w = panel_weight_matrix(mesh, inc.kappa0) * mesh.areas
+    a = np.eye(mesh.n_panels) + sigma * w
     ref = np.linalg.solve(a, u)
-    sol = assemble_and_solve_surface(mesh, sigma, 1.0, inc)
+    sol = assemble_and_solve_surface(mesh, sigma, inc)
     assert np.abs(sol.y - ref).max() <= 1e-10 * np.abs(ref).max()
     recomputed = np.abs(a @ sol.y - u).max()
     assert abs(sol.residual - recomputed) <= 1e-13 * (1.0 + np.abs(sol.y).max())
@@ -271,4 +271,4 @@ def test_symmetric_solve_matches_collocation_system(mesh, sigma):
 
 def test_array_sigma_rejected(sphere_mesh):
     with pytest.raises(ConfigError):
-        assemble_and_solve_surface(sphere_mesh, np.full(sphere_mesh.n_panels, 2.0), 1.0, INC)
+        assemble_and_solve_surface(sphere_mesh, np.full(sphere_mesh.n_panels, 2.0), INC)
