@@ -159,8 +159,7 @@ def cmd_solve_sie(cfg: ExperimentConfig) -> int:
     ff.save_csv(out / "farfield_sie.csv")
     _write_values(out / "sie_solution.csv", "panel", mesh.centroids, sol.y)
     jump = surfmedium.jump_check(sol, mesh, incident)
-    (out / "jump_check.json").write_text(json.dumps(
-        {k: v for k, v in jump.items() if isinstance(v, float)}, indent=1))
+    (out / "jump_check.json").write_text(json.dumps(jump, indent=1))
     print(f"surface solve: panels={mesh.n_panels} residual={sol.residual:.2e}")
     return 0
 
@@ -181,7 +180,7 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     table = run_convergence(cfg)
     fit = fit_rate(table, table.params)
-    write_outputs(cfg, table, fit, out)
+    write_outputs(table, fit, out)
     for row in table.rows:
         print(f"a={row.a:.6g} M={row.m} sup_err={row.sup_err:.4e} "
               f"scale={row.field_scale:.4e}")

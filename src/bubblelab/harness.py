@@ -584,8 +584,7 @@ def fit_rate(table: ErrorTable, params: ContrastParams) -> RateFit:
                    predicted_exponent=predicted, exponent_ledger=tuple(terms))
 
 
-def write_outputs(config: ExperimentConfig, table: ErrorTable, fit: Optional[RateFit],
-                  out_dir) -> None:
+def write_outputs(table: ErrorTable, fit: RateFit, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     table.write_csv(out / "error_table.csv")
@@ -593,9 +592,8 @@ def write_outputs(config: ExperimentConfig, table: ErrorTable, fit: Optional[Rat
               "aborted_rows": [list(row) for row in table.aborted]}
     with open(out / "regime_report.json", "w") as fh:
         json.dump(report, fh, indent=1)
-    if fit is not None:
-        with open(out / "rate_fit.json", "w") as fh:
-            json.dump(fit.to_json(), fh, indent=1)
+    with open(out / "rate_fit.json", "w") as fh:
+        json.dump(fit.to_json(), fh, indent=1)
     for i, (a, ff_fl, ff_model) in enumerate(table.far_fields):
         ff_fl.save_csv(out / f"farfield_fl_row{i}.csv")
         ff_model.save_csv(out / f"farfield_model_row{i}.csv")

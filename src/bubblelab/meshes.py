@@ -115,19 +115,6 @@ class SurfaceMesh:
         (m,), in panel order.  Shared arrays: callers must not modify them."""
         return self._tris, self._owner
 
-    def vertex_sharing_pairs(self):
-        """Set of unordered panel pairs that share at least one vertex."""
-        incident = {}
-        for k, f in enumerate(self.faces):
-            for i in f:
-                incident.setdefault(i, []).append(k)
-        pairs = set()
-        for panels in incident.values():
-            for ii in range(len(panels)):
-                for jj in range(ii + 1, len(panels)):
-                    pairs.add((panels[ii], panels[jj]))
-        return pairs
-
 
 def load_mesh(path) -> SurfaceMesh:
     vertices = []
@@ -354,13 +341,12 @@ def _tri_areas(tris):
     )
 
 
-def _pair_batch_subdivided(tri_x, n_y, tri_y, same, depth: int = 1):
-    """Vectorised double integrals of the direction kernel over panel pairs.
+def _pair_batch_subdivided(tri_x, n_y, tri_y):
+    """Vectorised double integrals of the direction kernel over triangle pairs.
 
-    Each pair's triangles are split into 4 congruent children; child pairs are
-    integrated with 3-point rules.  For self pairs (``same``) the coincident
-    children recurse; the kernel vanishes for coplanar x and y, so the deepest
-    coincident level is dropped (exact on flat panels).
+    Each pair's triangles are split into 4 congruent children, and all 16
+    child pairs are integrated with 3-point rules in x and in y.  Callers pass
+    no coplanar pairs: the kernel vanishes on them, coincident children included.
     """
     bary, w = _TRI_RULES[2]
     cx = _children(tri_x)
@@ -373,16 +359,7 @@ def _pair_batch_subdivided(tri_x, n_y, tri_y, same, depth: int = 1):
     for i in range(4):
         for j in range(4):
             vals = _pair_kernel(px[:, i, :, None, :], py[:, j, None, :, :], n_y[:, None, None, :])
-            contrib = ax[:, i] * ay[:, j] * np.einsum("q,nqr,r->n", w, vals, w)
-            if i == j:
-                contrib = np.where(same, 0.0, contrib)
-            total += contrib
-    if depth > 0 and np.any(same):
-        idx = np.nonzero(same)[0]
-        sub_x = cx[idx].reshape(-1, 3, 3)
-        sub_n = np.repeat(n_y[idx], 4, axis=0)
-        rec = _pair_batch_subdivided(sub_x, sub_n, sub_x, np.ones(len(sub_x), bool), depth - 1)
-        total[idx] += rec.reshape(len(idx), 4).sum(axis=1)
+            total += ax[:, i] * ay[:, j] * np.einsum("q,nqr,r->n", w, vals, w)
     return total
 
 
@@ -391,10 +368,13 @@ def boundary_shape_factor(mesh: SurfaceMesh, quad_order: int = 2) -> float:
 
     Returns (1/|S|) Int_S Int_S ((x-y)/|x-y|) . n(y) ds(y) ds(x) by panel-pair
     quadrature: centroid rule in x, Gauss rule of ``quad_order`` in y.
-    Same-panel and vertex-sharing pairs are re-integrated with 4-fold panel
-    subdivision (the integrand is bounded by 1, so no true singularity;
-    subdivision controls the near-diagonal error).  Negative for convex
-    closed surfaces; -8*pi/3 for the unit sphere.
+    Triangle pairs whose panels share a vertex (same-panel pairs included)
+    and whose centroids lie within ``_NEAR_FACTOR`` summed radii are
+    re-integrated with 4-fold subdivision (the integrand is bounded by 1, so
+    no true singularity; subdivision controls the near-diagonal error).
+    Coplanar pairs are skipped: on a flat T_b the numerator (x-y).n(y) is the
+    height of x above T_b's plane, so both rules give them exactly zero.
+    Negative for convex closed surfaces; -8*pi/3 for the unit sphere.
     """
     if quad_order not in _TRI_RULES:
         raise GeometryError("quad_order must be 1 or 2")
@@ -432,43 +412,36 @@ def boundary_shape_factor(mesh: SurfaceMesh, quad_order: int = 2) -> float:
         np.maximum(r2, 1e-300, out=r2)
         np.sqrt(r2, out=r2)
         num /= r2
-        # plain rule applies only across distinct panels; same-panel terms are
-        # exactly zero on flat panels but masked anyway for clarity
+        # self-triangle terms are zero on flat panels, but at quad_order 1 the
+        # point pair coincides and the numerator's rounding is divided by 1e-150
         rows = np.arange(stop - start)
         num[rows[:, None], (np.arange(start, stop) * nq)[:, None] + col_offsets[None, :]] = 0.0
         row_sums[start:stop] = num @ ywts
     total = float(tri_areas @ row_sums)
 
     radii = np.linalg.norm(tris - centers[:, None, :], axis=2).max(axis=1)
-    owner_tris = {}
+    # near pairs: ordered triangle pairs whose panels share a vertex (the
+    # triangles of one panel share its vertex 0), closer than _NEAR_FACTOR
+    # summed radii
+    incident = {}
     for ti, p in enumerate(owner):
-        owner_tris.setdefault(int(p), []).append(ti)
-    near = set()
-    for (p, q) in mesh.vertex_sharing_pairs():
-        for ti in owner_tris[p]:
-            for tj in owner_tris[q]:
-                near.add((ti, tj))
-                near.add((tj, ti))
-    for members in owner_tris.values():
-        for ti in members:
-            for tj in members:
-                if ti != tj:
-                    near.add((ti, tj))
-    pairs = np.array(sorted(near), dtype=int)
+        for v in mesh.faces[p]:
+            incident.setdefault(v, []).append(ti)
+    pairs = np.array(sorted({(ti, tj) for group in incident.values()
+                             for ti in group for tj in group}), dtype=int)
     a, b = pairs[:, 0], pairs[:, 1]
     keep = np.linalg.norm(centers[a] - centers[b], axis=1) <= _NEAR_FACTOR * (radii[a] + radii[b])
+    # (x-y).n(y) is the height of x above the plane of T_b for every y on T_b,
+    # so a T_a lying in that plane (self pairs, a flat face) adds exactly zero
+    height = np.einsum("nvi,ni->nv", tris[a] - tris[b][:, :1], tri_normals[b])
+    keep &= np.abs(height).max(axis=1) > 1e-12 * radii[b]
     a, b = a[keep], b[keep]
-    # route self pairs through the same batch; they vanish on flat panels
-    a = np.concatenate([a, np.arange(ntri)])
-    b = np.concatenate([b, np.arange(ntri)])
-    same = a == b
-    # remove the plain-rule contribution (centroid x Gauss) of those pairs
+    # replace the plain-rule contribution (centroid x Gauss) of those pairs
     yp = np.einsum("qb,tbi->tqi", bary, tris[b])
     plain = tri_areas[a] * tri_areas[b] * np.einsum(
         "nq,q->n", _pair_kernel(centers[a][:, None, :], yp, tri_normals[b][:, None, :]), w
     )
-    plain[same] = 0.0
-    refined = _pair_batch_subdivided(tris[a], tri_normals[b], tris[b], same)
+    refined = _pair_batch_subdivided(tris[a], tri_normals[b], tris[b])
     total += float((refined - plain).sum())
 
     if not np.isfinite(total):

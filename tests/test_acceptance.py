@@ -371,7 +371,7 @@ def test_c14_determinism(tmp_path):
         cfg = ExperimentConfig.from_json(doc)
         table = run_convergence(cfg)
         params, _ = build_contrast(cfg.contrast)
-        write_outputs(cfg, table, fit_rate(table, params), tmp_path / sub)
+        write_outputs(table, fit_rate(table, params), tmp_path / sub)
         blobs.append((tmp_path / sub / "error_table.csv").read_bytes())
     report(14, blobs[0] == blobs[1],
            f"two runs, same seed: error_table.csv byte-identical ({len(blobs[0])} bytes)")

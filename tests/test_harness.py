@@ -111,7 +111,7 @@ def test_low_regime_run_and_outputs(tmp_path):
         assert row.n_model == 0
     params, _ = build_contrast(cfg.contrast)
     fit = fit_rate(table, params)
-    write_outputs(cfg, table, fit, tmp_path)
+    write_outputs(table, fit, tmp_path)
     header = (tmp_path / "error_table.csv").read_text().splitlines()[0]
     assert header == "a,M,N,sup_err,field_scale"
     report = json.loads((tmp_path / "regime_report.json").read_text())
@@ -142,7 +142,7 @@ def test_convergence_determinism_byte_identical(tmp_path):
     for sub in ("one", "two"):
         table = run_convergence(cfg)
         params, _ = build_contrast(cfg.contrast)
-        write_outputs(cfg, table, fit_rate(table, params), tmp_path / sub)
+        write_outputs(table, fit_rate(table, params), tmp_path / sub)
     a = (tmp_path / "one" / "error_table.csv").read_bytes()
     b = (tmp_path / "two" / "error_table.csv").read_bytes()
     assert a == b
@@ -186,7 +186,7 @@ def test_solver_error_row_keeps_diagnostics(tmp_path, monkeypatch):
     table = run_convergence(cfg)
     assert not table.rows and len(table.aborted) == 3
     params, _ = build_contrast(cfg.contrast)
-    write_outputs(cfg, table, fit_rate(table, params), tmp_path)
+    write_outputs(table, fit_rate(table, params), tmp_path)
     report = json.loads((tmp_path / "regime_report.json").read_text())
     a, reason, diagnostics = report["aborted_rows"][0]
     assert a == cfg.a_sequence[0] and reason.startswith("SolverError: ")

@@ -1,7 +1,8 @@
 """Every name that a package module, a script or a test imports is used in it,
 every public function, class and method of the package has a caller outside
-the tests, every record field of the package is read outside the tests, and
-importing the CLI loads no scipy subpackage it does not use."""
+the tests, every record field of the package is read outside the tests, every
+parameter of a package function is read in its body, and importing the CLI
+loads no scipy subpackage it does not use."""
 
 import ast
 import os
@@ -145,6 +146,39 @@ def test_every_record_field_is_read():
     unread = [f"{path.name}: {qualified}" for path in sorted(PACKAGE.glob("*.py"))
               for qualified, name in record_fields(path.read_text())
               if name not in read and qualified not in UNREAD_FIELDS]
+    assert unread == []
+
+
+def unread_parameters(source: str) -> list:
+    """Parameters of every function and lambda, nested ones and methods
+    included, that its body never names, as ``function.parameter`` strings.
+
+    A method's receiver (``self``, ``cls``) does not count: a zero-argument
+    ``super()`` reads it without naming it.
+    """
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            named = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            unread += [f"{getattr(node, 'name', 'lambda')}.{name}" for name in params
+                       if name not in named and name not in ("self", "cls")]
+    return sorted(unread)
+
+
+def test_detects_an_unread_parameter():
+    source = ("def f(a, b, *c, d=1, **e):\n    return a + d\n\n"
+              "class C:\n    def m(self, x):\n        return lambda y: x\n\n"
+              "def g(a):\n    def h():\n        return a\n    return h\n")
+    assert unread_parameters(source) == ["f.b", "f.c", "f.e", "lambda.y"]
+
+
+def test_every_parameter_is_read():
+    unread = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+              for name in unread_parameters(path.read_text())]
     assert unread == []
 
 

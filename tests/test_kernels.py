@@ -17,7 +17,13 @@ from bubblelab.kernels import (
     grid_far_field_sum,
     pair_kernel,
 )
-from bubblelab.meshes import boundary_shape_factor, cube_mesh, sphere_cap_mesh
+from bubblelab.meshes import (
+    SurfaceMesh,
+    boundary_shape_factor,
+    cube_mesh,
+    icosphere,
+    sphere_cap_mesh,
+)
 from bubblelab.pointscat import ClusterSystem, IncidentWave, assemble, solve_charges
 from bubblelab.surfmedium import panel_weight_matrix, self_panel_weights
 from bubblelab import volmedium
@@ -69,6 +75,27 @@ def test_coincident_points_raise_geometry_error():
         assemble(centers, 1.0, 1.0)
     with pytest.raises(GeometryError):
         pair_kernel(centers[:3][[0, 1, 1]], 1.0, diagonal=0.0)
+
+
+def _quad_cube(n):
+    """cube_mesh(n) with each pair of triangles joined into one square panel."""
+    m = cube_mesh(n)
+    return SurfaceMesh(m.vertices, [(f[0], f[1], f[2], g[2])
+                                    for f, g in zip(m.faces[::2], m.faces[1::2])])
+
+
+@pytest.mark.parametrize("make, quad_order, expected", [
+    (lambda: cube_mesh(8), 2, -3.1413864187561527),
+    (lambda: cube_mesh(4, side=(1.0, 2.0, 0.5)), 2, -2.915521874167203),
+    (lambda: _quad_cube(6), 2, -3.1441065910195283),
+    (lambda: icosphere(2), 2, -8.21205350648342),
+    (lambda: icosphere(2, radius=0.7, center=(0.3, -0.2, 0.1)), 2, -4.023906218176874),
+    (lambda: cube_mesh(6), 1, -3.1470716511275607),
+], ids=["cube8", "box4", "quad_cube6", "icosphere2", "icosphere2_offcentre", "cube6_order1"])
+def test_shape_factor_bitwise_pinned(make, quad_order, expected):
+    # coplanar near pairs add exactly zero on flat panels, so skipping them
+    # must leave every bit of these values as it was with them
+    assert boundary_shape_factor(make(), quad_order) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +329,12 @@ def test_lattice_convolution_apply_allocates_only_its_output():
 
 def test_shape_factor_quadrature_peak_memory():
     # the cube bubble of screen_bem: 864 triangles against 2592 Gauss points;
-    # the far-pair rows run in BLOCK_ENTRIES blocks, so the near-pair batch
-    # (about 13 MiB) sets the peak, not two 864 x 2592 arrays (35.8 MB)
+    # the far-pair rows run in BLOCK_ENTRIES blocks, and the near-pair batch
+    # holds only the 1,056 of 5,580 near pairs that are not coplanar, so the
+    # peak is about 6 MiB, not two 864 x 2592 arrays (35.8 MB)
     mesh = cube_mesh(6)
     peak = _traced_peak(boundary_shape_factor, mesh)
-    assert peak <= 16 * MIB
+    assert peak <= 8 * MIB
     assert boundary_shape_factor(mesh) == -3.1442777103937125
 
 

@@ -152,8 +152,6 @@ def test_jump_check_transmission_conditions(sphere_mesh, sphere_solution):
     assert rep["deriv_defect_rel"] <= 0.05
     # the flipped bracket orientation is the wrong reading for this field
     assert rep["deriv_defect_rel_flipped"] > 10 * rep["deriv_defect_rel"]
-    # measured jump ratio sign equals sign(sigma) at strong-transmission probes
-    assert np.all(rep["ratio_signs"] == np.sign(3.0))
 
 
 def test_jump_check_zero_sigma(sphere_mesh):
