@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import bemlimit, pointscat, surfmedium, volmedium
@@ -20,8 +19,6 @@ from .harness import (
     ErrorTable,
     ExperimentConfig,
     build_bubble,
-    build_density,
-    build_geometry,
     comparator_mesh,
     fit_rate,
     prepare,
@@ -49,19 +46,16 @@ class _Parser(argparse.ArgumentParser):
 def _load_config(path, seed_override=None, out_override=None) -> ExperimentConfig:
     if path is None:
         raise ConfigError("--config PATH is required")
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file {path!r} not found")
     try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc.strerror}") from exc
+    except ValueError as exc:
         raise ConfigError(f"malformed JSON in {path!r}: {exc}") from exc
-    cfg = ExperimentConfig.from_json(doc)
-    if seed_override is not None:
-        cfg = replace(cfg, seed=int(seed_override))
-    if out_override is not None:
-        cfg = replace(cfg, out=str(out_override))
-    return cfg
+    if isinstance(doc, dict):  # the flags override the config's keys and convert like them
+        overrides = {"seed": seed_override, "out": out_override}
+        doc.update((key, value) for key, value in overrides.items() if value is not None)
+    return ExperimentConfig.from_json(doc)
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
@@ -99,8 +93,6 @@ def _write_values(path, index_name, points, values):
 
 
 def cmd_regime_check(cfg: ExperimentConfig) -> int:
-    build_geometry(cfg.geometry)  # rejects unknown geometry and density keys
-    build_density(cfg.geometry.get("density"))
     params = resolve_contrast(cfg, build_bubble(cfg.bubble))
     print(json.dumps(regime_summary(classify_regime(params)), indent=1))
     return 0
@@ -179,7 +171,7 @@ def cmd_solve_bem(cfg: ExperimentConfig) -> int:
 def cmd_converge(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     table = run_convergence(cfg)
-    fit = fit_rate(table, table.params)
+    fit = fit_rate(table)
     write_outputs(table, fit, out)
     for row in table.rows:
         print(f"a={row.a:.6g} M={row.m} sup_err={row.sup_err:.4e} "
@@ -199,7 +191,7 @@ def cmd_fit(cfg: ExperimentConfig) -> int:
     run = prepare(cfg)
     table = ErrorTable(rows=ErrorTable.read_rows(table_path), regime_report=run.report,
                        aborted=[], geometry_kind=cfg.geometry["kind"], params=run.params)
-    fit = fit_rate(table, table.params)
+    fit = fit_rate(table)
     (out / "rate_fit.json").write_text(json.dumps(fit.to_json(), indent=1))
     print(json.dumps(fit.to_json(), indent=1))
     return 0

@@ -34,23 +34,18 @@ class DensityField:
                  k_max=None):
         self.kind = kind
         if kind == "constant":
-            if value is None or value < 0:
+            if value < 0:
                 raise ConfigError("constant density needs a non-negative value")
             self.value = float(value)
             observed_max = self.value
         elif kind == "grid":
             samples = np.asarray(samples, dtype=float)
-            if samples.ndim != 3:
-                raise ConfigError("grid density needs 3d samples (surface runs take a "
-                                  "constant density)")
             if np.any(samples < 0):
                 raise ConfigError("density samples must be non-negative")
             if not np.all(np.isfinite(samples)):
                 raise ConfigError("density samples must be finite")
             origin = np.asarray(origin, dtype=float)
             spacing = np.asarray(spacing, dtype=float)
-            if origin.shape != (3,) or spacing.shape != (3,):
-                raise ConfigError("grid density needs a 3d origin and spacing")
             axes = [origin[d] + spacing[d] * np.arange(samples.shape[d]) for d in range(3)]
             self._axes = axes
             # imported here, not at start-up: scipy.interpolate also loads
@@ -65,7 +60,7 @@ class DensityField:
             raise ConfigError("density exceeds the configured bound k_max")
 
     @staticmethod
-    def constant(value, k_max=None):
+    def constant(value=0.0, k_max=None):
         return DensityField("constant", value=value, k_max=k_max)
 
     @staticmethod
@@ -110,7 +105,7 @@ class BoxDomain:
 @dataclass(frozen=True)
 class BallDomain:
     center: tuple = (0.0, 0.0, 0.0)
-    radius: float = 0.5
+    radius: float = 0.620350490899  # unit volume
 
     def bounding_box(self):
         c = np.asarray(self.center)
@@ -133,11 +128,10 @@ class BallDomain:
 
 @dataclass(frozen=True)
 class PlaneChart:
-    """Flat rectangle in the z = center_z plane, parameterized by itself."""
+    """Flat rectangle about the origin in the z = 0 plane, parameterized by itself."""
 
     lx: float = 1.0
     ly: float = 1.0
-    center: tuple = (0.0, 0.0, 0.0)
 
     def bounding_box(self):
         return np.array([-self.lx / 2, -self.ly / 2]), np.array([self.lx / 2, self.ly / 2])
@@ -149,8 +143,7 @@ class PlaneChart:
 
     def to_xyz(self, uv):
         pts = np.atleast_2d(uv)
-        out = np.column_stack([pts[:, 0], pts[:, 1], np.zeros(len(pts))])
-        return out + np.asarray(self.center)
+        return np.column_stack([pts[:, 0], pts[:, 1], np.zeros(len(pts))])
 
 
 @dataclass(frozen=True)
@@ -164,7 +157,6 @@ class SphereCapChart:
 
     radius: float = 1.0
     theta_max: float = math.pi / 2
-    center: tuple = (0.0, 0.0, 0.0)
 
     @property
     def rho_max(self):
@@ -183,10 +175,9 @@ class SphereCapChart:
         rho = np.linalg.norm(pts, axis=1)
         theta = 2.0 * np.arcsin(np.clip(rho / (2.0 * self.radius), 0.0, 1.0))
         phi = np.arctan2(pts[:, 1], pts[:, 0])
-        out = self.radius * np.column_stack(
+        return self.radius * np.column_stack(
             [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
         )
-        return out + np.asarray(self.center)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -31,6 +33,7 @@ from .cluster import (
 from .errors import BubbleLabError, ConfigError
 from .fields import FarField, fibonacci_directions
 from .materials import (
+    REGIMES,
     BubbleSpec,
     ContrastParams,
     RegimeReport,
@@ -43,45 +46,14 @@ from .materials import (
 from .meshes import cube_mesh, icosphere, load_mesh, rect_mesh, sphere_cap_mesh
 from .pointscat import IncidentWave
 
-VOLUMETRIC_KINDS = ("box", "ball")
 SURFACE_KINDS = ("sphere_cap", "plane_rect")
-
-
-class _Integer:
-    """Converter to an int no less than ``minimum``.  A non-integral value
-    such as 8.7 is rejected, not truncated; a whole-number float such as
-    24.0 passes."""
-
-    def __init__(self, minimum: int):
-        self.minimum = minimum
-        self.what = f"an integer >= {minimum}"
-
-    def __call__(self, value) -> int:
-        number = value if isinstance(value, int) else float(value)
-        if number != int(number) or number < self.minimum:
-            raise ValueError(value)
-        return int(number)
-
-
-_COUNT, _LEVEL = _Integer(1), _Integer(0)
-# each tolerance's type; ExperimentConfig converts the values once
-TOLERANCE_TYPES = {"m_max": _COUNT, "d_min": float, "grid_n": _COUNT, "mesh_level": _LEVEL,
-                   "mesh_n": _COUNT, "mesh_rings": _COUNT, "mesh_nphi": _COUNT}
-
-
-def _convert(value, kind, name, what=None):
-    """``kind(value)``, or ConfigError saying that ``name`` must be ``what``
-    (by default the converter's ``what``, else "a number")."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        what = what or getattr(kind, "what", "a number")
-        raise ConfigError(f"{name} must be {what}, got {value!r}") from None
+_GEOMETRIES = {"box": BoxDomain, "ball": BallDomain, "sphere_cap": SphereCapChart,
+               "plane_rect": PlaneChart}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description (see README for the JSON schema)."""
+    """An experiment's sections, converted by ``SECTIONS`` (README: Config schema)."""
 
     geometry: dict
     bubble: dict
@@ -95,62 +67,18 @@ class ExperimentConfig:
     seed: int = 0
     out: Optional[str] = None
 
-    def __post_init__(self):
-        seq = _convert(self.a_sequence, lambda v: tuple(map(float, v)), "a_sequence",
-                       "a list of numbers")
-        if len(seq) < 3:
-            raise ConfigError("a_sequence needs at least 3 entries")
-        if any(b >= a for a, b in zip(seq, seq[1:])):
-            raise ConfigError("a_sequence must be strictly decreasing")
-        object.__setattr__(self, "a_sequence", seq)
-        if self.geometry.get("kind") not in VOLUMETRIC_KINDS + SURFACE_KINDS:
-            raise ConfigError(f"unknown geometry kind {self.geometry.get('kind')!r}")
-        for name, kind in (("directions", _COUNT), ("theta_sweep", _LEVEL), ("seed", _LEVEL)):
-            object.__setattr__(self, name, _convert(getattr(self, name), kind, name))
-        vector = "a finite non-zero 3-vector"
-        theta = _convert(self.theta, lambda v: np.asarray(v, dtype=float), "theta", vector)
-        if theta.shape != (3,) or not 0 < np.linalg.norm(theta) < math.inf:
-            raise ConfigError(f"theta must be {vector}, got {self.theta!r}")
-        object.__setattr__(self, "theta", tuple(theta.tolist()))
-        if not isinstance(self.tolerances, dict):
-            raise ConfigError("tolerances must be an object")
-        _check_keys(self.tolerances, TOLERANCE_TYPES, "tolerance")
-        object.__setattr__(self, "tolerances", {
-            key: _convert(value, TOLERANCE_TYPES[key], f"tolerance {key!r}")
-            for key, value in self.tolerances.items()})
-
     @property
     def is_surface(self) -> bool:
         return self.geometry["kind"] in SURFACE_KINDS
 
     @staticmethod
-    def from_json(doc: dict) -> "ExperimentConfig":
-        _check_keys(doc, ("geometry", "bubble", "contrast", "regime", "a_sequence",
-                          "directions", "tolerances", "seed", "out"), "config")
-        for key in ("geometry", "bubble", "contrast", "regime", "a_sequence"):
-            if key not in doc:
-                raise ConfigError(f"missing config key {key!r}")
-        directions = doc.get("directions", 200)
-        theta = (0.0, 0.0, 1.0)
-        theta_sweep = 0
-        if isinstance(directions, dict):
-            _check_keys(directions, ("n", "theta", "theta_sweep"), "directions")
-            theta = directions.get("theta", theta)
-            theta_sweep = directions.get("theta_sweep", 0)
-            directions = directions.get("n", 200)
-        return ExperimentConfig(
-            geometry=doc["geometry"],
-            bubble=doc["bubble"],
-            contrast=doc["contrast"],
-            regime=doc["regime"],
-            a_sequence=doc["a_sequence"],
-            directions=directions,
-            theta=theta,
-            theta_sweep=theta_sweep,
-            tolerances=doc.get("tolerances", {}),
-            seed=doc.get("seed", 0),
-            out=doc.get("out"),
-        )
+    def from_json(doc) -> "ExperimentConfig":
+        """The config a JSON document describes; ConfigError if it is malformed."""
+        doc = _section(doc, "config")
+        directions = doc.pop("directions", {})
+        if "n" in directions:
+            directions["directions"] = directions.pop("n")
+        return ExperimentConfig(**doc, **directions)
 
 
 @dataclass(frozen=True)
@@ -168,8 +96,8 @@ class ErrorTable:
     regime_report: object
     aborted: list  # (a, reason, {"type", "cond_estimate", "iterations"})
     geometry_kind: str
+    params: ContrastParams  # the run's parameters, which the rate fit reads
     far_fields: list = field(default_factory=list)  # (a, fl FarField, model FarField)
-    params: Optional[ContrastParams] = None  # resolved parameters the rate fit uses
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -212,39 +140,140 @@ class RateFit:
 
 
 # ---------------------------------------------------------------------------
-# config materialization
+# config schema and materialization
 
 
-def _check_keys(doc: dict, known, section: str) -> None:
-    """Reject a config section that holds a key outside ``known``."""
-    unknown = set(doc) - set(known)
+# how one config key converts, and what it must be (for the error message)
+_Value = namedtuple("_Value", "what convert required", defaults=(False,))
+
+
+def _integer(minimum: int) -> _Value:
+    """An int no less than ``minimum``.  A non-integral value such as 8.7 is
+    rejected, not truncated; a whole-number float such as 24.0 passes."""
+    def convert(value) -> int:
+        number = value if isinstance(value, int) else float(value)
+        if number != int(number) or number < minimum:
+            raise ValueError(value)
+        return int(number)
+    return _Value(f"an integer >= {minimum}", convert)
+
+
+def _vector(value, nonzero=False) -> tuple:
+    vector = np.asarray(value, dtype=float)
+    if vector.shape != (3,) or nonzero and not 0 < np.linalg.norm(vector) < math.inf:
+        raise ValueError(value)
+    return tuple(vector.tolist())
+
+
+def _samples(value) -> np.ndarray:
+    samples = np.asarray(value, dtype=float)
+    if samples.ndim != 3:
+        raise ValueError(value)
+    return samples
+
+
+def _decreasing(value) -> tuple:
+    seq = tuple(map(float, value))
+    if len(seq) < 3 or any(b >= a for a, b in zip(seq, seq[1:])):
+        raise ValueError(value)
+    return seq
+
+
+def _object(name: str, tag=None, default=None) -> _Value:
+    """A nested section.  Its ``tag`` key, if any, picks the table (geometry kind
+    "box" converts by ``SECTIONS["box geometry"]``); an absent tag reads as ``default``."""
+    def convert(doc) -> dict:
+        if tag is None or not isinstance(doc, dict):  # _section rejects a non-object first
+            return _section(doc, name)
+        doc = {tag: default, **doc}
+        if f"{doc[tag]} {name}" not in SECTIONS:
+            raise ConfigError(f"unknown {name} {tag} {doc[tag]!r}")
+        return _section(doc, f"{doc[tag]} {name}")
+    return _Value("an object", convert)
+
+
+_NUMBER, _COUNT, _LEVEL = _Value("a number", float), _integer(1), _integer(0)
+_TAG, _PATH, _VECTOR = _Value("a name", str), _Value("a path", os.fspath), \
+    _Value("a 3-vector", _vector)
+_DIRECTION = _Value("a finite non-zero 3-vector", lambda v: _vector(v, nonzero=True))
+_DENSITY = _object("density", "kind", "constant")
+
+# section -> {key: converter}: every key a config may hold, and its type
+SECTIONS = {
+    "config": {
+        "geometry": _object("geometry", "kind")._replace(required=True),
+        "bubble": _object("bubble", "shape", "sphere")._replace(required=True),
+        "contrast": _object("contrast")._replace(required=True),
+        "regime": _Value(f"one of {', '.join(REGIMES)}", lambda v: REGIMES[REGIMES.index(v)],
+                         required=True),
+        "a_sequence": _Value("a strictly decreasing list of at least 3 numbers", _decreasing,
+                             required=True),
+        # a bare count is the directions section's n
+        "directions": _Value("an object", lambda value: _section(
+            value if isinstance(value, dict) else {"n": value}, "directions")),
+        "tolerances": _object("tolerance"),
+        "seed": _LEVEL,
+        "out": _PATH,
+    },
+    "directions": {"n": _COUNT, "theta": _DIRECTION, "theta_sweep": _LEVEL},
+    "tolerance": {"m_max": _COUNT, "d_min": _NUMBER, "grid_n": _COUNT, "mesh_level": _LEVEL,
+                  "mesh_n": _COUNT, "mesh_rings": _COUNT, "mesh_nphi": _COUNT},
+    "contrast": dict.fromkeys(("rho0", "k0", "c_rho", "gamma", "tau", "s", "t", "h1", "l_m",
+                               "lambda_k", "l0", "omega", "omega_ratio"), _NUMBER),
+    "box geometry": {"kind": _TAG, "density": _DENSITY, "size": _VECTOR, "center": _VECTOR},
+    "ball geometry": {"kind": _TAG, "density": _DENSITY, "radius": _NUMBER, "center": _VECTOR},
+    "sphere_cap geometry": {"kind": _TAG, "density": _DENSITY, "radius": _NUMBER,
+                            "theta_max": _NUMBER},
+    "plane_rect geometry": {"kind": _TAG, "density": _DENSITY, "lx": _NUMBER, "ly": _NUMBER},
+    "constant density": {"kind": _TAG, "value": _NUMBER, "k_max": _NUMBER},
+    # samples first: 2d samples get the hint that surfaces take constant densities
+    "grid density": {"kind": _TAG,
+                     "samples": _Value("3d samples (a surface takes a constant density)",
+                                       _samples, required=True),
+                     "origin": _VECTOR._replace(required=True),
+                     "spacing": _VECTOR._replace(required=True), "k_max": _NUMBER},
+    "sphere bubble": {"shape": _TAG, "radius": _NUMBER},
+    "cube bubble": {"shape": _TAG, "n": _COUNT, "side": _NUMBER},
+    "mesh bubble": {"shape": _TAG, "path": _PATH._replace(required=True)},
+}
+
+
+def _section(doc, name: str) -> dict:
+    """``doc`` with each value converted by ``SECTIONS[name]``.  Raises ConfigError
+    for a non-object, an unknown or missing key, or a value that does not convert."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be an object, got {doc!r}")
+    table = SECTIONS[name]
+    unknown = set(doc) - set(table)
     if unknown:
-        raise ConfigError(f"unknown {section} keys {sorted(unknown)}")
+        raise ConfigError(f"unknown {name} keys {sorted(unknown)}")
+    converted = {}
+    for key, kind in table.items():  # in table order, so errors come in a fixed order
+        if key in doc:
+            try:
+                converted[key] = kind.convert(doc[key])
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"{name} {key!r} must be {kind.what}, "
+                                  f"got {doc[key]!r}") from None
+        elif kind.required:
+            raise ConfigError(f"missing {name} key {key!r}")
+    return converted
 
 
 def build_bubble(doc: dict) -> BubbleSpec:
-    shape = doc.get("shape", "sphere")
-    if shape == "sphere":
-        _check_keys(doc, ("shape", "radius"), "sphere bubble")
-        return BubbleSpec.sphere(radius=float(doc.get("radius", 1.0)))
-    if shape == "cube":
-        _check_keys(doc, ("shape", "n", "side"), "cube bubble")
-        return BubbleSpec.cube(n=_convert(doc.get("n", 6), _COUNT, "bubble n"),
-                               side=float(doc.get("side", 1.0)))
-    if shape == "mesh":
-        _check_keys(doc, ("shape", "path"), "mesh bubble")
+    """The bubble of a converted ``bubble`` section; absent keys take its defaults."""
+    if doc["shape"] == "mesh":
         return BubbleSpec.from_mesh(load_mesh(doc["path"]))
-    raise ConfigError(f"unknown bubble shape {shape!r}")
+    make = BubbleSpec.sphere if doc["shape"] == "sphere" else BubbleSpec.cube
+    return make(**{key: value for key, value in doc.items() if key != "shape"})
 
 
 def build_contrast(doc: dict) -> tuple:
     """ContrastParams plus the frequency mode ('fixed'|'ratio'|'gap')."""
     doc = dict(doc)
     ratio = doc.pop("omega_ratio", None)
-    omega = doc.pop("omega", None)
-    _check_keys(doc, ("rho0", "k0", "c_rho", "gamma", "tau", "s", "t", "h1", "l_m",
-                      "lambda_k", "l0"), "contrast")
-    params = ContrastParams(omega=omega if omega is not None else 1.0, **doc)
+    omega = doc.get("omega")
+    params = ContrastParams(**doc)
     if params.near_resonance:
         if omega is not None or ratio is not None:
             raise ConfigError("near-resonance runs derive omega from (h1, l_m); "
@@ -253,44 +282,23 @@ def build_contrast(doc: dict) -> tuple:
     if ratio is not None:
         if omega is not None:
             raise ConfigError("set either omega or omega_ratio, not both")
-        return params, ("ratio", float(ratio))
+        return params, ("ratio", ratio)
     if omega is None:
         raise ConfigError("away-from-resonance runs need omega or omega_ratio")
-    return params, ("fixed", float(omega))
+    return params, ("fixed", omega)
 
 
 def build_density(doc: Optional[dict]) -> DensityField:
-    doc = doc or {"kind": "constant", "value": 0.0}
-    kind = doc.get("kind", "constant")
-    if kind == "constant":
-        _check_keys(doc, ("kind", "value", "k_max"), "constant density")
-        return DensityField.constant(doc.get("value", 0.0), k_max=doc.get("k_max"))
-    if kind == "grid":
-        _check_keys(doc, ("kind", "origin", "spacing", "samples", "k_max"), "grid density")
-        return DensityField.grid(doc["origin"], doc["spacing"], np.asarray(doc["samples"]),
-                                 k_max=doc.get("k_max"))
-    raise ConfigError(f"unknown density kind {kind!r}")
+    """The density of a converted ``density`` section; None is the constant 0."""
+    doc = dict(doc or {"kind": "constant"})
+    make = DensityField.grid if doc.pop("kind") == "grid" else DensityField.constant
+    return make(**doc)
 
 
 def build_geometry(doc: dict):
-    """The domain or surface chart a geometry doc names, with its defaults filled in."""
-    kind = doc["kind"]
-    if kind == "box":
-        _check_keys(doc, ("kind", "density", "size", "center"), "box geometry")
-        return BoxDomain(center=tuple(doc.get("center", (0, 0, 0))),
-                         size=tuple(doc.get("size", (1, 1, 1))))
-    if kind == "ball":
-        _check_keys(doc, ("kind", "density", "radius", "center"), "ball geometry")
-        return BallDomain(center=tuple(doc.get("center", (0, 0, 0))),
-                          radius=float(doc.get("radius", 0.620350490899)))
-    if kind == "sphere_cap":
-        _check_keys(doc, ("kind", "density", "radius", "theta_max"), "sphere_cap geometry")
-        return SphereCapChart(radius=float(doc.get("radius", 1.0)),
-                              theta_max=float(doc.get("theta_max", math.pi / 2)))
-    if kind == "plane_rect":
-        _check_keys(doc, ("kind", "density", "lx", "ly"), "plane_rect geometry")
-        return PlaneChart(lx=float(doc.get("lx", 1.0)), ly=float(doc.get("ly", 1.0)))
-    raise ConfigError(f"unknown geometry kind {kind!r}")
+    """The domain or chart of a converted ``geometry`` section; absent keys take its defaults."""
+    return _GEOMETRIES[doc["kind"]](**{key: value for key, value in doc.items()
+                                       if key not in ("kind", "density")})
 
 
 def comparator_mesh(config: ExperimentConfig):
@@ -563,11 +571,11 @@ def _exponent_terms(regime_name: str, surface: bool, params: ContrastParams):
     raise ConfigError(f"no exponent ledger for regime {regime_name!r}")
 
 
-def fit_rate(table: ErrorTable, params: ContrastParams) -> RateFit:
+def fit_rate(table: ErrorTable) -> RateFit:
     """Least-squares slope of log sup_err vs log a plus the exponent ledger."""
     rows = [r for r in table.rows if r.sup_err > 0]
     terms = _exponent_terms(table.regime_report.regime, table.geometry_kind in SURFACE_KINDS,
-                            params)
+                            table.params)
     predicted = min(e for (_, e, _) in terms)
     if len(rows) < 3:
         return RateFit(slope=float("nan"), intercept=float("nan"), r_squared=float("nan"),

@@ -7,9 +7,11 @@ format has one vertex per line ``v x y z`` and one panel per line ``f i j k``
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
-from .errors import GeometryError
+from .errors import ConfigError, GeometryError
 from .kernels import BLOCK_ENTRIES
 
 # Symmetric Gauss rules on the reference triangle, barycentric coordinates:
@@ -117,28 +119,29 @@ class SurfaceMesh:
 
 
 def load_mesh(path) -> SurfaceMesh:
-    vertices = []
-    faces = []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
-            parts = line.split("#", 1)[0].split()
-            if not parts:
-                continue
-            tag, rest = parts[0], parts[1:]
-            if tag == "v":
-                if len(rest) != 3:
-                    raise GeometryError(f"{path}:{ln}: vertex needs 3 coordinates")
-                vertices.append([float(x) for x in rest])
-            elif tag == "f":
-                if len(rest) != 3:
-                    raise GeometryError(f"{path}:{ln}: triangle needs 3 indices")
-                faces.append(tuple(int(i) for i in rest))
-            elif tag == "q":
-                if len(rest) != 4:
-                    raise GeometryError(f"{path}:{ln}: quad needs 4 indices")
-                faces.append(tuple(int(i) for i in rest))
-            else:
-                raise GeometryError(f"{path}:{ln}: unknown record '{tag}'")
+    # record tag -> (field count, field type, what the record needs)
+    records = {"v": (3, float, "vertex needs 3 coordinates"),
+               "f": (3, int, "triangle needs 3 indices"), "q": (4, int, "quad needs 4 indices")}
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read mesh file {str(path)!r}: {exc}") from exc
+    vertices, faces = [], []
+    for ln, line in enumerate(lines, 1):
+        parts = line.split("#", 1)[0].split()
+        if not parts:
+            continue
+        tag, rest = parts[0], parts[1:]
+        if tag not in records:
+            raise GeometryError(f"{path}:{ln}: unknown record '{tag}'")
+        size, kind, needs = records[tag]
+        try:
+            values = [kind(x) for x in rest]
+            if len(values) != size:
+                raise ValueError(rest)
+        except ValueError:
+            raise GeometryError(f"{path}:{ln}: {needs}, got {' '.join(rest)!r}") from None
+        (vertices if tag == "v" else faces).append(tuple(values))
     if not faces:
         raise GeometryError(f"{path}: no panels found")
     return SurfaceMesh(np.array(vertices), faces)

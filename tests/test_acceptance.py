@@ -11,7 +11,7 @@ import pytest
 from bubblelab import bemlimit, surfmedium, volmedium
 from bubblelab.cluster import BallDomain, DensityField
 from bubblelab.fields import fibonacci_directions
-from bubblelab.harness import ExperimentConfig, build_contrast, fit_rate, run_convergence, write_outputs
+from bubblelab.harness import ExperimentConfig, fit_rate, run_convergence, write_outputs
 from bubblelab.materials import (
     BubbleSpec,
     ContrastParams,
@@ -223,13 +223,7 @@ def test_c08_damping_trend_slope():
 def _run(doc):
     cfg = ExperimentConfig.from_json(doc)
     table = run_convergence(cfg)
-    params, mode = build_contrast(cfg.contrast)
-    if mode[0] == "ratio":
-        from bubblelab.harness import build_bubble
-        from bubblelab.materials import omega_at_ratio
-
-        params = omega_at_ratio(build_bubble(cfg.bubble), params, mode[1])
-    return table, fit_rate(table, params)
+    return table, fit_rate(table)
 
 
 def test_c09_low_regime_decay():
@@ -370,8 +364,7 @@ def test_c14_determinism(tmp_path):
     for sub in ("one", "two"):
         cfg = ExperimentConfig.from_json(doc)
         table = run_convergence(cfg)
-        params, _ = build_contrast(cfg.contrast)
-        write_outputs(table, fit_rate(table, params), tmp_path / sub)
+        write_outputs(table, fit_rate(table), tmp_path / sub)
         blobs.append((tmp_path / sub / "error_table.csv").read_bytes())
     report(14, blobs[0] == blobs[1],
            f"two runs, same seed: error_table.csv byte-identical ({len(blobs[0])} bytes)")

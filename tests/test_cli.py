@@ -39,9 +39,11 @@ def config_path(tmp_path):
     return path
 
 
-def test_missing_config_exits_2(capsys):
+def test_missing_config_exits_2(tmp_path, capsys):
     assert cli(["regime-check"]) == 2
     assert cli(["converge", "--config", "/nonexistent/file.json"]) == 2
+    assert cli(["converge", "--config", str(tmp_path)]) == 2  # a directory
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_64():
@@ -60,10 +62,12 @@ def test_regime_check_prints_ledger(config_path, capsys):
     assert any(name.startswith("base") for name, _ in doc["ledger"])
 
 
-def test_malformed_json_exits_2(tmp_path):
+def test_malformed_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert cli(["regime-check", "--config", str(bad)]) == 2
+    for text in ("{not json", "null", "[1]"):
+        bad.write_text(text)
+        assert cli(["regime-check", "--config", str(bad)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_converge_writes_outputs(config_path, tmp_path, capsys):
@@ -230,21 +234,71 @@ def test_unknown_directions_key_exits_2(tmp_path, capsys):
 def test_bad_theta_exits_2(tmp_path, capsys, theta):
     path = _write_config(tmp_path, "theta", directions={"n": 50, "theta": theta})
     assert cli(["converge", "--config", str(path), "--out", str(tmp_path / "theta")]) == 2
-    assert "theta must be a finite non-zero 3-vector" in capsys.readouterr().err
+    assert "'theta' must be a finite non-zero 3-vector" in capsys.readouterr().err
     assert not (tmp_path / "theta" / "error_table.csv").exists()
 
 
-@pytest.mark.parametrize("over, name", [
-    ({"directions": "abc"}, "directions"),
-    ({"directions": {"n": 50, "theta_sweep": "many"}}, "theta_sweep"),
-    ({"seed": "x"}, "seed"),
-    ({"a_sequence": [0.02, "half", 0.005]}, "a_sequence"),
-    ({"a_sequence": 0.02}, "a_sequence"),
-    ({"tolerances": {"d_min": "x"}}, "tolerance 'd_min'"),
-    ({"tolerances": {"m_max": None}}, "tolerance 'm_max'"),
-    ({"tolerances": {"grid_n": [8]}}, "tolerance 'grid_n'"),
-], ids=["directions", "theta_sweep", "seed", "a_entry", "a_scalar", "d_min", "m_max",
-        "grid_n"])
+def _density(**over):
+    return {"geometry": {"kind": "box", "density": over}}
+
+
+GRID = {"kind": "grid", "origin": [0, 0, 0], "spacing": [1, 1, 1], "samples": [[[0.0]]]}
+# (id, config override, what the error must name): one malformed value per key
+MALFORMED = [
+    ("directions", {"directions": "abc"}, "directions"),
+    ("theta_sweep", {"directions": {"n": 50, "theta_sweep": "many"}}, "theta_sweep"),
+    ("seed", {"seed": "x"}, "seed"),
+    ("a_entry", {"a_sequence": [0.02, "half", 0.005]}, "a_sequence"),
+    ("a_scalar", {"a_sequence": 0.02}, "a_sequence"),
+    ("d_min", {"tolerances": {"d_min": "x"}}, "tolerance 'd_min'"),
+    ("m_max", {"tolerances": {"m_max": None}}, "tolerance 'm_max'"),
+    ("grid_n", {"tolerances": {"grid_n": [8]}}, "tolerance 'grid_n'"),
+    ("mesh_level", {"tolerances": {"mesh_level": "x"}}, "tolerance 'mesh_level'"),
+    ("mesh_n", {"tolerances": {"mesh_n": "x"}}, "tolerance 'mesh_n'"),
+    ("mesh_rings", {"tolerances": {"mesh_rings": "x"}}, "tolerance 'mesh_rings'"),
+    ("mesh_nphi", {"tolerances": {"mesh_nphi": "x"}}, "tolerance 'mesh_nphi'"),
+    ("tolerances", {"tolerances": [8]}, "tolerance must be an object"),
+    ("directions_n", {"directions": {"n": "many"}}, "directions 'n'"),
+    ("theta", {"directions": {"theta": "up"}}, "directions 'theta'"),
+    ("regime", {"regime": "Lo"}, "config 'regime'"),
+    ("geometry", {"geometry": [1]}, "geometry must be an object"),
+    ("box_size", {"geometry": {"kind": "box", "size": "abc"}}, "box geometry 'size'"),
+    ("box_size_2d", {"geometry": {"kind": "box", "size": [1, 1]}}, "box geometry 'size'"),
+    ("box_center", {"geometry": {"kind": "box", "center": [0, "x", 0]}},
+     "box geometry 'center'"),
+    ("ball_radius", {"geometry": {"kind": "ball", "radius": "wide"}}, "ball geometry 'radius'"),
+    ("ball_center", {"geometry": {"kind": "ball", "center": 0}}, "ball geometry 'center'"),
+    ("cap_radius", {"geometry": {"kind": "sphere_cap", "radius": "x"}},
+     "sphere_cap geometry 'radius'"),
+    ("cap_theta_max", {"geometry": {"kind": "sphere_cap", "theta_max": "x"}},
+     "sphere_cap geometry 'theta_max'"),
+    ("plane_lx", {"geometry": {"kind": "plane_rect", "lx": "x"}}, "plane_rect geometry 'lx'"),
+    ("plane_ly", {"geometry": {"kind": "plane_rect", "ly": None}}, "plane_rect geometry 'ly'"),
+    ("density", {"geometry": {"kind": "box", "density": 0.5}}, "density must be an object"),
+    ("density_value", _density(value="x"), "constant density 'value'"),
+    ("density_k_max", _density(value=1, k_max="x"), "constant density 'k_max'"),
+    ("grid_no_origin", _density(**{**GRID, "origin": None}), "grid density 'origin'"),
+    ("grid_missing_origin", _density(kind="grid", spacing=[1, 1, 1], samples=[[[0.0]]]),
+     "missing grid density key 'origin'"),
+    ("grid_spacing", _density(**{**GRID, "spacing": [1, 1]}), "grid density 'spacing'"),
+    ("grid_samples", _density(**{**GRID, "samples": [[0], [0, 1]]}), "grid density 'samples'"),
+    ("grid_k_max", _density(**GRID, k_max="x"), "grid density 'k_max'"),
+    ("sphere_radius", {"bubble": {"radius": "x"}}, "sphere bubble 'radius'"),
+    ("cube_n", {"bubble": {"shape": "cube", "n": "x"}}, "cube bubble 'n'"),
+    ("cube_side", {"bubble": {"shape": "cube", "side": "x"}}, "cube bubble 'side'"),
+    ("mesh_no_path", {"bubble": {"shape": "mesh"}}, "missing mesh bubble key 'path'"),
+    ("mesh_path", {"bubble": {"shape": "mesh", "path": 5}}, "mesh bubble 'path'"),
+    ("mesh_missing_file", {"bubble": {"shape": "mesh", "path": "no/such/bubble.msh"}},
+     "no/such/bubble.msh"),
+    ("contrast", {"contrast": "fast"}, "contrast must be an object"),
+    *[(f"contrast_{key}", {"contrast": {**BASE["contrast"], key: "x"}}, f"contrast {key!r}")
+      for key in ("rho0", "k0", "c_rho", "gamma", "tau", "s", "t", "h1", "l_m", "lambda_k",
+                  "l0", "omega", "omega_ratio")],
+]
+
+
+@pytest.mark.parametrize("over, name", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
 @pytest.mark.parametrize("command", ["regime-check", "cluster", "converge"])
 def test_non_numeric_config_values_exit_2(tmp_path, capsys, over, name, command):
     path = _write_config(tmp_path, "nan", **over)
@@ -260,7 +314,7 @@ def test_non_numeric_config_values_exit_2(tmp_path, capsys, over, name, command)
     ({"directions": {"n": 20.5}}, "directions"),
     ({"directions": {"n": 50, "theta_sweep": 2.5}}, "theta_sweep"),
     ({"seed": 1.5}, "seed"),
-    ({"bubble": {"shape": "cube", "n": 6.5}}, "bubble n"),
+    ({"bubble": {"shape": "cube", "n": 6.5}}, "bubble 'n'"),
     ({"directions": {"n": 50, "theta_sweep": -3}}, "theta_sweep"),
     ({"directions": 0}, "directions"),
     ({"seed": -1}, "seed"),
@@ -270,7 +324,7 @@ def test_non_numeric_config_values_exit_2(tmp_path, capsys, over, name, command)
     ({"tolerances": {"mesh_rings": 0}}, "tolerance 'mesh_rings'"),
     ({"tolerances": {"mesh_nphi": -2}}, "tolerance 'mesh_nphi'"),
     ({"tolerances": {"mesh_level": -1}}, "tolerance 'mesh_level'"),
-    ({"bubble": {"shape": "cube", "n": 0}}, "bubble n"),
+    ({"bubble": {"shape": "cube", "n": 0}}, "bubble 'n'"),
 ], ids=["grid_n", "m_max", "mesh_level", "directions", "theta_sweep", "seed", "cube_n",
         "negative_theta_sweep", "zero_directions", "negative_seed",
         "zero_grid_n", "zero_m_max", "zero_mesh_n", "zero_mesh_rings", "negative_mesh_nphi",
@@ -285,16 +339,28 @@ def test_non_integral_or_out_of_range_integers_exit_2(tmp_path, capsys, over, na
     assert not (tmp_path / "int").exists()
 
 
+def test_seed_flag_and_out_key_are_checked(config_path, tmp_path, capsys):
+    # --seed and --out replace the config's keys and are converted like them
+    out = tmp_path / "seed"
+    assert cli(["cluster", "--config", str(config_path), "--out", str(out), "--seed", "-1"]) == 2
+    assert "'seed' must be an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli(["cluster", "--config", str(_write_config(tmp_path, "out", out=5))]) == 2
+    assert "config 'out' must be a path" in capsys.readouterr().err
+
+
 def test_whole_number_floats_load_as_integers(tmp_path):
     path = _write_config(tmp_path, "whole", directions={"n": 30.0, "theta_sweep": 2.0},
                          seed=1.0, tolerances={"grid_n": 24.0, "m_max": 4096.0,
-                                               "mesh_level": 0.0})
+                                               "mesh_level": 0.0},
+                         bubble={"shape": "cube", "n": 2.0})
     cfg = _load_config(path)
     assert (cfg.directions, cfg.theta_sweep, cfg.seed) == (30, 2, 1)
     assert cfg.tolerances == {"grid_n": 24, "m_max": 4096, "mesh_level": 0}
+    assert cfg.bubble == {"shape": "cube", "n": 2}
     assert all(type(v) is int for v in (cfg.directions, cfg.theta_sweep, cfg.seed,
-                                        *cfg.tolerances.values()))
-    cube = build_bubble({"shape": "cube", "n": 2.0})
+                                        *cfg.tolerances.values(), cfg.bubble["n"]))
+    cube = build_bubble(cfg.bubble)
     assert cube.volume == build_bubble({"shape": "cube", "n": 2}).volume
 
 

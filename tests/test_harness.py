@@ -71,7 +71,7 @@ def test_shipped_configs_and_benchmark_workloads_load(monkeypatch):
     spec.loader.exec_module(workloads)
     docs += [w.config(1, size) for w in workloads.WORKLOADS.values() for size in workloads.SIZES]
     for doc in docs:
-        # the builders reject keys a geometry, density or bubble does not read
+        # from_json rejects a key its section does not list
         prepare(ExperimentConfig.from_json(doc))
 
 
@@ -109,8 +109,7 @@ def test_low_regime_run_and_outputs(tmp_path):
     for row in table.rows:
         assert row.sup_err == row.field_scale
         assert row.n_model == 0
-    params, _ = build_contrast(cfg.contrast)
-    fit = fit_rate(table, params)
+    fit = fit_rate(table)
     write_outputs(table, fit, tmp_path)
     header = (tmp_path / "error_table.csv").read_text().splitlines()[0]
     assert header == "a,M,N,sup_err,field_scale"
@@ -124,7 +123,8 @@ def test_low_regime_run_and_outputs(tmp_path):
 def test_error_table_csv_roundtrip(tmp_path):
     rows = [ErrorRow(a=0.1 / 3, m=27, n_model=512, sup_err=math.pi * 1e-7,
                      field_scale=2.0 ** 0.5)]
-    table = ErrorTable(rows=rows, regime_report=None, aborted=[], geometry_kind="box")
+    table = ErrorTable(rows=rows, regime_report=None, aborted=[], geometry_kind="box",
+                       params=None)
     table.write_csv(tmp_path / "error_table.csv")
     assert ErrorTable.read_rows(tmp_path / "error_table.csv") == rows
 
@@ -141,8 +141,7 @@ def test_convergence_determinism_byte_identical(tmp_path):
     cfg = low_config()
     for sub in ("one", "two"):
         table = run_convergence(cfg)
-        params, _ = build_contrast(cfg.contrast)
-        write_outputs(table, fit_rate(table, params), tmp_path / sub)
+        write_outputs(table, fit_rate(table), tmp_path / sub)
     a = (tmp_path / "one" / "error_table.csv").read_bytes()
     b = (tmp_path / "two" / "error_table.csv").read_bytes()
     assert a == b
@@ -185,8 +184,7 @@ def test_solver_error_row_keeps_diagnostics(tmp_path, monkeypatch):
     cfg = low_config()
     table = run_convergence(cfg)
     assert not table.rows and len(table.aborted) == 3
-    params, _ = build_contrast(cfg.contrast)
-    write_outputs(table, fit_rate(table, params), tmp_path)
+    write_outputs(table, fit_rate(table), tmp_path)
     report = json.loads((tmp_path / "regime_report.json").read_text())
     a, reason, diagnostics = report["aborted_rows"][0]
     assert a == cfg.a_sequence[0] and reason.startswith("SolverError: ")
@@ -215,8 +213,9 @@ def test_fit_rate_exact_power_law():
     report = classify_regime(params)
     rows = [ErrorRow(a=a, m=1, n_model=1, sup_err=a**0.4, field_scale=1.0)
             for a in (1e-1, 1e-2, 1e-3, 1e-4)]
-    table = ErrorTable(rows=rows, regime_report=report, aborted=[], geometry_kind="box")
-    fit = fit_rate(table, params)
+    table = ErrorTable(rows=rows, regime_report=report, aborted=[], geometry_kind="box",
+                       params=params)
+    fit = fit_rate(table)
     assert abs(fit.slope - 0.4) < 1e-12
     assert fit.r_squared > 1 - 1e-12
 
@@ -228,8 +227,9 @@ def test_fit_rate_near_resonance_ledger():
     assert report.regime == "MediumNearResonance"
     rows = [ErrorRow(a=a, m=1, n_model=1, sup_err=a**0.2, field_scale=1.0)
             for a in (1e-1, 1e-2, 1e-3)]
-    table = ErrorTable(rows=rows, regime_report=report, aborted=[], geometry_kind="box")
-    fit = fit_rate(table, params)
+    table = ErrorTable(rows=rows, regime_report=report, aborted=[], geometry_kind="box",
+                       params=params)
+    fit = fit_rate(table)
     exps = sorted(e for (_, e, _) in fit.exponent_ledger)
     assert exps == [pytest.approx(v) for v in (0.15, 0.3, 0.5, 0.5, 0.6)]
     assert fit.predicted_exponent == pytest.approx(0.15)
@@ -241,8 +241,8 @@ def test_fit_rate_surface_high_log_terms():
     rows = [ErrorRow(a=a, m=1, n_model=1, sup_err=a**0.1, field_scale=1.0)
             for a in (1e-1, 1e-2, 1e-3)]
     table = ErrorTable(rows=rows, regime_report=report, aborted=[],
-                       geometry_kind="sphere_cap")
-    fit = fit_rate(table, params)
+                       geometry_kind="sphere_cap", params=params)
+    fit = fit_rate(table)
     logs = [t for (t, _, note) in fit.exponent_ledger if "log" in note]
     assert len(logs) == 2  # the two log-carrying terms of the surface blow-up bound
     term_names = [t for (t, _, _) in fit.exponent_ledger]
@@ -255,8 +255,9 @@ def test_fit_rate_skips_degenerate_tables():
     report = classify_regime(params)
     rows = [ErrorRow(a=a, m=1, n_model=1, sup_err=0.0, field_scale=1.0)
             for a in (1e-1, 1e-2, 1e-3)]
-    table = ErrorTable(rows=rows, regime_report=report, aborted=[], geometry_kind="box")
-    fit = fit_rate(table, params)
+    table = ErrorTable(rows=rows, regime_report=report, aborted=[], geometry_kind="box",
+                       params=params)
+    fit = fit_rate(table)
     assert math.isnan(fit.slope)
     assert "skipped" in fit.note
 

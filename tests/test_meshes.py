@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bubblelab.errors import GeometryError
+from bubblelab.errors import ConfigError, GeometryError
 from bubblelab.meshes import (
     SurfaceMesh,
     boundary_shape_factor,
@@ -68,6 +70,22 @@ def test_load_mesh_rejects_bad_records(tmp_path):
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nt 0 1 2\n")
     with pytest.raises(GeometryError):
         load_mesh(path)
+
+
+@pytest.mark.parametrize("record", ["v 0 0 x", "f 0 1 two", "q 0 1 2 3.5"])
+def test_load_mesh_reports_non_numeric_fields_by_line(tmp_path, record):
+    path = tmp_path / "bad.msh"
+    path.write_text(f"v 0 0 0\nv 1 0 0\n{record}\nv 0 1 0\nf 0 1 2\n")
+    with pytest.raises(GeometryError, match=re.escape(f"{path}:3: ") + f".*, got '{record[2:]}'$"):
+        load_mesh(path)
+
+
+def test_load_mesh_unreadable_file_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="missing.msh"):
+        load_mesh(tmp_path / "missing.msh")
+    (tmp_path / "binary.msh").write_bytes(b"v 0 0 \xff\n")
+    with pytest.raises(ConfigError, match="binary.msh"):
+        load_mesh(tmp_path / "binary.msh")
 
 
 def test_degenerate_panel_rejected():
