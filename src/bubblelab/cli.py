@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import bemlimit, pointscat, surfmedium, volmedium
+from . import pointscat, surfmedium
 from .cluster import save_cluster, validate
 from .errors import BubbleLabError, ConfigError
 from .harness import (
@@ -67,17 +67,17 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return Path(cfg.out)
 
 
-def _first_row(cfg: ExperimentConfig, comparator=None):
+def _first_row(cfg: ExperimentConfig, model=None):
     """Run set-up, first radius scale, its parameters and the incident wave.
 
-    With ``comparator`` named, raises ConfigError unless the config's regime
-    compares against that model, so a single solve never writes a comparator
-    that ``converge`` does not run.
+    Raises ConfigError when ``model`` is named but is neither the config's
+    comparator nor the Dirichlet limit (which every geometry has), so a single
+    solve never writes a medium model that ``converge`` does not run.
     """
     run = prepare(cfg)
-    if comparator is not None and run.comparator != comparator:
+    if model not in (None, "dirichlet", run.comparator):
         raise ConfigError(f"this {run.report.regime} config compares against the "
-                          f"{run.comparator!r} model, not {comparator!r}")
+                          f"{run.comparator!r} model, not {model!r}")
     a = cfg.a_sequence[0]
     row_params = run.row_params(a)
     return run, a, row_params, IncidentWave(row_params.kappa0, run.theta)
@@ -128,43 +128,21 @@ def cmd_solve_fl(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_solve_ls(cfg: ExperimentConfig) -> int:
+def _solve_model(cfg: ExperimentConfig, model: str, tag: str, values_file: str) -> int:
+    """Solve the first row's ``model`` as ``converge`` does; write its far field,
+    the values at its points and, for the surface model, the jump check."""
     out = _out_dir(cfg)
-    run, a, row_params, incident = _first_row(cfg, "volume")
-    grid, pot, sol = run.volume_comparator(row_params, a, incident)
-    ff = volmedium.far_field_volume(sol, pot, grid, incident.kappa0, run.directions)
+    run, a, row_params, incident = _first_row(cfg, model)
+    mesh = None if model == "volume" else comparator_mesh(cfg)
+    ff, points, values, record = run.solve_model(model, mesh, row_params, a, incident)
     out.mkdir(parents=True, exist_ok=True)
-    ff.save_csv(out / "farfield_ls.csv")
-    _write_values(out / "ls_solution.csv", "index", grid.centers(), sol.y)
-    print(f"volume solve: N={grid.n_cells} iterations={sol.iterations} "
-          f"residual={sol.residual:.2e}")
-    return 0
-
-
-def cmd_solve_sie(cfg: ExperimentConfig) -> int:
-    out = _out_dir(cfg)
-    run, a, row_params, incident = _first_row(cfg, "surface")
-    mesh = comparator_mesh(cfg)
-    sol = run.surface_comparator(mesh, row_params, a, incident)
-    ff = surfmedium.far_field_surface(sol, mesh, incident.kappa0, run.directions)
-    out.mkdir(parents=True, exist_ok=True)
-    ff.save_csv(out / "farfield_sie.csv")
-    _write_values(out / "sie_solution.csv", "panel", mesh.centroids, sol.y)
-    jump = surfmedium.jump_check(sol, mesh, incident)
-    (out / "jump_check.json").write_text(json.dumps(jump, indent=1))
-    print(f"surface solve: panels={mesh.n_panels} residual={sol.residual:.2e}")
-    return 0
-
-
-def cmd_solve_bem(cfg: ExperimentConfig) -> int:
-    out = _out_dir(cfg)
-    run, _, _, incident = _first_row(cfg)
-    mesh = comparator_mesh(cfg)
-    density, ff = bemlimit.solve_dirichlet(mesh, incident, run.directions)
-    out.mkdir(parents=True, exist_ok=True)
-    ff.save_csv(out / "farfield_bem.csv")
-    _write_values(out / "bem_density.csv", "panel", mesh.centroids, density.values)
-    print(f"dirichlet solve: panels={mesh.n_panels} residual={density.residual:.2e}")
+    ff.save_csv(out / f"farfield_{tag}.csv")
+    _write_values(out / values_file, "index" if mesh is None else "panel", points, values)
+    if model == "surface":
+        jump = surfmedium.jump_check(record, mesh, incident)
+        (out / "jump_check.json").write_text(json.dumps(jump, indent=1))
+    steps = f" iterations={record.iterations}" if hasattr(record, "iterations") else ""
+    print(f"{model} solve: N={len(points)}{steps} residual={record.residual:.2e}")
     return 0
 
 
@@ -201,9 +179,9 @@ _COMMANDS = {
     "regime-check": cmd_regime_check,
     "cluster": cmd_cluster,
     "solve-fl": cmd_solve_fl,
-    "solve-ls": cmd_solve_ls,
-    "solve-sie": cmd_solve_sie,
-    "solve-bem": cmd_solve_bem,
+    "solve-ls": lambda cfg: _solve_model(cfg, "volume", "ls", "ls_solution.csv"),
+    "solve-sie": lambda cfg: _solve_model(cfg, "surface", "sie", "sie_solution.csv"),
+    "solve-bem": lambda cfg: _solve_model(cfg, "dirichlet", "bem", "bem_density.csv"),
     "converge": cmd_converge,
     "fit": cmd_fit,
 }

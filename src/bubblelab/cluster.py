@@ -55,8 +55,7 @@ class DensityField:
             observed_max = float(samples.max())
         else:
             raise ConfigError(f"unknown density kind {kind!r}")
-        self.k_max = float(k_max) if k_max is not None else observed_max
-        if observed_max > self.k_max:
+        if k_max is not None and observed_max > k_max:
             raise ConfigError("density exceeds the configured bound k_max")
 
     @staticmethod

@@ -158,9 +158,15 @@ def _integer(minimum: int) -> _Value:
     return _Value(f"an integer >= {minimum}", convert)
 
 
+def _finite(value) -> float:
+    if not math.isfinite(number := float(value)):  # JSON reads NaN and Infinity
+        raise ValueError(value)
+    return number
+
+
 def _vector(value, nonzero=False) -> tuple:
     vector = np.asarray(value, dtype=float)
-    if vector.shape != (3,) or nonzero and not 0 < np.linalg.norm(vector) < math.inf:
+    if vector.shape != (3,) or not np.isfinite(vector).all() or nonzero and not vector.any():
         raise ValueError(value)
     return tuple(vector.tolist())
 
@@ -173,7 +179,7 @@ def _samples(value) -> np.ndarray:
 
 
 def _decreasing(value) -> tuple:
-    seq = tuple(map(float, value))
+    seq = tuple(map(_finite, value))
     if len(seq) < 3 or any(b >= a for a, b in zip(seq, seq[1:])):
         raise ValueError(value)
     return seq
@@ -192,9 +198,9 @@ def _object(name: str, tag=None, default=None) -> _Value:
     return _Value("an object", convert)
 
 
-_NUMBER, _COUNT, _LEVEL = _Value("a number", float), _integer(1), _integer(0)
+_NUMBER, _COUNT, _LEVEL = _Value("a finite number", _finite), _integer(1), _integer(0)
 _TAG, _PATH, _VECTOR = _Value("a name", str), _Value("a path", os.fspath), \
-    _Value("a 3-vector", _vector)
+    _Value("a finite 3-vector", _vector)
 _DIRECTION = _Value("a finite non-zero 3-vector", lambda v: _vector(v, nonzero=True))
 _DENSITY = _object("density", "kind", "constant")
 
@@ -206,8 +212,8 @@ SECTIONS = {
         "contrast": _object("contrast")._replace(required=True),
         "regime": _Value(f"one of {', '.join(REGIMES)}", lambda v: REGIMES[REGIMES.index(v)],
                          required=True),
-        "a_sequence": _Value("a strictly decreasing list of at least 3 numbers", _decreasing,
-                             required=True),
+        "a_sequence": _Value("a strictly decreasing list of at least 3 finite numbers",
+                             _decreasing, required=True),
         # a bare count is the directions section's n
         "directions": _Value("an object", lambda value: _section(
             value if isinstance(value, dict) else {"n": value}, "directions")),
@@ -334,7 +340,7 @@ def resolve_contrast(config: ExperimentConfig, bubble: BubbleSpec) -> ContrastPa
 def regime_summary(report: RegimeReport) -> dict:
     return {
         "regime": report.regime,
-        "s_star": report.s_star,
+        "s_star": report.scale_of_c,  # s* is the scale of C in every regime
         "scale_of_c": report.scale_of_c,
         "ledger": [[name, ok] for name, ok in report.satisfied],
     }
@@ -401,19 +407,32 @@ class RunSetup:
         return cl, coeff, [pointscat.solve_charges(system, inc, cl.centers)
                            for inc in incidents]
 
-    def volume_comparator(self, row_params, a, incident) -> tuple:
-        """Voxel grid, volume potential and Lippmann-Schwinger solution."""
-        grid = volmedium.VoxelGrid.cover(self.geometry,
-                                         self.config.tolerances.get("grid_n", 24))
-        coeff0 = medium_coefficient(self.bubble, row_params, a)
-        pot = volmedium.VolumePotential.from_density(grid, self.density, coeff0)
-        return grid, pot, volmedium.assemble_and_solve(grid, pot, incident)
+    def solve_model(self, model, mesh, row_params, a, incident) -> tuple:
+        """Solve ``model`` ("zero", "dirichlet", "surface" or "volume"; see
+        ``comparator``) for one incident wave at radius scale a.
 
-    def surface_comparator(self, mesh, row_params, a, incident):
-        """Surface-density solution on the comparator mesh."""
-        sigma0 = medium_coefficient(self.bubble, row_params, a)
-        return surfmedium.assemble_and_solve_surface(
-            mesh, sigma0 * (self.density.value + 1.0), incident)
+        The surface and Dirichlet models solve on ``mesh`` (``comparator_mesh``).
+        Returns the far field on the run's directions, the points that carry
+        the unknowns (panel or voxel centres), their values and the solve record.
+        """
+        directions, kappa0 = self.directions, incident.kappa0
+        if model == "zero":
+            zero = np.zeros(len(directions), dtype=complex)
+            return FarField(directions, zero), np.empty((0, 3)), np.empty(0, complex), None
+        if model == "dirichlet":
+            density, ff = bemlimit.solve_dirichlet(mesh, incident, directions)
+            return ff, mesh.centroids, density.values, density
+        coeff0 = medium_coefficient(self.bubble, row_params, a)
+        if model == "surface":
+            sol = surfmedium.assemble_and_solve_surface(
+                mesh, coeff0 * (self.density.value + 1.0), incident)
+            ff = surfmedium.far_field_surface(sol, mesh, kappa0, directions)
+            return ff, mesh.centroids, sol.y, sol
+        grid = volmedium.VoxelGrid.cover(self.geometry, self.config.tolerances.get("grid_n", 24))
+        pot = volmedium.VolumePotential.from_density(grid, self.density, coeff0)
+        sol = volmedium.assemble_and_solve(grid, pot, incident)
+        ff = volmedium.far_field_volume(sol, pot, grid, kappa0, directions)
+        return ff, grid.centers(), sol.y, sol
 
 
 def prepare(config: ExperimentConfig) -> RunSetup:
@@ -466,13 +485,13 @@ def run_convergence(config: ExperimentConfig) -> ErrorTable:
             keep = None
             for ti, (incident, ff_fl) in enumerate(zip(incidents, fl_fields)):
                 if ti not in model_cache:
-                    model_cache[ti] = _solve_comparator(run, mesh, row_params, a, incident,
-                                                        directions)
+                    ff, points, _, _ = run.solve_model(run.comparator, mesh, row_params, a,
+                                                       incident)
+                    model_cache[ti] = ff, len(points)
                 ff_model, n_model = model_cache[ti]
                 err = ff_fl.sup_diff(ff_model)
                 if keep is None or err > sup_err:
-                    keep = (ff_fl, ff_model)
-                sup_err = max(sup_err, err)
+                    keep, sup_err = (ff_fl, ff_model), err
                 field_scale = max(field_scale, ff_fl.sup_norm())
             rows.append(ErrorRow(a=a, m=cl.m, n_model=n_model, sup_err=sup_err,
                                  field_scale=field_scale))
@@ -492,21 +511,6 @@ def _abort_diagnostics(exc: BubbleLabError) -> dict:
         "cond_estimate": float(cond) if cond is not None and math.isfinite(cond) else None,
         "iterations": getattr(exc, "iterations", None),
     }
-
-
-def _solve_comparator(run: RunSetup, mesh, row_params, a, incident, directions):
-    """Equivalent-model far field and model size for one incidence direction."""
-    kappa0 = incident.kappa0
-    if run.comparator == "zero":
-        return FarField(directions, np.zeros(len(directions), dtype=complex)), 0
-    if run.comparator == "dirichlet":
-        _, ff = bemlimit.solve_dirichlet(mesh, incident, directions)
-        return ff, mesh.n_panels
-    if run.comparator == "surface":
-        sol = run.surface_comparator(mesh, row_params, a, incident)
-        return surfmedium.far_field_surface(sol, mesh, kappa0, directions), mesh.n_panels
-    grid, pot, sol = run.volume_comparator(row_params, a, incident)
-    return volmedium.far_field_volume(sol, pot, grid, kappa0, directions), grid.n_cells
 
 
 # ---------------------------------------------------------------------------

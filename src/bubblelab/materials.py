@@ -280,7 +280,6 @@ class RegimeReport:
     regime: str
     satisfied: tuple  # ((condition-name, bool), ...)
     scale_of_c: float
-    s_star: float
 
 
 REGIMES = ("Low", "MediumVolumetricA", "MediumVolumetricB", "MediumNearResonance", "High")
@@ -406,4 +405,4 @@ def classify_regime(params: ContrastParams) -> RegimeReport:
     for other in REGIMES:
         if other != regime:
             add(f"regime:{other}", False)
-    return RegimeReport(regime=regime, satisfied=tuple(ledger), scale_of_c=scale, s_star=scale)
+    return RegimeReport(regime=regime, satisfied=tuple(ledger), scale_of_c=scale)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -183,17 +184,28 @@ MEDIUM_BOX = {
 }
 
 
+CAP = {"geometry": {"kind": "sphere_cap", "radius": 1.0, "theta_max": 0.7853981633974483},
+       "a_sequence": [0.05, 0.03, 0.02]}
+MEDIUM_CAP = {**CAP, "contrast": {"gamma": 1.0, "s": 1.0, "t": 0.45, "omega_ratio": 0.6},
+              "regime": "MediumVolumetricB",
+              "tolerances": {"d_min": 0.3, "mesh_rings": 6, "mesh_nphi": 16}}
+HIGH_CAP = {**CAP, "contrast": {"gamma": 1.0, "s": 0.95, "t": 0.33, "h1": 0.1, "l_m": 0.01,
+                                "lambda_k": 0.9},
+            "regime": "High", "tolerances": {"d_min": 0.1, "mesh_rings": 6, "mesh_nphi": 16}}
+
+
 def test_solve_commands_match_converge_first_row(tmp_path):
-    # solve-fl and solve-ls run the same set-up and solves as converge's first row
-    path = _write_config(tmp_path, "med", **MEDIUM_BOX)
-    conv, single = tmp_path / "conv", tmp_path / "single"
-    assert cli(["converge", "--config", str(path), "--out", str(conv)]) == 0
-    assert cli(["solve-fl", "--config", str(path), "--out", str(single)]) == 0
-    assert cli(["solve-ls", "--config", str(path), "--out", str(single)]) == 0
-    assert ((single / "farfield_fl.csv").read_bytes()
-            == (conv / "farfield_fl_row0.csv").read_bytes())
-    assert ((single / "farfield_ls.csv").read_bytes()
-            == (conv / "farfield_model_row0.csv").read_bytes())
+    # each solve runs the same set-up and solve as converge's first row
+    for name, over, tags in [("med", MEDIUM_BOX, ("fl", "ls")), ("cap", MEDIUM_CAP, ("sie",)),
+                             ("high", HIGH_CAP, ("bem",))]:
+        path = _write_config(tmp_path, name, **over)
+        conv, single = tmp_path / f"{name}_conv", tmp_path / name
+        assert cli(["converge", "--config", str(path), "--out", str(conv)]) == 0
+        for tag in tags:
+            assert cli([f"solve-{tag}", "--config", str(path), "--out", str(single)]) == 0
+            row0 = "farfield_fl_row0.csv" if tag == "fl" else "farfield_model_row0.csv"
+            assert ((single / f"farfield_{tag}.csv").read_bytes()
+                    == (conv / row0).read_bytes()), tag
 
 
 def test_solve_fl_enforces_cluster_cap(tmp_path):
@@ -294,6 +306,14 @@ MALFORMED = [
     *[(f"contrast_{key}", {"contrast": {**BASE["contrast"], key: "x"}}, f"contrast {key!r}")
       for key in ("rho0", "k0", "c_rho", "gamma", "tau", "s", "t", "h1", "l_m", "lambda_k",
                   "l0", "omega", "omega_ratio")],
+    # JSON reads NaN and Infinity as floats
+    ("nan_omega_ratio", {"contrast": {**BASE["contrast"], "omega_ratio": math.nan}},
+     "contrast 'omega_ratio'"),
+    ("infinite_rho0", {"contrast": {**BASE["contrast"], "rho0": math.inf}}, "contrast 'rho0'"),
+    ("nan_d_min", {"tolerances": {"d_min": math.nan}}, "tolerance 'd_min'"),
+    ("nan_a_entry", {"a_sequence": [0.004, math.nan, 0.001]}, "a_sequence"),
+    ("infinite_box_size", {"geometry": {"kind": "box", "size": [math.inf, 1, 1]}},
+     "box geometry 'size'"),
 ]
 
 

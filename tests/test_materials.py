@@ -238,7 +238,7 @@ def test_surface_sigma_cases(sphere):
 def test_classify_worked_examples():
     r1 = classify_regime(ContrastParams(gamma=0.7, s=1.3, t=0.45))
     assert r1.regime == "MediumVolumetricA"
-    assert r1.s_star == pytest.approx(1.3)
+    assert r1.scale_of_c == pytest.approx(1.3)
 
     r2 = classify_regime(ContrastParams(gamma=1.0, s=0.5, t=0.2))
     assert r2.regime == "Low"
@@ -257,7 +257,7 @@ def test_classify_worked_examples():
     assert ledger["high: 3t < 3/2 - t - h1"]
     assert ledger["high-vol: 3t < (1 + 2*lambda/15)(1 - h1)"]
     assert ledger["high-sur: 3t < (1 + lambda/7)(1 - h1)"]
-    assert r3.s_star == pytest.approx(0.9)
+    assert r3.scale_of_c == pytest.approx(0.9)
 
 
 def test_classify_high_ledger_matches_hand_arithmetic():
