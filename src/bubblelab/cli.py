@@ -19,7 +19,6 @@ from .harness import (
     ErrorTable,
     ExperimentConfig,
     build_bubble,
-    comparator_mesh,
     fit_rate,
     prepare,
     regime_summary,
@@ -133,13 +132,12 @@ def _solve_model(cfg: ExperimentConfig, model: str, tag: str, values_file: str) 
     the values at its points and, for the surface model, the jump check."""
     out = _out_dir(cfg)
     run, a, row_params, incident = _first_row(cfg, model)
-    mesh = None if model == "volume" else comparator_mesh(cfg)
-    ff, points, values, record = run.solve_model(model, mesh, row_params, a, incident)
+    ff, points, values, record = run.solve_model(model, row_params, a, incident)
     out.mkdir(parents=True, exist_ok=True)
     ff.save_csv(out / f"farfield_{tag}.csv")
-    _write_values(out / values_file, "index" if mesh is None else "panel", points, values)
+    _write_values(out / values_file, "index" if model == "volume" else "panel", points, values)
     if model == "surface":
-        jump = surfmedium.jump_check(record, mesh, incident)
+        jump = surfmedium.jump_check(record, run.mesh, incident)
         (out / "jump_check.json").write_text(json.dumps(jump, indent=1))
     steps = f" iterations={record.iterations}" if hasattr(record, "iterations") else ""
     print(f"{model} solve: N={len(points)}{steps} residual={record.residual:.2e}")

@@ -15,6 +15,7 @@ import math
 import os
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -73,11 +74,14 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(doc) -> "ExperimentConfig":
-        """The config a JSON document describes; ConfigError if it is malformed."""
+        """The config a JSON document describes, tolerances defaulted; ConfigError if malformed."""
         doc = _section(doc, "config")
         directions = doc.pop("directions", {})
         if "n" in directions:
             directions["directions"] = directions.pop("n")
+        table = f"{doc['geometry']['kind']} tolerance"
+        doc["tolerances"] = _section(doc.get("tolerances", {}),
+                                     table if table in SECTIONS else "tolerance")
         return ExperimentConfig(**doc, **directions)
 
 
@@ -143,8 +147,8 @@ class RateFit:
 # config schema and materialization
 
 
-# how one config key converts, and what it must be (for the error message)
-_Value = namedtuple("_Value", "what convert required", defaults=(False,))
+# how one config key converts, what it must be (for errors), and its default (None: none)
+_Value = namedtuple("_Value", "what convert required default", defaults=(False, None))
 
 
 def _integer(minimum: int) -> _Value:
@@ -158,8 +162,9 @@ def _integer(minimum: int) -> _Value:
     return _Value(f"an integer >= {minimum}", convert)
 
 
-def _finite(value) -> float:
-    if not math.isfinite(number := float(value)):  # JSON reads NaN and Infinity
+def _finite(value, low=-math.inf, high=math.inf) -> float:
+    """A finite number in (low, high]; JSON reads NaN and Infinity."""
+    if not (math.isfinite(number := float(value)) and low < number <= high):
         raise ValueError(value)
     return number
 
@@ -202,6 +207,9 @@ _NUMBER, _COUNT, _LEVEL = _Value("a finite number", _finite), _integer(1), _inte
 _TAG, _PATH, _VECTOR = _Value("a name", str), _Value("a path", os.fspath), \
     _Value("a finite 3-vector", _vector)
 _DIRECTION = _Value("a finite non-zero 3-vector", lambda v: _vector(v, nonzero=True))
+_LENGTH = _Value("a finite number > 0", lambda v: _finite(v, 0.0))
+_ANGLE = _Value("a number in (0, pi]", lambda v: _finite(v, 0.0, math.pi))
+_SIZE = _Value("a 3-vector of numbers > 0", lambda v: tuple(_finite(x, 0) for x in _vector(v)))
 _DENSITY = _object("density", "kind", "constant")
 
 # section -> {key: converter}: every key a config may hold, and its type
@@ -217,20 +225,22 @@ SECTIONS = {
         # a bare count is the directions section's n
         "directions": _Value("an object", lambda value: _section(
             value if isinstance(value, dict) else {"n": value}, "directions")),
-        "tolerances": _object("tolerance"),
+        "tolerances": _Value("an object", lambda doc: doc),  # converted in from_json
         "seed": _LEVEL,
         "out": _PATH,
     },
     "directions": {"n": _COUNT, "theta": _DIRECTION, "theta_sweep": _LEVEL},
-    "tolerance": {"m_max": _COUNT, "d_min": _NUMBER, "grid_n": _COUNT, "mesh_level": _LEVEL,
-                  "mesh_n": _COUNT, "mesh_rings": _COUNT, "mesh_nphi": _COUNT},
+    "tolerance": {"m_max": _COUNT._replace(default=4096), "d_min": _LENGTH._replace(default=0.5),
+                  "grid_n": _COUNT._replace(default=24), "mesh_level": _LEVEL._replace(default=3),
+                  "mesh_n": _COUNT._replace(default=10), "mesh_rings": _COUNT._replace(default=14),
+                  "mesh_nphi": _COUNT._replace(default=42)},
     "contrast": dict.fromkeys(("rho0", "k0", "c_rho", "gamma", "tau", "s", "t", "h1", "l_m",
                                "lambda_k", "l0", "omega", "omega_ratio"), _NUMBER),
-    "box geometry": {"kind": _TAG, "density": _DENSITY, "size": _VECTOR, "center": _VECTOR},
-    "ball geometry": {"kind": _TAG, "density": _DENSITY, "radius": _NUMBER, "center": _VECTOR},
-    "sphere_cap geometry": {"kind": _TAG, "density": _DENSITY, "radius": _NUMBER,
-                            "theta_max": _NUMBER},
-    "plane_rect geometry": {"kind": _TAG, "density": _DENSITY, "lx": _NUMBER, "ly": _NUMBER},
+    "box geometry": {"kind": _TAG, "density": _DENSITY, "size": _SIZE, "center": _VECTOR},
+    "ball geometry": {"kind": _TAG, "density": _DENSITY, "radius": _LENGTH, "center": _VECTOR},
+    "sphere_cap geometry": {"kind": _TAG, "density": _DENSITY, "radius": _LENGTH,
+                            "theta_max": _ANGLE},
+    "plane_rect geometry": {"kind": _TAG, "density": _DENSITY, "lx": _LENGTH, "ly": _LENGTH},
     "constant density": {"kind": _TAG, "value": _NUMBER, "k_max": _NUMBER},
     # samples first: 2d samples get the hint that surfaces take constant densities
     "grid density": {"kind": _TAG,
@@ -238,10 +248,12 @@ SECTIONS = {
                                        _samples, required=True),
                      "origin": _VECTOR._replace(required=True),
                      "spacing": _VECTOR._replace(required=True), "k_max": _NUMBER},
-    "sphere bubble": {"shape": _TAG, "radius": _NUMBER},
-    "cube bubble": {"shape": _TAG, "n": _COUNT, "side": _NUMBER},
+    "sphere bubble": {"shape": _TAG, "radius": _LENGTH},
+    "cube bubble": {"shape": _TAG, "n": _COUNT, "side": _LENGTH},
     "mesh bubble": {"shape": _TAG, "path": _PATH._replace(required=True)},
 }
+# a plane_rect screen's rim-graded comparator mesh takes more panels a side than a box face
+SECTIONS["plane_rect tolerance"] = {**SECTIONS["tolerance"], "mesh_n": _COUNT._replace(default=16)}
 
 
 def _section(doc, name: str) -> dict:
@@ -263,6 +275,8 @@ def _section(doc, name: str) -> dict:
                                   f"got {doc[key]!r}") from None
         elif kind.required:
             raise ConfigError(f"missing {name} key {key!r}")
+        elif kind.default is not None:
+            converted[key] = kind.default
     return converted
 
 
@@ -313,16 +327,14 @@ def comparator_mesh(config: ExperimentConfig):
     tol = config.tolerances
     if isinstance(geometry, SphereCapChart):
         return sphere_cap_mesh(radius=geometry.radius, theta_max=geometry.theta_max,
-                               n_rings=tol.get("mesh_rings", 14),
-                               n_phi=tol.get("mesh_nphi", 42))
+                               n_rings=tol["mesh_rings"], n_phi=tol["mesh_nphi"])
     if isinstance(geometry, PlaneChart):
-        n = tol.get("mesh_n", 16)
+        n = tol["mesh_n"]
         # open comparator meshes are rim-graded (edge-singular limits)
         return rect_mesh(geometry.lx, geometry.ly, n, n, grading=0.7, grading_levels=3)
     if isinstance(geometry, BallDomain):
-        return icosphere(tol.get("mesh_level", 3), radius=geometry.radius,
-                         center=geometry.center)
-    return cube_mesh(tol.get("mesh_n", 10), side=geometry.size, center=geometry.center)
+        return icosphere(tol["mesh_level"], radius=geometry.radius, center=geometry.center)
+    return cube_mesh(tol["mesh_n"], side=geometry.size, center=geometry.center)
 
 
 def resolve_contrast(config: ExperimentConfig, bubble: BubbleSpec) -> ContrastParams:
@@ -365,6 +377,16 @@ class RunSetup:
     def directions(self) -> np.ndarray:
         return fibonacci_directions(self.config.directions)
 
+    # the comparator's panels (surface, Dirichlet) and voxels (volume): built on
+    # first use and kept for the run, as neither depends on a, kappa0 or theta
+    @cached_property
+    def mesh(self):
+        return comparator_mesh(self.config)
+
+    @cached_property
+    def grid(self) -> volmedium.VoxelGrid:
+        return volmedium.VoxelGrid.cover(self.geometry, self.config.tolerances["grid_n"])
+
     @property
     def theta(self) -> np.ndarray:
         theta = np.asarray(self.config.theta, dtype=float)
@@ -388,8 +410,7 @@ class RunSetup:
     def cluster(self, a):
         builder = build_surface if self.config.is_surface else build_volumetric
         return builder(self.geometry, self.density, a, self.params.s, self.params.t,
-                       seed=self.config.seed,
-                       d_min=self.config.tolerances.get("d_min", 0.5))
+                       seed=self.config.seed, d_min=self.config.tolerances["d_min"])
 
     def solve_points(self, a, row_params, incidents) -> tuple:
         """Cluster, coefficient and charges for each incident wave at radius scale a.
@@ -400,39 +421,38 @@ class RunSetup:
         """
         coeff = scattering_coefficient(self.bubble, row_params, a)
         cl = self.cluster(a)
-        m_max = self.config.tolerances.get("m_max", 4096)
+        m_max = self.config.tolerances["m_max"]
         if cl.m > m_max:
             raise ConfigError(f"cluster size M={cl.m} exceeds cap {m_max}")
         system = pointscat.ClusterSystem(pointscat.assemble(cl.centers, coeff, row_params.kappa0))
         return cl, coeff, [pointscat.solve_charges(system, inc, cl.centers)
                            for inc in incidents]
 
-    def solve_model(self, model, mesh, row_params, a, incident) -> tuple:
+    def solve_model(self, model, row_params, a, incident) -> tuple:
         """Solve ``model`` ("zero", "dirichlet", "surface" or "volume"; see
         ``comparator``) for one incident wave at radius scale a.
 
-        The surface and Dirichlet models solve on ``mesh`` (``comparator_mesh``).
-        Returns the far field on the run's directions, the points that carry
-        the unknowns (panel or voxel centres), their values and the solve record.
+        The surface and Dirichlet models solve on ``mesh``, the volume model on
+        ``grid``.  Returns the far field on the run's directions, the points that
+        carry the unknowns (panel or voxel centres), their values and the solve record.
         """
         directions, kappa0 = self.directions, incident.kappa0
         if model == "zero":
             zero = np.zeros(len(directions), dtype=complex)
             return FarField(directions, zero), np.empty((0, 3)), np.empty(0, complex), None
         if model == "dirichlet":
-            density, ff = bemlimit.solve_dirichlet(mesh, incident, directions)
-            return ff, mesh.centroids, density.values, density
+            density, ff = bemlimit.solve_dirichlet(self.mesh, incident, directions)
+            return ff, self.mesh.centroids, density.values, density
         coeff0 = medium_coefficient(self.bubble, row_params, a)
         if model == "surface":
             sol = surfmedium.assemble_and_solve_surface(
-                mesh, coeff0 * (self.density.value + 1.0), incident)
-            ff = surfmedium.far_field_surface(sol, mesh, kappa0, directions)
-            return ff, mesh.centroids, sol.y, sol
-        grid = volmedium.VoxelGrid.cover(self.geometry, self.config.tolerances.get("grid_n", 24))
-        pot = volmedium.VolumePotential.from_density(grid, self.density, coeff0)
-        sol = volmedium.assemble_and_solve(grid, pot, incident)
-        ff = volmedium.far_field_volume(sol, pot, grid, kappa0, directions)
-        return ff, grid.centers(), sol.y, sol
+                self.mesh, coeff0 * (self.density.value + 1.0), incident)
+            ff = surfmedium.far_field_surface(sol, self.mesh, kappa0, directions)
+            return ff, self.mesh.centroids, sol.y, sol
+        pot = volmedium.VolumePotential.from_density(self.grid, self.density, coeff0)
+        sol = volmedium.assemble_and_solve(self.grid, pot, incident)
+        ff = volmedium.far_field_volume(sol, pot, self.grid, kappa0, directions)
+        return ff, self.grid.centers, sol.y, sol
 
 
 def prepare(config: ExperimentConfig) -> RunSetup:
@@ -445,9 +465,8 @@ def prepare(config: ExperimentConfig) -> RunSetup:
     params = resolve_contrast(config, bubble)
     report = classify_regime(params)
     if report.regime != config.regime:
-        raise ConfigError(
-            f"config regime {config.regime!r} but parameters classify as {report.regime!r}"
-        )
+        raise ConfigError(f"config regime {config.regime!r} but parameters classify as "
+                          f"{report.regime!r}")
     geometry = build_geometry(config.geometry)
     density = build_density(config.geometry.get("density"))
     if config.is_surface and density.kind != "constant":
@@ -460,12 +479,9 @@ def run_convergence(config: ExperimentConfig) -> ErrorTable:
     """Point-interaction vs equivalent-model far fields along the a-sequence."""
     run = prepare(config)
     directions = run.directions
-    mesh = comparator_mesh(config) if run.comparator in ("dirichlet", "surface") else None
 
     # incidence directions: one fixed theta, or a sweep taking the sup over a grid
-    thetas = [run.theta]
-    if config.theta_sweep > 0:
-        thetas = list(fibonacci_directions(config.theta_sweep))
+    thetas = list(fibonacci_directions(config.theta_sweep)) if config.theta_sweep else [run.theta]
 
     # away-branch comparators do not depend on a: solve once per theta and reuse
     model_cache = {}
@@ -485,8 +501,7 @@ def run_convergence(config: ExperimentConfig) -> ErrorTable:
             keep = None
             for ti, (incident, ff_fl) in enumerate(zip(incidents, fl_fields)):
                 if ti not in model_cache:
-                    ff, points, _, _ = run.solve_model(run.comparator, mesh, row_params, a,
-                                                       incident)
+                    ff, points, _, _ = run.solve_model(run.comparator, row_params, a, incident)
                     model_cache[ti] = ff, len(points)
                 ff_model, n_model = model_cache[ti]
                 err = ff_fl.sup_diff(ff_model)

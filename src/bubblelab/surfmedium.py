@@ -163,21 +163,14 @@ def single_layer_eval(mesh: SurfaceMesh, densities, kappa0: float, points) -> np
     return out
 
 
-def total_field_surface(solution: SurfaceSolution, mesh: SurfaceMesh, incident,
-                        points) -> np.ndarray:
-    """u(x) = u^I(x) - S[sigma Y](x) with near-accurate quadrature."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    layer = single_layer_eval(mesh, solution.sigma_h * solution.y, incident.kappa0, pts)
-    return np.asarray(incident.at(pts), dtype=complex) - layer
-
-
 def jump_check(solution: SurfaceSolution, mesh: SurfaceMesh, incident) -> dict:
     """Finite-difference transmission-jump diagnostics at sample centroids.
 
-    Probes the represented field at +/- eps offsets along the normals of
-    about 24 evenly spaced panels (eps = half the local panel diameter),
-    forms one-sided normal derivatives and reports the value jump and the
-    defect of [du/dn] = sigma * u under both jump-bracket orientations.
+    Probes the represented field u = u^I - S[sigma Y] (near-accurate
+    quadrature) at +/- eps offsets along the normals of about 24 evenly
+    spaced panels (eps = half the local panel diameter), forms one-sided
+    normal derivatives and reports the value jump and the defect of
+    [du/dn] = sigma * u under both jump-bracket orientations.
     Agreement degrades as eps approaches the panel size.
     """
     probe_indices = np.arange(0, mesh.n_panels, max(1, mesh.n_panels // 24))
@@ -187,9 +180,9 @@ def jump_check(solution: SurfaceSolution, mesh: SurfaceMesh, incident) -> dict:
 
     # probes at 0, 1/2, 1 and 3/2 eps outside and at 1/2, 1 and 3/2 eps inside
     offsets = np.array([0.0, 0.5, 1.0, 1.5, -0.5, -1.0, -1.5])
-    probes = c + offsets[:, None, None] * eps[:, None] * n
-    u0, out1, out2, out3, in1, in2, in3 = total_field_surface(
-        solution, mesh, incident, probes.reshape(-1, 3)).reshape(len(offsets), -1)
+    probes = (c + offsets[:, None, None] * eps[:, None] * n).reshape(-1, 3)
+    layer = single_layer_eval(mesh, solution.sigma_h * solution.y, incident.kappa0, probes)
+    u0, out1, out2, out3, in1, in2, in3 = (incident.at(probes) - layer).reshape(len(offsets), -1)
 
     # second-order one-sided stencils anchored at the surface trace; plain
     # two-point differences at +/- eps are biased by eps * u'' near the kink

@@ -13,12 +13,14 @@ the short-recurrence ``kernels.cocg`` with the pruned FFT-convolution matvec
 the operator's one padded work buffer and its octant spectrum, and no Krylov
 basis; each matvec allocates only its output.  The far field sums over the
 grid separably (``kernels.grid_far_field_sum``), one phase table per axis.
+A grid builds its masked cell centres once and shares them read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,14 +42,6 @@ class VoxelGrid:
     dims: tuple
     mask: np.ndarray  # boolean (nx, ny, nz)
 
-    def __post_init__(self):
-        if self.g <= 0:
-            raise ConfigError("cell side must be positive")
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
-        object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
-        if self.mask.shape != tuple(self.dims):
-            raise ConfigError("mask shape must match dims")
-
     @staticmethod
     def cover(domain, n: int) -> "VoxelGrid":
         """Cubic cells covering the domain bounding box, masked by the center rule."""
@@ -57,20 +51,20 @@ class VoxelGrid:
         dims = tuple(max(1, int(round(size[d] / g))) for d in range(3))
         center = (np.asarray(lo, float) + np.asarray(hi, float)) / 2.0
         origin = center - np.array(dims) * g / 2.0
-        grid = VoxelGrid(origin, g, dims, np.ones(dims, dtype=bool))
-        mask = domain.contains(grid.all_centers()).reshape(dims)
-        return VoxelGrid(origin, g, dims, mask)
+        box = VoxelGrid(origin, g, dims, np.ones(dims, dtype=bool))
+        return VoxelGrid(origin, g, dims, domain.contains(box.centers).reshape(dims))
 
     def axes(self) -> list:
         """Cell-center coordinates along x, y and z."""
         return [self.origin[d] + self.g * (np.arange(self.dims[d]) + 0.5) for d in range(3)]
 
-    def all_centers(self) -> np.ndarray:
-        xx, yy, zz = np.meshgrid(*self.axes(), indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
-
+    @cached_property
     def centers(self) -> np.ndarray:
-        return self.all_centers()[self.mask.ravel()]
+        """(n_cells, 3) masked cell centres in C order; read-only."""
+        centers = np.argwhere(self.mask) + 0.5  # scaled in place: temporaries lift peak RSS
+        np.add(np.multiply(centers, self.g, out=centers), self.origin, out=centers)
+        centers.flags.writeable = False
+        return centers
 
     @property
     def n_cells(self) -> int:
@@ -91,7 +85,7 @@ class VolumePotential:
 
     @staticmethod
     def from_density(grid: VoxelGrid, density, coefficient: float):
-        kvals = density(grid.centers())
+        kvals = density(grid.centers)
         return VolumePotential(values=coefficient * (kvals + 1.0))
 
 
@@ -137,7 +131,7 @@ def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident) ->
         raise ConfigError("potential and grid cell counts differ")
     if n > MAX_CELLS:
         raise ConfigError(f"cell count {n} exceeds the cap {MAX_CELLS}")
-    rhs = incident.at(grid.centers())
+    rhs = incident.at(grid.centers)
     v0 = potential.values
     w_self = self_cell_weight(grid.g, incident.kappa0)
     # the cell volume g^3 rides in the potential, so the kernel's off-diagonal

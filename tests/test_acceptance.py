@@ -164,9 +164,9 @@ def test_c06_volume_solver_oracle():
     grid_b = volmedium.VoxelGrid.cover(dom, 14)
     pot_b = volmedium.VolumePotential.from_density(grid_b, DensityField.constant(0.0), -1e-2)
     sol_b = volmedium.assemble_and_solve(grid_b, pot_b, inc)
-    w = broadcast_weights(grid_b.centers(), inc.kappa0, grid_b.g**3,
+    w = broadcast_weights(grid_b.centers, inc.kappa0, grid_b.g**3,
                           volmedium.self_cell_weight(grid_b.g, inc.kappa0))
-    u_inc = inc.at(grid_b.centers())
+    u_inc = inc.at(grid_b.centers)
     born = u_inc - w @ (pot_b.values * u_inc)
     born_rel = np.abs(sol_b.y - born).max() / np.abs(sol_b.y).max()
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bubblelab.cli import _load_config, cli
-from bubblelab.harness import build_bubble, prepare
+from bubblelab.harness import ExperimentConfig, build_bubble, prepare
 from bubblelab.kernels import min_cos_kappa_distance
 
 BASE = {
@@ -327,6 +327,44 @@ def test_non_numeric_config_values_exit_2(tmp_path, capsys, over, name, command)
     assert not (tmp_path / "nan").exists()
 
 
+# (id, config override, what the error must name): one length or angle out of range per key
+OUT_OF_RANGE = [
+    ("zero_d_min", {"tolerances": {"d_min": 0}}, "tolerance 'd_min'"),
+    ("negative_d_min", {"tolerances": {"d_min": -1}}, "tolerance 'd_min'"),
+    ("zero_box_size", {"geometry": {"kind": "box", "size": [1, 0, 1]}}, "box geometry 'size'"),
+    ("negative_box_size", {"geometry": {"kind": "box", "size": [1, 1, -2]}},
+     "box geometry 'size'"),
+    ("ball_radius", {"geometry": {"kind": "ball", "radius": -0.5}}, "ball geometry 'radius'"),
+    ("cap_radius", {"geometry": {"kind": "sphere_cap", "radius": 0}},
+     "sphere_cap geometry 'radius'"),
+    ("plane_lx", {"geometry": {"kind": "plane_rect", "lx": 0}}, "plane_rect geometry 'lx'"),
+    ("plane_ly", {"geometry": {"kind": "plane_rect", "ly": -1}}, "plane_rect geometry 'ly'"),
+    ("sphere_radius", {"bubble": {"radius": 0}}, "sphere bubble 'radius'"),
+    ("cube_side", {"bubble": {"shape": "cube", "side": -1}}, "cube bubble 'side'"),
+    ("cap_theta_max_large", {"geometry": {"kind": "sphere_cap", "theta_max": 4.0}},
+     "sphere_cap geometry 'theta_max'"),
+    ("cap_theta_max_zero", {"geometry": {"kind": "sphere_cap", "theta_max": 0}},
+     "sphere_cap geometry 'theta_max'"),
+]
+
+
+@pytest.mark.parametrize("over, name", [case[1:] for case in OUT_OF_RANGE],
+                         ids=[case[0] for case in OUT_OF_RANGE])
+@pytest.mark.parametrize("command", ["regime-check", "cluster", "converge"])
+def test_out_of_range_lengths_and_angles_exit_2(tmp_path, capsys, over, name, command):
+    path = _write_config(tmp_path, "range", **over)
+    assert cli([command, "--config", str(path), "--out", str(tmp_path / "range")]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "must be" in err and "Traceback" not in err
+    assert not (tmp_path / "range").exists()
+
+
+def test_theta_max_of_a_hemisphere_and_a_full_sphere_load():
+    for theta_max in (math.pi / 2, math.pi):
+        doc = {**BASE, "geometry": {"kind": "sphere_cap", "theta_max": theta_max}}
+        assert ExperimentConfig.from_json(doc).geometry["theta_max"] == theta_max
+
+
 @pytest.mark.parametrize("over, name", [
     ({"tolerances": {"grid_n": 8.7}}, "tolerance 'grid_n'"),
     ({"tolerances": {"m_max": 99.9}}, "tolerance 'm_max'"),
@@ -376,10 +414,11 @@ def test_whole_number_floats_load_as_integers(tmp_path):
                          bubble={"shape": "cube", "n": 2.0})
     cfg = _load_config(path)
     assert (cfg.directions, cfg.theta_sweep, cfg.seed) == (30, 2, 1)
-    assert cfg.tolerances == {"grid_n": 24, "m_max": 4096, "mesh_level": 0}
+    tolerances = {key: cfg.tolerances[key] for key in ("grid_n", "m_max", "mesh_level")}
+    assert tolerances == {"grid_n": 24, "m_max": 4096, "mesh_level": 0}
     assert cfg.bubble == {"shape": "cube", "n": 2}
     assert all(type(v) is int for v in (cfg.directions, cfg.theta_sweep, cfg.seed,
-                                        *cfg.tolerances.values(), cfg.bubble["n"]))
+                                        *tolerances.values(), cfg.bubble["n"]))
     cube = build_bubble(cfg.bubble)
     assert cube.volume == build_bubble({"shape": "cube", "n": 2}).volume
 

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import json
 import math
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bubblelab import volmedium
 from bubblelab.errors import ConfigError
 from bubblelab.harness import (
     ErrorRow,
@@ -48,6 +50,70 @@ def test_config_validation():
         low_config(extra_key=1)
     with pytest.raises(ConfigError):
         low_config(geometry={"kind": "torus"})
+
+
+@pytest.mark.parametrize("kind, mesh_n", [("box", 10), ("plane_rect", 16)])
+def test_absent_tolerances_take_their_defaults(kind, mesh_n):
+    cfg = low_config(geometry={"kind": kind})
+    assert cfg.tolerances == {"m_max": 4096, "d_min": 0.5, "grid_n": 24, "mesh_level": 3,
+                              "mesh_n": mesh_n, "mesh_rings": 14, "mesh_nphi": 42}
+    # a key the config sets replaces its default only
+    given = low_config(geometry={"kind": kind}, tolerances={"mesh_n": 4, "d_min": 0.25})
+    assert given.tolerances == {**cfg.tolerances, "mesh_n": 4, "d_min": 0.25}
+
+
+def _count_discretisation_builds(monkeypatch):
+    """Lists that record each ``VoxelGrid.cover`` call and, per centres build, its grid."""
+    grid_type = volmedium.VoxelGrid
+    covers, centred = [], []
+    cover, build = grid_type.cover, grid_type.__dict__["centers"].func
+
+    def counted_cover(domain, n):
+        covers.append(n)
+        return cover(domain, n)
+
+    def counted_centers(grid):
+        centred.append(grid)
+        return build(grid)
+
+    centers = functools.cached_property(counted_centers)
+    centers.__set_name__(grid_type, "centers")
+    monkeypatch.setattr(grid_type, "cover", staticmethod(counted_cover))
+    monkeypatch.setattr(grid_type, "centers", centers)
+    return covers, centred
+
+
+@pytest.mark.parametrize("over", [
+    {"contrast": {"gamma": 1.0, "s": 1.0, "t": 0.4, "omega_ratio": 0.8},
+     "regime": "MediumVolumetricB", "a_sequence": [0.05, 0.03, 0.02],
+     "directions": {"n": 30, "theta_sweep": 2}},
+    {"contrast": {"gamma": 1.0, "s": 0.7, "t": 0.3, "h1": 0.3, "l_m": -1.0, "lambda_k": 0.9},
+     "regime": "MediumNearResonance", "a_sequence": [0.002, 0.001, 0.0005]},
+], ids=["theta_sweep", "near_resonance"])
+def test_voxel_grid_is_built_once_per_run(monkeypatch, over):
+    # neither the incidence direction nor a (which moves kappa0 near the
+    # resonance) changes the grid, so every row and direction reuses it
+    covers, centred = _count_discretisation_builds(monkeypatch)
+    table = run_convergence(low_config(**over, tolerances={"grid_n": 8}))
+    assert len(table.rows) == 3 and not table.aborted
+    assert covers == [8]
+    # one centres build per grid: the all-cells grid cover masks, and the masked grid
+    assert len(centred) == 2 and centred[0] is not centred[1]
+
+
+def test_comparator_mesh_is_built_once_per_run(monkeypatch):
+    from bubblelab import harness
+
+    meshes = []
+    build = harness.comparator_mesh
+    monkeypatch.setattr(harness, "comparator_mesh", lambda cfg: meshes.append(1) or build(cfg))
+    table = run_convergence(low_config(
+        geometry={"kind": "sphere_cap", "radius": 1.0, "theta_max": math.pi / 4},
+        contrast={"gamma": 1.0, "s": 0.95, "t": 0.33, "h1": 0.1, "l_m": 0.01, "lambda_k": 0.9},
+        regime="High", directions={"n": 30, "theta_sweep": 2},
+        tolerances={"d_min": 0.1, "mesh_rings": 4, "mesh_nphi": 12}))
+    assert len(table.rows) == 3 and not table.aborted
+    assert meshes == [1]
 
 
 def test_box_comparator_mesh_has_per_axis_sides():

@@ -124,7 +124,7 @@ def test_separable_volume_far_field_matches_direct_sum(grid):
     dirs = fibonacci_directions(64)
     kappa0 = 2.5
     ff = far_field_volume(sol, pot, grid, kappa0, dirs)
-    ref = -direct_far_field(dirs, grid.centers(), pot.values * sol.y * grid.g**3, kappa0)
+    ref = -direct_far_field(dirs, grid.centers, pot.values * sol.y * grid.g**3, kappa0)
     assert np.abs(ff.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -152,7 +152,7 @@ def test_lattice_convolution_matches_dense_weights(dims, mask):
     op = LatticeConvolution(mask, g, kappa0, diagonal / g**3)
     rng = np.random.default_rng(sum(dims))
     v = rng.standard_normal(grid.n_cells) + 1j * rng.standard_normal(grid.n_cells)
-    ref = broadcast_weights(grid.centers(), kappa0, g**3, diagonal) @ v
+    ref = broadcast_weights(grid.centers, kappa0, g**3, diagonal) @ v
     assert np.abs(op.apply(g**3 * v) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 

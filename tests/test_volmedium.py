@@ -60,24 +60,26 @@ def test_self_cell_weight_scaling_and_imaginary_part():
 def test_grid_cover_and_mask(ball_grid):
     masked_volume = ball_grid.n_cells * ball_grid.g**3
     assert abs(masked_volume - 4 * np.pi / 3) < 0.1 * 4 * np.pi / 3
-    centers = ball_grid.centers()
+    centers = ball_grid.centers
     assert np.all(np.linalg.norm(centers, axis=1) <= 1.0 + 1e-12)
+    # built once and shared, so no caller may write into it
+    assert centers is ball_grid.centers and not centers.flags.writeable
 
 
 def test_zero_potential_reproduces_incident(ball_grid):
     pot = VolumePotential.from_density(ball_grid, DensityField.constant(0.0), 0.0)
     sol = assemble_and_solve(ball_grid, pot, INC)
-    assert np.abs(sol.y - INC.at(ball_grid.centers())).max() < 1e-12
+    assert np.abs(sol.y - INC.at(ball_grid.centers)).max() < 1e-12
     ff = far_field_volume(sol, pot, ball_grid, INC.kappa0, fibonacci_directions(32))
     assert ff.sup_norm() == 0.0
-    scattered = voxel_scattered_field([[3.0, 0.0, 0.0]], ball_grid.centers(), ball_grid.g,
+    scattered = voxel_scattered_field([[3.0, 0.0, 0.0]], ball_grid.centers, ball_grid.g,
                                       pot.values * sol.y, INC.kappa0, 0.0)
     assert np.abs(scattered).max() == 0.0
 
 
 def dense_weights(grid, kappa0):
     """The collocation weights as a dense matrix, from the broadcast oracle."""
-    return broadcast_weights(grid.centers(), kappa0, grid.g**3,
+    return broadcast_weights(grid.centers, kappa0, grid.g**3,
                              self_cell_weight(grid.g, kappa0))
 
 
@@ -92,7 +94,7 @@ def test_dense_and_fft_paths_agree(ball_grid):
     # the FFT matvec + COCG solve against a dense solve of the same system:
     # both signs of sqrt(V) and a non-constant V0
     dirs = fibonacci_directions(64)
-    u_inc = INC.at(ball_grid.centers())
+    u_inc = INC.at(ball_grid.centers)
     for density, coefficient in [(DensityField.constant(0.0), -1.5),
                                  (DensityField.constant(0.0), 1.5),
                                  (_graded_density(), -1.5)]:
@@ -126,7 +128,7 @@ def test_strong_potential_ball_meets_contract(n, v0):
     w_self = self_cell_weight(grid.g, INC.kappa0)
     conv = LatticeConvolution(grid.mask, grid.g, INC.kappa0, w_self / grid.g**3)
     resid = np.abs(sol.y + conv.apply(pot.values * grid.g**3 * sol.y)
-                   - INC.at(grid.centers())).max()
+                   - INC.at(grid.centers)).max()
     assert resid == pytest.approx(sol.residual, rel=1e-6, abs=1e-15)
     assert resid <= LS_RESIDUAL_TOL * (1 + np.abs(sol.y).max())
 
@@ -136,7 +138,7 @@ def test_born_regime_solution(ball_grid):
     pot = VolumePotential.from_density(ball_grid, DensityField.constant(0.0), -1e-2)
     sol = assemble_and_solve(ball_grid, pot, INC)
     w = dense_weights(ball_grid, INC.kappa0)
-    u_inc = INC.at(ball_grid.centers())
+    u_inc = INC.at(ball_grid.centers)
     born = u_inc - w @ (pot.values * u_inc)
     rel = np.abs(sol.y - born).max() / np.abs(sol.y).max()
     assert rel <= 1e-3
@@ -184,7 +186,7 @@ def test_total_field_consistency(ball_grid):
     # by the oracle, reproduces Y at the cell centres and the far field far out
     pot = VolumePotential.from_density(ball_grid, DensityField.constant(0.0), -1.5)
     sol = assemble_and_solve(ball_grid, pot, INC)
-    centers = ball_grid.centers()
+    centers = ball_grid.centers
     w_self = self_cell_weight(ball_grid.g, INC.kappa0)
 
     def scattered(points):
