@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_legendre, spherical_jn, spherical_yn
 
 from .errors import ConfigError
 from .fields import FarField
@@ -66,6 +65,10 @@ def mie_soft_sphere(kappa0: float, radius: float, directions, theta):
     limit is the isotropic monopole -4 pi radius (the e^{ikr}/r amplitude
     times 4 pi).
     """
+    # imported here, not at start-up: only the tests and scripts/bem_vs_mie.py
+    # call the oracle, and no converge run needs scipy.special
+    from scipy.special import eval_legendre, spherical_jn, spherical_yn
+
     if kappa0 <= 0 or radius <= 0:
         raise ConfigError("kappa0 and radius must be positive")
     ka = kappa0 * radius

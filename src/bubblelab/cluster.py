@@ -365,7 +365,7 @@ def _square_inside(chart, sites, pitch):
 
 
 def build_volumetric(domain, density: DensityField, a: float, s: float, t: float,
-                     seed: int = 0, d_min: float = 0.5) -> Cluster:
+                     seed: int = 0, *, d_min: float) -> Cluster:
     """Cube cells of volume a^s (floor(K)+1)/(K+1) at lattice sites of pitch a^(s/3).
 
     Sites whose center leaves the domain are dropped; ``dropped`` is the
@@ -378,7 +378,7 @@ def build_volumetric(domain, density: DensityField, a: float, s: float, t: float
 
 
 def build_surface(chart, density: DensityField, a: float, s: float, t: float,
-                  seed: int = 0, d_min: float = 0.5) -> Cluster:
+                  seed: int = 0, *, d_min: float) -> Cluster:
     """Parameter-plane squares of area a^s (floor(K)+1)/(K+1) on an area-preserving chart.
 
     Both charts map parameter areas to equal surface areas.  Sites whose

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.fft import dctn, fft, ifft
+from numpy.fft import fft, ifft, rfft
 from scipy.linalg.blas import zaxpy, zsymm
 from scipy.linalg.lapack import zsycon, zsytrf, zsytrf_lwork, zsytrs
 
@@ -149,6 +149,21 @@ def grid_far_field_sum(directions, axes, weights, kappa0: float) -> np.ndarray:
     return np.einsum("di,di->d", u, px)
 
 
+def _dct1(x) -> np.ndarray:
+    """Type-1 DCT of a real 3-D array over axes 0, 1 and 2, bitwise equal to
+    ``scipy.fft.dctn(x, type=1)``.
+
+    On each axis the DCT-I of (x_0 .. x_n) is the real part of the real DFT
+    of its even extension (x_0 .. x_n, x_{n-1} .. x_1) (Martucci, IEEE Trans.
+    Signal Process. 42(5), 1994), which is how pocketfft computes it too.
+    """
+    for axis in range(3):
+        y = np.moveaxis(x, axis, 0)
+        y = rfft(np.concatenate((y, y[-2:0:-1])), axis=0).real
+        x = np.moveaxis(y, 0, axis)
+    return x
+
+
 class LatticeConvolution:
     """Kernel matvec on the masked sites of a regular lattice by FFT.
 
@@ -158,11 +173,11 @@ class LatticeConvolution:
     twice the mask's shape.  The padded kernel is even in each axis, so it
     is evaluated on the octant of offsets 0..n per axis only (the aliased
     offset n is never reached by padded data and is set to zero), and its
-    spectrum is the type-1 DCT of that octant.  The forward transform of
-    the data skips the zero-padded lines: z on the nx ny lines of the
-    unpadded box, then y on nx 2nz lines, then x.  The inverse runs x, y, z
-    and keeps the first n entries of each axis, 7/12 of the work of two
-    full transforms.
+    spectrum is the type-1 DCT of that octant (``_dct1``).  The forward
+    transform of the data skips the zero-padded lines: z on the nx ny lines
+    of the unpadded box, then y on nx 2nz lines, then x.  The inverse runs
+    x, y, z and keeps the first n entries of each axis, 7/12 of the work of
+    two full transforms.
 
     Memory: the operator holds one (2nx, 2ny, 2nz) complex work buffer and
     the (nx+1, ny+1, nz+1) octant spectrum.  Every transform runs in place
@@ -178,7 +193,9 @@ class LatticeConvolution:
             octant = helmholtz(np.sqrt(ox**2 + oy**2 + oz**2), kappa0)
         octant[0, 0, 0] = diagonal
         octant[-1] = octant[:, -1] = octant[:, :, -1] = 0.0
-        self._khat = dctn(octant, type=1)
+        self._khat = np.empty(octant.shape, dtype=complex)
+        self._khat.real = _dct1(octant.real)
+        self._khat.imag = _dct1(octant.imag)
         # the transform of an even sequence is even: padded frequency k is
         # octant frequency k for k <= n and 2n - k above, so each of the eight
         # (low, high) corners of the padded spectrum is an octant slice
@@ -191,21 +208,22 @@ class LatticeConvolution:
         """The kernel sum at every masked site, ``values`` given there."""
         nx, ny, nz = self.dims
         w = self._work
-        # each pass first zeroes the padding it reads; scipy's overwrite_x
-        # writes a complex view's transform into the view itself
-        w[:nx, :ny] = 0.0
-        w[:nx, :ny, :nz][self.mask] = values
-        fft(w[:nx, :ny], axis=2, overwrite_x=True)
-        w[:nx, ny:] = 0.0
-        fft(w[:nx], axis=1, overwrite_x=True)
+        wx, wxy = w[:nx], w[:nx, :ny]
+        # each pass first zeroes the padding it reads; ``out=`` the view it
+        # reads writes the transform back into that view, with no copy
+        wxy[...] = 0.0
+        wxy[:, :, :nz][self.mask] = values
+        fft(wxy, axis=2, out=wxy)
+        wx[:, ny:] = 0.0
+        fft(wx, axis=1, out=wx)
         w[nx:] = 0.0
-        fft(w, axis=0, overwrite_x=True)
+        fft(w, axis=0, out=w)
         for padded, octant in self._corners:
             w[padded] *= self._khat[octant]
-        ifft(w, axis=0, overwrite_x=True)
-        ifft(w[:nx], axis=1, overwrite_x=True)
-        ifft(w[:nx, :ny], axis=2, overwrite_x=True)
-        return w[:nx, :ny, :nz][self.mask]
+        ifft(w, axis=0, out=w)
+        ifft(wx, axis=1, out=wx)
+        ifft(wxy, axis=2, out=wxy)
+        return wxy[:, :, :nz][self.mask]
 
 
 def cocg(matvec, rhs, diagonal, rtol: float, max_iter: int) -> tuple:

@@ -102,7 +102,7 @@ def test_c04_point_interaction_exactness(sphere):
     from bubblelab.cluster import BoxDomain, build_volumetric
 
     cl = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField.constant(0.0),
-                          a=4096.0**-1.0, s=1.0, t=0.4, seed=0)
+                          a=4096.0**-1.0, s=1.0, t=0.4, seed=0, d_min=0.5)
     sol4096 = solve_charges(ClusterSystem(assemble(cl.centers, -0.002, kappa0)), inc,
                             cl.centers)
     res_ok = sol4096.residual <= 1e-10 * (1 + np.abs(sol4096.charges).max())

@@ -41,7 +41,7 @@ def chart_square_area(chart, center, side, n=24):
 def test_periodic_unit_cube():
     # K = 0, s = 1, a = 1e-3: 1000 cells of side 0.1, one center each
     cl = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField.constant(0.0),
-                          a=1e-3, s=1.0, t=0.4, seed=0)
+                          a=1e-3, s=1.0, t=0.4, seed=0, d_min=0.5)
     assert len(cl.cells) == 1000
     assert cl.m == 1000
     assert np.allclose(cl.sides, 0.1, rtol=1e-12)
@@ -57,7 +57,7 @@ def test_periodic_unit_cube():
 def test_constant_density_one_and_a_half():
     # floor(1.5)+1 = 2 centers per cell, cell volume a^s * 2/2.5
     cl = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField.constant(1.5),
-                          a=5e-3, s=1.0, t=0.4, seed=3)
+                          a=5e-3, s=1.0, t=0.4, seed=3, d_min=0.5)
     assert np.all(cl.counts == 2)
     assert np.allclose(cl.sides**3, cl.a * 2 / 2.5, rtol=1e-12)
     assert cl.m == 2 * len(cl.cells)
@@ -68,7 +68,7 @@ def test_constant_density_one_and_a_half():
 def test_integer_density_exact_volumes():
     for k in (0.0, 2.0):
         cl = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField.constant(k),
-                              a=1e-2, s=1.0, t=0.4, seed=1)
+                              a=1e-2, s=1.0, t=0.4, seed=1, d_min=0.5)
         assert np.allclose(cl.sides**3, cl.a, rtol=1e-12)
 
 
@@ -77,7 +77,7 @@ def test_dropped_volume_slope_one_third():
     avals = [1e-2, 1e-3]
     for a in avals:
         cl = build_volumetric(BallDomain(radius=1.0), DensityField.constant(0.0),
-                              a=a, s=1.0, t=0.4, seed=0)
+                              a=a, s=1.0, t=0.4, seed=0, d_min=0.5)
         vols.append(cl.dropped)
     slope = math.log(vols[1] / vols[0]) / math.log(avals[1] / avals[0])
     assert 0.33 - 0.15 <= slope <= 0.33 + 0.15
@@ -102,7 +102,7 @@ def test_dropped_volume_matches_per_site_loop(domain):
     n, starts = _lattice_axes(lo, hi, 2 * half)
     sites = starts + np.indices(n).reshape(3, -1).T * 2 * half
     expected = dropped_volume_by_loop(domain, sites, half, a**s)
-    cl = build_volumetric(domain, DensityField.constant(0.0), a, s, 0.4)
+    cl = build_volumetric(domain, DensityField.constant(0.0), a, s, 0.4, d_min=0.5)
     assert cl.dropped == pytest.approx(expected, rel=1e-12)
     assert (expected > 0.0) == isinstance(domain, BallDomain)
 
@@ -111,20 +111,22 @@ def test_total_count_scaling():
     # M(a) a^s bounded above by K_sup+1 and below by a positive constant
     dens = DensityField.constant(0.3)
     for a in (1e-1, 1e-2, 1e-3):
-        cl = build_volumetric(BoxDomain(size=(1, 1, 1)), dens, a=a, s=1.0, t=0.4, seed=0)
+        cl = build_volumetric(BoxDomain(size=(1, 1, 1)), dens, a=a, s=1.0, t=0.4, seed=0,
+                              d_min=0.5)
         scaled = cl.m * a**cl.s
         assert 0.4 <= scaled <= 1.3 + 1e-9
 
 
 def test_infeasible_spacing_exponent():
     with pytest.raises(PlacementError):
-        build_volumetric(BoxDomain(), DensityField.constant(0.0), a=1e-2, s=1.2, t=0.3)
+        build_volumetric(BoxDomain(), DensityField.constant(0.0), a=1e-2, s=1.2, t=0.3,
+                         d_min=0.5)
 
 
 def test_placement_error_when_density_too_high():
     with pytest.raises(PlacementError):
         build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField.constant(60.0),
-                         a=1e-2, s=0.9, t=0.3, seed=0)
+                         a=1e-2, s=0.9, t=0.3, seed=0, d_min=0.5)
 
 
 def test_density_field_validation():
@@ -145,7 +147,8 @@ def test_variable_density_counts():
     samples = np.zeros((2, 2, 2))
     samples[1] = 3.0  # K grows along x
     dens = DensityField.grid(origin=(-0.5, -0.5, -0.5), spacing=(1, 1, 1), samples=samples)
-    cl = build_volumetric(BoxDomain(size=(1, 1, 1)), dens, a=2e-2, s=1.0, t=0.4, seed=5)
+    cl = build_volumetric(BoxDomain(size=(1, 1, 1)), dens, a=2e-2, s=1.0, t=0.4, seed=5,
+                          d_min=0.5)
     assert set(np.unique(cl.counts)) >= {1}
     assert cl.counts.max() > 1  # denser side holds more bubbles
     checks = validate(cl)
@@ -154,7 +157,7 @@ def test_variable_density_counts():
 
 def test_determinism_byte_for_byte():
     dens = DensityField.constant(1.2)
-    kw = dict(a=4e-3, s=1.0, t=0.4, seed=42)
+    kw = dict(a=4e-3, s=1.0, t=0.4, seed=42, d_min=0.5)
     c1 = build_volumetric(BoxDomain(size=(1, 1, 1)), dens, **kw)
     c2 = build_volumetric(BoxDomain(size=(1, 1, 1)), dens, **kw)
     assert json.dumps(c1.to_json()) == json.dumps(c2.to_json())
@@ -167,7 +170,7 @@ def test_determinism_byte_for_byte():
 
 def test_flat_square_exact_tiling():
     cl = build_surface(PlaneChart(1.0, 1.0), DensityField.constant(0.0),
-                       a=1e-2, s=1.0, t=0.45, seed=0)
+                       a=1e-2, s=1.0, t=0.45, seed=0, d_min=0.5)
     assert len(cl.cells) == 100
     assert np.allclose(cl.sides, 0.1, rtol=1e-12)
     assert cl.dropped == 0.0
@@ -199,7 +202,7 @@ def test_surface_dropped_area_slope_one_half():
 
 def test_validate_flags_coincident_centers():
     volume = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField.constant(0.0),
-                              a=2e-2, s=1.0, t=0.4, seed=0)
+                              a=2e-2, s=1.0, t=0.4, seed=0, d_min=0.5)
     cap = build_surface(SphereCapChart(), DensityField.constant(0.7), a=2e-2, s=1.0,
                         t=0.45, seed=9, d_min=0.3)
     for base in (volume, cap):

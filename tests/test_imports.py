@@ -2,7 +2,8 @@
 every public function, class and method of the package has a caller outside
 the tests, every record field of the package is read outside the tests, every
 parameter of a package function is read in its body, and importing the CLI
-loads no scipy subpackage it does not use."""
+loads from scipy only ``scipy.linalg``: neither ``scipy.sparse``,
+``scipy.interpolate``, ``scipy.fft`` nor ``scipy.special``."""
 
 import ast
 import os
@@ -192,11 +193,15 @@ def loaded_after_cli_import(module: str) -> bool:
     return res.stdout.strip() == "True"
 
 
-def test_cli_import_leaves_scipy_interpolate_unloaded():
-    # only a grid density interpolates; start-up must not load scipy.interpolate
-    assert not loaded_after_cli_import("scipy.interpolate")
+# scipy subpackages that start-up must not load, each with why no run needs it
+UNLOADED_AT_START = {
+    "scipy.sparse": "the volume solve is the package's own COCG",
+    "scipy.interpolate": "only a grid density interpolates, importing it on demand",
+    "scipy.fft": "the lattice convolution runs on numpy.fft",
+    "scipy.special": "only the Mie oracle uses it, importing it on demand",
+}
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    # the volume solve is the package's own COCG; nothing needs scipy.sparse
-    assert not loaded_after_cli_import("scipy.sparse")
+@pytest.mark.parametrize("module", sorted(UNLOADED_AT_START))
+def test_cli_import_leaves_scipy_subpackage_unloaded(module):
+    assert not loaded_after_cli_import(module), UNLOADED_AT_START[module]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dctn
 
 from bubblelab.cluster import BallDomain, BoxDomain, DensityField
 from bubblelab.errors import GeometryError, SolverError
@@ -12,6 +13,7 @@ from bubblelab.kernels import (
     BLOCK_ENTRIES,
     DenseSystem,
     LatticeConvolution,
+    _dct1,
     cocg,
     far_field_sum,
     grid_far_field_sum,
@@ -171,6 +173,16 @@ def test_lattice_convolution_reuses_its_buffer_without_stale_data(dims, mask):
     second = op.apply(v2)
     assert np.array_equal(second, LatticeConvolution(mask, 0.07, 4.1, 2.0 - 0.5j).apply(v2))
     assert not np.shares_memory(first, second)
+
+
+@pytest.mark.parametrize("shape", [(13, 10, 2), (12, 9, 7), (2, 2, 2), (37, 37, 37)],
+                         ids=["plane_12x9x1_octant", "ball_11x8x6_octant", "smallest_2x2x2",
+                              "grid_36_octant"])
+def test_dct1_bitwise_equal_to_scipy_dctn(shape):
+    # the octant spectrum, and with it every volume solve, stays what
+    # scipy.fft.dctn(type=1) gave before numpy.fft replaced it
+    x = np.random.default_rng(sum(shape)).standard_normal(shape)
+    assert np.array_equal(_dct1(x), dctn(x, type=1))
 
 
 # ---------------------------------------------------------------------------
