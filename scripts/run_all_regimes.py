@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Run every example convergence config and print a compact summary."""
+"""Run every example convergence config and print a compact summary.
+
+Exits 1 when any config's ``converge`` run fails, 0 otherwise.
+"""
 
 import argparse
 import json
@@ -16,7 +19,7 @@ def main():
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args()
 
-    summary = []
+    summary, status = [], 0
     for cfg_path in sorted(CONFIG_DIR.glob("*.json")):
         out = Path(args.out) / cfg_path.stem
         cmd = [sys.executable, "-m", "bubblelab.cli", "converge",
@@ -27,6 +30,7 @@ def main():
         res = subprocess.run(cmd)
         if res.returncode != 0:
             summary.append((cfg_path.stem, f"exit {res.returncode}"))
+            status = 1
             continue
         fit = json.loads((out / "rate_fit.json").read_text())
         summary.append((cfg_path.stem,
@@ -35,7 +39,8 @@ def main():
     print("\nsummary:")
     for name, line in summary:
         print(f"  {name:<{width}}  {line}")
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

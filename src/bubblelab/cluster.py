@@ -4,8 +4,8 @@ One builder lays cells out on a uniform lattice (pitch a^(s/3) in volumes,
 a^(s/2) in chart parameter planes), ordered in concentric shells from the
 domain center outward; volumes and surfaces differ only in which boundary
 cells they keep.  Each kept cell gets floor(K)+1 centers: the cell center
-plus extras on a seeded, jittered sub-grid.  Construction is deterministic
-for a fixed seed and single-threaded; resulting clusters are immutable.
+plus extras from one seeded draw on a jittered sub-grid.  Construction is
+deterministic for a fixed seed and single-threaded; clusters are immutable.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, PlacementError
-from .kernels import _block_distances, _upper_blocks
-
-_PLACEMENT_ATTEMPTS = 100
+from .kernels import min_pairwise_distance
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +256,10 @@ def _extra_subgrid(dim, side, count, d_req, wall_margin):
 
     Extras come from a corner-spanning n^dim sub-grid kept ``wall_margin``
     (plus jitter room) away from the walls so neighbouring cells stay
-    separated.  The jitter amplitude is budgeted against the sub-grid slack
-    (the closest node pair, the mandatory cell center included), so a
-    feasible layout passes the explicit distance checks.
+    separated, less the nodes closer than ``d_req`` to the cell center (for
+    odd n, the middle node).  The jitter amplitude is budgeted against the
+    slack of the closest pair, the cell center included, so every draw keeps
+    the spacing; a cell with too few nodes or no slack fails before any draw.
     """
     n = max(2, math.ceil(count ** (1.0 / dim)))
     wall_pad = 0.05 * side
@@ -272,36 +271,32 @@ def _extra_subgrid(dim, side, count, d_req, wall_margin):
         )
     axes = [np.linspace(-span / 2.0, span / 2.0, n) for _ in range(dim)]
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    base = np.vstack([np.zeros((1, dim)), nodes])
-    dist = np.linalg.norm(base[:, None, :] - base[None, :, :], axis=2)
-    np.fill_diagonal(dist, np.inf)
-    slack = float(dist.min()) - d_req
-    amp = min(wall_pad, 0.45 * slack) / (2.0 * math.sqrt(dim)) if slack > 0 else 0.0
-    return nodes, amp
+    nodes = nodes[np.linalg.norm(nodes, axis=1) >= d_req]
+    slack = min_pairwise_distance(np.vstack([np.zeros((1, dim)), nodes])) - d_req
+    if len(nodes) < count - 1 or not slack > 0:
+        raise PlacementError(f"could not place {count} centers at spacing {d_req!r} "
+                             f"in a cell of side {side!r}")
+    return nodes, min(wall_pad, 0.45 * slack) / (2.0 * math.sqrt(dim))
 
 
 def _place_extras(rng, dim, side, count, d_req, wall_margin):
-    """count-1 extra local offsets on a jittered sub-grid, spacing-checked.
+    """count-1 extra local offsets from one jittered sub-grid draw, checked.
 
     The cell center (offset 0) is always occupied.  The sub-grid depends only
-    on the cell's shape and is built once per distinct shape; infeasible
-    densities fail after the attempt cap.
+    on the cell's shape and is built once per distinct shape; its jitter
+    budget makes every draw pass the spacing and wall checks.
     """
     if count <= 1:
         return np.zeros((0, dim))
     nodes, amp = _extra_subgrid(dim, side, count, d_req, wall_margin)
-    for _ in range(_PLACEMENT_ATTEMPTS):
-        jitter = rng.uniform(-amp, amp, size=nodes.shape) if amp > 0 else 0.0
-        chosen = (nodes + jitter)[rng.permutation(len(nodes))[: count - 1]]
-        cand = np.vstack([np.zeros((1, dim)), chosen])
-        pair = np.linalg.norm(cand[:, None, :] - cand[None, :, :], axis=2)
-        np.fill_diagonal(pair, np.inf)
-        wall = side / 2.0 - np.abs(chosen).max()
-        if pair.min() >= d_req and wall >= wall_margin:
-            return chosen
-    raise PlacementError(
-        f"could not place {count} centers at spacing {d_req!r} in a cell of side {side!r}"
-    )
+    jitter = rng.uniform(-amp, amp, size=nodes.shape)
+    chosen = (nodes + jitter)[rng.permutation(len(nodes))[: count - 1]]
+    cand = np.vstack([np.zeros((1, dim)), chosen])
+    pair = np.linalg.norm(cand[:, None, :] - cand[None, :, :], axis=2)
+    np.fill_diagonal(pair, np.inf)
+    if not (pair.min() >= d_req and side / 2.0 - np.abs(chosen).max() >= wall_margin):
+        raise PlacementError(f"extras broke spacing {d_req!r} in a cell of side {side!r}")
+    return chosen
 
 
 def _build(geometry, density, a, s, t, seed, d_min, keep_rule) -> Cluster:
@@ -388,28 +383,16 @@ def build_surface(chart, density: DensityField, a: float, s: float, t: float,
     """
     cluster = _build(chart, density, a, s, t, seed, d_min, _square_inside)
     # ambient spacing may be tighter than the parameter-plane one; verify
-    d_req, mind = d_min * a**t, _min_pairwise_distance(cluster.centers)
+    d_req, mind = d_min * a**t, min_pairwise_distance(cluster.centers)
     if not mind >= d_req * (1 - 1e-12):
         raise PlacementError(f"ambient spacing violated: min {mind!r} vs required {d_req!r}")
     return cluster
 
 
-def _min_pairwise_distance(points):
-    """Smallest distance between two distinct points, in bounded row blocks."""
-    pts = np.asarray(points, dtype=float)
-    best = math.inf
-    for i0, i1 in _upper_blocks(len(pts)):
-        d = np.empty((i1 - i0, len(pts) - i0))
-        _block_distances(pts, i0, i1, d, np.empty_like(d))
-        d[np.arange(i1 - i0), np.arange(i1 - i0)] = np.inf  # skip i == j
-        best = min(best, float(d.min()))
-    return best
-
-
 def validate(cluster: Cluster) -> dict:
     """Recompute the distribution invariants; {check: (passed, detail)}."""
     a, s, m, counts = cluster.a, cluster.s, cluster.m, cluster.counts
-    d_req, mind = cluster.d_min * a**cluster.t, _min_pairwise_distance(cluster.centers)
+    d_req, mind = cluster.d_min * a**cluster.t, min_pairwise_distance(cluster.centers)
     checks = {"min_distance": (mind >= d_req * (1 - 1e-12),
                                f"min {mind!r} vs required {d_req!r}")}
     checks["count_consistency"] = (int(counts.sum()) == m,

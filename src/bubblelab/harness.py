@@ -329,9 +329,7 @@ def comparator_mesh(config: ExperimentConfig):
         return sphere_cap_mesh(radius=geometry.radius, theta_max=geometry.theta_max,
                                n_rings=tol["mesh_rings"], n_phi=tol["mesh_nphi"])
     if isinstance(geometry, PlaneChart):
-        n = tol["mesh_n"]
-        # open comparator meshes are rim-graded (edge-singular limits)
-        return rect_mesh(geometry.lx, geometry.ly, n, n, grading=0.7, grading_levels=3)
+        return rect_mesh(geometry.lx, geometry.ly, tol["mesh_n"], tol["mesh_n"])
     if isinstance(geometry, BallDomain):
         return icosphere(tol["mesh_level"], radius=geometry.radius, center=geometry.center)
     return cube_mesh(tol["mesh_n"], side=geometry.size, center=geometry.center)

@@ -11,10 +11,12 @@ the lines of the padding, and ``cocg`` solves a complex-symmetric system
 from such a matvec alone.
 
 Memory model: ``pair_kernel`` fills its (M, M) output in row blocks whose
-temporaries hold at most BLOCK_ENTRIES entries each, and the far-field sums
-bound their phase matrices the same way.  ``DenseSystem`` factors the matrix
-in place, so a dense solve peaks at about the matrix alone (16 M^2 bytes) and
-never at an (M, M, 3) difference array or a second (M, M) copy.
+temporaries hold at most BLOCK_ENTRIES entries each, the pair minima
+(``min_pairwise_distance``, ``min_cos_kappa_distance``) walk the same blocks,
+and the far-field sums bound their phase matrices the same way.
+``DenseSystem`` factors the matrix in place, so a dense solve peaks at about
+the matrix alone (16 M^2 bytes) and never at an (M, M, 3) difference array or
+a second (M, M) copy.
 ``LatticeConvolution`` holds one padded work buffer and the octant spectrum;
 its ``apply`` transforms in place in that buffer, allocates only its output
 and is not re-entrant.  ``cocg`` keeps five vectors of the system's size and
@@ -51,9 +53,10 @@ def _upper_blocks(m: int):
 
 
 def _block_distances(points, i0, i1, out, scratch):
-    """|x_i - x_j| for rows i0:i1 and columns j >= i0 into ``out``, summed in
-    the order ``np.linalg.norm(..., axis=-1)`` uses, so r_ij == r_ji bitwise."""
-    for axis in range(3):
+    """|x_i - x_j| for rows i0:i1 and columns j >= i0 into ``out``, summed over
+    the points' columns in the order ``np.linalg.norm(..., axis=-1)`` uses, so
+    r_ij == r_ji bitwise."""
+    for axis in range(points.shape[1]):
         dst = out if axis == 0 else scratch
         np.subtract.outer(points[i0:i1, axis], points[i0:, axis], out=dst)
         np.multiply(dst, dst, out=dst)
@@ -102,23 +105,38 @@ def pair_kernel(points, kappa0: float, diagonal) -> np.ndarray:
     return out
 
 
+def _pair_minimum(points, transform=None) -> float:
+    """min over pairs i != j of transform(|x_i - x_j|), inf without pairs, in
+    the bounded row blocks of ``pair_kernel``; ``transform`` works in place."""
+    z = np.asarray(points, dtype=float)
+    m = len(z)
+    best = np.inf
+    for i0, i1 in _upper_blocks(m):
+        r = np.empty((i1 - i0, m - i0))
+        _block_distances(z, i0, i1, r, np.empty_like(r))
+        if transform is not None:
+            transform(r)
+        r[np.arange(i1 - i0), np.arange(i1 - i0)] = np.inf  # skip i == j
+        best = min(best, float(r.min()))
+    return best
+
+
+def min_pairwise_distance(points) -> float:
+    """Smallest distance between distinct points (rows of any width), inf without pairs."""
+    return _pair_minimum(points)
+
+
 def min_cos_kappa_distance(points, kappa0: float) -> float:
-    """min over pairs i != j of cos(kappa0 |x_i - x_j|), in bounded row blocks.
+    """min over pairs i != j of cos(kappa0 |x_i - x_j|), 1 without pairs.
 
     Positivity backs one of the point-interaction invertibility cases; the
     value is reported as a diagnostic only.
     """
-    z = np.asarray(points, dtype=float)
-    m = len(z)
-    best = 1.0
-    for i0, i1 in _upper_blocks(m):
-        r = np.empty((i1 - i0, m - i0))
-        _block_distances(z, i0, i1, r, np.empty_like(r))
+    def cos_kappa(r):
         np.multiply(kappa0, r, out=r)
         np.cos(r, out=r)
-        r[np.arange(i1 - i0), np.arange(i1 - i0)] = np.inf  # skip i == j
-        best = min(best, float(r.min()))
-    return best
+
+    return min(1.0, _pair_minimum(points, cos_kappa))
 
 
 def far_field_sum(directions, points, weights, kappa0: float) -> np.ndarray:

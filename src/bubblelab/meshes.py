@@ -278,25 +278,24 @@ def sphere_cap_mesh(
     return SurfaceMesh(np.array(verts), faces)
 
 
-def _graded_axis(length: float, n: int, grading: float, levels: int):
-    """n+1 breakpoints on [-length/2, length/2]; the outermost `levels`
-    intervals at each end shrink geometrically by `grading`."""
-    levels = min(levels, max(n // 2 - 1, 0))
+def _graded_axis(length: float, n: int):
+    """n+1 breakpoints on [-length/2, length/2]; the outermost (up to 3)
+    intervals at each end shrink geometrically by 0.7."""
+    levels = min(3, max(n // 2 - 1, 0))
     w = np.ones(n)
-    if grading < 1.0:
-        for i in range(n):
-            d = min(i, n - 1 - i)
-            if d < levels:
-                w[i] = grading ** (levels - d)
+    for i in range(n):
+        d = min(i, n - 1 - i)
+        if d < levels:
+            w[i] = 0.7 ** (levels - d)
     pts = np.concatenate([[0.0], np.cumsum(w)])
     return length * (pts / pts[-1] - 0.5)
 
 
-def rect_mesh(lx: float, ly: float, nx: int, ny: int, grading: float = 1.0,
-              grading_levels: int = 3) -> SurfaceMesh:
-    """Open flat rectangle in the z=0 plane, normals +z; optional edge grading."""
-    xs = _graded_axis(lx, nx, grading, grading_levels)
-    ys = _graded_axis(ly, ny, grading, grading_levels)
+def rect_mesh(lx: float, ly: float, nx: int, ny: int) -> SurfaceMesh:
+    """Open flat rectangle in the z=0 plane, normals +z, graded at the rim
+    (edge-singular limits)."""
+    xs = _graded_axis(lx, nx)
+    ys = _graded_axis(ly, ny)
     verts = np.array([[x, y, 0.0] for x in xs for y in ys])
     faces = []
     for i in range(nx):
@@ -323,7 +322,7 @@ def _pair_kernel(x, y, ny):
     return np.where(r > 0, val, 0.0)
 
 
-def _children(tris):
+def subdivide_triangles(tris):
     """Split each triangle of an (n, 3, 3) stack into 4 congruent children -> (n, 4, 3, 3)."""
     v0, v1, v2 = tris[:, 0], tris[:, 1], tris[:, 2]
     m01, m12, m20 = 0.5 * (v0 + v1), 0.5 * (v1 + v2), 0.5 * (v2 + v0)
@@ -338,7 +337,8 @@ def _children(tris):
     )
 
 
-def _tri_areas(tris):
+def triangle_areas(tris):
+    """Areas of an (..., 3, 3) stack of triangles."""
     return 0.5 * np.linalg.norm(
         np.cross(tris[..., 1, :] - tris[..., 0, :], tris[..., 2, :] - tris[..., 0, :]), axis=-1
     )
@@ -352,10 +352,10 @@ def _pair_batch_subdivided(tri_x, n_y, tri_y):
     no coplanar pairs: the kernel vanishes on them, coincident children included.
     """
     bary, w = _TRI_RULES[2]
-    cx = _children(tri_x)
-    cy = _children(tri_y)
-    ax = _tri_areas(cx)
-    ay = _tri_areas(cy)
+    cx = subdivide_triangles(tri_x)
+    cy = subdivide_triangles(tri_y)
+    ax = triangle_areas(cx)
+    ay = triangle_areas(cy)
     px = np.einsum("qb,ncbi->ncqi", bary, cx)
     py = np.einsum("qb,ncbi->ncqi", bary, cy)
     total = np.zeros(len(tri_x))

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError
 from .fields import FarField
 from .kernels import BLOCK_ENTRIES, DenseSystem, far_field_sum, helmholtz, pair_kernel
-from .meshes import SurfaceMesh, _children, _tri_areas
+from .meshes import SurfaceMesh, subdivide_triangles, triangle_areas
 
 SIE_RESIDUAL_TOL = 1e-8
 _NEAR_FACTOR = 6.0  # single_layer_eval: panels within this many radii get near quadrature
@@ -138,9 +138,9 @@ def single_layer_eval(mesh: SurfaceMesh, densities, kappa0: float, points) -> np
     phi = np.asarray(densities, dtype=complex)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     tris, owner = mesh.triangulated()
-    children = _children(tris)
+    children = subdivide_triangles(tris)
     child_centroids = children.mean(axis=2)  # (n_tris, 4, 3)
-    child_areas = _tri_areas(children)  # (n_tris, 4)
+    child_areas = triangle_areas(children)  # (n_tris, 4)
     reach = _NEAR_FACTOR * mesh.panel_radii
     out = np.zeros(len(pts), dtype=complex)
     rows = max(1, BLOCK_ENTRIES // (12 * len(tris)))  # (pairs, 4, 3) child offsets

@@ -1,7 +1,7 @@
 import dataclasses
+import hashlib
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,14 +14,13 @@ from bubblelab.cluster import (
     SphereCapChart,
     build_surface,
     _lattice_axes,
-    _min_pairwise_distance,
     build_volumetric,
     save_cluster,
     validate,
 )
 from bubblelab.errors import ConfigError, PlacementError
 
-from oracles import _broadcast_distances, cube_meets_domain, dropped_volume_by_loop
+from oracles import cube_meets_domain, dropped_volume_by_loop
 
 
 def chart_square_area(chart, center, side, n=24):
@@ -127,6 +126,31 @@ def test_placement_error_when_density_too_high():
     with pytest.raises(PlacementError):
         build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField.constant(60.0),
                          a=1e-2, s=0.9, t=0.3, seed=0, d_min=0.5)
+
+
+def test_dense_cells_place_on_one_draw():
+    # the middle node of a 3^3 sub-grid would sit on the always occupied cell
+    # center, so K = 26 fills the 26 outer nodes, every cell on its one draw
+    cl = build_volumetric(BoxDomain(), DensityField.constant(26.0), a=4e-3, s=1.0, t=0.4,
+                          seed=1, d_min=0.1)
+    assert cl.m == 5832
+    assert all(ok for ok, _ in validate(cl).values())
+    # the extras of an odd sub-grid are jittered, not just 3 coordinate values
+    # per axis (-h, 0, h)
+    cl = build_surface(PlaneChart(), DensityField.constant(4.0), a=4e-3, s=1.0, t=0.4,
+                       seed=1, d_min=0.1)
+    offsets = (cl.params - cl.cells[cl.cell_of])[np.arange(cl.m) % 5 != 0]
+    assert len(np.unique(np.round(offsets, 12))) > 3
+
+
+def test_single_draw_keeps_the_generator_stream():
+    # K = 1: the even 2^3 sub-grid keeps all 8 nodes, so each cell draws 8
+    # jitters and one permutation of 8; the digest pins that stream
+    cl = build_volumetric(BoxDomain(), DensityField.constant(1.0), a=4e-3, s=1.0, t=0.4,
+                          seed=1, d_min=0.5)
+    assert cl.m == 432
+    digest = hashlib.sha256(cl.centers.tobytes()).hexdigest()
+    assert digest.startswith("24aaba3ada8689b1")
 
 
 def test_density_field_validation():
@@ -246,26 +270,6 @@ def test_validate_passes_on_every_geometry(name, k):
     assert cl.centers.shape == (cl.m, 3)
     assert cl.params.shape == (cl.m, 2 if surface else 3)
     assert (cl.params is cl.centers) != surface
-
-
-def test_min_pairwise_distance_blocked():
-    # equal to the minimum of the broadcast (M, M) distance matrix, without
-    # building the (M, M, 3) difference array: the memory bound is two 2 MiB blocks
-    rng = np.random.default_rng(7)
-    for m in (2, 3, 600):
-        pts = rng.uniform(-1.0, 1.0, (m, 3))
-        r = _broadcast_distances(pts)
-        np.fill_diagonal(r, np.inf)
-        assert _min_pairwise_distance(pts) == r.min()
-    assert _min_pairwise_distance(np.zeros((1, 3))) == math.inf
-    pts = rng.uniform(-1.0, 1.0, (3000, 3))
-    tracemalloc.start()
-    try:
-        _min_pairwise_distance(pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 2**20
 
 
 def test_cluster_json_roundtrip(tmp_path):

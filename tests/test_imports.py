@@ -1,5 +1,6 @@
 """Every name that a package module, a script or a test imports is used in it,
-every public function, class and method of the package has a caller outside
+no package module imports another's private (underscore) name, every public
+function, class and method of the package has a caller outside
 the tests, every record field of the package is read outside the tests, every
 parameter of a package function is read in its body, and importing the CLI
 loads from scipy only ``scipy.linalg``: neither ``scipy.sparse``,
@@ -55,6 +56,27 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list:
+    """Underscore names imported from the package (``from .x import _y``)."""
+    return sorted(f"{node.module or '.'}.{alias.name} (line {node.lineno})"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").startswith("bubblelab"))
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_detects_a_private_import():
+    source = ("from .a import b, _c\nfrom bubblelab.d import _e\n"
+              "from numpy import _f\nfrom __future__ import annotations\n")
+    assert private_imports(source) == ["a._c (line 1)", "bubblelab.d._e (line 2)"]
+
+
+def test_no_package_module_imports_a_private_name():
+    private = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+               for name in private_imports(path.read_text())]
+    assert private == []
 
 
 def referenced_names(node) -> set:

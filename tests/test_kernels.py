@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,8 @@ from bubblelab.kernels import (
     cocg,
     far_field_sum,
     grid_far_field_sum,
+    min_cos_kappa_distance,
+    min_pairwise_distance,
     pair_kernel,
 )
 from bubblelab.meshes import (
@@ -38,7 +41,12 @@ from bubblelab.volmedium import (
     self_cell_weight,
 )
 
-from oracles import broadcast_assemble, broadcast_weights, direct_far_field
+from oracles import (
+    _broadcast_distances,
+    broadcast_assemble,
+    broadcast_weights,
+    direct_far_field,
+)
 
 MIB = 2**20
 
@@ -67,6 +75,30 @@ def test_panel_weights_bitwise_equal_to_broadcast():
     k = panel_weight_matrix(mesh, kappa0)
     assert np.array_equal(k, expected)
     assert np.array_equal(k, k.T)
+
+
+def test_min_pairwise_distance_blocked():
+    # equal to the minimum of the broadcast (M, M) distance matrix, without
+    # building the (M, M, 3) difference array: the memory bound is two 2 MiB blocks
+    rng = np.random.default_rng(7)
+    for m, width in ((2, 3), (3, 3), (600, 3), (600, 2)):
+        pts = rng.uniform(-1.0, 1.0, (m, width))
+        r = _broadcast_distances(pts)
+        np.fill_diagonal(r, np.inf)
+        assert min_pairwise_distance(pts) == r.min()
+        # the min-cos diagnostic walks the same blocks
+        off = ~np.eye(m, dtype=bool)
+        assert min_cos_kappa_distance(pts, 2.7) == np.cos(2.7 * r[off]).min()
+    assert min_pairwise_distance(np.zeros((1, 3))) == math.inf
+    assert min_cos_kappa_distance(np.zeros((1, 3)), 2.7) == 1.0
+    pts = rng.uniform(-1.0, 1.0, (3000, 3))
+    tracemalloc.start()
+    try:
+        min_pairwise_distance(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_coincident_points_raise_geometry_error():
