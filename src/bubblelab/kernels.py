@@ -10,6 +10,13 @@ formed: ``LatticeConvolution`` is its matvec by zero-padded FFTs that skip
 the lines of the padding, and ``cocg`` solves a complex-symmetric system
 from such a matvec alone.
 
+The BLAS and LAPACK routines (``zsytrf``, ``zsytrs``, ``zsycon``, ``zsymm``,
+``zaxpy``) come from SciPy's two compiled modules, ``scipy.linalg._fblas``
+and ``_flapack``, loaded directly: start-up loads no SciPy subpackage.
+Importing the ``scipy.linalg`` package would also load SciPy's array-API
+shim, whose clone of numpy pulls in ``numpy.f2py``, ``numpy.testing``,
+``numpy.ma`` and ``numpy.random``, about half of the CLI's start-up time.
+
 Memory model: ``pair_kernel`` fills its (M, M) output in row blocks whose
 temporaries hold at most BLOCK_ENTRIES entries each, the pair minima
 (``min_pairwise_distance``, ``min_cos_kappa_distance``) walk the same blocks,
@@ -25,16 +32,43 @@ no Krylov basis.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
+import sys
 
 import numpy as np
 from numpy.fft import fft, ifft, rfft
-from scipy.linalg.blas import zaxpy, zsymm
-from scipy.linalg.lapack import zsycon, zsytrf, zsytrf_lwork, zsytrs
 
 from .errors import GeometryError, SolverError
 
 BLOCK_ENTRIES = 1 << 18  # entries per temporary: 2 MiB of float64
+
+
+def _scipy_linalg_extension(name: str):
+    """SciPy's compiled module ``scipy.linalg.<name>``, loaded without
+    running the ``scipy.linalg`` package.
+
+    ``find_spec`` runs only the top-level ``scipy`` package, which sets up
+    SciPy's BLAS.  The module is registered in ``sys.modules`` under its own
+    name before it runs, so a later ``import scipy.linalg`` reuses it (and an
+    earlier one is reused here): there is one copy of each routine.
+    """
+    fullname = f"scipy.linalg.{name}"
+    if fullname not in sys.modules:
+        folders = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+        spec = importlib.machinery.PathFinder.find_spec(fullname, folders)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+    return sys.modules[fullname]
+
+
+_fblas = _scipy_linalg_extension("_fblas")
+_flapack = _scipy_linalg_extension("_flapack")
+zaxpy, zsymm = _fblas.zaxpy, _fblas.zsymm
+zsycon, zsytrf, zsytrf_lwork, zsytrs = (
+    _flapack.zsycon, _flapack.zsytrf, _flapack.zsytrf_lwork, _flapack.zsytrs)
 
 
 def helmholtz(r, kappa0: float):

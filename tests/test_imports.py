@@ -2,9 +2,10 @@
 no package module imports another's private (underscore) name, every public
 function, class and method of the package has a caller outside
 the tests, every record field of the package is read outside the tests, every
-parameter of a package function is read in its body, and importing the CLI
-loads from scipy only ``scipy.linalg``: neither ``scipy.sparse``,
-``scipy.interpolate``, ``scipy.fft`` nor ``scipy.special``."""
+parameter of a package function is read in its body, importing the CLI
+loads no SciPy subpackage (``kernels`` takes its BLAS and LAPACK routines from
+SciPy's two compiled modules) and no SciPy array-API shim, and those routines
+are the very objects ``scipy.linalg`` exports, whichever is imported first."""
 
 import ast
 import os
@@ -205,25 +206,44 @@ def test_every_parameter_is_read():
     assert unread == []
 
 
-def loaded_after_cli_import(module: str) -> bool:
-    """Whether importing the CLI in a fresh interpreter loads ``module``."""
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that finds the package."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    code = f"import sys, bubblelab.cli; print({module!r} in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    return res.stdout.strip() == "True"
+    return res.stdout.strip()
 
 
-# scipy subpackages that start-up must not load, each with why no run needs it
+def loaded_after_cli_import(module: str) -> bool:
+    """Whether importing the CLI in a fresh interpreter loads ``module``."""
+    return run_fresh(f"import sys, bubblelab.cli; print({module!r} in sys.modules)") == "True"
+
+
+# scipy modules that start-up must not load, each with why no run needs it
 UNLOADED_AT_START = {
     "scipy.sparse": "the volume solve is the package's own COCG",
     "scipy.interpolate": "only a grid density interpolates, importing it on demand",
     "scipy.fft": "the lattice convolution runs on numpy.fft",
     "scipy.special": "only the Mie oracle uses it, importing it on demand",
+    "scipy.linalg": "kernels loads the compiled _fblas and _flapack modules alone",
+    "scipy._lib._array_api": "its clone of numpy loads numpy.f2py, numpy.testing, "
+                             "numpy.ma and numpy.random, about 0.3 s of start-up",
 }
 
 
 @pytest.mark.parametrize("module", sorted(UNLOADED_AT_START))
-def test_cli_import_leaves_scipy_subpackage_unloaded(module):
+def test_cli_import_leaves_scipy_module_unloaded(module):
     assert not loaded_after_cli_import(module), UNLOADED_AT_START[module]
+
+
+@pytest.mark.parametrize("first", ["bubblelab.kernels", "scipy.linalg"])
+def test_kernels_share_scipy_linalg_routines(first):
+    # one copy of each compiled module, whichever import comes first
+    second = "scipy.linalg" if first == "bubblelab.kernels" else "bubblelab.kernels"
+    code = (f"import {first}, {second}\n"
+            "import bubblelab.kernels as k, scipy.linalg.blas as b, scipy.linalg.lapack as l\n"
+            "pairs = [(n, l) for n in ('zsytrf', 'zsytrf_lwork', 'zsytrs', 'zsycon')]\n"
+            "pairs += [(n, b) for n in ('zsymm', 'zaxpy')]\n"
+            "print(sorted(n for n, lib in pairs if getattr(k, n) is not getattr(lib, n)))")
+    assert run_fresh(code) == "[]"

@@ -234,7 +234,6 @@ def test_factor_once_charges_equal_per_direction_solves():
         assert shared.cond_estimate == fresh.cond_estimate
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_dense_system_singular_raises_with_condition_estimate():
     singular = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
     with pytest.raises(SolverError) as err:
