@@ -4,8 +4,10 @@ One builder lays cells out on a uniform lattice (pitch a^(s/3) in volumes,
 a^(s/2) in chart parameter planes), ordered in concentric shells from the
 domain center outward; volumes and surfaces differ only in which boundary
 cells they keep.  Each kept cell gets floor(K)+1 centers: the cell center
-plus extras from one seeded draw on a jittered sub-grid.  Construction is
-deterministic for a fixed seed and single-threaded; clusters are immutable.
+plus extras from one seeded draw on a jittered sub-grid.  The generator is
+created only when some cell has extras, so a K < 1 cluster never loads
+``numpy.random``.  Construction is deterministic for a fixed seed and
+single-threaded; clusters are immutable.
 """
 
 from __future__ import annotations
@@ -325,7 +327,8 @@ def _build(geometry, density, a, s, t, seed, d_min, keep_rule) -> Cluster:
     counts = np.floor(kvals).astype(int) + 1
     sides = (a**s * (counts / (kvals + 1.0))) ** (1.0 / dim)
 
-    rng = np.random.default_rng(seed)
+    # only a cell with extras draws: K < 1 clusters never load numpy.random
+    rng = np.random.default_rng(seed) if np.any(counts > 1) else None
     params = []
     for site, side, cnt in zip(kept, sides, counts):
         # cells smaller than the pitch have a built-in gap to their neighbours

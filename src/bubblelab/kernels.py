@@ -20,14 +20,17 @@ shim, whose clone of numpy pulls in ``numpy.f2py``, ``numpy.testing``,
 Memory model: ``pair_kernel`` fills its (M, M) output in row blocks whose
 temporaries hold at most BLOCK_ENTRIES entries each, the pair minima
 (``min_pairwise_distance``, ``min_cos_kappa_distance``) walk the same blocks,
-and the far-field sums bound their phase matrices the same way.
+and the far-field sums bound their phase matrices and partial sums the same
+way.
 ``DenseSystem`` factors the matrix in place, so a dense solve peaks at about
 the matrix alone (16 M^2 bytes) and never at an (M, M, 3) difference array or
 a second (M, M) copy.
-``LatticeConvolution`` holds one padded work buffer and the octant spectrum;
-its ``apply`` transforms in place in that buffer, allocates only its output
-and is not re-entrant.  ``cocg`` keeps five vectors of the system's size and
-no Krylov basis.
+``LatticeConvolution`` never forms its zero-padded box: it holds a quarter of
+it, the (nx, ny, 2nz) buffer of the z transform, one chunk of at most
+BLOCK_ENTRIES // 2 complex entries in which the other passes run a block of
+kz planes at a time, and the octant spectrum; its ``apply`` transforms in
+place in those buffers, allocates only its output and is not re-entrant.
+``cocg`` keeps five vectors of the system's size and no Krylov basis.
 """
 
 from __future__ import annotations
@@ -190,15 +193,23 @@ def grid_far_field_sum(directions, axes, weights, kappa0: float) -> np.ndarray:
 
     On a grid e^{-i kappa0 d . z} factors into one phase per axis, so three
     (D, n_axis) tables and two contractions replace the (D, nx ny nz) matrix.
+    The directions run in blocks whose (nx ny, D_block) partial sum holds at
+    most BLOCK_ENTRIES entries.
     """
     d = np.asarray(directions, dtype=float)
     w = np.asarray(weights, dtype=complex)
     nx, ny, nz = w.shape
     px, py, pz = (np.exp(-1j * kappa0 * np.multiply.outer(d[:, a], np.asarray(axes[a])))
                   for a in range(3))
-    t = (w.reshape(nx * ny, nz) @ pz.T).reshape(nx, ny, len(d))
-    u = np.einsum("ijd,dj->di", t, py)
-    return np.einsum("di,di->d", u, px)
+    out = np.empty(len(d), dtype=complex)
+    step = max(1, BLOCK_ENTRIES // (nx * ny))
+    for d0 in range(0, len(d), step):
+        blk = slice(d0, d0 + step)
+        t = (w.reshape(nx * ny, nz) @ pz[blk].T).reshape(nx, ny, -1)
+        u = np.einsum("ijd,dj->di", t, py[blk])
+        out[blk] = np.einsum("di,di->d", u, px[blk])
+        del t  # freed before the next block's partial sum is allocated
+    return out
 
 
 def _dct1(x) -> np.ndarray:
@@ -231,15 +242,26 @@ class LatticeConvolution:
     x, y, z and keeps the first n entries of each axis, 7/12 of the work of
     two full transforms.
 
-    Memory: the operator holds one (2nx, 2ny, 2nz) complex work buffer and
-    the (nx+1, ny+1, nz+1) octant spectrum.  Every transform runs in place
-    in that buffer, so ``apply`` allocates only its output; it is therefore
-    not re-entrant, and one instance serves one caller at a time.
+    The padded box is never formed.  After the z pass the y and x passes,
+    the product with the spectrum and the inverse x and y passes run one
+    block of kz planes at a time in a (2nx, 2ny, b) chunk.  A block lies in
+    one half of the z spectrum, kz = 0..nz or the mirrored nz+1..2nz-1, so
+    its octant z index is one slice and the product needs only the four
+    mirrored (x, y) corners.  Every line is transformed and every entry
+    multiplied as in one padded box, so the result does not depend on b.
+
+    Memory: the operator holds one (nx, ny, 2nz) complex buffer for the z
+    transform, one chunk of at most BLOCK_ENTRIES // 2 complex entries
+    (2 MiB; one plane if a plane is larger) and the (nx+1, ny+1, nz+1)
+    octant spectrum: 3.4 MiB at 36^3 and 10 MiB at 64^3, against 5.7 and
+    32 MiB for one padded box.  Every transform runs in place in these
+    buffers, so ``apply`` allocates only its output; it is therefore not
+    re-entrant, and one instance serves one caller at a time.
     """
 
     def __init__(self, mask, spacing: float, kappa0: float, diagonal):
         self.mask = np.asarray(mask, dtype=bool)
-        self.dims = self.mask.shape
+        self.dims = nx, ny, nz = self.mask.shape
         ox, oy, oz = np.ix_(*(np.arange(n + 1) * spacing for n in self.dims))
         with np.errstate(divide="ignore", invalid="ignore"):
             octant = helmholtz(np.sqrt(ox**2 + oy**2 + oz**2), kappa0)
@@ -249,33 +271,46 @@ class LatticeConvolution:
         self._khat.real = _dct1(octant.real)
         self._khat.imag = _dct1(octant.imag)
         # the transform of an even sequence is even: padded frequency k is
-        # octant frequency k for k <= n and 2n - k above, so each of the eight
-        # (low, high) corners of the padded spectrum is an octant slice
+        # octant frequency k for k <= n and 2n - k above, so each of the four
+        # (low, high) corners of a padded (x, y) plane is an octant slice
         halves = [((slice(0, n + 1), slice(0, n + 1)), (slice(n + 1, 2 * n), slice(n - 1, 0, -1)))
-                  for n in self.dims]
+                  for n in (nx, ny)]
         self._corners = [tuple(zip(*pairs)) for pairs in itertools.product(*halves)]
-        self._work = np.empty(tuple(2 * n for n in self.dims), dtype=complex)
+        # kz blocks (k0, k1, octant z slice), none straddling the two halves
+        planes = max(1, min(nz + 1, BLOCK_ENTRIES // 2 // (4 * nx * ny)))
+        self._blocks = []
+        for lo, hi in ((0, nz + 1), (nz + 1, 2 * nz)):
+            for k0 in range(lo, hi, planes):
+                k1 = min(k0 + planes, hi)
+                oz = slice(k0, k1) if lo == 0 else slice(2 * nz - k0, 2 * nz - k1, -1)
+                self._blocks.append((k0, k1, oz))
+        self._zwork = np.empty((nx, ny, 2 * nz), dtype=complex)
+        self._chunk = np.empty(4 * nx * ny * planes, dtype=complex)
 
     def apply(self, values) -> np.ndarray:
         """The kernel sum at every masked site, ``values`` given there."""
         nx, ny, nz = self.dims
-        w = self._work
-        wx, wxy = w[:nx], w[:nx, :ny]
+        z = self._zwork
         # each pass first zeroes the padding it reads; ``out=`` the view it
         # reads writes the transform back into that view, with no copy
-        wxy[...] = 0.0
-        wxy[:, :, :nz][self.mask] = values
-        fft(wxy, axis=2, out=wxy)
-        wx[:, ny:] = 0.0
-        fft(wx, axis=1, out=wx)
-        w[nx:] = 0.0
-        fft(w, axis=0, out=w)
-        for padded, octant in self._corners:
-            w[padded] *= self._khat[octant]
-        ifft(w, axis=0, out=w)
-        ifft(wx, axis=1, out=wx)
-        ifft(wxy, axis=2, out=wxy)
-        return wxy[:, :, :nz][self.mask]
+        z[...] = 0.0
+        z[:, :, :nz][self.mask] = values
+        fft(z, axis=2, out=z)
+        for k0, k1, oz in self._blocks:
+            c = self._chunk[:4 * nx * ny * (k1 - k0)].reshape(2 * nx, 2 * ny, k1 - k0)
+            cx = c[:nx]
+            cx[:, :ny] = z[:, :, k0:k1]
+            cx[:, ny:] = 0.0
+            fft(cx, axis=1, out=cx)
+            c[nx:] = 0.0
+            fft(c, axis=0, out=c)
+            for (px, py), (ox, oy) in self._corners:
+                c[px, py] *= self._khat[ox, oy, oz]
+            ifft(c, axis=0, out=c)
+            ifft(cx, axis=1, out=cx)
+            z[:, :, k0:k1] = cx[:, :ny]
+        ifft(z, axis=2, out=z)
+        return z[:, :, :nz][self.mask]
 
 
 def cocg(matvec, rhs, diagonal, rtol: float, max_iter: int) -> tuple:

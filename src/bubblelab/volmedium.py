@@ -9,10 +9,11 @@ form on the diagonal.  The weight matrix is symmetric and the potential
 real, so scaling by the square root of the potential (imaginary where V0 < 0)
 makes the system complex symmetric for either sign of V0.  It is solved by
 the short-recurrence ``kernels.cocg`` with the pruned FFT-convolution matvec
-``kernels.LatticeConvolution`` on the regular grid: about five cell vectors,
-the operator's one padded work buffer and its octant spectrum, and no Krylov
-basis; each matvec allocates only its output.  The far field sums over the
-grid separably (``kernels.grid_far_field_sum``), one phase table per axis.
+``kernels.LatticeConvolution`` on the regular grid: about 12 cell vectors at
+the solve's peak, the operator's quarter-box z buffer, 2 MiB chunk and octant
+spectrum, and no Krylov basis; each matvec allocates only its output.  The
+far field sums over the grid separably (``kernels.grid_far_field_sum``), one
+phase table per axis.
 A grid builds its masked cell centres once and shares them read-only.
 """
 
@@ -176,6 +177,7 @@ def far_field_volume(solution: LSSolution, potential: VolumePotential, grid: Vox
     """
     d = np.asarray(directions, dtype=float)
     weights = np.zeros(grid.dims, dtype=complex)
-    weights[grid.mask] = potential.values * solution.y * grid.g**3
+    weights[grid.mask] = potential.values * solution.y
+    weights *= grid.g**3
     return FarField(d, -grid_far_field_sum(d, grid.axes(), weights, kappa0))
 

@@ -5,7 +5,10 @@ quadrature, closed forms and series solutions that do not share code with the
 implementation paths they check.
 """
 
+import itertools
+
 import numpy as np
+import scipy.fft
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import eval_legendre, spherical_jn, spherical_yn
@@ -319,6 +322,42 @@ def direct_far_field(directions, points, weights, kappa0):
     """sum_j e^{-i k d . z_j} w_j through the full (D, M) phase matrix."""
     d = np.asarray(directions, dtype=float)
     return np.exp(-1j * kappa0 * (d @ np.asarray(points, dtype=float).T)) @ weights
+
+
+def lattice_convolution_unblocked(mask, spacing, kappa0, diagonal, values):
+    """The lattice kernel matvec in one zero-padded (2nx, 2ny, 2nz) box.
+
+    The unblocked form of ``LatticeConvolution.apply``: the octant spectrum
+    from ``scipy.fft.dctn(type=1)``, the same pruned per-line ``numpy.fft``
+    passes in place over the whole padded box, and the products over its
+    eight mirrored corners, so the blocked operator must match it bit for bit.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    nx, ny, nz = dims = mask.shape
+    ox, oy, oz = np.ix_(*(np.arange(n + 1) * spacing for n in dims))
+    r = np.sqrt(ox**2 + oy**2 + oz**2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        octant = np.exp(1j * kappa0 * r) / (4.0 * np.pi * r)
+    octant[0, 0, 0] = diagonal
+    octant[-1] = octant[:, -1] = octant[:, :, -1] = 0.0
+    khat = np.empty(octant.shape, dtype=complex)
+    khat.real = scipy.fft.dctn(octant.real, type=1)
+    khat.imag = scipy.fft.dctn(octant.imag, type=1)
+    halves = [((slice(0, n + 1), slice(0, n + 1)), (slice(n + 1, 2 * n), slice(n - 1, 0, -1)))
+              for n in dims]
+    w = np.zeros(tuple(2 * n for n in dims), dtype=complex)
+    wx, wxy = w[:nx], w[:nx, :ny]
+    wxy[:, :, :nz][mask] = values
+    np.fft.fft(wxy, axis=2, out=wxy)
+    np.fft.fft(wx, axis=1, out=wx)
+    np.fft.fft(w, axis=0, out=w)
+    for pairs in itertools.product(*halves):
+        padded, octant_slices = zip(*pairs)
+        w[padded] *= khat[octant_slices]
+    np.fft.ifft(w, axis=0, out=w)
+    np.fft.ifft(wx, axis=1, out=wx)
+    np.fft.ifft(wxy, axis=2, out=wxy)
+    return wxy[:, :, :nz][mask]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ function, class and method of the package has a caller outside
 the tests, every record field of the package is read outside the tests, every
 parameter of a package function is read in its body, importing the CLI
 loads no SciPy subpackage (``kernels`` takes its BLAS and LAPACK routines from
-SciPy's two compiled modules) and no SciPy array-API shim, and those routines
-are the very objects ``scipy.linalg`` exports, whichever is imported first."""
+SciPy's two compiled modules) and no SciPy array-API shim, those routines
+are the very objects ``scipy.linalg`` exports, whichever is imported first,
+and ``numpy.random`` loads only when a cluster cell draws extra centres."""
 
 import ast
 import os
@@ -215,9 +216,10 @@ def run_fresh(code: str) -> str:
     return res.stdout.strip()
 
 
-def loaded_after_cli_import(module: str) -> bool:
-    """Whether importing the CLI in a fresh interpreter loads ``module``."""
-    return run_fresh(f"import sys, bubblelab.cli; print({module!r} in sys.modules)") == "True"
+def loaded_after(code: str, module: str) -> bool:
+    """Whether running ``code`` in a fresh interpreter loads ``module``."""
+    out = run_fresh(f"{code}\nimport sys\nprint({module!r} in sys.modules)")
+    return out.splitlines()[-1] == "True"
 
 
 # scipy modules that start-up must not load, each with why no run needs it
@@ -234,7 +236,7 @@ UNLOADED_AT_START = {
 
 @pytest.mark.parametrize("module", sorted(UNLOADED_AT_START))
 def test_cli_import_leaves_scipy_module_unloaded(module):
-    assert not loaded_after_cli_import(module), UNLOADED_AT_START[module]
+    assert not loaded_after("import bubblelab.cli", module), UNLOADED_AT_START[module]
 
 
 @pytest.mark.parametrize("first", ["bubblelab.kernels", "scipy.linalg"])
@@ -247,3 +249,26 @@ def test_kernels_share_scipy_linalg_routines(first):
             "pairs += [(n, b) for n in ('zsymm', 'zaxpy')]\n"
             "print(sorted(n for n, lib in pairs if getattr(k, n) is not getattr(lib, n)))")
     assert run_fresh(code) == "[]"
+
+
+def skip_if_numpy_loads_random():
+    if loaded_after("import numpy", "numpy.random"):
+        pytest.skip("this NumPy loads numpy.random with numpy itself")
+
+
+def test_k0_convergence_run_leaves_numpy_random_unloaded(tmp_path):
+    # K = 0: every cell holds its centre alone, so no cluster build draws
+    skip_if_numpy_loads_random()
+    config = str(ROOT / "configs" / "medium_near_resonance.json")
+    code = ("from bubblelab.cli import cli\n"
+            f"assert cli(['converge', '--config', {config!r}, '--out', {str(tmp_path)!r}]) == 0")
+    assert not loaded_after(code, "numpy.random")
+
+
+def test_k1_cluster_build_loads_numpy_random():
+    # K = 1: every cell draws one extra centre, so the check above can fail
+    skip_if_numpy_loads_random()
+    code = ("from bubblelab.cluster import BoxDomain, DensityField, build_volumetric\n"
+            "build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField.constant(1.0),\n"
+            "                 a=0.002, s=0.7, t=0.3, d_min=0.5)")
+    assert loaded_after(code, "numpy.random")

@@ -46,6 +46,7 @@ from oracles import (
     broadcast_assemble,
     broadcast_weights,
     direct_far_field,
+    lattice_convolution_unblocked,
 )
 
 MIB = 2**20
@@ -205,6 +206,26 @@ def test_lattice_convolution_reuses_its_buffer_without_stale_data(dims, mask):
     second = op.apply(v2)
     assert np.array_equal(second, LatticeConvolution(mask, 0.07, 4.1, 2.0 - 0.5j).apply(v2))
     assert not np.shares_memory(first, second)
+
+
+@pytest.mark.parametrize("mask", [
+    _ball_mask((11, 8, 6)),
+    np.ones((12, 9, 1), dtype=bool),
+    np.ones((1, 1, 1), dtype=bool),
+    np.ones((2, 3, 2), dtype=bool),
+    np.random.default_rng(5).random((5, 17, 3)) < 0.5,
+    np.ones((36, 36, 36), dtype=bool),
+    np.ones((40, 40, 40), dtype=bool),
+], ids=["ball_11x8x6", "plane_12x9x1", "single_1x1x1", "box_2x3x2", "random_5x17x3",
+        "full_36", "full_40"])
+def test_lattice_convolution_bitwise_equal_to_unblocked_oracle(mask):
+    # at 40^3 a chunk holds BLOCK_ENTRIES // 2 // (80 * 80) = 20 kz planes, so
+    # each half of the z spectrum (41 and 39 planes) splits into several blocks
+    rng = np.random.default_rng(mask.size)
+    v = rng.standard_normal(mask.sum()) + 1j * rng.standard_normal(mask.sum())
+    op = LatticeConvolution(mask, 0.07, 4.1, 2.0 - 0.5j)
+    ref = lattice_convolution_unblocked(mask, 0.07, 4.1, 2.0 - 0.5j, v)
+    assert np.array_equal(op.apply(v), ref)
 
 
 @pytest.mark.parametrize("shape", [(13, 10, 2), (12, 9, 7), (2, 2, 2), (37, 37, 37)],
@@ -370,6 +391,17 @@ def test_lattice_convolution_apply_allocates_only_its_output():
     assert peak <= 16 * mask.sum() + MIB
 
 
+def test_lattice_convolution_holds_a_quarter_box_and_one_chunk():
+    n = 36
+    mask = np.ones((n, n, n), dtype=bool)
+    v = np.ones(mask.sum(), dtype=complex)
+    peak = _traced_peak(lambda: LatticeConvolution(mask, 1.0 / n, 2.0, 1.0).apply(v))
+    # construction and one apply: the (n, n, 2n) z buffer, one 2 MiB chunk, the
+    # octant spectrum and the output, 4.9 MiB; a (2n, 2n, 2n) padded box
+    # alone would be 5.7 MiB
+    assert peak <= 16 * (2 * n**3 + (n + 1)**3 + n**3) + 2 * MIB + MIB // 4
+
+
 def test_shape_factor_quadrature_peak_memory():
     # the cube bubble of screen_bem: 864 triangles against 2592 Gauss points;
     # the far-pair rows run in BLOCK_ENTRIES blocks, and the near-pair batch
@@ -381,14 +413,28 @@ def test_shape_factor_quadrature_peak_memory():
     assert boundary_shape_factor(mesh) == -3.1442777103937125
 
 
-def test_volume_far_field_peak_memory():
-    grid = VoxelGrid.cover(BoxDomain(size=(1, 1, 1)), 36)
+def _volume_far_field_peak(n):
+    """(cells, traced peak) of a 200-direction volume far field on an n^3 box."""
+    grid = VoxelGrid.cover(BoxDomain(size=(1, 1, 1)), n)
     pot = VolumePotential.from_density(grid, DensityField.constant(0.0), -1.5)
     sol = LSSolution(y=np.ones(grid.n_cells, dtype=complex), residual=0.0, iterations=0)
     dirs = fibonacci_directions(200)
-    peak = _traced_peak(far_field_volume, sol, pot, grid, 2.0, dirs)
-    assert grid.n_cells == 36**3
-    assert peak <= 16 * MIB
+    return grid.n_cells, _traced_peak(far_field_volume, sol, pot, grid, 2.0, dirs)
+
+
+def test_volume_far_field_peak_memory():
+    # the weight array (0.7 MiB) and one (nx ny, D) partial sum (4.0 MiB): 5.1 MiB
+    cells, peak = _volume_far_field_peak(36)
+    assert cells == 36**3
+    assert peak <= 6.75 * MIB
+
+
+def test_volume_far_field_peak_memory_at_64():
+    # the weight array and one partial sum of BLOCK_ENTRIES complex entries,
+    # 4 MiB each; one (nx ny, D) sum for all 200 directions would be 12.5 MiB
+    cells, peak = _volume_far_field_peak(64)
+    assert cells == 64**3
+    assert peak <= 16 * (cells + BLOCK_ENTRIES) + 2 * MIB
 
 
 # ---------------------------------------------------------------------------
