@@ -9,6 +9,7 @@ that tabulates far-field discrepancies across a radius-scale sweep.
 __version__ = "0.1.0"
 
 from .errors import (
+    AllocationError,
     BubbleLabError,
     ConfigError,
     ContrastError,
@@ -21,6 +22,7 @@ from .errors import (
 from .materials import BubbleSpec, ContrastParams, classify_regime
 
 __all__ = [
+    "AllocationError",
     "BubbleLabError",
     "BubbleSpec",
     "ConfigError",

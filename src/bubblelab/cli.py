@@ -154,7 +154,8 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
               f"scale={row.field_scale:.4e}")
     for a, reason, _ in table.aborted:
         print(f"a={a:.6g} aborted: {reason}")
-    print(f"fit: slope={fit.slope:.3f} predicted={fit.predicted_exponent:.3f} "
+    print(f"fit: slope={fit.slope:.3f} (s.e. {fit.slope_stderr:.3f}) "
+          f"predicted={fit.predicted_exponent:.3f} "
           f"-> {out / 'error_table.csv'}")
     return 0
 

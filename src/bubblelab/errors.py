@@ -34,5 +34,13 @@ class SolverError(BubbleLabError):
         self.iterations = iterations
 
 
+class AllocationError(SolverError):
+    """A dense array the solve needs could not be allocated; ``nbytes`` is its size."""
+
+    def __init__(self, message, nbytes):
+        super().__init__(message)
+        self.nbytes = nbytes
+
+
 class ConfigError(BubbleLabError):
     """Malformed or inconsistent experiment configuration."""

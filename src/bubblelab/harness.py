@@ -31,7 +31,7 @@ from .cluster import (
     build_surface,
     build_volumetric,
 )
-from .errors import BubbleLabError, ConfigError
+from .errors import AllocationError, BubbleLabError, ConfigError
 from .fields import FarField, fibonacci_directions
 from .materials import (
     REGIMES,
@@ -129,10 +129,12 @@ class RateFit:
     predicted_exponent: float
     exponent_ledger: tuple  # ((expression, exponent, note), ...)
     note: str = ""
+    slope_stderr: float = float("nan")
 
     def to_json(self):
         return {
             "slope": self.slope,
+            "slope_stderr": self.slope_stderr,
             "intercept": self.intercept,
             "r_squared": self.r_squared,
             "predicted_exponent": self.predicted_exponent,
@@ -492,8 +494,7 @@ def run_convergence(config: ExperimentConfig) -> ErrorTable:
 
             incidents = [IncidentWave(row_params.kappa0, th) for th in thetas]
             cl, _, sols = run.solve_points(a, row_params, incidents)
-            fl_fields = [pointscat.far_field(sol, cl.centers, row_params.kappa0, directions)
-                         for sol in sols]
+            fl_fields = pointscat.far_field(sols, cl.centers, row_params.kappa0, directions)
 
             sup_err = field_scale = 0.0
             keep = None
@@ -517,13 +518,17 @@ def run_convergence(config: ExperimentConfig) -> ErrorTable:
 
 
 def _abort_diagnostics(exc: BubbleLabError) -> dict:
-    """Type, condition estimate and iteration count of an aborted row's error."""
+    """Type, condition estimate and iteration count of an aborted row's error,
+    and the bytes of a refused allocation (AllocationError) if it was one."""
     cond = getattr(exc, "cond_estimate", None)
-    return {
+    diagnostics = {
         "type": type(exc).__name__,
         "cond_estimate": float(cond) if cond is not None and math.isfinite(cond) else None,
         "iterations": getattr(exc, "iterations", None),
     }
+    if isinstance(exc, AllocationError):
+        diagnostics["bytes"] = exc.nbytes
+    return diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +594,14 @@ def _exponent_terms(regime_name: str, surface: bool, params: ContrastParams):
 
 
 def fit_rate(table: ErrorTable) -> RateFit:
-    """Least-squares slope of log sup_err vs log a plus the exponent ledger."""
+    """Least-squares slope of log sup_err vs log a, its standard error and the
+    exponent ledger.
+
+    The standard error is the ordinary least-squares one,
+    sqrt(sum resid^2 / (n - 2) / sum (x - mean x)^2), which is what
+    ``np.polyfit(..., cov=True)`` reports; with 3 rows it rests on one degree
+    of freedom.
+    """
     rows = [r for r in table.rows if r.sup_err > 0]
     terms = _exponent_terms(table.regime_report.regime, table.geometry_kind in SURFACE_KINDS,
                             table.params)
@@ -603,9 +615,11 @@ def fit_rate(table: ErrorTable) -> RateFit:
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r_sq = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
+    ss_res = float(np.sum(resid**2))
+    r_sq = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    stderr = math.sqrt(ss_res / (len(x) - 2) / float(np.sum((x - x.mean()) ** 2)))
     return RateFit(slope=float(slope), intercept=float(intercept),
-                   r_squared=max(0.0, min(1.0, r_sq)),
+                   r_squared=max(0.0, min(1.0, r_sq)), slope_stderr=stderr,
                    predicted_exponent=predicted, exponent_ledger=tuple(terms))
 
 

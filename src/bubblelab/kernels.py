@@ -17,14 +17,27 @@ Importing the ``scipy.linalg`` package would also load SciPy's array-API
 shim, whose clone of numpy pulls in ``numpy.f2py``, ``numpy.testing``,
 ``numpy.ma`` and ``numpy.random``, about half of the CLI's start-up time.
 
-Memory model: ``pair_kernel`` fills its (M, M) output in row blocks whose
-temporaries hold at most BLOCK_ENTRIES entries each, the pair minima
-(``min_pairwise_distance``, ``min_cos_kappa_distance``) walk the same blocks,
-and the far-field sums bound their phase matrices and partial sums the same
-way.
+Memory model: the memory-bound kernels of the dense path walk
+cache-resident blocks of at most CACHE_BLOCK entries (256 KiB of float64),
+so the dozen or so elementwise passes over a block run out of a 2 MiB
+per-core L2 cache instead of streaming through memory (cache blocking: Lam,
+Rothberg & Wolf, ASPLOS 1991).  ``pair_kernel`` fills its (M, M) output in
+such row blocks through two reused scratch buffers, the pair minima
+(``min_pairwise_distance``, ``min_cos_kappa_distance``) walk the same blocks
+in the same buffers, and ``far_field_sum`` and the 1-norm of
+``DenseSystem`` take column blocks of that size.  Every entry of the kernel
+matrix and every pair distance is computed as it would be in one block, so
+these results do not depend on the block size.
+Three passes keep blocks of BLOCK_ENTRIES (2 MiB of float64): the chunk of
+``LatticeConvolution``, where fewer and larger kz blocks make ``apply``
+faster; ``grid_far_field_sum``, so the volume far field keeps its
+contractions and its bits; and the quadrature of
+``meshes.boundary_shape_factor``, whose GEMM blocks fix the bits of its
+pinned values.
 ``DenseSystem`` factors the matrix in place, so a dense solve peaks at about
 the matrix alone (16 M^2 bytes) and never at an (M, M, 3) difference array or
-a second (M, M) copy.
+a second (M, M) copy.  A kernel matrix that cannot be allocated raises
+AllocationError carrying its size, in place of numpy's MemoryError.
 ``LatticeConvolution`` never forms its zero-padded box: it holds a quarter of
 it, the (nx, ny, 2nz) buffer of the z transform, one chunk of at most
 BLOCK_ENTRIES // 2 complex entries in which the other passes run a block of
@@ -43,9 +56,10 @@ import sys
 import numpy as np
 from numpy.fft import fft, ifft, rfft
 
-from .errors import GeometryError, SolverError
+from .errors import AllocationError, GeometryError, SolverError
 
 BLOCK_ENTRIES = 1 << 18  # entries per temporary: 2 MiB of float64
+CACHE_BLOCK = BLOCK_ENTRIES // 8  # entries per cache-resident block: 256 KiB of float64
 
 
 def _scipy_linalg_extension(name: str):
@@ -81,12 +95,27 @@ def helmholtz(r, kappa0: float):
 
 def _upper_blocks(m: int):
     """Row blocks (i0, i1) of an (m, m) upper triangle, each covering columns
-    i0:m in at most BLOCK_ENTRIES entries."""
+    i0:m in at most CACHE_BLOCK entries (one row if a row is longer)."""
     i0 = 0
     while i0 < m:
-        i1 = min(m, i0 + max(1, BLOCK_ENTRIES // (m - i0)))
+        i1 = min(m, i0 + max(1, CACHE_BLOCK // (m - i0)))
         yield i0, i1
         i0 = i1
+
+
+def _distance_blocks(points):
+    """(i0, i1, r, s) for each ``_upper_blocks`` row block of ``points``: r the
+    (i1 - i0, m - i0) distances from ``_block_distances`` and s a scratch array
+    of the same shape, both views of two buffers reused by every block."""
+    m = len(points)
+    r_buf = np.empty(min(max(CACHE_BLOCK, m), m * m))
+    s_buf = np.empty_like(r_buf)
+    for i0, i1 in _upper_blocks(m):
+        size = (i1 - i0) * (m - i0)
+        r = r_buf[:size].reshape(i1 - i0, m - i0)
+        s = s_buf[:size].reshape(r.shape)
+        _block_distances(points, i0, i1, r, s)
+        yield i0, i1, r, s
 
 
 def _block_distances(points, i0, i1, out, scratch):
@@ -110,22 +139,22 @@ def pair_kernel(points, kappa0: float, diagonal) -> np.ndarray:
     ``np.linalg.norm(x_i - x_j)``: complex division by a real multiplies by
     its reciprocal, and exp of a pure imaginary is (cos, sin).  The kernel is
     evaluated on the upper triangle, in row blocks, and mirrored.  Raises
-    GeometryError if two distinct points coincide.
+    GeometryError if two distinct points coincide, and AllocationError,
+    carrying the 16 M^2 bytes asked for, if the matrix cannot be allocated.
     """
     z = np.asarray(points, dtype=float)
     if z.ndim != 2 or z.shape[1] != 3:
         raise GeometryError("points must be an (M, 3) array")
     m = len(z)
-    out = np.empty((m, m), dtype=complex)
-    r_buf = np.empty(min(max(BLOCK_ENTRIES, m), m * m))
-    s_buf = np.empty_like(r_buf)
+    try:
+        out = np.empty((m, m), dtype=complex)
+    except MemoryError:
+        nbytes = 16 * m * m
+        raise AllocationError(f"the ({m}, {m}) kernel matrix needs {nbytes / 2**30:.3g} GiB, "
+                              "which could not be allocated", nbytes=nbytes) from None
     four_pi = 4.0 * np.pi
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i0, i1 in _upper_blocks(m):
-            shape = (i1 - i0, m - i0)
-            r = r_buf[: shape[0] * shape[1]].reshape(shape)
-            s = s_buf[: shape[0] * shape[1]].reshape(shape)
-            _block_distances(z, i0, i1, r, s)
+        for i0, i1, r, s in _distance_blocks(z):
             zi, zj = np.nonzero(r == 0.0)
             if np.any(zi != zj):
                 raise GeometryError("coincident points make the interaction kernel singular")
@@ -145,12 +174,8 @@ def pair_kernel(points, kappa0: float, diagonal) -> np.ndarray:
 def _pair_minimum(points, transform=None) -> float:
     """min over pairs i != j of transform(|x_i - x_j|), inf without pairs, in
     the bounded row blocks of ``pair_kernel``; ``transform`` works in place."""
-    z = np.asarray(points, dtype=float)
-    m = len(z)
     best = np.inf
-    for i0, i1 in _upper_blocks(m):
-        r = np.empty((i1 - i0, m - i0))
-        _block_distances(z, i0, i1, r, np.empty_like(r))
+    for i0, i1, r, _ in _distance_blocks(np.asarray(points, dtype=float)):
         if transform is not None:
             transform(r)
         r[np.arange(i1 - i0), np.arange(i1 - i0)] = np.inf  # skip i == j
@@ -177,14 +202,21 @@ def min_cos_kappa_distance(points, kappa0: float) -> float:
 
 
 def far_field_sum(directions, points, weights, kappa0: float) -> np.ndarray:
-    """sum_j e^{-i kappa0 d . z_j} w_j for every direction d, in column blocks."""
+    """sum_j e^{-i kappa0 d . z_j} w_j for every direction d, in column blocks
+    of at most CACHE_BLOCK phases.
+
+    Weights of shape (M,) give a (D,) result; weights of shape (M, k) give
+    a (D, k) result, whose k columns share one evaluation of the phases.
+    """
     d = np.asarray(directions, dtype=float)
     z = np.asarray(points, dtype=float)
     w = np.asarray(weights)
-    out = np.zeros(len(d), dtype=complex)
-    step = max(1, BLOCK_ENTRIES // max(len(d), 1))
+    out = np.zeros((len(d),) + w.shape[1:], dtype=complex)
+    step = max(1, CACHE_BLOCK // max(len(d), 1))
     for j0 in range(0, len(z), step):
-        out += np.exp(-1j * kappa0 * (d @ z[j0:j0 + step].T)) @ w[j0:j0 + step]
+        phase = -1j * kappa0 * (d @ z[j0:j0 + step].T)
+        out += np.exp(phase, out=phase) @ w[j0:j0 + step]
+        del phase  # freed before the next block's phases are allocated
     return out
 
 
@@ -358,8 +390,8 @@ def cocg(matvec, rhs, diagonal, rtol: float, max_iter: int) -> tuple:
 
 
 def _norm1(a) -> float:
-    """Max column sum of |a| (the 1-norm), in column blocks of bounded size."""
-    step = max(1, BLOCK_ENTRIES // max(len(a), 1))
+    """Max column sum of |a| (the 1-norm), in column blocks of at most CACHE_BLOCK entries."""
+    step = max(1, CACHE_BLOCK // max(len(a), 1))
     return max(float(np.abs(a[:, j:j + step]).sum(axis=0).max())
                for j in range(0, a.shape[1], step))
 

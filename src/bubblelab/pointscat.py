@@ -9,7 +9,7 @@ with Phi the free-space Helmholtz kernel e^{ikr}/(4 pi r).  The matrix comes
 from ``kernels.pair_kernel`` and is complex symmetric; a ``ClusterSystem``
 factors it once, in place (LDL^T), and solves any number of incidence
 directions against that factorization.  The far field is the shared
-``kernels.far_field_sum``.
+``kernels.far_field_sum``, one pass over the phases for all directions.
 """
 
 from __future__ import annotations
@@ -93,7 +93,16 @@ def solve_charges(system: ClusterSystem, incident: IncidentWave, centers) -> Cha
     return ChargeSolution(charges=q, residual=residual, cond_estimate=system.cond_estimate)
 
 
-def far_field(solution: ChargeSolution, centers, kappa0: float, directions) -> FarField:
-    """Pattern sum_m e^{-ik x_hat . z_m} Q_m on the given direction grid."""
+def far_field(solution, centers, kappa0: float, directions):
+    """Pattern sum_m e^{-ik x_hat . z_m} Q_m on the given direction grid.
+
+    ``solution`` is one ChargeSolution, which gives one FarField, or a list
+    of them on the same centres, which gives their FarFields from one pass
+    over the phases e^{-ik x_hat . z_m}.
+    """
     d = np.asarray(directions, dtype=float)
-    return FarField(d, far_field_sum(d, centers, solution.charges, kappa0))
+    if isinstance(solution, ChargeSolution):
+        return FarField(d, far_field_sum(d, centers, solution.charges, kappa0))
+    charges = np.column_stack([sol.charges for sol in solution])
+    values = far_field_sum(d, centers, charges, kappa0)
+    return [FarField(d, v) for v in np.ascontiguousarray(values.T)]

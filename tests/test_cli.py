@@ -94,6 +94,36 @@ def test_converge_deterministic_via_subprocess(config_path, tmp_path):
     assert outs[0] == outs[1]
 
 
+def _limit_address_space():
+    import resource
+
+    limit = 16 * 2**30  # far below the last row's 141 GiB matrix, far above the run's needs
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_refused_dense_allocation_aborts_its_row(tmp_path):
+    # the last row's cluster has M = 46^3 = 97,336 centres (pitch a^(1/6)),
+    # whose kernel matrix would need 16 M^2 bytes (141 GiB): under an
+    # address-space limit numpy cannot allocate it, so the row aborts with the
+    # estimate and the run writes the two rows it finished
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**BASE, "a_sequence": [0.02, 0.01, 1e-10],
+                                "tolerances": {"m_max": 200000}}))
+    out = tmp_path / "run"
+    res = subprocess.run(
+        [sys.executable, "-m", "bubblelab.cli", "converge", "--config", str(path),
+         "--out", str(out)],
+        capture_output=True, text=True, preexec_fn=_limit_address_space)
+    assert res.returncode == 0, res.stderr
+    assert "Traceback" not in res.stderr
+    assert len((out / "error_table.csv").read_text().splitlines()) == 3
+    report = json.loads((out / "regime_report.json").read_text())
+    [[a, reason, diagnostics]] = report["aborted_rows"]
+    assert a == 1e-10 and reason.startswith("AllocationError: ")
+    assert diagnostics == {"type": "AllocationError", "cond_estimate": None,
+                           "iterations": None, "bytes": 16 * 97336**2}
+
+
 def test_cluster_and_solve_fl(config_path, tmp_path, capsys):
     out = tmp_path / "c"
     assert cli(["cluster", "--config", str(config_path), "--out", str(out)]) == 0

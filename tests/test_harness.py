@@ -213,6 +213,23 @@ def test_convergence_determinism_byte_identical(tmp_path):
     assert a == b
 
 
+def test_k1_theta_sweep_run_byte_identical(tmp_path):
+    # K = 1 draws one seeded extra centre per cell, and the sweep's far fields
+    # come from one phase pass for both incidence directions
+    cfg = low_config(
+        geometry={"kind": "box", "size": [1, 1, 1], "density": {"kind": "constant", "value": 1.0}},
+        contrast={"gamma": 1.0, "s": 1.0, "t": 0.4, "omega_ratio": 0.8},
+        regime="MediumVolumetricB", a_sequence=[0.05, 0.03, 0.02],
+        directions={"n": 30, "theta_sweep": 2}, tolerances={"grid_n": 8})
+    tables = []
+    for sub in ("one", "two"):
+        table = run_convergence(cfg)
+        assert len(table.rows) == 3 and not table.aborted
+        write_outputs(table, fit_rate(table), tmp_path / sub)
+        tables.append((tmp_path / sub / "error_table.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 def test_regime_mismatch_rejected():
     cfg = low_config(regime="High")
     with pytest.raises(ConfigError):
@@ -286,6 +303,24 @@ def test_fit_rate_exact_power_law():
     assert fit.r_squared > 1 - 1e-12
 
 
+def test_fit_rate_slope_stderr_matches_polyfit_covariance(tmp_path):
+    params = ContrastParams(gamma=1.0, s=1.0, t=0.4)
+    a = np.array([1e-1, 5e-2, 2e-2, 1e-2, 4e-3])
+    noise = np.array([0.03, -0.05, 0.04, 0.01, -0.02])
+    rows = [ErrorRow(a=float(x), m=1, n_model=1, sup_err=float(x**0.6 * math.exp(e)),
+                     field_scale=1.0) for x, e in zip(a, noise)]
+    table = ErrorTable(rows=rows, regime_report=classify_regime(params), aborted=[],
+                       geometry_kind="box", params=params)
+    fit = fit_rate(table)
+    (slope, _), cov = np.polyfit(np.log(a), np.log([r.sup_err for r in rows]), 1, cov=True)
+    assert fit.slope == pytest.approx(slope, rel=1e-12)
+    assert fit.slope_stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-10)
+    assert fit.slope_stderr > 0.0
+    write_outputs(table, fit, tmp_path)
+    doc = json.loads((tmp_path / "rate_fit.json").read_text())
+    assert doc["slope_stderr"] == fit.slope_stderr
+
+
 def test_fit_rate_near_resonance_ledger():
     # (h1, lambda, t) = (0.5, 0.9, 0.2): exponents {0.5, 0.15, 0.5, 0.6, 0.3}
     params = ContrastParams(gamma=1.0, s=0.5, t=0.2, h1=0.5, l_m=-1.0, lambda_k=0.9)
@@ -324,7 +359,7 @@ def test_fit_rate_skips_degenerate_tables():
     table = ErrorTable(rows=rows, regime_report=report, aborted=[], geometry_kind="box",
                        params=params)
     fit = fit_rate(table)
-    assert math.isnan(fit.slope)
+    assert math.isnan(fit.slope) and math.isnan(fit.slope_stderr)
     assert "skipped" in fit.note
 
 

@@ -12,6 +12,7 @@ from bubblelab.errors import GeometryError, SolverError
 from bubblelab.fields import fibonacci_directions
 from bubblelab.kernels import (
     BLOCK_ENTRIES,
+    CACHE_BLOCK,
     DenseSystem,
     LatticeConvolution,
     _dct1,
@@ -21,6 +22,7 @@ from bubblelab.kernels import (
     min_cos_kappa_distance,
     min_pairwise_distance,
     pair_kernel,
+    zsytrf_lwork,
 )
 from bubblelab.meshes import (
     SurfaceMesh,
@@ -80,7 +82,8 @@ def test_panel_weights_bitwise_equal_to_broadcast():
 
 def test_min_pairwise_distance_blocked():
     # equal to the minimum of the broadcast (M, M) distance matrix, without
-    # building the (M, M, 3) difference array: the memory bound is two 2 MiB blocks
+    # building the (M, M, 3) difference array: the memory bound is two blocks
+    # of CACHE_BLOCK distances (one row each at M = 3000)
     rng = np.random.default_rng(7)
     for m, width in ((2, 3), (3, 3), (600, 3), (600, 2)):
         pts = rng.uniform(-1.0, 1.0, (m, width))
@@ -104,7 +107,7 @@ def test_min_pairwise_distance_blocked():
 
 def test_coincident_points_raise_geometry_error():
     centers = cluster(600, seed=4)
-    assert BLOCK_ENTRIES // 600 < 500  # the pair below sits in different row blocks
+    assert CACHE_BLOCK // 600 < 500  # the pair below sits in different row blocks
     centers[500] = centers[10]
     with pytest.raises(GeometryError):
         assemble(centers, 1.0, 1.0)
@@ -144,6 +147,17 @@ def test_far_field_sum_matches_direct_across_blocks():
     ref = direct_far_field(dirs, pts, w, 3.1)
     got = far_field_sum(dirs, pts, w, 3.1)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_far_field_sum_of_several_weight_columns_matches_one_call_each():
+    dirs = fibonacci_directions(200)
+    pts = cluster(1458, seed=3)
+    w = np.random.default_rng(4).standard_normal((1458, 3)) + 1j
+    got = far_field_sum(dirs, pts, w, 2.2)
+    assert got.shape == (200, 3)
+    for k in range(3):
+        one = far_field_sum(dirs, pts, w[:, k], 2.2)
+        assert np.abs(got[:, k] - one).max() <= 1e-14 * np.abs(one).max()
 
 
 @pytest.mark.parametrize("grid", [
@@ -365,6 +379,33 @@ def test_assemble_peak_memory_is_matrix_plus_blocks():
     centers = cluster(m, seed=5)
     peak = _traced_peak(assemble, centers, -0.01, 3.0)
     assert peak <= 16 * m**2 + 8 * MIB
+
+
+def test_pair_kernel_peak_memory_is_its_output_plus_cache_blocks():
+    m = 1458
+    peak = _traced_peak(pair_kernel, cluster(m, seed=8), 3.0, 1.0)
+    # two scratch blocks of CACHE_BLOCK float64 (0.5 MiB); two of BLOCK_ENTRIES
+    # would be 4 MiB
+    assert peak <= 16 * m**2 + MIB
+
+
+def test_far_field_sum_peak_memory_is_one_cache_block_of_phases():
+    z = cluster(1458, seed=9)
+    w = np.ones(1458, dtype=complex)
+    peak = _traced_peak(far_field_sum, fibonacci_directions(200), z, w, 3.0)
+    # one block's real products and complex phases, 0.75 MiB; a block of
+    # BLOCK_ENTRIES phases would be 2 MiB of products alone
+    assert peak <= MIB
+
+
+def test_dense_factor_peak_memory_is_the_workspace():
+    m = 1458
+    matrix = assemble(cluster(m, seed=10), -0.01, 3.0)  # 16 M^2 bytes, before tracing
+    lwork, _ = zsytrf_lwork(m, lower=1)
+    peak = _traced_peak(DenseSystem(matrix, 1e-8).factor)
+    # zsytrf's workspace plus the 1-norm's column block of CACHE_BLOCK
+    # magnitudes (0.25 MiB); a block of BLOCK_ENTRIES would be 2 MiB
+    assert peak <= 16 * int(lwork.real) + MIB // 2
 
 
 def test_dense_solve_peak_memory_is_the_matrix_alone():

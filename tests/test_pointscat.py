@@ -156,6 +156,21 @@ def test_far_field_translation_phase():
     assert np.abs(ff1.values - ff0.values * phase).max() < 1e-10
 
 
+def test_far_field_of_several_solutions_matches_one_call_each():
+    centers = random_cluster(40, seed=6)
+    kappa0 = 2.1
+    system = ClusterSystem(assemble(centers, -0.05, kappa0))
+    sols = [solve_charges(system, IncidentWave(kappa0, theta), centers)
+            for theta in fibonacci_directions(3)]
+    dirs = fibonacci_directions(50)
+    swept = far_field(sols, centers, kappa0, dirs)
+    assert len(swept) == 3
+    for ff, sol in zip(swept, sols):
+        one = far_field(sol, centers, kappa0, dirs)
+        assert np.array_equal(ff.directions, one.directions)
+        assert np.abs(ff.values - one.values).max() <= 1e-14 * np.abs(one.values).max()
+
+
 def test_far_field_scales_with_coefficient():
     inc = IncidentWave(1.0, np.array([0.0, 0.0, 1.0]))
     centers = [[0.0, 0.0, 0.0]]
