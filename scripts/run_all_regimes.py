@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run every example convergence config and print a compact summary.
 
-Exits 1 when any config's ``converge`` run fails, 0 otherwise.
+Exits 1 when any config's ``converge`` run fails or aborts a row (its
+``regime_report.json`` lists aborted rows), 0 otherwise.
 """
 
 import argparse
@@ -33,8 +34,12 @@ def main():
             status = 1
             continue
         fit = json.loads((out / "rate_fit.json").read_text())
-        summary.append((cfg_path.stem,
-                        f"slope {fit['slope']:+.3f} predicted {fit['predicted_exponent']:+.3f}"))
+        line = f"slope {fit['slope']:+.3f} predicted {fit['predicted_exponent']:+.3f}"
+        aborted = json.loads((out / "regime_report.json").read_text())["aborted_rows"]
+        if aborted:
+            line += f", {len(aborted)} aborted row(s)"
+            status = 1
+        summary.append((cfg_path.stem, line))
     width = max(len(name) for name, _ in summary)
     print("\nsummary:")
     for name, line in summary:

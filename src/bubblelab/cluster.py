@@ -30,7 +30,7 @@ from .kernels import min_pairwise_distance
 class DensityField:
     """Non-negative bounded density K; constant, or trilinear on a 3d sample grid."""
 
-    def __init__(self, kind, value=None, origin=None, spacing=None, samples=None,
+    def __init__(self, kind, value=0.0, origin=None, spacing=None, samples=None,
                  k_max=None):
         self.kind = kind
         if kind == "constant":

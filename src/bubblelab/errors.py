@@ -35,7 +35,7 @@ class SolverError(BubbleLabError):
 
 
 class AllocationError(SolverError):
-    """A dense array the solve needs could not be allocated; ``nbytes`` is its size."""
+    """A dense matrix is over the dense budget or could not be allocated; ``nbytes`` is its size."""
 
     def __init__(self, message, nbytes):
         super().__init__(message)

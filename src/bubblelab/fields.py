@@ -61,8 +61,5 @@ class FarField:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
             for d, v in zip(self.directions, self.values):
-                writer.writerow(
-                    [repr(float(d[0])), repr(float(d[1])), repr(float(d[2])),
-                     repr(float(v.real)), repr(float(v.imag))]
-                )
+                writer.writerow([repr(float(x)) for x in (*d, v.real, v.imag)])
 

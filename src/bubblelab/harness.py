@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import os
+import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -232,9 +233,9 @@ SECTIONS = {
         "out": _PATH,
     },
     "directions": {"n": _COUNT, "theta": _DIRECTION, "theta_sweep": _LEVEL},
-    "tolerance": {"m_max": _COUNT._replace(default=4096), "d_min": _LENGTH._replace(default=0.5),
-                  "grid_n": _COUNT._replace(default=24), "mesh_level": _LEVEL._replace(default=3),
-                  "mesh_n": _COUNT._replace(default=10), "mesh_rings": _COUNT._replace(default=14),
+    "tolerance": {"d_min": _LENGTH._replace(default=0.5), "grid_n": _COUNT._replace(default=24),
+                  "mesh_level": _LEVEL._replace(default=3), "mesh_n": _COUNT._replace(default=10),
+                  "mesh_rings": _COUNT._replace(default=14),
                   "mesh_nphi": _COUNT._replace(default=42)},
     "contrast": dict.fromkeys(("rho0", "k0", "c_rho", "gamma", "tau", "s", "t", "h1", "l_m",
                                "lambda_k", "l0", "omega", "omega_ratio"), _NUMBER),
@@ -312,9 +313,7 @@ def build_contrast(doc: dict) -> tuple:
 
 def build_density(doc: Optional[dict]) -> DensityField:
     """The density of a converted ``density`` section; None is the constant 0."""
-    doc = dict(doc or {"kind": "constant"})
-    make = DensityField.grid if doc.pop("kind") == "grid" else DensityField.constant
-    return make(**doc)
+    return DensityField(**(doc or {"kind": "constant"}))
 
 
 def build_geometry(doc: dict):
@@ -415,15 +414,11 @@ class RunSetup:
     def solve_points(self, a, row_params, incidents) -> tuple:
         """Cluster, coefficient and charges for each incident wave at radius scale a.
 
-        Clusters above the ``m_max`` cap raise ConfigError before the dense
-        matrix is built.  The matrix is factored once, in place, for all
-        incident waves and freed on return, before any comparator allocates.
+        The matrix is factored once, in place, for all incident waves and
+        freed on return, before any comparator allocates.
         """
         coeff = scattering_coefficient(self.bubble, row_params, a)
         cl = self.cluster(a)
-        m_max = self.config.tolerances["m_max"]
-        if cl.m > m_max:
-            raise ConfigError(f"cluster size M={cl.m} exceeds cap {m_max}")
         system = pointscat.ClusterSystem(pointscat.assemble(cl.centers, coeff, row_params.kappa0))
         return cl, coeff, [pointscat.solve_charges(system, inc, cl.centers)
                            for inc in incidents]
@@ -636,3 +631,7 @@ def write_outputs(table: ErrorTable, fit: RateFit, out_dir) -> None:
     for i, (a, ff_fl, ff_model) in enumerate(table.far_fields):
         ff_fl.save_csv(out / f"farfield_fl_row{i}.csv")
         ff_model.save_csv(out / f"farfield_model_row{i}.csv")
+    for path in out.glob("farfield_*_row*.csv"):  # rows past the last, from an earlier run
+        row = re.fullmatch(r"farfield_(?:fl|model)_row(\d+)\.csv", path.name)
+        if row and int(row[1]) >= len(table.far_fields):
+            path.unlink()

@@ -36,8 +36,9 @@ contractions and its bits; and the quadrature of
 pinned values.
 ``DenseSystem`` factors the matrix in place, so a dense solve peaks at about
 the matrix alone (16 M^2 bytes) and never at an (M, M, 3) difference array or
-a second (M, M) copy.  A kernel matrix that cannot be allocated raises
-AllocationError carrying its size, in place of numpy's MemoryError.
+a second (M, M) copy.  ``pair_kernel``, which builds the point, surface and
+Dirichlet systems, refuses a matrix over DENSE_MAX_BYTES (1 GiB: M <= 8192)
+before allocating it, or one the OS refuses, with AllocationError.
 ``LatticeConvolution`` never forms its zero-padded box: it holds a quarter of
 it, the (nx, ny, 2nz) buffer of the z transform, one chunk of at most
 BLOCK_ENTRIES // 2 complex entries in which the other passes run a block of
@@ -60,6 +61,7 @@ from .errors import AllocationError, GeometryError, SolverError
 
 BLOCK_ENTRIES = 1 << 18  # entries per temporary: 2 MiB of float64
 CACHE_BLOCK = BLOCK_ENTRIES // 8  # entries per cache-resident block: 256 KiB of float64
+DENSE_MAX_BYTES = 1 << 30  # largest dense (M, M) complex matrix: 1 GiB, M <= 8192
 
 
 def _scipy_linalg_extension(name: str):
@@ -139,19 +141,21 @@ def pair_kernel(points, kappa0: float, diagonal) -> np.ndarray:
     ``np.linalg.norm(x_i - x_j)``: complex division by a real multiplies by
     its reciprocal, and exp of a pure imaginary is (cos, sin).  The kernel is
     evaluated on the upper triangle, in row blocks, and mirrored.  Raises
-    GeometryError if two distinct points coincide, and AllocationError,
-    carrying the 16 M^2 bytes asked for, if the matrix cannot be allocated.
+    GeometryError if two distinct points coincide, and AllocationError (its
+    16 M^2 bytes) for a matrix over DENSE_MAX_BYTES or one not allocated.
     """
     z = np.asarray(points, dtype=float)
     if z.ndim != 2 or z.shape[1] != 3:
         raise GeometryError("points must be an (M, 3) array")
     m = len(z)
+    nbytes = 16 * m * m
+    need = f"the ({m}, {m}) kernel matrix needs {nbytes / 2**30:.3g} GiB"
+    if nbytes > DENSE_MAX_BYTES:
+        raise AllocationError(f"{need}, over the dense budget", nbytes=nbytes)
     try:
         out = np.empty((m, m), dtype=complex)
     except MemoryError:
-        nbytes = 16 * m * m
-        raise AllocationError(f"the ({m}, {m}) kernel matrix needs {nbytes / 2**30:.3g} GiB, "
-                              "which could not be allocated", nbytes=nbytes) from None
+        raise AllocationError(f"{need}, which could not be allocated", nbytes=nbytes) from None
     four_pi = 4.0 * np.pi
     with np.errstate(divide="ignore", invalid="ignore"):
         for i0, i1, r, s in _distance_blocks(z):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError
 from .fields import FarField
 from .kernels import DenseSystem, far_field_sum, pair_kernel
 
@@ -55,15 +55,12 @@ class ChargeSolution:
 def assemble(centers, c_coeff: complex, kappa0: float) -> np.ndarray:
     """Dense symmetric system matrix: 1/C on the diagonal, kernel off it.
 
-    Built by ``kernels.pair_kernel`` in bounded row blocks, so the only
-    (M, M) allocation is the matrix itself.
+    Built by ``kernels.pair_kernel`` in bounded row blocks: the only (M, M)
+    allocation is the matrix, refused (AllocationError) over the dense budget.
     """
     if c_coeff == 0:
         raise ConfigError("scattering coefficient must be non-zero")
-    z = np.asarray(centers, dtype=float)
-    if z.ndim != 2 or z.shape[1] != 3:
-        raise GeometryError("centers must be an (M, 3) array")
-    return pair_kernel(z, kappa0, diagonal=1.0 / c_coeff)
+    return pair_kernel(centers, kappa0, diagonal=1.0 / c_coeff)
 
 
 class ClusterSystem(DenseSystem):
@@ -81,10 +78,9 @@ class ClusterSystem(DenseSystem):
 def solve_charges(system: ClusterSystem, incident: IncidentWave, centers) -> ChargeSolution:
     """Solve for the charges with rhs -u^I(z_m); record residual and conditioning.
 
-    The system is factored on its first call and the factorization reused on
-    later ones.  Symmetric Bunch-Kaufman LDL^T; one step of iterative
-    refinement is applied if the direct residual misses the contract
-    residual <= 1e-10 (1 + max|Q|).
+    The system is factored (LDL^T) on its first call and the factorization
+    reused on later ones; ``DenseSystem.solve`` refines once if the residual
+    misses the contract residual <= RESIDUAL_TOL (1 + max|Q|).
     """
     b = -incident.at(centers)
     if system.matrix.shape != (len(b), len(b)):

@@ -157,8 +157,12 @@ def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident) ->
     if missed:
         # Y's residual is K S times Z's, which can outgrow the relative stop
         # for strong potentials: one refinement step on Z's residual
-        dz, more = cocg(symmetric_matvec, b - symmetric_matvec(z), jacobi,
-                        LS_RESIDUAL_TOL / 10, LS_MAX_MATVECS)
+        try:
+            dz, more = cocg(symmetric_matvec, b - symmetric_matvec(z), jacobi,
+                            LS_RESIDUAL_TOL / 10, LS_MAX_MATVECS)
+        except SolverError as exc:
+            exc.iterations += iterations  # the first run's matvecs count too
+            raise
         z += dz
         iterations += more
         y, resid, missed = recover(z)

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from bubblelab import kernels
 from bubblelab.cli import _load_config, cli
 from bubblelab.harness import ExperimentConfig, build_bubble, prepare
 from bubblelab.kernels import min_cos_kappa_distance
@@ -101,17 +102,21 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+# runs the CLI with the dense budget raised past any matrix, so the OS is what refuses it
+_UNBUDGETED_CLI = ("from bubblelab import kernels; kernels.DENSE_MAX_BYTES = 1 << 62; "
+                   "from bubblelab.cli import main; main()")
+
+
 def test_refused_dense_allocation_aborts_its_row(tmp_path):
     # the last row's cluster has M = 46^3 = 97,336 centres (pitch a^(1/6)),
-    # whose kernel matrix would need 16 M^2 bytes (141 GiB): under an
-    # address-space limit numpy cannot allocate it, so the row aborts with the
-    # estimate and the run writes the two rows it finished
+    # whose kernel matrix would need 16 M^2 bytes (141 GiB): with the budget
+    # raised, under an address-space limit numpy cannot allocate it, so the
+    # row aborts with the estimate and the run writes the two rows it finished
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**BASE, "a_sequence": [0.02, 0.01, 1e-10],
-                                "tolerances": {"m_max": 200000}}))
+    path.write_text(json.dumps({**BASE, "a_sequence": [0.02, 0.01, 1e-10]}))
     out = tmp_path / "run"
     res = subprocess.run(
-        [sys.executable, "-m", "bubblelab.cli", "converge", "--config", str(path),
+        [sys.executable, "-c", _UNBUDGETED_CLI, "converge", "--config", str(path),
          "--out", str(out)],
         capture_output=True, text=True, preexec_fn=_limit_address_space)
     assert res.returncode == 0, res.stderr
@@ -122,6 +127,7 @@ def test_refused_dense_allocation_aborts_its_row(tmp_path):
     assert a == 1e-10 and reason.startswith("AllocationError: ")
     assert diagnostics == {"type": "AllocationError", "cond_estimate": None,
                            "iterations": None, "bytes": 16 * 97336**2}
+    assert "could not be allocated" in reason
 
 
 def test_cluster_and_solve_fl(config_path, tmp_path, capsys):
@@ -238,11 +244,63 @@ def test_solve_commands_match_converge_first_row(tmp_path):
                     == (conv / row0).read_bytes()), tag
 
 
-def test_solve_fl_enforces_cluster_cap(tmp_path):
-    # the first row has M = 27 centres (a 3 x 3 x 3 lattice, one centre per cell)
-    path = _write_config(tmp_path, "capped", **{**MEDIUM_BOX, "tolerances": {"m_max": 20}})
+# a K = 1 Low box: its rows hold M = 16, 54 and 250 centres, two per cell
+K1_LOW = {"geometry": {"kind": "box", "size": [1, 1, 1],
+                       "density": {"kind": "constant", "value": 1.0}},
+          "a_sequence": [0.02, 0.001, 1e-4], "tolerances": {"d_min": 0.1}}
+
+
+def _dense_sizes(path):
+    """The cluster size M of each row and the panel count N of the comparator
+    (None without panels) of the config at ``path``."""
+    run = prepare(_load_config(path))
+    n = run.mesh.n_panels if run.comparator in ("surface", "dirichlet") else None
+    return [run.cluster(a).m for a in run.config.a_sequence], n
+
+
+@pytest.mark.parametrize("name, over", [("point", K1_LOW), ("surface", MEDIUM_CAP),
+                                        ("dirichlet", HIGH_CAP)])
+def test_over_budget_dense_system_aborts_its_rows(tmp_path, monkeypatch, name, over):
+    # the point case's budget is exactly its second system, so only its last
+    # row aborts; the panel cases' budget admits every point system but not
+    # the run's one panel system (N panels), so each of their rows aborts
+    path = _write_config(tmp_path, name, **over)
+    ms, n = _dense_sizes(path)
+    a_seq = over["a_sequence"]
+    if n is None:
+        budget, refused = 16 * ms[1] ** 2, {a_seq[2]: ms[2]}
+    else:
+        budget, refused = 16 * max(ms) ** 2, dict.fromkeys(a_seq, n)
+    monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", budget)
+    out = tmp_path / "run"
+    assert cli(["converge", "--config", str(path), "--out", str(out)]) == 0
+    rows = (out / "error_table.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[1]) for row in rows] == [
+        m for a, m in zip(a_seq, ms) if a not in refused]
+    aborted = json.loads((out / "regime_report.json").read_text())["aborted_rows"]
+    assert [(a, diagnostics) for a, _, diagnostics in aborted] == [
+        (a, {"type": "AllocationError", "cond_estimate": None, "iterations": None,
+             "bytes": 16 * size**2}) for a, size in refused.items()]
+    assert all("over the dense budget" in reason for _, reason, _ in aborted)
+
+
+def test_solve_fl_enforces_cluster_cap(tmp_path, monkeypatch):
+    # the first row's M = 16 system needs 4096 bytes, one over the budget
+    path = _write_config(tmp_path, "capped", **K1_LOW)
+    monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", 16 * 16**2 - 1)
     out = tmp_path / "capped"
-    assert cli(["solve-fl", "--config", str(path), "--out", str(out)]) == 2
+    assert cli(["solve-fl", "--config", str(path), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, over", [("solve-sie", MEDIUM_CAP), ("solve-bem", HIGH_CAP)])
+def test_over_budget_panel_solve_exits_3(tmp_path, monkeypatch, capsys, command, over):
+    path = _write_config(tmp_path, "capped", **over)
+    _, n = _dense_sizes(path)
+    monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", 16 * n * n - 1)
+    out = tmp_path / "capped"
+    assert cli([command, "--config", str(path), "--out", str(out)]) == 3
+    assert "over the dense budget" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -256,8 +314,9 @@ def test_config_errors_leave_no_output_directory(tmp_path, command):
     assert not out.exists()
 
 
+# m_max is no key: the dense budget is the constant kernels.DENSE_MAX_BYTES
 @pytest.mark.parametrize("tolerances", [{"grid_N": 8}, {"h_star": 2.0}, {"direct_max": 1},
-                                        {"record_wall_time": 1}])
+                                        {"record_wall_time": 1}, {"m_max": 4096}])
 def test_unknown_tolerance_keys_exit_2(tmp_path, capsys, tolerances):
     path = _write_config(tmp_path, "typo", tolerances=tolerances)
     assert cli(["converge", "--config", str(path), "--out", str(tmp_path / "typo")]) == 2
@@ -293,7 +352,6 @@ MALFORMED = [
     ("a_entry", {"a_sequence": [0.02, "half", 0.005]}, "a_sequence"),
     ("a_scalar", {"a_sequence": 0.02}, "a_sequence"),
     ("d_min", {"tolerances": {"d_min": "x"}}, "tolerance 'd_min'"),
-    ("m_max", {"tolerances": {"m_max": None}}, "tolerance 'm_max'"),
     ("grid_n", {"tolerances": {"grid_n": [8]}}, "tolerance 'grid_n'"),
     ("mesh_level", {"tolerances": {"mesh_level": "x"}}, "tolerance 'mesh_level'"),
     ("mesh_n", {"tolerances": {"mesh_n": "x"}}, "tolerance 'mesh_n'"),
@@ -397,7 +455,6 @@ def test_theta_max_of_a_hemisphere_and_a_full_sphere_load():
 
 @pytest.mark.parametrize("over, name", [
     ({"tolerances": {"grid_n": 8.7}}, "tolerance 'grid_n'"),
-    ({"tolerances": {"m_max": 99.9}}, "tolerance 'm_max'"),
     ({"tolerances": {"mesh_level": 2.5}}, "tolerance 'mesh_level'"),
     ({"directions": {"n": 20.5}}, "directions"),
     ({"directions": {"n": 50, "theta_sweep": 2.5}}, "theta_sweep"),
@@ -407,15 +464,14 @@ def test_theta_max_of_a_hemisphere_and_a_full_sphere_load():
     ({"directions": 0}, "directions"),
     ({"seed": -1}, "seed"),
     ({"tolerances": {"grid_n": 0}}, "tolerance 'grid_n'"),
-    ({"tolerances": {"m_max": 0}}, "tolerance 'm_max'"),
     ({"tolerances": {"mesh_n": 0}}, "tolerance 'mesh_n'"),
     ({"tolerances": {"mesh_rings": 0}}, "tolerance 'mesh_rings'"),
     ({"tolerances": {"mesh_nphi": -2}}, "tolerance 'mesh_nphi'"),
     ({"tolerances": {"mesh_level": -1}}, "tolerance 'mesh_level'"),
     ({"bubble": {"shape": "cube", "n": 0}}, "bubble 'n'"),
-], ids=["grid_n", "m_max", "mesh_level", "directions", "theta_sweep", "seed", "cube_n",
+], ids=["grid_n", "mesh_level", "directions", "theta_sweep", "seed", "cube_n",
         "negative_theta_sweep", "zero_directions", "negative_seed",
-        "zero_grid_n", "zero_m_max", "zero_mesh_n", "zero_mesh_rings", "negative_mesh_nphi",
+        "zero_grid_n", "zero_mesh_n", "zero_mesh_rings", "negative_mesh_nphi",
         "negative_mesh_level", "zero_cube_n"])
 @pytest.mark.parametrize("command", ["regime-check", "converge"])
 def test_non_integral_or_out_of_range_integers_exit_2(tmp_path, capsys, over, name, command):
@@ -439,13 +495,13 @@ def test_seed_flag_and_out_key_are_checked(config_path, tmp_path, capsys):
 
 def test_whole_number_floats_load_as_integers(tmp_path):
     path = _write_config(tmp_path, "whole", directions={"n": 30.0, "theta_sweep": 2.0},
-                         seed=1.0, tolerances={"grid_n": 24.0, "m_max": 4096.0,
+                         seed=1.0, tolerances={"grid_n": 24.0, "mesh_n": 6.0,
                                                "mesh_level": 0.0},
                          bubble={"shape": "cube", "n": 2.0})
     cfg = _load_config(path)
     assert (cfg.directions, cfg.theta_sweep, cfg.seed) == (30, 2, 1)
-    tolerances = {key: cfg.tolerances[key] for key in ("grid_n", "m_max", "mesh_level")}
-    assert tolerances == {"grid_n": 24, "m_max": 4096, "mesh_level": 0}
+    tolerances = {key: cfg.tolerances[key] for key in ("grid_n", "mesh_n", "mesh_level")}
+    assert tolerances == {"grid_n": 24, "mesh_n": 6, "mesh_level": 0}
     assert cfg.bubble == {"shape": "cube", "n": 2}
     assert all(type(v) is int for v in (cfg.directions, cfg.theta_sweep, cfg.seed,
                                         *tolerances.values(), cfg.bubble["n"]))

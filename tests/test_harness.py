@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bubblelab import volmedium
-from bubblelab.errors import ConfigError
+from bubblelab import kernels, volmedium
+from bubblelab.errors import ConfigError, SolverError
 from bubblelab.harness import (
     ErrorRow,
     ErrorTable,
@@ -55,8 +55,8 @@ def test_config_validation():
 @pytest.mark.parametrize("kind, mesh_n", [("box", 10), ("plane_rect", 16)])
 def test_absent_tolerances_take_their_defaults(kind, mesh_n):
     cfg = low_config(geometry={"kind": kind})
-    assert cfg.tolerances == {"m_max": 4096, "d_min": 0.5, "grid_n": 24, "mesh_level": 3,
-                              "mesh_n": mesh_n, "mesh_rings": 14, "mesh_nphi": 42}
+    assert cfg.tolerances == {"d_min": 0.5, "grid_n": 24, "mesh_level": 3, "mesh_n": mesh_n,
+                              "mesh_rings": 14, "mesh_nphi": 42}
     # a key the config sets replaces its default only
     given = low_config(geometry={"kind": kind}, tolerances={"mesh_n": 4, "d_min": 0.25})
     assert given.tolerances == {**cfg.tolerances, "mesh_n": 4, "d_min": 0.25}
@@ -249,14 +249,19 @@ def test_medium_volumetric_run():
     assert all(np.isfinite(r.sup_err) and r.sup_err > 0 for r in table.rows)
 
 
-def test_row_abort_on_cluster_cap():
-    cfg = low_config(a_sequence=[0.02, 0.01, 0.005, 1e-5],
-                     tolerances={"m_max": 300})
+def test_row_abort_on_cluster_cap(monkeypatch):
+    # a K = 1 box (two centres per cell) holds M = 16, 54 and 250 centres; a
+    # dense budget of 300 x 300 refuses only the last row's system
+    monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", 16 * 300**2)
+    cfg = low_config(geometry={"kind": "box", "size": [1, 1, 1],
+                               "density": {"kind": "constant", "value": 1.0}},
+                     a_sequence=[0.02, 0.001, 1e-4, 1e-5], tolerances={"d_min": 0.1})
     table = run_convergence(cfg)
-    assert len(table.rows) == 3
-    assert len(table.aborted) == 1 and "exceeds cap" in table.aborted[0][1]
-    assert table.aborted[0][2] == {"type": "ConfigError", "cond_estimate": None,
-                                   "iterations": None}
+    assert [row.m for row in table.rows] == [16, 54, 250]
+    [(a, reason, diagnostics)] = table.aborted
+    assert a == 1e-5 and reason.startswith("AllocationError: ")
+    assert diagnostics == {"type": "AllocationError", "cond_estimate": None,
+                           "iterations": None, "bytes": 16 * 686**2}
 
 
 def test_solver_error_row_keeps_diagnostics(tmp_path, monkeypatch):
@@ -289,6 +294,48 @@ def test_volume_cap_abort_records_matvecs(monkeypatch):
     assert not table.rows and len(table.aborted) == 3
     assert all(diagnostics == {"type": "SolverError", "cond_estimate": None, "iterations": 2}
                for _, _, diagnostics in table.aborted)
+
+
+def test_volume_refinement_abort_counts_both_runs(monkeypatch):
+    # the first COCG run stops loosely (Z = 0 misses Y's residual contract),
+    # so the refinement run starts, and it fails: the row's iteration count
+    # is the matvecs of both runs
+    calls = []
+
+    def fake_cocg(matvec, rhs, diagonal, rtol, max_iter):
+        calls.append(len(calls))
+        if len(calls) % 2:
+            return np.zeros_like(rhs), 5
+        raise SolverError("COCG did not converge", iterations=7)
+
+    monkeypatch.setattr(volmedium, "cocg", fake_cocg)
+    cfg = low_config(
+        contrast={"gamma": 1.0, "s": 1.0, "t": 0.4, "omega_ratio": 0.8},
+        regime="MediumVolumetricB",
+        a_sequence=[0.05, 0.03, 0.02],
+        tolerances={"grid_n": 8},
+    )
+    table = run_convergence(cfg)
+    assert not table.rows and len(calls) == 6
+    assert [diagnostics for _, _, diagnostics in table.aborted] == [
+        {"type": "SolverError", "cond_estimate": None, "iterations": 12}] * 3
+
+
+def test_write_outputs_removes_far_fields_past_the_last_row(tmp_path):
+    # a rerun with fewer finished rows leaves no far field of an earlier row
+    # that its error table does not have; other files are left alone
+    cfg = low_config()
+    table = run_convergence(cfg)
+    write_outputs(table, fit_rate(table), tmp_path)
+    others = ["farfield_fl.csv", "farfield_model_row.csv", "farfield_fl_row1.csv.bak",
+              "farfield_sie_row2.csv"]
+    for name in others:
+        (tmp_path / name).write_text("kept\n")
+    table.rows, table.far_fields = table.rows[:1], table.far_fields[:1]
+    write_outputs(table, fit_rate(table), tmp_path)
+    assert sorted(p.name for p in tmp_path.glob("farfield_*")) == sorted(
+        ["farfield_fl_row0.csv", "farfield_model_row0.csv", *others])
+    assert all((tmp_path / name).read_text() == "kept\n" for name in others)
 
 
 def test_fit_rate_exact_power_law():

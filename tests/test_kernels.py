@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.fft import dctn
 
 from bubblelab.cluster import BallDomain, BoxDomain, DensityField
-from bubblelab.errors import GeometryError, SolverError
+from bubblelab.bemlimit import solve_dirichlet
+from bubblelab.errors import AllocationError, GeometryError, SolverError
 from bubblelab.fields import fibonacci_directions
 from bubblelab.kernels import (
     BLOCK_ENTRIES,
@@ -33,7 +34,7 @@ from bubblelab.meshes import (
 )
 from bubblelab.pointscat import ClusterSystem, IncidentWave, assemble, solve_charges
 from bubblelab.surfmedium import panel_weight_matrix, self_panel_weights
-from bubblelab import volmedium
+from bubblelab import kernels, volmedium
 from bubblelab.volmedium import (
     LSSolution,
     VolumePotential,
@@ -387,6 +388,30 @@ def test_pair_kernel_peak_memory_is_its_output_plus_cache_blocks():
     # two scratch blocks of CACHE_BLOCK float64 (0.5 MiB); two of BLOCK_ENTRIES
     # would be 4 MiB
     assert peak <= 16 * m**2 + MIB
+
+
+@pytest.mark.parametrize("system", ["point", "surface", "dirichlet"])
+def test_over_budget_dense_system_raises_before_allocating(monkeypatch, system):
+    # every dense system is one pair_kernel matrix, refused one byte over the budget
+    mesh = cube_mesh(6)
+    n = mesh.n_panels
+    centers = cluster(n, seed=4)
+    incident = IncidentWave(3.0, np.array([0.0, 0.0, 1.0]))
+    build = {"point": lambda: assemble(centers, -0.01, 3.0),
+             "surface": lambda: panel_weight_matrix(mesh, 3.0),
+             "dirichlet": lambda: solve_dirichlet(mesh, incident, fibonacci_directions(10))}
+    monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", 16 * n * n - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(AllocationError) as err:
+            build[system]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.nbytes == 16 * n * n
+    assert peak < 16 * n * n // 4  # the matrix was never allocated
+    monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", 16 * n * n)
+    build[system]()  # exactly at the budget
 
 
 def test_far_field_sum_peak_memory_is_one_cache_block_of_phases():

@@ -1,7 +1,8 @@
 """Every script under scripts/ still imports and parses its arguments, and
-``run_all_regimes.py`` reports a failed run in its exit status."""
+``run_all_regimes.py`` reports a failed run or an aborted row in its exit status."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -25,16 +26,35 @@ def test_script_help_exits_0(script):
     assert res.returncode == 0, res.stderr
 
 
-def test_run_all_regimes_exits_1_when_a_run_fails(tmp_path, monkeypatch, capsys):
+def _run_all_regimes(tmp_path, monkeypatch, configs: dict) -> int:
+    """``run_all_regimes.main()`` over the given {name: config text}."""
     spec = importlib.util.spec_from_file_location(
         "run_all_regimes", ROOT / "scripts" / "run_all_regimes.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    configs = tmp_path / "configs"
-    configs.mkdir()
-    (configs / "bad.json").write_text('{"regime": "low"}')
-    monkeypatch.setattr(script, "CONFIG_DIR", configs)
+    folder = tmp_path / "configs"
+    folder.mkdir()
+    for name, text in configs.items():
+        (folder / f"{name}.json").write_text(text)
+    monkeypatch.setattr(script, "CONFIG_DIR", folder)
     monkeypatch.setattr(sys, "argv", ["run_all_regimes.py", "--out", str(tmp_path / "runs")])
     monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
-    assert script.main() == 1
+    return script.main()
+
+
+def test_run_all_regimes_exits_1_when_a_run_fails(tmp_path, monkeypatch, capsys):
+    assert _run_all_regimes(tmp_path, monkeypatch, {"bad": '{"regime": "low"}'}) == 1
     assert "bad  exit 2" in capsys.readouterr().out
+
+
+def test_run_all_regimes_exits_1_when_a_row_aborts(tmp_path, monkeypatch, capsys):
+    # the last row's M = 46^3 = 97,336 centres need a 141 GiB dense system,
+    # over the dense budget: converge aborts that row and exits 0
+    low_box = {"geometry": {"kind": "box", "size": [1, 1, 1],
+                            "density": {"kind": "constant", "value": 0.0}},
+               "bubble": {"shape": "sphere"},
+               "contrast": {"gamma": 1.0, "s": 0.5, "t": 0.2, "omega_ratio": 0.8},
+               "regime": "Low", "a_sequence": [0.02, 0.01, 1e-10], "directions": 30}
+    assert _run_all_regimes(tmp_path, monkeypatch, {"capped": json.dumps(low_box)}) == 1
+    out = capsys.readouterr().out
+    assert "capped  slope" in out and "1 aborted row(s)" in out
