@@ -34,7 +34,8 @@ def main():
             status = 1
             continue
         fit = json.loads((out / "rate_fit.json").read_text())
-        line = f"slope {fit['slope']:+.3f} predicted {fit['predicted_exponent']:+.3f}"
+        slope = "skipped" if fit["slope"] is None else f"{fit['slope']:+.3f}"  # too few rows
+        line = f"slope {slope} predicted {fit['predicted_exponent']:+.3f}"
         aborted = json.loads((out / "regime_report.json").read_text())["aborted_rows"]
         if aborted:
             line += f", {len(aborted)} aborted row(s)"

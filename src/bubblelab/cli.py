@@ -168,9 +168,9 @@ def cmd_fit(cfg: ExperimentConfig) -> int:
     run = prepare(cfg)
     table = ErrorTable(rows=ErrorTable.read_rows(table_path), regime_report=run.report,
                        aborted=[], geometry_kind=cfg.geometry["kind"], params=run.params)
-    fit = fit_rate(table)
-    (out / "rate_fit.json").write_text(json.dumps(fit.to_json(), indent=1))
-    print(json.dumps(fit.to_json(), indent=1))
+    text = json.dumps(fit_rate(table).to_json(), indent=1, allow_nan=False)
+    (out / "rate_fit.json").write_text(text)
+    print(text)
     return 0
 
 

@@ -288,8 +288,6 @@ def _place_extras(rng, dim, side, count, d_req, wall_margin):
     on the cell's shape and is built once per distinct shape; its jitter
     budget makes every draw pass the spacing and wall checks.
     """
-    if count <= 1:
-        return np.zeros((0, dim))
     nodes, amp = _extra_subgrid(dim, side, count, d_req, wall_margin)
     jitter = rng.uniform(-amp, amp, size=nodes.shape)
     chosen = (nodes + jitter)[rng.permutation(len(nodes))[: count - 1]]
@@ -327,20 +325,22 @@ def _build(geometry, density, a, s, t, seed, d_min, keep_rule) -> Cluster:
     counts = np.floor(kvals).astype(int) + 1
     sides = (a**s * (counts / (kvals + 1.0))) ** (1.0 / dim)
 
-    # only a cell with extras draws: K < 1 clusters never load numpy.random
-    rng = np.random.default_rng(seed) if np.any(counts > 1) else None
-    params = []
-    for site, side, cnt in zip(kept, sides, counts):
+    # each cell's centre first, then its extras; only a cell with extras
+    # draws, so K < 1 clusters never load numpy.random
+    cell_of = np.repeat(np.arange(len(kept)), counts)
+    params = kept[cell_of]
+    drawing = np.flatnonzero(counts > 1)
+    rng = np.random.default_rng(seed) if len(drawing) else None
+    first = np.cumsum(counts) - counts
+    for c in drawing:
         # cells smaller than the pitch have a built-in gap to their neighbours
-        wall_margin = max(0.0, (side - pitch + d_req) / 2.0)
-        params.append(site)
-        params.extend(site + _place_extras(rng, dim, side, int(cnt), d_req, wall_margin))
-    params = np.array(params).reshape(-1, dim)
+        wall_margin = max(0.0, (sides[c] - pitch + d_req) / 2.0)
+        params[first[c] + 1:first[c] + counts[c]] += _place_extras(
+            rng, dim, sides[c], int(counts[c]), d_req, wall_margin)
     return Cluster(
         a=a, s=s, t=t, d_min=d_min, seed=seed, cells=kept, sides=sides, counts=counts,
         params=params, centers=geometry.to_xyz(params) if dim == 2 else params,
-        cell_of=np.repeat(np.arange(len(kept)), counts),
-        dropped=float(n_dropped) * a**s, geometry=geometry, density=density,
+        cell_of=cell_of, dropped=float(n_dropped) * a**s, geometry=geometry, density=density,
     )
 
 

@@ -133,12 +133,12 @@ class RateFit:
     slope_stderr: float = float("nan")
 
     def to_json(self):
+        """The fit as a JSON object; a number that is not finite (a skipped fit's) is null."""
+        numbers = {"slope": self.slope, "slope_stderr": self.slope_stderr,
+                   "intercept": self.intercept, "r_squared": self.r_squared,
+                   "predicted_exponent": self.predicted_exponent}
         return {
-            "slope": self.slope,
-            "slope_stderr": self.slope_stderr,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "predicted_exponent": self.predicted_exponent,
+            **{key: x if math.isfinite(x) else None for key, x in numbers.items()},
             "exponent_ledger": [
                 {"term": t, "exponent": e, "note": n} for (t, e, n) in self.exponent_ledger
             ],
@@ -415,7 +415,8 @@ class RunSetup:
         """Cluster, coefficient and charges for each incident wave at radius scale a.
 
         The matrix is factored once, in place, for all incident waves and
-        freed on return, before any comparator allocates.
+        freed on return.  ``run_convergence`` solves a row's comparator first,
+        so a refused comparator stops the row before its cluster is built.
         """
         coeff = scattering_coefficient(self.bubble, row_params, a)
         cl = self.cluster(a)
@@ -488,15 +489,16 @@ def run_convergence(config: ExperimentConfig) -> ErrorTable:
                 model_cache.clear()  # kappa0 moves with a near the resonance
 
             incidents = [IncidentWave(row_params.kappa0, th) for th in thetas]
+            for ti, incident in enumerate(incidents):
+                if ti not in model_cache:
+                    ff, points, _, _ = run.solve_model(run.comparator, row_params, a, incident)
+                    model_cache[ti] = ff, len(points)
             cl, _, sols = run.solve_points(a, row_params, incidents)
             fl_fields = pointscat.far_field(sols, cl.centers, row_params.kappa0, directions)
 
             sup_err = field_scale = 0.0
             keep = None
-            for ti, (incident, ff_fl) in enumerate(zip(incidents, fl_fields)):
-                if ti not in model_cache:
-                    ff, points, _, _ = run.solve_model(run.comparator, row_params, a, incident)
-                    model_cache[ti] = ff, len(points)
+            for ti, ff_fl in enumerate(fl_fields):
                 ff_model, n_model = model_cache[ti]
                 err = ff_fl.sup_diff(ff_model)
                 if keep is None or err > sup_err:
@@ -627,7 +629,7 @@ def write_outputs(table: ErrorTable, fit: RateFit, out_dir) -> None:
     with open(out / "regime_report.json", "w") as fh:
         json.dump(report, fh, indent=1)
     with open(out / "rate_fit.json", "w") as fh:
-        json.dump(fit.to_json(), fh, indent=1)
+        json.dump(fit.to_json(), fh, indent=1, allow_nan=False)
     for i, (a, ff_fl, ff_model) in enumerate(table.far_fields):
         ff_fl.save_csv(out / f"farfield_fl_row{i}.csv")
         ff_model.save_csv(out / f"farfield_model_row{i}.csv")

@@ -3,6 +3,12 @@
 Meshes are flat-panel surfaces made of triangles and planar quads.  The ASCII
 format has one vertex per line ``v x y z`` and one panel per line ``f i j k``
 (triangle) or ``q i j k l`` (quad), all 0-indexed.
+
+The generators build whole vertex and panel arrays.  A point that several
+panels share comes out bitwise equal on each of them, so it merges exactly,
+and vertices are numbered in the order the panels first visit them.  The open
+meshes follow one grading rule toward their rim (``_graded``): the outermost
+intervals, up to 3 at each graded end, shrink by 0.7 per step.
 """
 
 from __future__ import annotations
@@ -14,16 +20,10 @@ import numpy as np
 from .errors import ConfigError, GeometryError
 from .kernels import BLOCK_ENTRIES
 
-# Symmetric Gauss rules on the reference triangle, barycentric coordinates:
-# order 1 is the degree-1 centroid rule, order 2 the degree-2 3-point rule
-# (weights sum to 1, area folded in separately).
-_TRI_RULES = {
-    1: (np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([1.0])),
-    2: (
-        np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]]),
-        np.array([1 / 3, 1 / 3, 1 / 3]),
-    ),
-}
+# the symmetric degree-2 3-point Gauss rule on the reference triangle:
+# barycentric points, weights summing to 1 (area folded in separately)
+_BARY = np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]])
+_WEIGHTS = np.array([1 / 3, 1 / 3, 1 / 3])
 
 
 def _lengths(vectors):
@@ -44,23 +44,27 @@ class SurfaceMesh:
         self.vertices = np.asarray(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise GeometryError("vertices must be an (n, 3) array")
-        self.faces = [tuple(int(i) for i in f) for f in faces]
-        nv = len(self.vertices)
-        for f in self.faces:
-            if len(f) not in (3, 4):
-                raise GeometryError(f"panel with {len(f)} vertices not supported")
-            if any(i < 0 or i >= nv for i in f):
-                raise GeometryError("face index out of range")
-        self._compute_panel_data()
+        if isinstance(faces, np.ndarray):
+            faces = faces.tolist()
+        self.faces = [tuple(map(int, f)) for f in faces]
+        sizes = np.array([len(f) for f in self.faces], dtype=int)
+        unsupported = sizes[(sizes < 3) | (sizes > 4)]
+        if len(unsupported):
+            raise GeometryError(f"panel with {unsupported[0]} vertices not supported")
+        # each panel as 4 indices, a triangle closing on its vertex 0
+        panels = np.array([f + f[:4 - len(f)] for f in self.faces], dtype=int).reshape(-1, 4)
+        if panels.size and (panels.min() < 0 or panels.max() >= len(self.vertices)):
+            raise GeometryError("face index out of range")
+        self._compute_panel_data(panels, sizes)
 
-    def _compute_panel_data(self):
+    def _compute_panel_data(self, panels, sizes):
         # fan-split each panel about its vertex 0 (triangles and planar convex
         # quads alike), once; owner[t] is the panel of triangle t, in panel order
-        n = len(self.faces)
-        sizes = np.array([len(f) for f in self.faces])
-        fan = [(f[0], f[j], f[j + 1]) for f in self.faces for j in range(1, len(f) - 1)]
-        tris = self._tris = self.vertices[np.array(fan, dtype=int).reshape(-1, 3)]
-        owner = self._owner = np.repeat(np.arange(n), sizes - 2)
+        n = len(panels)
+        split = np.column_stack([np.ones(n, dtype=bool), sizes == 4])
+        fan = np.stack([panels[:, :3], panels[:, [0, 2, 3]]], axis=1)[split]
+        tris = self._tris = self.vertices[fan]
+        owner = self._owner = np.nonzero(split)[0]
         cross = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
         tri_areas = 0.5 * _lengths(cross)
         self.areas = np.bincount(owner, tri_areas, minlength=n)
@@ -79,18 +83,12 @@ class SurfaceMesh:
         reach = np.linalg.norm(tris - self.centroids[owner][:, None, :], axis=-1).max(axis=1)
         first_tri = np.cumsum(sizes - 2) - (sizes - 2)
         self.panel_radii = np.maximum.reduceat(reach, first_tri)
-        self.boundary_edges = self._boundary_edges()
+        # the rim: edges of one panel only (a triangle's closing (i, i) pair left out)
+        edges = np.stack([panels, np.roll(panels, -1, axis=1)], axis=-1)[
+            np.arange(4) < sizes[:, None]]
+        pairs, counts = np.unique(np.sort(edges, axis=1), axis=0, return_counts=True)
+        self.boundary_edges = list(map(tuple, pairs[counts == 1].tolist()))
         self.is_closed = len(self.boundary_edges) == 0
-
-    def _boundary_edges(self):
-        seen = {}
-        for f in self.faces:
-            m = len(f)
-            for j in range(m):
-                e = (f[j], f[(j + 1) % m])
-                key = (min(e), max(e))
-                seen[key] = seen.get(key, 0) + 1
-        return sorted(k for k, cnt in seen.items() if cnt == 1)
 
     @property
     def n_panels(self) -> int:
@@ -151,8 +149,22 @@ def load_mesh(path) -> SurfaceMesh:
 # generators
 
 
+def _first_visits(rows):
+    """The distinct rows of a 2-D array in the order they first occur, and for
+    every row the number of its distinct row in that order."""
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    is_first = np.zeros(len(rows), dtype=bool)
+    is_first[first] = True
+    return rows[is_first], (np.cumsum(is_first) - 1)[first][inverse.reshape(-1)]
+
+
 def icosphere(subdivisions: int = 3, radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> SurfaceMesh:
-    """Geodesic sphere: icosahedron subdivided and projected, 20*4^n triangles."""
+    """Geodesic sphere: icosahedron subdivided and projected, 20*4^n triangles.
+
+    Each level puts a projected midpoint on every edge, numbered in the order
+    the faces first visit the edges, and splits each face (i, j, k) with the
+    midpoints a, b, c of ij, jk, ki into (i, a, c), (j, b, a), (k, c, b), (a, b, c).
+    """
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array(
         [
@@ -163,86 +175,53 @@ def icosphere(subdivisions: int = 3, radius: float = 1.0, center=(0.0, 0.0, 0.0)
         dtype=float,
     )
     verts /= np.linalg.norm(verts, axis=1)[:, None]
-    faces = [
+    faces = np.array([
         (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
         (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
-    verts = list(verts)
+    ])
     for _ in range(subdivisions):
-        midpoint = {}
-
-        def mid(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in midpoint:
-                p = verts[i] + verts[j]
-                verts.append(p / np.linalg.norm(p))
-                midpoint[key] = len(verts) - 1
-            return midpoint[key]
-
-        new_faces = []
-        for (i, j, k) in faces:
-            a, b, c = mid(i, j), mid(j, k), mid(k, i)
-            new_faces += [(i, a, c), (j, b, a), (k, c, b), (a, b, c)]
-        faces = new_faces
-    out = np.array(verts) * radius + np.asarray(center, dtype=float)
-    return SurfaceMesh(out, faces)
+        edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        edges, number = _first_visits(edges)
+        mid = verts[edges[:, 0]] + verts[edges[:, 1]]
+        (i, j, k), (a, b, c) = faces.T, (len(verts) + number).reshape(-1, 3).T
+        verts = np.concatenate([verts, mid / _lengths(mid)[:, None]])
+        faces = np.stack([i, a, c, j, b, a, k, c, b, a, b, c], axis=1).reshape(-1, 3)
+    return SurfaceMesh(verts * radius + np.asarray(center, dtype=float), faces)
 
 
 def cube_mesh(n: int = 8, side=1.0, center=(0.0, 0.0, 0.0)) -> SurfaceMesh:
     """Closed triangulated box surface, 12*n^2 triangles, outward normals.
 
-    ``side`` is one edge length (a cube) or three, one per axis.
+    ``side`` is one edge length (a cube) or three, one per axis.  Each face is
+    an (n+1)^2 grid of corners, and the faces meet on grid end points.
     """
     h = np.broadcast_to(np.asarray(side, dtype=float) / 2.0, (3,))
     grids = [np.linspace(-h[d], h[d], n + 1) for d in range(3)]
-    vid = {}
-    verts = []
-
-    def vertex(p):
-        key = tuple(np.round(p, 12))
-        if key not in vid:
-            vid[key] = len(verts)
-            verts.append(p)
-        return vid[key]
-
-    faces = []
-    # each entry: (fixed axis, fixed value, flip winding)
+    # the corners of quad (i, j) of a face, in the order the quad visits them
+    i, j = np.indices((n, n)).reshape(2, -1, 1) + np.array([[[0, 1, 1, 0]], [[0, 0, 1, 1]]])
+    corners = np.empty((3, 2, n * n, 4, 3))
     for axis in range(3):
-        gu, gv = grids[(axis + 1) % 3], grids[(axis + 2) % 3]
-        for sgn in (-1.0, 1.0):
-            for i in range(n):
-                for j in range(n):
-                    u0, u1 = gu[i], gu[i + 1]
-                    v0, v1 = gv[j], gv[j + 1]
-                    quad2d = [(u0, v0), (u1, v0), (u1, v1), (u0, v1)]
-                    quad = []
-                    for (u, v) in quad2d:
-                        p = np.zeros(3)
-                        p[axis] = sgn * h[axis]
-                        p[(axis + 1) % 3] = u
-                        p[(axis + 2) % 3] = v
-                        quad.append(vertex(p))
-                    if sgn < 0:
-                        quad = quad[::-1]
-                    faces.append((quad[0], quad[1], quad[2]))
-                    faces.append((quad[0], quad[2], quad[3]))
-    out = np.array(verts) + np.asarray(center, dtype=float)
-    return SurfaceMesh(out, faces)
+        u, v = (axis + 1) % 3, (axis + 2) % 3
+        corners[axis, 0, ..., axis], corners[axis, 1, ..., axis] = -h[axis], h[axis]
+        corners[axis, ..., u], corners[axis, ..., v] = grids[u][i], grids[v][j]
+    verts, number = _first_visits(corners.reshape(-1, 3))
+    # two triangles per quad; the faces at -h reverse the quad's winding
+    winding = np.array([[3, 2, 1, 3, 1, 0], [0, 1, 2, 0, 2, 3]] * 3)[:, None, :]
+    faces = np.take_along_axis(number.reshape(6, n * n, 4), winding, axis=2)
+    return SurfaceMesh(verts + np.asarray(center, dtype=float), faces.reshape(-1, 3))
 
 
-def _ring_radii(r_max: float, n: int):
-    """n+1 radial breakpoints on [0, r_max]; the last 3 intervals shrink
-    geometrically by 0.7 toward r_max (edge-singular densities)."""
-    levels = min(3, max(n - 1, 0))
-    if levels == 0:
-        return np.linspace(0.0, r_max, n + 1)
-    w = np.ones(n)
-    for k in range(levels):
-        w[n - levels + k :] *= 0.7
-    w = np.concatenate([[0.0], np.cumsum(w)])
-    return r_max * w / w[-1]
+def _graded(n: int, both_ends: bool = False):
+    """n+1 breakpoints from 0 of n unit intervals graded toward the last end
+    (and the first, with ``both_ends``): the outermost intervals shrink by 0.7
+    per step toward the end, up to 3 and fewer than the n (or n//2) it owns."""
+    levels = min(3, max((n // 2 if both_ends else n) - 1, 0))
+    depth = n - 1 - np.arange(n)
+    if both_ends:
+        depth = np.minimum(depth, depth[::-1])
+    return np.concatenate([[0.0], np.cumsum(0.7 ** np.maximum(levels - depth, 0))])
 
 
 def sphere_cap_mesh(
@@ -254,56 +233,29 @@ def sphere_cap_mesh(
     """Open spherical cap about +z: pole fan plus quad rings, graded at the rim.
 
     Normals point away from the sphere center (outward for the parent sphere).
+    Vertex 0 is the pole and vertex k of ring r is 1 + r*n_phi + k.
     """
-    thetas = _ring_radii(theta_max, n_rings)
-    verts = [np.array([0.0, 0.0, radius])]
-    rows = []
-    for th in thetas[1:]:
-        row = []
-        for k in range(n_phi):
-            ph = 2 * np.pi * k / n_phi
-            row.append(len(verts))
-            verts.append(
-                radius * np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
-            )
-        rows.append(row)
-    faces = []
-    for k in range(n_phi):
-        faces.append((0, rows[0][k], rows[0][(k + 1) % n_phi]))
-    for r in range(len(rows) - 1):
-        lo, hi = rows[r], rows[r + 1]
-        for k in range(n_phi):
-            k2 = (k + 1) % n_phi
-            faces.append((lo[k], hi[k], hi[k2], lo[k2]))
-    return SurfaceMesh(np.array(verts), faces)
-
-
-def _graded_axis(length: float, n: int):
-    """n+1 breakpoints on [-length/2, length/2]; the outermost (up to 3)
-    intervals at each end shrink geometrically by 0.7."""
-    levels = min(3, max(n // 2 - 1, 0))
-    w = np.ones(n)
-    for i in range(n):
-        d = min(i, n - 1 - i)
-        if d < levels:
-            w[i] = 0.7 ** (levels - d)
-    pts = np.concatenate([[0.0], np.cumsum(w)])
-    return length * (pts / pts[-1] - 0.5)
+    w = _graded(n_rings)
+    theta = (theta_max * w / w[-1])[1:, None]
+    phi = 2 * np.pi * np.arange(n_phi) / n_phi
+    rings = radius * np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                               np.broadcast_to(np.cos(theta), (n_rings, n_phi))], axis=-1)
+    verts = np.concatenate([[[0.0, 0.0, radius]], rings.reshape(-1, 3)])
+    k, k2 = np.arange(n_phi), (np.arange(n_phi) + 1) % n_phi
+    lo = 1 + n_phi * np.arange(n_rings - 1)[:, None]
+    fan = np.stack([np.zeros_like(k), 1 + k, 1 + k2], axis=1)
+    quads = np.stack([lo + k, lo + n_phi + k, lo + n_phi + k2, lo + k2], axis=-1)
+    return SurfaceMesh(verts, fan.tolist() + quads.reshape(-1, 4).tolist())
 
 
 def rect_mesh(lx: float, ly: float, nx: int, ny: int) -> SurfaceMesh:
     """Open flat rectangle in the z=0 plane, normals +z, graded at the rim
     (edge-singular limits)."""
-    xs = _graded_axis(lx, nx)
-    ys = _graded_axis(ly, ny)
-    verts = np.array([[x, y, 0.0] for x in xs for y in ys])
-    faces = []
-    for i in range(nx):
-        for j in range(ny):
-            v00 = i * (ny + 1) + j
-            v10 = (i + 1) * (ny + 1) + j
-            faces.append((v00, v10, v10 + 1, v00 + 1))
-    return SurfaceMesh(verts, faces)
+    wx, wy = _graded(nx, both_ends=True), _graded(ny, both_ends=True)
+    x, y = np.meshgrid(lx * (wx / wx[-1] - 0.5), ly * (wy / wy[-1] - 0.5), indexing="ij")
+    verts = np.stack([x, y, np.zeros_like(x)], axis=-1).reshape(-1, 3)
+    first = ((ny + 1) * np.arange(nx)[:, None] + np.arange(ny)).reshape(-1, 1)
+    return SurfaceMesh(verts, first + [0, ny + 1, ny + 2, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +303,7 @@ def _pair_batch_subdivided(tri_x, n_y, tri_y):
     child pairs are integrated with 3-point rules in x and in y.  Callers pass
     no coplanar pairs: the kernel vanishes on them, coincident children included.
     """
-    bary, w = _TRI_RULES[2]
+    bary, w = _BARY, _WEIGHTS
     cx = subdivide_triangles(tri_x)
     cy = subdivide_triangles(tri_y)
     ax = triangle_areas(cx)
@@ -366,24 +318,22 @@ def _pair_batch_subdivided(tri_x, n_y, tri_y):
     return total
 
 
-def boundary_shape_factor(mesh: SurfaceMesh, quad_order: int = 2) -> float:
+def boundary_shape_factor(mesh: SurfaceMesh) -> float:
     """Area-averaged double boundary integral of the chord-direction flux.
 
     Returns (1/|S|) Int_S Int_S ((x-y)/|x-y|) . n(y) ds(y) ds(x) by panel-pair
-    quadrature: centroid rule in x, Gauss rule of ``quad_order`` in y.
+    quadrature: centroid rule in x, 3-point Gauss rule in y.
     Triangle pairs whose panels share a vertex (same-panel pairs included)
     and whose centroids lie within ``_NEAR_FACTOR`` summed radii are
     re-integrated with 4-fold subdivision (the integrand is bounded by 1, so
     no true singularity; subdivision controls the near-diagonal error).
     Coplanar pairs are skipped: on a flat T_b the numerator (x-y).n(y) is the
-    height of x above T_b's plane, so both rules give them exactly zero.
+    height of x above T_b's plane, so the plain and the refined rule both give 0.
     Negative for convex closed surfaces; -8*pi/3 for the unit sphere.
     """
-    if quad_order not in _TRI_RULES:
-        raise GeometryError("quad_order must be 1 or 2")
     mesh.require_closed()
     tris, owner = mesh.triangulated()
-    bary, w = _TRI_RULES[quad_order]
+    bary, w = _BARY, _WEIGHTS
     nq = len(w)
     ntri = len(tris)
     crosses = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
@@ -403,7 +353,6 @@ def boundary_shape_factor(mesh: SurfaceMesh, quad_order: int = 2) -> float:
     x_sq = np.einsum("ti,ti->t", centers, centers)
     row_sums = np.empty(ntri)
     chunk = max(1, BLOCK_ENTRIES // max(len(ypts), 1))
-    col_offsets = np.arange(nq)
     for start in range(0, ntri, chunk):
         stop = min(start + chunk, ntri)
         num = centers[start:stop] @ ynrm.T
@@ -415,10 +364,6 @@ def boundary_shape_factor(mesh: SurfaceMesh, quad_order: int = 2) -> float:
         np.maximum(r2, 1e-300, out=r2)
         np.sqrt(r2, out=r2)
         num /= r2
-        # self-triangle terms are zero on flat panels, but at quad_order 1 the
-        # point pair coincides and the numerator's rounding is divided by 1e-150
-        rows = np.arange(stop - start)
-        num[rows[:, None], (np.arange(start, stop) * nq)[:, None] + col_offsets[None, :]] = 0.0
         row_sums[start:stop] = num @ ywts
     total = float(tri_areas @ row_sums)
 

@@ -6,6 +6,7 @@ implementation paths they check.
 """
 
 import itertools
+import json
 
 import numpy as np
 import scipy.fft
@@ -448,3 +449,42 @@ def dropped_volume_by_loop(domain, sites, half, cell_volume):
         if not keep and cube_meets_domain(domain, site, half):
             total += cell_volume
     return total
+
+
+# ---------------------------------------------------------------------------
+# sphere cap mesh
+
+
+def sphere_cap_by_loops(radius, theta_max, n_rings, n_phi):
+    """Vertices and panels of ``meshes.sphere_cap_mesh``, placed one at a time:
+    the pole, then n_phi points per ring at polar angles whose last (up to 3)
+    intervals shrink by 0.7 per step toward the rim."""
+    levels = min(3, max(n_rings - 1, 0))
+    w = [1.0] * n_rings
+    for k in range(levels):
+        for i in range(n_rings - levels + k, n_rings):
+            w[i] *= 0.7
+    breaks = np.concatenate([[0.0], np.cumsum(w)])
+    verts = [[0.0, 0.0, radius]]
+    for th in theta_max * breaks[1:] / breaks[-1]:
+        for k in range(n_phi):
+            ph = 2 * np.pi * k / n_phi
+            verts.append([radius * np.sin(th) * np.cos(ph), radius * np.sin(th) * np.sin(ph),
+                          radius * np.cos(th)])
+    faces = [(0, 1 + k, 1 + (k + 1) % n_phi) for k in range(n_phi)]
+    for r in range(n_rings - 1):
+        lo, hi = 1 + r * n_phi, 1 + (r + 1) * n_phi
+        faces += [(lo + k, hi + k, hi + (k + 1) % n_phi, lo + (k + 1) % n_phi)
+                  for k in range(n_phi)]
+    return np.array(verts), faces
+
+
+# ---------------------------------------------------------------------------
+# strict JSON
+
+
+def strict_json(text):
+    """``json.loads`` that refuses NaN and Infinity, which RFC 8259 JSON does not have."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)

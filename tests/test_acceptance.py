@@ -45,7 +45,7 @@ def test_c01_shape_factor_icosphere():
     # >= 5120 panels, -8 pi/3 within 1e-3 relative, <= 60 s
     mesh = icosphere(5)  # 20480 panels
     t0 = time.perf_counter()
-    val = boundary_shape_factor(mesh, quad_order=1)
+    val = boundary_shape_factor(mesh)
     wall = time.perf_counter() - t0
     exact = -8.0 * math.pi / 3.0
     rel = abs(val - exact) / abs(exact)

@@ -9,8 +9,10 @@ import pytest
 
 from bubblelab import kernels
 from bubblelab.cli import _load_config, cli
-from bubblelab.harness import ExperimentConfig, build_bubble, prepare
+from bubblelab.harness import ExperimentConfig, RunSetup, build_bubble, prepare
 from bubblelab.kernels import min_cos_kappa_distance
+
+from oracles import strict_json
 
 BASE = {
     "geometry": {"kind": "box", "size": [1, 1, 1],
@@ -164,6 +166,12 @@ def test_solve_ls_and_fit(config_path, tmp_path, capsys):
     assert cli(["fit", "--config", str(path), "--out", str(out)]) == 0
     fit = json.loads((out / "rate_fit.json").read_text())
     assert "exponent_ledger" in fit and fit["r_squared"] >= 0.0
+    # two rows are too few to fit: the skipped fit is still JSON, with nulls
+    table = out / "error_table.csv"
+    table.write_text("".join(table.read_text().splitlines(keepends=True)[:3]))
+    assert cli(["fit", "--config", str(path), "--out", str(out)]) == 0
+    fit = strict_json((out / "rate_fit.json").read_text())
+    assert fit["slope"] is None and fit["r_squared"] is None and "skipped" in fit["note"]
 
 
 def test_solve_sie_and_bem(tmp_path):
@@ -272,8 +280,13 @@ def test_over_budget_dense_system_aborts_its_rows(tmp_path, monkeypatch, name, o
     else:
         budget, refused = 16 * max(ms) ** 2, dict.fromkeys(a_seq, n)
     monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", budget)
+    # a row solves its comparator first: a refused panel system stops the
+    # row before its cluster is built
+    built, cluster = [], RunSetup.cluster
+    monkeypatch.setattr(RunSetup, "cluster", lambda run, a: built.append(a) or cluster(run, a))
     out = tmp_path / "run"
     assert cli(["converge", "--config", str(path), "--out", str(out)]) == 0
+    assert built == (a_seq if n is None else [])
     rows = (out / "error_table.csv").read_text().splitlines()[1:]
     assert [int(row.split(",")[1]) for row in rows] == [
         m for a, m in zip(a_seq, ms) if a not in refused]

@@ -153,6 +153,20 @@ def test_single_draw_keeps_the_generator_stream():
     assert digest.startswith("24aaba3ada8689b1")
 
 
+@pytest.mark.parametrize("build, chart, k, t, seed, m, expected", [
+    (build_volumetric, BoxDomain(), 1.0, 0.4, 3, 432,
+     "e26f6a3b75de2a16d2ee4c237e64a53b71977813e3154bee89f856ccbb6a2fe2"),
+    (build_surface, PlaneChart(), 4.0, 0.5, 5, 980,
+     "5b4003dfeedd65fb1c87988de3d4b8b5ece8b23adad4c37e59f2044d308464bd"),
+], ids=["box_k1_seed3", "plane_k4_seed5"])
+def test_centers_with_extras_bitwise_pinned(build, chart, k, t, seed, m, expected):
+    # SHA-256 of the parameter-space centres of a per-cell placement loop
+    # (PCG64 draws and arithmetic only, so the digest holds on any host)
+    cl = build(chart, DensityField.constant(k), a=4e-3, s=1.0, t=t, seed=seed, d_min=0.1)
+    assert cl.m == m
+    assert hashlib.sha256(np.ascontiguousarray(cl.params, "<f8").tobytes()).hexdigest() == expected
+
+
 def test_density_field_validation():
     with pytest.raises(ConfigError):
         DensityField.constant(-0.5)

@@ -23,6 +23,8 @@ from bubblelab.harness import (
 )
 from bubblelab.materials import ContrastParams, classify_regime, scattering_coefficient
 
+from oracles import strict_json
+
 
 def low_config(**over):
     doc = {
@@ -267,12 +269,17 @@ def test_row_abort_on_cluster_cap(monkeypatch):
 def test_solver_error_row_keeps_diagnostics(tmp_path, monkeypatch):
     from bubblelab import pointscat
 
-    # a negative contract tolerance fails every point-interaction residual check
+    # a negative contract tolerance fails every point-interaction residual
+    # check; a K = 1 box (two centres a cell) is solved by DenseSystem
     monkeypatch.setattr(pointscat, "RESIDUAL_TOL", -1.0)
-    cfg = low_config()
+    cfg = low_config(geometry={"kind": "box", "size": [1, 1, 1],
+                               "density": {"kind": "constant", "value": 1.0}},
+                     tolerances={"d_min": 0.1})
     table = run_convergence(cfg)
     assert not table.rows and len(table.aborted) == 3
     write_outputs(table, fit_rate(table), tmp_path)
+    fit = strict_json((tmp_path / "rate_fit.json").read_text())
+    assert fit["slope"] is None and "skipped" in fit["note"]
     report = json.loads((tmp_path / "regime_report.json").read_text())
     a, reason, diagnostics = report["aborted_rows"][0]
     assert a == cfg.a_sequence[0] and reason.startswith("SolverError: ")
@@ -398,7 +405,7 @@ def test_fit_rate_surface_high_log_terms():
     assert "(s+h1-1)/2" in term_names
 
 
-def test_fit_rate_skips_degenerate_tables():
+def test_fit_rate_skips_degenerate_tables(tmp_path):
     params = ContrastParams(gamma=1.0, s=1.0, t=0.4)
     report = classify_regime(params)
     rows = [ErrorRow(a=a, m=1, n_model=1, sup_err=0.0, field_scale=1.0)
@@ -408,6 +415,11 @@ def test_fit_rate_skips_degenerate_tables():
     fit = fit_rate(table)
     assert math.isnan(fit.slope) and math.isnan(fit.slope_stderr)
     assert "skipped" in fit.note
+    # JSON has no NaN: the skipped fit's numbers are null in rate_fit.json
+    write_outputs(table, fit, tmp_path)
+    doc = strict_json((tmp_path / "rate_fit.json").read_text())
+    assert [doc[key] for key in ("slope", "slope_stderr", "intercept", "r_squared")] == [None] * 4
+    assert doc["predicted_exponent"] == fit.predicted_exponent
 
 
 def test_rotation_invariance_of_sup_err():

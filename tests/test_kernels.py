@@ -123,18 +123,17 @@ def _quad_cube(n):
                                     for f, g in zip(m.faces[::2], m.faces[1::2])])
 
 
-@pytest.mark.parametrize("make, quad_order, expected", [
-    (lambda: cube_mesh(8), 2, -3.1413864187561527),
-    (lambda: cube_mesh(4, side=(1.0, 2.0, 0.5)), 2, -2.915521874167203),
-    (lambda: _quad_cube(6), 2, -3.1441065910195283),
-    (lambda: icosphere(2), 2, -8.21205350648342),
-    (lambda: icosphere(2, radius=0.7, center=(0.3, -0.2, 0.1)), 2, -4.023906218176874),
-    (lambda: cube_mesh(6), 1, -3.1470716511275607),
-], ids=["cube8", "box4", "quad_cube6", "icosphere2", "icosphere2_offcentre", "cube6_order1"])
-def test_shape_factor_bitwise_pinned(make, quad_order, expected):
+@pytest.mark.parametrize("make, expected", [
+    (lambda: cube_mesh(8), -3.1413864187561527),
+    (lambda: cube_mesh(4, side=(1.0, 2.0, 0.5)), -2.915521874167203),
+    (lambda: _quad_cube(6), -3.1441065910195283),
+    (lambda: icosphere(2), -8.21205350648342),
+    (lambda: icosphere(2, radius=0.7, center=(0.3, -0.2, 0.1)), -4.023906218176874),
+], ids=["cube8", "box4", "quad_cube6", "icosphere2", "icosphere2_offcentre"])
+def test_shape_factor_bitwise_pinned(make, expected):
     # coplanar near pairs add exactly zero on flat panels, so skipping them
     # must leave every bit of these values as it was with them
-    assert boundary_shape_factor(make(), quad_order) == expected
+    assert boundary_shape_factor(make()) == expected
 
 
 # ---------------------------------------------------------------------------

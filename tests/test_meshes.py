@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -16,7 +17,7 @@ from bubblelab.meshes import (
     sphere_cap_mesh,
 )
 
-from oracles import sphere_inner_integral
+from oracles import sphere_cap_by_loops, sphere_inner_integral
 
 
 def test_icosphere_basic_geometry():
@@ -94,6 +95,59 @@ def test_degenerate_panel_rejected():
         SurfaceMesh(verts, [(0, 1, 2)])
 
 
+SQUARE = np.array([[0.0, 0, 0], [1.0, 0, 0], [1.0, 1, 0], [0.0, 1, 0], [0.5, 1.5, 0]])
+
+
+@pytest.mark.parametrize("faces, message", [
+    ([(0, 1, 2), (0, 1, 2, 4, 3)], "panel with 5 vertices not supported"),
+    ([(0, 1, 2, 3), (0, 2, -1)], "face index out of range"),
+    ([(0, 1, 2, 3), (2, 4, 5)], "face index out of range"),
+    ([(0, 1, 2, 3), (0, 1, 2), (3, 2, 2, 3)], "degenerate panel 2"),
+], ids=["five_vertices", "index_minus_1", "index_past_end", "degenerate_quad"])
+def test_surface_mesh_rejects_bad_panels(faces, message):
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        SurfaceMesh(SQUARE, faces)
+
+
+def _digest(mesh):
+    return hashlib.sha256(np.ascontiguousarray(mesh.vertices, "<f8").tobytes()
+                          + np.array(mesh.faces, "<i8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: icosphere(0), "62a389080cafe9289068accf6b5ca4118593146762b89d348ff57731cbf87cab"),
+    (lambda: icosphere(3), "27b1ccc225fece1f459f0a3bb61295e3d07d6f6fcade4a2b1da60634a05acefd"),
+    (lambda: icosphere(2, radius=0.7, center=(0.3, -0.2, 0.1)),
+     "97fda6fb3ec718ee748e2bb56a7155943f1e02325d53a89e5e156bd191d48e9c"),
+    (lambda: cube_mesh(1), "2f8b9f050ca4b11781af6ce3267d0c2b5181bafb7bd393d0955aca5e3c15551a"),
+    (lambda: cube_mesh(6), "115b0eba24d0d63cc6f0541a54c0446c530cee9557867b977617091be7022baa"),
+    (lambda: cube_mesh(5, side=(0.3, 1.7, 2.2), center=(1.0, -2.0, 0.25)),
+     "fe342a185b1fe45a27ea46c195719111aa3340c391f4841bd65d7e793d6e9036"),
+    (lambda: rect_mesh(1.0, 1.0, 1, 1),
+     "8789ceeda8becfa2c4f5d7f85b9b925fe65f98125012ffc1321f6fee277a1297"),
+    (lambda: rect_mesh(0.7, 3.1, 10, 13),
+     "2f89038ca09237befb6df64d014ca14dce34e0bce95689e450739de13f9a35ee"),
+    (lambda: rect_mesh(1.0, 1.0, 16, 16),
+     "090d70b5ad7e0469825419a608539f1f916b17525ee3a415634ef7d6d4f0e4ab"),
+], ids=["icosphere0", "icosphere3", "icosphere2_offcentre", "cube1", "cube6", "box5_offcentre",
+        "rect1x1", "rect10x13", "rect16x16"])
+def test_generators_bitwise_pinned(make, expected):
+    # SHA-256 of the vertices and panels that the generators built one vertex
+    # and one panel at a time; these use exact arithmetic and sqrt only
+    assert _digest(make()) == expected
+
+
+@pytest.mark.parametrize("radius, theta_max, n_rings, n_phi", [
+    (1.0, np.pi / 2, 16, 48), (1.0, np.pi / 2, 14, 42), (0.8, 1.2, 14, 42),
+    (1.0, np.pi / 3, 6, 16), (2.0, np.pi, 3, 9), (1.0, np.pi / 2, 1, 5),
+])
+def test_sphere_cap_matches_loop_construction(radius, theta_max, n_rings, n_phi):
+    verts, faces = sphere_cap_by_loops(radius, theta_max, n_rings, n_phi)
+    cap = sphere_cap_mesh(radius, theta_max, n_rings, n_phi)
+    assert cap.faces == faces
+    assert np.abs(cap.vertices - verts).max() <= 1e-15
+
+
 def test_shape_factor_sphere_against_closed_form():
     # [DERIVED] inner integral -8 pi/3, independent of x (quadrature oracle)
     exact = sphere_inner_integral()
@@ -106,8 +160,6 @@ def test_shape_factor_sphere_against_closed_form():
 def test_shape_factor_open_mesh_rejected():
     with pytest.raises(GeometryError):
         boundary_shape_factor(rect_mesh(1, 1, 2, 2))
-    with pytest.raises(GeometryError):
-        boundary_shape_factor(icosphere(1), quad_order=3)  # rules of order 1 and 2 only
 
 
 @settings(max_examples=10, deadline=None)
@@ -116,8 +168,8 @@ def test_shape_factor_pure_scaling(delta):
     # scaling the mesh by delta scales the double surface integral / area by delta^2
     base = icosphere(1)
     scaled = SurfaceMesh(base.vertices * delta, base.faces)
-    v0 = boundary_shape_factor(base, quad_order=1)
-    v1 = boundary_shape_factor(scaled, quad_order=1)
+    v0 = boundary_shape_factor(base)
+    v1 = boundary_shape_factor(scaled)
     assert abs(v1 - delta**2 * v0) <= 1e-10 * abs(v0) * max(1.0, delta**2)
 
 

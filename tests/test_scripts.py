@@ -57,4 +57,4 @@ def test_run_all_regimes_exits_1_when_a_row_aborts(tmp_path, monkeypatch, capsys
                "regime": "Low", "a_sequence": [0.02, 0.01, 1e-10], "directions": 30}
     assert _run_all_regimes(tmp_path, monkeypatch, {"capped": json.dumps(low_box)}) == 1
     out = capsys.readouterr().out
-    assert "capped  slope" in out and "1 aborted row(s)" in out
+    assert "capped  slope skipped" in out and "1 aborted row(s)" in out
