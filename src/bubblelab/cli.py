@@ -116,7 +116,7 @@ def cmd_solve_fl(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     run, a, row_params, incident = _first_row(cfg)
     cl, coeff, [sol] = run.solve_points(a, row_params, [incident])
-    ff = pointscat.far_field(sol, cl.centers, incident.kappa0, run.directions)
+    [ff] = pointscat.far_field([sol], cl.centers, incident.kappa0, run.directions)
     out.mkdir(parents=True, exist_ok=True)
     ff.save_csv(out / "farfield_fl.csv")
     meta = {"a": a, "M": cl.m, "residual": sol.residual, "cond_estimate": sol.cond_estimate,

@@ -58,15 +58,6 @@ class DensityField:
         if k_max is not None and observed_max > k_max:
             raise ConfigError("density exceeds the configured bound k_max")
 
-    @staticmethod
-    def constant(value=0.0, k_max=None):
-        return DensityField("constant", value=value, k_max=k_max)
-
-    @staticmethod
-    def grid(origin, spacing, samples, k_max=None):
-        return DensityField("grid", origin=origin, spacing=spacing, samples=samples,
-                            k_max=k_max)
-
     def __call__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "constant":

@@ -4,9 +4,10 @@ Meshes are flat-panel surfaces made of triangles and planar quads.  The ASCII
 format has one vertex per line ``v x y z`` and one panel per line ``f i j k``
 (triangle) or ``q i j k l`` (quad), all 0-indexed.
 
-The generators build whole vertex and panel arrays.  A point that several
-panels share comes out bitwise equal on each of them, so it merges exactly,
-and vertices are numbered in the order the panels first visit them.  The open
+The generators build whole vertex and panel arrays.  A vertex that several
+panels share merges by an integer key, not by comparing coordinates: an edge
+midpoint by its edge's two end indices, a box corner by its grid indices.
+Vertices are numbered in the order the panels first visit them.  The open
 meshes follow one grading rule toward their rim (``_graded``): the outermost
 intervals, up to 3 at each graded end, shrink by 0.7 per step.
 """
@@ -35,29 +36,26 @@ def _lengths(vectors):
 class SurfaceMesh:
     """Flat-panel surface mesh with centroids, areas and unit normals.
 
-    ``faces`` is a list of 3- or 4-index tuples; quads must be (near) planar.
-    Normals follow the face winding (right-hand rule); for closed meshes the
-    winding is expected to point outward.
+    ``panels`` is one integer array, (n, 3) or (n, 4); in an (n, 4) array a
+    triangle repeats its vertex 0.  Quads must be (near) planar.  Normals follow
+    the panel winding (right-hand rule), expected outward on a closed mesh.
+    ``boundary_edges``, the rim, is a (k, 2) array of (lower, higher) indices.
     """
 
-    def __init__(self, vertices, faces):
+    def __init__(self, vertices, panels):
         self.vertices = np.asarray(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise GeometryError("vertices must be an (n, 3) array")
-        if isinstance(faces, np.ndarray):
-            faces = faces.tolist()
-        self.faces = [tuple(map(int, f)) for f in faces]
-        sizes = np.array([len(f) for f in self.faces], dtype=int)
-        unsupported = sizes[(sizes < 3) | (sizes > 4)]
-        if len(unsupported):
-            raise GeometryError(f"panel with {unsupported[0]} vertices not supported")
-        # each panel as 4 indices, a triangle closing on its vertex 0
-        panels = np.array([f + f[:4 - len(f)] for f in self.faces], dtype=int).reshape(-1, 4)
-        if panels.size and (panels.min() < 0 or panels.max() >= len(self.vertices)):
+        self.panels = np.asarray(panels, dtype=int)
+        if self.panels.ndim != 2:
+            raise GeometryError("panels must be an (n, 3) or (n, 4) array")
+        if self.panels.shape[1] not in (3, 4):
+            raise GeometryError(f"panel with {self.panels.shape[1]} vertices not supported")
+        if self.panels.size and (self.panels.min() < 0 or self.panels.max() >= len(self.vertices)):
             raise GeometryError("face index out of range")
-        self._compute_panel_data(panels, sizes)
-
-    def _compute_panel_data(self, panels, sizes):
+        # each panel as 4 indices, a triangle closing on its vertex 0
+        panels = self.panels[:, [0, 1, 2, 3 % self.panels.shape[1]]]
+        sizes = 3 + (panels[:, 3] != panels[:, 0])
         # fan-split each panel about its vertex 0 (triangles and planar convex
         # quads alike), once; owner[t] is the panel of triangle t, in panel order
         n = len(panels)
@@ -86,13 +84,13 @@ class SurfaceMesh:
         # the rim: edges of one panel only (a triangle's closing (i, i) pair left out)
         edges = np.stack([panels, np.roll(panels, -1, axis=1)], axis=-1)[
             np.arange(4) < sizes[:, None]]
-        pairs, counts = np.unique(np.sort(edges, axis=1), axis=0, return_counts=True)
-        self.boundary_edges = list(map(tuple, pairs[counts == 1].tolist()))
+        keys, counts = np.unique(_edge_keys(edges, len(self.vertices)), return_counts=True)
+        self.boundary_edges = np.column_stack(np.divmod(keys[counts == 1], len(self.vertices)))
         self.is_closed = len(self.boundary_edges) == 0
 
     @property
     def n_panels(self) -> int:
-        return len(self.faces)
+        return len(self.panels)
 
     def closure_defect(self) -> float:
         """|sum of area-weighted normals| relative to the total area (~0 when closed)."""
@@ -117,14 +115,16 @@ class SurfaceMesh:
 
 
 def load_mesh(path) -> SurfaceMesh:
-    # record tag -> (field count, field type, what the record needs)
-    records = {"v": (3, float, "vertex needs 3 coordinates"),
-               "f": (3, int, "triangle needs 3 indices"), "q": (4, int, "quad needs 4 indices")}
+    # record tag -> (field count, field type, leading fields repeated after
+    # them, what the record needs); a triangle repeats its vertex 0
+    records = {"v": (3, float, 0, "vertex needs 3 coordinates"),
+               "f": (3, int, 1, "triangle needs 3 indices"),
+               "q": (4, int, 0, "quad needs 4 indices")}
     try:
         lines = Path(path).read_text().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read mesh file {str(path)!r}: {exc}") from exc
-    vertices, faces = [], []
+    vertices, panels = [], []
     for ln, line in enumerate(lines, 1):
         parts = line.split("#", 1)[0].split()
         if not parts:
@@ -132,30 +132,35 @@ def load_mesh(path) -> SurfaceMesh:
         tag, rest = parts[0], parts[1:]
         if tag not in records:
             raise GeometryError(f"{path}:{ln}: unknown record '{tag}'")
-        size, kind, needs = records[tag]
+        size, kind, repeat, needs = records[tag]
         try:
             values = [kind(x) for x in rest]
             if len(values) != size:
                 raise ValueError(rest)
         except ValueError:
             raise GeometryError(f"{path}:{ln}: {needs}, got {' '.join(rest)!r}") from None
-        (vertices if tag == "v" else faces).append(tuple(values))
-    if not faces:
+        (vertices if tag == "v" else panels).append(values + values[:repeat])
+    if not panels:
         raise GeometryError(f"{path}: no panels found")
-    return SurfaceMesh(np.array(vertices), faces)
+    return SurfaceMesh(np.array(vertices), panels)
 
 
 # ---------------------------------------------------------------------------
 # generators
 
 
-def _first_visits(rows):
-    """The distinct rows of a 2-D array in the order they first occur, and for
-    every row the number of its distinct row in that order."""
-    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    is_first = np.zeros(len(rows), dtype=bool)
+def _edge_keys(edges, n):
+    """One integer per undirected edge of an (m, 2) array of indices below n: lo*n + hi."""
+    return edges.min(axis=1) * n + edges.max(axis=1)
+
+
+def _first_visits(keys):
+    """Where each distinct key of a 1-D integer array first occurs, in that
+    order, and for every key the number of its distinct key in that order."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    is_first = np.zeros(len(keys), dtype=bool)
     is_first[first] = True
-    return rows[is_first], (np.cumsum(is_first) - 1)[first][inverse.reshape(-1)]
+    return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[first][inverse]
 
 
 def icosphere(subdivisions: int = 3, radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> SurfaceMesh:
@@ -182,9 +187,10 @@ def icosphere(subdivisions: int = 3, radius: float = 1.0, center=(0.0, 0.0, 0.0)
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
     ])
     for _ in range(subdivisions):
-        edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        edges, number = _first_visits(edges)
-        mid = verts[edges[:, 0]] + verts[edges[:, 1]]
+        keys = _edge_keys(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), len(verts))
+        first, number = _first_visits(keys)
+        lo, hi = np.divmod(keys[first], len(verts))
+        mid = verts[lo] + verts[hi]
         (i, j, k), (a, b, c) = faces.T, (len(verts) + number).reshape(-1, 3).T
         verts = np.concatenate([verts, mid / _lengths(mid)[:, None]])
         faces = np.stack([i, a, c, j, b, a, k, c, b, a, b, c], axis=1).reshape(-1, 3)
@@ -195,22 +201,25 @@ def cube_mesh(n: int = 8, side=1.0, center=(0.0, 0.0, 0.0)) -> SurfaceMesh:
     """Closed triangulated box surface, 12*n^2 triangles, outward normals.
 
     ``side`` is one edge length (a cube) or three, one per axis.  Each face is
-    an (n+1)^2 grid of corners, and the faces meet on grid end points.
+    an (n+1)^2 grid of corners, and the faces meet on grid end points.  A
+    corner merges by its three grid indices (0 on the face at -h, n on the
+    face at +h) and is looked up in the ``linspace`` grid of each axis.
     """
     h = np.broadcast_to(np.asarray(side, dtype=float) / 2.0, (3,))
-    grids = [np.linspace(-h[d], h[d], n + 1) for d in range(3)]
-    # the corners of quad (i, j) of a face, in the order the quad visits them
+    # the grid indices of the corners of quad (i, j) of a face, in visiting order
     i, j = np.indices((n, n)).reshape(2, -1, 1) + np.array([[[0, 1, 1, 0]], [[0, 0, 1, 1]]])
-    corners = np.empty((3, 2, n * n, 4, 3))
+    corners = np.empty((3, 2, n * n, 4, 3), dtype=int)
     for axis in range(3):
         u, v = (axis + 1) % 3, (axis + 2) % 3
-        corners[axis, 0, ..., axis], corners[axis, 1, ..., axis] = -h[axis], h[axis]
-        corners[axis, ..., u], corners[axis, ..., v] = grids[u][i], grids[v][j]
-    verts, number = _first_visits(corners.reshape(-1, 3))
+        corners[axis, 0, ..., axis], corners[axis, 1, ..., axis] = 0, n
+        corners[axis, ..., u], corners[axis, ..., v] = i, j
+    corners = corners.reshape(-1, 3)
+    first, number = _first_visits(corners @ [(n + 1) ** 2, n + 1, 1])
+    verts = np.linspace(-h, h, n + 1)[corners[first], [0, 1, 2]]
     # two triangles per quad; the faces at -h reverse the quad's winding
     winding = np.array([[3, 2, 1, 3, 1, 0], [0, 1, 2, 0, 2, 3]] * 3)[:, None, :]
-    faces = np.take_along_axis(number.reshape(6, n * n, 4), winding, axis=2)
-    return SurfaceMesh(verts + np.asarray(center, dtype=float), faces.reshape(-1, 3))
+    panels = np.take_along_axis(number.reshape(6, n * n, 4), winding, axis=2)
+    return SurfaceMesh(verts + np.asarray(center, dtype=float), panels.reshape(-1, 3))
 
 
 def _graded(n: int, both_ends: bool = False):
@@ -243,9 +252,9 @@ def sphere_cap_mesh(
     verts = np.concatenate([[[0.0, 0.0, radius]], rings.reshape(-1, 3)])
     k, k2 = np.arange(n_phi), (np.arange(n_phi) + 1) % n_phi
     lo = 1 + n_phi * np.arange(n_rings - 1)[:, None]
-    fan = np.stack([np.zeros_like(k), 1 + k, 1 + k2], axis=1)
+    fan = np.stack([0 * k, 1 + k, 1 + k2, 0 * k], axis=1)  # triangles repeat vertex 0
     quads = np.stack([lo + k, lo + n_phi + k, lo + n_phi + k2, lo + k2], axis=-1)
-    return SurfaceMesh(verts, fan.tolist() + quads.reshape(-1, 4).tolist())
+    return SurfaceMesh(verts, np.concatenate([fan, quads.reshape(-1, 4)]))
 
 
 def rect_mesh(lx: float, ly: float, nx: int, ny: int) -> SurfaceMesh:
@@ -370,14 +379,13 @@ def boundary_shape_factor(mesh: SurfaceMesh) -> float:
     radii = np.linalg.norm(tris - centers[:, None, :], axis=2).max(axis=1)
     # near pairs: ordered triangle pairs whose panels share a vertex (the
     # triangles of one panel share its vertex 0), closer than _NEAR_FACTOR
-    # summed radii
-    incident = {}
-    for ti, p in enumerate(owner):
-        for v in mesh.faces[p]:
-            incident.setdefault(v, []).append(ti)
-    pairs = np.array(sorted({(ti, tj) for group in incident.values()
-                             for ti in group for tj in group}), dtype=int)
-    a, b = pairs[:, 0], pairs[:, 1]
+    # summed radii; each (vertex, triangle) incidence, sorted by vertex, pairs
+    # with every incidence of its vertex, and the pairs come out sorted
+    vertex, tri = np.divmod(np.unique(mesh.panels[owner] * ntri + np.arange(ntri)[:, None]), ntri)
+    group = np.searchsorted(vertex, vertex)
+    count = np.searchsorted(vertex, vertex, side="right") - group
+    partner = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - group, count)
+    a, b = np.divmod(np.unique(np.repeat(tri, count) * ntri + tri[partner]), ntri)
     keep = np.linalg.norm(centers[a] - centers[b], axis=1) <= _NEAR_FACTOR * (radii[a] + radii[b])
     # (x-y).n(y) is the height of x above the plane of T_b for every y on T_b,
     # so a T_a lying in that plane (self pairs, a flat face) adds exactly zero

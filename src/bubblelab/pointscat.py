@@ -89,16 +89,14 @@ def solve_charges(system: ClusterSystem, incident: IncidentWave, centers) -> Cha
     return ChargeSolution(charges=q, residual=residual, cond_estimate=system.cond_estimate)
 
 
-def far_field(solution, centers, kappa0: float, directions):
-    """Pattern sum_m e^{-ik x_hat . z_m} Q_m on the given direction grid.
+def far_field(solutions, centers, kappa0: float, directions):
+    """Patterns sum_m e^{-ik x_hat . z_m} Q_m on the given direction grid.
 
-    ``solution`` is one ChargeSolution, which gives one FarField, or a list
-    of them on the same centres, which gives their FarFields from one pass
-    over the phases e^{-ik x_hat . z_m}.
+    ``solutions`` is a list of ChargeSolutions on the same centres; their
+    FarFields, in that order, come from one pass over the phases
+    e^{-ik x_hat . z_m}.
     """
     d = np.asarray(directions, dtype=float)
-    if isinstance(solution, ChargeSolution):
-        return FarField(d, far_field_sum(d, centers, solution.charges, kappa0))
-    charges = np.column_stack([sol.charges for sol in solution])
+    charges = np.column_stack([sol.charges for sol in solutions])
     values = far_field_sum(d, centers, charges, kappa0)
     return [FarField(d, v) for v in np.ascontiguousarray(values.T)]

@@ -398,6 +398,13 @@ def polygon_potential(vertices, point):
     return total / (4.0 * np.pi)
 
 
+def panel_corners(mesh, k):
+    """The corner coordinates of panel k of a ``SurfaceMesh``, a padded
+    triangle's repeated vertex 0 dropped."""
+    panel = mesh.panels[k]
+    return mesh.vertices[panel[:3] if panel[-1] == panel[0] else panel]
+
+
 def single_layer_by_loops(mesh, densities, kappa0, x, near_factor=6.0):
     """Single-layer potential at one point x, panel by panel.
 
@@ -407,8 +414,8 @@ def single_layer_by_loops(mesh, densities, kappa0, x, near_factor=6.0):
     four midpoint children of each fan triangle.
     """
     total = 0.0
-    for k, face in enumerate(mesh.faces):
-        verts = mesh.vertices[list(face)]
+    for k in range(mesh.n_panels):
+        verts = panel_corners(mesh, k)
         r = np.linalg.norm(x - mesh.centroids[k])
         if r > near_factor * mesh.panel_radii[k]:
             total += np.exp(1j * kappa0 * r) / (4.0 * np.pi * r) * mesh.areas[k] * densities[k]
@@ -458,7 +465,8 @@ def dropped_volume_by_loop(domain, sites, half, cell_volume):
 def sphere_cap_by_loops(radius, theta_max, n_rings, n_phi):
     """Vertices and panels of ``meshes.sphere_cap_mesh``, placed one at a time:
     the pole, then n_phi points per ring at polar angles whose last (up to 3)
-    intervals shrink by 0.7 per step toward the rim."""
+    intervals shrink by 0.7 per step toward the rim.  The panels are an
+    (n, 4) array in which each pole-fan triangle repeats its vertex 0."""
     levels = min(3, max(n_rings - 1, 0))
     w = [1.0] * n_rings
     for k in range(levels):
@@ -471,12 +479,12 @@ def sphere_cap_by_loops(radius, theta_max, n_rings, n_phi):
             ph = 2 * np.pi * k / n_phi
             verts.append([radius * np.sin(th) * np.cos(ph), radius * np.sin(th) * np.sin(ph),
                           radius * np.cos(th)])
-    faces = [(0, 1 + k, 1 + (k + 1) % n_phi) for k in range(n_phi)]
+    faces = [(0, 1 + k, 1 + (k + 1) % n_phi, 0) for k in range(n_phi)]
     for r in range(n_rings - 1):
         lo, hi = 1 + r * n_phi, 1 + (r + 1) * n_phi
         faces += [(lo + k, hi + k, hi + (k + 1) % n_phi, lo + (k + 1) % n_phi)
                   for k in range(n_phi)]
-    return np.array(verts), faces
+    return np.array(verts), np.array(faces)
 
 
 # ---------------------------------------------------------------------------

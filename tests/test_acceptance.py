@@ -101,7 +101,7 @@ def test_c04_point_interaction_exactness(sphere):
     # residual at M = 4096 (16^3 lattice cluster)
     from bubblelab.cluster import BoxDomain, build_volumetric
 
-    cl = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField.constant(0.0),
+    cl = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField("constant", 0.0),
                           a=4096.0**-1.0, s=1.0, t=0.4, seed=0, d_min=0.5)
     sol4096 = solve_charges(ClusterSystem(assemble(cl.centers, -0.002, kappa0)), inc,
                             cl.centers)
@@ -115,7 +115,7 @@ def test_c04_point_interaction_exactness(sphere):
     def pattern(centers, th, d):
         s = solve_charges(ClusterSystem(assemble(centers, c, kappa0)), IncidentWave(kappa0, th),
                           centers)
-        return far_field(s, centers, kappa0, np.atleast_2d(d)).values
+        return far_field([s], centers, kappa0, np.atleast_2d(d))[0].values
 
     rec = abs(pattern(zr, theta, xhat)[0] - pattern(zr, -xhat, -theta)[0])
     v = np.array([0.2, -0.3, 0.4])
@@ -153,7 +153,7 @@ def test_c06_volume_solver_oracle():
     inc = IncidentWave(2.0, np.array([0.0, 0.0, 1.0]))
     grid = volmedium.VoxelGrid.cover(dom, 48)
     q = -1.5
-    pot = volmedium.VolumePotential.from_density(grid, DensityField.constant(0.0), q)
+    pot = volmedium.VolumePotential.from_density(grid, DensityField("constant", 0.0), q)
     sol = volmedium.assemble_and_solve(grid, pot, inc)
     dirs = fibonacci_directions(100)
     ff = volmedium.far_field_volume(sol, pot, grid, inc.kappa0, dirs)
@@ -162,7 +162,7 @@ def test_c06_volume_solver_oracle():
 
     # Born regime: one Born iterate matches the solve to 1e-3 relative
     grid_b = volmedium.VoxelGrid.cover(dom, 14)
-    pot_b = volmedium.VolumePotential.from_density(grid_b, DensityField.constant(0.0), -1e-2)
+    pot_b = volmedium.VolumePotential.from_density(grid_b, DensityField("constant", 0.0), -1e-2)
     sol_b = volmedium.assemble_and_solve(grid_b, pot_b, inc)
     w = broadcast_weights(grid_b.centers, inc.kappa0, grid_b.g**3,
                           volmedium.self_cell_weight(grid_b.g, inc.kappa0))

@@ -98,7 +98,7 @@ def test_monopole_equivalence_with_point_scatterer():
     c_equiv = (4 * np.pi / INC.kappa0) * np.sin(INC.kappa0 * r) * np.exp(-1j * INC.kappa0 * r)
     centers = [[0.0, 0.0, 0.0]]
     sol = solve_charges(ClusterSystem(assemble(centers, c_equiv, INC.kappa0)), INC, centers)
-    ff_point = far_field(sol, centers, INC.kappa0, DIRS)
+    ff_point = far_field([sol], centers, INC.kappa0, DIRS)[0]
     _, ff_bem = solve_dirichlet(icosphere(2, radius=r), INC, DIRS)
     rel = np.abs(ff_bem.values - ff_point.values).max() / np.abs(ff_point.values).max()
     assert rel <= 0.02

@@ -39,7 +39,7 @@ def chart_square_area(chart, center, side, n=24):
 
 def test_periodic_unit_cube():
     # K = 0, s = 1, a = 1e-3: 1000 cells of side 0.1, one center each
-    cl = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField.constant(0.0),
+    cl = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField("constant", 0.0),
                           a=1e-3, s=1.0, t=0.4, seed=0, d_min=0.5)
     assert len(cl.cells) == 1000
     assert cl.m == 1000
@@ -55,7 +55,7 @@ def test_periodic_unit_cube():
 
 def test_constant_density_one_and_a_half():
     # floor(1.5)+1 = 2 centers per cell, cell volume a^s * 2/2.5
-    cl = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField.constant(1.5),
+    cl = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField("constant", 1.5),
                           a=5e-3, s=1.0, t=0.4, seed=3, d_min=0.5)
     assert np.all(cl.counts == 2)
     assert np.allclose(cl.sides**3, cl.a * 2 / 2.5, rtol=1e-12)
@@ -66,7 +66,7 @@ def test_constant_density_one_and_a_half():
 
 def test_integer_density_exact_volumes():
     for k in (0.0, 2.0):
-        cl = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField.constant(k),
+        cl = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField("constant", k),
                               a=1e-2, s=1.0, t=0.4, seed=1, d_min=0.5)
         assert np.allclose(cl.sides**3, cl.a, rtol=1e-12)
 
@@ -75,7 +75,7 @@ def test_dropped_volume_slope_one_third():
     vols = []
     avals = [1e-2, 1e-3]
     for a in avals:
-        cl = build_volumetric(BallDomain(radius=1.0), DensityField.constant(0.0),
+        cl = build_volumetric(BallDomain(radius=1.0), DensityField("constant", 0.0),
                               a=a, s=1.0, t=0.4, seed=0, d_min=0.5)
         vols.append(cl.dropped)
     slope = math.log(vols[1] / vols[0]) / math.log(avals[1] / avals[0])
@@ -101,14 +101,14 @@ def test_dropped_volume_matches_per_site_loop(domain):
     n, starts = _lattice_axes(lo, hi, 2 * half)
     sites = starts + np.indices(n).reshape(3, -1).T * 2 * half
     expected = dropped_volume_by_loop(domain, sites, half, a**s)
-    cl = build_volumetric(domain, DensityField.constant(0.0), a, s, 0.4, d_min=0.5)
+    cl = build_volumetric(domain, DensityField("constant", 0.0), a, s, 0.4, d_min=0.5)
     assert cl.dropped == pytest.approx(expected, rel=1e-12)
     assert (expected > 0.0) == isinstance(domain, BallDomain)
 
 
 def test_total_count_scaling():
     # M(a) a^s bounded above by K_sup+1 and below by a positive constant
-    dens = DensityField.constant(0.3)
+    dens = DensityField("constant", 0.3)
     for a in (1e-1, 1e-2, 1e-3):
         cl = build_volumetric(BoxDomain(size=(1, 1, 1)), dens, a=a, s=1.0, t=0.4, seed=0,
                               d_min=0.5)
@@ -118,26 +118,26 @@ def test_total_count_scaling():
 
 def test_infeasible_spacing_exponent():
     with pytest.raises(PlacementError):
-        build_volumetric(BoxDomain(), DensityField.constant(0.0), a=1e-2, s=1.2, t=0.3,
+        build_volumetric(BoxDomain(), DensityField("constant", 0.0), a=1e-2, s=1.2, t=0.3,
                          d_min=0.5)
 
 
 def test_placement_error_when_density_too_high():
     with pytest.raises(PlacementError):
-        build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField.constant(60.0),
+        build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField("constant", 60.0),
                          a=1e-2, s=0.9, t=0.3, seed=0, d_min=0.5)
 
 
 def test_dense_cells_place_on_one_draw():
     # the middle node of a 3^3 sub-grid would sit on the always occupied cell
     # center, so K = 26 fills the 26 outer nodes, every cell on its one draw
-    cl = build_volumetric(BoxDomain(), DensityField.constant(26.0), a=4e-3, s=1.0, t=0.4,
+    cl = build_volumetric(BoxDomain(), DensityField("constant", 26.0), a=4e-3, s=1.0, t=0.4,
                           seed=1, d_min=0.1)
     assert cl.m == 5832
     assert all(ok for ok, _ in validate(cl).values())
     # the extras of an odd sub-grid are jittered, not just 3 coordinate values
     # per axis (-h, 0, h)
-    cl = build_surface(PlaneChart(), DensityField.constant(4.0), a=4e-3, s=1.0, t=0.4,
+    cl = build_surface(PlaneChart(), DensityField("constant", 4.0), a=4e-3, s=1.0, t=0.4,
                        seed=1, d_min=0.1)
     offsets = (cl.params - cl.cells[cl.cell_of])[np.arange(cl.m) % 5 != 0]
     assert len(np.unique(np.round(offsets, 12))) > 3
@@ -146,7 +146,7 @@ def test_dense_cells_place_on_one_draw():
 def test_single_draw_keeps_the_generator_stream():
     # K = 1: the even 2^3 sub-grid keeps all 8 nodes, so each cell draws 8
     # jitters and one permutation of 8; the digest pins that stream
-    cl = build_volumetric(BoxDomain(), DensityField.constant(1.0), a=4e-3, s=1.0, t=0.4,
+    cl = build_volumetric(BoxDomain(), DensityField("constant", 1.0), a=4e-3, s=1.0, t=0.4,
                           seed=1, d_min=0.5)
     assert cl.m == 432
     digest = hashlib.sha256(cl.centers.tobytes()).hexdigest()
@@ -162,19 +162,19 @@ def test_single_draw_keeps_the_generator_stream():
 def test_centers_with_extras_bitwise_pinned(build, chart, k, t, seed, m, expected):
     # SHA-256 of the parameter-space centres of a per-cell placement loop
     # (PCG64 draws and arithmetic only, so the digest holds on any host)
-    cl = build(chart, DensityField.constant(k), a=4e-3, s=1.0, t=t, seed=seed, d_min=0.1)
+    cl = build(chart, DensityField("constant", k), a=4e-3, s=1.0, t=t, seed=seed, d_min=0.1)
     assert cl.m == m
     assert hashlib.sha256(np.ascontiguousarray(cl.params, "<f8").tobytes()).hexdigest() == expected
 
 
 def test_density_field_validation():
     with pytest.raises(ConfigError):
-        DensityField.constant(-0.5)
+        DensityField("constant", -0.5)
     with pytest.raises(ConfigError):
-        DensityField.grid(origin=(0, 0, 0), spacing=(1, 1, 1),
-                          samples=-np.ones((2, 2, 2)))
-    grid = DensityField.grid(origin=(0, 0, 0), spacing=(1, 1, 1),
-                             samples=np.arange(8, dtype=float).reshape(2, 2, 2))
+        DensityField("grid", origin=(0, 0, 0), spacing=(1, 1, 1),
+                     samples=-np.ones((2, 2, 2)))
+    grid = DensityField("grid", origin=(0, 0, 0), spacing=(1, 1, 1),
+                        samples=np.arange(8, dtype=float).reshape(2, 2, 2))
     # trilinear interpolation midpoint = mean of corners
     assert grid([[0.5, 0.5, 0.5]])[0] == pytest.approx(3.5)
     # clamped outside the sample box
@@ -184,7 +184,7 @@ def test_density_field_validation():
 def test_variable_density_counts():
     samples = np.zeros((2, 2, 2))
     samples[1] = 3.0  # K grows along x
-    dens = DensityField.grid(origin=(-0.5, -0.5, -0.5), spacing=(1, 1, 1), samples=samples)
+    dens = DensityField("grid", origin=(-0.5, -0.5, -0.5), spacing=(1, 1, 1), samples=samples)
     cl = build_volumetric(BoxDomain(size=(1, 1, 1)), dens, a=2e-2, s=1.0, t=0.4, seed=5,
                           d_min=0.5)
     assert set(np.unique(cl.counts)) >= {1}
@@ -194,7 +194,7 @@ def test_variable_density_counts():
 
 
 def test_determinism_byte_for_byte():
-    dens = DensityField.constant(1.2)
+    dens = DensityField("constant", 1.2)
     kw = dict(a=4e-3, s=1.0, t=0.4, seed=42, d_min=0.5)
     c1 = build_volumetric(BoxDomain(size=(1, 1, 1)), dens, **kw)
     c2 = build_volumetric(BoxDomain(size=(1, 1, 1)), dens, **kw)
@@ -207,7 +207,7 @@ def test_determinism_byte_for_byte():
 
 
 def test_flat_square_exact_tiling():
-    cl = build_surface(PlaneChart(1.0, 1.0), DensityField.constant(0.0),
+    cl = build_surface(PlaneChart(1.0, 1.0), DensityField("constant", 0.0),
                        a=1e-2, s=1.0, t=0.45, seed=0, d_min=0.5)
     assert len(cl.cells) == 100
     assert np.allclose(cl.sides, 0.1, rtol=1e-12)
@@ -218,7 +218,7 @@ def test_flat_square_exact_tiling():
 
 def test_sphere_chart_square_areas_within_two_percent():
     chart = SphereCapChart(radius=1.0, theta_max=np.pi / 2)
-    cl = build_surface(chart, DensityField.constant(0.0), a=1e-2, s=1.0, t=0.45,
+    cl = build_surface(chart, DensityField("constant", 0.0), a=1e-2, s=1.0, t=0.45,
                        seed=0, d_min=0.3)
     target = cl.a**cl.s
     for center, side in list(zip(cl.cells, cl.sides))[::7]:
@@ -231,7 +231,7 @@ def test_surface_dropped_area_slope_one_half():
     drops = []
     avals = [1e-2, 1e-3]
     for a in avals:
-        cl = build_surface(chart, DensityField.constant(0.0), a=a, s=1.0, t=0.45,
+        cl = build_surface(chart, DensityField("constant", 0.0), a=a, s=1.0, t=0.45,
                            seed=0, d_min=0.2)
         drops.append(cl.dropped)
     slope = math.log(drops[1] / drops[0]) / math.log(avals[1] / avals[0])
@@ -239,9 +239,9 @@ def test_surface_dropped_area_slope_one_half():
 
 
 def test_validate_flags_coincident_centers():
-    volume = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField.constant(0.0),
+    volume = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField("constant", 0.0),
                               a=2e-2, s=1.0, t=0.4, seed=0, d_min=0.5)
-    cap = build_surface(SphereCapChart(), DensityField.constant(0.7), a=2e-2, s=1.0,
+    cap = build_surface(SphereCapChart(), DensityField("constant", 0.7), a=2e-2, s=1.0,
                         t=0.45, seed=9, d_min=0.3)
     for base in (volume, cap):
         broken = dataclasses.replace(
@@ -268,7 +268,7 @@ VALIDATE_GEOMETRIES = {
 @pytest.mark.parametrize("name", list(VALIDATE_GEOMETRIES))
 def test_validate_passes_on_every_geometry(name, k):
     builder, geometry, kw = VALIDATE_GEOMETRIES[name]
-    cl = builder(geometry, DensityField.constant(k), s=1.0, seed=1, **kw)
+    cl = builder(geometry, DensityField("constant", k), s=1.0, seed=1, **kw)
     surface = builder is build_surface
     assert np.all(cl.counts == math.floor(k) + 1)
     checks = validate(cl)
@@ -287,7 +287,7 @@ def test_validate_passes_on_every_geometry(name, k):
 
 
 def test_cluster_json_roundtrip(tmp_path):
-    cl = build_surface(SphereCapChart(), DensityField.constant(0.7), a=2e-2, s=1.0,
+    cl = build_surface(SphereCapChart(), DensityField("constant", 0.7), a=2e-2, s=1.0,
                        t=0.45, seed=9, d_min=0.3)
     path = tmp_path / "cluster.json"
     save_cluster(cl, path)

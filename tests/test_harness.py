@@ -442,7 +442,7 @@ def test_rotation_invariance_of_sup_err():
         inc = IncidentWave(kappa0, th)
         system = pointscat.ClusterSystem(pointscat.assemble(z, c, kappa0))
         sol = pointscat.solve_charges(system, inc, z)
-        return pointscat.far_field(sol, z, kappa0, d).values
+        return pointscat.far_field([sol], z, kappa0, d)[0].values
 
     base = pattern(centers, theta, dirs)
     turned = pattern(centers @ rot.T, rot @ theta, dirs @ rot.T)

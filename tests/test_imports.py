@@ -85,8 +85,8 @@ def referenced_names(node) -> set:
     """Identifiers a syntax tree refers to, outside the body that defines each.
 
     Names, attributes, imported names and dotted identifier strings (such as
-    ``"VoxelGrid.cover"`` in a table of entry points) all count; a function or
-    class referring to itself does not.
+    ``"VoxelGrid.cover"`` in a table of entry points) all count; a plain string
+    (``kind == "constant"``) and a function or class referring to itself do not.
     """
     if isinstance(node, ast.Name):
         return {node.id}
@@ -95,7 +95,7 @@ def referenced_names(node) -> set:
     names = set()
     if isinstance(node, ast.Attribute):
         names.add(node.attr)
-    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str) and "." in node.value:
         names.update(part for part in node.value.split(".") if part.isidentifier())
     for child in ast.iter_child_nodes(node):
         names |= referenced_names(child)
@@ -122,6 +122,9 @@ def test_detects_an_uncalled_definition():
     names = referenced_names(ast.parse(source))
     assert [q for q, name in public_definitions(source) if name not in names] == ["f", "C", "C.m"]
     assert {"f", "C"} <= referenced_names(ast.parse("f()\nx = C\ny = 'C.m'\n"))
+    # a dotted string names a method; a plain one is data
+    assert "m" in referenced_names(ast.parse("y = 'C.m'\n"))
+    assert "m" not in referenced_names(ast.parse("kind = 'm'\nif kind == 'm':\n    pass\n"))
 
 
 def test_every_public_definition_has_a_caller():
@@ -231,6 +234,8 @@ UNLOADED_AT_START = {
     "scipy.linalg": "kernels loads the compiled _fblas and _flapack modules alone",
     "scipy._lib._array_api": "its clone of numpy loads numpy.f2py, numpy.testing, "
                              "numpy.ma and numpy.random, about 0.3 s of start-up",
+    "scipy.spatial": "importing it costs about 7 MiB of RSS, more than a small run's "
+                     "5 % peak-memory bound, so spatial hashing stays numpy-only",
 }
 
 
@@ -269,6 +274,6 @@ def test_k1_cluster_build_loads_numpy_random():
     # K = 1: every cell draws one extra centre, so the check above can fail
     skip_if_numpy_loads_random()
     code = ("from bubblelab.cluster import BoxDomain, DensityField, build_volumetric\n"
-            "build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField.constant(1.0),\n"
+            "build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField('constant', 1.0),\n"
             "                 a=0.002, s=0.7, t=0.3, d_min=0.5)")
     assert loaded_after(code, "numpy.random")

@@ -119,8 +119,7 @@ def test_coincident_points_raise_geometry_error():
 def _quad_cube(n):
     """cube_mesh(n) with each pair of triangles joined into one square panel."""
     m = cube_mesh(n)
-    return SurfaceMesh(m.vertices, [(f[0], f[1], f[2], g[2])
-                                    for f, g in zip(m.faces[::2], m.faces[1::2])])
+    return SurfaceMesh(m.vertices, np.column_stack([m.panels[::2], m.panels[1::2, 2]]))
 
 
 @pytest.mark.parametrize("make, expected", [
@@ -351,7 +350,7 @@ def test_cocg_zero_rhs_and_breakdown():
 
 def test_volume_solve_cap_raises_with_matvec_count(monkeypatch):
     grid = VoxelGrid.cover(BallDomain(radius=1.0), 14)
-    pot = VolumePotential.from_density(grid, DensityField.constant(0.0), -1.5)
+    pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), -1.5)
     inc = IncidentWave(2.0, np.array([0.0, 0.0, 1.0]))
     assert assemble_and_solve(grid, pot, inc).iterations > 3
     monkeypatch.setattr(volmedium, "LS_MAX_MATVECS", 3)
@@ -481,7 +480,7 @@ def test_shape_factor_quadrature_peak_memory():
 def _volume_far_field_peak(n):
     """(cells, traced peak) of a 200-direction volume far field on an n^3 box."""
     grid = VoxelGrid.cover(BoxDomain(size=(1, 1, 1)), n)
-    pot = VolumePotential.from_density(grid, DensityField.constant(0.0), -1.5)
+    pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), -1.5)
     sol = LSSolution(y=np.ones(grid.n_cells, dtype=complex), residual=0.0, iterations=0)
     dirs = fibonacci_directions(200)
     return grid.n_cells, _traced_peak(far_field_volume, sol, pot, grid, 2.0, dirs)

@@ -59,11 +59,12 @@ def test_mesh_io_roundtrip(tmp_path):
     m = sphere_cap_mesh(1.0, np.pi / 2, 4, 8)
     path = tmp_path / "cap.msh"
     lines = ["# comment line", ""] + [f"v {x!r} {y!r} {z!r}" for x, y, z in m.vertices.tolist()]
-    lines += [("f " if len(f) == 3 else "q ") + " ".join(map(str, f)) for f in m.faces]
+    lines += [("f " + " ".join(map(str, p[:3])) if p[3] == p[0] else "q " + " ".join(map(str, p)))
+              for p in m.panels.tolist()]
     path.write_text("\n".join(lines) + "\n")
     m2 = load_mesh(path)
     assert np.array_equal(m.vertices, m2.vertices)
-    assert m.faces == m2.faces
+    assert m.panels.dtype == m2.panels.dtype and np.array_equal(m.panels, m2.panels)
 
 
 def test_load_mesh_rejects_bad_records(tmp_path):
@@ -92,26 +93,28 @@ def test_load_mesh_unreadable_file_is_a_config_error(tmp_path):
 def test_degenerate_panel_rejected():
     verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
     with pytest.raises(GeometryError):
-        SurfaceMesh(verts, [(0, 1, 2)])
+        SurfaceMesh(verts, np.array([[0, 1, 2]]))
 
 
 SQUARE = np.array([[0.0, 0, 0], [1.0, 0, 0], [1.0, 1, 0], [0.0, 1, 0], [0.5, 1.5, 0]])
 
 
-@pytest.mark.parametrize("faces, message", [
-    ([(0, 1, 2), (0, 1, 2, 4, 3)], "panel with 5 vertices not supported"),
-    ([(0, 1, 2, 3), (0, 2, -1)], "face index out of range"),
-    ([(0, 1, 2, 3), (2, 4, 5)], "face index out of range"),
-    ([(0, 1, 2, 3), (0, 1, 2), (3, 2, 2, 3)], "degenerate panel 2"),
-], ids=["five_vertices", "index_minus_1", "index_past_end", "degenerate_quad"])
-def test_surface_mesh_rejects_bad_panels(faces, message):
+@pytest.mark.parametrize("panels, message", [
+    ([(0, 1, 2, 4, 3), (0, 1, 2, 3, 0)], "panel with 5 vertices not supported"),
+    ([(0, 1, 2, 3), (0, 2, -1, 0)], "face index out of range"),
+    ([(0, 1, 2, 3), (2, 4, 5, 2)], "face index out of range"),
+    # a zero-area quad; one whose last index is its first reads as a padded triangle
+    ([(0, 1, 2, 3), (0, 1, 2, 0), (2, 3, 2, 3)], "degenerate panel 2"),
+    ([0, 1, 2], r"panels must be an \(n, 3\) or \(n, 4\) array"),
+], ids=["five_vertices", "index_minus_1", "index_past_end", "degenerate_quad", "flat_row"])
+def test_surface_mesh_rejects_bad_panels(panels, message):
     with pytest.raises(GeometryError, match=f"^{message}$"):
-        SurfaceMesh(SQUARE, faces)
+        SurfaceMesh(SQUARE, np.array(panels))
 
 
 def _digest(mesh):
     return hashlib.sha256(np.ascontiguousarray(mesh.vertices, "<f8").tobytes()
-                          + np.array(mesh.faces, "<i8").tobytes()).hexdigest()
+                          + mesh.panels.astype("<i8").tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("make, expected", [
@@ -129,11 +132,14 @@ def _digest(mesh):
      "2f89038ca09237befb6df64d014ca14dce34e0bce95689e450739de13f9a35ee"),
     (lambda: rect_mesh(1.0, 1.0, 16, 16),
      "090d70b5ad7e0469825419a608539f1f916b17525ee3a415634ef7d6d4f0e4ab"),
+    (lambda: sphere_cap_mesh(1.0, 1.2, 6, 16),
+     "773371391d8652783a77f82c989bdd74dfcd3f7bd9a502374dbc14c84260534d"),
 ], ids=["icosphere0", "icosphere3", "icosphere2_offcentre", "cube1", "cube6", "box5_offcentre",
-        "rect1x1", "rect10x13", "rect16x16"])
+        "rect1x1", "rect10x13", "rect16x16", "cap6x16"])
 def test_generators_bitwise_pinned(make, expected):
     # SHA-256 of the vertices and panels that the generators built one vertex
-    # and one panel at a time; these use exact arithmetic and sqrt only
+    # and one panel at a time; these use exact arithmetic and sqrt only, except
+    # the cap's sin and cos.  The cap's pole-fan triangles repeat their vertex 0.
     assert _digest(make()) == expected
 
 
@@ -142,9 +148,9 @@ def test_generators_bitwise_pinned(make, expected):
     (1.0, np.pi / 3, 6, 16), (2.0, np.pi, 3, 9), (1.0, np.pi / 2, 1, 5),
 ])
 def test_sphere_cap_matches_loop_construction(radius, theta_max, n_rings, n_phi):
-    verts, faces = sphere_cap_by_loops(radius, theta_max, n_rings, n_phi)
+    verts, panels = sphere_cap_by_loops(radius, theta_max, n_rings, n_phi)
     cap = sphere_cap_mesh(radius, theta_max, n_rings, n_phi)
-    assert cap.faces == faces
+    assert np.array_equal(cap.panels, panels)
     assert np.abs(cap.vertices - verts).max() <= 1e-15
 
 
@@ -167,7 +173,7 @@ def test_shape_factor_open_mesh_rejected():
 def test_shape_factor_pure_scaling(delta):
     # scaling the mesh by delta scales the double surface integral / area by delta^2
     base = icosphere(1)
-    scaled = SurfaceMesh(base.vertices * delta, base.faces)
+    scaled = SurfaceMesh(base.vertices * delta, base.panels)
     v0 = boundary_shape_factor(base)
     v1 = boundary_shape_factor(scaled)
     assert abs(v1 - delta**2 * v0) <= 1e-10 * abs(v0) * max(1.0, delta**2)
@@ -184,6 +190,6 @@ def test_shape_factor_cube_stable_under_refinement():
 
 def test_quad_panels_supported():
     m = rect_mesh(2.0, 1.0, 3, 2)
-    assert all(len(f) == 4 for f in m.faces)
+    assert m.panels.shape == (6, 4) and np.all(m.panels[:, 3] != m.panels[:, 0])
     assert abs(m.total_area - 2.0) < 1e-12
     assert np.allclose(m.normals, [0, 0, 1.0])

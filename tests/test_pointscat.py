@@ -119,7 +119,7 @@ def test_far_field_single_bubble_constant():
     inc = IncidentWave(1.0, np.array([0.0, 0.0, 1.0]))
     centers = [[0.0, 0.0, 0.0]]
     sol = solve_charges(ClusterSystem(assemble(centers, c, 1.0)), inc, centers)
-    ff = far_field(sol, centers, 1.0, fibonacci_directions(50))
+    ff = far_field([sol], centers, 1.0, fibonacci_directions(50))[0]
     assert np.allclose(ff.values, -2.0, atol=1e-14)
 
 
@@ -131,7 +131,7 @@ def test_far_field_reciprocity():
     def pattern(theta, xhat):
         inc = IncidentWave(kappa0, theta)
         sol = solve_charges(ClusterSystem(assemble(centers, c, kappa0)), inc, centers)
-        ff = far_field(sol, centers, kappa0, np.array([xhat]))
+        ff = far_field([sol], centers, kappa0, np.array([xhat]))[0]
         return ff.values[0]
 
     theta = np.array([0.0, 0.0, 1.0])
@@ -148,10 +148,10 @@ def test_far_field_translation_phase():
     dirs = fibonacci_directions(40)
     inc = IncidentWave(kappa0, theta)
     sol0 = solve_charges(ClusterSystem(assemble(centers, c, kappa0)), inc, centers)
-    ff0 = far_field(sol0, centers, kappa0, dirs)
+    ff0 = far_field([sol0], centers, kappa0, dirs)[0]
     moved = centers + v
     sol1 = solve_charges(ClusterSystem(assemble(moved, c, kappa0)), inc, moved)
-    ff1 = far_field(sol1, moved, kappa0, dirs)
+    ff1 = far_field([sol1], moved, kappa0, dirs)[0]
     phase = np.exp(1j * kappa0 * (dirs @ (-v) + theta @ v))
     assert np.abs(ff1.values - ff0.values * phase).max() < 1e-10
 
@@ -166,7 +166,7 @@ def test_far_field_of_several_solutions_matches_one_call_each():
     swept = far_field(sols, centers, kappa0, dirs)
     assert len(swept) == 3
     for ff, sol in zip(swept, sols):
-        one = far_field(sol, centers, kappa0, dirs)
+        [one] = far_field([sol], centers, kappa0, dirs)
         assert np.array_equal(ff.directions, one.directions)
         assert np.abs(ff.values - one.values).max() <= 1e-14 * np.abs(one.values).max()
 
@@ -178,7 +178,7 @@ def test_far_field_scales_with_coefficient():
     vals = []
     for c in (0.5, 1.5):
         sol = solve_charges(ClusterSystem(assemble(centers, c, 1.0)), inc, centers)
-        vals.append(far_field(sol, centers, 1.0, dirs).values)
+        vals.append(far_field([sol], centers, 1.0, dirs)[0].values)
     assert np.allclose(vals[1], 3.0 * vals[0], atol=1e-14)
 
 
@@ -193,7 +193,7 @@ def test_near_field_single_bubble_and_limit():
     assert abs(val - (-c) * helmholtz_kernel(x, np.zeros(3), kappa0)) < 1e-14
     # radial far limit: 4 pi R e^{-ikR} u^s -> pattern
     xfar = 1e4 * np.array([0.0, 0.6, 0.8])
-    ff = far_field(sol, centers, kappa0, np.array([[0.0, 0.6, 0.8]]))
+    ff = far_field([sol], centers, kappa0, np.array([[0.0, 0.6, 0.8]]))[0]
     approached = 4 * np.pi * 1e4 * np.exp(-1j * kappa0 * 1e4) * near_field(sol, centers, kappa0, xfar)
     assert abs(approached - ff.values[0]) < 1e-3 * abs(ff.values[0])
     with pytest.raises(GeometryError):

@@ -67,7 +67,7 @@ def test_grid_cover_and_mask(ball_grid):
 
 
 def test_zero_potential_reproduces_incident(ball_grid):
-    pot = VolumePotential.from_density(ball_grid, DensityField.constant(0.0), 0.0)
+    pot = VolumePotential.from_density(ball_grid, DensityField("constant", 0.0), 0.0)
     sol = assemble_and_solve(ball_grid, pot, INC)
     assert np.abs(sol.y - INC.at(ball_grid.centers)).max() < 1e-12
     ff = far_field_volume(sol, pot, ball_grid, INC.kappa0, fibonacci_directions(32))
@@ -87,7 +87,8 @@ def _graded_density():
     """A grid density rising from 0 to 3.25 across the unit ball's bounding box."""
     x = np.linspace(-1.0, 1.0, 5)
     samples = np.add.outer(np.add.outer(x, 0.5 * x), 0.25 * x ** 2) + 1.5
-    return DensityField.grid((-1.0, -1.0, -1.0), (0.5, 0.5, 0.5), samples)
+    return DensityField("grid", origin=(-1.0, -1.0, -1.0), spacing=(0.5, 0.5, 0.5),
+                        samples=samples)
 
 
 def test_dense_and_fft_paths_agree(ball_grid):
@@ -95,8 +96,8 @@ def test_dense_and_fft_paths_agree(ball_grid):
     # both signs of sqrt(V) and a non-constant V0
     dirs = fibonacci_directions(64)
     u_inc = INC.at(ball_grid.centers)
-    for density, coefficient in [(DensityField.constant(0.0), -1.5),
-                                 (DensityField.constant(0.0), 1.5),
+    for density, coefficient in [(DensityField("constant", 0.0), -1.5),
+                                 (DensityField("constant", 0.0), 1.5),
                                  (_graded_density(), -1.5)]:
         pot = VolumePotential.from_density(ball_grid, density, coefficient)
         fft = assemble_and_solve(ball_grid, pot, INC)
@@ -120,7 +121,7 @@ def test_strong_potential_ball_meets_contract(n, v0):
     # V0 = +2000 on a 14^3 ball: K S amplifies COCG's stopping residual past
     # the contract, which the refinement step then meets
     grid = VoxelGrid.cover(BallDomain(radius=1.0), n)
-    pot = VolumePotential.from_density(grid, DensityField.constant(0.0), v0)
+    pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), v0)
     sol = assemble_and_solve(grid, pot, INC)
     assert sol.iterations <= LS_MAX_MATVECS
     assert np.all(np.isfinite(sol.y))
@@ -135,7 +136,7 @@ def test_strong_potential_ball_meets_contract(n, v0):
 
 def test_born_regime_solution(ball_grid):
     # weak potential: one Born iteration matches the solve to O((h |V0|)^2)
-    pot = VolumePotential.from_density(ball_grid, DensityField.constant(0.0), -1e-2)
+    pot = VolumePotential.from_density(ball_grid, DensityField("constant", 0.0), -1e-2)
     sol = assemble_and_solve(ball_grid, pot, INC)
     w = dense_weights(ball_grid, INC.kappa0)
     u_inc = INC.at(ball_grid.centers)
@@ -148,7 +149,7 @@ def test_born_far_field_matches_ball_transform():
     # voxelization error dominates; 24^3 puts it safely under the 1% target
     grid = VoxelGrid.cover(BallDomain(radius=1.0), 24)
     v0 = -1e-2
-    pot = VolumePotential.from_density(grid, DensityField.constant(0.0), v0)
+    pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), v0)
     sol = assemble_and_solve(grid, pot, INC)
     dirs = fibonacci_directions(64)
     ff = far_field_volume(sol, pot, grid, INC.kappa0, dirs)
@@ -157,7 +158,7 @@ def test_born_far_field_matches_ball_transform():
 
 
 def test_far_field_linearity(ball_grid):
-    pot = VolumePotential.from_density(ball_grid, DensityField.constant(0.0), -1.0)
+    pot = VolumePotential.from_density(ball_grid, DensityField("constant", 0.0), -1.0)
     dirs = fibonacci_directions(16)
     sol = assemble_and_solve(ball_grid, pot, INC)
     ff = far_field_volume(sol, pot, ball_grid, INC.kappa0, dirs)
@@ -172,7 +173,7 @@ def test_ball_benchmark_against_series():
     dom = BallDomain(radius=1.0)
     grid = VoxelGrid.cover(dom, 32)
     q = -1.5
-    pot = VolumePotential.from_density(grid, DensityField.constant(0.0), q)
+    pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), q)
     sol = assemble_and_solve(grid, pot, INC)
     dirs = fibonacci_directions(100)
     ff = far_field_volume(sol, pot, grid, INC.kappa0, dirs)
@@ -184,7 +185,7 @@ def test_ball_benchmark_against_series():
 def test_total_field_consistency(ball_grid):
     # the representation formula u = u^I - sum_j w(x, z_j) V0_j Y_j, evaluated
     # by the oracle, reproduces Y at the cell centres and the far field far out
-    pot = VolumePotential.from_density(ball_grid, DensityField.constant(0.0), -1.5)
+    pot = VolumePotential.from_density(ball_grid, DensityField("constant", 0.0), -1.5)
     sol = assemble_and_solve(ball_grid, pot, INC)
     centers = ball_grid.centers
     w_self = self_cell_weight(ball_grid.g, INC.kappa0)
@@ -209,7 +210,7 @@ def test_cube_reflection_symmetry():
     # theta along z: Y invariant under the two reflections fixing the axis
     dom = BoxDomain(size=(1.0, 1.0, 1.0))
     grid = VoxelGrid.cover(dom, 10)
-    pot = VolumePotential.from_density(grid, DensityField.constant(0.0), -2.0)
+    pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), -2.0)
     sol = assemble_and_solve(grid, pot, INC)
     y = sol.y.reshape(grid.dims)
     assert np.abs(y - y[::-1, :, :]).max() <= 1e-9 * np.abs(y).max()
@@ -221,7 +222,7 @@ def test_damping_trend_with_h_star(ball_grid):
     # potential grows (O(h) damping analogue)
     norms = []
     for h_star in 10.0 ** np.arange(0, 3):
-        pot = VolumePotential.from_density(ball_grid, DensityField.constant(0.0), 5.0 * h_star)
+        pot = VolumePotential.from_density(ball_grid, DensityField("constant", 0.0), 5.0 * h_star)
         sol = assemble_and_solve(ball_grid, pot, INC)
         norms.append(np.sqrt(np.sum(np.abs(sol.y) ** 2) * ball_grid.g**3))
     assert norms[1] < norms[0] and norms[2] < norms[1]
@@ -229,7 +230,7 @@ def test_damping_trend_with_h_star(ball_grid):
 
 def test_cell_count_cap(monkeypatch):
     grid = VoxelGrid.cover(BallDomain(radius=1.0), 14)
-    pot = VolumePotential.from_density(grid, DensityField.constant(0.0), -1.0)
+    pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), -1.0)
     monkeypatch.setattr(volmedium, "MAX_CELLS", 100)
     with pytest.raises(ConfigError):
         assemble_and_solve(grid, pot, INC)
@@ -240,7 +241,7 @@ def test_grid_refinement_improves_ball_benchmark():
     errs = []
     for n in (16, 32):
         grid = VoxelGrid.cover(BallDomain(radius=1.0), n)
-        pot = VolumePotential.from_density(grid, DensityField.constant(0.0), -1.5)
+        pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), -1.5)
         sol = assemble_and_solve(grid, pot, INC)
         dirs = fibonacci_directions(64)
         ff = far_field_volume(sol, pot, grid, INC.kappa0, dirs)
