@@ -44,7 +44,8 @@ it, the (nx, ny, 2nz) buffer of the z transform, one chunk of at most
 BLOCK_ENTRIES // 2 complex entries in which the other passes run a block of
 kz planes at a time, and the octant spectrum; its ``apply`` transforms in
 place in those buffers, allocates only its output and is not re-entrant.
-``cocg`` keeps five vectors of the system's size and no Krylov basis.
+``cocg`` keeps four vectors of the system's size and no Krylov basis; its
+``matvec`` writes into one of them, so its loop allocates no vector.
 """
 
 from __future__ import annotations
@@ -355,8 +356,12 @@ def cocg(matvec, rhs, diagonal, rtol: float, max_iter: int) -> tuple:
     Vorst & Melissen, IEEE Trans. Magn. 26(2), 1990).
 
     CG with the unconjugated bilinear form u^T v in place of the inner
-    product: one ``matvec`` per iteration and five vectors instead of a
-    Krylov basis, x, r, p and z updated in place and q the matvec's output.
+    product: one ``matvec`` per iteration and four vectors instead of a
+    Krylov basis, x, r, p and a work vector w, all updated in place.
+    ``matvec(p, out)`` writes A p into ``out`` (w); once r is updated, w
+    holds the preconditioned residual z = r / diagonal, which only forms
+    r^T z and the next p.  ``rhs`` is copied into r and not referenced
+    afterwards, so a caller passing a temporary frees it for the solve.
     ``diagonal`` is the Jacobi preconditioner, the diagonal of A or an
     approximation of it.  Stops once ||rhs - A x||_2 <= rtol ||rhs||_2; a
     zero right-hand side returns zero at once.  A breakdown (p^T A p or
@@ -365,31 +370,32 @@ def cocg(matvec, rhs, diagonal, rtol: float, max_iter: int) -> tuple:
     ``iterations``.
     """
     r = np.array(rhs, dtype=complex)
+    del rhs
     x = np.zeros_like(r)
     stop = rtol * np.linalg.norm(r)
     if stop == 0.0:
         return x, 0
-    z = r / diagonal
-    p = z.copy()
-    rho = r @ z
+    w = r / diagonal
+    p = w.copy()
+    rho = r @ w
     for it in range(max_iter):
         if rho == 0.0 or not np.isfinite(rho):
             raise SolverError(f"COCG broke down (r^T z = {rho}) after {it} matvecs",
                               iterations=it)
-        q = matvec(p)
-        mu = p @ q
+        matvec(p, w)
+        mu = p @ w
         if mu == 0.0 or not np.isfinite(mu):
             raise SolverError(f"COCG broke down (p^T A p = {mu}) after {it + 1} matvecs",
                               iterations=it + 1)
         alpha = rho / mu
         zaxpy(p, x, a=alpha)
-        zaxpy(q, r, a=-alpha)
+        zaxpy(w, r, a=-alpha)
         if np.linalg.norm(r) <= stop:
             return x, it + 1
-        np.divide(r, diagonal, out=z)
-        rho, rho_old = r @ z, rho
+        np.divide(r, diagonal, out=w)
+        rho, rho_old = r @ w, rho
         p *= rho / rho_old
-        p += z
+        p += w
     raise SolverError(f"COCG did not converge in {max_iter} matvecs", iterations=max_iter)
 
 

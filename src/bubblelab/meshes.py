@@ -163,6 +163,16 @@ def _first_visits(keys):
     return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[first][inverse]
 
 
+def _sorted_unique(keys):
+    """The distinct integer keys, sorted, as ``np.unique(keys)`` returns them,
+    by one sort and an adjacent-difference mask: with no return flags,
+    ``np.unique`` on NumPy >= 2.3 imports ``numpy.ma`` (about 1.2 MiB)."""
+    keys = np.sort(keys, axis=None)
+    keep = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 def icosphere(subdivisions: int = 3, radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> SurfaceMesh:
     """Geodesic sphere: icosahedron subdivided and projected, 20*4^n triangles.
 
@@ -381,11 +391,11 @@ def boundary_shape_factor(mesh: SurfaceMesh) -> float:
     # triangles of one panel share its vertex 0), closer than _NEAR_FACTOR
     # summed radii; each (vertex, triangle) incidence, sorted by vertex, pairs
     # with every incidence of its vertex, and the pairs come out sorted
-    vertex, tri = np.divmod(np.unique(mesh.panels[owner] * ntri + np.arange(ntri)[:, None]), ntri)
+    vertex, tri = np.divmod(_sorted_unique(mesh.panels[owner] * ntri + np.arange(ntri)[:, None]), ntri)
     group = np.searchsorted(vertex, vertex)
     count = np.searchsorted(vertex, vertex, side="right") - group
     partner = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - group, count)
-    a, b = np.divmod(np.unique(np.repeat(tri, count) * ntri + tri[partner]), ntri)
+    a, b = np.divmod(_sorted_unique(np.repeat(tri, count) * ntri + tri[partner]), ntri)
     keep = np.linalg.norm(centers[a] - centers[b], axis=1) <= _NEAR_FACTOR * (radii[a] + radii[b])
     # (x-y).n(y) is the height of x above the plane of T_b for every y on T_b,
     # so a T_a lying in that plane (self pairs, a flat face) adds exactly zero

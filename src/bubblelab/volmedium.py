@@ -9,9 +9,11 @@ form on the diagonal.  The weight matrix is symmetric and the potential
 real, so scaling by the square root of the potential (imaginary where V0 < 0)
 makes the system complex symmetric for either sign of V0.  It is solved by
 the short-recurrence ``kernels.cocg`` with the pruned FFT-convolution matvec
-``kernels.LatticeConvolution`` on the regular grid: about 12 cell vectors at
-the solve's peak, the operator's quarter-box z buffer, 2 MiB chunk and octant
-spectrum, and no Krylov basis; each matvec allocates only its output.  The
+``kernels.LatticeConvolution`` on the regular grid: 8 cell vectors at the
+solve's peak (COCG's four, the FFT matvec's output, u^I, S and the Jacobi
+diagonal), the operator's quarter-box z buffer, 2 MiB chunk and octant
+spectrum, and no Krylov basis; the symmetric matvec runs in place in COCG's
+work vector, and only the FFT matvec's output is allocated.  The
 far field sums over the grid separably (``kernels.grid_far_field_sum``), one
 phase table per axis.
 A grid builds its masked cell centres once and shares them read-only.
@@ -31,7 +33,7 @@ from .kernels import LatticeConvolution, cocg, grid_far_field_sum
 
 LS_RESIDUAL_TOL = 1e-8
 LS_MAX_MATVECS = 2000  # matvec cap of one COCG run (one matvec per iteration)
-MAX_CELLS = 64**3  # masked cells of the largest grid a volume solve accepts
+MAX_CELLS = 64**3  # cells of the largest (nx, ny, nz) box a volume solve accepts
 
 
 @dataclass(frozen=True)
@@ -130,35 +132,47 @@ def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident) ->
         raise ConfigError("voxel mask is empty")
     if n != len(potential.values):
         raise ConfigError("potential and grid cell counts differ")
-    if n > MAX_CELLS:
-        raise ConfigError(f"cell count {n} exceeds the cap {MAX_CELLS}")
+    box = math.prod(grid.dims)
+    if box > MAX_CELLS:
+        raise ConfigError(f"voxel box {grid.dims} of {box} cells exceeds the cap {MAX_CELLS}")
     rhs = incident.at(grid.centers)
     v0 = potential.values
     w_self = self_cell_weight(grid.g, incident.kappa0)
     # the cell volume g^3 rides in the potential, so the kernel's off-diagonal
     # weight is Phi itself and its diagonal is w_self / g^3
-    v0_vol = v0 * grid.g**3
-    sqrt_v = np.sqrt(v0_vol.astype(complex))
+    sqrt_v = np.sqrt((v0 * grid.g**3).astype(complex))
     conv = LatticeConvolution(grid.mask, grid.g, incident.kappa0, w_self / grid.g**3)
 
-    def symmetric_matvec(z):
-        return z + sqrt_v * conv.apply(sqrt_v * z)
+    def symmetric_matvec(z, out):
+        """out = z + S K (S z), in place in out; only ``apply`` allocates."""
+        np.multiply(sqrt_v, z, out=out)
+        np.multiply(sqrt_v, conv.apply(out), out=out)
+        np.add(z, out, out=out)
+
+    def z_residual(z):
+        """S u^I - (I + S K S) z, in one new vector."""
+        out = np.empty_like(z)
+        symmetric_matvec(z, out)
+        return np.subtract(sqrt_v * rhs, out, out=out)
 
     def recover(z) -> tuple:
         """Y = u^I - K (S Z), max|(I + K V) Y - u^I| and whether that misses the contract."""
         y = rhs - conv.apply(sqrt_v * z)
-        resid = float(np.abs(y + conv.apply(v0_vol * y) - rhs).max())
+        resid = float(np.abs(y + conv.apply(v0 * grid.g**3 * y) - rhs).max())
         return y, resid, resid > LS_RESIDUAL_TOL * (1.0 + np.abs(y).max())
 
-    b = sqrt_v * rhs
-    jacobi = 1.0 + v0 * w_self
-    z, iterations = cocg(symmetric_matvec, b, jacobi, LS_RESIDUAL_TOL / 10, LS_MAX_MATVECS)
+    # the right-hand side S u^I and the Jacobi diagonal 1 + V0 w_self are
+    # passed as temporaries, alive only while COCG runs
+    z, iterations = cocg(symmetric_matvec, sqrt_v * rhs, 1.0 + v0 * w_self,
+                         LS_RESIDUAL_TOL / 10, LS_MAX_MATVECS)
     y, resid, missed = recover(z)
     if missed:
         # Y's residual is K S times Z's, which can outgrow the relative stop
-        # for strong potentials: one refinement step on Z's residual
+        # for strong potentials: one refinement step on Z's residual, with
+        # this Y freed, since it is recovered again from the corrected Z
+        del y
         try:
-            dz, more = cocg(symmetric_matvec, b - symmetric_matvec(z), jacobi,
+            dz, more = cocg(symmetric_matvec, z_residual(z), 1.0 + v0 * w_self,
                             LS_RESIDUAL_TOL / 10, LS_MAX_MATVECS)
         except SolverError as exc:
             exc.iterations += iterations  # the first run's matvecs count too

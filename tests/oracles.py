@@ -11,6 +11,7 @@ import json
 import numpy as np
 import scipy.fft
 from scipy.integrate import quad
+from scipy.linalg.blas import zaxpy
 from scipy.optimize import brentq
 from scipy.special import eval_legendre, spherical_jn, spherical_yn
 
@@ -359,6 +360,45 @@ def lattice_convolution_unblocked(mask, spacing, kappa0, diagonal, values):
     np.fft.ifft(wx, axis=1, out=wx)
     np.fft.ifft(wxy, axis=2, out=wxy)
     return wxy[:, :, :nz][mask]
+
+
+# ---------------------------------------------------------------------------
+# short-recurrence solve
+
+
+def cocg_five_vectors(matvec, rhs, diagonal, rtol, max_iter):
+    """(x, iterations) of Jacobi-preconditioned COCG in its five-vector form.
+
+    x, r, p and z are updated in place and q = ``matvec(p)`` is a new array
+    each iteration.  ``kernels.cocg`` keeps z and A p in one work vector and
+    must match this loop bit for bit; raises RuntimeError where it raises
+    SolverError.
+    """
+    r = np.array(rhs, dtype=complex)
+    x = np.zeros_like(r)
+    stop = rtol * np.linalg.norm(r)
+    if stop == 0.0:
+        return x, 0
+    z = r / diagonal
+    p = z.copy()
+    rho = r @ z
+    for it in range(max_iter):
+        if rho == 0.0 or not np.isfinite(rho):
+            raise RuntimeError(f"breakdown after {it} matvecs")
+        q = matvec(p)
+        mu = p @ q
+        if mu == 0.0 or not np.isfinite(mu):
+            raise RuntimeError(f"breakdown after {it + 1} matvecs")
+        alpha = rho / mu
+        zaxpy(p, x, a=alpha)
+        zaxpy(q, r, a=-alpha)
+        if np.linalg.norm(r) <= stop:
+            return x, it + 1
+        np.divide(r, diagonal, out=z)
+        rho, rho_old = r @ z, rho
+        p *= rho / rho_old
+        p += z
+    raise RuntimeError(f"no convergence in {max_iter} matvecs")
 
 
 # ---------------------------------------------------------------------------

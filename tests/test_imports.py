@@ -6,7 +6,8 @@ parameter of a package function is read in its body, importing the CLI
 loads no SciPy subpackage (``kernels`` takes its BLAS and LAPACK routines from
 SciPy's two compiled modules) and no SciPy array-API shim, those routines
 are the very objects ``scipy.linalg`` exports, whichever is imported first,
-and ``numpy.random`` loads only when a cluster cell draws extra centres."""
+``numpy.random`` loads only when a cluster cell draws extra centres, and a
+mesh bubble's shape factor leaves ``numpy.ma`` unloaded."""
 
 import ast
 import os
@@ -277,3 +278,10 @@ def test_k1_cluster_build_loads_numpy_random():
             "build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField('constant', 1.0),\n"
             "                 a=0.002, s=0.7, t=0.3, d_min=0.5)")
     assert loaded_after(code, "numpy.random")
+
+
+def test_cube_bubble_leaves_numpy_ma_unloaded():
+    # np.unique with no return flags imports numpy.ma on NumPy >= 2.3 (about
+    # 1.2 MiB of RSS); the shape factor's pair merges sort instead
+    code = "from bubblelab.materials import BubbleSpec\nBubbleSpec.cube()"
+    assert not loaded_after(code, "numpy.ma")

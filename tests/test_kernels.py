@@ -48,6 +48,7 @@ from oracles import (
     _broadcast_distances,
     broadcast_assemble,
     broadcast_weights,
+    cocg_five_vectors,
     direct_far_field,
     lattice_convolution_unblocked,
 )
@@ -317,28 +318,49 @@ def test_dense_system_factors_in_place_and_checks_the_unwritten_triangle():
 # short-recurrence solve
 
 
-def test_cocg_matches_dense_solve():
-    n = 120
-    rng = np.random.default_rng(12)
+def _complex_symmetric(n, seed):
+    """(A, its diagonal, b): complex symmetric with a non-constant diagonal,
+    which the Jacobi preconditioner sees."""
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    # complex symmetric with a non-constant diagonal, which the Jacobi
-    # preconditioner sees
     diagonal = rng.uniform(1.0, 6.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
     a = 0.5 * (g + g.T) / np.sqrt(n) + np.diag(diagonal)
-    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x, iterations = cocg(lambda v: a @ v, b, diagonal, 1e-13, 500)
+    return a, diagonal, rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def test_cocg_matches_dense_solve():
+    n = 120
+    a, diagonal, b = _complex_symmetric(n, 12)
+
+    def matvec(v, out):
+        np.matmul(a, v, out=out)
+
+    x, iterations = cocg(matvec, b, diagonal, 1e-13, 500)
     ref = np.linalg.solve(a, b)
     assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
     assert 0 < iterations < n
+
+
+def test_cocg_matches_the_five_vector_loop_bitwise():
+    # sharing one work vector between A p and z = r / D changes no operation
+    a, diagonal, b = _complex_symmetric(60, 31)
+
+    def matvec(v, out):
+        out[...] = a @ v
+
+    x, iterations = cocg(matvec, b, diagonal, 1e-13, 500)
+    ref, ref_iterations = cocg_five_vectors(lambda v: a @ v, b, diagonal, 1e-13, 500)
+    assert iterations == ref_iterations > 10
+    assert x.tobytes() == ref.tobytes()
 
 
 def test_cocg_zero_rhs_and_breakdown():
     a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     calls = []
 
-    def matvec(v):
+    def matvec(v, out):
         calls.append(1)
-        return a @ v
+        np.matmul(a, v, out=out)
 
     x, iterations = cocg(matvec, np.zeros(2), np.ones(2), 1e-10, 10)
     assert iterations == 0 and not calls and np.array_equal(x, np.zeros(2))
@@ -464,6 +486,44 @@ def test_lattice_convolution_holds_a_quarter_box_and_one_chunk():
     # octant spectrum and the output, 4.9 MiB; a (2n, 2n, 2n) padded box
     # alone would be 5.7 MiB
     assert peak <= 16 * (2 * n**3 + (n + 1)**3 + n**3) + 2 * MIB + MIB // 4
+
+
+def test_cocg_holds_four_vectors():
+    # x, r, p and the work vector; the matvec writes A p into the last, so
+    # the loop allocates nothing (a matvec returning a new A p would make 6)
+    n = 1 << 16
+    spectrum = np.repeat(np.arange(1.0, 9.0), n // 8)  # 8 distinct eigenvalues
+    rhs = np.ones(n, dtype=complex)
+    jacobi = np.ones(n)
+
+    def matvec(v, out):
+        np.multiply(spectrum, v, out=out)
+
+    tracemalloc.start()
+    try:
+        x, iterations = cocg(matvec, rhs, jacobi, 1e-12, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert iterations == 8
+    assert np.abs(spectrum * x - rhs).max() <= 1e-10
+    # plus NumPy's ufunc buffer for the real-to-complex cast (128 KiB)
+    assert peak <= 4 * 16 * n + MIB // 4
+
+
+def test_volume_solve_peak_memory_is_the_operator_and_eight_vectors():
+    grid = VoxelGrid.cover(BoxDomain(size=(1, 1, 1)), 24)
+    grid.centers  # built once per grid, before the solve
+    pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), -1.5)
+    inc = IncidentWave(2.0, np.array([0.0, 0.0, 1.0]))
+    peak = _traced_peak(volmedium.assemble_and_solve, grid, pot, inc)
+    nx, ny, nz = grid.dims
+    planes = max(1, min(nz + 1, BLOCK_ENTRIES // 2 // (4 * nx * ny)))
+    operator = 16 * (2 * nx * ny * nz + 4 * nx * ny * planes + (nx + 1) * (ny + 1) * (nz + 1))
+    # COCG's four vectors, apply's output, u^I, S and the Jacobi diagonal
+    # (8.8 measured, the rest NumPy's ufunc buffers); a fifth COCG vector,
+    # matvec temporaries and a kept S u^I and V0 g^3 would make about 12
+    assert peak <= operator + 8 * 16 * grid.n_cells + MIB // 2
 
 
 def test_shape_factor_quadrature_peak_memory():

@@ -236,6 +236,17 @@ def test_cell_count_cap(monkeypatch):
         assemble_and_solve(grid, pot, INC)
 
 
+def test_cell_cap_bounds_the_box(monkeypatch):
+    # the operator's buffers scale with the (nx, ny, nz) box, not the masked
+    # cells: 1,472 cells of a ball in a 14^3 box of 2,744 exceed a cap of 2,000
+    grid = VoxelGrid.cover(BallDomain(radius=1.0), 14)
+    assert grid.n_cells == 1472 and grid.dims == (14, 14, 14)
+    pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), -1.0)
+    monkeypatch.setattr(volmedium, "MAX_CELLS", 2000)
+    with pytest.raises(ConfigError, match="box"):
+        assemble_and_solve(grid, pot, INC)
+
+
 def test_grid_refinement_improves_ball_benchmark():
     # error vs the series oracle drops by at least 0.6x per grid halving
     errs = []
