@@ -132,7 +132,8 @@ def _solve_model(cfg: ExperimentConfig, model: str, tag: str, values_file: str) 
     the values at its points and, for the surface model, the jump check."""
     out = _out_dir(cfg)
     run, a, row_params, incident = _first_row(cfg, model)
-    ff, points, values, record = run.solve_model(model, row_params, a, incident)
+    ff, values, record = run.solve_model(model, row_params, a, incident)
+    points = run.model_points(model)
     out.mkdir(parents=True, exist_ok=True)
     ff.save_csv(out / f"farfield_{tag}.csv")
     _write_values(out / values_file, "index" if model == "volume" else "panel", points, values)

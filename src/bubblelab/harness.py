@@ -429,26 +429,37 @@ class RunSetup:
         ``comparator``) for one incident wave at radius scale a.
 
         The surface and Dirichlet models solve on ``mesh``, the volume model on
-        ``grid``.  Returns the far field on the run's directions, the points that
-        carry the unknowns (panel or voxel centres), their values and the solve record.
+        ``grid``.  Returns the far field on the run's directions, the values of
+        the unknowns at ``model_points`` and the solve record.
         """
         directions, kappa0 = self.directions, incident.kappa0
         if model == "zero":
             zero = np.zeros(len(directions), dtype=complex)
-            return FarField(directions, zero), np.empty((0, 3)), np.empty(0, complex), None
+            return FarField(directions, zero), np.empty(0, complex), None
         if model == "dirichlet":
             density, ff = bemlimit.solve_dirichlet(self.mesh, incident, directions)
-            return ff, self.mesh.centroids, density.values, density
+            return ff, density.values, density
         coeff0 = medium_coefficient(self.bubble, row_params, a)
         if model == "surface":
             sol = surfmedium.assemble_and_solve_surface(
                 self.mesh, coeff0 * (self.density.value + 1.0), incident)
             ff = surfmedium.far_field_surface(sol, self.mesh, kappa0, directions)
-            return ff, self.mesh.centroids, sol.y, sol
+            return ff, sol.y, sol
         pot = volmedium.VolumePotential.from_density(self.grid, self.density, coeff0)
         sol = volmedium.assemble_and_solve(self.grid, pot, incident)
         ff = volmedium.far_field_volume(sol, pot, self.grid, kappa0, directions)
-        return ff, self.grid.centers, sol.y, sol
+        return ff, sol.y, sol
+
+    def model_far_field(self, model, row_params, a, incident) -> tuple:
+        """(far field, number of unknowns) of ``solve_model``; the solution is
+        freed on return, so no row's solve holds an earlier one."""
+        ff, values, _ = self.solve_model(model, row_params, a, incident)
+        return ff, len(values)
+
+    def model_points(self, model) -> np.ndarray:
+        """The points that carry the unknowns of the surface, Dirichlet or
+        volume model: panel centroids, or voxel centres built for this call."""
+        return self.grid.centers if model == "volume" else self.mesh.centroids
 
 
 def prepare(config: ExperimentConfig) -> RunSetup:
@@ -491,8 +502,8 @@ def run_convergence(config: ExperimentConfig) -> ErrorTable:
             incidents = [IncidentWave(row_params.kappa0, th) for th in thetas]
             for ti, incident in enumerate(incidents):
                 if ti not in model_cache:
-                    ff, points, _, _ = run.solve_model(run.comparator, row_params, a, incident)
-                    model_cache[ti] = ff, len(points)
+                    model_cache[ti] = run.model_far_field(run.comparator, row_params, a,
+                                                          incident)
             cl, _, sols = run.solve_points(a, row_params, incidents)
             fl_fields = pointscat.far_field(sols, cl.centers, row_params.kappa0, directions)
 

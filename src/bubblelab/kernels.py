@@ -12,10 +12,13 @@ from such a matvec alone.
 
 The BLAS and LAPACK routines (``zsytrf``, ``zsytrs``, ``zsycon``, ``zsymm``,
 ``zaxpy``) come from SciPy's two compiled modules, ``scipy.linalg._fblas``
-and ``_flapack``, loaded directly: start-up loads no SciPy subpackage.
-Importing the ``scipy.linalg`` package would also load SciPy's array-API
-shim, whose clone of numpy pulls in ``numpy.f2py``, ``numpy.testing``,
-``numpy.ma`` and ``numpy.random``, about half of the CLI's start-up time.
+and ``_flapack``, loaded directly from SciPy's folder: start-up runs no
+SciPy package ``__init__``.  Importing the ``scipy.linalg`` package would
+also load SciPy's array-API shim, whose clone of numpy pulls in
+``numpy.f2py``, ``numpy.testing``, ``numpy.ma`` and ``numpy.random``, about
+half of the CLI's start-up time; the top-level ``scipy`` package alone
+imports ``scipy._lib._testutils`` and with it ``subprocess``, ``sysconfig``,
+``locale`` and ``selectors`` (1.3 MiB of RSS and 17 ms per process).
 
 Memory model: the memory-bound kernels of the dense path walk
 cache-resident blocks of at most CACHE_BLOCK entries (256 KiB of float64),
@@ -28,11 +31,12 @@ in the same buffers, and ``far_field_sum`` and the 1-norm of
 ``DenseSystem`` take column blocks of that size.  Every entry of the kernel
 matrix and every pair distance is computed as it would be in one block, so
 these results do not depend on the block size.
-Three passes keep blocks of BLOCK_ENTRIES (2 MiB of float64): the chunk of
-``LatticeConvolution``, where fewer and larger kz blocks make ``apply``
-faster; ``grid_far_field_sum``, so the volume far field keeps its
-contractions and its bits; and the quadrature of
-``meshes.boundary_shape_factor``, whose GEMM blocks fix the bits of its
+``grid_far_field_sum`` keeps its (nx ny, D) partial sums to the same
+CACHE_BLOCK entries.  The chunk of ``LatticeConvolution`` holds
+BLOCK_ENTRIES // 4 complex entries (1 MiB): at 36^3 a 2 MiB chunk makes
+``apply`` at most 3 % faster and a 0.5 MiB one 7-10 % slower.  The
+quadrature of ``meshes.boundary_shape_factor`` keeps blocks of
+BLOCK_ENTRIES (2 MiB of float64), whose GEMM blocks fix the bits of its
 pinned values.
 ``DenseSystem`` factors the matrix in place, so a dense solve peaks at about
 the matrix alone (16 M^2 bytes) and never at an (M, M, 3) difference array or
@@ -41,11 +45,14 @@ Dirichlet systems, refuses a matrix over DENSE_MAX_BYTES (1 GiB: M <= 8192)
 before allocating it, or one the OS refuses, with AllocationError.
 ``LatticeConvolution`` never forms its zero-padded box: it holds a quarter of
 it, the (nx, ny, 2nz) buffer of the z transform, one chunk of at most
-BLOCK_ENTRIES // 2 complex entries in which the other passes run a block of
-kz planes at a time, and the octant spectrum; its ``apply`` transforms in
-place in those buffers, allocates only its output and is not re-entrant.
-``cocg`` keeps four vectors of the system's size and no Krylov basis; its
-``matvec`` writes into one of them, so its loop allocates no vector.
+BLOCK_ENTRIES // 4 complex entries in which the other passes run a block of
+kz planes at a time, the octant spectrum and the flat index of each site;
+its ``apply`` transforms in place in those buffers, writes into a vector
+the caller passes (or one it allocates) and is not re-entrant.
+``cocg`` keeps four vectors of the system's size and no Krylov basis: it
+takes the right-hand side over as its residual and allocates the other
+three, and its ``matvec`` and ``precondition`` write into one of them, so
+its loop allocates no vector.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import itertools
+import os
 import sys
 
 import numpy as np
@@ -67,16 +75,21 @@ DENSE_MAX_BYTES = 1 << 30  # largest dense (M, M) complex matrix: 1 GiB, M <= 81
 
 def _scipy_linalg_extension(name: str):
     """SciPy's compiled module ``scipy.linalg.<name>``, loaded without
-    running the ``scipy.linalg`` package.
+    running the ``scipy`` or ``scipy.linalg`` package.
 
-    ``find_spec`` runs only the top-level ``scipy`` package, which sets up
-    SciPy's BLAS.  The module is registered in ``sys.modules`` under its own
-    name before it runs, so a later ``import scipy.linalg`` reuses it (and an
+    ``find_spec`` of a top-level package locates its folder and imports
+    nothing; the module is loaded from the ``linalg`` folder in it.  The
+    Linux wheels find their bundled ``scipy_openblas`` library through the
+    extension's RPATH, so no package ``__init__`` has to set it up (on
+    Windows SciPy's ``__init__`` adds the DLL folder; the CI runs Linux
+    only).  The module is registered in ``sys.modules`` under its own name
+    before it runs, so a later ``import scipy.linalg`` reuses it (and an
     earlier one is reused here): there is one copy of each routine.
     """
     fullname = f"scipy.linalg.{name}"
     if fullname not in sys.modules:
-        folders = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+        folders = [os.path.join(folder, "linalg")
+                   for folder in importlib.util.find_spec("scipy").submodule_search_locations]
         spec = importlib.machinery.PathFinder.find_spec(fullname, folders)
         module = importlib.util.module_from_spec(spec)
         sys.modules[fullname] = module
@@ -231,7 +244,7 @@ def grid_far_field_sum(directions, axes, weights, kappa0: float) -> np.ndarray:
     On a grid e^{-i kappa0 d . z} factors into one phase per axis, so three
     (D, n_axis) tables and two contractions replace the (D, nx ny nz) matrix.
     The directions run in blocks whose (nx ny, D_block) partial sum holds at
-    most BLOCK_ENTRIES entries.
+    most CACHE_BLOCK entries (one direction if a plane is larger).
     """
     d = np.asarray(directions, dtype=float)
     w = np.asarray(weights, dtype=complex)
@@ -239,7 +252,7 @@ def grid_far_field_sum(directions, axes, weights, kappa0: float) -> np.ndarray:
     px, py, pz = (np.exp(-1j * kappa0 * np.multiply.outer(d[:, a], np.asarray(axes[a])))
                   for a in range(3))
     out = np.empty(len(d), dtype=complex)
-    step = max(1, BLOCK_ENTRIES // (nx * ny))
+    step = max(1, CACHE_BLOCK // (nx * ny))
     for d0 in range(0, len(d), step):
         blk = slice(d0, d0 + step)
         t = (w.reshape(nx * ny, nz) @ pz[blk].T).reshape(nx, ny, -1)
@@ -267,7 +280,7 @@ def _dct1(x) -> np.ndarray:
 class LatticeConvolution:
     """Kernel matvec on the masked sites of a regular lattice by FFT.
 
-    ``apply(v)`` returns, on the sites where ``mask`` is set, diagonal v_i +
+    ``apply(v, out)`` gives, on the sites where ``mask`` is set, diagonal v_i +
     sum_{j != i} helmholtz(|z_i - z_j|) v_j: the ``pair_kernel`` matrix of
     the sites, applied as a linear convolution on the zero-padded box of
     twice the mask's shape.  The padded kernel is even in each axis, so it
@@ -288,12 +301,17 @@ class LatticeConvolution:
     multiplied as in one padded box, so the result does not depend on b.
 
     Memory: the operator holds one (nx, ny, 2nz) complex buffer for the z
-    transform, one chunk of at most BLOCK_ENTRIES // 2 complex entries
-    (2 MiB; one plane if a plane is larger) and the (nx+1, ny+1, nz+1)
-    octant spectrum: 3.4 MiB at 36^3 and 10 MiB at 64^3, against 5.7 and
-    32 MiB for one padded box.  Every transform runs in place in these
-    buffers, so ``apply`` allocates only its output; it is therefore not
-    re-entrant, and one instance serves one caller at a time.
+    transform, one chunk of at most BLOCK_ENTRIES // 4 complex entries
+    (1 MiB; one plane if a plane is larger), the (nx+1, ny+1, nz+1) octant
+    spectrum and the flat z-buffer index of each masked site (intp): 3.5 MiB
+    on a full 36^3 box and 15.2 MiB on a full 64^3 box, against 5.7 and 32
+    MiB for one padded box.  Every transform runs in place in these
+    buffers, and the sites are scattered into and gathered from the z buffer
+    by their indices, so ``apply`` writes into the caller's ``out`` and
+    allocates no vector of its own.  What it does allocate are NumPy's ufunc buffers for the
+    product on the mirrored corners, whose strides match no single loop:
+    0.37 MiB at 36^3.  It is not re-entrant, and one instance serves one
+    caller at a time.
     """
 
     def __init__(self, mask, spacing: float, kappa0: float, diagonal):
@@ -314,24 +332,33 @@ class LatticeConvolution:
                   for n in (nx, ny)]
         self._corners = [tuple(zip(*pairs)) for pairs in itertools.product(*halves)]
         # kz blocks (k0, k1, octant z slice), none straddling the two halves
-        planes = max(1, min(nz + 1, BLOCK_ENTRIES // 2 // (4 * nx * ny)))
+        planes = max(1, min(nz + 1, BLOCK_ENTRIES // 4 // (4 * nx * ny)))
         self._blocks = []
         for lo, hi in ((0, nz + 1), (nz + 1, 2 * nz)):
             for k0 in range(lo, hi, planes):
                 k1 = min(k0 + planes, hi)
                 oz = slice(k0, k1) if lo == 0 else slice(2 * nz - k0, 2 * nz - k1, -1)
                 self._blocks.append((k0, k1, oz))
+        # site (i, j, k), C-order index f = (i ny + j) nz + k in the mask,
+        # sits at (i ny + j) 2nz + k = f + (f // nz) nz in the z buffer
+        self._sites = np.flatnonzero(self.mask)
+        self._sites += self._sites // nz * nz
         self._zwork = np.empty((nx, ny, 2 * nz), dtype=complex)
         self._chunk = np.empty(4 * nx * ny * planes, dtype=complex)
 
-    def apply(self, values) -> np.ndarray:
-        """The kernel sum at every masked site, ``values`` given there."""
+    def apply(self, values, out=None) -> np.ndarray:
+        """The kernel sum at every masked site, ``values`` given there.
+
+        Written into ``out`` (a new complex vector if None), which may be
+        ``values`` itself: the values are copied into the z buffer first.
+        """
         nx, ny, nz = self.dims
         z = self._zwork
+        flat = z.reshape(-1)
         # each pass first zeroes the padding it reads; ``out=`` the view it
         # reads writes the transform back into that view, with no copy
         z[...] = 0.0
-        z[:, :, :nz][self.mask] = values
+        flat[self._sites] = values
         fft(z, axis=2, out=z)
         for k0, k1, oz in self._blocks:
             c = self._chunk[:4 * nx * ny * (k1 - k0)].reshape(2 * nx, 2 * ny, k1 - k0)
@@ -347,35 +374,40 @@ class LatticeConvolution:
             ifft(cx, axis=1, out=cx)
             z[:, :, k0:k1] = cx[:, :ny]
         ifft(z, axis=2, out=z)
-        return z[:, :, :nz][self.mask]
+        if out is None:
+            out = np.empty(len(self._sites), dtype=complex)
+        # mode="clip" gathers straight into ``out``; "raise" fills a copy first
+        return np.take(flat, self._sites, out=out, mode="clip")
 
 
-def cocg(matvec, rhs, diagonal, rtol: float, max_iter: int) -> tuple:
+def cocg(matvec, rhs, precondition, rtol: float, max_iter: int) -> tuple:
     """(x, iterations) with A x = rhs, A complex symmetric (A = A^T), by
-    Jacobi-preconditioned conjugate orthogonal conjugate gradients (van der
-    Vorst & Melissen, IEEE Trans. Magn. 26(2), 1990).
+    preconditioned conjugate orthogonal conjugate gradients (van der Vorst &
+    Melissen, IEEE Trans. Magn. 26(2), 1990).
 
     CG with the unconjugated bilinear form u^T v in place of the inner
     product: one ``matvec`` per iteration and four vectors instead of a
     Krylov basis, x, r, p and a work vector w, all updated in place.
-    ``matvec(p, out)`` writes A p into ``out`` (w); once r is updated, w
-    holds the preconditioned residual z = r / diagonal, which only forms
-    r^T z and the next p.  ``rhs`` is copied into r and not referenced
-    afterwards, so a caller passing a temporary frees it for the solve.
-    ``diagonal`` is the Jacobi preconditioner, the diagonal of A or an
-    approximation of it.  Stops once ||rhs - A x||_2 <= rtol ||rhs||_2; a
-    zero right-hand side returns zero at once.  A breakdown (p^T A p or
-    r^T z zero or not finite before convergence) or ``max_iter`` matvecs
-    without convergence raise SolverError carrying the matvec count as
-    ``iterations``.
+    ``rhs`` becomes r: a writable C-contiguous complex vector is taken over
+    and overwritten with the residual, anything else is copied, so a caller
+    passes a temporary and no second copy of it lives through the solve.
+    ``matvec(p, out)`` writes A p into ``out`` (w); once r is updated,
+    ``precondition(r, out)`` writes the preconditioned residual z = M^{-1} r
+    into w, which only forms r^T z and the next p.  A Jacobi preconditioner
+    divides by the diagonal of A or an approximation of it.  Stops once
+    ||rhs - A x||_2 <= rtol ||rhs||_2; a zero right-hand side returns zero
+    at once.  A breakdown (p^T A p or r^T z zero or not finite before
+    convergence) or ``max_iter`` matvecs without convergence raise
+    SolverError carrying the matvec count as ``iterations``.
     """
-    r = np.array(rhs, dtype=complex)
+    r = np.require(rhs, dtype=complex, requirements="CW")
     del rhs
     x = np.zeros_like(r)
     stop = rtol * np.linalg.norm(r)
     if stop == 0.0:
         return x, 0
-    w = r / diagonal
+    w = np.empty_like(r)
+    precondition(r, w)
     p = w.copy()
     rho = r @ w
     for it in range(max_iter):
@@ -392,7 +424,7 @@ def cocg(matvec, rhs, diagonal, rtol: float, max_iter: int) -> tuple:
         zaxpy(w, r, a=-alpha)
         if np.linalg.norm(r) <= stop:
             return x, it + 1
-        np.divide(r, diagonal, out=w)
+        precondition(r, w)
         rho, rho_old = r @ w, rho
         p *= rho / rho_old
         p += w

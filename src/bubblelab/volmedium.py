@@ -9,21 +9,23 @@ form on the diagonal.  The weight matrix is symmetric and the potential
 real, so scaling by the square root of the potential (imaginary where V0 < 0)
 makes the system complex symmetric for either sign of V0.  It is solved by
 the short-recurrence ``kernels.cocg`` with the pruned FFT-convolution matvec
-``kernels.LatticeConvolution`` on the regular grid: 8 cell vectors at the
-solve's peak (COCG's four, the FFT matvec's output, u^I, S and the Jacobi
-diagonal), the operator's quarter-box z buffer, 2 MiB chunk and octant
-spectrum, and no Krylov basis; the symmetric matvec runs in place in COCG's
-work vector, and only the FFT matvec's output is allocated.  The
-far field sums over the grid separably (``kernels.grid_far_field_sum``), one
-phase table per axis.
-A grid builds its masked cell centres once and shares them read-only.
+``kernels.LatticeConvolution`` on the regular grid.  While COCG runs the
+solve holds 5 cell vectors (COCG's four and S) besides the caller's
+potential, the operator's quarter-box z buffer, 1 MiB chunk, octant
+spectrum and site indices, and no Krylov basis: the right-hand side S u^I
+becomes COCG's residual, the symmetric matvec runs in place in COCG's work
+vector through the FFT matvec's ``out``, and the Jacobi step divides by
+1 + V0 w_self formed in that vector from the potential.  u^I is formed from
+the cell centres where it is needed and freed at once.  The far field sums
+over the grid separably (``kernels.grid_far_field_sum``), one phase table
+per axis.
+A grid keeps its mask; its masked cell centres are built on each use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -61,13 +63,12 @@ class VoxelGrid:
         """Cell-center coordinates along x, y and z."""
         return [self.origin[d] + self.g * (np.arange(self.dims[d]) + 0.5) for d in range(3)]
 
-    @cached_property
+    @property
     def centers(self) -> np.ndarray:
-        """(n_cells, 3) masked cell centres in C order; read-only."""
+        """(n_cells, 3) masked cell centres in C order, built on each access
+        (24 bytes a cell): a caller uses them and lets them go."""
         centers = np.argwhere(self.mask) + 0.5  # scaled in place: temporaries lift peak RSS
-        np.add(np.multiply(centers, self.g, out=centers), self.origin, out=centers)
-        centers.flags.writeable = False
-        return centers
+        return np.add(np.multiply(centers, self.g, out=centers), self.origin, out=centers)
 
     @property
     def n_cells(self) -> int:
@@ -135,35 +136,51 @@ def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident) ->
     box = math.prod(grid.dims)
     if box > MAX_CELLS:
         raise ConfigError(f"voxel box {grid.dims} of {box} cells exceeds the cap {MAX_CELLS}")
-    rhs = incident.at(grid.centers)
     v0 = potential.values
     w_self = self_cell_weight(grid.g, incident.kappa0)
     # the cell volume g^3 rides in the potential, so the kernel's off-diagonal
     # weight is Phi itself and its diagonal is w_self / g^3
     sqrt_v = np.sqrt((v0 * grid.g**3).astype(complex))
+
+    # u^I is formed from the cell centres where it is needed, both freed at once
+    def s_incident():
+        """S u^I, a new vector."""
+        return sqrt_v * incident.at(grid.centers)
+
     conv = LatticeConvolution(grid.mask, grid.g, incident.kappa0, w_self / grid.g**3)
 
     def symmetric_matvec(z, out):
-        """out = z + S K (S z), in place in out; only ``apply`` allocates."""
+        """out = z + S K (S z), in place in out."""
         np.multiply(sqrt_v, z, out=out)
-        np.multiply(sqrt_v, conv.apply(out), out=out)
+        conv.apply(out, out=out)
+        np.multiply(sqrt_v, out, out=out)
         np.add(z, out, out=out)
+
+    def jacobi(r, out):
+        """out = r / (1 + V0 w_self), the diagonal formed in out."""
+        np.multiply(v0, w_self, out=out)
+        np.add(1.0, out, out=out)
+        np.divide(r, out, out=out)
 
     def z_residual(z):
         """S u^I - (I + S K S) z, in one new vector."""
         out = np.empty_like(z)
         symmetric_matvec(z, out)
-        return np.subtract(sqrt_v * rhs, out, out=out)
+        return np.subtract(s_incident(), out, out=out)
 
     def recover(z) -> tuple:
         """Y = u^I - K (S Z), max|(I + K V) Y - u^I| and whether that misses the contract."""
-        y = rhs - conv.apply(sqrt_v * z)
-        resid = float(np.abs(y + conv.apply(v0 * grid.g**3 * y) - rhs).max())
+        u = incident.at(grid.centers)
+        y = sqrt_v * z
+        np.subtract(u, conv.apply(y, out=y), out=y)
+        t = v0 * grid.g**3 * y
+        np.add(y, conv.apply(t, out=t), out=t)
+        np.subtract(t, u, out=t)
+        resid = float(np.abs(t).max())
         return y, resid, resid > LS_RESIDUAL_TOL * (1.0 + np.abs(y).max())
 
-    # the right-hand side S u^I and the Jacobi diagonal 1 + V0 w_self are
-    # passed as temporaries, alive only while COCG runs
-    z, iterations = cocg(symmetric_matvec, sqrt_v * rhs, 1.0 + v0 * w_self,
+    # S u^I is COCG's residual from the start, so no copy of it stays here
+    z, iterations = cocg(symmetric_matvec, s_incident(), jacobi,
                          LS_RESIDUAL_TOL / 10, LS_MAX_MATVECS)
     y, resid, missed = recover(z)
     if missed:
@@ -172,7 +189,7 @@ def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident) ->
         # this Y freed, since it is recovered again from the corrected Z
         del y
         try:
-            dz, more = cocg(symmetric_matvec, z_residual(z), 1.0 + v0 * w_self,
+            dz, more = cocg(symmetric_matvec, z_residual(z), jacobi,
                             LS_RESIDUAL_TOL / 10, LS_MAX_MATVECS)
         except SolverError as exc:
             exc.iterations += iterations  # the first run's matvecs count too

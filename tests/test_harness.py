@@ -1,8 +1,9 @@
-import functools
 import importlib.util
 import json
 import math
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from bubblelab.harness import (
     write_outputs,
 )
 from bubblelab.materials import ContrastParams, classify_regime, scattering_coefficient
+from bubblelab.pointscat import IncidentWave
 
 from oracles import strict_json
 
@@ -65,42 +67,87 @@ def test_absent_tolerances_take_their_defaults(kind, mesh_n):
 
 
 def _count_discretisation_builds(monkeypatch):
-    """Lists that record each ``VoxelGrid.cover`` call and, per centres build, its grid."""
+    """Lists that record each ``VoxelGrid.cover`` call and a weak reference to
+    each centres array built."""
     grid_type = volmedium.VoxelGrid
     covers, centred = [], []
-    cover, build = grid_type.cover, grid_type.__dict__["centers"].func
+    cover, build = grid_type.cover, grid_type.centers.fget
 
     def counted_cover(domain, n):
         covers.append(n)
         return cover(domain, n)
 
     def counted_centers(grid):
-        centred.append(grid)
-        return build(grid)
+        centers = build(grid)
+        centred.append(weakref.ref(centers))
+        return centers
 
-    centers = functools.cached_property(counted_centers)
-    centers.__set_name__(grid_type, "centers")
     monkeypatch.setattr(grid_type, "cover", staticmethod(counted_cover))
-    monkeypatch.setattr(grid_type, "centers", centers)
+    monkeypatch.setattr(grid_type, "centers", property(counted_centers))
     return covers, centred
+
+
+NEAR_RESONANCE = {
+    "contrast": {"gamma": 1.0, "s": 0.7, "t": 0.3, "h1": 0.3, "l_m": -1.0, "lambda_k": 0.9},
+    "regime": "MediumNearResonance", "a_sequence": [0.002, 0.001, 0.0005]}
 
 
 @pytest.mark.parametrize("over", [
     {"contrast": {"gamma": 1.0, "s": 1.0, "t": 0.4, "omega_ratio": 0.8},
      "regime": "MediumVolumetricB", "a_sequence": [0.05, 0.03, 0.02],
      "directions": {"n": 30, "theta_sweep": 2}},
-    {"contrast": {"gamma": 1.0, "s": 0.7, "t": 0.3, "h1": 0.3, "l_m": -1.0, "lambda_k": 0.9},
-     "regime": "MediumNearResonance", "a_sequence": [0.002, 0.001, 0.0005]},
+    NEAR_RESONANCE,
 ], ids=["theta_sweep", "near_resonance"])
 def test_voxel_grid_is_built_once_per_run(monkeypatch, over):
     # neither the incidence direction nor a (which moves kappa0 near the
     # resonance) changes the grid, so every row and direction reuses it
     covers, centred = _count_discretisation_builds(monkeypatch)
+    solve = volmedium.assemble_and_solve
+    solves = []
+
+    def checked_solve(*args):
+        # the cell centres are built where a coordinate is needed and die
+        # there: none is alive when a solve starts or after it returns, and
+        # converge takes its point count from the solution, not from them
+        assert all(ref() is None for ref in centred)
+        solves.append(solve(*args))
+        assert all(ref() is None for ref in centred)
+        return solves[-1]
+
+    monkeypatch.setattr(volmedium, "assemble_and_solve", checked_solve)
     table = run_convergence(low_config(**over, tolerances={"grid_n": 8}))
     assert len(table.rows) == 3 and not table.aborted
     assert covers == [8]
-    # one centres build per grid: the all-cells grid cover masks, and the masked grid
-    assert len(centred) == 2 and centred[0] is not centred[1]
+    assert solves and centred and all(ref() is None for ref in centred)
+    assert all(row.n_model == len(sol.y) for row, sol in zip(table.rows, solves))
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes traced by tracemalloc while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_convergence_rows_peak_at_one_row_solve():
+    # a row holds nothing of an earlier row's comparator solve and no grid
+    # centres, so three rows on one 24^3 box peak where one row's comparator
+    # solve (potential, COCG solve and far field) does
+    cfg = low_config(**NEAR_RESONANCE, directions=200, tolerances={"grid_n": 24})
+    run_peak = _traced_peak(run_convergence, cfg)
+    run = prepare(cfg)
+    run.grid  # built once per run, before its first row
+    row_peaks = []
+    for a in cfg.a_sequence:
+        row = run.row_params(a)
+        incident = IncidentWave(row.kappa0, run.theta)
+        row_peaks.append(_traced_peak(run.model_far_field, run.comparator, row, a, incident))
+    # the run adds its grid, its finished rows and small arrays (0.14 MiB); a
+    # kept earlier Y and run-long masked centres would add 0.5 MiB more
+    assert run_peak <= max(row_peaks) + (1 << 20) // 4
 
 
 def test_comparator_mesh_is_built_once_per_run(monkeypatch):
@@ -309,7 +356,7 @@ def test_volume_refinement_abort_counts_both_runs(monkeypatch):
     # is the matvecs of both runs
     calls = []
 
-    def fake_cocg(matvec, rhs, diagonal, rtol, max_iter):
+    def fake_cocg(matvec, rhs, precondition, rtol, max_iter):
         calls.append(len(calls))
         if len(calls) % 2:
             return np.zeros_like(rhs), 5

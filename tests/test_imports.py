@@ -228,6 +228,9 @@ def loaded_after(code: str, module: str) -> bool:
 
 # scipy modules that start-up must not load, each with why no run needs it
 UNLOADED_AT_START = {
+    "scipy": "kernels finds SciPy's folder without running its __init__, which "
+             "loads subprocess, sysconfig, locale and selectors (1.3 MiB of RSS)",
+    "scipy._lib": "only SciPy's package __init__ and its subpackages import it",
     "scipy.sparse": "the volume solve is the package's own COCG",
     "scipy.interpolate": "only a grid density interpolates, importing it on demand",
     "scipy.fft": "the lattice convolution runs on numpy.fft",

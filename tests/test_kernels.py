@@ -233,13 +233,15 @@ def test_lattice_convolution_reuses_its_buffer_without_stale_data(dims, mask):
 ], ids=["ball_11x8x6", "plane_12x9x1", "single_1x1x1", "box_2x3x2", "random_5x17x3",
         "full_36", "full_40"])
 def test_lattice_convolution_bitwise_equal_to_unblocked_oracle(mask):
-    # at 40^3 a chunk holds BLOCK_ENTRIES // 2 // (80 * 80) = 20 kz planes, so
+    # at 40^3 a chunk holds BLOCK_ENTRIES // 4 // (80 * 80) = 10 kz planes, so
     # each half of the z spectrum (41 and 39 planes) splits into several blocks
     rng = np.random.default_rng(mask.size)
     v = rng.standard_normal(mask.sum()) + 1j * rng.standard_normal(mask.sum())
     op = LatticeConvolution(mask, 0.07, 4.1, 2.0 - 0.5j)
     ref = lattice_convolution_unblocked(mask, 0.07, 4.1, 2.0 - 0.5j, v)
     assert np.array_equal(op.apply(v), ref)
+    # into the caller's vector, which may hold the values themselves
+    assert op.apply(v, out=v) is v and np.array_equal(v, ref)
 
 
 @pytest.mark.parametrize("shape", [(13, 10, 2), (12, 9, 7), (2, 2, 2), (37, 37, 37)],
@@ -328,6 +330,11 @@ def _complex_symmetric(n, seed):
     return a, diagonal, rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def _jacobi(diagonal):
+    """The ``precondition(r, out)`` of COCG dividing by ``diagonal``."""
+    return lambda r, out: np.divide(r, diagonal, out=out)
+
+
 def test_cocg_matches_dense_solve():
     n = 120
     a, diagonal, b = _complex_symmetric(n, 12)
@@ -335,7 +342,7 @@ def test_cocg_matches_dense_solve():
     def matvec(v, out):
         np.matmul(a, v, out=out)
 
-    x, iterations = cocg(matvec, b, diagonal, 1e-13, 500)
+    x, iterations = cocg(matvec, b.copy(), _jacobi(diagonal), 1e-13, 500)
     ref = np.linalg.solve(a, b)
     assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
     assert 0 < iterations < n
@@ -348,8 +355,8 @@ def test_cocg_matches_the_five_vector_loop_bitwise():
     def matvec(v, out):
         out[...] = a @ v
 
-    x, iterations = cocg(matvec, b, diagonal, 1e-13, 500)
     ref, ref_iterations = cocg_five_vectors(lambda v: a @ v, b, diagonal, 1e-13, 500)
+    x, iterations = cocg(matvec, b, _jacobi(diagonal), 1e-13, 500)
     assert iterations == ref_iterations > 10
     assert x.tobytes() == ref.tobytes()
 
@@ -362,11 +369,11 @@ def test_cocg_zero_rhs_and_breakdown():
         calls.append(1)
         np.matmul(a, v, out=out)
 
-    x, iterations = cocg(matvec, np.zeros(2), np.ones(2), 1e-10, 10)
+    x, iterations = cocg(matvec, np.zeros(2), _jacobi(np.ones(2)), 1e-10, 10)
     assert iterations == 0 and not calls and np.array_equal(x, np.zeros(2))
     # p^T A p = 0 on the first step: a SolverError, never a NaN
     with pytest.raises(SolverError) as err:
-        cocg(matvec, np.array([1.0, 0.0]), np.ones(2), 1e-10, 10)
+        cocg(matvec, np.array([1.0, 0.0]), _jacobi(np.ones(2)), 1e-10, 10)
     assert err.value.iterations == 1
 
 
@@ -472,9 +479,13 @@ def test_lattice_convolution_apply_allocates_only_its_output():
     mask = np.ones((36, 36, 36), dtype=bool)
     op = LatticeConvolution(mask, 1.0 / 36, 2.0, 1.0)
     v = np.ones(mask.sum(), dtype=complex)
-    peak = _traced_peak(op.apply, v)
-    # the output is 16 n_cells bytes; one padded box alone would be 8 times that
-    assert peak <= 16 * mask.sum() + MIB
+    out = np.empty_like(v)
+    # into the caller's vector: only NumPy's ufunc buffers for the mirrored
+    # corner product, 0.37 MiB measured; the boolean-mask gather alone made
+    # a 0.7 MiB copy, and np.take in mode "raise" makes another
+    assert _traced_peak(op.apply, v, out) <= 0.4 * MIB
+    # a new output is 16 n_cells bytes; one padded box alone would be 8 times that
+    assert _traced_peak(op.apply, v) <= 16 * mask.sum() + 0.4 * MIB
 
 
 def test_lattice_convolution_holds_a_quarter_box_and_one_chunk():
@@ -482,15 +493,17 @@ def test_lattice_convolution_holds_a_quarter_box_and_one_chunk():
     mask = np.ones((n, n, n), dtype=bool)
     v = np.ones(mask.sum(), dtype=complex)
     peak = _traced_peak(lambda: LatticeConvolution(mask, 1.0 / n, 2.0, 1.0).apply(v))
-    # construction and one apply: the (n, n, 2n) z buffer, one 2 MiB chunk, the
-    # octant spectrum and the output, 4.9 MiB; a (2n, 2n, 2n) padded box
-    # alone would be 5.7 MiB
-    assert peak <= 16 * (2 * n**3 + (n + 1)**3 + n**3) + 2 * MIB + MIB // 4
+    # construction and one apply: the (n, n, 2n) z buffer, one 1 MiB chunk, the
+    # octant spectrum, the site indices and the output, 4.3 MiB; a
+    # (2n, 2n, 2n) padded box alone would be 5.7 MiB
+    assert peak <= 16 * (2 * n**3 + (n + 1)**3 + n**3) + 8 * n**3 + MIB + MIB // 4
 
 
 def test_cocg_holds_four_vectors():
-    # x, r, p and the work vector; the matvec writes A p into the last, so
-    # the loop allocates nothing (a matvec returning a new A p would make 6)
+    # x, r, p and the work vector; r is the caller's right-hand side, taken
+    # over, so COCG allocates three.  The matvec and the preconditioner write
+    # into the work vector, so the loop allocates nothing (a matvec returning
+    # a new A p would make 6)
     n = 1 << 16
     spectrum = np.repeat(np.arange(1.0, 9.0), n // 8)  # 8 distinct eigenvalues
     rhs = np.ones(n, dtype=complex)
@@ -501,29 +514,37 @@ def test_cocg_holds_four_vectors():
 
     tracemalloc.start()
     try:
-        x, iterations = cocg(matvec, rhs, jacobi, 1e-12, 20)
+        x, iterations = cocg(matvec, rhs, _jacobi(jacobi), 1e-12, 20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert iterations == 8
-    assert np.abs(spectrum * x - rhs).max() <= 1e-10
+    assert np.abs(spectrum * x - 1.0).max() <= 1e-10
+    assert np.linalg.norm(rhs) <= 1e-12 * math.sqrt(n)  # now the final residual
     # plus NumPy's ufunc buffer for the real-to-complex cast (128 KiB)
-    assert peak <= 4 * 16 * n + MIB // 4
+    assert peak <= 3 * 16 * n + MIB // 4
 
 
-def test_volume_solve_peak_memory_is_the_operator_and_eight_vectors():
-    grid = VoxelGrid.cover(BoxDomain(size=(1, 1, 1)), 24)
-    grid.centers  # built once per grid, before the solve
+def _operator_bytes(grid):
+    """Bytes ``LatticeConvolution`` holds on ``grid``: the z buffer, the
+    chunk of at most BLOCK_ENTRIES // 4 complex entries, the octant
+    spectrum and the site indices."""
+    nx, ny, nz = grid.dims
+    planes = max(1, min(nz + 1, BLOCK_ENTRIES // 4 // (4 * nx * ny)))
+    return (16 * (2 * nx * ny * nz + 4 * nx * ny * planes + (nx + 1) * (ny + 1) * (nz + 1))
+            + 8 * grid.n_cells)
+
+
+@pytest.mark.parametrize("n, bound", [(24, MIB // 2), (36, 3 * MIB // 4)], ids=["box_24", "box_36"])
+def test_volume_solve_peak_memory_is_the_operator_and_five_vectors(n, bound):
+    grid = VoxelGrid.cover(BoxDomain(size=(1, 1, 1)), n)
     pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), -1.5)
     inc = IncidentWave(2.0, np.array([0.0, 0.0, 1.0]))
     peak = _traced_peak(volmedium.assemble_and_solve, grid, pot, inc)
-    nx, ny, nz = grid.dims
-    planes = max(1, min(nz + 1, BLOCK_ENTRIES // 2 // (4 * nx * ny)))
-    operator = 16 * (2 * nx * ny * nz + 4 * nx * ny * planes + (nx + 1) * (ny + 1) * (nz + 1))
-    # COCG's four vectors, apply's output, u^I, S and the Jacobi diagonal
-    # (8.8 measured, the rest NumPy's ufunc buffers); a fifth COCG vector,
-    # matvec temporaries and a kept S u^I and V0 g^3 would make about 12
-    assert peak <= operator + 8 * 16 * grid.n_cells + MIB // 2
+    # COCG's four vectors and S; the rest (0.38 MiB at 24^3, 0.49 MiB at
+    # 36^3) is apply's and the Jacobi step's ufunc buffers.  A held u^I,
+    # Jacobi diagonal, second S u^I and apply output made 8 (11.4 MiB at 36^3)
+    assert peak <= _operator_bytes(grid) + 5 * 16 * grid.n_cells + bound
 
 
 def test_shape_factor_quadrature_peak_memory():
@@ -547,18 +568,20 @@ def _volume_far_field_peak(n):
 
 
 def test_volume_far_field_peak_memory():
-    # the weight array (0.7 MiB) and one (nx ny, D) partial sum (4.0 MiB): 5.1 MiB
+    # the weight array and the V0 Y product that fills it (0.7 MiB each), then
+    # one (nx ny, D) partial sum of CACHE_BLOCK complex entries (0.5 MiB):
+    # 1.6 MiB; one sum for all 200 directions would be 4.0 MiB
     cells, peak = _volume_far_field_peak(36)
     assert cells == 36**3
-    assert peak <= 6.75 * MIB
+    assert peak <= 2 * MIB
 
 
 def test_volume_far_field_peak_memory_at_64():
-    # the weight array and one partial sum of BLOCK_ENTRIES complex entries,
-    # 4 MiB each; one (nx ny, D) sum for all 200 directions would be 12.5 MiB
+    # the weight array and the V0 Y product, 4 MiB each; one partial sum of
+    # CACHE_BLOCK complex entries is 0.5 MiB, one for all 200 directions 12.5 MiB
     cells, peak = _volume_far_field_peak(64)
     assert cells == 64**3
-    assert peak <= 16 * (cells + BLOCK_ENTRIES) + 2 * MIB
+    assert peak <= 16 * (2 * cells + CACHE_BLOCK) + MIB // 2
 
 
 # ---------------------------------------------------------------------------

@@ -61,9 +61,44 @@ def test_grid_cover_and_mask(ball_grid):
     masked_volume = ball_grid.n_cells * ball_grid.g**3
     assert abs(masked_volume - 4 * np.pi / 3) < 0.1 * 4 * np.pi / 3
     centers = ball_grid.centers
+    assert centers.shape == (ball_grid.n_cells, 3)
     assert np.all(np.linalg.norm(centers, axis=1) <= 1.0 + 1e-12)
-    # built once and shared, so no caller may write into it
-    assert centers is ball_grid.centers and not centers.flags.writeable
+    # built on each access and kept by no grid: a caller owns its copy
+    again = ball_grid.centers
+    assert again is not centers and np.array_equal(again, centers)
+    assert not np.shares_memory(again, centers)
+
+
+# Iteration counts and sampled Y entries (first, middle and last cell) of four
+# volume solves, pinned bit for bit: a change to the arithmetic of the solve,
+# or to the order of its operations, changes them
+PINNED_SOLVES = {
+    ("ball_14", -1.5): (7, [0.8969570878866173 - 0.005295882525247403j,
+                            0.7247130286218945 - 0.5703459552819168j,
+                            0.8578065179816003 + 0.3040034608331784j]),
+    ("ball_14", -4 * np.pi): (16, [0.9541222044245956 + 1.3043397221022186j,
+                                   0.6721601322972865 + 0.5339046552429298j,
+                                   0.9125101845074621 + 1.4323615636784668j]),
+    ("box_24", -1.5): (6, [0.5652349226355281 - 0.7360659729615482j,
+                           0.5972566830888391 - 0.7214231985464528j,
+                           0.5313829554821067 + 0.9549853577052962j]),
+    ("box_24", -4 * np.pi): (9, [0.43299080981464944 - 1.1678773133966986j,
+                                 0.4381347059318803 - 1.1964497193393817j,
+                                 -0.48532147900126066 + 1.1148774025486259j]),
+}
+
+
+@pytest.mark.parametrize("grid_name, v0", sorted(PINNED_SOLVES),
+                         ids=[f"{g}_v0={v0:.4g}" for g, v0 in sorted(PINNED_SOLVES)])
+def test_volume_solve_reproduces_pinned_values(ball_grid, grid_name, v0):
+    grid = (ball_grid if grid_name == "ball_14"
+            else VoxelGrid.cover(BoxDomain(size=(1, 1, 1)), 24))
+    pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), v0)
+    sol = assemble_and_solve(grid, pot, INC)
+    n = grid.n_cells
+    iterations, samples = PINNED_SOLVES[grid_name, v0]
+    assert sol.iterations == iterations
+    assert [complex(sol.y[i]) for i in (0, n // 2, n - 1)] == samples
 
 
 def test_zero_potential_reproduces_incident(ball_grid):
