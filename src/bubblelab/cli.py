@@ -120,6 +120,7 @@ def cmd_solve_fl(cfg: ExperimentConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     ff.save_csv(out / "farfield_fl.csv")
     meta = {"a": a, "M": cl.m, "residual": sol.residual, "cond_estimate": sol.cond_estimate,
+            "iterations": sol.iterations,
             "min_cos_kappa_d": min_cos_kappa_distance(cl.centers, incident.kappa0),
             "coefficient": [coeff.real, coeff.imag]}
     (out / "solve_fl.json").write_text(json.dumps(meta, indent=1))

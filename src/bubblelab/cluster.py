@@ -182,6 +182,9 @@ class Cluster:
     (dim 3) or parameter points of a surface chart (dim 2).  ``params`` holds
     the centers in those coordinates and ``centers`` their ambient positions,
     the same array on a domain.  ``dropped`` is the trimmed volume or area.
+    ``sites`` holds the integer lattice index of each center when every
+    kept volume cell holds its center alone (K < 1), and is None otherwise:
+    the point-interaction solve then runs on the lattice, by FFT.
     """
 
     a: float
@@ -198,10 +201,16 @@ class Cluster:
     dropped: float
     geometry: object = field(repr=False)
     density: object = field(repr=False)
+    sites: np.ndarray = field(default=None, repr=False)  # (M, 3) int, or None
 
     @property
     def m(self):
         return len(self.centers)
+
+    @property
+    def pitch(self):
+        """Lattice pitch a^(s/dim) of the cells."""
+        return self.a ** (self.s / self.cells.shape[1])
 
     @property
     def is_surface(self):
@@ -296,6 +305,8 @@ def _build(geometry, density, a, s, t, seed, d_min, keep_rule) -> Cluster:
     Cells of measure a^s (floor(K)+1)/(K+1) sit at the sites of a lattice of
     pitch a^(s/dim) over the geometry's bounding box.  ``keep_rule(geometry,
     sites, pitch)`` returns the kept-site mask and the number of dropped cells.
+    A volume whose kept cells each hold one center records their lattice
+    indices as ``sites``.
     """
     if a <= 0 or a >= 1:
         raise ConfigError("radius scale a must lie in (0, 1)")
@@ -308,7 +319,8 @@ def _build(geometry, density, a, s, t, seed, d_min, keep_rule) -> Cluster:
     d_req = d_min * a**t
     n, starts = _lattice_axes(lo, hi, pitch)
     idx = np.indices(n).reshape(dim, -1).T
-    sites = starts + idx[_shell_order(idx, n)] * pitch
+    idx = idx[_shell_order(idx, n)]
+    sites = starts + idx * pitch
 
     keep, n_dropped = keep_rule(geometry, sites, pitch)
     kept = sites[keep]
@@ -332,6 +344,7 @@ def _build(geometry, density, a, s, t, seed, d_min, keep_rule) -> Cluster:
         a=a, s=s, t=t, d_min=d_min, seed=seed, cells=kept, sides=sides, counts=counts,
         params=params, centers=geometry.to_xyz(params) if dim == 2 else params,
         cell_of=cell_of, dropped=float(n_dropped) * a**s, geometry=geometry, density=density,
+        sites=idx[keep] if dim == 3 and 0 < len(kept) == len(params) else None,
     )
 
 

@@ -414,13 +414,15 @@ class RunSetup:
     def solve_points(self, a, row_params, incidents) -> tuple:
         """Cluster, coefficient and charges for each incident wave at radius scale a.
 
-        The matrix is factored once, in place, for all incident waves and
-        freed on return.  ``run_convergence`` solves a row's comparator first,
-        so a refused comparator stops the row before its cluster is built.
+        One system (``pointscat.assemble``: the lattice FFT operator of a
+        cluster with one centre per site, else a dense matrix factored once,
+        in place) serves all incident waves and is freed on return.
+        ``run_convergence`` solves a row's comparator first, so a refused
+        comparator stops the row before its cluster is built.
         """
         coeff = scattering_coefficient(self.bubble, row_params, a)
         cl = self.cluster(a)
-        system = pointscat.ClusterSystem(pointscat.assemble(cl.centers, coeff, row_params.kappa0))
+        system = pointscat.assemble(cl, coeff, row_params.kappa0)
         return cl, coeff, [pointscat.solve_charges(system, inc, cl.centers)
                            for inc in incidents]
 

@@ -8,17 +8,22 @@ its dense systems, all complex symmetric, through ``DenseSystem``.  On a
 masked regular lattice the same kernel matrix is applied without being
 formed: ``LatticeConvolution`` is its matvec by zero-padded FFTs that skip
 the lines of the padding, and ``cocg`` solves a complex-symmetric system
-from such a matvec alone.
+from such a matvec alone; ``cocg_refined`` adds the residual contract and
+one refinement step that the lattice point solve and the volume solve share.
 
-The BLAS and LAPACK routines (``zsytrf``, ``zsytrs``, ``zsycon``, ``zsymm``,
-``zaxpy``) come from SciPy's two compiled modules, ``scipy.linalg._fblas``
-and ``_flapack``, loaded directly from SciPy's folder: start-up runs no
-SciPy package ``__init__``.  Importing the ``scipy.linalg`` package would
-also load SciPy's array-API shim, whose clone of numpy pulls in
-``numpy.f2py``, ``numpy.testing``, ``numpy.ma`` and ``numpy.random``, about
-half of the CLI's start-up time; the top-level ``scipy`` package alone
-imports ``scipy._lib._testutils`` and with it ``subprocess``, ``sysconfig``,
+The dense solve's BLAS and LAPACK routines (``zsytrf``, ``zsytrs``,
+``zsycon``, ``zsymm``) come from SciPy's two compiled modules,
+``scipy.linalg._fblas`` and ``_flapack``, loaded from SciPy's folder when a
+``DenseSystem`` is first factored, not at import: a run that factors no
+dense matrix (a lattice cluster against a volume comparator) loads no SciPy
+module and saves the 4.6 MiB of RSS the two take.  Loading them runs no
+SciPy package ``__init__``: the ``scipy.linalg`` package would also load
+SciPy's array-API shim, whose clone of numpy pulls in ``numpy.f2py``,
+``numpy.testing``, ``numpy.ma`` and ``numpy.random``, about half of the
+CLI's start-up time, and the top-level ``scipy`` package alone imports
+``scipy._lib._testutils`` and with it ``subprocess``, ``sysconfig``,
 ``locale`` and ``selectors`` (1.3 MiB of RSS and 17 ms per process).
+``cocg`` and ``LatticeConvolution`` use numpy alone.
 
 Memory model: the memory-bound kernels of the dense path walk
 cache-resident blocks of at most CACHE_BLOCK entries (256 KiB of float64),
@@ -43,16 +48,18 @@ the matrix alone (16 M^2 bytes) and never at an (M, M, 3) difference array or
 a second (M, M) copy.  ``pair_kernel``, which builds the point, surface and
 Dirichlet systems, refuses a matrix over DENSE_MAX_BYTES (1 GiB: M <= 8192)
 before allocating it, or one the OS refuses, with AllocationError.
-``LatticeConvolution`` never forms its zero-padded box: it holds a quarter of
-it, the (nx, ny, 2nz) buffer of the z transform, one chunk of at most
+``LatticeConvolution`` refuses a box over MAX_CELLS (64^3) with
+ConfigError, so the point and the volume solves share that cap.  It never
+forms its zero-padded box: it holds a quarter of it, the (nx, ny, 2nz)
+buffer of the z transform, one chunk of at most
 BLOCK_ENTRIES // 4 complex entries in which the other passes run a block of
 kz planes at a time, the octant spectrum and the flat index of each site;
 its ``apply`` transforms in place in those buffers, writes into a vector
 the caller passes (or one it allocates) and is not re-entrant.
 ``cocg`` keeps four vectors of the system's size and no Krylov basis: it
 takes the right-hand side over as its residual and allocates the other
-three, and its ``matvec`` and ``precondition`` write into one of them, so
-its loop allocates no vector.
+three, and its ``matvec``, ``precondition`` and axpy updates write into one
+of them, so its loop allocates no vector.
 """
 
 from __future__ import annotations
@@ -60,17 +67,19 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import itertools
+import math
 import os
 import sys
 
 import numpy as np
 from numpy.fft import fft, ifft, rfft
 
-from .errors import AllocationError, GeometryError, SolverError
+from .errors import AllocationError, ConfigError, GeometryError, SolverError
 
 BLOCK_ENTRIES = 1 << 18  # entries per temporary: 2 MiB of float64
 CACHE_BLOCK = BLOCK_ENTRIES // 8  # entries per cache-resident block: 256 KiB of float64
 DENSE_MAX_BYTES = 1 << 30  # largest dense (M, M) complex matrix: 1 GiB, M <= 8192
+MAX_CELLS = 64**3  # sites of the largest (nx, ny, nz) box a LatticeConvolution accepts
 
 
 def _scipy_linalg_extension(name: str):
@@ -95,13 +104,6 @@ def _scipy_linalg_extension(name: str):
         sys.modules[fullname] = module
         spec.loader.exec_module(module)
     return sys.modules[fullname]
-
-
-_fblas = _scipy_linalg_extension("_fblas")
-_flapack = _scipy_linalg_extension("_flapack")
-zaxpy, zsymm = _fblas.zaxpy, _fblas.zsymm
-zsycon, zsytrf, zsytrf_lwork, zsytrs = (
-    _flapack.zsycon, _flapack.zsytrf, _flapack.zsytrf_lwork, _flapack.zsytrs)
 
 
 def helmholtz(r, kappa0: float):
@@ -311,12 +313,18 @@ class LatticeConvolution:
     allocates no vector of its own.  What it does allocate are NumPy's ufunc buffers for the
     product on the mirrored corners, whose strides match no single loop:
     0.37 MiB at 36^3.  It is not re-entrant, and one instance serves one
-    caller at a time.
+    caller at a time.  A box of more than MAX_CELLS sites is refused
+    (ConfigError) before anything is allocated: the buffers scale with the
+    box, not with the masked sites.
     """
 
     def __init__(self, mask, spacing: float, kappa0: float, diagonal):
         self.mask = np.asarray(mask, dtype=bool)
         self.dims = nx, ny, nz = self.mask.shape
+        box = math.prod(self.dims)
+        if box > MAX_CELLS:
+            raise ConfigError(f"lattice box {self.dims} of {box} sites exceeds the cap "
+                              f"{MAX_CELLS}")
         ox, oy, oz = np.ix_(*(np.arange(n + 1) * spacing for n in self.dims))
         with np.errstate(divide="ignore", invalid="ignore"):
             octant = helmholtz(np.sqrt(ox**2 + oy**2 + oz**2), kappa0)
@@ -387,7 +395,9 @@ def cocg(matvec, rhs, precondition, rtol: float, max_iter: int) -> tuple:
 
     CG with the unconjugated bilinear form u^T v in place of the inner
     product: one ``matvec`` per iteration and four vectors instead of a
-    Krylov basis, x, r, p and a work vector w, all updated in place.
+    Krylov basis, x, r, p and a work vector w, all updated in place by
+    numpy alone: r -= alpha A p scales A p in w first, and x += alpha p
+    then forms alpha p in w.
     ``rhs`` becomes r: a writable C-contiguous complex vector is taken over
     and overwritten with the residual, anything else is copied, so a caller
     passes a temporary and no second copy of it lives through the solve.
@@ -420,8 +430,10 @@ def cocg(matvec, rhs, precondition, rtol: float, max_iter: int) -> tuple:
             raise SolverError(f"COCG broke down (p^T A p = {mu}) after {it + 1} matvecs",
                               iterations=it + 1)
         alpha = rho / mu
-        zaxpy(p, x, a=alpha)
-        zaxpy(w, r, a=-alpha)
+        w *= -alpha
+        r += w
+        np.multiply(p, alpha, out=w)
+        x += w
         if np.linalg.norm(r) <= stop:
             return x, it + 1
         precondition(r, w)
@@ -429,6 +441,42 @@ def cocg(matvec, rhs, precondition, rtol: float, max_iter: int) -> tuple:
         p *= rho / rho_old
         p += w
     raise SolverError(f"COCG did not converge in {max_iter} matvecs", iterations=max_iter)
+
+
+def cocg_refined(matvec, rhs, precondition, rtol: float, max_iter: int, recover,
+                 name: str) -> tuple:
+    """(result, residual, iterations): ``cocg`` on A x = rhs(), then the
+    caller's residual contract with one refinement step.
+
+    ``rhs()`` forms the right-hand side as a new vector on each call, which
+    COCG takes over; ``matvec``, ``precondition``, ``rtol`` and ``max_iter``
+    are COCG's.  ``recover(x)`` returns what the caller keeps of x, its
+    residual under the caller's contract and whether that misses the
+    contract.  If it misses (COCG stops on the relative 2-norm of A x - b,
+    which can leave the caller's residual above its bound), that result is
+    freed, a second COCG run under the same cap solves A dx = rhs() - A x,
+    x += dx, and the check is repeated.  Raises SolverError carrying the
+    matvecs of both runs as ``iterations`` on breakdown, non-convergence or
+    a missed contract.
+    """
+    x, iterations = cocg(matvec, rhs(), precondition, rtol, max_iter)
+    result, residual, missed = recover(x)
+    if missed:
+        del result
+        r = np.empty_like(x)
+        matvec(x, r)
+        try:
+            dx, more = cocg(matvec, np.subtract(rhs(), r, out=r), precondition, rtol, max_iter)
+        except SolverError as exc:
+            exc.iterations += iterations  # the first run's matvecs count too
+            raise
+        x += dx
+        iterations += more
+        result, residual, missed = recover(x)
+    if missed:
+        raise SolverError(f"{name} residual {residual:.3e} above contract tolerance",
+                          iterations=iterations)
+    return result, residual, iterations
 
 
 def _norm1(a) -> float:
@@ -468,8 +516,14 @@ class DenseSystem:
         self._singular = False
 
     def factor(self):
-        """Pivots of the in-place LDL^T (computed once) after the condition guard."""
+        """Pivots of the in-place LDL^T (computed once) after the condition guard.
+
+        The first factorization in a process loads SciPy's compiled BLAS and
+        LAPACK modules (``_scipy_linalg_extension``).
+        """
         if self._ipiv is None:
+            flapack = _scipy_linalg_extension("_flapack")
+            zsycon, zsytrf, zsytrf_lwork = flapack.zsycon, flapack.zsytrf, flapack.zsytrf_lwork
             a = self.matrix.T  # Fortran view: its lower triangle is the upper one here
             anorm = _norm1(self.matrix)
             self._diagonal = self.matrix.diagonal().copy()
@@ -487,6 +541,7 @@ class DenseSystem:
     def _residual(self, x, b) -> tuple:
         """(A x - b, whether it misses the contract), A x from the unwritten
         triangle and the saved diagonal.  A NaN residual or bound misses it."""
+        zsymm = _scipy_linalg_extension("_fblas").zsymm
         ax = zsymm(1.0, self.matrix.T, x.reshape(len(x), 1), lower=0)[:, 0]
         resid = ax + (self._diagonal - self.matrix.diagonal()) * x - b
         bound = self.residual_tol * (1.0 + np.abs(x * self.unknown_scale).max())
@@ -495,6 +550,7 @@ class DenseSystem:
     def solve(self, rhs) -> tuple:
         """(x, residual) for one right-hand side, residual = max|A x - b|."""
         ipiv = self.factor()
+        zsytrs = _scipy_linalg_extension("_flapack").zsytrs
         b = np.asarray(rhs, dtype=complex)
         x, _ = zsytrs(self.matrix.T, ipiv, b, lower=1)
         resid, missed = self._residual(x, b)

@@ -9,7 +9,9 @@ form on the diagonal.  The weight matrix is symmetric and the potential
 real, so scaling by the square root of the potential (imaginary where V0 < 0)
 makes the system complex symmetric for either sign of V0.  It is solved by
 the short-recurrence ``kernels.cocg`` with the pruned FFT-convolution matvec
-``kernels.LatticeConvolution`` on the regular grid.  While COCG runs the
+``kernels.LatticeConvolution`` on the regular grid, under the residual
+contract and refinement step of ``kernels.cocg_refined``, which the lattice
+point-interaction solve shares.  While COCG runs the
 solve holds 5 cell vectors (COCG's four and S) besides the caller's
 potential, the operator's quarter-box z buffer, 1 MiB chunk, octant
 spectrum and site indices, and no Krylov basis: the right-hand side S u^I
@@ -18,8 +20,9 @@ vector through the FFT matvec's ``out``, and the Jacobi step divides by
 1 + V0 w_self formed in that vector from the potential.  u^I is formed from
 the cell centres where it is needed and freed at once.  The far field sums
 over the grid separably (``kernels.grid_far_field_sum``), one phase table
-per axis.
-A grid keeps its mask; its masked cell centres are built on each use.
+per axis, from a weight array filled in place.
+A grid keeps its mask; its masked cell centres are built on each use, and a
+constant density needs none of them.
 """
 
 from __future__ import annotations
@@ -29,13 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SolverError
+from .errors import ConfigError
 from .fields import FarField
-from .kernels import LatticeConvolution, cocg, grid_far_field_sum
+from .kernels import LatticeConvolution, cocg_refined, grid_far_field_sum
 
 LS_RESIDUAL_TOL = 1e-8
 LS_MAX_MATVECS = 2000  # matvec cap of one COCG run (one matvec per iteration)
-MAX_CELLS = 64**3  # cells of the largest (nx, ny, nz) box a volume solve accepts
 
 
 @dataclass(frozen=True)
@@ -89,8 +91,12 @@ class VolumePotential:
 
     @staticmethod
     def from_density(grid: VoxelGrid, density, coefficient: float):
-        kvals = density(grid.centers)
-        return VolumePotential(values=coefficient * (kvals + 1.0))
+        """coefficient * (K + 1) on each masked cell: from the cell count
+        alone for a constant density, else from the cell centres."""
+        if density.kind == "constant":
+            value = coefficient * (density.value + 1.0)
+            return VolumePotential(values=np.full(grid.n_cells, value))
+        return VolumePotential(values=coefficient * (density(grid.centers) + 1.0))
 
 
 @dataclass(frozen=True)
@@ -125,29 +131,26 @@ def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident) ->
     checked against the contract max|(I + K V) Y - u^I| <= LS_RESIDUAL_TOL
     (1 + max|Y|); if it misses, one refinement step solves for the
     correction to Z (a second COCG run under the same cap) and the check is
-    repeated.  Raises SolverError, carrying the matvec count as
-    ``iterations``, on breakdown, non-convergence or a missed contract.
+    repeated (``kernels.cocg_refined``).  Raises SolverError, carrying the
+    matvec count as ``iterations``, on breakdown, non-convergence or a missed
+    contract, and ConfigError for a box over ``kernels.MAX_CELLS``.
     """
     n = grid.n_cells
     if n == 0:
         raise ConfigError("voxel mask is empty")
     if n != len(potential.values):
         raise ConfigError("potential and grid cell counts differ")
-    box = math.prod(grid.dims)
-    if box > MAX_CELLS:
-        raise ConfigError(f"voxel box {grid.dims} of {box} cells exceeds the cap {MAX_CELLS}")
     v0 = potential.values
     w_self = self_cell_weight(grid.g, incident.kappa0)
     # the cell volume g^3 rides in the potential, so the kernel's off-diagonal
     # weight is Phi itself and its diagonal is w_self / g^3
+    conv = LatticeConvolution(grid.mask, grid.g, incident.kappa0, w_self / grid.g**3)
     sqrt_v = np.sqrt((v0 * grid.g**3).astype(complex))
 
     # u^I is formed from the cell centres where it is needed, both freed at once
     def s_incident():
         """S u^I, a new vector."""
         return sqrt_v * incident.at(grid.centers)
-
-    conv = LatticeConvolution(grid.mask, grid.g, incident.kappa0, w_self / grid.g**3)
 
     def symmetric_matvec(z, out):
         """out = z + S K (S z), in place in out."""
@@ -162,12 +165,6 @@ def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident) ->
         np.add(1.0, out, out=out)
         np.divide(r, out, out=out)
 
-    def z_residual(z):
-        """S u^I - (I + S K S) z, in one new vector."""
-        out = np.empty_like(z)
-        symmetric_matvec(z, out)
-        return np.subtract(s_incident(), out, out=out)
-
     def recover(z) -> tuple:
         """Y = u^I - K (S Z), max|(I + K V) Y - u^I| and whether that misses the contract."""
         u = incident.at(grid.centers)
@@ -177,29 +174,12 @@ def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident) ->
         np.add(y, conv.apply(t, out=t), out=t)
         np.subtract(t, u, out=t)
         resid = float(np.abs(t).max())
-        return y, resid, resid > LS_RESIDUAL_TOL * (1.0 + np.abs(y).max())
+        return y, resid, not resid <= LS_RESIDUAL_TOL * (1.0 + np.abs(y).max())
 
     # S u^I is COCG's residual from the start, so no copy of it stays here
-    z, iterations = cocg(symmetric_matvec, s_incident(), jacobi,
-                         LS_RESIDUAL_TOL / 10, LS_MAX_MATVECS)
-    y, resid, missed = recover(z)
-    if missed:
-        # Y's residual is K S times Z's, which can outgrow the relative stop
-        # for strong potentials: one refinement step on Z's residual, with
-        # this Y freed, since it is recovered again from the corrected Z
-        del y
-        try:
-            dz, more = cocg(symmetric_matvec, z_residual(z), jacobi,
-                            LS_RESIDUAL_TOL / 10, LS_MAX_MATVECS)
-        except SolverError as exc:
-            exc.iterations += iterations  # the first run's matvecs count too
-            raise
-        z += dz
-        iterations += more
-        y, resid, missed = recover(z)
-    if missed:
-        raise SolverError(f"volume solve residual {resid:.3e} above contract tolerance",
-                          iterations=iterations)
+    y, resid, iterations = cocg_refined(symmetric_matvec, s_incident, jacobi,
+                                        LS_RESIDUAL_TOL / 10, LS_MAX_MATVECS, recover,
+                                        "volume solve")
     return LSSolution(y=y, residual=resid, iterations=iterations)
 
 
@@ -208,11 +188,15 @@ def far_field_volume(solution: LSSolution, potential: VolumePotential, grid: Vox
     """Pattern -sum_j e^{-ik x_hat . z_j} V0_j Y_j g^3.
 
     Summed separably over the voxel grid: three (D, n_axis) phase tables
-    instead of a (D, n_cells) matrix.
+    instead of a (D, n_cells) matrix.  V0 Y is written into the weight array
+    one x slab at a time, so no second cell vector is formed.
     """
     d = np.asarray(directions, dtype=float)
     weights = np.zeros(grid.dims, dtype=complex)
-    weights[grid.mask] = potential.values * solution.y
+    counts = grid.mask.sum(axis=(1, 2))
+    ends = np.cumsum(counts)
+    for slab, inside, j0, j1 in zip(weights, grid.mask, ends - counts, ends):
+        slab[inside] = potential.values[j0:j1] * solution.y[j0:j1]
     weights *= grid.g**3
     return FarField(d, -grid_far_field_sum(d, grid.axes(), weights, kappa0))
 

@@ -11,7 +11,6 @@ import json
 import numpy as np
 import scipy.fft
 from scipy.integrate import quad
-from scipy.linalg.blas import zaxpy
 from scipy.optimize import brentq
 from scipy.special import eval_legendre, spherical_jn, spherical_yn
 
@@ -390,8 +389,9 @@ def cocg_five_vectors(matvec, rhs, diagonal, rtol, max_iter):
         if mu == 0.0 or not np.isfinite(mu):
             raise RuntimeError(f"breakdown after {it + 1} matvecs")
         alpha = rho / mu
-        zaxpy(p, x, a=alpha)
-        zaxpy(q, r, a=-alpha)
+        q *= -alpha
+        r += q
+        x += p * alpha
         if np.linalg.norm(r) <= stop:
             return x, it + 1
         np.divide(r, diagonal, out=z)

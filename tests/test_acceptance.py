@@ -20,7 +20,7 @@ from bubblelab.materials import (
     scattering_coefficient,
 )
 from bubblelab.meshes import boundary_shape_factor, icosphere
-from bubblelab.pointscat import ClusterSystem, IncidentWave, assemble, far_field, solve_charges
+from bubblelab.pointscat import IncidentWave, assemble, far_field, solve_charges
 
 from oracles import metasurface_sphere_far_field, two_bubble_charges
 
@@ -90,21 +90,21 @@ def test_c04_point_interaction_exactness(sphere):
     # M = 1 at a non-trivial location: Q = -C u^I(z) to machine precision
     z1 = np.array([[0.3, -0.2, 0.5]])
     c = -0.37
-    sol1 = solve_charges(ClusterSystem(assemble(z1, c, kappa0)), inc, z1)
+    sol1 = solve_charges(assemble(z1, c, kappa0), inc, z1)
     e1 = abs(sol1.charges[0] - (-c) * inc.at(z1)[0])
 
     z2 = np.array([[0.4, 0.0, 0.0], [-0.4, 0.1, 0.2]])
-    sol2 = solve_charges(ClusterSystem(assemble(z2, c, kappa0)), inc, z2)
+    sol2 = solve_charges(assemble(z2, c, kappa0), inc, z2)
     q1, q2 = two_bubble_charges(c, kappa0, z2[0], z2[1], theta)
     e2 = max(abs(sol2.charges[0] - q1), abs(sol2.charges[1] - q2))
 
-    # residual at M = 4096 (16^3 lattice cluster)
+    # residual at M = 4096 (16^3 lattice cluster, solved on its lattice by
+    # FFT and COCG, as a convergence run solves it)
     from bubblelab.cluster import BoxDomain, build_volumetric
 
     cl = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField("constant", 0.0),
                           a=4096.0**-1.0, s=1.0, t=0.4, seed=0, d_min=0.5)
-    sol4096 = solve_charges(ClusterSystem(assemble(cl.centers, -0.002, kappa0)), inc,
-                            cl.centers)
+    sol4096 = solve_charges(assemble(cl, -0.002, kappa0), inc, cl.centers)
     res_ok = sol4096.residual <= 1e-10 * (1 + np.abs(sol4096.charges).max())
 
     # reciprocity and translation covariance at 1e-10
@@ -113,7 +113,7 @@ def test_c04_point_interaction_exactness(sphere):
     xhat = np.array([1.0, 0.0, 0.0])
 
     def pattern(centers, th, d):
-        s = solve_charges(ClusterSystem(assemble(centers, c, kappa0)), IncidentWave(kappa0, th),
+        s = solve_charges(assemble(centers, c, kappa0), IncidentWave(kappa0, th),
                           centers)
         return far_field([s], centers, kappa0, np.atleast_2d(d))[0].values
 

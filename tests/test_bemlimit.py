@@ -7,7 +7,7 @@ from bubblelab.bemlimit import LayerDensity, mie_soft_sphere, solve_dirichlet
 from bubblelab.errors import ConfigError
 from bubblelab.fields import fibonacci_directions
 from bubblelab.meshes import icosphere, sphere_cap_mesh
-from bubblelab.pointscat import ClusterSystem, IncidentWave, assemble, far_field, solve_charges
+from bubblelab.pointscat import IncidentWave, assemble, far_field, solve_charges
 from bubblelab.surfmedium import panel_weight_matrix, single_layer_eval
 
 from oracles import direct_far_field, soft_sphere_far_field, sphere_dirichlet_wavenumbers
@@ -97,7 +97,7 @@ def test_monopole_equivalence_with_point_scatterer():
     r = 0.01
     c_equiv = (4 * np.pi / INC.kappa0) * np.sin(INC.kappa0 * r) * np.exp(-1j * INC.kappa0 * r)
     centers = [[0.0, 0.0, 0.0]]
-    sol = solve_charges(ClusterSystem(assemble(centers, c_equiv, INC.kappa0)), INC, centers)
+    sol = solve_charges(assemble(centers, c_equiv, INC.kappa0), INC, centers)
     ff_point = far_field([sol], centers, INC.kappa0, DIRS)[0]
     _, ff_bem = solve_dirichlet(icosphere(2, radius=r), INC, DIRS)
     rel = np.abs(ff_bem.values - ff_point.values).max() / np.abs(ff_point.values).max()

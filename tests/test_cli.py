@@ -100,7 +100,7 @@ def test_converge_deterministic_via_subprocess(config_path, tmp_path):
 def _limit_address_space():
     import resource
 
-    limit = 16 * 2**30  # far below the last row's 141 GiB matrix, far above the run's needs
+    limit = 16 * 2**30  # far below the last row's 43 GiB matrix, far above the run's needs
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
@@ -110,12 +110,13 @@ _UNBUDGETED_CLI = ("from bubblelab import kernels; kernels.DENSE_MAX_BYTES = 1 <
 
 
 def test_refused_dense_allocation_aborts_its_row(tmp_path):
-    # the last row's cluster has M = 46^3 = 97,336 centres (pitch a^(1/6)),
-    # whose kernel matrix would need 16 M^2 bytes (141 GiB): with the budget
-    # raised, under an address-space limit numpy cannot allocate it, so the
-    # row aborts with the estimate and the run writes the two rows it finished
+    # the last row's K = 1 cluster (two centres a cell, so solved densely)
+    # has M = 2 * 30^3 = 54,000 centres (pitch a^(1/6)), whose kernel matrix
+    # would need 16 M^2 bytes (43 GiB): with the budget raised, under an
+    # address-space limit numpy cannot allocate it, so the row aborts with
+    # the estimate and the run writes the two rows it finished
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**BASE, "a_sequence": [0.02, 0.01, 1e-10]}))
+    path.write_text(json.dumps({**BASE, **K1_LOW, "a_sequence": [0.02, 0.01, 1.4e-9]}))
     out = tmp_path / "run"
     res = subprocess.run(
         [sys.executable, "-c", _UNBUDGETED_CLI, "converge", "--config", str(path),
@@ -126,9 +127,9 @@ def test_refused_dense_allocation_aborts_its_row(tmp_path):
     assert len((out / "error_table.csv").read_text().splitlines()) == 3
     report = json.loads((out / "regime_report.json").read_text())
     [[a, reason, diagnostics]] = report["aborted_rows"]
-    assert a == 1e-10 and reason.startswith("AllocationError: ")
+    assert a == 1.4e-9 and reason.startswith("AllocationError: ")
     assert diagnostics == {"type": "AllocationError", "cond_estimate": None,
-                           "iterations": None, "bytes": 16 * 97336**2}
+                           "iterations": None, "bytes": 16 * 54000**2}
     assert "could not be allocated" in reason
 
 
@@ -141,6 +142,8 @@ def test_cluster_and_solve_fl(config_path, tmp_path, capsys):
     assert (out / "farfield_fl.csv").exists()
     meta = json.loads((out / "solve_fl.json").read_text())
     assert meta["residual"] <= 1e-10 * 10
+    # a K = 0 box is solved on its lattice: COCG matvecs, no condition estimate
+    assert meta["cond_estimate"] is None and meta["iterations"] > 0
     # the invertibility diagnostic of the cluster written above, at its kappa0
     kappa0 = prepare(_load_config(str(config_path))).row_params(meta["a"]).kappa0
     assert -1.0 <= meta["min_cos_kappa_d"] <= 1.0

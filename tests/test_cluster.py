@@ -53,6 +53,24 @@ def test_periodic_unit_cube():
     assert all(ok for ok, _ in checks.values())
 
 
+@pytest.mark.parametrize("domain", [BoxDomain(size=(1, 1, 1)), BallDomain()],
+                         ids=["box", "ball"])
+def test_one_centre_cells_record_their_lattice_sites(domain):
+    # K < 1: every kept cell holds its centre alone, at starts + site * pitch
+    cl = build_volumetric(domain, DensityField("constant", 0.5), a=2e-4, s=0.7, t=0.3,
+                          seed=0, d_min=0.5)
+    assert cl.sites.shape == (cl.m, 3) and cl.sites.dtype.kind == "i"
+    lo, hi = domain.bounding_box()
+    _, starts = _lattice_axes(lo, hi, cl.pitch)
+    assert np.array_equal(cl.centers, starts + cl.sites * cl.pitch)
+    assert len(np.unique(np.ravel_multi_index(cl.sites.T, cl.sites.max(axis=0) + 1))) == cl.m
+    # extras in a cell, or a surface chart, leave the cluster off the lattice
+    assert build_volumetric(domain, DensityField("constant", 1.0), a=2e-3, s=0.7, t=0.3,
+                            seed=0, d_min=0.5).sites is None
+    assert build_surface(PlaneChart(), DensityField("constant", 0.0), a=1e-2, s=1.0, t=0.5,
+                         seed=0, d_min=0.5).sites is None
+
+
 def test_constant_density_one_and_a_half():
     # floor(1.5)+1 = 2 centers per cell, cell volume a^s * 2/2.5
     cl = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField("constant", 1.5),

@@ -334,6 +334,34 @@ def test_solver_error_row_keeps_diagnostics(tmp_path, monkeypatch):
     assert diagnostics["cond_estimate"] >= 1.0
 
 
+def test_lattice_row_abort_on_box_cap(monkeypatch):
+    # K = 0 boxes of M = 8, 125 and 1000 centres solve on their lattice; a box
+    # cap of 200 sites refuses only the last row's operator
+    monkeypatch.setattr(kernels, "MAX_CELLS", 200)
+    table = run_convergence(low_config(a_sequence=[0.02, 1e-4, 1e-6]))
+    assert [row.m for row in table.rows] == [8, 125]
+    [(a, reason, diagnostics)] = table.aborted
+    assert a == 1e-6 and reason.startswith("ConfigError: lattice box (10, 10, 10)")
+    assert diagnostics == {"type": "ConfigError", "cond_estimate": None, "iterations": None}
+
+
+def test_lattice_solver_error_row_keeps_diagnostics(tmp_path, monkeypatch):
+    from bubblelab import pointscat
+
+    # a negative contract tolerance fails every residual check; K = 0 boxes
+    # are solved on their lattice, so each aborted row keeps the matvecs of
+    # both COCG runs and has no condition estimate
+    monkeypatch.setattr(pointscat, "RESIDUAL_TOL", -1.0)
+    table = run_convergence(low_config(a_sequence=[0.02, 1e-4, 1e-6]))
+    assert not table.rows and len(table.aborted) == 3
+    write_outputs(table, fit_rate(table), tmp_path)
+    report = json.loads((tmp_path / "regime_report.json").read_text())
+    for _, reason, diagnostics in report["aborted_rows"]:
+        assert reason.startswith("SolverError: point-interaction system residual")
+        assert diagnostics["type"] == "SolverError" and diagnostics["cond_estimate"] is None
+        assert isinstance(diagnostics["iterations"], int) and diagnostics["iterations"] > 0
+
+
 def test_volume_cap_abort_records_matvecs(monkeypatch):
     from bubblelab import volmedium
 
@@ -362,7 +390,7 @@ def test_volume_refinement_abort_counts_both_runs(monkeypatch):
             return np.zeros_like(rhs), 5
         raise SolverError("COCG did not converge", iterations=7)
 
-    monkeypatch.setattr(volmedium, "cocg", fake_cocg)
+    monkeypatch.setattr(kernels, "cocg", fake_cocg)
     cfg = low_config(
         contrast={"gamma": 1.0, "s": 1.0, "t": 0.4, "omega_ratio": 0.8},
         regime="MediumVolumetricB",
@@ -487,7 +515,7 @@ def test_rotation_invariance_of_sup_err():
 
     def pattern(z, th, d):
         inc = IncidentWave(kappa0, th)
-        system = pointscat.ClusterSystem(pointscat.assemble(z, c, kappa0))
+        system = pointscat.assemble(z, c, kappa0)
         sol = pointscat.solve_charges(system, inc, z)
         return pointscat.far_field([sol], z, kappa0, d)[0].values
 

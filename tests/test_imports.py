@@ -236,6 +236,8 @@ UNLOADED_AT_START = {
     "scipy.fft": "the lattice convolution runs on numpy.fft",
     "scipy.special": "only the Mie oracle uses it, importing it on demand",
     "scipy.linalg": "kernels loads the compiled _fblas and _flapack modules alone",
+    "scipy.linalg._fblas": "kernels loads it on the first dense factorization (3.0 MiB of RSS)",
+    "scipy.linalg._flapack": "kernels loads it on the first dense factorization",
     "scipy._lib._array_api": "its clone of numpy loads numpy.f2py, numpy.testing, "
                              "numpy.ma and numpy.random, about 0.3 s of start-up",
     "scipy.spatial": "importing it costs about 7 MiB of RSS, more than a small run's "
@@ -248,16 +250,49 @@ def test_cli_import_leaves_scipy_module_unloaded(module):
     assert not loaded_after("import bubblelab.cli", module), UNLOADED_AT_START[module]
 
 
+# a dense solve: the first DenseSystem.factor loads SciPy's two compiled modules
+DENSE_SOLVE = ("import numpy as np\nfrom bubblelab.kernels import DenseSystem\n"
+               "DenseSystem(np.eye(2, dtype=complex), 1e-10).solve(np.ones(2))")
+
+
 @pytest.mark.parametrize("first", ["bubblelab.kernels", "scipy.linalg"])
 def test_kernels_share_scipy_linalg_routines(first):
-    # one copy of each compiled module, whichever import comes first
-    second = "scipy.linalg" if first == "bubblelab.kernels" else "bubblelab.kernels"
-    code = (f"import {first}, {second}\n"
-            "import bubblelab.kernels as k, scipy.linalg.blas as b, scipy.linalg.lapack as l\n"
-            "pairs = [(n, l) for n in ('zsytrf', 'zsytrf_lwork', 'zsytrs', 'zsycon')]\n"
-            "pairs += [(n, b) for n in ('zsymm', 'zaxpy')]\n"
-            "print(sorted(n for n, lib in pairs if getattr(k, n) is not getattr(lib, n)))")
-    assert run_fresh(code) == "[]"
+    # one copy of each compiled module, whichever comes first: a dense solve
+    # in bubblelab.kernels or an import of scipy.linalg
+    steps = [DENSE_SOLVE, "import scipy.linalg"]
+    code = "\n".join(steps if first == "bubblelab.kernels" else steps[::-1]) + (
+        "\nimport scipy.linalg.blas as b, scipy.linalg.lapack as l\n"
+        "from bubblelab.kernels import _scipy_linalg_extension as load\n"
+        "print(load('_fblas') is b._fblas, load('_flapack') is l._flapack)")
+    assert run_fresh(code) == "True True"
+
+
+def test_dense_run_loads_scipy_linalg_modules_once(tmp_path):
+    # a surface cluster's point solve and comparator are dense: each compiled
+    # module is created once in the run, and no SciPy package __init__ runs
+    config = str(ROOT / "configs" / "medium_surface.json")
+    code = ("import collections, importlib.machinery as m, sys\n"
+            "made = collections.Counter()\n"
+            "create = m.ExtensionFileLoader.create_module\n"
+            "def counted(self, spec):\n"
+            "    made[spec.name] += 1\n"
+            "    return create(self, spec)\n"
+            "m.ExtensionFileLoader.create_module = counted\n"
+            "from bubblelab.cli import cli\n"
+            f"assert cli(['converge', '--config', {config!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(made['scipy.linalg._fblas'], made['scipy.linalg._flapack'], "
+            "'scipy' in sys.modules)")
+    assert run_fresh(code).splitlines()[-1] == "1 1 False"
+
+
+def test_k0_volume_run_loads_no_scipy_module(tmp_path):
+    # K = 0 volume clusters solve on their lattice by FFT and the comparator
+    # is the volume solve: nothing factors a dense matrix
+    config = str(ROOT / "configs" / "medium_near_resonance.json")
+    code = ("import sys\nfrom bubblelab.cli import cli\n"
+            f"assert cli(['converge', '--config', {config!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))")
+    assert run_fresh(code).splitlines()[-1] == "[]"
 
 
 def skip_if_numpy_loads_random():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import dctn
+from scipy.linalg.lapack import zsytrf_lwork
 
-from bubblelab.cluster import BallDomain, BoxDomain, DensityField
+from bubblelab.cluster import BallDomain, BoxDomain, DensityField, build_volumetric
 from bubblelab.bemlimit import solve_dirichlet
 from bubblelab.errors import AllocationError, GeometryError, SolverError
 from bubblelab.fields import fibonacci_directions
@@ -23,7 +24,6 @@ from bubblelab.kernels import (
     min_cos_kappa_distance,
     min_pairwise_distance,
     pair_kernel,
-    zsytrf_lwork,
 )
 from bubblelab.meshes import (
     SurfaceMesh,
@@ -67,7 +67,7 @@ def cluster(m, seed, scale=1.0):
 @pytest.mark.parametrize("m", [1, 2, 37, 600])
 def test_assemble_bitwise_equal_to_broadcast(m):
     centers = cluster(m, seed=m)
-    assert np.array_equal(assemble(centers, -0.3 + 0.02j, 7.3),
+    assert np.array_equal(assemble(centers, -0.3 + 0.02j, 7.3).matrix,
                           broadcast_assemble(centers, -0.3 + 0.02j, 7.3))
 
 
@@ -261,7 +261,7 @@ def test_dct1_bitwise_equal_to_scipy_dctn(shape):
 def test_factor_once_charges_equal_per_direction_solves():
     centers = cluster(80, seed=3)
     kappa0 = 1.9
-    matrix = assemble(centers, -0.05, kappa0)
+    matrix = assemble(centers, -0.05, kappa0).matrix
     system = ClusterSystem(matrix.copy())  # the system factors its array in place
     for theta in fibonacci_directions(4):
         inc = IncidentWave(kappa0, theta)
@@ -452,7 +452,7 @@ def test_far_field_sum_peak_memory_is_one_cache_block_of_phases():
 
 def test_dense_factor_peak_memory_is_the_workspace():
     m = 1458
-    matrix = assemble(cluster(m, seed=10), -0.01, 3.0)  # 16 M^2 bytes, before tracing
+    matrix = assemble(cluster(m, seed=10), -0.01, 3.0).matrix  # 16 M^2 bytes, before tracing
     lwork, _ = zsytrf_lwork(m, lower=1)
     peak = _traced_peak(DenseSystem(matrix, 1e-8).factor)
     # zsytrf's workspace plus the 1-norm's column block of CACHE_BLOCK
@@ -462,7 +462,7 @@ def test_dense_factor_peak_memory_is_the_workspace():
 
 def test_dense_solve_peak_memory_is_the_matrix_alone():
     m = 1500
-    matrix = assemble(cluster(m, seed=6), -0.01, 3.0)  # 16 M^2 bytes, before tracing
+    matrix = assemble(cluster(m, seed=6), -0.01, 3.0).matrix  # 16 M^2 bytes, before tracing
     b = np.ones(m, dtype=complex)
 
     def factor_and_two_solves():
@@ -547,6 +547,20 @@ def test_volume_solve_peak_memory_is_the_operator_and_five_vectors(n, bound):
     assert peak <= _operator_bytes(grid) + 5 * 16 * grid.n_cells + bound
 
 
+def test_lattice_point_solve_peak_memory():
+    # the M = 36^3 K = 0 box forms no (M, M) matrix (32 GiB): the operator
+    # on its box and seven vectors' worth, the caller's right-hand side, its
+    # permuted copy, COCG's four vectors and the permutation with the flat
+    # site indices (8 bytes a site each); 8.56 MiB measured
+    cl = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField("constant", 0.0),
+                          a=36.0**-3, s=1.0, t=0.4, d_min=0.5)
+    inc = IncidentWave(1.4, np.array([0.0, 0.0, 1.0]))
+    peak = _traced_peak(lambda: solve_charges(assemble(cl, -0.002, 1.4), inc, cl.centers))
+    box = VoxelGrid.cover(BoxDomain(size=(1, 1, 1)), 36)
+    assert cl.m == box.n_cells
+    assert peak <= _operator_bytes(box) + 7 * 16 * cl.m + MIB // 2
+
+
 def test_shape_factor_quadrature_peak_memory():
     # the cube bubble of screen_bem: 864 triangles against 2592 Gauss points;
     # the far-pair rows run in BLOCK_ENTRIES blocks, and the near-pair batch
@@ -568,20 +582,23 @@ def _volume_far_field_peak(n):
 
 
 def test_volume_far_field_peak_memory():
-    # the weight array and the V0 Y product that fills it (0.7 MiB each), then
-    # one (nx ny, D) partial sum of CACHE_BLOCK complex entries (0.5 MiB):
-    # 1.6 MiB; one sum for all 200 directions would be 4.0 MiB
+    # the weight array (0.7 MiB), filled in place one x slab at a time, the
+    # three (D, n) phase tables (0.3 MiB) and one (nx ny, D) partial sum of
+    # CACHE_BLOCK complex entries (0.5 MiB): 1.57 MiB measured; one sum for
+    # all 200 directions would be 4.0 MiB
     cells, peak = _volume_far_field_peak(36)
     assert cells == 36**3
-    assert peak <= 2 * MIB
+    assert peak <= 7 * MIB // 4
 
 
 def test_volume_far_field_peak_memory_at_64():
-    # the weight array and the V0 Y product, 4 MiB each; one partial sum of
-    # CACHE_BLOCK complex entries is 0.5 MiB, one for all 200 directions 12.5 MiB
+    # the weight array, 4 MiB, and no V0 Y product beside it (8.1 MiB peak
+    # when the product filled it); the phase tables take 0.6 MiB and one
+    # partial sum of CACHE_BLOCK complex entries 0.5 MiB, one for all 200
+    # directions 12.5 MiB: 5.11 MiB measured
     cells, peak = _volume_far_field_peak(64)
     assert cells == 64**3
-    assert peak <= 16 * (2 * cells + CACHE_BLOCK) + MIB // 2
+    assert peak <= 16 * (cells + CACHE_BLOCK) + 3 * MIB // 4
 
 
 # ---------------------------------------------------------------------------

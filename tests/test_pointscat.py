@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bubblelab.cluster import BallDomain, BoxDomain, DensityField, build_volumetric
 from bubblelab.errors import ConfigError, GeometryError
 from bubblelab.fields import CSV_HEADER, FarField, fibonacci_directions
 from bubblelab.materials import ContrastParams, classify_regime
 from bubblelab.pointscat import (
+    RESIDUAL_TOL,
     ClusterSystem,
     IncidentWave,
+    LatticeSystem,
     assemble,
     far_field,
     solve_charges,
@@ -36,11 +39,11 @@ def test_fibonacci_directions_unit_and_spread():
 
 
 def test_assemble_single_and_pair():
-    a1 = assemble([[0.0, 0.0, 0.0]], 2.0, 1.0)
+    a1 = assemble([[0.0, 0.0, 0.0]], 2.0, 1.0).matrix
     assert a1.shape == (1, 1) and a1[0, 0] == 0.5
 
     r = 0.7
-    a2 = assemble([[0, 0, 0], [0, 0, r]], -1.5, 2.0)
+    a2 = assemble([[0, 0, 0], [0, 0, r]], -1.5, 2.0).matrix
     expected = np.exp(1j * 2.0 * r) / (4 * np.pi * r)
     assert abs(a2[0, 1] - expected) < 1e-15
     assert a2[0, 1] == a2[1, 0]
@@ -48,7 +51,7 @@ def test_assemble_single_and_pair():
 
 def test_assemble_collinear_triple():
     d = 0.3
-    a = assemble([[0, 0, 0], [0, 0, d], [0, 0, 2 * d]], 1.0, 1.5)
+    a = assemble([[0, 0, 0], [0, 0, d], [0, 0, 2 * d]], 1.0, 1.5).matrix
     assert abs(a[0, 2] - np.exp(1j * 1.5 * 2 * d) / (8 * np.pi * d)) < 1e-15
 
 
@@ -61,14 +64,14 @@ def test_assemble_rejects_coincident_centers():
 @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10**6))
 def test_assemble_symmetric_exactly(m, seed):
     centers = random_cluster(m, seed)
-    a = assemble(centers, 0.5 + 0.1j, 1.3)
+    a = assemble(centers, 0.5 + 0.1j, 1.3).matrix
     assert np.array_equal(a, a.T)
 
 
 def test_single_bubble_charge_is_minus_c():
     c = -0.37
     inc = IncidentWave(1.2, np.array([0.0, 0.0, 1.0]))
-    sol = solve_charges(ClusterSystem(assemble([[0, 0, 0]], c, inc.kappa0)), inc, [[0, 0, 0]])
+    sol = solve_charges(assemble([[0, 0, 0]], c, inc.kappa0), inc, [[0, 0, 0]])
     assert abs(sol.charges[0] - (-c)) < 1e-14
 
 
@@ -78,7 +81,7 @@ def test_two_bubble_closed_form():
     z = np.array([[0.4, 0, 0], [-0.4, 0, 0]])
     theta = np.array([0.0, 0.0, 1.0])  # perpendicular to the pair axis
     inc = IncidentWave(kappa0, theta)
-    sol = solve_charges(ClusterSystem(assemble(z, c, kappa0)), inc, z)
+    sol = solve_charges(assemble(z, c, kappa0), inc, z)
     q1, q2 = two_bubble_charges(c, kappa0, z[0], z[1], theta)
     assert abs(sol.charges[0] - q1) < 1e-12
     assert abs(sol.charges[1] - q2) < 1e-12
@@ -92,7 +95,7 @@ def test_two_bubble_closed_form():
 def test_random_cluster_residual():
     centers = random_cluster(20, seed=7)
     inc = IncidentWave(2.0, np.array([0.0, 1.0, 0.0]))
-    sol = solve_charges(ClusterSystem(assemble(centers, -0.05, inc.kappa0)), inc, centers)
+    sol = solve_charges(assemble(centers, -0.05, inc.kappa0), inc, centers)
     assert sol.residual <= 1e-10 * (1 + np.abs(sol.charges).max())
     assert sol.cond_estimate >= 1.0
 
@@ -100,9 +103,40 @@ def test_random_cluster_residual():
 def test_solve_charges_rejects_size_mismatch():
     centers = random_cluster(5, seed=2)
     inc = IncidentWave(1.0, np.array([0.0, 0.0, 1.0]))
-    system = ClusterSystem(assemble(centers, -0.05, inc.kappa0))
+    system = assemble(centers, -0.05, inc.kappa0)
     with pytest.raises(ConfigError, match="size mismatch"):
         solve_charges(system, inc, centers[:4])
+
+
+@pytest.mark.parametrize("domain, density, a, c, kappa0", [
+    (BoxDomain(size=(1, 1, 1)), 0.0, 1e-3, -0.002, 1.4),  # 10^3 sites
+    (BoxDomain(size=(2, 1, 1)), 0.0, 1e-3, 0.05 + 0.01j, 3.0),  # 20 x 10 x 10
+    (BallDomain(), 0.5, 1e-3, -0.004, 2.0),  # 968 sites of a 12^3 box, K = 0.5
+], ids=["box", "slab", "ball"])
+def test_lattice_system_matches_dense_solve(domain, density, a, c, kappa0):
+    cl = build_volumetric(domain, DensityField("constant", density), a=a, s=1.0, t=0.4,
+                          seed=0, d_min=0.5)
+    lattice, dense = assemble(cl, c, kappa0), assemble(cl.centers, c, kappa0)
+    assert isinstance(lattice, LatticeSystem) and isinstance(dense, ClusterSystem)
+    assert len(lattice) == len(dense) == cl.m
+    dirs = fibonacci_directions(64)
+    for theta in fibonacci_directions(2):
+        inc = IncidentWave(kappa0, theta)
+        fft_sol = solve_charges(lattice, inc, cl.centers)
+        ref = solve_charges(dense, inc, cl.centers)
+        assert fft_sol.cond_estimate is None and ref.iterations is None
+        assert 0 < fft_sol.iterations < 100
+        assert fft_sol.residual <= RESIDUAL_TOL * (1 + np.abs(fft_sol.charges).max())
+        assert np.abs(fft_sol.charges - ref.charges).max() <= 1e-10 * np.abs(ref.charges).max()
+        ff, ff_ref = far_field([fft_sol, ref], cl.centers, kappa0, dirs)
+        assert ff.sup_diff(ff_ref) <= 1e-10 * ff_ref.sup_norm()
+
+
+def test_k1_cluster_is_solved_densely():
+    cl = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField("constant", 1.0), a=1e-3,
+                          s=1.0, t=0.4, seed=0, d_min=0.5)
+    system = assemble(cl, -0.002, 1.4)
+    assert isinstance(system, ClusterSystem) and len(system) == cl.m == 2000
 
 
 def test_invertibility_ledger_reported():
@@ -118,7 +152,7 @@ def test_far_field_single_bubble_constant():
     c = 2.0
     inc = IncidentWave(1.0, np.array([0.0, 0.0, 1.0]))
     centers = [[0.0, 0.0, 0.0]]
-    sol = solve_charges(ClusterSystem(assemble(centers, c, 1.0)), inc, centers)
+    sol = solve_charges(assemble(centers, c, 1.0), inc, centers)
     ff = far_field([sol], centers, 1.0, fibonacci_directions(50))[0]
     assert np.allclose(ff.values, -2.0, atol=1e-14)
 
@@ -130,7 +164,7 @@ def test_far_field_reciprocity():
 
     def pattern(theta, xhat):
         inc = IncidentWave(kappa0, theta)
-        sol = solve_charges(ClusterSystem(assemble(centers, c, kappa0)), inc, centers)
+        sol = solve_charges(assemble(centers, c, kappa0), inc, centers)
         ff = far_field([sol], centers, kappa0, np.array([xhat]))[0]
         return ff.values[0]
 
@@ -147,10 +181,10 @@ def test_far_field_translation_phase():
     theta = np.array([0.0, 1.0, 0.0])
     dirs = fibonacci_directions(40)
     inc = IncidentWave(kappa0, theta)
-    sol0 = solve_charges(ClusterSystem(assemble(centers, c, kappa0)), inc, centers)
+    sol0 = solve_charges(assemble(centers, c, kappa0), inc, centers)
     ff0 = far_field([sol0], centers, kappa0, dirs)[0]
     moved = centers + v
-    sol1 = solve_charges(ClusterSystem(assemble(moved, c, kappa0)), inc, moved)
+    sol1 = solve_charges(assemble(moved, c, kappa0), inc, moved)
     ff1 = far_field([sol1], moved, kappa0, dirs)[0]
     phase = np.exp(1j * kappa0 * (dirs @ (-v) + theta @ v))
     assert np.abs(ff1.values - ff0.values * phase).max() < 1e-10
@@ -159,7 +193,7 @@ def test_far_field_translation_phase():
 def test_far_field_of_several_solutions_matches_one_call_each():
     centers = random_cluster(40, seed=6)
     kappa0 = 2.1
-    system = ClusterSystem(assemble(centers, -0.05, kappa0))
+    system = assemble(centers, -0.05, kappa0)
     sols = [solve_charges(system, IncidentWave(kappa0, theta), centers)
             for theta in fibonacci_directions(3)]
     dirs = fibonacci_directions(50)
@@ -177,7 +211,7 @@ def test_far_field_scales_with_coefficient():
     dirs = fibonacci_directions(10)
     vals = []
     for c in (0.5, 1.5):
-        sol = solve_charges(ClusterSystem(assemble(centers, c, 1.0)), inc, centers)
+        sol = solve_charges(assemble(centers, c, 1.0), inc, centers)
         vals.append(far_field([sol], centers, 1.0, dirs)[0].values)
     assert np.allclose(vals[1], 3.0 * vals[0], atol=1e-14)
 
@@ -187,7 +221,7 @@ def test_near_field_single_bubble_and_limit():
     kappa0 = 1.3
     centers = [[0.0, 0.0, 0.0]]
     inc = IncidentWave(kappa0, np.array([0.0, 0.0, 1.0]))
-    sol = solve_charges(ClusterSystem(assemble(centers, c, kappa0)), inc, centers)
+    sol = solve_charges(assemble(centers, c, kappa0), inc, centers)
     x = np.array([0.5, 0.2, -0.1])
     val = near_field(sol, centers, kappa0, x)
     assert abs(val - (-c) * helmholtz_kernel(x, np.zeros(3), kappa0)) < 1e-14
@@ -202,11 +236,12 @@ def test_near_field_single_bubble_and_limit():
 
 def test_near_field_zero_charges():
     sol = solve_charges(
-        ClusterSystem(assemble([[0, 0, 0]], 1.0, 1.0)),
+        assemble([[0, 0, 0]], 1.0, 1.0),
         IncidentWave(1.0, np.array([0.0, 0.0, 1.0])),
         [[0, 0, 0]],
     )
-    zeroed = type(sol)(charges=np.zeros(1, complex), residual=0.0, cond_estimate=1.0)
+    zeroed = type(sol)(charges=np.zeros(1, complex), residual=0.0, cond_estimate=1.0,
+                       iterations=None)
     assert near_field(zeroed, [[0, 0, 0]], 1.0, np.array([1.0, 0, 0])) == 0.0
 
 

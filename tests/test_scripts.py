@@ -48,13 +48,15 @@ def test_run_all_regimes_exits_1_when_a_run_fails(tmp_path, monkeypatch, capsys)
 
 
 def test_run_all_regimes_exits_1_when_a_row_aborts(tmp_path, monkeypatch, capsys):
-    # the last row's M = 46^3 = 97,336 centres need a 141 GiB dense system,
-    # over the dense budget: converge aborts that row and exits 0
+    # a K = 1 box (two centres a cell, so solved densely): the last row's
+    # M = 2 * 17^3 = 9,826 centres need a 1.44 GiB dense system, over the
+    # dense budget: converge aborts that row and exits 0
     low_box = {"geometry": {"kind": "box", "size": [1, 1, 1],
-                            "density": {"kind": "constant", "value": 0.0}},
+                            "density": {"kind": "constant", "value": 1.0}},
                "bubble": {"shape": "sphere"},
                "contrast": {"gamma": 1.0, "s": 0.5, "t": 0.2, "omega_ratio": 0.8},
-               "regime": "Low", "a_sequence": [0.02, 0.01, 1e-10], "directions": 30}
+               "regime": "Low", "a_sequence": [0.02, 0.01, 4e-8], "directions": 30,
+               "tolerances": {"d_min": 0.1}}
     assert _run_all_regimes(tmp_path, monkeypatch, {"capped": json.dumps(low_box)}) == 1
     out = capsys.readouterr().out
     assert "capped  slope skipped" in out and "1 aborted row(s)" in out

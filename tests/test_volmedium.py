@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +12,7 @@ from bubblelab.errors import ConfigError
 from bubblelab.fields import fibonacci_directions
 from bubblelab.kernels import LatticeConvolution
 from bubblelab.pointscat import IncidentWave
-from bubblelab import volmedium
+from bubblelab import kernels
 from bubblelab.volmedium import (
     LS_MAX_MATVECS,
     LS_RESIDUAL_TOL,
@@ -69,36 +75,70 @@ def test_grid_cover_and_mask(ball_grid):
     assert not np.shares_memory(again, centers)
 
 
+def test_constant_density_potential_builds_no_centres(ball_grid, monkeypatch):
+    # the cell count alone gives a constant density's potential, bit for bit
+    # the value of the density evaluated at every centre
+    expected = -1.5 * (DensityField("constant", 0.5)(ball_grid.centers) + 1.0)
+    monkeypatch.setattr(VoxelGrid, "centers",
+                        property(lambda grid: pytest.fail("cell centres were built")))
+    pot = VolumePotential.from_density(ball_grid, DensityField("constant", 0.5), -1.5)
+    assert pot.values.tobytes() == expected.tobytes()
+
+
 # Iteration counts and sampled Y entries (first, middle and last cell) of four
-# volume solves, pinned bit for bit: a change to the arithmetic of the solve,
-# or to the order of its operations, changes them
+# volume solves, pinned bit for bit with one BLAS thread: a change to the
+# arithmetic of the solve, or to the order of its operations, changes them
 PINNED_SOLVES = {
     ("ball_14", -1.5): (7, [0.8969570878866173 - 0.005295882525247403j,
-                            0.7247130286218945 - 0.5703459552819168j,
+                            0.7247130286218945 - 0.5703459552819169j,
                             0.8578065179816003 + 0.3040034608331784j]),
-    ("ball_14", -4 * np.pi): (16, [0.9541222044245956 + 1.3043397221022186j,
-                                   0.6721601322972865 + 0.5339046552429298j,
-                                   0.9125101845074621 + 1.4323615636784668j]),
-    ("box_24", -1.5): (6, [0.5652349226355281 - 0.7360659729615482j,
+    ("ball_14", -4 * np.pi): (16, [0.9541222044245943 + 1.304339722102213j,
+                                   0.6721601322972711 + 0.5339046552429065j,
+                                   0.9125101845074628 + 1.4323615636784717j]),
+    ("box_24", -1.5): (6, [0.5652349226355281 - 0.7360659729615481j,
                            0.5972566830888391 - 0.7214231985464528j,
                            0.5313829554821067 + 0.9549853577052962j]),
-    ("box_24", -4 * np.pi): (9, [0.43299080981464944 - 1.1678773133966986j,
-                                 0.4381347059318803 - 1.1964497193393817j,
-                                 -0.48532147900126066 + 1.1148774025486259j]),
+    ("box_24", -4 * np.pi): (9, [0.43299080981392946 - 1.1678773133969815j,
+                                 0.4381347059309435 - 1.196449719339471j,
+                                 -0.48532147900198075 + 1.114877402548343j]),
 }
+
+
+def pinned_solve(grid_name, v0):
+    """(iterations, [Y at the first, middle and last cell]) of one pinned solve."""
+    grid = VoxelGrid.cover(*((BallDomain(radius=1.0), 14) if grid_name == "ball_14"
+                             else (BoxDomain(size=(1, 1, 1)), 24)))
+    pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), v0)
+    sol = assemble_and_solve(grid, pot, INC)
+    n = grid.n_cells
+    return sol.iterations, [[sol.y[i].real, sol.y[i].imag] for i in (0, n // 2, n - 1)]
+
+
+@pytest.fixture(scope="module")
+def pinned_results():
+    """PINNED_SOLVES recomputed in one child process with one BLAS thread.
+
+    COCG's dot products and norms run through BLAS, whose threaded sums
+    round in another order, so on the 24^3 box the bits of Y depend on the
+    thread count; the thread count is fixed when OpenBLAS loads.
+    """
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    code = ("import json, test_volmedium as t\n"
+            "print(json.dumps([t.pinned_solve(*case) for case in sorted(t.PINNED_SOLVES)]))")
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert res.returncode == 0, res.stderr
+    return dict(zip(sorted(PINNED_SOLVES), json.loads(res.stdout)))
 
 
 @pytest.mark.parametrize("grid_name, v0", sorted(PINNED_SOLVES),
                          ids=[f"{g}_v0={v0:.4g}" for g, v0 in sorted(PINNED_SOLVES)])
-def test_volume_solve_reproduces_pinned_values(ball_grid, grid_name, v0):
-    grid = (ball_grid if grid_name == "ball_14"
-            else VoxelGrid.cover(BoxDomain(size=(1, 1, 1)), 24))
-    pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), v0)
-    sol = assemble_and_solve(grid, pot, INC)
-    n = grid.n_cells
-    iterations, samples = PINNED_SOLVES[grid_name, v0]
-    assert sol.iterations == iterations
-    assert [complex(sol.y[i]) for i in (0, n // 2, n - 1)] == samples
+def test_volume_solve_reproduces_pinned_values(pinned_results, grid_name, v0):
+    iterations, samples = pinned_results[grid_name, v0]
+    assert iterations == PINNED_SOLVES[grid_name, v0][0]
+    assert [complex(re, im) for re, im in samples] == PINNED_SOLVES[grid_name, v0][1]
 
 
 def test_zero_potential_reproduces_incident(ball_grid):
@@ -266,7 +306,7 @@ def test_damping_trend_with_h_star(ball_grid):
 def test_cell_count_cap(monkeypatch):
     grid = VoxelGrid.cover(BallDomain(radius=1.0), 14)
     pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), -1.0)
-    monkeypatch.setattr(volmedium, "MAX_CELLS", 100)
+    monkeypatch.setattr(kernels, "MAX_CELLS", 100)
     with pytest.raises(ConfigError):
         assemble_and_solve(grid, pot, INC)
 
@@ -277,7 +317,7 @@ def test_cell_cap_bounds_the_box(monkeypatch):
     grid = VoxelGrid.cover(BallDomain(radius=1.0), 14)
     assert grid.n_cells == 1472 and grid.dims == (14, 14, 14)
     pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), -1.0)
-    monkeypatch.setattr(volmedium, "MAX_CELLS", 2000)
+    monkeypatch.setattr(kernels, "MAX_CELLS", 2000)
     with pytest.raises(ConfigError, match="box"):
         assemble_and_solve(grid, pot, INC)
 
