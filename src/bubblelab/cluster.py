@@ -281,22 +281,39 @@ def _extra_subgrid(dim, side, count, d_req, wall_margin):
     return nodes, min(wall_pad, 0.45 * slack) / (2.0 * math.sqrt(dim))
 
 
-def _place_extras(rng, dim, side, count, d_req, wall_margin):
-    """count-1 extra local offsets from one jittered sub-grid draw, checked.
+def _place_extras(rng, dim, sides, counts, drawing, pitch, d_req):
+    """The count-1 extra local offsets of every cell in ``drawing``, stacked
+    in cell order, each from one jittered sub-grid draw, checked.
 
     The cell center (offset 0) is always occupied.  The sub-grid depends only
     on the cell's shape and is built once per distinct shape; its jitter
-    budget makes every draw pass the spacing and wall checks.
+    budget makes every draw pass the spacing and wall checks.  Cells smaller
+    than the pitch have a built-in gap to their neighbours, so their wall
+    margin shrinks by it.  Each cell draws its jitter and then its
+    permutation, in cell order; the checks then run once per count over all
+    cells of that count, and the first failing cell raises PlacementError.
     """
-    nodes, amp = _extra_subgrid(dim, side, count, d_req, wall_margin)
-    jitter = rng.uniform(-amp, amp, size=nodes.shape)
-    chosen = (nodes + jitter)[rng.permutation(len(nodes))[: count - 1]]
-    cand = np.vstack([np.zeros((1, dim)), chosen])
-    pair = np.linalg.norm(cand[:, None, :] - cand[None, :, :], axis=2)
-    np.fill_diagonal(pair, np.inf)
-    if not (pair.min() >= d_req and side / 2.0 - np.abs(chosen).max() >= wall_margin):
-        raise PlacementError(f"extras broke spacing {d_req!r} in a cell of side {side!r}")
-    return chosen
+    walls = np.maximum(0.0, (sides - pitch + d_req) / 2.0)
+    chosen = []
+    for c in drawing:
+        nodes, amp = _extra_subgrid(dim, sides[c], int(counts[c]), d_req, walls[c])
+        jitter = rng.uniform(-amp, amp, size=nodes.shape)
+        chosen.append((nodes + jitter)[rng.permutation(len(nodes))[: counts[c] - 1]])
+    failed = []
+    for k in set(counts[drawing].tolist()):
+        where = np.flatnonzero(counts[drawing] == k)
+        cells = drawing[where]
+        cand = np.zeros((len(cells), k, dim))
+        cand[:, 1:] = [chosen[i] for i in where]
+        pair = np.linalg.norm(cand[:, :, None, :] - cand[:, None, :, :], axis=-1)
+        pair[:, np.arange(k), np.arange(k)] = np.inf
+        wall = sides[cells] / 2.0 - np.abs(cand[:, 1:]).max(axis=(1, 2))
+        ok = (pair.min(axis=(1, 2)) >= d_req) & (wall >= walls[cells])
+        failed += cells[~ok].tolist()
+    if failed:
+        raise PlacementError(f"extras broke spacing {d_req!r} in a cell of side "
+                             f"{sides[min(failed)]!r}")
+    return np.concatenate(chosen)
 
 
 def _build(geometry, density, a, s, t, seed, d_min, keep_rule) -> Cluster:
@@ -333,13 +350,11 @@ def _build(geometry, density, a, s, t, seed, d_min, keep_rule) -> Cluster:
     cell_of = np.repeat(np.arange(len(kept)), counts)
     params = kept[cell_of]
     drawing = np.flatnonzero(counts > 1)
-    rng = np.random.default_rng(seed) if len(drawing) else None
-    first = np.cumsum(counts) - counts
-    for c in drawing:
-        # cells smaller than the pitch have a built-in gap to their neighbours
-        wall_margin = max(0.0, (sides[c] - pitch + d_req) / 2.0)
-        params[first[c] + 1:first[c] + counts[c]] += _place_extras(
-            rng, dim, sides[c], int(counts[c]), d_req, wall_margin)
+    if len(drawing):
+        extra = np.ones(len(params), dtype=bool)
+        extra[np.cumsum(counts) - counts] = False
+        params[extra] += _place_extras(np.random.default_rng(seed), dim, sides, counts,
+                                       drawing, pitch, d_req)
     return Cluster(
         a=a, s=s, t=t, d_min=d_min, seed=seed, cells=kept, sides=sides, counts=counts,
         params=params, centers=geometry.to_xyz(params) if dim == 2 else params,

@@ -12,18 +12,14 @@ from such a matvec alone; ``cocg_refined`` adds the residual contract and
 one refinement step that the lattice point solve and the volume solve share.
 
 The dense solve's BLAS and LAPACK routines (``zsytrf``, ``zsytrs``,
-``zsycon``, ``zsymm``) come from SciPy's two compiled modules,
-``scipy.linalg._fblas`` and ``_flapack``, loaded from SciPy's folder when a
-``DenseSystem`` is first factored, not at import: a run that factors no
-dense matrix (a lattice cluster against a volume comparator) loads no SciPy
-module and saves the 4.6 MiB of RSS the two take.  Loading them runs no
-SciPy package ``__init__``: the ``scipy.linalg`` package would also load
-SciPy's array-API shim, whose clone of numpy pulls in ``numpy.f2py``,
-``numpy.testing``, ``numpy.ma`` and ``numpy.random``, about half of the
-CLI's start-up time, and the top-level ``scipy`` package alone imports
-``scipy._lib._testutils`` and with it ``subprocess``, ``sysconfig``,
-``locale`` and ``selectors`` (1.3 MiB of RSS and 17 ms per process).
-``cocg`` and ``LatticeConvolution`` use numpy alone.
+``zsycon``, ``zsymm``) come from the OpenBLAS that ``numpy.linalg`` links,
+called through ``ctypes`` and resolved once, on the first factorization in
+a process, from a handle on numpy's ``_umath_linalg`` extension, whose
+``dlsym`` also searches the libraries it depends on.  So no library is
+mapped or initialized beyond the one numpy loaded at import, a process
+holds one OpenBLAS (``OPENBLAS_NUM_THREADS`` sets its threads), and no
+dense solve loads a SciPy module.  ``cocg`` and ``LatticeConvolution`` use
+numpy alone.
 
 Memory model: the memory-bound kernels of the dense path walk
 cache-resident blocks of at most CACHE_BLOCK entries (256 KiB of float64),
@@ -32,8 +28,8 @@ per-core L2 cache instead of streaming through memory (cache blocking: Lam,
 Rothberg & Wolf, ASPLOS 1991).  ``pair_kernel`` fills its (M, M) output in
 such row blocks through two reused scratch buffers, the pair minima
 (``min_pairwise_distance``, ``min_cos_kappa_distance``) walk the same blocks
-in the same buffers, and ``far_field_sum`` and the 1-norm of
-``DenseSystem`` take column blocks of that size.  Every entry of the kernel
+in the same buffers, ``far_field_sum`` takes column blocks of that size
+and the 1-norm of ``DenseSystem`` row blocks.  Every entry of the kernel
 matrix and every pair distance is computed as it would be in one block, so
 these results do not depend on the block size.
 ``grid_far_field_sum`` keeps its (nx ny, D) partial sums to the same
@@ -64,12 +60,9 @@ of them, so its loop allocates no vector.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
+import ctypes
 import itertools
 import math
-import os
-import sys
 
 import numpy as np
 from numpy.fft import fft, ifft, rfft
@@ -81,29 +74,12 @@ CACHE_BLOCK = BLOCK_ENTRIES // 8  # entries per cache-resident block: 256 KiB of
 DENSE_MAX_BYTES = 1 << 30  # largest dense (M, M) complex matrix: 1 GiB, M <= 8192
 MAX_CELLS = 64**3  # sites of the largest (nx, ny, nz) box a LatticeConvolution accepts
 
-
-def _scipy_linalg_extension(name: str):
-    """SciPy's compiled module ``scipy.linalg.<name>``, loaded without
-    running the ``scipy`` or ``scipy.linalg`` package.
-
-    ``find_spec`` of a top-level package locates its folder and imports
-    nothing; the module is loaded from the ``linalg`` folder in it.  The
-    Linux wheels find their bundled ``scipy_openblas`` library through the
-    extension's RPATH, so no package ``__init__`` has to set it up (on
-    Windows SciPy's ``__init__`` adds the DLL folder; the CI runs Linux
-    only).  The module is registered in ``sys.modules`` under its own name
-    before it runs, so a later ``import scipy.linalg`` reuses it (and an
-    earlier one is reused here): there is one copy of each routine.
-    """
-    fullname = f"scipy.linalg.{name}"
-    if fullname not in sys.modules:
-        folders = [os.path.join(folder, "linalg")
-                   for folder in importlib.util.find_spec("scipy").submodule_search_locations]
-        spec = importlib.machinery.PathFinder.find_spec(fullname, folders)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[fullname] = module
-        spec.loader.exec_module(module)
-    return sys.modules[fullname]
+# the symbol forms of the dense solve's routines, tried in turn: (prefix,
+# suffix, LAPACK index type).  NumPy's PyPI wheels (>= 2.0) link
+# scipy_openblas64_; other builds link an ILP64 or an LP64 LAPACK.
+_SYMBOL_FORMS = (("scipy_", "_64_", np.int64), ("", "_64_", np.int64), ("", "_", np.int32))
+_DENSE_ROUTINES = ("zsytrf", "zsycon", "zsytrs", "zsymm")
+_lapack = None  # ({routine: ctypes function}, index dtype), set on the first factorization
 
 
 def helmholtz(r, kappa0: float):
@@ -480,10 +456,55 @@ def cocg_refined(matvec, rhs, precondition, rtol: float, max_iter: int, recover,
 
 
 def _norm1(a) -> float:
-    """Max column sum of |a| (the 1-norm), in column blocks of at most CACHE_BLOCK entries."""
-    step = max(1, CACHE_BLOCK // max(len(a), 1))
-    return max(float(np.abs(a[:, j:j + step]).sum(axis=0).max())
-               for j in range(0, a.shape[1], step))
+    """The 1-norm of a symmetric a, max column sum of |a|, taken as its max
+    row sum over contiguous row blocks of at most CACHE_BLOCK entries."""
+    step = max(1, CACHE_BLOCK // max(a.shape[1], 1))
+    return max(float(np.abs(a[i:i + step]).sum(axis=1).max()) for i in range(0, len(a), step))
+
+
+def _dense_routines() -> tuple:
+    """({routine: ctypes function}, index dtype) of the dense solve's LAPACK
+    and BLAS routines in the library that ``numpy.linalg`` links, resolved
+    on the first call.
+
+    ``dlsym`` on a handle of numpy's ``_umath_linalg`` extension also
+    searches the libraries it depends on, so this maps no new library.  The
+    first of ``_SYMBOL_FORMS`` that names all of ``_DENSE_ROUTINES`` is
+    taken; SolverError names the routine each form lacks and numpy's BLAS if
+    none does.
+    """
+    global _lapack
+    if _lapack is None:
+        library = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        lacking = []
+        for prefix, suffix, index in _SYMBOL_FORMS:
+            names = [f"{prefix}{routine}{suffix}" for routine in _DENSE_ROUTINES]
+            absent = [name for name in names if not hasattr(library, name)]
+            if absent:
+                lacking.append(absent[0])
+                continue
+            routines = {routine: getattr(library, name)
+                        for routine, name in zip(_DENSE_ROUTINES, names)}
+            for function in routines.values():
+                function.restype = None
+            _lapack = routines, np.dtype(index)
+            break
+        else:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            raise SolverError(f"numpy's BLAS ({blas.get('name')} {blas.get('version')}) "
+                              f"exports none of {', '.join(lacking)}")
+    return _lapack
+
+
+def _lapack_call(routine: str, *args):
+    """Call a ``_DENSE_ROUTINES`` routine by the Fortran convention: arrays by
+    their data, ints (as the LAPACK index type) and other scalars by
+    reference, characters as one-byte strings, their lengths appended."""
+    functions, index = _dense_routines()
+    refs = [arg if isinstance(arg, bytes) else
+            np.asarray(arg, dtype=index if isinstance(arg, int) else None).ctypes
+            for arg in args]
+    functions[routine](*refs, *[ctypes.c_size_t(1)] * sum(isinstance(arg, bytes) for arg in args))
 
 
 class DenseSystem:
@@ -501,6 +522,8 @@ class DenseSystem:
     refinement when the residual misses the contract max|A x - b| <=
     residual_tol (1 + max|u|), and raises if it still misses it.  The
     contract is measured in the caller's unknown u = x * unknown_scale.
+    The C-order matrix is the Fortran-order A^T = A, so its upper triangle
+    is the lower one (uplo "L") for LAPACK.
     """
 
     def __init__(self, matrix, residual_tol: float, rcond_min: float = 0.0,
@@ -518,44 +541,61 @@ class DenseSystem:
     def factor(self):
         """Pivots of the in-place LDL^T (computed once) after the condition guard.
 
-        The first factorization in a process loads SciPy's compiled BLAS and
-        LAPACK modules (``_scipy_linalg_extension``).
+        The first factorization in a process resolves the routines in the
+        LAPACK that numpy links (``_dense_routines``), and raises SolverError
+        if it exports none of the forms tried.
         """
         if self._ipiv is None:
-            flapack = _scipy_linalg_extension("_flapack")
-            zsycon, zsytrf, zsytrf_lwork = flapack.zsycon, flapack.zsytrf, flapack.zsytrf_lwork
-            a = self.matrix.T  # Fortran view: its lower triangle is the upper one here
-            anorm = _norm1(self.matrix)
-            self._diagonal = self.matrix.diagonal().copy()
-            lwork, _ = zsytrf_lwork(len(a), lower=1)
-            _, self._ipiv, info = zsytrf(a, lower=1, lwork=int(lwork.real), overwrite_a=1)
-            rcond, _ = zsycon(a, self._ipiv, anorm, lower=1)
-            self.cond_estimate = float(1.0 / max(rcond, 1e-300))
-            self._singular = info != 0 or rcond == 0.0 or rcond < self.rcond_min
+            _, index = _dense_routines()
+            a, m = self.matrix, len(self.matrix)
+            anorm = _norm1(a)
+            self._diagonal = a.diagonal().copy()
+            ipiv = np.empty(m, dtype=index)
+            info = np.zeros(1, dtype=index)
+            size = np.empty(1, dtype=complex)
+            _lapack_call("zsytrf", b"L", m, a, m, ipiv, size, -1, info)  # workspace query
+            work = np.empty(max(1, int(size[0].real)), dtype=complex)
+            _lapack_call("zsytrf", b"L", m, a, m, ipiv, work, len(work), info)
+            del work
+            factored = info[0] == 0
+            rcond = np.zeros(1)
+            _lapack_call("zsycon", b"L", m, a, m, ipiv, anorm, rcond,
+                         np.empty(2 * m, dtype=complex), info)
+            self._ipiv = ipiv
+            self.cond_estimate = float(1.0 / max(rcond[0], 1e-300))
+            self._singular = not factored or rcond[0] == 0.0 or rcond[0] < self.rcond_min
         if self._singular:
             raise SolverError(f"{self.name} is numerically singular "
                               f"(condition estimate {self.cond_estimate:.3e})",
                               cond_estimate=self.cond_estimate)
         return self._ipiv
 
+    def _substitute(self, b) -> np.ndarray:
+        """A^{-1} b from the factors (``zsytrs``), as a new vector."""
+        x = np.array(b, dtype=complex)
+        m = len(x)
+        _lapack_call("zsytrs", b"L", m, 1, self.matrix, m, self._ipiv, x, m,
+                     np.zeros(1, dtype=self._ipiv.dtype))
+        return x
+
     def _residual(self, x, b) -> tuple:
         """(A x - b, whether it misses the contract), A x from the unwritten
         triangle and the saved diagonal.  A NaN residual or bound misses it."""
-        zsymm = _scipy_linalg_extension("_fblas").zsymm
-        ax = zsymm(1.0, self.matrix.T, x.reshape(len(x), 1), lower=0)[:, 0]
+        m = len(x)
+        ax = np.zeros(m, dtype=complex)
+        _lapack_call("zsymm", b"L", b"U", m, 1, 1.0 + 0j, self.matrix, m, x, m, 0j, ax, m)
         resid = ax + (self._diagonal - self.matrix.diagonal()) * x - b
         bound = self.residual_tol * (1.0 + np.abs(x * self.unknown_scale).max())
         return resid, not np.abs(resid).max() <= bound
 
     def solve(self, rhs) -> tuple:
         """(x, residual) for one right-hand side, residual = max|A x - b|."""
-        ipiv = self.factor()
-        zsytrs = _scipy_linalg_extension("_flapack").zsytrs
+        self.factor()
         b = np.asarray(rhs, dtype=complex)
-        x, _ = zsytrs(self.matrix.T, ipiv, b, lower=1)
+        x = self._substitute(b)
         resid, missed = self._residual(x, b)
         if missed:
-            x = x - zsytrs(self.matrix.T, ipiv, resid, lower=1)[0]
+            x = x - self._substitute(resid)
             resid, missed = self._residual(x, b)
         residual = float(np.abs(resid).max())
         if missed:

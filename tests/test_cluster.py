@@ -14,10 +14,12 @@ from bubblelab.cluster import (
     SphereCapChart,
     build_surface,
     _lattice_axes,
+    _place_extras,
     build_volumetric,
     save_cluster,
     validate,
 )
+from bubblelab import cluster
 from bubblelab.errors import ConfigError, PlacementError
 
 from oracles import cube_meets_domain, dropped_volume_by_loop
@@ -169,6 +171,22 @@ def test_single_draw_keeps_the_generator_stream():
     assert cl.m == 432
     digest = hashlib.sha256(cl.centers.tobytes()).hexdigest()
     assert digest.startswith("24aaba3ada8689b1")
+
+
+def test_extras_check_names_the_first_failing_cell(monkeypatch):
+    # a sub-grid whose nodes sit 0.3 from the centre, unjittered: a cell of
+    # side 1 keeps them 0.2 from its walls, cells of side 0.5 and 0.55 do not.
+    # Cells 1 and 2 fail, checked in different count groups; cell 1 is named
+    def subgrid(dim, side, count, d_req, wall_margin):
+        return np.array([[0.3, 0.0, 0.0], [-0.3, 0.0, 0.0]])[:count - 1], 0.0
+
+    monkeypatch.setattr(cluster, "_extra_subgrid", subgrid)
+    sides, counts = np.array([1.0, 0.5, 0.55]), np.array([2, 3, 2])
+    with pytest.raises(PlacementError, match=r"side \S*0\.5\)?$"):
+        _place_extras(np.random.default_rng(0), 3, sides, counts, np.arange(3), 1.0, 0.1)
+    extras = _place_extras(np.random.default_rng(0), 3, sides[:1], counts[:1],
+                           np.arange(1), 1.0, 0.1)
+    assert np.array_equal(extras, [[0.3, 0.0, 0.0]])
 
 
 @pytest.mark.parametrize("build, chart, k, t, seed, m, expected", [

@@ -3,9 +3,10 @@ no package module imports another's private (underscore) name, every public
 function, class and method of the package has a caller outside
 the tests, every record field of the package is read outside the tests, every
 parameter of a package function is read in its body, importing the CLI
-loads no SciPy subpackage (``kernels`` takes its BLAS and LAPACK routines from
-SciPy's two compiled modules) and no SciPy array-API shim, those routines
-are the very objects ``scipy.linalg`` exports, whichever is imported first,
+loads no SciPy subpackage and no SciPy array-API shim, a dense run loads no
+SciPy module at all (``kernels`` calls the LAPACK that ``numpy.linalg``
+links), so a process maps one OpenBLAS and a dense solve adds little to its
+peak RSS, a LAPACK without the dense routines raises a typed error,
 ``numpy.random`` loads only when a cluster cell draws extra centres, and a
 mesh bubble's shape factor leaves ``numpy.ma`` unloaded."""
 
@@ -15,7 +16,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from bubblelab import kernels
+from bubblelab.errors import BubbleLabError
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bubblelab"
@@ -228,16 +233,17 @@ def loaded_after(code: str, module: str) -> bool:
 
 # scipy modules that start-up must not load, each with why no run needs it
 UNLOADED_AT_START = {
-    "scipy": "kernels finds SciPy's folder without running its __init__, which "
-             "loads subprocess, sysconfig, locale and selectors (1.3 MiB of RSS)",
+    "scipy": "no run needs the package; its __init__ loads subprocess, sysconfig, "
+             "locale and selectors (1.3 MiB of RSS)",
     "scipy._lib": "only SciPy's package __init__ and its subpackages import it",
     "scipy.sparse": "the volume solve is the package's own COCG",
     "scipy.interpolate": "only a grid density interpolates, importing it on demand",
     "scipy.fft": "the lattice convolution runs on numpy.fft",
     "scipy.special": "only the Mie oracle uses it, importing it on demand",
-    "scipy.linalg": "kernels loads the compiled _fblas and _flapack modules alone",
-    "scipy.linalg._fblas": "kernels loads it on the first dense factorization (3.0 MiB of RSS)",
-    "scipy.linalg._flapack": "kernels loads it on the first dense factorization",
+    "scipy.linalg": "dense solves call the LAPACK that numpy.linalg links",
+    "scipy.linalg._fblas": "zsymm comes from numpy's OpenBLAS; this module maps a "
+                           "second OpenBLAS (about 4 MiB of RSS)",
+    "scipy.linalg._flapack": "zsytrf, zsycon and zsytrs come from numpy's LAPACK",
     "scipy._lib._array_api": "its clone of numpy loads numpy.f2py, numpy.testing, "
                              "numpy.ma and numpy.random, about 0.3 s of start-up",
     "scipy.spatial": "importing it costs about 7 MiB of RSS, more than a small run's "
@@ -250,39 +256,66 @@ def test_cli_import_leaves_scipy_module_unloaded(module):
     assert not loaded_after("import bubblelab.cli", module), UNLOADED_AT_START[module]
 
 
-# a dense solve: the first DenseSystem.factor loads SciPy's two compiled modules
-DENSE_SOLVE = ("import numpy as np\nfrom bubblelab.kernels import DenseSystem\n"
-               "DenseSystem(np.eye(2, dtype=complex), 1e-10).solve(np.ones(2))")
+def test_dense_run_loads_no_scipy_module(tmp_path):
+    # a surface cluster's point solve and both surface comparators (the
+    # Medium surface system and the High-regime Dirichlet BEM) are dense
+    # LDL^T solves, all through numpy's LAPACK
+    code = "import sys\nfrom bubblelab.cli import cli\n"
+    for name in ("medium_surface", "high_surface"):
+        config, out = str(ROOT / "configs" / f"{name}.json"), str(tmp_path / name)
+        code += f"assert cli(['converge', '--config', {config!r}, '--out', {out!r}]) == 0\n"
+    code += "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))"
+    assert run_fresh(code).splitlines()[-1] == "[]"
 
 
-@pytest.mark.parametrize("first", ["bubblelab.kernels", "scipy.linalg"])
-def test_kernels_share_scipy_linalg_routines(first):
-    # one copy of each compiled module, whichever comes first: a dense solve
-    # in bubblelab.kernels or an import of scipy.linalg
-    steps = [DENSE_SOLVE, "import scipy.linalg"]
-    code = "\n".join(steps if first == "bubblelab.kernels" else steps[::-1]) + (
-        "\nimport scipy.linalg.blas as b, scipy.linalg.lapack as l\n"
-        "from bubblelab.kernels import _scipy_linalg_extension as load\n"
-        "print(load('_fblas') is b._fblas, load('_flapack') is l._flapack)")
-    assert run_fresh(code) == "True True"
+# one factorization and two solves of a 768 x 768 kernel matrix
+DENSE_SOLVE = ("import numpy as np\nfrom bubblelab.kernels import DenseSystem, pair_kernel\n"
+               "z = np.random.default_rng(0).uniform(size=(768, 3))\n"
+               "a = pair_kernel(z, 3.0, -0.05)\nb = np.ones(768, dtype=complex)\n"
+               "def dense_solve():\n"
+               "    system = DenseSystem(a, 1e-8)\n"
+               "    system.solve(b)\n"
+               "    system.solve(1j * b)\n")
 
 
-def test_dense_run_loads_scipy_linalg_modules_once(tmp_path):
-    # a surface cluster's point solve and comparator are dense: each compiled
-    # module is created once in the run, and no SciPy package __init__ runs
-    config = str(ROOT / "configs" / "medium_surface.json")
-    code = ("import collections, importlib.machinery as m, sys\n"
-            "made = collections.Counter()\n"
-            "create = m.ExtensionFileLoader.create_module\n"
-            "def counted(self, spec):\n"
-            "    made[spec.name] += 1\n"
-            "    return create(self, spec)\n"
-            "m.ExtensionFileLoader.create_module = counted\n"
-            "from bubblelab.cli import cli\n"
-            f"assert cli(['converge', '--config', {config!r}, '--out', {str(tmp_path)!r}]) == 0\n"
-            "print(made['scipy.linalg._fblas'], made['scipy.linalg._flapack'], "
-            "'scipy' in sys.modules)")
-    assert run_fresh(code).splitlines()[-1] == "1 1 False"
+def openblas_libraries(code: str) -> list:
+    """The OpenBLAS libraries a fresh interpreter maps after ``code``."""
+    out = run_fresh(code + "print(sorted({line.split()[-1] for line in open('/proc/self/maps')"
+                    " if 'openblas' in line.lower()}))")
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/maps")
+def test_dense_solve_maps_one_openblas():
+    # the routines resolve in the libraries numpy already maps: no second
+    # OpenBLAS (SciPy's) is loaded beside numpy's
+    at_import = openblas_libraries("import numpy\n")
+    if not at_import:
+        pytest.skip("this NumPy links no OpenBLAS")
+    assert len(at_import) == 1
+    assert openblas_libraries(DENSE_SOLVE + "dense_solve()\n") == at_import
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+def test_dense_solve_raises_peak_rss_by_at_most_3_mib():
+    # the 9 MiB matrix is built before measuring; the factorization adds its
+    # workspace (0.75 MiB) and OpenBLAS's buffers: 1.7 MiB measured at one
+    # BLAS thread and 2.1 at two, against 5.6 and 5.8 MiB when a second
+    # OpenBLAS was loaded for it
+    code = (DENSE_SOLVE + "import resource\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "dense_solve()\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
+    assert int(run_fresh(code).splitlines()[-1]) <= 3 * 1024
+
+
+def test_unresolved_lapack_routine_raises_a_typed_error(monkeypatch):
+    monkeypatch.setattr(kernels, "_SYMBOL_FORMS", (("no_such_", "_", np.int32),))
+    monkeypatch.setattr(kernels, "_lapack", None)
+    with pytest.raises(BubbleLabError, match="no_such_zsytrf_") as err:
+        kernels.DenseSystem(np.eye(2, dtype=complex), 1e-10).solve(np.ones(2))
+    assert np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] in str(err.value)
+    assert kernels._lapack is None  # nothing half-resolved is kept
 
 
 def test_k0_volume_run_loads_no_scipy_module(tmp_path):

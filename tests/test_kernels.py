@@ -18,6 +18,7 @@ from bubblelab.kernels import (
     DenseSystem,
     LatticeConvolution,
     _dct1,
+    _norm1,
     cocg,
     far_field_sum,
     grid_far_field_sum,
@@ -294,6 +295,15 @@ def test_dense_system_rcond_threshold():
     assert err.value.cond_estimate > 1e12
 
 
+@pytest.mark.parametrize("m", [1, 7, 181, 1458])
+def test_norm1_is_the_max_column_sum_of_a_symmetric_matrix(m):
+    # taken by contiguous row blocks (22 rows at M = 1458), whose sums round
+    # in another order than the column sums
+    a = assemble(cluster(m, seed=12), -0.01, 3.0).matrix
+    ref = np.abs(a).sum(axis=0).max()
+    assert abs(_norm1(a) - ref) <= 1e-15 * ref
+
+
 def test_dense_system_factors_in_place_and_checks_the_unwritten_triangle():
     m = 300
     rng = np.random.default_rng(11)
@@ -455,7 +465,7 @@ def test_dense_factor_peak_memory_is_the_workspace():
     matrix = assemble(cluster(m, seed=10), -0.01, 3.0).matrix  # 16 M^2 bytes, before tracing
     lwork, _ = zsytrf_lwork(m, lower=1)
     peak = _traced_peak(DenseSystem(matrix, 1e-8).factor)
-    # zsytrf's workspace plus the 1-norm's column block of CACHE_BLOCK
+    # zsytrf's workspace plus the 1-norm's row block of CACHE_BLOCK
     # magnitudes (0.25 MiB); a block of BLOCK_ENTRIES would be 2 MiB
     assert peak <= 16 * int(lwork.real) + MIB // 2
 
