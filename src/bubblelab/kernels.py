@@ -539,7 +539,7 @@ class DenseSystem:
         self._singular = False
 
     def factor(self):
-        """Pivots of the in-place LDL^T (computed once) after the condition guard.
+        """The in-place LDL^T (computed once), then the condition guard.
 
         The first factorization in a process resolves the routines in the
         LAPACK that numpy links (``_dense_routines``), and raises SolverError
@@ -568,7 +568,6 @@ class DenseSystem:
             raise SolverError(f"{self.name} is numerically singular "
                               f"(condition estimate {self.cond_estimate:.3e})",
                               cond_estimate=self.cond_estimate)
-        return self._ipiv
 
     def _substitute(self, b) -> np.ndarray:
         """A^{-1} b from the factors (``zsytrs``), as a new vector."""

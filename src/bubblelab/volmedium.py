@@ -12,17 +12,18 @@ the short-recurrence ``kernels.cocg`` with the pruned FFT-convolution matvec
 ``kernels.LatticeConvolution`` on the regular grid, under the residual
 contract and refinement step of ``kernels.cocg_refined``, which the lattice
 point-interaction solve shares.  While COCG runs the
-solve holds 5 cell vectors (COCG's four and S) besides the caller's
-potential, the operator's quarter-box z buffer, 1 MiB chunk, octant
-spectrum and site indices, and no Krylov basis: the right-hand side S u^I
-becomes COCG's residual, the symmetric matvec runs in place in COCG's work
-vector through the FFT matvec's ``out``, and the Jacobi step divides by
-1 + V0 w_self formed in that vector from the potential.  u^I is formed from
-the cell centres where it is needed and freed at once.  The far field sums
-over the grid separably (``kernels.grid_far_field_sum``), one phase table
-per axis, from a weight array filled in place.
-A grid keeps its mask; its masked cell centres are built on each use, and a
-constant density needs none of them.
+solve holds 4 cell vectors (COCG's), the operator's quarter-box z buffer,
+1 MiB chunk, octant spectrum and site indices, and no Krylov basis.  A
+constant density's potential V0 is one number, so its square root S and the
+Jacobi diagonal 1 + V0 w_self are scalars; a grid density's V0 and S are
+one value per cell, by broadcasting alone.  The right-hand side S u^I
+becomes COCG's residual, and the symmetric matvec runs in place in COCG's
+work vector through the FFT matvec's ``out``.  u^I is written one x slab at
+a time, from that slab's centres, into the vector COCG takes over, and again
+into a new vector to recover Y.  The far field sums over the grid separably
+(``kernels.grid_far_field_sum``), one phase table per axis, from a weight
+array filled in place over the same slab walk (``VoxelGrid.slabs``).
+A grid keeps its mask; its masked cell centres are built on each use.
 """
 
 from __future__ import annotations
@@ -69,8 +70,19 @@ class VoxelGrid:
     def centers(self) -> np.ndarray:
         """(n_cells, 3) masked cell centres in C order, built on each access
         (24 bytes a cell): a caller uses them and lets them go."""
-        centers = np.argwhere(self.mask) + 0.5  # scaled in place: temporaries lift peak RSS
+        return self._centers(self.mask, 0)
+
+    def _centers(self, mask, x0: int) -> np.ndarray:
+        """Centres of the cells of ``mask``, a block of x slabs from slab x0."""
+        # scaled in place: temporaries lift peak RSS
+        centers = np.argwhere(mask) + (x0 + 0.5, 0.5, 0.5)
         return np.add(np.multiply(centers, self.g, out=centers), self.origin, out=centers)
+
+    def slabs(self):
+        """(x, mask, first cell, end cell) of each x slab, the masked cells in C order."""
+        counts = self.mask.sum(axis=(1, 2))
+        ends = np.cumsum(counts)
+        return zip(range(self.dims[0]), self.mask, ends - counts, ends)
 
     @property
     def n_cells(self) -> int:
@@ -79,9 +91,10 @@ class VoxelGrid:
 
 @dataclass(frozen=True)
 class VolumePotential:
-    """Per-cell real potential V0 = reduced-coefficient * (K+1)."""
+    """Real potential V0 = reduced-coefficient * (K+1): one 0-d value for a
+    constant density, else one per masked cell."""
 
-    values: np.ndarray  # (n_cells,) on the masked cells
+    values: np.ndarray  # () or (n_cells,); either broadcasts over the masked cells
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -91,11 +104,10 @@ class VolumePotential:
 
     @staticmethod
     def from_density(grid: VoxelGrid, density, coefficient: float):
-        """coefficient * (K + 1) on each masked cell: from the cell count
-        alone for a constant density, else from the cell centres."""
+        """coefficient * (K + 1): one value for a constant density, else one
+        per masked cell from the cell centres."""
         if density.kind == "constant":
-            value = coefficient * (density.value + 1.0)
-            return VolumePotential(values=np.full(grid.n_cells, value))
+            return VolumePotential(values=coefficient * (density.value + 1.0))
         return VolumePotential(values=coefficient * (density(grid.centers) + 1.0))
 
 
@@ -119,6 +131,15 @@ def self_cell_weight(g: float, kappa0: float) -> complex:
     return r_eq**2 / 2.0 + 1j * kappa0 * g**3 / (4.0 * math.pi)
 
 
+def incident_on_cells(grid: VoxelGrid, incident) -> np.ndarray:
+    """u^I at the masked cell centres, a new vector formed one x slab at a
+    time from that slab's centres."""
+    u = np.empty(grid.n_cells, dtype=complex)
+    for x, inside, j0, j1 in grid.slabs():
+        u[j0:j1] = incident.at(grid._centers(inside[None], x))
+    return u
+
+
 def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident) -> LSSolution:
     """Solve the collocation system (I + K V) Y = u^I, V = diag(V0 g^3).
 
@@ -127,7 +148,8 @@ def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident) ->
     That is solved by ``kernels.cocg`` with the FFT matvec and the Jacobi
     diagonal 1 + V0 w_self, to relative residual LS_RESIDUAL_TOL / 10 within
     LS_MAX_MATVECS matvecs, and Y is recovered as u^I - K (S Z), not as
-    Z / S, so V0 = 0 gives Y = u^I exactly.  The residual of Y itself is
+    Z / S, so V0 = 0 gives Y = u^I exactly.  V0 is one value or one per
+    cell, and S and that diagonal take its shape by broadcasting.  The residual of Y itself is
     checked against the contract max|(I + K V) Y - u^I| <= LS_RESIDUAL_TOL
     (1 + max|Y|); if it misses, one refinement step solves for the
     correction to Z (a second COCG run under the same cap) and the check is
@@ -138,7 +160,7 @@ def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident) ->
     n = grid.n_cells
     if n == 0:
         raise ConfigError("voxel mask is empty")
-    if n != len(potential.values):
+    if potential.values.shape not in ((), (n,)):
         raise ConfigError("potential and grid cell counts differ")
     v0 = potential.values
     w_self = self_cell_weight(grid.g, incident.kappa0)
@@ -147,10 +169,10 @@ def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident) ->
     conv = LatticeConvolution(grid.mask, grid.g, incident.kappa0, w_self / grid.g**3)
     sqrt_v = np.sqrt((v0 * grid.g**3).astype(complex))
 
-    # u^I is formed from the cell centres where it is needed, both freed at once
     def s_incident():
         """S u^I, a new vector."""
-        return sqrt_v * incident.at(grid.centers)
+        u = incident_on_cells(grid, incident)
+        return np.multiply(sqrt_v, u, out=u)
 
     def symmetric_matvec(z, out):
         """out = z + S K (S z), in place in out."""
@@ -160,14 +182,12 @@ def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident) ->
         np.add(z, out, out=out)
 
     def jacobi(r, out):
-        """out = r / (1 + V0 w_self), the diagonal formed in out."""
-        np.multiply(v0, w_self, out=out)
-        np.add(1.0, out, out=out)
-        np.divide(r, out, out=out)
+        """out = r / (1 + V0 w_self)."""
+        np.divide(r, 1.0 + v0 * w_self, out=out)
 
     def recover(z) -> tuple:
         """Y = u^I - K (S Z), max|(I + K V) Y - u^I| and whether that misses the contract."""
-        u = incident.at(grid.centers)
+        u = incident_on_cells(grid, incident)
         y = sqrt_v * z
         np.subtract(u, conv.apply(y, out=y), out=y)
         t = v0 * grid.g**3 * y
@@ -193,10 +213,9 @@ def far_field_volume(solution: LSSolution, potential: VolumePotential, grid: Vox
     """
     d = np.asarray(directions, dtype=float)
     weights = np.zeros(grid.dims, dtype=complex)
-    counts = grid.mask.sum(axis=(1, 2))
-    ends = np.cumsum(counts)
-    for slab, inside, j0, j1 in zip(weights, grid.mask, ends - counts, ends):
-        slab[inside] = potential.values[j0:j1] * solution.y[j0:j1]
+    v0 = np.broadcast_to(potential.values, solution.y.shape)
+    for x, inside, j0, j1 in grid.slabs():
+        weights[x][inside] = v0[j0:j1] * solution.y[j0:j1]
     weights *= grid.g**3
     return FarField(d, -grid_far_field_sum(d, grid.axes(), weights, kappa0))
 

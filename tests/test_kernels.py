@@ -551,9 +551,10 @@ def test_volume_solve_peak_memory_is_the_operator_and_five_vectors(n, bound):
     pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), -1.5)
     inc = IncidentWave(2.0, np.array([0.0, 0.0, 1.0]))
     peak = _traced_peak(volmedium.assemble_and_solve, grid, pot, inc)
-    # COCG's four vectors and S; the rest (0.38 MiB at 24^3, 0.49 MiB at
-    # 36^3) is apply's and the Jacobi step's ufunc buffers.  A held u^I,
-    # Jacobi diagonal, second S u^I and apply output made 8 (11.4 MiB at 36^3)
+    # COCG's four vectors and room for a grid density's per-cell S (a
+    # constant density's is a scalar: test_volmedium bounds that solve by
+    # four); the rest is apply's ufunc buffers.  A held u^I, Jacobi
+    # diagonal, second S u^I and apply output made 8 (11.4 MiB at 36^3)
     assert peak <= _operator_bytes(grid) + 5 * 16 * grid.n_cells + bound
 
 

@@ -21,9 +21,11 @@ from bubblelab.volmedium import (
     VoxelGrid,
     assemble_and_solve,
     far_field_volume,
+    incident_on_cells,
     self_cell_weight,
 )
 
+from test_kernels import MIB, _operator_bytes, _traced_peak
 from oracles import (
     born_far_field_ball,
     broadcast_weights,
@@ -76,13 +78,14 @@ def test_grid_cover_and_mask(ball_grid):
 
 
 def test_constant_density_potential_builds_no_centres(ball_grid, monkeypatch):
-    # the cell count alone gives a constant density's potential, bit for bit
-    # the value of the density evaluated at every centre
+    # a constant density's potential is one 0-d value, bit for bit the value
+    # of the density evaluated at every centre
     expected = -1.5 * (DensityField("constant", 0.5)(ball_grid.centers) + 1.0)
     monkeypatch.setattr(VoxelGrid, "centers",
                         property(lambda grid: pytest.fail("cell centres were built")))
     pot = VolumePotential.from_density(ball_grid, DensityField("constant", 0.5), -1.5)
-    assert pot.values.tobytes() == expected.tobytes()
+    assert pot.values.shape == ()
+    assert np.broadcast_to(pot.values, expected.shape).tobytes() == expected.tobytes()
 
 
 # Iteration counts and sampled Y entries (first, middle and last cell) of four
@@ -104,10 +107,18 @@ PINNED_SOLVES = {
 }
 
 
+OBLIQUE = IncidentWave(2.0, np.array([1.0, -2.0, 2.0]) / 3.0)
+
+
+def _grid(name):
+    """The unit ball on a 14^3 grid or the unit box on a 24^3 one."""
+    return VoxelGrid.cover(*((BallDomain(radius=1.0), 14) if name == "ball_14"
+                             else (BoxDomain(size=(1, 1, 1)), 24)))
+
+
 def pinned_solve(grid_name, v0):
     """(iterations, [Y at the first, middle and last cell]) of one pinned solve."""
-    grid = VoxelGrid.cover(*((BallDomain(radius=1.0), 14) if grid_name == "ball_14"
-                             else (BoxDomain(size=(1, 1, 1)), 24)))
+    grid = _grid(grid_name)
     pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), v0)
     sol = assemble_and_solve(grid, pot, INC)
     n = grid.n_cells
@@ -139,6 +150,44 @@ def test_volume_solve_reproduces_pinned_values(pinned_results, grid_name, v0):
     iterations, samples = pinned_results[grid_name, v0]
     assert iterations == PINNED_SOLVES[grid_name, v0][0]
     assert [complex(re, im) for re, im in samples] == PINNED_SOLVES[grid_name, v0][1]
+
+
+@pytest.mark.parametrize("grid_name, v0", sorted(PINNED_SOLVES),
+                         ids=[f"{g}_v0={v0:.4g}" for g, v0 in sorted(PINNED_SOLVES)])
+def test_constant_potential_solves_as_its_per_cell_copy(grid_name, v0):
+    # one 0-d V0 broadcasts through S, the Jacobi diagonal, recovery and the
+    # far field to the very bits of the same value given on every cell
+    grid = _grid(grid_name)
+    dirs = fibonacci_directions(32)
+    results = []
+    for values in (np.float64(v0), np.full(grid.n_cells, v0)):
+        pot = VolumePotential(values=values)
+        sol = assemble_and_solve(grid, pot, OBLIQUE)
+        ff = far_field_volume(sol, pot, grid, OBLIQUE.kappa0, dirs)
+        results.append((sol.y.tobytes(), sol.residual, sol.iterations, ff.values.tobytes()))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("grid_name", ["ball_14", "box_24"])
+def test_slabwise_incident_matches_the_centres(grid_name):
+    # u^I formed one x slab at a time from that slab's centres is, bit for
+    # bit, u^I at all the centres at once
+    grid = _grid(grid_name)
+    for theta in ([0.0, 0.0, 1.0], [1.0, -2.0, 2.0], [-0.3, 0.5, -0.2], [2.0, 1.0, 0.0]):
+        inc = IncidentWave(2.0, np.array(theta) / np.linalg.norm(theta))
+        u = incident_on_cells(grid, inc)
+        assert u.tobytes() == inc.at(grid.centers).tobytes()
+
+
+def test_constant_density_solve_peak_memory_is_the_operator_and_four_vectors():
+    # COCG's x, r, p and work vector; S, the Jacobi diagonal and the
+    # potential are scalars, and u^I is formed one slab at a time into the
+    # vector COCG takes over.  6.73 MiB measured; with S held per cell and
+    # u^I formed from all the centres at once it was 7.55 MiB
+    grid = VoxelGrid.cover(BoxDomain(size=(1, 1, 1)), 36)
+    pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), -1.5)
+    peak = _traced_peak(assemble_and_solve, grid, pot, INC)
+    assert peak <= _operator_bytes(grid) + 4 * 16 * grid.n_cells + MIB // 2
 
 
 def test_zero_potential_reproduces_incident(ball_grid):
@@ -176,7 +225,8 @@ def test_dense_and_fft_paths_agree(ball_grid):
                                  (_graded_density(), -1.5)]:
         pot = VolumePotential.from_density(ball_grid, density, coefficient)
         fft = assemble_and_solve(ball_grid, pot, INC)
-        a = dense_weights(ball_grid, INC.kappa0) * pot.values[None, :]
+        v0 = np.broadcast_to(pot.values, ball_grid.n_cells)  # one value or one per cell
+        a = dense_weights(ball_grid, INC.kappa0) * v0[None, :]
         a += np.eye(ball_grid.n_cells)
         dense = np.linalg.solve(a, u_inc)
         assert np.abs(dense - fft.y).max() < 1e-7
