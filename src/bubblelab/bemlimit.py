@@ -5,7 +5,8 @@ on open ones, both by collocation with the surface-module panel weights:
 S phi = -u^I on the surface, scattered field S phi, far field in the shared
 kernel convention.  The collocation matrix W = K diag(area), K the
 surface-module panel kernel, is solved in the complex-symmetric form
-K psi = -u^I with psi = area phi.
+K psi = -u^I with psi = area phi, by the solver ``surfmedium.panel_system``
+picks: one block per Fourier mode on a rotationally symmetric mesh.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields import FarField
-from .kernels import DenseSystem, far_field_sum
+from .kernels import far_field_sum
 from .meshes import SurfaceMesh
-from .surfmedium import panel_weight_matrix
+from .surfmedium import panel_system, panel_weight_matrix
 
 BEM_RESIDUAL_TOL = 1e-8
 
@@ -47,10 +48,8 @@ def solve_dirichlet(mesh: SurfaceMesh, incident, directions):
     holds the residual contract max|W phi + u^I| <= 1e-8 (1 + max|phi|); the
     symmetric solve has the same residual vector, K psi - b = W phi - b.
     """
-    system = DenseSystem(panel_weight_matrix(mesh, incident.kappa0), BEM_RESIDUAL_TOL,
-                         rcond_min=1e-12,
-                         name="single-layer system (near an interior Dirichlet resonance?)",
-                         unknown_scale=1.0 / mesh.areas)
+    system = panel_system(mesh, panel_weight_matrix(mesh, incident.kappa0), BEM_RESIDUAL_TOL,
+                          1e-12, "single-layer system (near an interior Dirichlet resonance?)")
     psi, residual = system.solve(-incident.at(mesh.centroids))
     d = np.asarray(directions, dtype=float)
     values = far_field_sum(d, mesh.centroids, psi, incident.kappa0)

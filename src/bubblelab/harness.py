@@ -236,7 +236,7 @@ SECTIONS = {
     "tolerance": {"d_min": _LENGTH._replace(default=0.5), "grid_n": _COUNT._replace(default=24),
                   "mesh_level": _LEVEL._replace(default=3), "mesh_n": _COUNT._replace(default=10),
                   "mesh_rings": _COUNT._replace(default=14),
-                  "mesh_nphi": _COUNT._replace(default=42)},
+                  "mesh_nphi": _integer(3)._replace(default=42)},  # below 3 a cap degenerates
     "contrast": dict.fromkeys(("rho0", "k0", "c_rho", "gamma", "tau", "s", "t", "h1", "l_m",
                                "lambda_k", "l0", "omega", "omega_ratio"), _NUMBER),
     "box geometry": {"kind": _TAG, "density": _DENSITY, "size": _SIZE, "center": _VECTOR},

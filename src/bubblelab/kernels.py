@@ -4,12 +4,14 @@ solves, the lattice convolution and a short-recurrence Krylov solve.
 Every solver in the package evaluates the kernel through ``helmholtz``,
 builds its dense matrix with ``pair_kernel``, sums its far field with
 ``far_field_sum`` (or ``grid_far_field_sum`` on a voxel grid) and solves
-its dense systems, all complex symmetric, through ``DenseSystem``.  On a
-masked regular lattice the same kernel matrix is applied without being
-formed: ``LatticeConvolution`` is its matvec by zero-padded FFTs that skip
-the lines of the padding, and ``cocg`` solves a complex-symmetric system
-from such a matvec alone; ``cocg_refined`` adds the residual contract and
-one refinement step that the lattice point solve and the volume solve share.
+its dense systems, all complex symmetric, through ``DenseSystem``, or
+through ``CyclicSystem`` one block per Fourier mode when a panel mesh of P
+rotational sectors makes the matrix block circulant.  On a masked regular
+lattice the same kernel matrix is applied without being formed:
+``LatticeConvolution`` is its matvec by zero-padded FFTs that skip the
+lines of the padding, and ``cocg`` solves a complex-symmetric system from
+such a matvec alone; ``cocg_refined`` adds the residual contract and one
+refinement step that the lattice point solve and the volume solve share.
 
 The dense solve's BLAS and LAPACK routines (``zsytrf``, ``zsytrs``,
 ``zsycon``, ``zsymm``) come from the OpenBLAS that ``numpy.linalg`` links,
@@ -43,7 +45,9 @@ pinned values.
 the matrix alone (16 M^2 bytes) and never at an (M, M, 3) difference array or
 a second (M, M) copy.  ``pair_kernel``, which builds the point, surface and
 Dirichlet systems, refuses a matrix over DENSE_MAX_BYTES (1 GiB: M <= 8192)
-before allocating it, or one the OS refuses, with AllocationError.
+before allocating it, or one the OS refuses, with AllocationError; the same
+budget bounds the (N, N/P) sector-0 columns of P sectors, and a
+``CyclicSystem`` holds three such arrays: 48 N^2 / P bytes, not 16 N^2.
 ``LatticeConvolution`` refuses a box over MAX_CELLS (64^3) with
 ConfigError, so the point and the volume solves share that cap.  It never
 forms its zero-padded box: it holds a quarter of it, the (nx, ny, 2nz)
@@ -87,74 +91,73 @@ def helmholtz(r, kappa0: float):
     return np.exp(1j * kappa0 * r) / (4.0 * np.pi * r)
 
 
-def _upper_blocks(m: int):
-    """Row blocks (i0, i1) of an (m, m) upper triangle, each covering columns
-    i0:m in at most CACHE_BLOCK entries (one row if a row is longer)."""
+def _distance_blocks(points, stride: int = 1):
+    """(i0, i1, c0, r, s) for row blocks i0:i1 of ``points`` against columns
+    c0: of points[::stride] (n of them), c0 = i0 (the upper triangle) for
+    stride 1 and 0 otherwise: r the (i1 - i0, n - c0) distances and s a
+    scratch array of the same shape, both views of two buffers reused by
+    every block of at most CACHE_BLOCK entries (one row if a row is longer)."""
+    m, cols = len(points), points[::stride]
+    n = len(cols)
+    r_buf = np.empty(min(max(CACHE_BLOCK, n), m * n))
+    s_buf = np.empty_like(r_buf)
     i0 = 0
     while i0 < m:
-        i1 = min(m, i0 + max(1, CACHE_BLOCK // (m - i0)))
-        yield i0, i1
+        c0 = i0 if stride == 1 else 0
+        i1 = min(m, i0 + max(1, CACHE_BLOCK // (n - c0)))
+        r = r_buf[:(i1 - i0) * (n - c0)].reshape(i1 - i0, n - c0)
+        s = s_buf[:r.size].reshape(r.shape)
+        _block_distances(points[i0:i1], cols[c0:], r, s)
+        yield i0, i1, c0, r, s
         i0 = i1
 
 
-def _distance_blocks(points):
-    """(i0, i1, r, s) for each ``_upper_blocks`` row block of ``points``: r the
-    (i1 - i0, m - i0) distances from ``_block_distances`` and s a scratch array
-    of the same shape, both views of two buffers reused by every block."""
-    m = len(points)
-    r_buf = np.empty(min(max(CACHE_BLOCK, m), m * m))
-    s_buf = np.empty_like(r_buf)
-    for i0, i1 in _upper_blocks(m):
-        size = (i1 - i0) * (m - i0)
-        r = r_buf[:size].reshape(i1 - i0, m - i0)
-        s = s_buf[:size].reshape(r.shape)
-        _block_distances(points, i0, i1, r, s)
-        yield i0, i1, r, s
-
-
-def _block_distances(points, i0, i1, out, scratch):
-    """|x_i - x_j| for rows i0:i1 and columns j >= i0 into ``out``, summed over
-    the points' columns in the order ``np.linalg.norm(..., axis=-1)`` uses, so
+def _block_distances(rows, cols, out, scratch):
+    """|x_i - y_j| for rows x_i and columns y_j into ``out``, summed over the
+    points' columns in the order ``np.linalg.norm(..., axis=-1)`` uses, so
     r_ij == r_ji bitwise."""
-    for axis in range(points.shape[1]):
+    for axis in range(rows.shape[1]):
         dst = out if axis == 0 else scratch
-        np.subtract.outer(points[i0:i1, axis], points[i0:, axis], out=dst)
+        np.subtract.outer(rows[:, axis], cols[:, axis], out=dst)
         np.multiply(dst, dst, out=dst)
         if axis:
             out += scratch
     np.sqrt(out, out=out)
 
 
-def pair_kernel(points, kappa0: float, diagonal) -> np.ndarray:
+def pair_kernel(points, kappa0: float, diagonal, stride: int = 1) -> np.ndarray:
     """Square matrix e^{i kappa0 r_ij} / (4 pi r_ij) off the diagonal,
-    ``diagonal`` (scalar or per point) on it.
+    ``diagonal`` (scalar or per point) on it; with ``stride`` p > 1 only its
+    columns 0, p, 2p, ..., an (M, M/p) array whose diagonal is (i p, i).
 
     Entries are bitwise equal to ``helmholtz(r, kappa0)`` with r from
     ``np.linalg.norm(x_i - x_j)``: complex division by a real multiplies by
     its reciprocal, and exp of a pure imaginary is (cos, sin).  The kernel is
-    evaluated on the upper triangle, in row blocks, and mirrored.  Raises
-    GeometryError if two distinct points coincide, and AllocationError (its
-    16 M^2 bytes) for a matrix over DENSE_MAX_BYTES or one not allocated.
+    evaluated in row blocks, on the upper triangle and mirrored if p = 1.
+    Raises GeometryError if two distinct points coincide, and
+    AllocationError (its 16 M^2 / p bytes) for a matrix over DENSE_MAX_BYTES
+    or one not allocated.
     """
     z = np.asarray(points, dtype=float)
     if z.ndim != 2 or z.shape[1] != 3:
         raise GeometryError("points must be an (M, 3) array")
     m = len(z)
-    nbytes = 16 * m * m
-    need = f"the ({m}, {m}) kernel matrix needs {nbytes / 2**30:.3g} GiB"
+    n = m // stride
+    nbytes = 16 * m * n
+    need = f"the ({m}, {n}) kernel matrix needs {nbytes / 2**30:.3g} GiB"
     if nbytes > DENSE_MAX_BYTES:
         raise AllocationError(f"{need}, over the dense budget", nbytes=nbytes)
     try:
-        out = np.empty((m, m), dtype=complex)
+        out = np.empty((m, n), dtype=complex)
     except MemoryError:
         raise AllocationError(f"{need}, which could not be allocated", nbytes=nbytes) from None
     four_pi = 4.0 * np.pi
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i0, i1, r, s in _distance_blocks(z):
+        for i0, i1, c0, r, s in _distance_blocks(z, stride):
             zi, zj = np.nonzero(r == 0.0)
-            if np.any(zi != zj):
+            if np.any(i0 + zi != (c0 + zj) * stride):
                 raise GeometryError("coincident points make the interaction kernel singular")
-            blk = out[i0:i1, i0:]
+            blk = out[i0:i1, c0:]
             np.multiply(four_pi, r, out=s)
             np.divide(1.0, s, out=s)  # 1/(4 pi r); inf on the diagonal, overwritten below
             np.multiply(kappa0, r, out=r)
@@ -162,8 +165,9 @@ def pair_kernel(points, kappa0: float, diagonal) -> np.ndarray:
             blk.real *= s
             np.sin(r, out=blk.imag)
             blk.imag *= s
-            out[i1:, i0:i1] = out[i0:i1, i1:].T
-    out.flat[:: m + 1] = diagonal
+            if stride == 1:
+                out[i1:, i0:i1] = out[i0:i1, i1:].T
+    out.flat[:: m + 1] = diagonal  # (i p, i) is flat index i (m + 1)
     return out
 
 
@@ -171,7 +175,7 @@ def _pair_minimum(points, transform=None) -> float:
     """min over pairs i != j of transform(|x_i - x_j|), inf without pairs, in
     the bounded row blocks of ``pair_kernel``; ``transform`` works in place."""
     best = np.inf
-    for i0, i1, r, _ in _distance_blocks(np.asarray(points, dtype=float)):
+    for i0, i1, _, r, _ in _distance_blocks(np.asarray(points, dtype=float)):
         if transform is not None:
             transform(r)
         r[np.arange(i1 - i0), np.arange(i1 - i0)] = np.inf  # skip i == j
@@ -533,41 +537,43 @@ class DenseSystem:
         self.rcond_min = rcond_min
         self.name = name
         self.unknown_scale = unknown_scale
-        self.cond_estimate = None
-        self._ipiv = None
-        self._diagonal = None
-        self._singular = False
+        self.cond_estimate = None  # set by the factorization
 
     def factor(self):
-        """The in-place LDL^T (computed once), then the condition guard.
+        """The factorization (computed once), then the condition guard.
 
         The first factorization in a process resolves the routines in the
         LAPACK that numpy links (``_dense_routines``), and raises SolverError
         if it exports none of the forms tried.
         """
-        if self._ipiv is None:
-            _, index = _dense_routines()
-            a, m = self.matrix, len(self.matrix)
-            anorm = _norm1(a)
-            self._diagonal = a.diagonal().copy()
-            ipiv = np.empty(m, dtype=index)
-            info = np.zeros(1, dtype=index)
-            size = np.empty(1, dtype=complex)
-            _lapack_call("zsytrf", b"L", m, a, m, ipiv, size, -1, info)  # workspace query
-            work = np.empty(max(1, int(size[0].real)), dtype=complex)
-            _lapack_call("zsytrf", b"L", m, a, m, ipiv, work, len(work), info)
-            del work
-            factored = info[0] == 0
-            rcond = np.zeros(1)
-            _lapack_call("zsycon", b"L", m, a, m, ipiv, anorm, rcond,
-                         np.empty(2 * m, dtype=complex), info)
-            self._ipiv = ipiv
-            self.cond_estimate = float(1.0 / max(rcond[0], 1e-300))
-            self._singular = not factored or rcond[0] == 0.0 or rcond[0] < self.rcond_min
+        if self.cond_estimate is None:
+            rcond = self._factor()
+            self.cond_estimate = float(1.0 / max(rcond, 1e-300))
+            self._singular = rcond == 0.0 or rcond < self.rcond_min
         if self._singular:
             raise SolverError(f"{self.name} is numerically singular "
                               f"(condition estimate {self.cond_estimate:.3e})",
                               cond_estimate=self.cond_estimate)
+
+    def _factor(self) -> float:
+        """The in-place LDL^T; its reciprocal condition estimate, 0 if singular."""
+        _, index = _dense_routines()
+        a, m = self.matrix, len(self.matrix)
+        anorm = _norm1(a)
+        self._diagonal = a.diagonal().copy()
+        ipiv = np.empty(m, dtype=index)
+        info = np.zeros(1, dtype=index)
+        size = np.empty(1, dtype=complex)
+        _lapack_call("zsytrf", b"L", m, a, m, ipiv, size, -1, info)  # workspace query
+        work = np.empty(max(1, int(size[0].real)), dtype=complex)
+        _lapack_call("zsytrf", b"L", m, a, m, ipiv, work, len(work), info)
+        del work
+        factored = info[0] == 0
+        rcond = np.zeros(1)
+        _lapack_call("zsycon", b"L", m, a, m, ipiv, anorm, rcond,
+                     np.empty(2 * m, dtype=complex), info)
+        self._ipiv = ipiv
+        return float(rcond[0]) if factored else 0.0
 
     def _substitute(self, b) -> np.ndarray:
         """A^{-1} b from the factors (``zsytrs``), as a new vector."""
@@ -577,13 +583,17 @@ class DenseSystem:
                      np.zeros(1, dtype=self._ipiv.dtype))
         return x
 
-    def _residual(self, x, b) -> tuple:
-        """(A x - b, whether it misses the contract), A x from the unwritten
-        triangle and the saved diagonal.  A NaN residual or bound misses it."""
+    def _matvec(self, x) -> np.ndarray:
+        """A x from the unwritten triangle (``zsymm``) and the saved diagonal."""
         m = len(x)
         ax = np.zeros(m, dtype=complex)
         _lapack_call("zsymm", b"L", b"U", m, 1, 1.0 + 0j, self.matrix, m, x, m, 0j, ax, m)
-        resid = ax + (self._diagonal - self.matrix.diagonal()) * x - b
+        return ax + (self._diagonal - self.matrix.diagonal()) * x
+
+    def _residual(self, x, b) -> tuple:
+        """(A x - b, whether it misses the contract).  A NaN residual or
+        bound misses it."""
+        resid = self._matvec(x) - b
         bound = self.residual_tol * (1.0 + np.abs(x * self.unknown_scale).max())
         return resid, not np.abs(resid).max() <= bound
 
@@ -601,3 +611,52 @@ class DenseSystem:
             raise SolverError(f"{self.name} residual {residual:.3e} exceeds contract tolerance",
                               cond_estimate=self.cond_estimate)
         return x, residual
+
+
+class CyclicSystem(DenseSystem):
+    """Complex-symmetric block-circulant system of N = R P unknowns, given
+    by its (N, R) columns 0, P, 2P, ... and factored once, one block a mode.
+
+    On a mesh of P sectors, panel r P + k being panel r P turned by
+    2 pi k / P, A[rP + k, sP + l] = c[r, (k - l) mod P, s] with c the columns
+    as (R, P, R).  One FFT over the sector index turns A into P R x R
+    blocks, one per azimuthal Fourier mode (the body-of-revolution method:
+    Mautz & Harrington, Appl. Sci. Res. 20, 1969), which the first solve
+    inverts by batched LU.  A's singular values are the blocks', so
+    ``cond_estimate`` is A's exact 2-norm condition number.  A x and
+    A^{-1} b are block products between two FFTs, so residuals come from A
+    itself; the guard, the contract and its refinement step are
+    ``DenseSystem``'s.  The columns, the blocks and their inverses hold
+    16 N R bytes each; columns over DENSE_MAX_BYTES are refused
+    (AllocationError) before anything is allocated.
+    """
+
+    def __init__(self, columns, residual_tol: float, rcond_min: float = 0.0,
+                 name: str = "block-circulant system", unknown_scale=1.0):
+        n, r = np.shape(columns)
+        if 16 * n * r > DENSE_MAX_BYTES:
+            raise AllocationError(f"the ({n}, {r}) columns need {16 * n * r / 2**30:.3g} GiB, "
+                                  "over the dense budget", nbytes=16 * n * r)
+        super().__init__(columns, residual_tol, rcond_min, name, unknown_scale)
+
+    def _factor(self) -> float:
+        """The blocks and their inverses; A's reciprocal 2-norm condition number."""
+        n, r = self.matrix.shape
+        self._blocks = fft(self.matrix.reshape(r, n // r, r), axis=1).transpose(1, 0, 2)
+        try:
+            sv = np.linalg.svd(self._blocks, compute_uv=False)
+            self._inverse = np.linalg.inv(self._blocks)
+        except np.linalg.LinAlgError:  # not finite, or singular
+            return 0.0
+        return float(sv.min() / sv.max())
+
+    def _modes(self, blocks, v) -> np.ndarray:
+        """The block circulant of mode blocks ``blocks`` applied to v."""
+        spectrum = fft(np.reshape(v, (-1, len(blocks))), axis=1)
+        return ifft(np.einsum("qrs,sq->rq", blocks, spectrum), axis=1).reshape(-1)
+
+    def _substitute(self, b) -> np.ndarray:
+        return self._modes(self._inverse, b)
+
+    def _matvec(self, x) -> np.ndarray:
+        return self._modes(self._blocks, x)

@@ -40,9 +40,11 @@ class SurfaceMesh:
     triangle repeats its vertex 0.  Quads must be (near) planar.  Normals follow
     the panel winding (right-hand rule), expected outward on a closed mesh.
     ``boundary_edges``, the rim, is a (k, 2) array of (lower, higher) indices.
+    ``sectors`` is the mesh's rotational order P about z, as its generator
+    records it: panel r P + k is panel r P turned by 2 pi k / P (1 if none).
     """
 
-    def __init__(self, vertices, panels):
+    def __init__(self, vertices, panels, sectors: int = 1):
         self.vertices = np.asarray(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise GeometryError("vertices must be an (n, 3) array")
@@ -53,6 +55,9 @@ class SurfaceMesh:
             raise GeometryError(f"panel with {self.panels.shape[1]} vertices not supported")
         if self.panels.size and (self.panels.min() < 0 or self.panels.max() >= len(self.vertices)):
             raise GeometryError("face index out of range")
+        if len(self.panels) % sectors:
+            raise GeometryError(f"{len(self.panels)} panels do not make {sectors} sectors")
+        self.sectors = sectors
         # each panel as 4 indices, a triangle closing on its vertex 0
         panels = self.panels[:, [0, 1, 2, 3 % self.panels.shape[1]]]
         sizes = 3 + (panels[:, 3] != panels[:, 0])
@@ -252,7 +257,8 @@ def sphere_cap_mesh(
     """Open spherical cap about +z: pole fan plus quad rings, graded at the rim.
 
     Normals point away from the sphere center (outward for the parent sphere).
-    Vertex 0 is the pole and vertex k of ring r is 1 + r*n_phi + k.
+    Vertex 0 is the pole and vertex k of ring r is 1 + r*n_phi + k.  The pole
+    fan comes first and then ring after ring, so the mesh has n_phi sectors.
     """
     w = _graded(n_rings)
     theta = (theta_max * w / w[-1])[1:, None]
@@ -264,7 +270,7 @@ def sphere_cap_mesh(
     lo = 1 + n_phi * np.arange(n_rings - 1)[:, None]
     fan = np.stack([0 * k, 1 + k, 1 + k2, 0 * k], axis=1)  # triangles repeat vertex 0
     quads = np.stack([lo + k, lo + n_phi + k, lo + n_phi + k2, lo + k2], axis=-1)
-    return SurfaceMesh(verts, np.concatenate([fan, quads.reshape(-1, 4)]))
+    return SurfaceMesh(verts, np.concatenate([fan, quads.reshape(-1, 4)]), sectors=n_phi)
 
 
 def rect_mesh(lx: float, ly: float, nx: int, ny: int) -> SurfaceMesh:

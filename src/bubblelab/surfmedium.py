@@ -10,7 +10,9 @@ closed form of Wilton et al., IEEE TAP 32(3), 1984) plus a midpoint term for
 the bounded remainder.  The represented total field satisfies [u] = 0 and
 [du/dn] = sigma * u across Sigma (jump bracket: outside minus inside along
 the panel normal).  ``panel_weight_matrix`` is the complex-symmetric kernel
-matrix that this solve and the Dirichlet solve of ``bemlimit`` both factor.
+matrix, or on a mesh of P > 1 rotational sectors (a sphere cap) its sector-0
+columns, that this solve and the Dirichlet solve of ``bemlimit`` both solve
+through ``panel_system``: by dense LDL^T, or one Fourier mode at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields import FarField
-from .kernels import BLOCK_ENTRIES, DenseSystem, far_field_sum, helmholtz, pair_kernel
+from .kernels import BLOCK_ENTRIES, CyclicSystem, DenseSystem, far_field_sum, helmholtz, pair_kernel
 from .meshes import SurfaceMesh, subdivide_triangles, triangle_areas
 
 SIE_RESIDUAL_TOL = 1e-8
@@ -91,10 +93,22 @@ def panel_weight_matrix(mesh: SurfaceMesh, kappa0: float) -> np.ndarray:
     """Complex-symmetric panel kernel K: Phi(c_i, c_j) off the diagonal and
     the self-panel integral over the area, closed form, on it.
 
-    The collocation weights are W = K diag(area).
+    The collocation weights are W = K diag(area).  A mesh of P > 1 sectors
+    gets the columns of sector 0 only, (N, N/P), which fix K; in both cases
+    entry (i P, i) is on K's diagonal.
     """
+    p = mesh.sectors
     return pair_kernel(mesh.centroids, kappa0,
-                       diagonal=self_panel_weights(mesh, kappa0) / mesh.areas)
+                       diagonal=self_panel_weights(mesh, kappa0)[::p] / mesh.areas[::p], stride=p)
+
+
+def panel_system(mesh: SurfaceMesh, matrix, residual_tol: float, rcond_min: float, name: str):
+    """The system of ``panel_weight_matrix``'s result, or of a matrix of
+    that form: block-circulant for a mesh of P > 1 sectors, dense otherwise.
+    Its unknowns are area times the per-panel values."""
+    system = CyclicSystem if mesh.sectors > 1 else DenseSystem
+    return system(matrix, residual_tol, rcond_min=rcond_min, name=name,
+                  unknown_scale=1.0 / mesh.areas)
 
 
 def assemble_and_solve_surface(mesh: SurfaceMesh, sigma: float, incident) -> SurfaceSolution:
@@ -110,9 +124,8 @@ def assemble_and_solve_surface(mesh: SurfaceMesh, sigma: float, incident) -> Sur
     sigma_h = float(sigma)
     a = panel_weight_matrix(mesh, incident.kappa0)
     a *= sigma_h
-    a.flat[:: mesh.n_panels + 1] += 1.0 / mesh.areas
-    system = DenseSystem(a, SIE_RESIDUAL_TOL, rcond_min=1e-14, name="surface system",
-                         unknown_scale=1.0 / mesh.areas)
+    a.flat[:: mesh.n_panels + 1] += 1.0 / mesh.areas[:: mesh.sectors]
+    system = panel_system(mesh, a, SIE_RESIDUAL_TOL, 1e-14, "surface system")
     z, resid = system.solve(incident.at(mesh.centroids))
     return SurfaceSolution(y=z / mesh.areas, sigma_h=sigma_h, residual=resid)
 

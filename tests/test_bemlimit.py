@@ -8,9 +8,10 @@ from bubblelab.errors import ConfigError
 from bubblelab.fields import fibonacci_directions
 from bubblelab.meshes import icosphere, sphere_cap_mesh
 from bubblelab.pointscat import IncidentWave, assemble, far_field, solve_charges
-from bubblelab.surfmedium import panel_weight_matrix, single_layer_eval
+from bubblelab.surfmedium import panel_weight_matrix, self_panel_weights, single_layer_eval
 
-from oracles import direct_far_field, soft_sphere_far_field, sphere_dirichlet_wavenumbers
+from oracles import (broadcast_weights, direct_far_field, soft_sphere_far_field,
+                     sphere_dirichlet_wavenumbers)
 
 INC = IncidentWave(1.0, np.array([0.0, 0.0, 1.0]))
 DIRS = fibonacci_directions(100)
@@ -159,7 +160,9 @@ def test_symmetric_solve_matches_collocation_system(mesh):
     # the unscaled collocation system W phi = -u^I, W = K diag(area), solved directly
     inc = IncidentWave(1.0, np.array([0.0, 0.6, 0.8]))
     u = inc.at(mesh.centroids)
-    w = panel_weight_matrix(mesh, inc.kappa0) * mesh.areas
+    # the dense kernel from the broadcast formula: a cap's own is its sector-0 columns
+    w = broadcast_weights(mesh.centroids, inc.kappa0, 1.0,
+                          self_panel_weights(mesh, inc.kappa0) / mesh.areas) * mesh.areas
     ref = np.linalg.solve(w, -u)
     density, ff = solve_dirichlet(mesh, inc, DIRS)
     assert np.abs(density.values - ref).max() <= 1e-10 * np.abs(ref).max()

@@ -239,6 +239,12 @@ MEDIUM_CAP = {**CAP, "contrast": {"gamma": 1.0, "s": 1.0, "t": 0.45, "omega_rati
 HIGH_CAP = {**CAP, "contrast": {"gamma": 1.0, "s": 0.95, "t": 0.33, "h1": 0.1, "l_m": 0.01,
                                 "lambda_k": 0.9},
             "regime": "High", "tolerances": {"d_min": 0.1, "mesh_rings": 6, "mesh_nphi": 16}}
+# panel meshes of one sector, whose panel systems go dense: a 64-panel
+# rectangle screen and a 320-panel icosphere
+MEDIUM_RECT = {**MEDIUM_CAP, "geometry": {"kind": "plane_rect", "lx": 1.0, "ly": 1.0},
+               "tolerances": {"d_min": 0.3, "mesh_n": 8}}
+HIGH_BALL = {**HIGH_CAP, "geometry": {"kind": "ball", "radius": 0.5},
+             "tolerances": {"mesh_level": 2}}
 
 
 def test_solve_commands_match_converge_first_row(tmp_path):
@@ -269,8 +275,8 @@ def _dense_sizes(path):
     return [run.cluster(a).m for a in run.config.a_sequence], n
 
 
-@pytest.mark.parametrize("name, over", [("point", K1_LOW), ("surface", MEDIUM_CAP),
-                                        ("dirichlet", HIGH_CAP)])
+@pytest.mark.parametrize("name, over", [("point", K1_LOW), ("surface", MEDIUM_RECT),
+                                        ("dirichlet", HIGH_BALL)])
 def test_over_budget_dense_system_aborts_its_rows(tmp_path, monkeypatch, name, over):
     # the point case's budget is exactly its second system, so only its last
     # row aborts; the panel cases' budget admits every point system but not
@@ -309,7 +315,7 @@ def test_solve_fl_enforces_cluster_cap(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, over", [("solve-sie", MEDIUM_CAP), ("solve-bem", HIGH_CAP)])
+@pytest.mark.parametrize("command, over", [("solve-sie", MEDIUM_RECT), ("solve-bem", HIGH_BALL)])
 def test_over_budget_panel_solve_exits_3(tmp_path, monkeypatch, capsys, command, over):
     path = _write_config(tmp_path, "capped", **over)
     _, n = _dense_sizes(path)
@@ -318,6 +324,21 @@ def test_over_budget_panel_solve_exits_3(tmp_path, monkeypatch, capsys, command,
     assert cli([command, "--config", str(path), "--out", str(out)]) == 3
     assert "over the dense budget" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, over", [("surface", MEDIUM_CAP), ("dirichlet", HIGH_CAP)])
+def test_cap_converge_solves_under_a_budget_below_its_dense_matrix(tmp_path, monkeypatch,
+                                                                    name, over):
+    # a cap's panel system is its (N, N/P) sector-0 columns, never the (N, N)
+    # matrix, so a budget one byte short of that matrix admits every row
+    path = _write_config(tmp_path, name, **over)
+    ms, n = _dense_sizes(path)
+    assert max(ms) < n  # the point systems fit too
+    monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", 16 * n * n - 1)
+    out = tmp_path / "run"
+    assert cli(["converge", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads((out / "regime_report.json").read_text())["aborted_rows"] == []
+    assert len((out / "error_table.csv").read_text().splitlines()) == 1 + len(ms)
 
 
 @pytest.mark.parametrize("command", ["cluster", "solve-fl", "solve-ls", "solve-sie", "solve-bem",
@@ -483,12 +504,14 @@ def test_theta_max_of_a_hemisphere_and_a_full_sphere_load():
     ({"tolerances": {"mesh_n": 0}}, "tolerance 'mesh_n'"),
     ({"tolerances": {"mesh_rings": 0}}, "tolerance 'mesh_rings'"),
     ({"tolerances": {"mesh_nphi": -2}}, "tolerance 'mesh_nphi'"),
+    # a cap of 2 sectors has coincident panel centroids, and one of 1 degenerate panels
+    ({"tolerances": {"mesh_nphi": 2}}, "tolerance 'mesh_nphi'"),
     ({"tolerances": {"mesh_level": -1}}, "tolerance 'mesh_level'"),
     ({"bubble": {"shape": "cube", "n": 0}}, "bubble 'n'"),
 ], ids=["grid_n", "mesh_level", "directions", "theta_sweep", "seed", "cube_n",
         "negative_theta_sweep", "zero_directions", "negative_seed",
         "zero_grid_n", "zero_mesh_n", "zero_mesh_rings", "negative_mesh_nphi",
-        "negative_mesh_level", "zero_cube_n"])
+        "two_mesh_nphi", "negative_mesh_level", "zero_cube_n"])
 @pytest.mark.parametrize("command", ["regime-check", "converge"])
 def test_non_integral_or_out_of_range_integers_exit_2(tmp_path, capsys, over, name, command):
     # int() would truncate 8.7 to 8 and a negative sweep would mean none

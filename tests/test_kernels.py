@@ -15,6 +15,7 @@ from bubblelab.fields import fibonacci_directions
 from bubblelab.kernels import (
     BLOCK_ENTRIES,
     CACHE_BLOCK,
+    CyclicSystem,
     DenseSystem,
     LatticeConvolution,
     _dct1,
@@ -31,6 +32,7 @@ from bubblelab.meshes import (
     boundary_shape_factor,
     cube_mesh,
     icosphere,
+    rect_mesh,
     sphere_cap_mesh,
 )
 from bubblelab.pointscat import ClusterSystem, IncidentWave, assemble, solve_charges
@@ -73,14 +75,17 @@ def test_assemble_bitwise_equal_to_broadcast(m):
 
 
 def test_panel_weights_bitwise_equal_to_broadcast():
-    mesh = sphere_cap_mesh(radius=1.0, theta_max=0.8, n_rings=6, n_phi=18)
     kappa0 = 2.3
-    # the kernel itself, with the self-panel integrals over the areas on the diagonal
-    expected = broadcast_weights(mesh.centroids, kappa0, 1.0,
-                                 self_panel_weights(mesh, kappa0) / mesh.areas)
-    k = panel_weight_matrix(mesh, kappa0)
-    assert np.array_equal(k, expected)
-    assert np.array_equal(k, k.T)
+    # the kernel itself, with the self-panel integrals over the areas on the
+    # diagonal: a cap of P = 18 sectors gets its sector-0 columns, a P = 1
+    # mesh the whole matrix
+    for mesh in (sphere_cap_mesh(radius=1.0, theta_max=0.8, n_rings=6, n_phi=18),
+                 rect_mesh(1.0, 0.7, 9, 12)):
+        expected = broadcast_weights(mesh.centroids, kappa0, 1.0,
+                                     self_panel_weights(mesh, kappa0) / mesh.areas)
+        k = panel_weight_matrix(mesh, kappa0)
+        assert np.array_equal(k, expected[:, ::mesh.sectors])
+    assert mesh.sectors == 1 and np.array_equal(k, k.T)
 
 
 def test_min_pairwise_distance_blocked():
@@ -324,6 +329,67 @@ def test_dense_system_factors_in_place_and_checks_the_unwritten_triangle():
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
     assert abs(residual - np.abs(a0 @ x - b).max()) <= 1e-13
     assert system.cond_estimate == pytest.approx(np.linalg.cond(a0, 1), rel=0.5)
+
+
+def test_cyclic_system_agrees_with_dense_system():
+    # a cap's full (N, N) panel kernel, from the broadcast formula
+    mesh = sphere_cap_mesh(1.0, np.pi / 4, 8, 24)
+    full = broadcast_weights(mesh.centroids, 1.3, 1.0, self_panel_weights(mesh, 1.3) / mesh.areas)
+    b = IncidentWave(1.3, np.array([0.0, 0.6, 0.8])).at(mesh.centroids)
+    cyclic = CyclicSystem(full[:, ::mesh.sectors], 1e-10)
+    x, residual = cyclic.solve(b)
+    x_dense, residual_dense = DenseSystem(full.copy(), 1e-10).solve(b)
+    assert np.abs(x - x_dense).max() <= 1e-12 * np.abs(x_dense).max()
+    # the residual is the full system's, max|A x - b|
+    assert abs(residual - residual_dense) <= 1e-12
+    assert abs(residual - np.abs(full @ x - b).max()) <= 1e-13
+    # A's singular values are its mode blocks': the exact 2-norm condition number
+    assert cyclic.cond_estimate == pytest.approx(np.linalg.cond(full, 2), rel=1e-9)
+
+
+def test_cyclic_system_near_singular_block_raises_with_condition_estimate():
+    # identity blocks but in modes 1 and P - 1 (paired, so each column block
+    # stays symmetric), whose last singular value is 1e-14
+    r, p = 4, 6
+    spectrum = np.broadcast_to(np.eye(r, dtype=complex)[:, None, :], (r, p, r)).copy()
+    spectrum[r - 1, [1, p - 1], r - 1] = 1e-14
+    columns = np.fft.ifft(spectrum, axis=1).reshape(r * p, r)
+    b = np.ones(r * p)
+    x, _ = CyclicSystem(columns, 1e-2).solve(b)
+    assert np.all(np.isfinite(x))
+    with pytest.raises(SolverError) as err:
+        CyclicSystem(columns, 1e-2, rcond_min=1e-12).solve(b)
+    # the FFT round trip moves the 1e-14 by rounding of order 1e-16
+    assert err.value.cond_estimate == pytest.approx(1e14, rel=0.05)
+    # an exactly singular system is refused under any threshold
+    with pytest.raises(SolverError) as err:
+        CyclicSystem(np.zeros((r * p, r)), 1e-2).solve(b)
+    assert err.value.cond_estimate >= 1e16
+
+
+def test_over_budget_cyclic_columns_raise_before_allocating(monkeypatch):
+    mesh = sphere_cap_mesh(1.0, np.pi / 4, 8, 24)
+    n, r = mesh.n_panels, mesh.n_panels // mesh.sectors
+    columns = np.ones((n, r), dtype=complex)
+    build = (lambda: pair_kernel(mesh.centroids, 3.0, 1.0, stride=mesh.sectors),
+             lambda: CyclicSystem(columns, 1e-8))
+    monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", 16 * n * r - 1)
+    for make in build:
+        tracemalloc.start()
+        try:
+            with pytest.raises(AllocationError) as err:
+                make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.nbytes == 16 * n * r
+        assert peak < 16 * n * r // 4  # nothing of that size was allocated
+    with pytest.raises(AllocationError):
+        solve_dirichlet(mesh, IncidentWave(3.0, np.array([0.0, 0.0, 1.0])),
+                        fibonacci_directions(10))
+    monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", 16 * n * r)
+    for make in build:
+        make()  # exactly at the budget
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,36 @@ def test_sphere_cap_matches_loop_construction(radius, theta_max, n_rings, n_phi)
     assert np.abs(cap.vertices - verts).max() <= 1e-15
 
 
+@pytest.mark.parametrize("n_rings, n_phi", [(3, 8), (8, 24), (16, 48)])
+def test_cap_panels_are_sector_0_panels_turned(n_rings, n_phi):
+    # the precondition of the block-circulant panel solve: panel r P + k is
+    # panel r P turned about z by 2 pi k / P, P = n_phi
+    cap = sphere_cap_mesh(1.0, np.pi / 4, n_rings, n_phi)
+    assert cap.sectors == n_phi
+    angle = 2 * np.pi * np.arange(n_phi) / n_phi
+    turn = np.zeros((n_phi, 3, 3))
+    turn[:, 0, 0] = turn[:, 1, 1] = np.cos(angle)
+    turn[:, 1, 0] = np.sin(angle)
+    turn[:, 0, 1] = -turn[:, 1, 0]
+    turn[:, 2, 2] = 1.0
+    for vectors in (cap.centroids, cap.normals):
+        by_sector = vectors.reshape(n_rings, n_phi, 3)
+        turned = np.einsum("kij,rj->rki", turn, by_sector[:, 0])
+        assert np.abs(by_sector - turned).max() <= 1e-14
+    areas = cap.areas.reshape(n_rings, n_phi)
+    assert np.abs(areas - areas[:, :1]).max() <= 1e-14 * areas.max()
+
+
+def test_other_meshes_have_one_sector(tmp_path):
+    path = tmp_path / "tri.msh"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\n")
+    for mesh in (icosphere(1), cube_mesh(2), rect_mesh(1.0, 1.0, 3, 2), load_mesh(path)):
+        assert mesh.sectors == 1
+    with pytest.raises(GeometryError, match="^5 panels do not make 2 sectors$"):
+        SurfaceMesh(np.array([[0.0, 0, 1], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]),
+                    [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1), (1, 2, 3)], sectors=2)
+
+
 def test_shape_factor_sphere_against_closed_form():
     # [DERIVED] inner integral -8 pi/3, independent of x (quadrature oracle)
     exact = sphere_inner_integral()

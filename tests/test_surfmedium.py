@@ -12,12 +12,12 @@ from bubblelab.surfmedium import (
     far_field_surface,
     _triangle_potential,
     jump_check,
-    panel_weight_matrix,
     self_panel_weights,
     single_layer_eval,
 )
 
 from oracles import (
+    broadcast_weights,
     metasurface_sphere_far_field,
     metasurface_sphere_surface_values,
     panel_corners,
@@ -259,7 +259,9 @@ def test_symmetric_solve_matches_collocation_system(mesh, sigma):
     # solved directly
     inc = IncidentWave(1.0, np.array([0.0, 0.6, 0.8]))
     u = inc.at(mesh.centroids)
-    w = panel_weight_matrix(mesh, inc.kappa0) * mesh.areas
+    # the dense kernel from the broadcast formula: a cap's own is its sector-0 columns
+    w = broadcast_weights(mesh.centroids, inc.kappa0, 1.0,
+                          self_panel_weights(mesh, inc.kappa0) / mesh.areas) * mesh.areas
     a = np.eye(mesh.n_panels) + sigma * w
     ref = np.linalg.solve(a, u)
     sol = assemble_and_solve_surface(mesh, sigma, inc)
