@@ -5,8 +5,9 @@ on open ones, both by collocation with the surface-module panel weights:
 S phi = -u^I on the surface, scattered field S phi, far field in the shared
 kernel convention.  The collocation matrix W = K diag(area), K the
 surface-module panel kernel, is solved in the complex-symmetric form
-K psi = -u^I with psi = area phi, by the solver ``surfmedium.panel_system``
-picks: one block per Fourier mode on a rotationally symmetric mesh.
+K psi = -u^I with psi = area phi, by ``surfmedium.panel_system``: one block
+per Fourier mode on a rotationally symmetric mesh.  ``dirichlet_system``
+builds that system, so incident waves of one kappa0 share its factors.
 """
 
 from __future__ import annotations
@@ -38,7 +39,13 @@ class LayerDensity:
         object.__setattr__(self, "values", vals)
 
 
-def solve_dirichlet(mesh: SurfaceMesh, incident, directions):
+def dirichlet_system(mesh: SurfaceMesh, kappa0: float):
+    """The ``panel_system`` of the panel kernel K at kappa0, factored on its first solve."""
+    return panel_system(mesh, panel_weight_matrix(mesh, kappa0), BEM_RESIDUAL_TOL, 1e-12,
+                        "single-layer system (near an interior Dirichlet resonance?)")
+
+
+def solve_dirichlet(mesh: SurfaceMesh, incident, directions, system=None):
     """Collocation solve of S phi = -u^I; returns the density and far field.
 
     Works unchanged for closed surfaces (exterior Dirichlet) and open ones
@@ -47,9 +54,11 @@ def solve_dirichlet(mesh: SurfaceMesh, incident, directions):
     the system degenerates; a condition-estimate guard reports it.  The solve
     holds the residual contract max|W phi + u^I| <= 1e-8 (1 + max|phi|); the
     symmetric solve has the same residual vector, K psi - b = W phi - b.
+    ``system``, the ``dirichlet_system`` of this mesh and kappa0, is built if
+    not given; given, its factors serve another incident wave.
     """
-    system = panel_system(mesh, panel_weight_matrix(mesh, incident.kappa0), BEM_RESIDUAL_TOL,
-                          1e-12, "single-layer system (near an interior Dirichlet resonance?)")
+    if system is None:
+        system = dirichlet_system(mesh, incident.kappa0)
     psi, residual = system.solve(-incident.at(mesh.centroids))
     d = np.asarray(directions, dtype=float)
     values = far_field_sum(d, mesh.centroids, psi, incident.kappa0)

@@ -133,7 +133,7 @@ def _solve_model(cfg: ExperimentConfig, model: str, tag: str, values_file: str) 
     the values at its points and, for the surface model, the jump check."""
     out = _out_dir(cfg)
     run, a, row_params, incident = _first_row(cfg, model)
-    ff, values, record = run.solve_model(model, row_params, a, incident)
+    [(ff, values, record)] = run.solve_model(model, row_params, a, [incident])
     points = run.model_points(model)
     out.mkdir(parents=True, exist_ok=True)
     ff.save_csv(out / f"farfield_{tag}.csv")

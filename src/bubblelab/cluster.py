@@ -6,8 +6,9 @@ domain center outward; volumes and surfaces differ only in which boundary
 cells they keep.  Each kept cell gets floor(K)+1 centers: the cell center
 plus extras from one seeded draw on a jittered sub-grid.  The generator is
 created only when some cell has extras, so a K < 1 cluster never loads
-``numpy.random``.  Construction is deterministic for a fixed seed and
-single-threaded; clusters are immutable.
+``numpy.random``.  A cap with one center a cell is its first quadrant and
+that quadrant's exact quarter turns about z.  Construction is
+deterministic for a fixed seed and single-threaded; clusters are immutable.
 """
 
 from __future__ import annotations
@@ -184,7 +185,12 @@ class Cluster:
     the same array on a domain.  ``dropped`` is the trimmed volume or area.
     ``sites`` holds the integer lattice index of each center when every
     kept volume cell holds its center alone (K < 1), and is None otherwise:
-    the point-interaction solve then runs on the lattice, by FFT.
+    the point-interaction solve then runs on the lattice, by FFT.  A cap
+    whose kept cells each hold their center alone is exactly 4-fold
+    symmetric about z: ``sectors`` is then 4 (else 1) and ``orbits`` lists
+    the center indices in orbit order, in which center 4 r + k is center
+    4 r turned by k quarter turns and the pole, if any, comes last; the
+    point-interaction solve then runs one block per Fourier mode.
     """
 
     a: float
@@ -202,6 +208,8 @@ class Cluster:
     geometry: object = field(repr=False)
     density: object = field(repr=False)
     sites: np.ndarray = field(default=None, repr=False)  # (M, 3) int, or None
+    sectors: int = 1
+    orbits: np.ndarray = field(default=None, repr=False)  # (M,) center indices, or None
 
     @property
     def m(self):
@@ -316,6 +324,27 @@ def _place_extras(rng, dim, sides, counts, drawing, pitch, d_req):
     return np.concatenate(chosen)
 
 
+def _turn(points, k):
+    """Points turned exactly by k[i] quarter turns (x, y) -> (-y, x) about z."""
+    x, y = points[:, 0], points[:, 1]
+    out = points.copy()
+    out[:, 0] = np.choose(k, [x, -y, -x, y])
+    out[:, 1] = np.choose(k, [y, x, -y, -x])
+    return out
+
+
+def _quarter_turns(idx, n):
+    """(home, k) of the sites ``idx`` of an n x n lattice: each site is the
+    k-th quarter turn of the site in row home of idx, which lies in sector 0
+    (a > 0, b >= 0 in the centred (a, b) = 2 idx - (n - 1)) or is the centre."""
+    a, b = (2 * idx - (n - 1)).T
+    k = np.select([(a <= 0) & (b > 0), (a < 0) & (b <= 0), (a >= 0) & (b < 0)], [1, 2, 3], 0)
+    home_a, home_b = np.choose(k, [a, b, -a, -b]), np.choose(k, [b, -a, -b, a])
+    row = np.empty(n * n, dtype=int)
+    row[idx[:, 0] * n + idx[:, 1]] = np.arange(len(idx))
+    return row[(home_a + n - 1) // 2 * n + (home_b + n - 1) // 2], k
+
+
 def _build(geometry, density, a, s, t, seed, d_min, keep_rule) -> Cluster:
     """Shell-ordered lattice cells over a domain or chart; floor(K)+1 centers per cell.
 
@@ -323,7 +352,11 @@ def _build(geometry, density, a, s, t, seed, d_min, keep_rule) -> Cluster:
     pitch a^(s/dim) over the geometry's bounding box.  ``keep_rule(geometry,
     sites, pitch)`` returns the kept-site mask and the number of dropped cells.
     A volume whose kept cells each hold one center records their lattice
-    indices as ``sites``.
+    indices as ``sites``.  On a cap the kept sites are those of sector 0 and
+    their quarter turns (the chart, the centred lattice and the keep rule
+    all commute with the turn); if no cell draws extras, only sector 0 goes
+    through the chart, the other sectors are its exact turns, and the
+    cluster records its orbits.
     """
     if a <= 0 or a >= 1:
         raise ConfigError("radius scale a must lie in (0, 1)")
@@ -340,6 +373,10 @@ def _build(geometry, density, a, s, t, seed, d_min, keep_rule) -> Cluster:
     sites = starts + idx * pitch
 
     keep, n_dropped = keep_rule(geometry, sites, pitch)
+    cap = isinstance(geometry, SphereCapChart)
+    if cap:
+        home, turns = _quarter_turns(idx, int(n[0]))
+        keep = keep[home]
     kept = sites[keep]
     kvals = density(kept)
     counts = np.floor(kvals).astype(int) + 1
@@ -355,12 +392,37 @@ def _build(geometry, density, a, s, t, seed, d_min, keep_rule) -> Cluster:
         extra[np.cumsum(counts) - counts] = False
         params[extra] += _place_extras(np.random.default_rng(seed), dim, sides, counts,
                                        drawing, pitch, d_req)
+    sectors, orbits = 1, None
+    if cap and not len(drawing):  # one center a cell, the cell's
+        sectors = 4
+        params, centers, orbits = _turned_sectors(geometry, params, idx[keep], int(n[0]),
+                                                  (np.cumsum(keep) - 1)[home[keep]], turns[keep])
+        kept = params
+    else:
+        centers = geometry.to_xyz(params) if dim == 2 else params
     return Cluster(
         a=a, s=s, t=t, d_min=d_min, seed=seed, cells=kept, sides=sides, counts=counts,
-        params=params, centers=geometry.to_xyz(params) if dim == 2 else params,
-        cell_of=cell_of, dropped=float(n_dropped) * a**s, geometry=geometry, density=density,
+        params=params, centers=centers, cell_of=cell_of, dropped=float(n_dropped) * a**s,
+        geometry=geometry, density=density,
         sites=idx[keep] if dim == 3 and 0 < len(kept) == len(params) else None,
+        sectors=sectors, orbits=orbits,
     )
+
+
+def _turned_sectors(chart, params, idx, n, home, k):
+    """(params, centers, orbits) of a cap cluster with one center a cell at
+    sites ``idx`` of the n x n lattice: sector 0 and the pole through the
+    chart, every other center row ``home``'s turned k times; ``orbits``
+    puts each sector-0 center before its three turns and the pole last."""
+    pole = np.all(2 * idx == n - 1, axis=1)
+    params[pole] = 0.0  # the chart's origin, fixed by the turn
+    own = np.flatnonzero(k == 0)
+    centers = np.empty((len(params), 3))
+    centers[own] = chart.to_xyz(params[own])
+    orbit = np.cumsum(k == 0)
+    orbit[pole] = len(params)  # the pole after every orbit
+    return (_turn(params[home], k), _turn(centers[home], k),
+            np.lexsort([k, orbit[home]]))
 
 
 def _center_inside(domain, sites, pitch):

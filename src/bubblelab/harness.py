@@ -415,8 +415,9 @@ class RunSetup:
         """Cluster, coefficient and charges for each incident wave at radius scale a.
 
         One system (``pointscat.assemble``: the lattice FFT operator of a
-        cluster with one centre per site, else a dense matrix factored once,
-        in place) serves all incident waves and is freed on return.
+        volume cluster with one centre per site, else a direct system
+        factored once, in place, by Fourier mode for a 4-fold symmetric cap
+        cluster) serves all incident waves and is freed on return.
         ``run_convergence`` solves a row's comparator first, so a refused
         comparator stops the row before its cluster is built.
         """
@@ -426,37 +427,44 @@ class RunSetup:
         return cl, coeff, [pointscat.solve_charges(system, inc, cl.centers)
                            for inc in incidents]
 
-    def solve_model(self, model, row_params, a, incident) -> tuple:
+    def solve_model(self, model, row_params, a, incidents):
         """Solve ``model`` ("zero", "dirichlet", "surface" or "volume"; see
-        ``comparator``) for one incident wave at radius scale a.
+        ``comparator``) for each incident wave at radius scale a.
 
-        The surface and Dirichlet models solve on ``mesh``, the volume model on
-        ``grid``.  Returns the far field on the run's directions, the values of
-        the unknowns at ``model_points`` and the solve record.
+        The surface and Dirichlet models solve on ``mesh``, against one panel
+        system factored once for all waves, the volume model on ``grid``.
+        Yields, per wave, the far field on the run's directions, the values
+        of the unknowns at ``model_points`` and the solve record.
         """
-        directions, kappa0 = self.directions, incident.kappa0
+        directions, kappa0 = self.directions, row_params.kappa0
         if model == "zero":
-            zero = np.zeros(len(directions), dtype=complex)
-            return FarField(directions, zero), np.empty(0, complex), None
-        if model == "dirichlet":
-            density, ff = bemlimit.solve_dirichlet(self.mesh, incident, directions)
-            return ff, density.values, density
-        coeff0 = medium_coefficient(self.bubble, row_params, a)
-        if model == "surface":
-            sol = surfmedium.assemble_and_solve_surface(
-                self.mesh, coeff0 * (self.density.value + 1.0), incident)
-            ff = surfmedium.far_field_surface(sol, self.mesh, kappa0, directions)
-            return ff, sol.y, sol
-        pot = volmedium.VolumePotential.from_density(self.grid, self.density, coeff0)
-        sol = volmedium.assemble_and_solve(self.grid, pot, incident)
-        ff = volmedium.far_field_volume(sol, pot, self.grid, kappa0, directions)
-        return ff, sol.y, sol
+            for _ in incidents:
+                yield FarField(directions, np.zeros(len(directions), dtype=complex)), \
+                    np.empty(0, complex), None
+        elif model == "dirichlet":
+            system = bemlimit.dirichlet_system(self.mesh, kappa0)
+            for incident in incidents:
+                density, ff = bemlimit.solve_dirichlet(self.mesh, incident, directions, system)
+                yield ff, density.values, density
+        elif model == "surface":
+            sigma = medium_coefficient(self.bubble, row_params, a) * (self.density.value + 1.0)
+            system = surfmedium.surface_system(self.mesh, sigma, kappa0)
+            for incident in incidents:
+                sol = surfmedium.assemble_and_solve_surface(self.mesh, sigma, incident, system)
+                yield surfmedium.far_field_surface(sol, self.mesh, kappa0, directions), sol.y, sol
+        else:
+            pot = volmedium.VolumePotential.from_density(
+                self.grid, self.density, medium_coefficient(self.bubble, row_params, a))
+            for incident in incidents:
+                sol = volmedium.assemble_and_solve(self.grid, pot, incident)
+                yield volmedium.far_field_volume(sol, pot, self.grid, kappa0, directions), \
+                    sol.y, sol
 
-    def model_far_field(self, model, row_params, a, incident) -> tuple:
-        """(far field, number of unknowns) of ``solve_model``; the solution is
-        freed on return, so no row's solve holds an earlier one."""
-        ff, values, _ = self.solve_model(model, row_params, a, incident)
-        return ff, len(values)
+    def model_far_fields(self, model, row_params, a, incidents) -> list:
+        """(far field, number of unknowns) of ``solve_model`` per incident
+        wave; no solution outlives the call."""
+        return [(ff, len(values)) for ff, values, _ in
+                self.solve_model(model, row_params, a, incidents)]
 
     def model_points(self, model) -> np.ndarray:
         """The points that carry the unknowns of the surface, Dirichlet or
@@ -492,20 +500,18 @@ def run_convergence(config: ExperimentConfig) -> ErrorTable:
     # incidence directions: one fixed theta, or a sweep taking the sup over a grid
     thetas = list(fibonacci_directions(config.theta_sweep)) if config.theta_sweep else [run.theta]
 
-    # away-branch comparators do not depend on a: solve once per theta and reuse
-    model_cache = {}
+    # away-branch comparators do not depend on a: solve every theta once and reuse
+    model_cache = []
     rows, aborted, far_fields = [], [], []
     for a in config.a_sequence:
         try:
             row_params = run.row_params(a)
             if run.params.near_resonance:
-                model_cache.clear()  # kappa0 moves with a near the resonance
+                model_cache = []  # kappa0 moves with a near the resonance
 
             incidents = [IncidentWave(row_params.kappa0, th) for th in thetas]
-            for ti, incident in enumerate(incidents):
-                if ti not in model_cache:
-                    model_cache[ti] = run.model_far_field(run.comparator, row_params, a,
-                                                          incident)
+            if not model_cache:
+                model_cache = run.model_far_fields(run.comparator, row_params, a, incidents)
             cl, _, sols = run.solve_points(a, row_params, incidents)
             fl_fields = pointscat.far_field(sols, cl.centers, row_params.kappa0, directions)
 

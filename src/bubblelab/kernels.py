@@ -4,20 +4,22 @@ solves, the lattice convolution and a short-recurrence Krylov solve.
 Every solver in the package evaluates the kernel through ``helmholtz``,
 builds its dense matrix with ``pair_kernel``, sums its far field with
 ``far_field_sum`` (or ``grid_far_field_sum`` on a voxel grid) and solves
-its dense systems, all complex symmetric, through ``DenseSystem``, or
-through ``CyclicSystem`` one block per Fourier mode when a panel mesh of P
-rotational sectors makes the matrix block circulant.  On a masked regular
-lattice the same kernel matrix is applied without being formed:
+its dense systems, all complex symmetric, through ``DirectSystem``: one
+block per Fourier mode when P rotational sectors (a cap's panel mesh, or a
+K = 0 cap cluster's quarter turns) make the matrix block circulant, the
+whole matrix by LDL^T when P = 1.  On a masked regular lattice the same
+kernel matrix is applied without being formed:
 ``LatticeConvolution`` is its matvec by zero-padded FFTs that skip the
 lines of the padding, and ``cocg`` solves a complex-symmetric system from
 such a matvec alone; ``cocg_refined`` adds the residual contract and one
 refinement step that the lattice point solve and the volume solve share.
 
-The dense solve's BLAS and LAPACK routines (``zsytrf``, ``zsytrs``,
-``zsycon``, ``zsymm``) come from the OpenBLAS that ``numpy.linalg`` links,
-called through ``ctypes`` and resolved once, on the first factorization in
-a process, from a handle on numpy's ``_umath_linalg`` extension, whose
-``dlsym`` also searches the libraries it depends on.  So no library is
+The direct solve's BLAS and LAPACK routines (``zsytrf``, ``zsytrs``,
+``zsycon``, ``zsymm``, ``zgetrf``, ``zgetrs``, ``zgecon``) come from the
+OpenBLAS that ``numpy.linalg`` links, called through ``ctypes`` and
+resolved once, on the first factorization in a process, from a handle on
+numpy's ``_umath_linalg`` extension, whose ``dlsym`` also searches the
+libraries it depends on.  So no library is
 mapped or initialized beyond the one numpy loaded at import, a process
 holds one OpenBLAS (``OPENBLAS_NUM_THREADS`` sets its threads), and no
 dense solve loads a SciPy module.  ``cocg`` and ``LatticeConvolution`` use
@@ -31,7 +33,7 @@ Rothberg & Wolf, ASPLOS 1991).  ``pair_kernel`` fills its (M, M) output in
 such row blocks through two reused scratch buffers, the pair minima
 (``min_pairwise_distance``, ``min_cos_kappa_distance``) walk the same blocks
 in the same buffers, ``far_field_sum`` takes column blocks of that size
-and the 1-norm of ``DenseSystem`` row blocks.  Every entry of the kernel
+and the 1-norms of ``DirectSystem`` row blocks.  Every entry of the kernel
 matrix and every pair distance is computed as it would be in one block, so
 these results do not depend on the block size.
 ``grid_far_field_sum`` keeps its (nx ny, D) partial sums to the same
@@ -41,13 +43,14 @@ BLOCK_ENTRIES // 4 complex entries (1 MiB): at 36^3 a 2 MiB chunk makes
 quadrature of ``meshes.boundary_shape_factor`` keeps blocks of
 BLOCK_ENTRIES (2 MiB of float64), whose GEMM blocks fix the bits of its
 pinned values.
-``DenseSystem`` factors the matrix in place, so a dense solve peaks at about
+``DirectSystem`` factors the matrix in place, so a dense solve peaks at about
 the matrix alone (16 M^2 bytes) and never at an (M, M, 3) difference array or
-a second (M, M) copy.  ``pair_kernel``, which builds the point, surface and
-Dirichlet systems, refuses a matrix over DENSE_MAX_BYTES (1 GiB: M <= 8192)
+a second (M, M) copy; with P sectors it factors the (N, N/P) sector-0
+columns in place, transformed into their mode blocks, and holds no other
+array of that size: 16 N^2 / P bytes.  ``pair_kernel``, which builds the
+point, surface and Dirichlet systems, refuses a matrix over DENSE_MAX_BYTES (1 GiB: M <= 8192)
 before allocating it, or one the OS refuses, with AllocationError; the same
-budget bounds the (N, N/P) sector-0 columns of P sectors, and a
-``CyclicSystem`` holds three such arrays: 48 N^2 / P bytes, not 16 N^2.
+budget bounds the (N, N/P) sector-0 columns of P sectors.
 ``LatticeConvolution`` refuses a box over MAX_CELLS (64^3) with
 ConfigError, so the point and the volume solves share that cap.  It never
 forms its zero-padded box: it holds a quarter of it, the (nx, ny, 2nz)
@@ -82,7 +85,7 @@ MAX_CELLS = 64**3  # sites of the largest (nx, ny, nz) box a LatticeConvolution 
 # suffix, LAPACK index type).  NumPy's PyPI wheels (>= 2.0) link
 # scipy_openblas64_; other builds link an ILP64 or an LP64 LAPACK.
 _SYMBOL_FORMS = (("scipy_", "_64_", np.int64), ("", "_64_", np.int64), ("", "_", np.int32))
-_DENSE_ROUTINES = ("zsytrf", "zsycon", "zsytrs", "zsymm")
+_DENSE_ROUTINES = ("zsytrf", "zsycon", "zsytrs", "zsymm", "zgetrf", "zgecon", "zgetrs")
 _lapack = None  # ({routine: ctypes function}, index dtype), set on the first factorization
 
 
@@ -93,12 +96,14 @@ def helmholtz(r, kappa0: float):
 
 def _distance_blocks(points, stride: int = 1):
     """(i0, i1, c0, r, s) for row blocks i0:i1 of ``points`` against columns
-    c0: of points[::stride] (n of them), c0 = i0 (the upper triangle) for
-    stride 1 and 0 otherwise: r the (i1 - i0, n - c0) distances and s a
-    scratch array of the same shape, both views of two buffers reused by
-    every block of at most CACHE_BLOCK entries (one row if a row is longer)."""
-    m, cols = len(points), points[::stride]
-    n = len(cols)
+    c0: of points 0, stride, 2 stride, ... (n = M // stride of them), c0 = i0
+    (the upper triangle) for stride 1 and 0 otherwise: r the (i1 - i0, n - c0)
+    distances and s a scratch array of the same shape, both views of two
+    buffers reused by every block of at most CACHE_BLOCK entries (one row if
+    a row is longer)."""
+    m = len(points)
+    n = m // stride
+    cols = points[:n * stride:stride]
     r_buf = np.empty(min(max(CACHE_BLOCK, n), m * n))
     s_buf = np.empty_like(r_buf)
     i0 = 0
@@ -128,7 +133,8 @@ def _block_distances(rows, cols, out, scratch):
 def pair_kernel(points, kappa0: float, diagonal, stride: int = 1) -> np.ndarray:
     """Square matrix e^{i kappa0 r_ij} / (4 pi r_ij) off the diagonal,
     ``diagonal`` (scalar or per point) on it; with ``stride`` p > 1 only its
-    columns 0, p, 2p, ..., an (M, M/p) array whose diagonal is (i p, i).
+    columns 0, p, 2p, ..., an (M, M // p) array whose diagonal is (i p, i)
+    (a last point past the M // p sectors, a cap's pole, is a row only).
 
     Entries are bitwise equal to ``helmholtz(r, kappa0)`` with r from
     ``np.linalg.norm(x_i - x_j)``: complex division by a real multiplies by
@@ -167,7 +173,7 @@ def pair_kernel(points, kappa0: float, diagonal, stride: int = 1) -> np.ndarray:
             blk.imag *= s
             if stride == 1:
                 out[i1:, i0:i1] = out[i0:i1, i1:].T
-    out.flat[:: m + 1] = diagonal  # (i p, i) is flat index i (m + 1)
+    out.flat[:: stride * n + 1] = diagonal  # (i p, i) is flat index i (p n + 1)
     return out
 
 
@@ -459,11 +465,13 @@ def cocg_refined(matvec, rhs, precondition, rtol: float, max_iter: int, recover,
     return result, residual, iterations
 
 
-def _norm1(a) -> float:
-    """The 1-norm of a symmetric a, max column sum of |a|, taken as its max
-    row sum over contiguous row blocks of at most CACHE_BLOCK entries."""
-    step = max(1, CACHE_BLOCK // max(a.shape[1], 1))
-    return max(float(np.abs(a[i:i + step]).sum(axis=1).max()) for i in range(0, len(a), step))
+def _norm1(a):
+    """The max row sum of |a| over contiguous row blocks of at most
+    CACHE_BLOCK entries: the 1-norm of a^T, and of a symmetric a; of an
+    (R, P, R) array, the P max row sums of its blocks a[:, q, :]."""
+    step = max(1, CACHE_BLOCK // max(a[0].size, 1))
+    return np.max([np.abs(a[i:i + step]).sum(axis=-1).max(axis=0)
+                   for i in range(0, len(a), step)], axis=0)
 
 
 def _dense_routines() -> tuple:
@@ -500,43 +508,70 @@ def _dense_routines() -> tuple:
     return _lapack
 
 
-def _lapack_call(routine: str, *args):
-    """Call a ``_DENSE_ROUTINES`` routine by the Fortran convention: arrays by
-    their data, ints (as the LAPACK index type) and other scalars by
-    reference, characters as one-byte strings, their lengths appended."""
+def _lapack_refs(routine: str, *args) -> tuple:
+    """(function, arguments) of a ``_DENSE_ROUTINES`` call by the Fortran
+    convention: arrays by address (kept alive by the caller), None as a
+    null pointer, ints (the LAPACK index type) and floats by reference,
+    characters as one-byte strings, their lengths appended.  Plain ctypes
+    objects: numpy's ``ctypes`` casts take some 3 us an argument."""
     functions, index = _dense_routines()
-    refs = [arg if isinstance(arg, bytes) else
-            np.asarray(arg, dtype=index if isinstance(arg, int) else None).ctypes
-            for arg in args]
-    functions[routine](*refs, *[ctypes.c_size_t(1)] * sum(isinstance(arg, bytes) for arg in args))
+    integer = ctypes.c_int64 if index.itemsize == 8 else ctypes.c_int32
+    refs = [ctypes.c_void_p(arg.ctypes.data) if type(arg) is np.ndarray else
+            ctypes.byref(integer(arg)) if type(arg) is int else
+            arg if type(arg) is bytes or arg is None else
+            ctypes.byref((ctypes.c_double * 2)(arg.real, arg.imag)) if type(arg) is complex else
+            ctypes.byref(ctypes.c_double(arg)) for arg in args]
+    return functions[routine], refs + [ctypes.c_size_t(1)] * sum(type(a) is bytes for a in args)
 
 
-class DenseSystem:
-    """Complex-symmetric dense system (A = A^T), factored in place once.
+def _lapack_call(routine: str, *args):
+    """Call a ``_DENSE_ROUTINES`` routine on ``args`` (see ``_lapack_refs``)."""
+    function, refs = _lapack_refs(routine, *args)
+    function(*refs)
 
-    The first solve factors the array it was given by Bunch-Kaufman LDL^T
-    (``zsytrf``; Bunch & Kaufman, Math. Comp. 31, 1977), which overwrites the
-    triangle on and above the diagonal and needs no second (M, M) array.  The
-    triangle below the diagonal is never written, so with a copy of the
-    diagonal taken before factoring it still holds A: residuals A x - b come
-    from it (``zsymm``), not from the factors.  The factorization is guarded
-    by a LAPACK 1-norm condition estimate (``zsycon``): an exactly singular
-    factor, or a reciprocal condition below ``rcond_min``, raises SolverError
-    carrying ``cond_estimate``.  Each solve applies one step of iterative
-    refinement when the residual misses the contract max|A x - b| <=
-    residual_tol (1 + max|u|), and raises if it still misses it.  The
-    contract is measured in the caller's unknown u = x * unknown_scale.
-    The C-order matrix is the Fortran-order A^T = A, so its upper triangle
-    is the lower one (uplo "L") for LAPACK.
+
+class DirectSystem:
+    """Complex-symmetric system A = A^T of P-fold rotational symmetry, given
+    by its sector-0 columns and factored in place once, one block per mode.
+
+    Unknown r P + k is unknown r P turned by k sectors, so A[rP + k, sP + l]
+    = c[r, (k - l) mod P, s] for the (N, R) columns c, 0, P, 2P, ..., as
+    (R, P, R); P = 1 is the whole matrix.  A last unknown fixed by the turn
+    (a cap's pole) has its couplings in the columns' last row and ``pole``
+    on the diagonal.  The first solve FFTs the columns in place over the
+    sector index into the mode blocks B_q (Mautz & Harrington, Appl. Sci.
+    Res. 20, 1969), B_{P-q} = B_q^T.  Modes 0 and P/2 get Bunch-Kaufman
+    LDL^T (``zsytrf``), whose unwritten triangle and saved diagonal still
+    give B_q x (``zsymm``); of each pair q, P - q, ``zgetrf`` overwrites
+    B_q, ``zgetrs`` with or without transpose solves both, and B_{P-q}
+    gives both products.  The pole borders the system as one Schur pivot.
+    P = 1 is the in-place LDL^T of the whole matrix, with no FFT or copy.
+    The blocks are the only 16 N R-byte array held; columns over
+    DENSE_MAX_BYTES raise AllocationError before any allocation.
+
+    ``cond_estimate`` is a 1-norm estimate, max_q ||B_q||_1 max_q
+    ||B_q^{-1}||_1 from ``zsycon``/``zgecon`` (the pivot a 1 x 1 block),
+    not A's exact condition number; a singular block or pivot, or a
+    reciprocal below ``rcond_min``, raises SolverError carrying it.  Each
+    solve refines once if max|A x - b| misses residual_tol (1 + max|u|),
+    u = x * unknown_scale, and raises if it still does; residuals come from
+    A, not from the factors.  The C-order block is LAPACK's B_q^T (leading
+    dimension P R), so its upper triangle is LAPACK's lower one ("L").
     """
 
-    def __init__(self, matrix, residual_tol: float, rcond_min: float = 0.0,
-                 name: str = "dense system", unknown_scale=1.0):
-        self.matrix = np.ascontiguousarray(matrix, dtype=complex)
+    def __init__(self, columns, residual_tol: float, rcond_min: float = 0.0,
+                 name: str = "dense system", unknown_scale=1.0, sectors: int = 1, pole=None):
+        n, r = np.shape(columns)
+        if 16 * n * r > DENSE_MAX_BYTES:
+            raise AllocationError(f"the ({n}, {r}) columns need {16 * n * r / 2**30:.3g} GiB, "
+                                  "over the dense budget", nbytes=16 * n * r)
+        self.matrix = np.ascontiguousarray(columns, dtype=complex)
         self.residual_tol = residual_tol
         self.rcond_min = rcond_min
         self.name = name
         self.unknown_scale = unknown_scale
+        self.sectors = sectors
+        self.pole = pole
         self.cond_estimate = None  # set by the factorization
 
     def factor(self):
@@ -556,39 +591,122 @@ class DenseSystem:
                               cond_estimate=self.cond_estimate)
 
     def _factor(self) -> float:
-        """The in-place LDL^T; its reciprocal condition estimate, 0 if singular."""
+        """Every mode block factored in place, then the Schur pivot; the
+        reciprocal condition estimate, 0 if singular."""
         _, index = _dense_routines()
-        a, m = self.matrix, len(self.matrix)
-        anorm = _norm1(a)
-        self._diagonal = a.diagonal().copy()
-        ipiv = np.empty(m, dtype=index)
-        info = np.zeros(1, dtype=index)
-        size = np.empty(1, dtype=complex)
-        _lapack_call("zsytrf", b"L", m, a, m, ipiv, size, -1, info)  # workspace query
-        work = np.empty(max(1, int(size[0].real)), dtype=complex)
-        _lapack_call("zsytrf", b"L", m, a, m, ipiv, work, len(work), info)
-        del work
-        factored = info[0] == 0
+        p, r = self.sectors, self.matrix.shape[1]
+        self._blocks = blocks = self.matrix[:r * p].reshape(r, p, r)
+        if p > 1:
+            fft(blocks, axis=1, out=blocks)
+        norms = _norm1(blocks)  # ||B_q^T||_1, B_q^T being LAPACK's view of block q
+        info = self._info = np.zeros(1, dtype=index)  # the prepared solves' too
+        work = np.empty(2 * r, dtype=complex)
         rcond = np.zeros(1)
-        _lapack_call("zsycon", b"L", m, a, m, ipiv, anorm, rcond,
-                     np.empty(2 * m, dtype=complex), info)
-        self._ipiv = ipiv
-        return float(rcond[0]) if factored else 0.0
+        self._ipiv, self._diagonals, self._solvers = {}, {}, [None] * p
+        estimates = []  # (||B_q||_1, its reciprocal condition estimate) of each mode
+        for q in range(p // 2 + 1):
+            b = blocks[:, q, :]
+            ipiv = self._ipiv[q] = np.empty(r, dtype=index)
+            if 2 * q % p == 0:  # self-paired: complex symmetric
+                self._diagonals[q] = b.diagonal().copy()
+                size = np.empty(1, dtype=complex)
+                _lapack_call("zsytrf", b"L", r, b, r * p, ipiv, size, -1, info)  # workspace query
+                lwork = np.empty(max(1, int(size[0].real)), dtype=complex)
+                _lapack_call("zsytrf", b"L", r, b, r * p, ipiv, lwork, len(lwork), info)
+                del lwork
+                factored = info[0] == 0
+                _lapack_call("zsycon", b"L", r, b, r * p, ipiv, norms[q], rcond, work, info)
+                estimates.append((norms[q], float(rcond[0]) if factored else 0.0))
+                solves = [(q, "zsytrs", b"L")]
+            else:
+                # LAPACK's B_q^T = B_{P-q}: its 1-norm is ||B_{P-q}||_1, its
+                # infinity-norm ||B_q||_1, so the two estimates are those modes'
+                _lapack_call("zgetrf", r, r, b, r * p, ipiv, info)
+                factored = info[0] == 0
+                for kind, anorm in ((b"1", norms[q]), (b"I", norms[p - q])):
+                    _lapack_call("zgecon", kind, r, b, r * p, anorm, rcond, work,
+                                 np.empty(2 * r), info)
+                    estimates.append((anorm, float(rcond[0]) if factored else 0.0))
+                solves = [(q, "zgetrs", b"T"), (p - q, "zgetrs", b"N")]
+            for mode, routine, kind in solves:  # each with its right-hand side to fill in
+                self._solvers[mode] = _lapack_refs(routine, kind, r, 1, b, r * p, ipiv, None, r,
+                                                   info)
+        if len(estimates) == 1 and self.pole is None:  # P = 1: zsycon's own, bit for bit
+            return estimates[0][1]
+        if min(rc for _, rc in estimates) == 0.0:
+            return 0.0
+        if self.pole is not None:
+            # Schur pivot s = pole - a^T A_0^{-1} a of the fixed unknown, whose
+            # couplings a are the same in every sector: mode 0 alone, P a_0
+            couplings = self.matrix[r * p]
+            inverse = self._solve_modes(couplings.copy()[None])[0]
+            self._border = couplings, inverse, self.pole - p * (couplings @ inverse)
+            pivot = abs(self._border[2])
+            if not 0.0 < pivot < math.inf:
+                return 0.0
+            estimates.append((pivot, 1.0))
+        # 1 / (max_q ||B_q||_1 max_q ||B_q^{-1}||_1), ||B^{-1}||_1 = 1 / (rcond ||B||_1)
+        return min(anorm * rc for anorm, rc in estimates) / max(anorm for anorm, _ in estimates)
+
+    def _solve_modes(self, y) -> np.ndarray:
+        """B_q^{-1} y[q] for rows q = 0, 1, ... of the C-order array y, in
+        place, by the calls ``_factor`` prepared: ``zsytrs``, or ``zgetrs`` on
+        the LU factors of B_q^T (of B_{P-q}^T for q > P/2), transposed for
+        q < P/2."""
+        address = y.ctypes.data
+        for q, (function, refs) in enumerate(self._solvers[:len(y)]):
+            refs[6] = ctypes.c_void_p(address + q * y.strides[0])
+            function(*refs)
+        return y
+
+    def _spectrum(self, v) -> tuple:
+        """(the (P, R) mode spectrum of v's turned unknowns, a new array, and
+        v's fixed unknown or None); for P = 1, v's unknowns as one row."""
+        p, r = self.sectors, self.matrix.shape[1]
+        v = np.asarray(v, dtype=complex)
+        spectrum = (np.array(v[:r])[None] if p == 1 else
+                    np.ascontiguousarray(fft(v[:r * p].reshape(r, p), axis=1).T))
+        return spectrum, (v[r * p] if self.pole is not None else None)
+
+    def _synthesis(self, spectrum, fixed) -> np.ndarray:
+        """The unknowns of a (P, R) mode spectrum and a fixed unknown."""
+        x = spectrum[0] if self.sectors == 1 else ifft(spectrum.T, axis=1).reshape(-1)
+        return x if fixed is None else np.append(x, fixed)
 
     def _substitute(self, b) -> np.ndarray:
-        """A^{-1} b from the factors (``zsytrs``), as a new vector."""
-        x = np.array(b, dtype=complex)
-        m = len(x)
-        _lapack_call("zsytrs", b"L", m, 1, self.matrix, m, self._ipiv, x, m,
-                     np.zeros(1, dtype=self._ipiv.dtype))
-        return x
+        """A^{-1} b from the factors, as a new vector."""
+        y, fixed = self._spectrum(b)
+        self._solve_modes(y)
+        if fixed is not None:  # the border: x = y - A_0^{-1} a xi
+            couplings, inverse, pivot = self._border
+            fixed = (fixed - couplings @ y[0]) / pivot
+            y[0] -= self.sectors * fixed * inverse
+        return self._synthesis(y, fixed)
 
     def _matvec(self, x) -> np.ndarray:
-        """A x from the unwritten triangle (``zsymm``) and the saved diagonal."""
-        m = len(x)
-        ax = np.zeros(m, dtype=complex)
-        _lapack_call("zsymm", b"L", b"U", m, 1, 1.0 + 0j, self.matrix, m, x, m, 0j, ax, m)
-        return ax + (self._diagonal - self.matrix.diagonal()) * x
+        """A x from the blocks that hold A: the unwritten triangles and saved
+        diagonals of the self-paired modes (``zsymm``), and for the pairs
+        q < P/2 < P - q the untouched B_{P-q}, which gives B_{P-q} x and
+        B_q x = B_{P-q}^T x, all pairs in two batched products."""
+        p, r = self.sectors, self.matrix.shape[1]
+        spectrum, fixed = self._spectrum(x)
+        ax = np.zeros_like(spectrum)
+        for q, diagonal in self._diagonals.items():
+            b = self._blocks[:, q, :]
+            _lapack_call("zsymm", b"L", b"U", r, 1, 1.0 + 0j, b, r * p, spectrum[q], r, 0j,
+                         ax[q], r)
+            ax[q] += (diagonal - b.diagonal()) * spectrum[q]
+        high = p // 2 + 1  # the modes P - q of the pairs, then their q in the same order
+        if high < p:
+            kept = self._blocks[:, high:, :].transpose(1, 0, 2)
+            ax[high:] = np.matmul(kept, spectrum[high:, :, None])[..., 0]
+            low = slice(p - high, 0, -1)
+            ax[low] = np.matmul(kept.transpose(0, 2, 1), spectrum[low, :, None])[..., 0]
+        if fixed is not None:
+            couplings = self._border[0]
+            ax[0] += p * fixed * couplings
+            fixed = couplings @ spectrum[0] + self.pole * fixed
+        return self._synthesis(ax, fixed)
 
     def _residual(self, x, b) -> tuple:
         """(A x - b, whether it misses the contract).  A NaN residual or
@@ -611,52 +729,3 @@ class DenseSystem:
             raise SolverError(f"{self.name} residual {residual:.3e} exceeds contract tolerance",
                               cond_estimate=self.cond_estimate)
         return x, residual
-
-
-class CyclicSystem(DenseSystem):
-    """Complex-symmetric block-circulant system of N = R P unknowns, given
-    by its (N, R) columns 0, P, 2P, ... and factored once, one block a mode.
-
-    On a mesh of P sectors, panel r P + k being panel r P turned by
-    2 pi k / P, A[rP + k, sP + l] = c[r, (k - l) mod P, s] with c the columns
-    as (R, P, R).  One FFT over the sector index turns A into P R x R
-    blocks, one per azimuthal Fourier mode (the body-of-revolution method:
-    Mautz & Harrington, Appl. Sci. Res. 20, 1969), which the first solve
-    inverts by batched LU.  A's singular values are the blocks', so
-    ``cond_estimate`` is A's exact 2-norm condition number.  A x and
-    A^{-1} b are block products between two FFTs, so residuals come from A
-    itself; the guard, the contract and its refinement step are
-    ``DenseSystem``'s.  The columns, the blocks and their inverses hold
-    16 N R bytes each; columns over DENSE_MAX_BYTES are refused
-    (AllocationError) before anything is allocated.
-    """
-
-    def __init__(self, columns, residual_tol: float, rcond_min: float = 0.0,
-                 name: str = "block-circulant system", unknown_scale=1.0):
-        n, r = np.shape(columns)
-        if 16 * n * r > DENSE_MAX_BYTES:
-            raise AllocationError(f"the ({n}, {r}) columns need {16 * n * r / 2**30:.3g} GiB, "
-                                  "over the dense budget", nbytes=16 * n * r)
-        super().__init__(columns, residual_tol, rcond_min, name, unknown_scale)
-
-    def _factor(self) -> float:
-        """The blocks and their inverses; A's reciprocal 2-norm condition number."""
-        n, r = self.matrix.shape
-        self._blocks = fft(self.matrix.reshape(r, n // r, r), axis=1).transpose(1, 0, 2)
-        try:
-            sv = np.linalg.svd(self._blocks, compute_uv=False)
-            self._inverse = np.linalg.inv(self._blocks)
-        except np.linalg.LinAlgError:  # not finite, or singular
-            return 0.0
-        return float(sv.min() / sv.max())
-
-    def _modes(self, blocks, v) -> np.ndarray:
-        """The block circulant of mode blocks ``blocks`` applied to v."""
-        spectrum = fft(np.reshape(v, (-1, len(blocks))), axis=1)
-        return ifft(np.einsum("qrs,sq->rq", blocks, spectrum), axis=1).reshape(-1)
-
-    def _substitute(self, b) -> np.ndarray:
-        return self._modes(self._inverse, b)
-
-    def _matvec(self, x) -> np.ndarray:
-        return self._modes(self._blocks, x)

@@ -9,9 +9,11 @@ with Phi the free-space Helmholtz kernel e^{ikr}/(4 pi r).  The matrix is
 complex symmetric.  ``assemble`` picks how it is solved: a cluster with one
 centre on each of its lattice sites gets a ``LatticeSystem``, which applies
 the matrix by FFT (``kernels.LatticeConvolution``) and solves it by COCG;
-any other cluster gets a ``ClusterSystem``, whose dense matrix comes from
-``kernels.pair_kernel`` and is factored once, in place (LDL^T).  Either
-system solves any number of incidence directions.  The far field is the
+any other cluster gets a ``ClusterSystem``, a ``kernels.DirectSystem``
+factored once, in place: a 4-fold symmetric cap cluster's (M, M/4) columns
+from ``kernels.pair_kernel`` in orbit order, one block per Fourier mode,
+and any other cluster's dense matrix by LDL^T.  Each system solves any
+number of incidence directions.  The far field is the
 shared ``kernels.far_field_sum``, one pass over the phases for all
 directions.
 """
@@ -25,7 +27,7 @@ import numpy as np
 from .cluster import Cluster
 from .errors import ConfigError
 from .fields import FarField
-from .kernels import DenseSystem, LatticeConvolution, cocg_refined, far_field_sum, pair_kernel
+from .kernels import DirectSystem, LatticeConvolution, cocg_refined, far_field_sum, pair_kernel
 
 RESIDUAL_TOL = 1e-10
 LATTICE_RTOL = 1e-12  # relative 2-norm residual at which the lattice solve's COCG stops
@@ -60,21 +62,30 @@ class ChargeSolution:
     iterations: int  # COCG matvecs on the lattice path, None for a dense solve
 
 
-class ClusterSystem(DenseSystem):
-    """Point-interaction matrix of one cluster, LDL^T-factored on its first solve.
-
-    The system owns the matrix it is given and overwrites one triangle of it
-    with the factors, so several incidence directions are solved against one
-    factorization.
+class ClusterSystem(DirectSystem):
+    """Point-interaction matrix of one cluster, or the sector-0 columns of
+    its centres in ``order`` (a ``Cluster``'s ``orbits``), factored in place
+    on the first solve, so all incidence directions share one factorization.
+    ``solve`` takes and returns the cluster's own order.
     """
 
     iterations = None  # a direct solve runs no Krylov iteration
 
-    def __init__(self, matrix):
-        super().__init__(matrix, RESIDUAL_TOL, name="point-interaction system")
+    def __init__(self, matrix, sectors: int = 1, order=None, pole=None):
+        super().__init__(matrix, RESIDUAL_TOL, name="point-interaction system",
+                         sectors=sectors, pole=pole)
+        self._order = order
 
     def __len__(self):
         return len(self.matrix)
+
+    def solve(self, rhs) -> tuple:
+        if self._order is None:
+            return super().solve(rhs)
+        x, residual = super().solve(np.asarray(rhs, dtype=complex)[self._order])
+        q = np.empty_like(x)
+        q[self._order] = x
+        return q, residual
 
 
 class LatticeSystem:
@@ -135,15 +146,20 @@ def assemble(cluster, c_coeff: complex, kappa0: float):
 
     A cluster that records lattice sites (one centre per kept volume cell)
     gets a ``LatticeSystem``; any other cluster, and an array of centres, a
-    dense ``ClusterSystem`` whose matrix ``kernels.pair_kernel`` builds in
-    bounded row blocks, refused (AllocationError) over the dense budget.
-    Both have ``len`` M.
+    ``ClusterSystem`` whose matrix ``kernels.pair_kernel`` builds in bounded
+    row blocks: for a cluster of ``sectors`` P > 1 only its (M, M/P) columns,
+    in orbit order.  The matrix or columns are refused (AllocationError)
+    over the dense budget.  Every system has ``len`` M.
     """
     if c_coeff == 0:
         raise ConfigError("scattering coefficient must be non-zero")
     if isinstance(cluster, Cluster):
         if cluster.sites is not None:
             return LatticeSystem(cluster.sites, cluster.pitch, c_coeff, kappa0)
+        if cluster.sectors > 1:
+            p, order, diagonal = cluster.sectors, cluster.orbits, 1.0 / c_coeff
+            return ClusterSystem(pair_kernel(cluster.centers[order], kappa0, diagonal, p), p,
+                                 order, diagonal if cluster.m % p else None)
         cluster = cluster.centers
     return ClusterSystem(pair_kernel(cluster, kappa0, diagonal=1.0 / c_coeff))
 
@@ -151,8 +167,8 @@ def assemble(cluster, c_coeff: complex, kappa0: float):
 def solve_charges(system, incident: IncidentWave, centers) -> ChargeSolution:
     """Solve ``assemble``'s system for the charges with rhs -u^I(z_m).
 
-    A dense system is factored (LDL^T) on its first call and the
-    factorization reused on later ones; either system refines once if the
+    A direct system is factored on its first call and the factorization
+    reused on later ones; either system refines once if the
     residual misses the contract residual <= RESIDUAL_TOL (1 + max|Q|).
     """
     b = -incident.at(centers)

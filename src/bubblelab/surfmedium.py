@@ -12,7 +12,8 @@ the bounded remainder.  The represented total field satisfies [u] = 0 and
 the panel normal).  ``panel_weight_matrix`` is the complex-symmetric kernel
 matrix, or on a mesh of P > 1 rotational sectors (a sphere cap) its sector-0
 columns, that this solve and the Dirichlet solve of ``bemlimit`` both solve
-through ``panel_system``: by dense LDL^T, or one Fourier mode at a time.
+through ``panel_system``, one ``kernels.DirectSystem``: one Fourier mode at
+a time on a cap, by dense LDL^T on any other mesh.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields import FarField
-from .kernels import BLOCK_ENTRIES, CyclicSystem, DenseSystem, far_field_sum, helmholtz, pair_kernel
+from .kernels import BLOCK_ENTRIES, DirectSystem, far_field_sum, helmholtz, pair_kernel
 from .meshes import SurfaceMesh, subdivide_triangles, triangle_areas
 
 SIE_RESIDUAL_TOL = 1e-8
@@ -76,17 +77,22 @@ def _triangle_potential(tris, points) -> np.ndarray:
     return np.where(keep, np.sign(p) * term, 0.0).sum(axis=1) / (4.0 * math.pi)
 
 
-def self_panel_weights(mesh: SurfaceMesh, kappa0: float) -> np.ndarray:
-    """Integral of the kernel over each panel about its centroid, (n_panels,).
+def self_panel_weights(mesh: SurfaceMesh, kappa0: float, stride: int = 1) -> np.ndarray:
+    """Integral of the kernel over each panel about its centroid, (n_panels,),
+    or over panels 0, stride, 2 stride, ... only, each bitwise as in the
+    full array.
 
     The 1/(4 pi r) part is exact on the panel's flat fan triangles; the
     bounded remainder (e^{ik r} - 1)/(4 pi r) gets the midpoint value
     i kappa0 area/(4 pi).
     """
     tris, owner = mesh.triangulated()
-    static = np.bincount(owner, _triangle_potential(tris, mesh.centroids[owner]),
-                         minlength=mesh.n_panels)
-    return static + 1j * kappa0 * mesh.areas / (4.0 * math.pi)
+    if stride > 1:
+        mine = owner % stride == 0
+        tris, owner = tris[mine], owner[mine]
+    static = np.bincount(owner // stride, _triangle_potential(tris, mesh.centroids[owner]),
+                         minlength=mesh.n_panels // stride)
+    return static + 1j * kappa0 * mesh.areas[::stride] / (4.0 * math.pi)
 
 
 def panel_weight_matrix(mesh: SurfaceMesh, kappa0: float) -> np.ndarray:
@@ -99,35 +105,43 @@ def panel_weight_matrix(mesh: SurfaceMesh, kappa0: float) -> np.ndarray:
     """
     p = mesh.sectors
     return pair_kernel(mesh.centroids, kappa0,
-                       diagonal=self_panel_weights(mesh, kappa0)[::p] / mesh.areas[::p], stride=p)
+                       diagonal=self_panel_weights(mesh, kappa0, p) / mesh.areas[::p], stride=p)
 
 
 def panel_system(mesh: SurfaceMesh, matrix, residual_tol: float, rcond_min: float, name: str):
-    """The system of ``panel_weight_matrix``'s result, or of a matrix of
-    that form: block-circulant for a mesh of P > 1 sectors, dense otherwise.
-    Its unknowns are area times the per-panel values."""
-    system = CyclicSystem if mesh.sectors > 1 else DenseSystem
-    return system(matrix, residual_tol, rcond_min=rcond_min, name=name,
-                  unknown_scale=1.0 / mesh.areas)
+    """The ``kernels.DirectSystem`` of ``panel_weight_matrix``'s result, or
+    of a matrix of that form, in the mesh's P sectors (P = 1: dense).  Its
+    unknowns are area times the per-panel values."""
+    return DirectSystem(matrix, residual_tol, rcond_min=rcond_min, name=name,
+                        unknown_scale=1.0 / mesh.areas, sectors=mesh.sectors)
 
 
-def assemble_and_solve_surface(mesh: SurfaceMesh, sigma: float, incident) -> SurfaceSolution:
+def surface_system(mesh: SurfaceMesh, sigma: float, kappa0: float):
+    """The ``panel_system`` of diag(1/area) + sigma K, sigma a real scalar
+    and K the panel kernel at kappa0, factored on its first solve."""
+    if np.iscomplexobj(np.asarray(sigma)) or np.ndim(sigma) != 0:
+        raise ConfigError("surface density sigma must be a real scalar")
+    a = panel_weight_matrix(mesh, kappa0)
+    a *= float(sigma)
+    a.flat[:: mesh.n_panels + 1] += 1.0 / mesh.areas[:: mesh.sectors]
+    return panel_system(mesh, a, SIE_RESIDUAL_TOL, 1e-14, "surface system")
+
+
+def assemble_and_solve_surface(mesh: SurfaceMesh, sigma: float, incident,
+                               system=None) -> SurfaceSolution:
     """Direct collocation solve of (I + sigma W) Y = u^I, sigma a real scalar.
 
     W = K diag(area) with K the panel kernel; the system is solved in the
     complex-symmetric form (diag(1/area) + sigma K) Z = u^I with Z = area Y,
     which has the same residual vector.  The contract is
-    max|(I + sigma W) Y - u^I| <= 1e-8 (1 + max|Y|).
+    max|(I + sigma W) Y - u^I| <= 1e-8 (1 + max|Y|).  ``system``, the
+    ``surface_system`` of this mesh, sigma and kappa0, is built if not given;
+    given, its factors serve another incident wave.
     """
-    if np.iscomplexobj(np.asarray(sigma)) or np.ndim(sigma) != 0:
-        raise ConfigError("surface density sigma must be a real scalar")
-    sigma_h = float(sigma)
-    a = panel_weight_matrix(mesh, incident.kappa0)
-    a *= sigma_h
-    a.flat[:: mesh.n_panels + 1] += 1.0 / mesh.areas[:: mesh.sectors]
-    system = panel_system(mesh, a, SIE_RESIDUAL_TOL, 1e-14, "surface system")
+    if system is None:
+        system = surface_system(mesh, sigma, incident.kappa0)
     z, resid = system.solve(incident.at(mesh.centroids))
-    return SurfaceSolution(y=z / mesh.areas, sigma_h=sigma_h, residual=resid)
+    return SurfaceSolution(y=z / mesh.areas, sigma_h=float(sigma), residual=resid)
 
 
 def far_field_surface(solution: SurfaceSolution, mesh: SurfaceMesh, kappa0: float,

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from bubblelab import cluster
 from bubblelab.errors import ConfigError, PlacementError
 
 from oracles import cube_meets_domain, dropped_volume_by_loop
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def chart_square_area(chart, center, side, n=24):
@@ -194,12 +197,16 @@ def test_extras_check_names_the_first_failing_cell(monkeypatch):
      "e26f6a3b75de2a16d2ee4c237e64a53b71977813e3154bee89f856ccbb6a2fe2"),
     (build_surface, PlaneChart(), 4.0, 0.5, 5, 980,
      "5b4003dfeedd65fb1c87988de3d4b8b5ece8b23adad4c37e59f2044d308464bd"),
-], ids=["box_k1_seed3", "plane_k4_seed5"])
+    (build_surface, SphereCapChart(), 1.0, 0.5, 2, 2962,
+     "872a93a7ac7f0ef896ca0534f14c9b0e93d55054da79b8ee5a65df5ce1efdaf6"),
+], ids=["box_k1_seed3", "plane_k4_seed5", "cap_k1_seed2"])
 def test_centers_with_extras_bitwise_pinned(build, chart, k, t, seed, m, expected):
     # SHA-256 of the parameter-space centres of a per-cell placement loop
-    # (PCG64 draws and arithmetic only, so the digest holds on any host)
+    # (PCG64 draws and arithmetic only, so the digest holds on any host); a
+    # cap whose cells draw extras is not turned into sectors
     cl = build(chart, DensityField("constant", k), a=4e-3, s=1.0, t=t, seed=seed, d_min=0.1)
     assert cl.m == m
+    assert cl.sectors == 1 and cl.orbits is None
     assert hashlib.sha256(np.ascontiguousarray(cl.params, "<f8").tobytes()).hexdigest() == expected
 
 
@@ -331,3 +338,48 @@ def test_cluster_json_roundtrip(tmp_path):
     assert np.allclose(doc["centers"], cl.centers)
     assert doc["kind"] == "surface"
     assert doc["a"] == cl.a and doc["counts"] == [int(c) for c in cl.counts]
+
+
+def _cap_rows():
+    """(config, a, M) of every cap row of the shipped surface configs and of
+    the screen_bem workload's a = 0.003 row (its other rows are
+    high_surface's), M as the cluster builder gave it before caps were built
+    by sectors."""
+    ms = {"medium_surface": [732, 1481, 3017], "high_surface": [305, 621, 1217, 2401]}
+    rows = []
+    for name, m in ms.items():
+        cfg = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+        rows += [pytest.param(cfg, a, mi, id=f"{name}-{a}") for a, mi in zip(cfg["a_sequence"], m)]
+    # the screen_bem cap is high_surface's geometry and contrast
+    return rows + [pytest.param(cfg, 0.003, 416, id="screen_bem-0.003")]
+
+
+def _quarter_turn(points):
+    """(x, y, ...) -> (-y, x, ...), exactly."""
+    out = points.copy()
+    out[:, 0], out[:, 1] = -points[:, 1], points[:, 0]
+    return out
+
+
+@pytest.mark.parametrize("cfg, a, m", _cap_rows())
+def test_k0_cap_clusters_are_four_fold_symmetric(cfg, a, m):
+    geometry, contrast = cfg["geometry"], cfg["contrast"]
+    cl = build_surface(SphereCapChart(geometry["radius"], geometry["theta_max"]),
+                       DensityField("constant", 0.0), a=a, s=contrast["s"], t=contrast["t"],
+                       seed=cfg["seed"], d_min=cfg["tolerances"]["d_min"])
+    assert cl.m == m and cl.sectors == 4
+    assert np.array_equal(np.sort(cl.orbits), np.arange(m))
+    r = m // 4
+    for points in (cl.centers, cl.params):
+        orbit = points[cl.orbits]
+        # orbit order: each sector-0 centre, then its three quarter turns, bitwise
+        turns = orbit[:4 * r].reshape(r, 4, -1)
+        for k in range(1, 4):
+            assert np.array_equal(turns[:, k], _quarter_turn(turns[:, k - 1]))
+        assert np.array_equal(_quarter_turn(turns[:, 3]), turns[:, 0])
+        if m % 4:  # the pole, last, is the chart's origin
+            assert np.array_equal(orbit[-1], [0.0, 0.0] if points is cl.params
+                                  else [0.0, 0.0, geometry["radius"]])
+    # the centres keep the shell order: the centre of every cell, in cell order
+    assert np.array_equal(cl.params, cl.cells) and np.array_equal(cl.cell_of, np.arange(m))
+    assert all(ok for ok, _ in validate(cl).values())

@@ -23,6 +23,7 @@ from bubblelab.harness import (
     write_outputs,
 )
 from bubblelab.materials import ContrastParams, classify_regime, scattering_coefficient
+from bubblelab.fields import fibonacci_directions
 from bubblelab.pointscat import IncidentWave
 
 from oracles import strict_json
@@ -144,7 +145,7 @@ def test_convergence_rows_peak_at_one_row_solve():
     for a in cfg.a_sequence:
         row = run.row_params(a)
         incident = IncidentWave(row.kappa0, run.theta)
-        row_peaks.append(_traced_peak(run.model_far_field, run.comparator, row, a, incident))
+        row_peaks.append(_traced_peak(run.model_far_fields, run.comparator, row, a, [incident]))
     # the run adds its grid, its finished rows and small arrays (0.14 MiB); a
     # kept earlier Y and run-long masked centres would add 0.5 MiB more
     assert run_peak <= max(row_peaks) + (1 << 20) // 4
@@ -163,6 +164,36 @@ def test_comparator_mesh_is_built_once_per_run(monkeypatch):
         tolerances={"d_min": 0.1, "mesh_rings": 4, "mesh_nphi": 12}))
     assert len(table.rows) == 3 and not table.aborted
     assert meshes == [1]
+
+
+@pytest.mark.parametrize("name", ["high_surface", "medium_surface"])
+def test_cap_theta_sweep_factors_one_panel_system_per_row(monkeypatch, name):
+    # high_surface compares with the Dirichlet screen, medium_surface with the
+    # surface model; both directions of a row solve against one panel system
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / f"{name}.json").read_text())
+    doc.update(a_sequence=doc["a_sequence"][:3], directions={"n": 30, "theta_sweep": 2})
+    doc["tolerances"].update(mesh_rings=4, mesh_nphi=12)
+    cfg = ExperimentConfig.from_json(doc)
+    factored = []
+    factor = kernels.DirectSystem._factor
+    monkeypatch.setattr(kernels.DirectSystem, "_factor",
+                        lambda self: factored.append(self.name) or factor(self))
+    table = run_convergence(cfg)
+    run = prepare(cfg)
+    assert len(table.rows) == 3 and not table.aborted
+    panel = [n for n in factored if n != "point-interaction system"]
+    # kappa0 moves with a near the resonance: one panel system per row, else per run
+    assert len(panel) == (3 if run.params.near_resonance else 1)
+    assert len(factored) - len(panel) == 3  # one point system a row
+    for (a, _, ff_model), row in zip(table.far_fields, table.rows):
+        params = run.row_params(a)
+        incidents = [IncidentWave(params.kappa0, th) for th in fibonacci_directions(2)]
+        shared = run.model_far_fields(run.comparator, params, a, incidents)
+        # each direction byte for byte as a system factored for it alone
+        for incident, (ff, n) in zip(incidents, shared):
+            [(fresh, n_fresh)] = run.model_far_fields(run.comparator, params, a, [incident])
+            assert np.array_equal(ff.values, fresh.values) and n == n_fresh == row.n_model
+        assert any(np.array_equal(ff_model.values, ff.values) for ff, _ in shared)
 
 
 def test_box_comparator_mesh_has_per_axis_sides():

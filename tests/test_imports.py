@@ -269,11 +269,11 @@ def test_dense_run_loads_no_scipy_module(tmp_path):
 
 
 # one factorization and two solves of a 768 x 768 kernel matrix
-DENSE_SOLVE = ("import numpy as np\nfrom bubblelab.kernels import DenseSystem, pair_kernel\n"
+DENSE_SOLVE = ("import numpy as np\nfrom bubblelab.kernels import DirectSystem, pair_kernel\n"
                "z = np.random.default_rng(0).uniform(size=(768, 3))\n"
                "a = pair_kernel(z, 3.0, -0.05)\nb = np.ones(768, dtype=complex)\n"
                "def dense_solve():\n"
-               "    system = DenseSystem(a, 1e-8)\n"
+               "    system = DirectSystem(a, 1e-8)\n"
                "    system.solve(b)\n"
                "    system.solve(1j * b)\n")
 
@@ -313,7 +313,7 @@ def test_unresolved_lapack_routine_raises_a_typed_error(monkeypatch):
     monkeypatch.setattr(kernels, "_SYMBOL_FORMS", (("no_such_", "_", np.int32),))
     monkeypatch.setattr(kernels, "_lapack", None)
     with pytest.raises(BubbleLabError, match="no_such_zsytrf_") as err:
-        kernels.DenseSystem(np.eye(2, dtype=complex), 1e-10).solve(np.ones(2))
+        kernels.DirectSystem(np.eye(2, dtype=complex), 1e-10).solve(np.ones(2))
     assert np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] in str(err.value)
     assert kernels._lapack is None  # nothing half-resolved is kept
 

@@ -15,8 +15,7 @@ from bubblelab.fields import fibonacci_directions
 from bubblelab.kernels import (
     BLOCK_ENTRIES,
     CACHE_BLOCK,
-    CyclicSystem,
-    DenseSystem,
+    DirectSystem,
     LatticeConvolution,
     _dct1,
     _norm1,
@@ -280,23 +279,23 @@ def test_factor_once_charges_equal_per_direction_solves():
 def test_dense_system_singular_raises_with_condition_estimate():
     singular = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
     with pytest.raises(SolverError) as err:
-        DenseSystem(singular, 1e-10).solve(np.ones(2))
+        DirectSystem(singular, 1e-10).solve(np.ones(2))
     assert err.value.cond_estimate is not None and err.value.cond_estimate >= 1e16
 
 
 def test_dense_system_nan_right_hand_side_raises():
     # a NaN residual misses the contract: no NaN unknowns come back
     with pytest.raises(SolverError) as err:
-        DenseSystem(np.eye(3) + 0.1, 1e-10).solve(np.array([np.nan, 0.0, 0.0]))
+        DirectSystem(np.eye(3) + 0.1, 1e-10).solve(np.array([np.nan, 0.0, 0.0]))
     assert err.value.cond_estimate is not None and np.isfinite(err.value.cond_estimate)
 
 
 def test_dense_system_rcond_threshold():
     nearly = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]], dtype=complex)
-    x, _ = DenseSystem(nearly.copy(), 1e-2).solve(np.array([1.0, 1.0]))
+    x, _ = DirectSystem(nearly.copy(), 1e-2).solve(np.array([1.0, 1.0]))
     assert np.allclose(x, [1.0, 0.0])
     with pytest.raises(SolverError) as err:
-        DenseSystem(nearly, 1e-2, rcond_min=1e-12).solve(np.ones(2))
+        DirectSystem(nearly, 1e-2, rcond_min=1e-12).solve(np.ones(2))
     assert err.value.cond_estimate > 1e12
 
 
@@ -318,7 +317,7 @@ def test_dense_system_factors_in_place_and_checks_the_unwritten_triangle():
     a0 = g + g.T + 4.0 * np.sqrt(m) * np.eye(m)
     b = rng.standard_normal(m) + 1j
     a = a0.copy()
-    system = DenseSystem(a, 1e-10)
+    system = DirectSystem(a, 1e-10)
     system.factor()
     assert np.shares_memory(system.matrix, a)
     below = np.tril_indices(m, -1)
@@ -336,35 +335,117 @@ def test_cyclic_system_agrees_with_dense_system():
     mesh = sphere_cap_mesh(1.0, np.pi / 4, 8, 24)
     full = broadcast_weights(mesh.centroids, 1.3, 1.0, self_panel_weights(mesh, 1.3) / mesh.areas)
     b = IncidentWave(1.3, np.array([0.0, 0.6, 0.8])).at(mesh.centroids)
-    cyclic = CyclicSystem(full[:, ::mesh.sectors], 1e-10)
+    cyclic = DirectSystem(full[:, ::mesh.sectors], 1e-10, sectors=mesh.sectors)
     x, residual = cyclic.solve(b)
-    x_dense, residual_dense = DenseSystem(full.copy(), 1e-10).solve(b)
+    x_dense, residual_dense = DirectSystem(full.copy(), 1e-10).solve(b)
     assert np.abs(x - x_dense).max() <= 1e-12 * np.abs(x_dense).max()
     # the residual is the full system's, max|A x - b|
     assert abs(residual - residual_dense) <= 1e-12
     assert abs(residual - np.abs(full @ x - b).max()) <= 1e-13
-    # A's singular values are its mode blocks': the exact 2-norm condition number
-    assert cyclic.cond_estimate == pytest.approx(np.linalg.cond(full, 2), rel=1e-9)
+    # a 1-norm estimate from the mode blocks, max_q ||B_q||_1 max_q ||B_q^-1||_1:
+    # not A's exact condition number, but within the blocks' 1-norm/2-norm
+    # factor of R = N / P of it
+    r = mesh.n_panels // mesh.sectors
+    blocks = np.fft.fft(full[:, ::mesh.sectors].reshape(r, mesh.sectors, r), axis=1)
+    exact = (max(np.linalg.norm(blocks[:, q], 1) for q in range(mesh.sectors))
+             * max(np.linalg.norm(np.linalg.inv(blocks[:, q]), 1) for q in range(mesh.sectors)))
+    assert exact / 10 <= cyclic.cond_estimate <= exact
+    assert np.linalg.cond(full, 2) / r <= cyclic.cond_estimate <= r * np.linalg.cond(full, 2)
 
 
 def test_cyclic_system_near_singular_block_raises_with_condition_estimate():
     # identity blocks but in modes 1 and P - 1 (paired, so each column block
-    # stays symmetric), whose last singular value is 1e-14
+    # stays symmetric), whose last entry is 1e-14
     r, p = 4, 6
     spectrum = np.broadcast_to(np.eye(r, dtype=complex)[:, None, :], (r, p, r)).copy()
     spectrum[r - 1, [1, p - 1], r - 1] = 1e-14
     columns = np.fft.ifft(spectrum, axis=1).reshape(r * p, r)
     b = np.ones(r * p)
-    x, _ = CyclicSystem(columns, 1e-2).solve(b)
+    x, _ = DirectSystem(columns.copy(), 1e-2, sectors=p).solve(b)
     assert np.all(np.isfinite(x))
     with pytest.raises(SolverError) as err:
-        CyclicSystem(columns, 1e-2, rcond_min=1e-12).solve(b)
+        DirectSystem(columns, 1e-2, rcond_min=1e-12, sectors=p).solve(b)
     # the FFT round trip moves the 1e-14 by rounding of order 1e-16
     assert err.value.cond_estimate == pytest.approx(1e14, rel=0.05)
     # an exactly singular system is refused under any threshold
     with pytest.raises(SolverError) as err:
-        CyclicSystem(np.zeros((r * p, r)), 1e-2).solve(b)
+        DirectSystem(np.zeros((r * p, r)), 1e-2, sectors=p).solve(b)
     assert err.value.cond_estimate >= 1e16
+
+
+def _turned_points(r, p, pole, seed):
+    """r random points and their turns by 2 pi k / p about z, point r p + k
+    the k-th turn of point r p, then the pole (0, 0, 0.5) if asked."""
+    base = np.random.default_rng(seed).uniform(0.2, 1.0, (r, 3)) * [1.0, 1.0, 0.3]
+    phi = np.arctan2(base[:, 1], base[:, 0])[:, None] + 2 * np.pi * np.arange(p) / p
+    rho = np.hypot(base[:, 0], base[:, 1])[:, None]
+    z = np.stack([rho * np.cos(phi), rho * np.sin(phi),
+                  np.broadcast_to(base[:, 2:], phi.shape)], axis=-1).reshape(-1, 3)
+    return np.vstack([z, [[0.0, 0.0, 0.5]]]) if pole else z
+
+
+@pytest.mark.parametrize("p, pole", [(1, False), (4, False), (4, True), ("n_phi", False)],
+                         ids=["P1", "P4", "P4_pole", "cap_n_phi"])
+def test_direct_system_matches_dense_ldlt(p, pole):
+    # the mode blocks (and the pole's bordering pivot) solve what one dense
+    # LDL^T of the whole pair_kernel matrix solves
+    kappa0, diagonal = 2.1, 1.8 - 0.3j
+    if p == "n_phi":
+        mesh = sphere_cap_mesh(1.0, np.pi / 4, 4, 24)
+        z, p = mesh.centroids, mesh.sectors
+    else:
+        z = _turned_points(9, p, pole, seed=p)
+    full = pair_kernel(z, kappa0, diagonal)
+    b = IncidentWave(kappa0, np.array([0.6, 0.0, 0.8])).at(z)
+    x_dense, _ = DirectSystem(full.copy(), 1e-10).solve(b)
+    system = DirectSystem(pair_kernel(z, kappa0, diagonal, stride=p), 1e-10, sectors=p,
+                          pole=diagonal if pole else None)
+    x, residual = system.solve(b)
+    assert np.abs(x - x_dense).max() <= 1e-13 * np.abs(x_dense).max()
+    assert abs(residual - np.abs(full @ x - b).max()) <= 1e-13
+    x2, _ = system.solve(1j * b)  # the factors serve a second right-hand side
+    assert np.abs(x2 - 1j * x).max() <= 1e-13 * np.abs(x).max()
+
+
+def test_one_sector_direct_system_is_the_in_place_ldlt_bitwise():
+    # P = 1 makes the dense path's calls, call for call: zsytrf in place on
+    # the whole matrix, zsycon on its 1-norm, zsytrs per right-hand side
+    m = 200
+    a0 = assemble(cluster(m, seed=5), -0.02, 2.5).matrix
+    b = IncidentWave(2.5, np.array([0.0, 0.0, 1.0])).at(cluster(m, seed=5))
+    system = DirectSystem(a0.copy(), 1e-10)
+    x, _ = system.solve(b)
+    a, index = a0.copy(), kernels._dense_routines()[1]
+    ipiv, info, size = np.empty(m, dtype=index), np.zeros(1, dtype=index), np.empty(1, complex)
+    kernels._lapack_call("zsytrf", b"L", m, a, m, ipiv, size, -1, info)
+    work = np.empty(int(size[0].real), dtype=complex)
+    kernels._lapack_call("zsytrf", b"L", m, a, m, ipiv, work, len(work), info)
+    rcond = np.zeros(1)
+    kernels._lapack_call("zsycon", b"L", m, a, m, ipiv, _norm1(a0), rcond,
+                         np.empty(2 * m, dtype=complex), info)
+    ref = np.array(b, dtype=complex)
+    kernels._lapack_call("zsytrs", b"L", m, 1, a, m, ipiv, ref, m, np.zeros(1, dtype=index))
+    assert np.array_equal(system.matrix, a)
+    assert np.array_equal(system._ipiv[0], ipiv)
+    assert np.array_equal(x, ref)
+    assert system.cond_estimate == 1.0 / rcond[0]
+
+
+def test_near_zero_schur_pivot_raises_with_condition_estimate():
+    # the pole's diagonal entry at which its Schur pivot vanishes, from the
+    # dense matrix: the four sectors' modes stay well conditioned
+    z = _turned_points(6, 4, True, seed=3)
+    diagonal = 1.5 + 0.2j
+    full = pair_kernel(z, 2.0, diagonal)
+    couplings = full[-1, :-1]
+    vanishing = couplings @ np.linalg.solve(full[:-1, :-1], couplings)
+    columns = pair_kernel(z, 2.0, diagonal, stride=4)
+    b = np.ones(len(z))
+    x, _ = DirectSystem(columns.copy(), 1e-8, sectors=4, pole=diagonal).solve(b)
+    assert np.all(np.isfinite(x))
+    with pytest.raises(SolverError) as err:
+        DirectSystem(columns, 1e-8, rcond_min=1e-12, sectors=4, pole=vanishing).solve(b)
+    assert err.value.cond_estimate > 1e12
 
 
 def test_over_budget_cyclic_columns_raise_before_allocating(monkeypatch):
@@ -372,7 +453,7 @@ def test_over_budget_cyclic_columns_raise_before_allocating(monkeypatch):
     n, r = mesh.n_panels, mesh.n_panels // mesh.sectors
     columns = np.ones((n, r), dtype=complex)
     build = (lambda: pair_kernel(mesh.centroids, 3.0, 1.0, stride=mesh.sectors),
-             lambda: CyclicSystem(columns, 1e-8))
+             lambda: DirectSystem(columns, 1e-8, sectors=mesh.sectors))
     monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", 16 * n * r - 1)
     for make in build:
         tracemalloc.start()
@@ -530,7 +611,7 @@ def test_dense_factor_peak_memory_is_the_workspace():
     m = 1458
     matrix = assemble(cluster(m, seed=10), -0.01, 3.0).matrix  # 16 M^2 bytes, before tracing
     lwork, _ = zsytrf_lwork(m, lower=1)
-    peak = _traced_peak(DenseSystem(matrix, 1e-8).factor)
+    peak = _traced_peak(DirectSystem(matrix, 1e-8).factor)
     # zsytrf's workspace plus the 1-norm's row block of CACHE_BLOCK
     # magnitudes (0.25 MiB); a block of BLOCK_ENTRIES would be 2 MiB
     assert peak <= 16 * int(lwork.real) + MIB // 2
@@ -542,7 +623,7 @@ def test_dense_solve_peak_memory_is_the_matrix_alone():
     b = np.ones(m, dtype=complex)
 
     def factor_and_two_solves():
-        system = DenseSystem(matrix, 1e-8)
+        system = DirectSystem(matrix, 1e-8)
         system.solve(b)
         system.solve(1j * b)
 

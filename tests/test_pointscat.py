@@ -1,10 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bubblelab.cluster import BallDomain, BoxDomain, DensityField, build_volumetric
-from bubblelab.errors import ConfigError, GeometryError
+from bubblelab.cluster import (
+    BallDomain,
+    BoxDomain,
+    DensityField,
+    SphereCapChart,
+    build_surface,
+    build_volumetric,
+)
+from bubblelab.errors import AllocationError, ConfigError, GeometryError
 from bubblelab.fields import CSV_HEADER, FarField, fibonacci_directions
 from bubblelab.materials import ContrastParams, classify_regime
 from bubblelab.pointscat import (
@@ -137,6 +146,53 @@ def test_k1_cluster_is_solved_densely():
                           s=1.0, t=0.4, seed=0, d_min=0.5)
     system = assemble(cl, -0.002, 1.4)
     assert isinstance(system, ClusterSystem) and len(system) == cl.m == 2000
+
+
+@pytest.mark.parametrize("a, m", [(0.02, 52), (0.008, 149)], ids=["no_pole", "pole"])
+def test_symmetric_cap_cluster_matches_dense_solve(a, m):
+    # a K = 0 cap cluster is solved on its (M, M/4) sector-0 columns in orbit
+    # order, one block per Fourier mode; its charges come back in the
+    # cluster's own (shell) order
+    cl = build_surface(SphereCapChart(1.0, np.pi / 4), DensityField("constant", 0.0), a=a,
+                       s=0.95, t=0.33, seed=1, d_min=0.1)
+    c, kappa0 = -0.02 + 0.001j, 2.3
+    system, dense = assemble(cl, c, kappa0), assemble(cl.centers, c, kappa0)
+    assert cl.sectors == 4 and system.sectors == 4 and dense.sectors == 1
+    assert len(system) == len(dense) == cl.m == m
+    assert system.matrix.shape == (m, m // 4)
+    assert (system.pole is None) == (m % 4 == 0)
+    dirs = fibonacci_directions(64)
+    for theta in fibonacci_directions(2):
+        inc = IncidentWave(kappa0, theta)
+        sol, ref = solve_charges(system, inc, cl.centers), solve_charges(dense, inc, cl.centers)
+        assert sol.residual <= RESIDUAL_TOL * (1 + np.abs(sol.charges).max())
+        assert np.abs(sol.charges - ref.charges).max() <= 1e-13 * np.abs(ref.charges).max()
+        ff, ff_ref = far_field([sol, ref], cl.centers, kappa0, dirs)
+        assert ff.sup_diff(ff_ref) <= 1e-13 * ff_ref.sup_norm()
+
+
+def test_over_budget_symmetric_cluster_columns_raise_before_allocating(monkeypatch):
+    # the budget compares the 16 M (M // 4) bytes of the columns, not 16 M^2
+    from bubblelab import kernels
+
+    cl = build_surface(SphereCapChart(1.0, np.pi / 4), DensityField("constant", 0.0), a=0.004,
+                       s=0.95, t=0.33, seed=1, d_min=0.1)
+    m = cl.m
+    nbytes = 16 * m * (m // 4)
+    monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", nbytes - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(AllocationError) as err:
+            assemble(cl, -0.02, 2.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.nbytes == nbytes
+    assert peak < nbytes // 4  # the columns were never allocated
+    monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", nbytes)
+    assemble(cl, -0.02, 2.3)  # exactly at the budget, a quarter of the dense matrix's
+    with pytest.raises(AllocationError):
+        assemble(cl.centers, -0.02, 2.3)
 
 
 def test_invertibility_ledger_reported():

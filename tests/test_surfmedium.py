@@ -112,6 +112,14 @@ def test_self_panel_weights_exact_on_pole_fan():
         assert weights[k].real == pytest.approx(oracle, rel=1e-11)
 
 
+@pytest.mark.parametrize("stride", [1, 2, 48])
+def test_sector_self_panel_weights_are_bitwise_every_pth_weight(stride):
+    # the sector-0 panels' triangles alone give the same sums, in the same order
+    mesh = sphere_cap_mesh(1.0, np.pi / 4, 16, 48)
+    full = self_panel_weights(mesh, 2.3)
+    assert np.array_equal(self_panel_weights(mesh, 2.3, stride), full[::stride])
+
+
 def test_zero_sigma_reproduces_incident(sphere_mesh):
     sol = assemble_and_solve_surface(sphere_mesh, 0.0, INC)
     assert np.abs(sol.y - INC.at(sphere_mesh.centroids)).max() < 1e-12
