@@ -186,8 +186,8 @@ class Cluster:
     ``sites`` holds the integer lattice index of each center when every
     kept volume cell holds its center alone (K < 1), and is None otherwise:
     the point-interaction solve then runs on the lattice, by FFT.  A cap
-    whose kept cells each hold their center alone is exactly 4-fold
-    symmetric about z: ``sectors`` is then 4 (else 1) and ``orbits`` lists
+    whose kept cells, more than the pole's, each hold their center alone is
+    exactly 4-fold symmetric about z: ``sectors`` is then 4 (else 1) and ``orbits`` lists
     the center indices in orbit order, in which center 4 r + k is center
     4 r turned by k quarter turns and the pole, if any, comes last; the
     point-interaction solve then runs one block per Fourier mode.
@@ -393,7 +393,7 @@ def _build(geometry, density, a, s, t, seed, d_min, keep_rule) -> Cluster:
         params[extra] += _place_extras(np.random.default_rng(seed), dim, sides, counts,
                                        drawing, pitch, d_req)
     sectors, orbits = 1, None
-    if cap and not len(drawing):  # one center a cell, the cell's
+    if cap and not len(drawing) and len(params) > 1:  # one center a cell, and an orbit
         sectors = 4
         params, centers, orbits = _turned_sectors(geometry, params, idx[keep], int(n[0]),
                                                   (np.cumsum(keep) - 1)[home[keep]], turns[keep])

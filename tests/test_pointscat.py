@@ -171,6 +171,16 @@ def test_symmetric_cap_cluster_matches_dense_solve(a, m):
         assert ff.sup_diff(ff_ref) <= 1e-13 * ff_ref.sup_norm()
 
 
+def test_lone_pole_cap_cluster_is_solved_densely():
+    # a cap whose one kept cell is the pole has no sector to turn
+    cl = build_surface(SphereCapChart(0.3, np.pi / 2), DensityField("constant", 0.0), a=0.35,
+                       s=1.0, t=0.5, seed=1, d_min=0.1)
+    system = assemble(cl, -0.05, 2.0)
+    assert cl.m == 1 and cl.sectors == 1 and system.sectors == 1
+    sol = solve_charges(system, IncidentWave(2.0, np.array([0.0, 0.0, 1.0])), cl.centers)
+    assert sol.charges[0] == pytest.approx(-np.exp(2.0j * cl.centers[0, 2]) * -0.05, rel=1e-14)
+
+
 def test_over_budget_symmetric_cluster_columns_raise_before_allocating(monkeypatch):
     # the budget compares the 16 M (M // 4) bytes of the columns, not 16 M^2
     from bubblelab import kernels
