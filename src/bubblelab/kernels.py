@@ -10,9 +10,9 @@ K = 0 cap cluster's quarter turns) make the matrix block circulant, the
 whole matrix by LDL^T when P = 1.  On a masked regular lattice the same
 kernel matrix is applied without being formed:
 ``LatticeConvolution`` is its matvec by zero-padded FFTs that skip the
-lines of the padding, and ``cocg`` solves a complex-symmetric system from
-such a matvec alone; ``cocg_refined`` adds the residual contract and one
-refinement step that the lattice point solve and the volume solve share.
+lines of the padding, and ``LatticeSystem``, the one lattice solve of the
+point-interaction and volume systems, adds a diagonal given as data and
+solves by ``cocg``, which needs that matvec alone.
 
 The direct solve's BLAS and LAPACK routines (``zsytrf``, ``zsytrs``,
 ``zsycon``, ``zsymm``, ``zgetrf``, ``zgetrs``, ``zgecon``) come from the
@@ -40,9 +40,8 @@ these results do not depend on the block size.
 CACHE_BLOCK entries.  The chunk of ``LatticeConvolution`` holds
 BLOCK_ENTRIES // 4 complex entries (1 MiB): at 36^3 a 2 MiB chunk makes
 ``apply`` at most 3 % faster and a 0.5 MiB one 7-10 % slower.  The
-quadrature of ``meshes.boundary_shape_factor`` keeps blocks of
-BLOCK_ENTRIES (2 MiB of float64), whose GEMM blocks fix the bits of its
-pinned values.
+quadrature of ``meshes.boundary_shape_factor`` walks CACHE_BLOCK blocks
+too, whose GEMM blocks fix the bits of its pinned values.
 ``DirectSystem`` factors the matrix in place, so a dense solve peaks at about
 the matrix alone (16 M^2 bytes) and never at an (M, M, 3) difference array or
 a second (M, M) copy; with P sectors it factors the (N, N/P) sector-0
@@ -62,7 +61,8 @@ the caller passes (or one it allocates) and is not re-entrant.
 ``cocg`` keeps four vectors of the system's size and no Krylov basis: it
 takes the right-hand side over as its residual and allocates the other
 three, and its ``matvec``, ``precondition`` and axpy updates write into one
-of them, so its loop allocates no vector.
+of them, so its loop allocates no vector; nor does ``LatticeSystem``'s
+matvec, whose diagonal term goes through the convolution's z buffer.
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ BLOCK_ENTRIES = 1 << 18  # entries per temporary: 2 MiB of float64
 CACHE_BLOCK = BLOCK_ENTRIES // 8  # entries per cache-resident block: 256 KiB of float64
 DENSE_MAX_BYTES = 1 << 30  # largest dense (M, M) complex matrix: 1 GiB, M <= 8192
 MAX_CELLS = 64**3  # sites of the largest (nx, ny, nz) box a LatticeConvolution accepts
+MAX_MATVECS = 2000  # matvec cap of one COCG run of a LatticeSystem
 
 # the symbol forms of the dense solve's routines, tried in turn: (prefix,
 # suffix, LAPACK index type).  NumPy's PyPI wheels (>= 2.0) link
@@ -429,40 +430,81 @@ def cocg(matvec, rhs, precondition, rtol: float, max_iter: int) -> tuple:
     raise SolverError(f"COCG did not converge in {max_iter} matvecs", iterations=max_iter)
 
 
-def cocg_refined(matvec, rhs, precondition, rtol: float, max_iter: int, recover,
-                 name: str) -> tuple:
-    """(result, residual, iterations): ``cocg`` on A x = rhs(), then the
-    caller's residual contract with one refinement step.
-
-    ``rhs()`` forms the right-hand side as a new vector on each call, which
-    COCG takes over; ``matvec``, ``precondition``, ``rtol`` and ``max_iter``
-    are COCG's.  ``recover(x)`` returns what the caller keeps of x, its
-    residual under the caller's contract and whether that misses the
-    contract.  If it misses (COCG stops on the relative 2-norm of A x - b,
-    which can leave the caller's residual above its bound), that result is
-    freed, a second COCG run under the same cap solves A dx = rhs() - A x,
-    x += dx, and the check is repeated.  Raises SolverError carrying the
-    matvecs of both runs as ``iterations`` on breakdown, non-convergence or
-    a missed contract.
+class LatticeSystem:
+    """Complex-symmetric system G + self_weight I + diag(1/coefficient) on
+    the masked sites of a regular lattice, in C order, never formed: one
+    ``LatticeConvolution`` applies the kernel matrix G of the sites with
+    ``self_weight`` on its diagonal, and 1/coefficient (a scalar or one value
+    per site) is added after its gather, through its z buffer as scratch.
+    Point scatterers C have self weight 0 and coefficient C, the cells of a
+    voxel potential w_self / g^3 and V0 g^3 (Foldy, Phys. Rev. 67(3-4),
+    1945; Lax, Phys. Rev. 85(4), 1952).  ``solve`` runs Jacobi ``cocg`` to
+    relative residual ``rtol`` within MAX_MATVECS matvecs under the contract
+    max|A x - b| <= residual_tol (1 + max|x unknown_scale|), with one
+    refinement run if that misses (COCG stops on the 2-norm); SolverError
+    carries the matvecs of both runs as ``iterations``, as does the system
+    after a solve.  The box cap of ``LatticeConvolution`` applies.
     """
-    x, iterations = cocg(matvec, rhs(), precondition, rtol, max_iter)
-    result, residual, missed = recover(x)
-    if missed:
-        del result
-        r = np.empty_like(x)
-        matvec(x, r)
-        try:
-            dx, more = cocg(matvec, np.subtract(rhs(), r, out=r), precondition, rtol, max_iter)
-        except SolverError as exc:
-            exc.iterations += iterations  # the first run's matvecs count too
-            raise
-        x += dx
-        iterations += more
-        result, residual, missed = recover(x)
-    if missed:
-        raise SolverError(f"{name} residual {residual:.3e} above contract tolerance",
-                          iterations=iterations)
-    return result, residual, iterations
+
+    cond_estimate = None  # no matrix is formed
+
+    def __init__(self, mask, spacing: float, kappa0: float, self_weight, coefficient,
+                 rtol: float, residual_tol: float, name: str, unknown_scale=1.0):
+        self.convolution = LatticeConvolution(mask, spacing, kappa0, self_weight)
+        self._inverse = 1.0 / coefficient
+        self._diagonal = self_weight + self._inverse
+        self._scratch = self.convolution._zwork.reshape(-1)[:len(self.convolution._sites)]
+        self.rtol = rtol
+        self.residual_tol = residual_tol
+        self.name = name
+        self.unknown_scale = unknown_scale
+        self.iterations = None
+
+    def __len__(self):
+        return len(self._scratch)
+
+    def _matvec(self, p, out):
+        """out = A p, ``out`` other than p."""
+        self.convolution.apply(p, out=out)
+        out += np.multiply(p, self._inverse, out=self._scratch)
+
+    def _precondition(self, r, out):
+        np.divide(r, self._diagonal, out=out)
+
+    def _residual(self, x, b) -> tuple:
+        """(A x - b, written into b, and whether it misses the contract).  A
+        NaN residual or bound misses it."""
+        bound = self.residual_tol * (1.0 + np.abs(x * self.unknown_scale).max())
+        ax = np.empty_like(x)
+        self._matvec(x, ax)
+        resid = np.subtract(ax, b, out=b)
+        return resid, not np.abs(resid).max() <= bound
+
+    def solve(self, rhs) -> tuple:
+        """(x, residual) for one right-hand side, residual = max|A x - b|.
+
+        ``rhs`` is b, or a function forming b as a new vector on each call:
+        COCG takes that vector over, so no copy of b lives through it.
+        """
+        make = rhs if callable(rhs) else np.asarray(rhs, dtype=complex).copy
+        x, self.iterations = cocg(self._matvec, make(), self._precondition, self.rtol,
+                                  MAX_MATVECS)
+        resid, missed = self._residual(x, make())
+        if missed:
+            try:
+                dx, more = cocg(self._matvec, np.negative(resid, out=resid), self._precondition,
+                                self.rtol, MAX_MATVECS)
+            except SolverError as exc:
+                exc.iterations += self.iterations  # the first run's matvecs count too
+                raise
+            x += dx
+            self.iterations += more
+            resid, missed = self._residual(x, make())
+        residual = float(np.abs(resid).max())
+        if missed:
+            raise SolverError(f"{self.name} residual {residual:.3e} above contract tolerance",
+                              iterations=self.iterations)
+        return x, residual
 
 
 def _norm1(a):
@@ -559,6 +601,8 @@ class DirectSystem:
     dimension P R), so its upper triangle is LAPACK's lower one ("L").
     """
 
+    iterations = None  # a direct solve runs no Krylov iteration
+
     def __init__(self, columns, residual_tol: float, rcond_min: float = 0.0,
                  name: str = "dense system", unknown_scale=1.0, sectors: int = 1, pole=None):
         n, r = np.shape(columns)
@@ -573,6 +617,9 @@ class DirectSystem:
         self.sectors = sectors
         self.pole = pole
         self.cond_estimate = None  # set by the factorization
+
+    def __len__(self):
+        return len(self.matrix)
 
     def factor(self):
         """The factorization (computed once), then the condition guard.

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, GeometryError
-from .kernels import BLOCK_ENTRIES
+from .kernels import CACHE_BLOCK
 
 # the symmetric degree-2 3-point Gauss rule on the reference triangle:
 # barycentric points, weights summing to 1 (area folded in separately)
@@ -371,13 +371,13 @@ def boundary_shape_factor(mesh: SurfaceMesh) -> float:
     ynrm = np.repeat(tri_normals, nq, axis=0)
 
     # (x-y).n(y)/|x-y| via two GEMMs: x.n(y) - y.n(y) over sqrt(|x|^2-2x.y+|y|^2),
-    # in row blocks of at most BLOCK_ENTRIES entries; one dot product with the
+    # in row blocks of at most CACHE_BLOCK entries; one dot product with the
     # areas sums the rows, in the same order for any block size
     y_dot_n = np.einsum("mi,mi->m", ypts, ynrm)
     y_sq = np.einsum("mi,mi->m", ypts, ypts)
     x_sq = np.einsum("ti,ti->t", centers, centers)
     row_sums = np.empty(ntri)
-    chunk = max(1, BLOCK_ENTRIES // max(len(ypts), 1))
+    chunk = max(1, CACHE_BLOCK // max(len(ypts), 1))
     for start in range(0, ntri, chunk):
         stop = min(start + chunk, ntri)
         num = centers[start:stop] @ ynrm.T

@@ -5,25 +5,20 @@ Collocation at voxel centers of
     Y(z) + Int_Omega Phi(z, y) V0(y) Y(y) dy = u^I(z),
 
 with off-diagonal weights Phi(z_i, z_j) g^3 and an equal-volume-ball closed
-form on the diagonal.  The weight matrix is symmetric and the potential
-real, so scaling by the square root of the potential (imaginary where V0 < 0)
-makes the system complex symmetric for either sign of V0.  It is solved by
-the short-recurrence ``kernels.cocg`` with the pruned FFT-convolution matvec
-``kernels.LatticeConvolution`` on the regular grid, under the residual
-contract and refinement step of ``kernels.cocg_refined``, which the lattice
-point-interaction solve shares.  While COCG runs the
-solve holds 4 cell vectors (COCG's), the operator's quarter-box z buffer,
-1 MiB chunk, octant spectrum and site indices, and no Krylov basis.  A
-constant density's potential V0 is one number, so its square root S and the
-Jacobi diagonal 1 + V0 w_self are scalars; a grid density's V0 and S are
-one value per cell, by broadcasting alone.  The right-hand side S u^I
-becomes COCG's residual, and the symmetric matvec runs in place in COCG's
-work vector through the FFT matvec's ``out``.  u^I is written one x slab at
-a time, from that slab's centres, into the vector COCG takes over, and again
-into a new vector to recover Y.  The far field sums over the grid separably
-(``kernels.grid_far_field_sum``), one phase table per axis, from a weight
-array filled in place over the same slab walk (``VoxelGrid.slabs``).
-A grid keeps its mask; its masked cell centres are built on each use.
+form on the diagonal.  With X = V0 g^3 Y this is the point-interaction
+system of the cell centres, of coefficient V0 g^3 (Foldy, Phys. Rev.
+67(3-4), 1945), so the volume solve is the ``kernels.LatticeSystem`` that
+the lattice point solve uses.  While COCG runs the solve holds 4 cell
+vectors (COCG's), the operator's quarter-box z buffer, 1 MiB chunk, octant
+spectrum and site indices, and no Krylov basis.  A constant density's
+potential V0 is one number, so the coefficient and the Jacobi diagonal are
+scalars; a grid density's are one value per cell, by broadcasting alone.
+u^I is written one x slab at a time, from that slab's centres, into the
+vector COCG takes over, and again for each residual check.  The far field
+sums over the grid separably (``kernels.grid_far_field_sum``), one phase
+table per axis, from a weight array filled in place over the same slab
+walk (``VoxelGrid.slabs``).  A grid keeps its mask; its masked cell
+centres are built on each use.
 """
 
 from __future__ import annotations
@@ -33,12 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 from .fields import FarField
-from .kernels import LatticeConvolution, cocg_refined, grid_far_field_sum
+from .kernels import LatticeSystem, grid_far_field_sum
 
 LS_RESIDUAL_TOL = 1e-8
-LS_MAX_MATVECS = 2000  # matvec cap of one COCG run (one matvec per iteration)
 
 
 @dataclass(frozen=True)
@@ -143,64 +137,38 @@ def incident_on_cells(grid: VoxelGrid, incident) -> np.ndarray:
 def assemble_and_solve(grid: VoxelGrid, potential: VolumePotential, incident) -> LSSolution:
     """Solve the collocation system (I + K V) Y = u^I, V = diag(V0 g^3).
 
-    K is symmetric, so with S = sqrt(V) (imaginary where V0 < 0) the system
-    is equivalent to the complex-symmetric (I + S K S) Z = S u^I, Z = S Y.
-    That is solved by ``kernels.cocg`` with the FFT matvec and the Jacobi
-    diagonal 1 + V0 w_self, to relative residual LS_RESIDUAL_TOL / 10 within
-    LS_MAX_MATVECS matvecs, and Y is recovered as u^I - K (S Z), not as
-    Z / S, so V0 = 0 gives Y = u^I exactly.  V0 is one value or one per
-    cell, and S and that diagonal take its shape by broadcasting.  The residual of Y itself is
-    checked against the contract max|(I + K V) Y - u^I| <= LS_RESIDUAL_TOL
-    (1 + max|Y|); if it misses, one refinement step solves for the
-    correction to Z (a second COCG run under the same cap) and the check is
-    repeated (``kernels.cocg_refined``).  Raises SolverError, carrying the
-    matvec count as ``iterations``, on breakdown, non-convergence or a missed
-    contract, and ConfigError for a box over ``kernels.MAX_CELLS``.
+    K is the kernel G off the diagonal and w_self / g^3 on it, so X = V Y
+    solves the complex-symmetric (G + w_self / g^3 + V^{-1}) X = u^I, a
+    ``kernels.LatticeSystem`` on ``grid.mask`` of coefficient V0 g^3 (one
+    value or one per cell): COCG to relative residual LS_RESIDUAL_TOL / 10
+    under the contract max|A X - u^I| <= LS_RESIDUAL_TOL (1 + max|Y|).  Y =
+    X / (V0 g^3) is checked against its own contract, max|(I + K V) Y - u^I|
+    <= LS_RESIDUAL_TOL (1 + max|Y|), whose residual is returned; a zero
+    potential returns Y = u^I without a solve.  Raises SolverError, carrying
+    the matvec count as ``iterations``, on breakdown, non-convergence or a
+    missed contract, and ConfigError for a box over ``kernels.MAX_CELLS``.
     """
     n = grid.n_cells
     if n == 0:
         raise ConfigError("voxel mask is empty")
     if potential.values.shape not in ((), (n,)):
         raise ConfigError("potential and grid cell counts differ")
-    v0 = potential.values
-    w_self = self_cell_weight(grid.g, incident.kappa0)
-    # the cell volume g^3 rides in the potential, so the kernel's off-diagonal
-    # weight is Phi itself and its diagonal is w_self / g^3
-    conv = LatticeConvolution(grid.mask, grid.g, incident.kappa0, w_self / grid.g**3)
-    sqrt_v = np.sqrt((v0 * grid.g**3).astype(complex))
-
-    def s_incident():
-        """S u^I, a new vector."""
-        u = incident_on_cells(grid, incident)
-        return np.multiply(sqrt_v, u, out=u)
-
-    def symmetric_matvec(z, out):
-        """out = z + S K (S z), in place in out."""
-        np.multiply(sqrt_v, z, out=out)
-        conv.apply(out, out=out)
-        np.multiply(sqrt_v, out, out=out)
-        np.add(z, out, out=out)
-
-    def jacobi(r, out):
-        """out = r / (1 + V0 w_self)."""
-        np.divide(r, 1.0 + v0 * w_self, out=out)
-
-    def recover(z) -> tuple:
-        """Y = u^I - K (S Z), max|(I + K V) Y - u^I| and whether that misses the contract."""
-        u = incident_on_cells(grid, incident)
-        y = sqrt_v * z
-        np.subtract(u, conv.apply(y, out=y), out=y)
-        t = v0 * grid.g**3 * y
-        np.add(y, conv.apply(t, out=t), out=t)
-        np.subtract(t, u, out=t)
-        resid = float(np.abs(t).max())
-        return y, resid, not resid <= LS_RESIDUAL_TOL * (1.0 + np.abs(y).max())
-
-    # S u^I is COCG's residual from the start, so no copy of it stays here
-    y, resid, iterations = cocg_refined(symmetric_matvec, s_incident, jacobi,
-                                        LS_RESIDUAL_TOL / 10, LS_MAX_MATVECS, recover,
-                                        "volume solve")
-    return LSSolution(y=y, residual=resid, iterations=iterations)
+    if not np.any(potential.values):
+        return LSSolution(y=incident_on_cells(grid, incident), residual=0.0, iterations=0)
+    weight = potential.values * grid.g**3
+    system = LatticeSystem(grid.mask, grid.g, incident.kappa0,
+                           self_cell_weight(grid.g, incident.kappa0) / grid.g**3, weight,
+                           LS_RESIDUAL_TOL / 10, LS_RESIDUAL_TOL, "volume solve", 1.0 / weight)
+    y, _ = system.solve(lambda: incident_on_cells(grid, incident))
+    np.divide(y, weight, out=y)
+    u = incident_on_cells(grid, incident)
+    t = weight * y
+    np.add(y, system.convolution.apply(t, out=t), out=t)
+    resid = float(np.abs(np.subtract(t, u, out=t)).max())
+    if not resid <= LS_RESIDUAL_TOL * (1.0 + np.abs(y).max()):
+        raise SolverError(f"volume solve residual {resid:.3e} above contract tolerance",
+                          iterations=system.iterations)
+    return LSSolution(y=y, residual=resid, iterations=system.iterations)
 
 
 def far_field_volume(solution: LSSolution, potential: VolumePotential, grid: VoxelGrid,

@@ -394,9 +394,7 @@ def test_lattice_solver_error_row_keeps_diagnostics(tmp_path, monkeypatch):
 
 
 def test_volume_cap_abort_records_matvecs(monkeypatch):
-    from bubblelab import volmedium
-
-    monkeypatch.setattr(volmedium, "LS_MAX_MATVECS", 2)
+    monkeypatch.setattr(kernels, "MAX_MATVECS", 2)
     cfg = low_config(
         contrast={"gamma": 1.0, "s": 1.0, "t": 0.4, "omega_ratio": 0.8},
         regime="MediumVolumetricB",

@@ -34,7 +34,7 @@ from bubblelab.meshes import (
     rect_mesh,
     sphere_cap_mesh,
 )
-from bubblelab.pointscat import ClusterSystem, IncidentWave, assemble, solve_charges
+from bubblelab.pointscat import RESIDUAL_TOL, IncidentWave, assemble, solve_charges
 from bubblelab.surfmedium import panel_weight_matrix, self_panel_weights
 from bubblelab import kernels, volmedium
 from bubblelab.volmedium import (
@@ -129,7 +129,7 @@ def _quad_cube(n):
 
 
 @pytest.mark.parametrize("make, expected", [
-    (lambda: cube_mesh(8), -3.1413864187561527),
+    (lambda: cube_mesh(8), -3.1413864187561535),
     (lambda: cube_mesh(4, side=(1.0, 2.0, 0.5)), -2.915521874167203),
     (lambda: _quad_cube(6), -3.1441065910195283),
     (lambda: icosphere(2), -8.21205350648342),
@@ -139,6 +139,14 @@ def test_shape_factor_bitwise_pinned(make, expected):
     # coplanar near pairs add exactly zero on flat panels, so skipping them
     # must leave every bit of these values as it was with them
     assert boundary_shape_factor(make()) == expected
+
+
+def test_cache_blocked_shape_factor_matches_its_former_blocks():
+    # the far-pair GEMM ran in BLOCK_ENTRIES row blocks before it ran in
+    # CACHE_BLOCK ones: cube8's rows then split otherwise, and its value moves
+    # by one ulp
+    former = -3.1413864187561527
+    assert abs(boundary_shape_factor(cube_mesh(8)) - former) <= 1e-15 * abs(former)
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +275,11 @@ def test_factor_once_charges_equal_per_direction_solves():
     centers = cluster(80, seed=3)
     kappa0 = 1.9
     matrix = assemble(centers, -0.05, kappa0).matrix
-    system = ClusterSystem(matrix.copy())  # the system factors its array in place
+    system = DirectSystem(matrix.copy(), RESIDUAL_TOL)  # it factors its array in place
     for theta in fibonacci_directions(4):
         inc = IncidentWave(kappa0, theta)
         shared = solve_charges(system, inc, centers)
-        fresh = solve_charges(ClusterSystem(matrix.copy()), inc, centers)
+        fresh = solve_charges(DirectSystem(matrix.copy(), RESIDUAL_TOL), inc, centers)
         assert np.array_equal(shared.charges, fresh.charges)
         assert shared.cond_estimate == fresh.cond_estimate
 
@@ -330,7 +338,7 @@ def test_dense_system_factors_in_place_and_checks_the_unwritten_triangle():
     assert system.cond_estimate == pytest.approx(np.linalg.cond(a0, 1), rel=0.5)
 
 
-def test_cyclic_system_agrees_with_dense_system():
+def test_sectored_direct_system_agrees_with_one_sector():
     # a cap's full (N, N) panel kernel, from the broadcast formula
     mesh = sphere_cap_mesh(1.0, np.pi / 4, 8, 24)
     full = broadcast_weights(mesh.centroids, 1.3, 1.0, self_panel_weights(mesh, 1.3) / mesh.areas)
@@ -353,7 +361,7 @@ def test_cyclic_system_agrees_with_dense_system():
     assert np.linalg.cond(full, 2) / r <= cyclic.cond_estimate <= r * np.linalg.cond(full, 2)
 
 
-def test_cyclic_system_near_singular_block_raises_with_condition_estimate():
+def test_sectored_direct_system_near_singular_block_raises_with_condition_estimate():
     # identity blocks but in modes 1 and P - 1 (paired, so each column block
     # stays symmetric), whose last entry is 1e-14
     r, p = 4, 6
@@ -448,7 +456,7 @@ def test_near_zero_schur_pivot_raises_with_condition_estimate():
     assert err.value.cond_estimate > 1e12
 
 
-def test_over_budget_cyclic_columns_raise_before_allocating(monkeypatch):
+def test_over_budget_sector_columns_raise_before_allocating(monkeypatch):
     mesh = sphere_cap_mesh(1.0, np.pi / 4, 8, 24)
     n, r = mesh.n_panels, mesh.n_panels // mesh.sectors
     columns = np.ones((n, r), dtype=complex)
@@ -539,7 +547,7 @@ def test_volume_solve_cap_raises_with_matvec_count(monkeypatch):
     pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), -1.5)
     inc = IncidentWave(2.0, np.array([0.0, 0.0, 1.0]))
     assert assemble_and_solve(grid, pot, inc).iterations > 3
-    monkeypatch.setattr(volmedium, "LS_MAX_MATVECS", 3)
+    monkeypatch.setattr(kernels, "MAX_MATVECS", 3)
     with pytest.raises(SolverError) as err:
         assemble_and_solve(grid, pot, inc)
     assert err.value.iterations == 3
@@ -721,9 +729,10 @@ def test_lattice_point_solve_peak_memory():
 
 def test_shape_factor_quadrature_peak_memory():
     # the cube bubble of screen_bem: 864 triangles against 2592 Gauss points;
-    # the far-pair rows run in BLOCK_ENTRIES blocks, and the near-pair batch
+    # the far-pair rows run in CACHE_BLOCK blocks, and the near-pair batch
     # holds only the 1,056 of 5,580 near pairs that are not coplanar, so the
-    # peak is about 6 MiB, not two 864 x 2592 arrays (35.8 MB)
+    # peak is about 2.7 MiB (6.1 MiB in BLOCK_ENTRIES blocks), not two
+    # 864 x 2592 arrays (35.8 MB)
     mesh = cube_mesh(6)
     peak = _traced_peak(boundary_shape_factor, mesh)
     assert peak <= 8 * MIB

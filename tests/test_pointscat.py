@@ -15,12 +15,11 @@ from bubblelab.cluster import (
 )
 from bubblelab.errors import AllocationError, ConfigError, GeometryError
 from bubblelab.fields import CSV_HEADER, FarField, fibonacci_directions
+from bubblelab.kernels import DirectSystem, LatticeSystem
 from bubblelab.materials import ContrastParams, classify_regime
 from bubblelab.pointscat import (
     RESIDUAL_TOL,
-    ClusterSystem,
     IncidentWave,
-    LatticeSystem,
     assemble,
     far_field,
     solve_charges,
@@ -126,7 +125,7 @@ def test_lattice_system_matches_dense_solve(domain, density, a, c, kappa0):
     cl = build_volumetric(domain, DensityField("constant", density), a=a, s=1.0, t=0.4,
                           seed=0, d_min=0.5)
     lattice, dense = assemble(cl, c, kappa0), assemble(cl.centers, c, kappa0)
-    assert isinstance(lattice, LatticeSystem) and isinstance(dense, ClusterSystem)
+    assert isinstance(lattice, LatticeSystem) and isinstance(dense, DirectSystem)
     assert len(lattice) == len(dense) == cl.m
     dirs = fibonacci_directions(64)
     for theta in fibonacci_directions(2):
@@ -145,7 +144,7 @@ def test_k1_cluster_is_solved_densely():
     cl = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField("constant", 1.0), a=1e-3,
                           s=1.0, t=0.4, seed=0, d_min=0.5)
     system = assemble(cl, -0.002, 1.4)
-    assert isinstance(system, ClusterSystem) and len(system) == cl.m == 2000
+    assert isinstance(system, DirectSystem) and len(system) == cl.m == 2000
 
 
 @pytest.mark.parametrize("a, m", [(0.02, 52), (0.008, 149)], ids=["no_pole", "pole"])

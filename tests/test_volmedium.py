@@ -10,11 +10,10 @@ import pytest
 from bubblelab.cluster import BallDomain, BoxDomain, DensityField
 from bubblelab.errors import ConfigError
 from bubblelab.fields import fibonacci_directions
-from bubblelab.kernels import LatticeConvolution
-from bubblelab.pointscat import IncidentWave
+from bubblelab.kernels import MAX_MATVECS, LatticeConvolution, pair_kernel
+from bubblelab.pointscat import IncidentWave, assemble, solve_charges
 from bubblelab import kernels
 from bubblelab.volmedium import (
-    LS_MAX_MATVECS,
     LS_RESIDUAL_TOL,
     LSSolution,
     VolumePotential,
@@ -92,6 +91,25 @@ def test_constant_density_potential_builds_no_centres(ball_grid, monkeypatch):
 # volume solves, pinned bit for bit with one BLAS thread: a change to the
 # arithmetic of the solve, or to the order of its operations, changes them
 PINNED_SOLVES = {
+    ("ball_14", -1.5): (7, [0.8969570874906974 - 0.005295882584071581j,
+                            0.7247130280341205 - 0.5703459553533078j,
+                            0.8578065179452231 + 0.304003460718546j]),
+    ("ball_14", -4 * np.pi): (16, [0.9541222044049393 + 1.3043397218885364j,
+                                   0.6721601322118576 + 0.5339046548112174j,
+                                   0.9125101844174472 + 1.4323615635212315j]),
+    ("box_24", -1.5): (6, [0.5652349225388649 - 0.7360659729499397j,
+                           0.5972566830609296 - 0.7214231985330772j,
+                           0.531382955518247 + 0.9549853576850919j]),
+    ("box_24", -4 * np.pi): (9, [0.43299080790355027 - 1.1678773091435626j,
+                                 0.43813470531782317 - 1.196449717952824j,
+                                 -0.48532147897212835 + 1.1148774005097535j]),
+}
+
+# The same solves pinned before the volume solve became a point-interaction
+# lattice system (it solved the sqrt(V)-scaled system for sqrt(V) Y): the
+# same Krylov iterates up to a diagonal scaling, so equal matvec counts and
+# samples within 1e-8 relative
+PRE_REFACTOR_SOLVES = {
     ("ball_14", -1.5): (7, [0.8969570878866173 - 0.005295882525247403j,
                             0.7247130286218945 - 0.5703459552819169j,
                             0.8578065179816003 + 0.3040034608331784j]),
@@ -150,6 +168,16 @@ def test_volume_solve_reproduces_pinned_values(pinned_results, grid_name, v0):
     iterations, samples = pinned_results[grid_name, v0]
     assert iterations == PINNED_SOLVES[grid_name, v0][0]
     assert [complex(re, im) for re, im in samples] == PINNED_SOLVES[grid_name, v0][1]
+
+
+@pytest.mark.parametrize("grid_name, v0", sorted(PRE_REFACTOR_SOLVES),
+                         ids=[f"{g}_v0={v0:.4g}" for g, v0 in sorted(PRE_REFACTOR_SOLVES)])
+def test_volume_solve_reproduces_pre_refactor_values(pinned_results, grid_name, v0):
+    iterations, samples = pinned_results[grid_name, v0]
+    reference_iterations, reference = PRE_REFACTOR_SOLVES[grid_name, v0]
+    assert iterations == reference_iterations
+    for (re, im), ref in zip(samples, reference):
+        assert abs(complex(re, im) - ref) <= 1e-8 * abs(ref)
 
 
 @pytest.mark.parametrize("grid_name, v0", sorted(PINNED_SOLVES),
@@ -216,10 +244,12 @@ def _graded_density():
 
 
 def test_dense_and_fft_paths_agree(ball_grid):
-    # the FFT matvec + COCG solve against a dense solve of the same system:
-    # both signs of sqrt(V) and a non-constant V0
+    # the FFT matvec + COCG solve against dense solves of the same system:
+    # both signs of V0 and a non-constant V0
     dirs = fibonacci_directions(64)
-    u_inc = INC.at(ball_grid.centers)
+    centers = ball_grid.centers
+    u_inc = INC.at(centers)
+    w_self = self_cell_weight(ball_grid.g, INC.kappa0)
     for density, coefficient in [(DensityField("constant", 0.0), -1.5),
                                  (DensityField("constant", 0.0), 1.5),
                                  (_graded_density(), -1.5)]:
@@ -230,8 +260,18 @@ def test_dense_and_fft_paths_agree(ball_grid):
         a += np.eye(ball_grid.n_cells)
         dense = np.linalg.solve(a, u_inc)
         assert np.abs(dense - fft.y).max() < 1e-7
+        # the same system as point interactions on the cell centres (Foldy):
+        # charges Q = -V0 g^3 Y and 1/C_eff = (1 + V0 w_self) / (V0 g^3)
+        volume = pot.values * ball_grid.g**3
+        if pot.values.shape == ():
+            system = assemble(centers, volume / (1.0 + pot.values * w_self), INC.kappa0)
+            charges = solve_charges(system, INC, centers).charges
+        else:
+            matrix = pair_kernel(centers, INC.kappa0, (1.0 + pot.values * w_self) / volume)
+            charges = np.linalg.solve(matrix, -u_inc)
+        assert np.abs(-charges / volume - fft.y).max() < 1e-7
         assert fft.residual <= LS_RESIDUAL_TOL * (1 + np.abs(fft.y).max())
-        assert 0 < fft.iterations <= LS_MAX_MATVECS
+        assert 0 < fft.iterations <= MAX_MATVECS
         ff = far_field_volume(fft, pot, ball_grid, INC.kappa0, dirs).values
         ref = far_field_volume(LSSolution(y=dense, residual=0.0, iterations=0), pot,
                                ball_grid, INC.kappa0, dirs).values
@@ -248,7 +288,7 @@ def test_strong_potential_ball_meets_contract(n, v0):
     grid = VoxelGrid.cover(BallDomain(radius=1.0), n)
     pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), v0)
     sol = assemble_and_solve(grid, pot, INC)
-    assert sol.iterations <= LS_MAX_MATVECS
+    assert sol.iterations <= MAX_MATVECS
     assert np.all(np.isfinite(sol.y))
     # the contract, recomputed with an operator of its own
     w_self = self_cell_weight(grid.g, INC.kappa0)
