@@ -415,9 +415,10 @@ class RunSetup:
         """Cluster, coefficient and charges for each incident wave at radius scale a.
 
         One system (``pointscat.assemble``: the lattice FFT operator of a
-        volume cluster with one centre per site, else a direct system
-        factored once, in place, by Fourier mode for a 4-fold symmetric cap
-        cluster) serves all incident waves and is freed on return.
+        volume cluster with one centre per site, a direct system factored
+        once, in place, by Fourier mode for a 4-fold symmetric cap cluster,
+        else the single-precision factors of the whole matrix, refined in
+        double) serves all incident waves and is freed on return.
         ``run_convergence`` solves a row's comparator first, so a refused
         comparator stops the row before its cluster is built.
         """

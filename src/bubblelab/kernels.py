@@ -7,15 +7,19 @@ builds its dense matrix with ``pair_kernel``, sums its far field with
 its dense systems, all complex symmetric, through ``DirectSystem``: one
 block per Fourier mode when P rotational sectors (a cap's panel mesh, or a
 K = 0 cap cluster's quarter turns) make the matrix block circulant, the
-whole matrix by LDL^T when P = 1.  On a masked regular lattice the same
-kernel matrix is applied without being formed:
-``LatticeConvolution`` is its matvec by zero-padded FFTs that skip the
-lines of the padding, and ``LatticeSystem``, the one lattice solve of the
-point-interaction and volume systems, adds a diagonal given as data and
+whole matrix by LDL^T when P = 1.  The point-interaction matrix of
+off-lattice points without sectors is a ``MixedPrecisionSystem``: its
+single-precision head and tail factored by LDL^T in single precision and
+refined in double, with a P = 1 ``DirectSystem`` as its fallback.  On a
+masked regular lattice the same kernel matrix is applied without being
+formed: ``LatticeConvolution`` is its matvec by zero-padded FFTs that skip
+the lines of the padding, and ``LatticeSystem``, the one lattice solve of
+the point-interaction and volume systems, adds a diagonal given as data and
 solves by ``cocg``, which needs that matvec alone.
 
-The direct solve's BLAS and LAPACK routines (``zsytrf``, ``zsytrs``,
-``zsycon``, ``zsymm``, ``zgetrf``, ``zgetrs``, ``zgecon``) come from the
+The direct solves' BLAS and LAPACK routines (``zsytrf``, ``zsytrs``,
+``zsycon``, ``zsymm``, ``zgetrf``, ``zgetrs``, ``zgecon``, and ``csytrf``,
+``csycon``, ``csytrs`` in single precision) come from the
 OpenBLAS that ``numpy.linalg`` links, called through ``ctypes`` and
 resolved once, on the first factorization in a process, from a handle on
 numpy's ``_umath_linalg`` extension, whose ``dlsym`` also searches the
@@ -47,9 +51,14 @@ the matrix alone (16 M^2 bytes) and never at an (M, M, 3) difference array or
 a second (M, M) copy; with P sectors it factors the (N, N/P) sector-0
 columns in place, transformed into their mode blocks, and holds no other
 array of that size: 16 N^2 / P bytes.  ``pair_kernel``, which builds the
-point, surface and Dirichlet systems, refuses a matrix over DENSE_MAX_BYTES (1 GiB: M <= 8192)
-before allocating it, or one the OS refuses, with AllocationError; the same
-budget bounds the (N, N/P) sector-0 columns of P sectors.
+surface and Dirichlet systems and the sectored point systems, refuses a
+matrix over DENSE_MAX_BYTES (1 GiB: M <= 8192) before allocating it, or one
+the OS refuses, with AllocationError; the same budget bounds the (N, N/P)
+sector-0 columns of P sectors.  ``MixedPrecisionSystem`` holds 12 M^2 bytes,
+the (M, M) complex64 head and the tail of its upper triangle, under the
+same budget (M <= 9459), factors the head in place and forms its residuals
+in the kernel's row blocks; its fallback releases both before it builds the
+16 M^2-byte double matrix.
 ``LatticeConvolution`` refuses a box over MAX_CELLS (64^3) with
 ConfigError, so the point and the volume solves share that cap.  It never
 forms its zero-padded box: it holds a quarter of it, the (nx, ny, 2nz)
@@ -78,15 +87,17 @@ from .errors import AllocationError, ConfigError, GeometryError, SolverError
 
 BLOCK_ENTRIES = 1 << 18  # entries per temporary: 2 MiB of float64
 CACHE_BLOCK = BLOCK_ENTRIES // 8  # entries per cache-resident block: 256 KiB of float64
-DENSE_MAX_BYTES = 1 << 30  # largest dense (M, M) complex matrix: 1 GiB, M <= 8192
+DENSE_MAX_BYTES = 1 << 30  # dense budget, 1 GiB: an (M, M) complex matrix to M = 8192
 MAX_CELLS = 64**3  # sites of the largest (nx, ny, nz) box a LatticeConvolution accepts
 MAX_MATVECS = 2000  # matvec cap of one COCG run of a LatticeSystem
+MAX_CORRECTIONS = 30  # zcgesv's cap on the refinement corrections of one mixed-precision solve
 
 # the symbol forms of the dense solve's routines, tried in turn: (prefix,
 # suffix, LAPACK index type).  NumPy's PyPI wheels (>= 2.0) link
 # scipy_openblas64_; other builds link an ILP64 or an LP64 LAPACK.
 _SYMBOL_FORMS = (("scipy_", "_64_", np.int64), ("", "_64_", np.int64), ("", "_", np.int32))
-_DENSE_ROUTINES = ("zsytrf", "zsycon", "zsytrs", "zsymm", "zgetrf", "zgecon", "zgetrs")
+_DENSE_ROUTINES = ("zsytrf", "zsycon", "zsytrs", "zsymm", "zgetrf", "zgecon", "zgetrs",
+                   "csytrf", "csycon", "csytrs")
 _lapack = None  # ({routine: ctypes function}, index dtype), set on the first factorization
 
 
@@ -107,14 +118,23 @@ def _distance_blocks(points, stride: int = 1):
     cols = points[:n * stride:stride]
     r_buf = np.empty(min(max(CACHE_BLOCK, n), m * n))
     s_buf = np.empty_like(r_buf)
-    i0 = 0
-    while i0 < m:
+    for i0, i1 in _row_blocks(m, stride):
         c0 = i0 if stride == 1 else 0
-        i1 = min(m, i0 + max(1, CACHE_BLOCK // (n - c0)))
         r = r_buf[:(i1 - i0) * (n - c0)].reshape(i1 - i0, n - c0)
         s = s_buf[:r.size].reshape(r.shape)
         _block_distances(points[i0:i1], cols[c0:], r, s)
         yield i0, i1, c0, r, s
+
+
+def _row_blocks(m: int, stride: int = 1):
+    """(i0, i1) of the row blocks of ``_distance_blocks``: rows i0:i1 hold at
+    most CACHE_BLOCK of their columns c0: (one row if a row holds more)."""
+    n = m // stride
+    i0 = 0
+    while i0 < m:
+        c0 = i0 if stride == 1 else 0
+        i1 = min(m, i0 + max(1, CACHE_BLOCK // (n - c0)))
+        yield i0, i1
         i0 = i1
 
 
@@ -131,6 +151,39 @@ def _block_distances(rows, cols, out, scratch):
     np.sqrt(out, out=out)
 
 
+def _kernel_blocks(z, kappa0: float, stride: int = 1, out=None):
+    """(i0, i1, c0, blk) for each row block of ``_distance_blocks``: blk the
+    kernel e^{i kappa0 r} / (4 pi r) on it (not finite where r = 0), written
+    into out[i0:i1, c0:] or, without ``out``, into one complex buffer that
+    every block reuses.  Raises GeometryError if two distinct points
+    coincide."""
+    m = len(z)
+    n = m // stride
+    buffer = np.empty(min(max(CACHE_BLOCK, n), m * n), dtype=complex) if out is None else None
+    four_pi = 4.0 * np.pi
+    for i0, i1, c0, r, s in _distance_blocks(z, stride):
+        zi, zj = np.nonzero(r == 0.0)
+        if np.any(i0 + zi != (c0 + zj) * stride):
+            raise GeometryError("coincident points make the interaction kernel singular")
+        blk = buffer[:r.size].reshape(r.shape) if out is None else out[i0:i1, c0:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.multiply(four_pi, r, out=s)
+            np.divide(1.0, s, out=s)  # 1/(4 pi r); inf on the diagonal
+            np.multiply(kappa0, r, out=r)
+            np.cos(r, out=blk.real)
+            blk.real *= s
+            np.sin(r, out=blk.imag)
+            blk.imag *= s
+        yield i0, i1, c0, blk
+
+
+def _points(points) -> np.ndarray:
+    z = np.asarray(points, dtype=float)
+    if z.ndim != 2 or z.shape[1] != 3:
+        raise GeometryError("points must be an (M, 3) array")
+    return z
+
+
 def pair_kernel(points, kappa0: float, diagonal, stride: int = 1) -> np.ndarray:
     """Square matrix e^{i kappa0 r_ij} / (4 pi r_ij) off the diagonal,
     ``diagonal`` (scalar or per point) on it; with ``stride`` p > 1 only its
@@ -145,9 +198,7 @@ def pair_kernel(points, kappa0: float, diagonal, stride: int = 1) -> np.ndarray:
     AllocationError (its 16 M^2 / p bytes) for a matrix over DENSE_MAX_BYTES
     or one not allocated.
     """
-    z = np.asarray(points, dtype=float)
-    if z.ndim != 2 or z.shape[1] != 3:
-        raise GeometryError("points must be an (M, 3) array")
+    z = _points(points)
     m = len(z)
     n = m // stride
     nbytes = 16 * m * n
@@ -158,22 +209,9 @@ def pair_kernel(points, kappa0: float, diagonal, stride: int = 1) -> np.ndarray:
         out = np.empty((m, n), dtype=complex)
     except MemoryError:
         raise AllocationError(f"{need}, which could not be allocated", nbytes=nbytes) from None
-    four_pi = 4.0 * np.pi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i0, i1, c0, r, s in _distance_blocks(z, stride):
-            zi, zj = np.nonzero(r == 0.0)
-            if np.any(i0 + zi != (c0 + zj) * stride):
-                raise GeometryError("coincident points make the interaction kernel singular")
-            blk = out[i0:i1, c0:]
-            np.multiply(four_pi, r, out=s)
-            np.divide(1.0, s, out=s)  # 1/(4 pi r); inf on the diagonal, overwritten below
-            np.multiply(kappa0, r, out=r)
-            np.cos(r, out=blk.real)
-            blk.real *= s
-            np.sin(r, out=blk.imag)
-            blk.imag *= s
-            if stride == 1:
-                out[i1:, i0:i1] = out[i0:i1, i1:].T
+    for i0, i1, _, _ in _kernel_blocks(z, kappa0, stride, out):
+        if stride == 1:
+            out[i1:, i0:i1] = out[i0:i1, i1:].T
     out.flat[:: stride * n + 1] = diagonal  # (i p, i) is flat index i (p n + 1)
     return out
 
@@ -773,6 +811,163 @@ class DirectSystem:
             resid, missed = self._residual(x, b)
         residual = float(np.abs(resid).max())
         if missed:
+            raise SolverError(f"{self.name} residual {residual:.3e} exceeds contract tolerance",
+                              cond_estimate=self.cond_estimate)
+        return x, residual
+
+
+class MixedPrecisionSystem:
+    """The complex-symmetric matrix A = ``pair_kernel(points, kappa0,
+    diagonal)`` held in single precision as a head and a tail, factored in
+    single precision and refined in double.
+
+    The build walks ``pair_kernel``'s row blocks of the upper triangle, so
+    every entry is the same double value, and keeps hi = complex64(A) in a
+    full (M, M) array, both triangles, and the tail lo = complex64(A - hi) of
+    each block, the blocks one after another in one flat buffer (about M^2 /
+    2 entries).  hi + lo is A to about 2^-48 relative (Dekker, Numer. Math.
+    18, 1971), and the diagonal stays in double: 12 M^2 bytes against A's 16
+    M^2.  DENSE_MAX_BYTES bounds these 12 M^2 bytes (M <= 9459) and is
+    checked before anything is allocated (AllocationError).
+
+    The first solve factors hi in place by Bunch-Kaufman LDL^T (``csytrf``
+    on LAPACK's upper triangle, the C-order lower one) and estimates its
+    condition (``csycon``).  Each right-hand side is solved by ``csytrs``
+    and refined as LAPACK's ``zcgesv`` refines (Langou et al., SC'06): the
+    residual b - A x is formed in double, in the build's row blocks, from
+    hi's untouched C-order upper triangle, the tail and the diagonal, and
+    its correction from the single-precision factors, until max|r| <=
+    sqrt(M) eps ||A||_1 max|x|, eps = 2^-53.  The result then meets ``DirectSystem``'s contract
+    max|A x - b| <= residual_tol (1 + max|x|) or raises SolverError.  An
+    exactly singular block in ``csytrf``, or MAX_CORRECTIONS corrections
+    that miss the rule, make the system fall back: it releases hi and lo
+    and solves this and every later right-hand side through a P = 1
+    ``DirectSystem`` on A itself, as an ill-conditioned matrix needs.
+    ``cond_estimate`` is ``csycon``'s, or the fallback's once it is taken.
+    """
+
+    iterations = None  # a direct solve runs no Krylov iteration
+    sectors = 1
+
+    def __init__(self, points, kappa0: float, diagonal, residual_tol: float,
+                 name: str = "dense system"):
+        z = _points(points)
+        m = len(z)
+        nbytes = 12 * m * m
+        need = f"the ({m}, {m}) kernel matrix in single precision needs {nbytes / 2**30:.3g} GiB"
+        if nbytes > DENSE_MAX_BYTES:
+            raise AllocationError(f"{need}, over the dense budget", nbytes=nbytes)
+        self._source = z, kappa0, diagonal  # to rebuild A for the fallback
+        self._diagonal = np.broadcast_to(np.asarray(diagonal, dtype=complex), m).copy()
+        self.residual_tol = residual_tol
+        self.name = name
+        self._cond = None  # set by the factorization
+        self._fallback = None
+        self._blocks = []  # (i0, i1, offset of the block's tail)
+        try:
+            self._hi = np.empty((m, m), dtype=np.complex64)
+            sizes = [(i1 - i0) * (m - i0) for i0, i1 in _row_blocks(m)]
+            self._tail = np.empty(sum(sizes), dtype=np.complex64)
+        except MemoryError:
+            raise AllocationError(f"{need}, which could not be allocated", nbytes=nbytes) from None
+        rows = np.zeros(m)  # the row sums of |A|
+        offset = 0
+        for i0, i1, _, blk in _kernel_blocks(z, kappa0):
+            h = i1 - i0
+            blk[np.arange(h), np.arange(h)] = self._diagonal[i0:i1]
+            head = self._hi[i0:i1, i0:]
+            head[...] = blk
+            self._hi[i1:, i0:i1] = head[:, h:].T
+            np.subtract(blk, head, out=self._tail[offset:offset + blk.size].reshape(blk.shape))
+            magnitude = np.abs(blk)
+            rows[i0:i1] += magnitude.sum(axis=1)
+            rows[i1:] += magnitude[:, h:].sum(axis=0)
+            self._blocks.append((i0, i1, offset))
+            offset += blk.size
+        self._norm = float(rows.max(initial=0.0))  # ||A||_1 = ||A||_inf
+
+    def __len__(self):
+        return len(self._diagonal)
+
+    @property
+    def cond_estimate(self):
+        return self._cond if self._fallback is None else self._fallback.cond_estimate
+
+    def factor(self):
+        """The single-precision factorization, computed once; an exactly
+        singular block makes the system fall back."""
+        if self._cond is not None or self._fallback is not None:
+            return
+        m, lda = len(self), max(1, len(self))
+        _, index = _dense_routines()
+        self._ipiv = np.empty(m, dtype=index)
+        self._info = info = np.zeros(1, dtype=index)
+        size = np.empty(1, dtype=np.complex64)
+        _lapack_call("csytrf", b"U", m, self._hi, lda, self._ipiv, size, -1, info)  # query
+        work = np.empty(max(1, int(size[0].real)), dtype=np.complex64)
+        _lapack_call("csytrf", b"U", m, self._hi, lda, self._ipiv, work, len(work), info)
+        del work
+        if info[0] != 0:
+            self._fall_back()
+            return
+        rcond = np.zeros(1, dtype=np.float32)
+        _lapack_call("csycon", b"U", m, self._hi, lda, self._ipiv,
+                     np.array([self._norm], dtype=np.float32), rcond,
+                     np.empty(2 * m, dtype=np.complex64), info)
+        self._cond = float(1.0 / max(float(rcond[0]), 1e-300))
+
+    def _fall_back(self):
+        """Release hi and lo, then hand every solve to a ``DirectSystem`` on A."""
+        self._hi = self._tail = None
+        z, kappa0, diagonal = self._source
+        self._fallback = DirectSystem(pair_kernel(z, kappa0, diagonal), self.residual_tol,
+                                      name=self.name)
+
+    def _substitute(self, r) -> np.ndarray:
+        """hi^{-1} r from the single-precision factors, as a new complex64 vector."""
+        y = np.array(r, dtype=np.complex64)
+        lda = max(1, len(y))
+        _lapack_call("csytrs", b"U", len(y), 1, self._hi, lda, self._ipiv, y, lda, self._info)
+        return y
+
+    def _residual(self, x, b) -> np.ndarray:
+        """b - A x in double, as a new vector.  The strictly upper triangle
+        of each row block A[i0:i1, i0:], hi above the diagonal plus the
+        block's tail, gives rows i0:i1 of its product and, transposed, rows
+        i0: ; the diagonal, kept in double, is applied once at the end."""
+        m = len(x)
+        r = np.array(b, dtype=complex)
+        work = np.empty(min(max(CACHE_BLOCK, m), m * m), dtype=complex)
+        lower = np.tri(max((i1 - i0 for i0, i1, _ in self._blocks), default=0), dtype=bool)
+        for i0, i1, offset in self._blocks:
+            h = i1 - i0
+            w = work[:h * (m - i0)].reshape(h, m - i0)
+            w[...] = self._hi[i0:i1, i0:]  # upcast exactly; the factors sit below
+            w += self._tail[offset:offset + w.size].reshape(w.shape)
+            np.copyto(w[:, :h], 0.0, where=lower[:h, :h])
+            r[i0:i1] -= w @ x[i0:]
+            r[i0:] -= x[i0:i1] @ w
+        r -= self._diagonal * x
+        return r
+
+    def solve(self, rhs) -> tuple:
+        """(x, residual) for one right-hand side, residual = max|A x - b|."""
+        self.factor()
+        if self._fallback is not None:
+            return self._fallback.solve(rhs)
+        b = np.asarray(rhs, dtype=complex)
+        stop = math.sqrt(len(b)) * 2.0**-53 * self._norm
+        x = self._substitute(b).astype(complex)
+        for corrections in itertools.count():
+            resid = self._residual(x, b)
+            residual = float(np.abs(resid).max(initial=0.0))
+            if residual <= stop * np.abs(x).max(initial=0.0):
+                break
+            if corrections == MAX_CORRECTIONS or not math.isfinite(residual):
+                self._fall_back()
+                return self._fallback.solve(b)
+            x += self._substitute(resid)
+        if not residual <= self.residual_tol * (1.0 + np.abs(x).max(initial=0.0)):
             raise SolverError(f"{self.name} residual {residual:.3e} exceeds contract tolerance",
                               cond_estimate=self.cond_estimate)
         return x, residual

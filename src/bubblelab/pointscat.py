@@ -9,12 +9,15 @@ with Phi the free-space Helmholtz kernel e^{ikr}/(4 pi r).  The matrix is
 complex symmetric, and ``assemble`` returns it as a ``kernels`` system: a
 cluster with one centre on each of its lattice sites gets a
 ``LatticeSystem``, the matrix applied by FFT with 1/C as its diagonal and
-solved by Jacobi COCG; any other cluster a ``DirectSystem`` factored once,
-in place: a 4-fold symmetric cap cluster's (M, M/4) columns from
-``kernels.pair_kernel`` in orbit order, one block per Fourier mode, and any
-other cluster's dense matrix by LDL^T.  The lattice's C order and the
-orbit order are one permutation, which ``solve_charges`` applies.  Each
-system solves any number of incidence directions.  The far field is the
+solved by Jacobi COCG; a 4-fold symmetric cap cluster a ``DirectSystem`` on
+its (M, M/4) columns from ``kernels.pair_kernel`` in orbit order, factored
+once, in place, one block per Fourier mode; and any other cluster (K >= 1,
+off-lattice centres) a ``MixedPrecisionSystem``, its matrix held in single
+precision as a head and a tail (12 M^2 bytes), factored once by LDL^T in
+single precision and refined in double per incidence direction.  The
+lattice's C order and the orbit order are one permutation, which
+``solve_charges`` applies.  Each system solves any number of incidence
+directions.  The far field is the
 shared ``kernels.far_field_sum``, one pass over the phases for all
 directions.
 """
@@ -28,7 +31,8 @@ import numpy as np
 from .cluster import Cluster
 from .errors import ConfigError
 from .fields import FarField
-from .kernels import DirectSystem, LatticeSystem, far_field_sum, pair_kernel
+from .kernels import (DirectSystem, LatticeSystem, MixedPrecisionSystem, far_field_sum,
+                      pair_kernel)
 
 RESIDUAL_TOL = 1e-10
 LATTICE_RTOL = 1e-12  # relative 2-norm residual at which the lattice solve's COCG stops
@@ -69,11 +73,13 @@ def assemble(cluster, c_coeff: complex, kappa0: float):
 
     A cluster that records lattice sites (one centre per kept volume cell)
     gets a ``kernels.LatticeSystem`` on the sites' bounding box (relative
-    residual LATTICE_RTOL); any other cluster, and an array of centres, a
-    ``kernels.DirectSystem`` whose matrix ``kernels.pair_kernel`` builds in
-    bounded row blocks: for a cluster of ``sectors`` P > 1 only its (M, M/P)
-    columns, in orbit order.  The matrix or columns are refused
-    (AllocationError) over the dense budget.  Either system meets the
+    residual LATTICE_RTOL); a cluster of ``sectors`` P > 1 a
+    ``kernels.DirectSystem`` on its (M, M/P) columns from
+    ``kernels.pair_kernel``, in orbit order; any other cluster, and an array
+    of centres, a ``kernels.MixedPrecisionSystem`` of the same kernel
+    matrix, built in the same row blocks.  The columns (16 M^2 / P bytes)
+    or the single-precision matrix (12 M^2 bytes) are refused
+    (AllocationError) over the dense budget.  Every system meets the
     contract max|A Q - b| <= RESIDUAL_TOL (1 + max|Q|) and has ``len`` M; a
     system whose unknowns are not in the cluster's own order records the
     centre of each as ``order``.
@@ -99,16 +105,16 @@ def assemble(cluster, c_coeff: complex, kappa0: float):
             system.order = order
             return system
         cluster = cluster.centers
-    return DirectSystem(pair_kernel(cluster, kappa0, diagonal=1.0 / c_coeff), RESIDUAL_TOL,
-                        name=SYSTEM_NAME)
+    return MixedPrecisionSystem(cluster, kappa0, 1.0 / c_coeff, RESIDUAL_TOL, SYSTEM_NAME)
 
 
 def solve_charges(system, incident: IncidentWave, centers) -> ChargeSolution:
     """Solve ``assemble``'s system for the charges with rhs -u^I(z_m).
 
     A direct system is factored on its first call and the factorization
-    reused on later ones; either system refines once if the residual
-    misses its contract.  The right-hand side is permuted into the system's
+    reused on later ones; a mixed-precision system refines each solve in
+    double, and the others refine once if the residual misses its
+    contract.  The right-hand side is permuted into the system's
     ``order``, if it has one, and the charges back.
     """
     b = -incident.at(centers)

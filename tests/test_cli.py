@@ -100,7 +100,7 @@ def test_converge_deterministic_via_subprocess(config_path, tmp_path):
 def _limit_address_space():
     import resource
 
-    limit = 16 * 2**30  # far below the last row's 43 GiB matrix, far above the run's needs
+    limit = 16 * 2**30  # far below the last row's 33 GiB matrix, far above the run's needs
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
@@ -112,9 +112,9 @@ _UNBUDGETED_CLI = ("from bubblelab import kernels; kernels.DENSE_MAX_BYTES = 1 <
 def test_refused_dense_allocation_aborts_its_row(tmp_path):
     # the last row's K = 1 cluster (two centres a cell, so solved densely)
     # has M = 2 * 30^3 = 54,000 centres (pitch a^(1/6)), whose kernel matrix
-    # would need 16 M^2 bytes (43 GiB): with the budget raised, under an
-    # address-space limit numpy cannot allocate it, so the row aborts with
-    # the estimate and the run writes the two rows it finished
+    # would need 12 M^2 bytes in single precision (33 GiB): with the budget
+    # raised, under an address-space limit numpy cannot allocate it, so the
+    # row aborts with the estimate and the run writes the two rows it finished
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**BASE, **K1_LOW, "a_sequence": [0.02, 0.01, 1.4e-9]}))
     out = tmp_path / "run"
@@ -129,7 +129,7 @@ def test_refused_dense_allocation_aborts_its_row(tmp_path):
     [[a, reason, diagnostics]] = report["aborted_rows"]
     assert a == 1.4e-9 and reason.startswith("AllocationError: ")
     assert diagnostics == {"type": "AllocationError", "cond_estimate": None,
-                           "iterations": None, "bytes": 16 * 54000**2}
+                           "iterations": None, "bytes": 12 * 54000**2}
     assert "could not be allocated" in reason
 
 
@@ -278,16 +278,18 @@ def _dense_sizes(path):
 @pytest.mark.parametrize("name, over", [("point", K1_LOW), ("surface", MEDIUM_RECT),
                                         ("dirichlet", HIGH_BALL)])
 def test_over_budget_dense_system_aborts_its_rows(tmp_path, monkeypatch, name, over):
-    # the point case's budget is exactly its second system, so only its last
-    # row aborts; the panel cases' budget admits every point system but not
-    # the run's one panel system (N panels), so each of their rows aborts
+    # the point case's budget is exactly its second system (12 M^2 bytes in
+    # single precision), so only its last row aborts; the panel cases' budget
+    # admits every point system but not the run's one panel system (16 N^2
+    # bytes, N panels), so each of their rows aborts
     path = _write_config(tmp_path, name, **over)
     ms, n = _dense_sizes(path)
     a_seq = over["a_sequence"]
+    entry = 12 if n is None else 16
     if n is None:
-        budget, refused = 16 * ms[1] ** 2, {a_seq[2]: ms[2]}
+        budget, refused = entry * ms[1] ** 2, {a_seq[2]: ms[2]}
     else:
-        budget, refused = 16 * max(ms) ** 2, dict.fromkeys(a_seq, n)
+        budget, refused = entry * max(ms) ** 2, dict.fromkeys(a_seq, n)
     monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", budget)
     # a row solves its comparator first: a refused panel system stops the
     # row before its cluster is built
@@ -302,14 +304,14 @@ def test_over_budget_dense_system_aborts_its_rows(tmp_path, monkeypatch, name, o
     aborted = json.loads((out / "regime_report.json").read_text())["aborted_rows"]
     assert [(a, diagnostics) for a, _, diagnostics in aborted] == [
         (a, {"type": "AllocationError", "cond_estimate": None, "iterations": None,
-             "bytes": 16 * size**2}) for a, size in refused.items()]
+             "bytes": entry * size**2}) for a, size in refused.items()]
     assert all("over the dense budget" in reason for _, reason, _ in aborted)
 
 
 def test_solve_fl_enforces_cluster_cap(tmp_path, monkeypatch):
-    # the first row's M = 16 system needs 4096 bytes, one over the budget
+    # the first row's M = 16 system needs 3072 bytes, one over the budget
     path = _write_config(tmp_path, "capped", **K1_LOW)
-    monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", 16 * 16**2 - 1)
+    monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", 12 * 16**2 - 1)
     out = tmp_path / "capped"
     assert cli(["solve-fl", "--config", str(path), "--out", str(out)]) == 3
     assert not out.exists()

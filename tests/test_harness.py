@@ -331,7 +331,8 @@ def test_medium_volumetric_run():
 
 def test_row_abort_on_cluster_cap(monkeypatch):
     # a K = 1 box (two centres per cell) holds M = 16, 54 and 250 centres; a
-    # dense budget of 300 x 300 refuses only the last row's system
+    # dense budget of 300 x 300 double entries refuses only the last row's
+    # system, 12 M^2 bytes in single precision
     monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", 16 * 300**2)
     cfg = low_config(geometry={"kind": "box", "size": [1, 1, 1],
                                "density": {"kind": "constant", "value": 1.0}},
@@ -341,7 +342,7 @@ def test_row_abort_on_cluster_cap(monkeypatch):
     [(a, reason, diagnostics)] = table.aborted
     assert a == 1e-5 and reason.startswith("AllocationError: ")
     assert diagnostics == {"type": "AllocationError", "cond_estimate": None,
-                           "iterations": None, "bytes": 16 * 686**2}
+                           "iterations": None, "bytes": 12 * 686**2}
 
 
 def test_solver_error_row_keeps_diagnostics(tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ from bubblelab.kernels import (
     CACHE_BLOCK,
     DirectSystem,
     LatticeConvolution,
+    MixedPrecisionSystem,
     _dct1,
     _norm1,
     cocg,
@@ -69,7 +70,7 @@ def cluster(m, seed, scale=1.0):
 @pytest.mark.parametrize("m", [1, 2, 37, 600])
 def test_assemble_bitwise_equal_to_broadcast(m):
     centers = cluster(m, seed=m)
-    assert np.array_equal(assemble(centers, -0.3 + 0.02j, 7.3).matrix,
+    assert np.array_equal(pair_kernel(centers, 7.3, 1.0 / (-0.3 + 0.02j)),
                           broadcast_assemble(centers, -0.3 + 0.02j, 7.3))
 
 
@@ -274,7 +275,7 @@ def test_dct1_bitwise_equal_to_scipy_dctn(shape):
 def test_factor_once_charges_equal_per_direction_solves():
     centers = cluster(80, seed=3)
     kappa0 = 1.9
-    matrix = assemble(centers, -0.05, kappa0).matrix
+    matrix = pair_kernel(centers, kappa0, 1.0 / -0.05)
     system = DirectSystem(matrix.copy(), RESIDUAL_TOL)  # it factors its array in place
     for theta in fibonacci_directions(4):
         inc = IncidentWave(kappa0, theta)
@@ -311,7 +312,7 @@ def test_dense_system_rcond_threshold():
 def test_norm1_is_the_max_column_sum_of_a_symmetric_matrix(m):
     # taken by contiguous row blocks (22 rows at M = 1458), whose sums round
     # in another order than the column sums
-    a = assemble(cluster(m, seed=12), -0.01, 3.0).matrix
+    a = pair_kernel(cluster(m, seed=12), 3.0, 1.0 / -0.01)
     ref = np.abs(a).sum(axis=0).max()
     assert abs(_norm1(a) - ref) <= 1e-15 * ref
 
@@ -419,7 +420,7 @@ def test_one_sector_direct_system_is_the_in_place_ldlt_bitwise():
     # P = 1 makes the dense path's calls, call for call: zsytrf in place on
     # the whole matrix, zsycon on its 1-norm, zsytrs per right-hand side
     m = 200
-    a0 = assemble(cluster(m, seed=5), -0.02, 2.5).matrix
+    a0 = pair_kernel(cluster(m, seed=5), 2.5, 1.0 / -0.02)
     b = IncidentWave(2.5, np.array([0.0, 0.0, 1.0])).at(cluster(m, seed=5))
     system = DirectSystem(a0.copy(), 1e-10)
     x, _ = system.solve(b)
@@ -479,6 +480,61 @@ def test_over_budget_sector_columns_raise_before_allocating(monkeypatch):
     monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", 16 * n * r)
     for make in build:
         make()  # exactly at the budget
+
+
+def _head_plus_tail(system) -> np.ndarray:
+    """hi + lo of a MixedPrecisionSystem's upper triangle in double, lo read
+    from its row blocks; the diagonal from the double copy it keeps."""
+    m = len(system)
+    full = np.triu(system._hi.astype(complex), 1)
+    for i0, i1, offset in system._blocks:
+        tail = system._tail[offset:offset + (i1 - i0) * (m - i0)].reshape(i1 - i0, m - i0)
+        full[i0:i1, i0:] += np.triu(tail, 0)
+    full[np.diag_indices(m)] = system._diagonal
+    return full
+
+
+@pytest.mark.parametrize("m, diagonal", [(1, 2.0 - 1j), (37, -20.0), (600, "per point")],
+                         ids=["one_point", "scalar", "per_point"])
+def test_mixed_precision_head_and_tail(m, diagonal):
+    # hi is the double kernel matrix rounded once, in both triangles; hi + lo
+    # is it to 2^-46 relative, entry by entry, and the diagonal stays double
+    z = cluster(m, seed=m)
+    if diagonal == "per point":
+        diagonal = np.linspace(-30.0, -10.0, m) + 2j
+    a = pair_kernel(z, 3.0, diagonal)
+    system = MixedPrecisionSystem(z, 3.0, diagonal, RESIDUAL_TOL)
+    assert system._hi.dtype == np.complex64
+    assert np.array_equal(system._hi, a.astype(np.complex64))
+    upper = np.triu_indices(m)
+    split = _head_plus_tail(system)[upper]
+    assert np.all(np.abs(split - a[upper]) <= 2.0**-46 * np.abs(a[upper]))
+    assert np.array_equal(system._diagonal, np.diagonal(a))
+    # the tail holds the upper triangle's row blocks, whose diagonal blocks
+    # have at most isqrt(CACHE_BLOCK) rows, not a second matrix
+    triangle = m * (m + 1) // 2
+    assert triangle <= system._tail.size <= triangle + m * math.isqrt(CACHE_BLOCK)
+
+
+def test_shared_mixed_precision_system_factors_once(monkeypatch):
+    centers = cluster(300, seed=3)
+    kappa0 = 1.9
+    calls = []
+    call = kernels._lapack_call
+    monkeypatch.setattr(kernels, "_lapack_call",
+                        lambda routine, *args: calls.append(routine) or call(routine, *args))
+    system = MixedPrecisionSystem(centers, kappa0, 1.0 / -0.05, RESIDUAL_TOL)
+    for theta in fibonacci_directions(3):
+        inc = IncidentWave(kappa0, theta)
+        shared = solve_charges(system, inc, centers)
+        fresh = solve_charges(MixedPrecisionSystem(centers, kappa0, 1.0 / -0.05, RESIDUAL_TOL),
+                              inc, centers)
+        assert np.array_equal(shared.charges, fresh.charges)
+        assert shared.cond_estimate == fresh.cond_estimate
+        assert shared.residual <= RESIDUAL_TOL * (1 + np.abs(shared.charges).max())
+    # a workspace query and a factorization each: the shared system's one and three fresh ones
+    assert calls.count("csytrf") == 2 * 4 and calls.count("csycon") == 4
+    assert system._fallback is None
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +640,9 @@ def test_pair_kernel_peak_memory_is_its_output_plus_cache_blocks():
 
 @pytest.mark.parametrize("system", ["point", "surface", "dirichlet"])
 def test_over_budget_dense_system_raises_before_allocating(monkeypatch, system):
-    # every dense system is one pair_kernel matrix, refused one byte over the budget
+    # every dense system is refused one byte over the budget: the panel
+    # systems' pair_kernel matrix (16 N^2 bytes), the point system's single
+    # precision head and tail (12 M^2 bytes)
     mesh = cube_mesh(6)
     n = mesh.n_panels
     centers = cluster(n, seed=4)
@@ -592,7 +650,8 @@ def test_over_budget_dense_system_raises_before_allocating(monkeypatch, system):
     build = {"point": lambda: assemble(centers, -0.01, 3.0),
              "surface": lambda: panel_weight_matrix(mesh, 3.0),
              "dirichlet": lambda: solve_dirichlet(mesh, incident, fibonacci_directions(10))}
-    monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", 16 * n * n - 1)
+    nbytes = (12 if system == "point" else 16) * n * n
+    monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", nbytes - 1)
     tracemalloc.start()
     try:
         with pytest.raises(AllocationError) as err:
@@ -600,9 +659,9 @@ def test_over_budget_dense_system_raises_before_allocating(monkeypatch, system):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert err.value.nbytes == 16 * n * n
-    assert peak < 16 * n * n // 4  # the matrix was never allocated
-    monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", 16 * n * n)
+    assert err.value.nbytes == nbytes
+    assert peak < nbytes // 4  # the matrix was never allocated
+    monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", nbytes)
     build[system]()  # exactly at the budget
 
 
@@ -617,7 +676,7 @@ def test_far_field_sum_peak_memory_is_one_cache_block_of_phases():
 
 def test_dense_factor_peak_memory_is_the_workspace():
     m = 1458
-    matrix = assemble(cluster(m, seed=10), -0.01, 3.0).matrix  # 16 M^2 bytes, before tracing
+    matrix = pair_kernel(cluster(m, seed=10), 3.0, 1.0 / -0.01)  # 16 M^2 bytes, before tracing
     lwork, _ = zsytrf_lwork(m, lower=1)
     peak = _traced_peak(DirectSystem(matrix, 1e-8).factor)
     # zsytrf's workspace plus the 1-norm's row block of CACHE_BLOCK
@@ -627,7 +686,7 @@ def test_dense_factor_peak_memory_is_the_workspace():
 
 def test_dense_solve_peak_memory_is_the_matrix_alone():
     m = 1500
-    matrix = assemble(cluster(m, seed=6), -0.01, 3.0).matrix  # 16 M^2 bytes, before tracing
+    matrix = pair_kernel(cluster(m, seed=6), 3.0, 1.0 / -0.01)  # 16 M^2 bytes, before tracing
     b = np.ones(m, dtype=complex)
 
     def factor_and_two_solves():
@@ -706,10 +765,11 @@ def test_volume_solve_peak_memory_is_the_operator_and_five_vectors(n, bound):
     pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), -1.5)
     inc = IncidentWave(2.0, np.array([0.0, 0.0, 1.0]))
     peak = _traced_peak(volmedium.assemble_and_solve, grid, pot, inc)
-    # COCG's four vectors and room for a grid density's per-cell S (a
-    # constant density's is a scalar: test_volmedium bounds that solve by
-    # four); the rest is apply's ufunc buffers.  A held u^I, Jacobi
-    # diagonal, second S u^I and apply output made 8 (11.4 MiB at 36^3)
+    # COCG's four vectors and room for a grid density's per-cell
+    # coefficient V0 g^3 (a constant density's is a scalar: test_volmedium
+    # bounds that solve by four); the rest is apply's ufunc buffers.  A held
+    # u^I, Jacobi diagonal, second scaled u^I and apply output made 8 (11.4
+    # MiB at 36^3)
     assert peak <= _operator_bytes(grid) + 5 * 16 * grid.n_cells + bound
 
 

@@ -15,10 +15,11 @@ from bubblelab.cluster import (
 )
 from bubblelab.errors import AllocationError, ConfigError, GeometryError
 from bubblelab.fields import CSV_HEADER, FarField, fibonacci_directions
-from bubblelab.kernels import DirectSystem, LatticeSystem
+from bubblelab.kernels import DirectSystem, LatticeSystem, MixedPrecisionSystem, pair_kernel
 from bubblelab.materials import ContrastParams, classify_regime
 from bubblelab.pointscat import (
     RESIDUAL_TOL,
+    SYSTEM_NAME,
     IncidentWave,
     assemble,
     far_field,
@@ -47,11 +48,11 @@ def test_fibonacci_directions_unit_and_spread():
 
 
 def test_assemble_single_and_pair():
-    a1 = assemble([[0.0, 0.0, 0.0]], 2.0, 1.0).matrix
+    a1 = pair_kernel([[0.0, 0.0, 0.0]], 1.0, 1.0 / 2.0)
     assert a1.shape == (1, 1) and a1[0, 0] == 0.5
 
     r = 0.7
-    a2 = assemble([[0, 0, 0], [0, 0, r]], -1.5, 2.0).matrix
+    a2 = pair_kernel([[0, 0, 0], [0, 0, r]], 2.0, 1.0 / -1.5)
     expected = np.exp(1j * 2.0 * r) / (4 * np.pi * r)
     assert abs(a2[0, 1] - expected) < 1e-15
     assert a2[0, 1] == a2[1, 0]
@@ -59,7 +60,7 @@ def test_assemble_single_and_pair():
 
 def test_assemble_collinear_triple():
     d = 0.3
-    a = assemble([[0, 0, 0], [0, 0, d], [0, 0, 2 * d]], 1.0, 1.5).matrix
+    a = pair_kernel([[0, 0, 0], [0, 0, d], [0, 0, 2 * d]], 1.5, 1.0)
     assert abs(a[0, 2] - np.exp(1j * 1.5 * 2 * d) / (8 * np.pi * d)) < 1e-15
 
 
@@ -72,7 +73,7 @@ def test_assemble_rejects_coincident_centers():
 @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10**6))
 def test_assemble_symmetric_exactly(m, seed):
     centers = random_cluster(m, seed)
-    a = assemble(centers, 0.5 + 0.1j, 1.3).matrix
+    a = pair_kernel(centers, 1.3, 1.0 / (0.5 + 0.1j))
     assert np.array_equal(a, a.T)
 
 
@@ -125,7 +126,7 @@ def test_lattice_system_matches_dense_solve(domain, density, a, c, kappa0):
     cl = build_volumetric(domain, DensityField("constant", density), a=a, s=1.0, t=0.4,
                           seed=0, d_min=0.5)
     lattice, dense = assemble(cl, c, kappa0), assemble(cl.centers, c, kappa0)
-    assert isinstance(lattice, LatticeSystem) and isinstance(dense, DirectSystem)
+    assert isinstance(lattice, LatticeSystem) and isinstance(dense, MixedPrecisionSystem)
     assert len(lattice) == len(dense) == cl.m
     dirs = fibonacci_directions(64)
     for theta in fibonacci_directions(2):
@@ -144,7 +145,49 @@ def test_k1_cluster_is_solved_densely():
     cl = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField("constant", 1.0), a=1e-3,
                           s=1.0, t=0.4, seed=0, d_min=0.5)
     system = assemble(cl, -0.002, 1.4)
-    assert isinstance(system, DirectSystem) and len(system) == cl.m == 2000
+    assert isinstance(system, MixedPrecisionSystem) and len(system) == cl.m == 2000
+
+
+def test_k1_cluster_matches_the_double_solve():
+    # the single-precision factors refined in double solve what one double
+    # LDL^T of pair_kernel's matrix solves, for every incidence direction
+    cl = build_volumetric(BoxDomain(size=(1, 1, 1)), DensityField("constant", 1.0), a=1e-3,
+                          s=1.0, t=0.4, seed=0, d_min=0.5)
+    c, kappa0 = -0.002, 1.4
+    system = assemble(cl, c, kappa0)
+    dense = DirectSystem(pair_kernel(cl.centers, kappa0, 1.0 / c), RESIDUAL_TOL)
+    assert cl.m >= 1000
+    dirs = fibonacci_directions(64)
+    for theta in fibonacci_directions(2):
+        inc = IncidentWave(kappa0, theta)
+        sol, ref = solve_charges(system, inc, cl.centers), solve_charges(dense, inc, cl.centers)
+        assert sol.residual <= RESIDUAL_TOL * (1 + np.abs(sol.charges).max())
+        assert np.abs(sol.charges - ref.charges).max() <= 1e-12 * np.abs(ref.charges).max()
+        ff, ff_ref = far_field([sol, ref], cl.centers, kappa0, dirs)
+        assert ff.sup_diff(ff_ref) <= 1e-12 * ff_ref.sup_norm()
+    assert system._fallback is None and sol.iterations is None
+    assert 1.0 <= sol.cond_estimate < 1e4
+
+
+def test_ill_conditioned_cluster_falls_back_to_the_double_solve():
+    # 1/C planted next to an eigenvalue of the kernel matrix makes A nearly
+    # singular: single-precision corrections cannot converge, so the system
+    # drops its head and tail and solves as a double DirectSystem, bit for bit
+    centers = random_cluster(40, seed=8)
+    kappa0 = 2.0
+    eigenvalues = np.linalg.eigvals(pair_kernel(centers, kappa0, 0.0))
+    planted = eigenvalues[np.argmax(np.abs(eigenvalues))]
+    c = 1.0 / (1e-9 * abs(planted) - planted)
+    system = assemble(centers, c, kappa0)
+    dense = DirectSystem(pair_kernel(centers, kappa0, 1.0 / c), RESIDUAL_TOL,
+                         name=SYSTEM_NAME)
+    for theta in fibonacci_directions(2):
+        inc = IncidentWave(kappa0, theta)
+        sol, ref = solve_charges(system, inc, centers), solve_charges(dense, inc, centers)
+        assert system._fallback is not None and system._hi is None and system._tail is None
+        assert np.array_equal(sol.charges, ref.charges)
+        assert sol.residual == ref.residual and sol.cond_estimate == ref.cond_estimate
+    assert sol.cond_estimate >= 1e8
 
 
 @pytest.mark.parametrize("a, m", [(0.02, 52), (0.008, 149)], ids=["no_pole", "pole"])
@@ -156,7 +199,7 @@ def test_symmetric_cap_cluster_matches_dense_solve(a, m):
                        s=0.95, t=0.33, seed=1, d_min=0.1)
     c, kappa0 = -0.02 + 0.001j, 2.3
     system, dense = assemble(cl, c, kappa0), assemble(cl.centers, c, kappa0)
-    assert cl.sectors == 4 and system.sectors == 4 and dense.sectors == 1
+    assert cl.sectors == 4 and system.sectors == 4 and isinstance(dense, MixedPrecisionSystem)
     assert len(system) == len(dense) == cl.m == m
     assert system.matrix.shape == (m, m // 4)
     assert (system.pole is None) == (m % 4 == 0)

@@ -183,8 +183,9 @@ def test_volume_solve_reproduces_pre_refactor_values(pinned_results, grid_name, 
 @pytest.mark.parametrize("grid_name, v0", sorted(PINNED_SOLVES),
                          ids=[f"{g}_v0={v0:.4g}" for g, v0 in sorted(PINNED_SOLVES)])
 def test_constant_potential_solves_as_its_per_cell_copy(grid_name, v0):
-    # one 0-d V0 broadcasts through S, the Jacobi diagonal, recovery and the
-    # far field to the very bits of the same value given on every cell
+    # one 0-d V0 broadcasts through the coefficient V0 g^3, its inverse, the
+    # Jacobi diagonal, the recovery Y = X / (V0 g^3) and the far field to the
+    # very bits of the same value given on every cell
     grid = _grid(grid_name)
     dirs = fibonacci_directions(32)
     results = []
@@ -208,10 +209,11 @@ def test_slabwise_incident_matches_the_centres(grid_name):
 
 
 def test_constant_density_solve_peak_memory_is_the_operator_and_four_vectors():
-    # COCG's x, r, p and work vector; S, the Jacobi diagonal and the
-    # potential are scalars, and u^I is formed one slab at a time into the
-    # vector COCG takes over.  6.73 MiB measured; with S held per cell and
-    # u^I formed from all the centres at once it was 7.55 MiB
+    # COCG's x, r, p and work vector; the coefficient V0 g^3, its inverse,
+    # the Jacobi diagonal and the potential are scalars, and u^I is formed
+    # one slab at a time into the vector COCG takes over.  6.73 MiB
+    # measured; an earlier solve that held a per-cell scaling and formed u^I
+    # from all the centres at once took 7.55 MiB
     grid = VoxelGrid.cover(BoxDomain(size=(1, 1, 1)), 36)
     pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), -1.5)
     peak = _traced_peak(assemble_and_solve, grid, pot, INC)
@@ -283,8 +285,9 @@ def test_dense_and_fft_paths_agree(ball_grid):
 def test_strong_potential_ball_meets_contract(n, v0):
     # kappa0 = 2, V0 = -200 on a 20^3 ball: LGMRES(30) with the same Jacobi
     # preconditioner gives up here after 12,400 matvecs; COCG stays in its cap.
-    # V0 = +2000 on a 14^3 ball: K S amplifies COCG's stopping residual past
-    # the contract, which the refinement step then meets
+    # V0 = +2000 on a 14^3 ball: COCG on X = V0 g^3 Y meets its contract in
+    # its first run (45 matvecs), and Y = X / (V0 g^3) meets the collocation
+    # contract checked here
     grid = VoxelGrid.cover(BallDomain(radius=1.0), n)
     pot = VolumePotential.from_density(grid, DensityField("constant", 0.0), v0)
     sol = assemble_and_solve(grid, pot, INC)
